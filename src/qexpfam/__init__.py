@@ -69,7 +69,6 @@ from .boundary import (
 from .closures import (
     AtlasGroup,
     ClosureAtlas,
-    compressed_family,
     egeodesic_limit,
     geodesic_closure_atlas,
     inclusion_chain_check,

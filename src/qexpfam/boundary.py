@@ -12,11 +12,15 @@ Segments appear exactly where the two largest eigenvalue branches of u(alpha)
 cross.  Crossings between grid angles are located by minimizing the spectral
 gap, so tangent segments are found even when no grid direction hits their
 normal exactly.
+
+Both run on DirectionSweep, a raw-block kernel over whole arrays of angles
+that closures.py shares for its atlas and face search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -82,80 +86,105 @@ class BoundaryClassification:
         return len(self.nonexposed)
 
 
-class _SweepKernel:
-    """Raw-block evaluation of sweep directions; avoids per-angle object churn."""
+@dataclass(frozen=True)
+class SweepSpectra:
+    """Per-block np.linalg.eigh output of u(alpha) stacked over angles:
+    values[k] (n_angles, n_k) ascending, vectors[k] (n_angles, n_k, n_k)."""
 
-    def __init__(self, family: ExponentialFamily):
-        self.family = family
-        self.v1 = [np.asarray(b) for b in family.basis[0].blocks]
-        self.v2 = [np.asarray(b) for b in family.basis[1].blocks]
+    values: list[np.ndarray]
+    vectors: list[np.ndarray]
 
-    def blocks(self, alpha: float) -> list[np.ndarray]:
-        c, s = np.cos(alpha), np.sin(alpha)
-        return [c * b1 + s * b2 for b1, b2 in zip(self.v1, self.v2)]
+    def top(self) -> np.ndarray:
+        return np.max([w[:, -1] for w in self.values], axis=0)
 
-    def top_gap(self, alpha: float) -> float:
-        """Gap between the two largest eigenvalues of u(alpha), over all blocks."""
-        w = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in self.blocks(alpha)]))
-        return float(w[-1] - w[-2])
+    def top_gap(self) -> np.ndarray:
+        w = np.sort(np.concatenate(self.values, axis=1), axis=1)
+        return w[:, -1] - w[:, -2]
 
-    def face(self, alpha: float, refined: bool = False) -> BoundaryFace:
-        c, s = np.cos(alpha), np.sin(alpha)
-        perp = [-s * b1 + c * b2 for b1, b2 in zip(self.v1, self.v2)]
-        spectra = [np.linalg.eigh(b) for b in self.blocks(alpha)]
-        mu = max(float(w[-1]) for w, _ in spectra)
-        best_hi, best_lo = None, None
-        hi_val, lo_val = -np.inf, np.inf
-        mult = 0
-        for k, (w, V) in enumerate(spectra):
-            keep = w >= mu - defaults.MAX_EIG_GAP
-            r = int(keep.sum())
-            if r == 0:
-                continue
-            mult += r
-            Q = V[:, keep]
-            small = Q.conj().T @ perp[k] @ Q
-            vals, Y = np.linalg.eigh(small)
-            if vals[-1] > hi_val:
-                hi_val, best_hi = float(vals[-1]), (k, Q @ Y[:, -1])
-            if vals[0] < lo_val:
-                lo_val, best_lo = float(vals[0]), (k, Q @ Y[:, 0])
-
-        def point(block, psi):
-            return (
-                float((psi.conj() @ self.v1[block] @ psi).real),
-                float((psi.conj() @ self.v2[block] @ psi).real),
-            )
-
-        e_hi = point(*best_hi)
-        e_lo = point(*best_lo)
-        sep = np.hypot(e_hi[0] - e_lo[0], e_hi[1] - e_lo[1])
-        dim = 1 if sep > 1e-7 * (1.0 + abs(mu)) else 0
-        return BoundaryFace(
-            alpha=float(alpha),
-            support_value=mu,
-            endpoints=(e_lo, e_hi),
-            dim=dim,
-            multiplicity=mult,
-            refined=refined,
-        )
+    def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Ranks and blocks of the maximal projectors (merge gap MAX_EIG_GAP),
+        built and symmetrized as states.max_eig_data builds them, bit for bit."""
+        threshold = (self.top() - defaults.MAX_EIG_GAP)[:, None]
+        ranks, blocks = 0, []
+        for w, V in zip(self.values, self.vectors):
+            order, r = np.argsort(w, axis=-1)[:, ::-1], (w >= threshold).sum(axis=1)
+            P = np.zeros(V.shape, dtype=complex)
+            for rank in np.unique(r[r > 0]):
+                idx = np.flatnonzero(r == rank)
+                keep = np.take_along_axis(V[idx], order[idx, None, :rank], axis=-1)
+                P[idx] = keep @ keep.conj().swapaxes(-1, -2)
+            ranks = ranks + r
+            blocks.append((P + P.conj().swapaxes(-1, -2)) / 2.0)
+        return ranks, blocks
 
 
-def _refine_kink(kernel: _SweepKernel, lo: float, hi: float) -> float | None:
-    """Ternary search for an eigenvalue crossing of u(alpha) in (lo, hi)."""
-    for _ in range(200):
-        if hi - lo < 1e-13:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if kernel.top_gap(m1) <= kernel.top_gap(m2):
-            hi = m2
-        else:
-            lo = m1
-    alpha = 0.5 * (lo + hi)
-    if kernel.top_gap(alpha) <= defaults.MAX_EIG_GAP:
-        return alpha
-    return None
+class DirectionSweep:
+    """u(alpha) = cos(alpha) a + sin(alpha) b on raw blocks, queried with angle
+    arrays: each query runs one stacked np.linalg.eigh per block."""
+
+    def __init__(self, a: Sequence[np.ndarray], b: Sequence[np.ndarray]):
+        self.a, self.b = [np.asarray(x) for x in a], [np.asarray(x) for x in b]
+
+    def blocks(self, alphas) -> list[np.ndarray]:
+        alphas = np.asarray(alphas, dtype=float)
+        c, s = np.cos(alphas)[:, None, None], np.sin(alphas)[:, None, None]
+        return [c * a + s * b for a, b in zip(self.a, self.b)]
+
+    def spectra(self, alphas) -> SweepSpectra:
+        pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
+        return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
+
+    def slack(self, rho_blocks: Sequence[np.ndarray], alphas) -> np.ndarray:
+        """<rho, u> - mu_+(u) per angle, <= 0 and zero where rho is on the face;
+        the stacked matmul rounds exactly like hs_inner's tensordot."""
+        us = self.blocks(alphas)
+        inner = sum(np.matmul(np.reshape(r, (1, 1, r.size)), u.conj().reshape(-1, r.size, 1))
+                    for r, u in zip(rho_blocks, us))
+        return inner[:, 0, 0].real - np.max([np.linalg.eigh(u)[0][:, -1] for u in us], axis=0)
+
+    def locate_crossing(self, lo: float, hi: float, stop: float) -> float | None:
+        """Ternary search on the top gap for an eigenvalue crossing in (lo, hi),
+        down to width ``stop``; None unless the gap closes to MAX_EIG_GAP."""
+        for _ in range(200):
+            if hi - lo < stop:
+                break
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            g1, g2 = self.spectra([m1, m2]).top_gap()
+            if g1 <= g2:
+                hi = m2
+            else:
+                lo = m1
+        alpha = 0.5 * (lo + hi)
+        if self.spectra([alpha]).top_gap()[0] <= defaults.MAX_EIG_GAP:
+            return alpha
+        return None
+
+
+def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
+          refined: bool = False) -> BoundaryFace:
+    """Exposed face in direction alpha from row i of the sweep spectra."""
+    c, s = np.cos(alpha), np.sin(alpha)
+    mu = max(float(w[i, -1]) for w in spectra.values)
+    lows, highs, mult = [], [], 0
+    for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
+        keep = w[i] >= mu - defaults.MAX_EIG_GAP
+        mult += int(keep.sum())
+        if keep.any():
+            # extreme eigenvectors of the orthogonal direction on the maximal eigenspace
+            Q = V[i][:, keep]
+            vals, Y = np.linalg.eigh(Q.conj().T @ (-s * kernel.a[k] + c * kernel.b[k]) @ Q)
+            lows.append((float(vals[0]), k, Q @ Y[:, 0]))
+            highs.append((float(vals[-1]), k, Q @ Y[:, -1]))
+    ends = [min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])]
+    e_lo, e_hi = [
+        tuple(float((psi.conj() @ v[k] @ psi).real) for v in (kernel.a, kernel.b))
+        for _, k, psi in ends
+    ]
+    sep = np.hypot(e_hi[0] - e_lo[0], e_hi[1] - e_lo[1])
+    dim = 1 if sep > 1e-7 * (1.0 + abs(mu)) else 0
+    return BoundaryFace(alpha=float(alpha), support_value=mu, endpoints=(e_lo, e_hi),
+                        dim=dim, multiplicity=mult, refined=refined)
 
 
 def mean_value_boundary_sweep(
@@ -170,26 +199,25 @@ def mean_value_boundary_sweep(
         raise PreconditionError("boundary sweeps require a 2D tangent space")
     if family.support is not None:
         raise PreconditionError("boundary sweeps require a full-algebra family")
-    kernel = _SweepKernel(family)
+    kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
-    faces = [kernel.face(a) for a in alphas]
-    gaps = np.array([kernel.top_gap(a) for a in alphas])
+    spectra = kernel.spectra(alphas)
+    faces = [_face(kernel, a, spectra, i) for i, a in enumerate(alphas)]
+    gaps = spectra.top_gap()
 
     kinks: list[float] = []
-    n = len(alphas)
-    for j in range(n):
-        if gaps[j] <= gaps[(j - 1) % n] and gaps[j] <= gaps[(j + 1) % n]:
-            lo = alphas[j] - 2.0 * np.pi / n
-            hi = alphas[j] + 2.0 * np.pi / n
-            found = _refine_kink(kernel, lo, hi)
-            if found is not None:
-                found %= 2.0 * np.pi
-                if not any(abs(found - k) < 1e-9 for k in kinks):
-                    kinks.append(found)
-    grid_set = {float(a) for a in alphas}
+    step = 2.0 * np.pi / len(alphas)
+    for j in np.flatnonzero((gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))):
+        found = kernel.locate_crossing(
+            alphas[j] - step, alphas[j] + step, defaults.SWEEP_CROSSING_TOL
+        )
+        if found is not None:
+            found %= 2.0 * np.pi
+            if not any(abs(found - k) < 1e-9 for k in kinks):
+                kinks.append(found)
     for alpha in kinks:
-        if not any(abs(alpha - g) < 1e-12 for g in grid_set):
-            faces.append(kernel.face(alpha, refined=True))
+        if np.abs(alphas - alpha).min() >= 1e-12:  # not a grid angle
+            faces.append(_face(kernel, alpha, kernel.spectra([alpha]), 0, refined=True))
 
     faces.sort(key=lambda f: f.alpha)
     return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=tuple(faces))

@@ -33,20 +33,21 @@ from .errors import (
     SolverError,
     UnderResolvedSweepError,
 )
-from .family import distance_continuation, project_to_family
+from .family import distance_continuation, entropy_distance, project_to_family
 from .findings import Report
 from .linalg import from_coords, traceless_part
-from .maximizer import dE_directional_derivative, maximizer_certificate
+from .maximizer import dE_directional_derivative, local_max_search, maximizer_certificate
 from .output import (
     atlas_csv,
     boundary_csv,
     boundary_svg,
+    certificates_csv,
     fmt,
     report_csv,
     write_csv,
 )
 from .sampling import random_state
-from .states import State
+from .states import Projector, State
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -93,9 +94,11 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
     res = project_to_family(
         rho, family, tol=cfg.tol, param_cap=cfg.param_cap, max_iter=cfg.max_iter
     )
-    caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0, 1.0))
+    # the ladder's last cap is param_cap itself, whose solve is res
+    caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0))
     ladder = distance_continuation(rho, family, caps=caps, tol=cfg.tol,
                                    max_iter=cfg.max_iter)
+    ladder.append((float(cfg.param_cap), res.distance, res.attained))
     face = _search_face_direction(rho, family)
     exact = None
     if face is not None:
@@ -141,8 +144,6 @@ def _maximizer_report(cfg: RunConfig) -> Report:
         u = traceless_part(from_coords(cfg.algebra, 0.2 * rng.normal(size=cfg.algebra.real_dim)))
         analytic = dE_directional_derivative(rho, u, family)
         h = 1e-4
-        from .family import entropy_distance
-
         dp, _ = entropy_distance(State(rho.element + h * u), family, tol=1e-12)
         dm, _ = entropy_distance(State(rho.element - h * u), family, tol=1e-12)
         fd = (dp - dm) / (2.0 * h)
@@ -160,10 +161,6 @@ def _maximizer_report(cfg: RunConfig) -> Report:
         rows,
     )
     if cfg.algebra.block_dims == (2, 1):
-        from .maximizer import local_max_search
-        from .output import certificates_csv
-        from .states import Projector
-
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
         cands = local_max_search(
             cone.staffelberg_family(), p, seed=cfg.seed,
@@ -178,21 +175,20 @@ def _maximizer_report(cfg: RunConfig) -> Report:
 
 def cmd_report(cfg: RunConfig, which: str) -> int:
     """Run a named report, write its findings CSV, exit 4 on violations."""
-    rng = np.random.default_rng(cfg.seed)
     if which == "staffelberg":
-        report = cone.staffelberg_report(rng)
-        atlas_csv(os.path.join(cfg.out_dir, "staffelberg_atlas.csv"),
-                  geodesic_closure_atlas(cone.staffelberg_family()))
+        atlas = geodesic_closure_atlas(cone.staffelberg_family())
+        report = cone.staffelberg_report(atlas)
+        atlas_csv(os.path.join(cfg.out_dir, "staffelberg_atlas.csv"), atlas)
     elif which == "swallow":
-        report = cone.swallow_report(rng)
-        atlas_csv(os.path.join(cfg.out_dir, "swallow_atlas.csv"),
-                  geodesic_closure_atlas(cone.swallow_family()))
+        atlas = geodesic_closure_atlas(cone.swallow_family())
+        report = cone.swallow_report(atlas)
+        atlas_csv(os.path.join(cfg.out_dir, "swallow_atlas.csv"), atlas)
     elif which == "closures":
         report = inclusion_chain_check(build_family(cfg))
     elif which == "maximizer":
         report = _maximizer_report(cfg)
     elif which == "cone":
-        report = cone.cone_identity_residuals(rng=rng)
+        report = cone.cone_identity_residuals(rng=np.random.default_rng(cfg.seed))
     else:
         raise PreconditionError(
             f"unknown report '{which}' "

@@ -7,7 +7,8 @@ geodesic closure is therefore a disjoint union of families in corner
 algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
 where eigenvalue branches merge (higher-rank projectors, measure zero in the
-sweep) are located by bisection on the projector discontinuity.
+sweep) are located by a ternary search on the top spectral gap.  The sweep
+and the face-direction search run on boundary.DirectionSweep (a = g2, b = g1).
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -22,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import defaults
+from .boundary import DirectionSweep
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
@@ -40,8 +42,6 @@ from .states import (
     exposed_face_membership,
     max_eig_data,
 )
-
-compressed_family = make_compressed_family
 
 
 def egeodesic_limit(
@@ -99,9 +99,6 @@ class ClosureAtlas:
     def spike_groups(self) -> list[AtlasGroup]:
         return [g for g in self.groups if g.spike]
 
-    def groups_of_rank(self, rank: int) -> list[AtlasGroup]:
-        return [g for g in self.groups if g.rank == rank]
-
 
 def sweep_direction(family: ExponentialFamily, alpha: float) -> HermitianElement:
     """Polar direction sin(alpha) g1 + cos(alpha) g2 over the family generators.
@@ -110,53 +107,21 @@ def sweep_direction(family: ExponentialFamily, alpha: float) -> HermitianElement
     transitions sit at round angles; any full sweep covers the same set of
     directions as the orthonormal-basis convention.
     """
+    blocks = _polar_sweep(family).blocks([alpha])
+    return HermitianElement(family.algebra, [u[0] for u in blocks])
+
+
+def _polar_sweep(family: ExponentialFamily) -> DirectionSweep:
+    """The kernel of sweep_direction: cos(alpha) g2 + sin(alpha) g1."""
     if len(family.generators) != 2:
         raise PreconditionError("polar sweeps need exactly two generators")
     g1, g2 = family.generators
-    return float(np.sin(alpha)) * g1 + float(np.cos(alpha)) * g2
-
-
-def _max_projector(family: ExponentialFamily, alpha: float) -> Projector:
-    return max_eig_data(sweep_direction(family, alpha))[1]
-
-
-def _proj_dist(p: Projector, q: Projector) -> float:
-    return (p.element - q.element).norm()
+    return DirectionSweep(g2.blocks, g1.blocks)
 
 
 def _angle_dist(a: float, b: float) -> float:
     d = abs(a - b) % (2.0 * np.pi)
     return min(d, 2.0 * np.pi - d)
-
-
-def _top_gap(family: ExponentialFamily, alpha: float) -> float:
-    from .linalg import eigh
-
-    w = eigh(sweep_direction(family, alpha)).all_eigenvalues()
-    return float(w[0] - w[1])
-
-
-def _locate_crossing(family: ExponentialFamily, lo: float, hi: float) -> float | None:
-    """Find the eigenvalue crossing of u(alpha) in (lo, hi) that carries the
-    projector discontinuity.
-
-    Ternary search on the gap between the two largest eigenvalues; handles
-    transversal crossings (linear gap) and tangential ones (quadratic gap)
-    alike.  Returns None when the gap never closes to merge tolerance.
-    """
-    for _ in range(300):
-        if hi - lo < defaults.TRANSITION_ANGLE_TOL * 0.5:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if _top_gap(family, m1) <= _top_gap(family, m2):
-            hi = m2
-        else:
-            lo = m1
-    alpha = 0.5 * (lo + hi)
-    if _top_gap(family, alpha) <= defaults.MAX_EIG_GAP:
-        return alpha
-    return None
 
 
 def geodesic_closure_atlas(
@@ -166,8 +131,9 @@ def geodesic_closure_atlas(
 
     Directions are grouped by equality of their maximal projectors (within
     1e-9, robust to phase ambiguity inside degenerate eigenspaces);
-    projector discontinuities between grid angles are refined by bisection to
-    1e-10 and checked for a higher-rank crossing direction there.
+    projector discontinuities between grid angles are refined by a ternary
+    gap search to 1e-10 and checked for a higher-rank crossing direction
+    there.  Grid projectors stay raw blocks; one Projector is built per run.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -175,16 +141,27 @@ def geodesic_closure_atlas(
         raise PreconditionError("closure atlases require a full-algebra family")
     n = int(n_directions)
     alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    projs = [_max_projector(family, a) for a in alphas]
+    kernel = _polar_sweep(family)
+    ranks, blocks = kernel.spectra(alphas).max_projectors()
+
+    def projector(stack: list[np.ndarray], j: int) -> Projector:
+        return Projector(HermitianElement(family.algebra, [b[j] for b in stack]))
+
+    # distance from each grid projector to the next one (cyclically); equal
+    # images: equal rank and distance within the merge tolerance
+    dist = np.sqrt(sum(
+        np.linalg.norm(b - np.roll(b, -1, axis=0), axis=(1, 2)) ** 2 for b in blocks
+    ))
+    same_next = (ranks == np.roll(ranks, -1)) & (dist <= defaults.MAX_EIG_GAP)
 
     # runs of consecutive equal projectors (cyclically)
     runs: list[list[int]] = [[0]]
     for j in range(1, n):
-        if projs[j].same_image(projs[j - 1]):
+        if same_next[j - 1]:
             runs[-1].append(j)
         else:
             runs.append([j])
-    if len(runs) > 1 and projs[0].same_image(projs[-1]):
+    if len(runs) > 1 and same_next[n - 1]:
         runs[0] = runs.pop() + runs[0]
 
     step = 2.0 * np.pi / n
@@ -196,25 +173,16 @@ def geodesic_closure_atlas(
     def add_group(p: Projector, a_lo: float, a_hi: float, count: int, spike: bool):
         fam_p = make_compressed_family(family, p)
         rep = fam_p.member(np.zeros(fam_p.dim))
-        groups.append(
-            AtlasGroup(
-                projector=p,
-                rank=p.rank,
-                alpha_lo=float(a_lo),
-                alpha_hi=float(a_hi),
-                n_samples=count,
-                spike=spike,
-                family=fam_p,
-                representative=rep,
-            )
-        )
+        groups.append(AtlasGroup(projector=p, rank=p.rank, alpha_lo=float(a_lo),
+                                 alpha_hi=float(a_hi), n_samples=count, spike=spike,
+                                 family=fam_p, representative=rep))
 
     for run in runs:
-        p = projs[run[0]]
+        p = projector(blocks, run[0])
         a_lo = float(alphas[run[0]])
         a_hi = float(alphas[run[-1]])
         spike = len(run) == 1 and p.rank > min(
-            projs[(run[0] - 1) % n].rank, projs[(run[0] + 1) % n].rank
+            ranks[(run[0] - 1) % n], ranks[(run[0] + 1) % n]
         )
         add_group(p, a_lo, a_hi, len(run), spike)
         if spike:
@@ -224,9 +192,9 @@ def geodesic_closure_atlas(
     known_spikes = [g.alpha_lo for g in groups if g.spike]
     for j in range(n):
         k = (j + 1) % n
-        if projs[j].same_image(projs[k]):
+        if same_next[j]:
             continue
-        if _proj_dist(projs[j], projs[k]) <= jump_tol:
+        if dist[j] <= jump_tol:
             continue  # smooth drift of a moving rank-one projector
         lo = float(alphas[j])
         hi = float(alphas[j] + step)
@@ -235,12 +203,13 @@ def geodesic_closure_atlas(
             for s in known_spikes
         ):
             continue  # the crossing is already a sampled spike
-        alpha_star = _locate_crossing(family, lo, hi)
+        alpha_star = kernel.locate_crossing(lo, hi, defaults.TRANSITION_ANGLE_TOL * 0.5)
         if alpha_star is None:
             continue
-        p_star = _max_projector(family, alpha_star)
+        p_star = projector(kernel.spectra([alpha_star]).max_projectors()[1], 0)
         transitions.append(alpha_star % (2.0 * np.pi))
-        if not (p_star.same_image(projs[j]) or p_star.same_image(projs[k])):
+        if not (p_star.same_image(projector(blocks, j))
+                or p_star.same_image(projector(blocks, k))):
             add_group(p_star, alpha_star, alpha_star, 0, True)
 
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
@@ -288,19 +257,18 @@ def _search_face_direction(
     """Search the 2D direction sphere for a face containing rho.
 
     Maximizes <rho, u(alpha)> - mu_+(u(alpha)) (always <= 0, zero exactly on
-    a face) on a grid with golden-section refinement of the best candidate.
+    a face) on a grid, evaluated in one kernel call, with golden-section
+    refinement of the best candidate.
     """
     if family.dim != 2 or len(family.generators) != 2:
         return None
+    kernel = _polar_sweep(family)
 
     def slack(alpha: float) -> float:
-        u = sweep_direction(family, alpha)
-        mu, _ = max_eig_data(u)
-        return hs_inner(rho.element, u) - mu
+        return float(kernel.slack(rho.element.blocks, [alpha])[0])
 
     alphas = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    values = [slack(a) for a in alphas]
-    j = int(np.argmax(values))
+    j = int(np.argmax(kernel.slack(rho.element.blocks, alphas)))
     lo = alphas[j] - 2.0 * np.pi / n_grid
     hi = alphas[j] + 2.0 * np.pi / n_grid
     phi = (np.sqrt(5.0) - 1.0) / 2.0

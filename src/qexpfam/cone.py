@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
-from .closures import geodesic_closure_atlas, reduce_distance_to_face, rI_membership
+from .closures import (ClosureAtlas, geodesic_closure_atlas, reduce_distance_to_face,
+                       rI_membership)
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
@@ -406,15 +407,14 @@ def cone_identity_residuals(
 # -- family reports ----------------------------------------------------------------
 
 
-def staffelberg_report(rng: np.random.Generator | None = None) -> Report:
+def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
     """Numerical witnesses for the Staffelberg closure structure.
 
     Covers the closure atlas, the distance formula S(. , c) on the boundary
     segment, the ln(2) discontinuity at rho(0), the tau-path approximations
     of [rho(0), c] and the half-space certificate excluding ]c, apex].
+    ``atlas`` reuses a closure atlas the caller already built.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     fam = staffelberg_family()
     report = Report(name="staffelberg")
     c = midpoint_state()
@@ -422,7 +422,7 @@ def staffelberg_report(rng: np.random.Generator | None = None) -> Report:
     p2c = Projector(rho0.element + unit())
 
     # (a) closure atlas: punctured base circle plus the singleton {c}
-    atlas = geodesic_closure_atlas(fam)
+    atlas = atlas or geodesic_closure_atlas(fam)
     spikes = atlas.spike_groups()
     report.add("atlas_one_spike", "exactly one crossing direction", float(len(spikes)), 1.0,
                ok=len(spikes) == 1)
@@ -522,16 +522,15 @@ def staffelberg_report(rng: np.random.Generator | None = None) -> Report:
     return report
 
 
-def swallow_report(rng: np.random.Generator | None = None) -> Report:
+def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     """Numerical witnesses for the swallow closure structure.
 
     The geodesic closure misses rho(0) and rho(pi/2) although both carry
     entropy distance zero (two-stage geodesics); the mean value set has the
     two tangent points as non-exposed faces; the bilinear-form identities of
-    the projected base circle hold to machine precision.
+    the projected base circle hold to machine precision.  ``atlas`` reuses a
+    closure atlas the caller already built.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     fam = swallow_family()
     report = Report(name="swallow")
     rho0 = base_circle_state(0.0)
@@ -539,7 +538,7 @@ def swallow_report(rng: np.random.Generator | None = None) -> Report:
     apex = apex_state()
 
     # (a) atlas structure
-    atlas = geodesic_closure_atlas(fam)
+    atlas = atlas or geodesic_closure_atlas(fam)
     spikes = atlas.spike_groups()
     report.add("atlas_two_spikes", "two crossing directions", float(len(spikes)), 2.0,
                ok=len(spikes) == 2)

@@ -41,6 +41,12 @@ MAX_ITER = 500
 ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
 
+# Attainment decision: |theta| below ATTAIN_PARAM_MIN counts as the origin; rho
+# is on the face of the recession direction when value gap or image leak is small.
+ATTAIN_PARAM_MIN = 1e-6
+ATTAIN_FACE_VALUE_TOL = 1e-8
+ATTAIN_LEAK_TOL = 1e-9
+
 # Reverse-information membership.
 RI_EPS = 1e-3
 RI_PARAM_CAP = 200.0
@@ -48,5 +54,6 @@ RI_PARAM_CAP = 200.0
 # Boundary sweeps.
 SWEEP_ANGLES = 720
 SWEEP_MIN_ANGLES = 64
-KINK_ANGLE_TOL = 1e-6
+# Stop width of the crossing locator: boundary kinks, atlas transitions (/2).
+SWEEP_CROSSING_TOL = 1e-13
 TRANSITION_ANGLE_TOL = 1e-10

@@ -298,13 +298,13 @@ def _decide_attainment(rho: State, family: ExponentialFamily, theta: np.ndarray)
     if rho.support_rank == carrier_rank:
         return True
     norm = float(np.linalg.norm(theta))
-    if norm < 1e-6:
+    if norm < defaults.ATTAIN_PARAM_MIN:
         return True
     direction = family.tangent_element(theta / norm)
     mu, p = max_eig_data(direction)
-    by_value = abs(hs_inner(rho.element, direction) - mu) <= 1e-8
+    by_value = abs(hs_inner(rho.element, direction) - mu) <= defaults.ATTAIN_FACE_VALUE_TOL
     leak = 1.0 - hs_inner(rho.element, p.element)
-    by_image = leak <= 1e-9
+    by_image = leak <= defaults.ATTAIN_LEAK_TOL
     return not (by_value or by_image)
 
 
@@ -450,8 +450,10 @@ def distance_continuation(
 ) -> list[tuple[float, float, bool]]:
     """Objective values at a ladder of parameter caps, for extrapolation.
 
-    Returns (cap, value, attained) per cap; values are non-increasing because
-    each run extends the same monotone Newton path further.
+    Returns (cap, value, attained) per cap.  Each cap is an independent solve
+    from theta = 0, which retraces the Newton path of the smaller caps up to
+    where their cap cut it off; the values are non-increasing in practice,
+    not by construction.
     """
     out = []
     for cap in caps:

@@ -3,7 +3,8 @@ import pytest
 
 from qexpfam import cone
 from qexpfam.closures import (
-    compressed_family,
+    _polar_sweep,
+    _search_face_direction,
     egeodesic_limit,
     geodesic_closure_atlas,
     inclusion_chain_check,
@@ -12,9 +13,16 @@ from qexpfam.closures import (
     sweep_direction,
 )
 from qexpfam.errors import PreconditionError
-from qexpfam.family import entropy_distance, exp1, free_energy, make_family, project_to_family
-from qexpfam.linalg import diagonal, hs_inner, identity, traceless_part
-from qexpfam.sampling import random_traceless
+from qexpfam.family import (
+    entropy_distance,
+    exp1,
+    free_energy,
+    make_compressed_family,
+    make_family,
+    project_to_family,
+)
+from qexpfam.linalg import Algebra, diagonal, eigh, hs_inner, identity, traceless_part
+from qexpfam.sampling import random_family, random_traceless
 from qexpfam.states import Projector, State, max_eig_data, relative_entropy, tracial_state
 
 
@@ -73,7 +81,7 @@ class TestEgeodesicLimit:
 class TestCompressedFamily:
     def test_identity_projector_keeps_family(self, staffelberg):
         p = Projector(identity(cone.ALGEBRA))
-        fam = compressed_family(staffelberg, p)
+        fam = make_compressed_family(staffelberg, p)
         assert fam.dim == staffelberg.dim
         member = fam.member([0.3, -0.2])
         # same set: its projection onto the parent family is itself
@@ -82,13 +90,13 @@ class TestCompressedFamily:
 
     def test_staffelberg_collapses_to_c(self, staffelberg):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        fam = compressed_family(staffelberg, p)
+        fam = make_compressed_family(staffelberg, p)
         assert fam.dim == 0
         assert (fam.member([]).element - cone.midpoint_state().element).norm() < 1e-12
 
     def test_swallow_gives_open_segment(self, swallow):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        fam = compressed_family(swallow, p)
+        fam = make_compressed_family(swallow, p)
         assert fam.dim == 1
         # members are mixtures of rho(0) and the apex, never the endpoints
         for t in (-6.0, -1.0, 0.0, 1.0, 6.0):
@@ -169,7 +177,7 @@ class TestReduceDistance:
 
     def test_family_member_of_compressed(self, swallow):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        fam_p = compressed_family(swallow, p)
+        fam_p = make_compressed_family(swallow, p)
         rho = fam_p.member([0.8])
         u = cone.swallow_direction(0.0)
         assert reduce_distance_to_face(rho, swallow, u) <= 1e-9
@@ -289,3 +297,109 @@ class TestMonotonicityRandomized:
             ]
             for a, b in zip(values, values[1:]):
                 assert b < a + 1e-14
+
+
+def _object_path_direction(family, alpha):
+    g1, g2 = family.generators
+    return float(np.sin(alpha)) * g1 + float(np.cos(alpha)) * g2
+
+
+def _object_path_face_search(rho, family, n_grid=720):
+    """The face search as it ran before the sweep kernel: one element, one
+    eigendecomposition and one projector per angle."""
+
+    def slack(alpha):
+        u = _object_path_direction(family, alpha)
+        mu, _ = max_eig_data(u)
+        return hs_inner(rho.element, u) - mu
+
+    alphas = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
+    values = [slack(a) for a in alphas]
+    j = int(np.argmax(values))
+    lo = alphas[j] - 2.0 * np.pi / n_grid
+    hi = alphas[j] + 2.0 * np.pi / n_grid
+    phi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = hi - phi * (hi - lo), lo + phi * (hi - lo)
+    fa, fb = slack(a), slack(b)
+    for _ in range(120):
+        if fa < fb:
+            lo, a, fa = a, b, fb
+            b = lo + phi * (hi - lo)
+            fb = slack(b)
+        else:
+            hi, b, fb = b, a, fa
+            a = hi - phi * (hi - lo)
+            fa = slack(a)
+    alpha = 0.5 * (lo + hi)
+    if slack(alpha) < -1e-9:
+        return None
+    for h in (1e-4, 1e-6):
+        s0, sp, sm = slack(alpha), slack(alpha + h), slack(alpha - h)
+        curv = sp - 2.0 * s0 + sm
+        if curv >= -1e-300:
+            break
+        shift = -0.5 * h * (sp - sm) / curv
+        if abs(shift) > h:
+            shift = np.sign(shift) * h
+        if slack(alpha + shift) >= s0:
+            alpha += shift
+    if slack(alpha) < -1e-9:
+        return None
+    return _object_path_direction(family, alpha)
+
+
+def _parity_family(name):
+    if name == "staffelberg":
+        return cone.staffelberg_family()
+    if name == "swallow":
+        return cone.swallow_family()
+    if name == "tilt-0.03":
+        return cone.plane_for_angle(0.03)
+    dims = {"abelian-111": (1, 1, 1), "blocks-321": (3, 2, 1)}[name]
+    return random_family(Algebra(dims), 2, np.random.default_rng(list(dims)))
+
+
+class TestSweepKernelParity:
+    @pytest.mark.parametrize(
+        "name", ["staffelberg", "swallow", "tilt-0.03", "abelian-111", "blocks-321"]
+    )
+    def test_kernel_matches_object_path(self, name):
+        # the batched kernel reproduces the per-angle object path bit for bit
+        fam = _parity_family(name)
+        kernel = _polar_sweep(fam)
+        alphas = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+        spectra = kernel.spectra(alphas)
+        mu, gap = spectra.top(), spectra.top_gap()
+        ranks, blocks = spectra.max_projectors()
+        rho = fam.member([0.4, -0.9])
+        slack = kernel.slack(rho.element.blocks, alphas)
+        for i, alpha in enumerate(alphas):
+            u = _object_path_direction(fam, alpha)
+            for a, b in zip(sweep_direction(fam, alpha).blocks, u.blocks):
+                assert np.array_equal(a, b)
+            mu_i, p = max_eig_data(u)
+            w = eigh(u).all_eigenvalues()
+            assert mu[i] == mu_i
+            assert gap[i] == w[0] - w[1]
+            assert ranks[i] == p.rank
+            for b, pb in zip(blocks, p.element.blocks):
+                assert np.array_equal(b[i], pb)
+            assert slack[i] == hs_inner(rho.element, u) - mu_i
+
+        # states on faces: the base circle in the cone algebra, otherwise the
+        # normalized maximal projectors of 20 grid directions
+        angles = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
+        if fam.algebra == cone.ALGEBRA:
+            states = [cone.base_circle_state(a) for a in angles]
+        else:
+            states = []
+            for a in angles:
+                _, p = max_eig_data(_object_path_direction(fam, a))
+                states.append(State(p.element / p.rank))
+        for rho in states:
+            got = _search_face_direction(rho, fam)
+            want = _object_path_face_search(rho, fam)
+            assert (got is None) == (want is None)
+            if got is not None:
+                for gb, wb in zip(got.blocks, want.blocks):
+                    assert np.array_equal(gb, wb)
