@@ -81,6 +81,12 @@ class TestCliExitCodes:
         assert code == 0
         assert (tmp_path / "report_cone.csv").exists()
 
+    @pytest.mark.parametrize("family", ["staffelberg", "swallow", "cone:0.7"])
+    def test_closures_report_exits_0(self, tmp_path, family):
+        code = main(["report", "--which", "closures", "--family", family,
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+
 
 class TestSweepCommand:
     def test_writes_csv_and_svg(self, tmp_path, capsys):

@@ -1,7 +1,13 @@
+import functools
+import os
+import re
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
-from qexpfam import cone
+from qexpfam import closures, cone
 from qexpfam.closures import (
     _polar_sweep,
     _search_face_direction,
@@ -22,8 +28,15 @@ from qexpfam.family import (
     project_to_family,
 )
 from qexpfam.linalg import Algebra, diagonal, eigh, hs_inner, identity, traceless_part
-from qexpfam.sampling import random_family, random_traceless
-from qexpfam.states import Projector, State, max_eig_data, relative_entropy, tracial_state
+from qexpfam.sampling import random_family, random_hermitian, random_traceless
+from qexpfam.states import (
+    Projector,
+    State,
+    exposed_face_membership,
+    max_eig_data,
+    relative_entropy,
+    tracial_state,
+)
 
 
 from helpers import decoupled_pair
@@ -109,6 +122,14 @@ class TestCompressedFamily:
             assert w.sum() == pytest.approx(1.0, abs=1e-10)
 
 
+@functools.lru_cache(maxsize=None)
+def _default_atlas(name: str):
+    """Default-resolution atlas of a named family, shared between tests."""
+    fam = {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
+           "cone:0.7": lambda: cone.plane_for_angle(0.7)}[name]()
+    return geodesic_closure_atlas(fam)
+
+
 class TestAtlas:
     def test_staffelberg_structure(self, staffelberg):
         atlas = geodesic_closure_atlas(staffelberg)
@@ -162,6 +183,56 @@ class TestAtlas:
         for g in atlas.groups:
             if g.rank == 1:
                 assert g.family_dim == 0
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7"])
+    def test_mid_angle_exposes_every_group(self, name):
+        # runs that wrap past 2 pi (alpha_lo > alpha_hi) take the midpoint
+        # along the arc; cone:0.7 has one such run, whose naive midpoint pi
+        # exposes a face without the representative
+        atlas = _default_atlas(name)
+        fam = atlas.family
+        wrapped = [g for g in atlas.groups if g.alpha_lo > g.alpha_hi]
+        assert len(wrapped) == (1 if name == "cone:0.7" else 0)
+        for g in atlas.groups:
+            assert exposed_face_membership(g.representative, sweep_direction(fam, g.mid_angle))
+        for g in wrapped:
+            naive = sweep_direction(fam, 0.5 * (g.alpha_lo + g.alpha_hi))
+            assert not exposed_face_membership(g.representative, naive)
+
+
+class TestLazyAtlas:
+    def test_atlas_builds_no_compressed_family(self, staffelberg, monkeypatch):
+        calls = []
+
+        def counting(parent, p):
+            calls.append(p)
+            return make_compressed_family(parent, p)
+
+        monkeypatch.setattr(closures, "make_compressed_family", counting)
+        atlas = geodesic_closure_atlas(staffelberg)
+        assert calls == []
+        g = atlas.groups[0]
+        assert g.family is g.family and g.representative is g.representative
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
+    def test_lazy_equals_eager(self, name):
+        atlas = _default_atlas(name)
+        fam = atlas.family
+        for g in atlas.groups:
+            eager = make_compressed_family(fam, g.projector)
+            lazy = g.family
+            for a, b in zip(
+                (*lazy.basis, lazy.offset, *lazy.generators, lazy.support.projector.element),
+                (*eager.basis, eager.offset, *eager.generators,
+                 eager.support.projector.element),
+            ):
+                assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+            assert len(lazy.basis) == len(eager.basis)
+            assert len(lazy.generators) == len(eager.generators)
+            rep = eager.member(np.zeros(eager.dim)).element.blocks
+            assert all(np.array_equal(x, y)
+                       for x, y in zip(g.representative.element.blocks, rep))
 
 
 class TestReduceDistance:
@@ -225,8 +296,35 @@ class TestRIMembership:
 
 class TestInclusionChain:
     def test_staffelberg_chain(self, staffelberg):
-        report = inclusion_chain_check(staffelberg, max_groups=8)
+        report = inclusion_chain_check(staffelberg)
         assert report.ok, [f for f in report.failures()]
+
+    def test_swallow_chain(self, swallow):
+        report = inclusion_chain_check(swallow)
+        assert report.ok, [f for f in report.failures()]
+        # each norm finding names the ladder step that reached its minimum
+        norm = [f for f in report.findings if f.check == "rI_subset_norm"]
+        assert len(norm) == len(report.findings) // 2
+        assert all(re.search(r", t=[0-9.]+$", f.detail) for f in norm)
+
+    def test_offset_family_chain(self, staffelberg, algebra, rng):
+        fam = make_family(algebra, list(staffelberg.generators),
+                          offset=random_hermitian(algebra, rng))
+        assert fam.offset.norm() > 0.1
+        report = inclusion_chain_check(fam)
+        assert report.ok, [f for f in report.failures()]
+
+    def test_chain_does_not_import_scipy(self):
+        code = ("import sys\n"
+                "from qexpfam import cone\n"
+                "from qexpfam.closures import inclusion_chain_check\n"
+                "assert inclusion_chain_check(cone.staffelberg_family()).ok\n"
+                "print('scipy' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(closures.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, check=True, env=env)
+        assert out.stdout.strip() == "False"
 
     def test_abelian_chain(self, abelian3):
         gens = [
