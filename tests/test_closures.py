@@ -222,17 +222,16 @@ class TestLazyAtlas:
         for g in atlas.groups:
             eager = make_compressed_family(fam, g.projector)
             lazy = g.family
-            for a, b in zip(
-                (*lazy.basis, lazy.offset, *lazy.generators, lazy.support.projector.element),
-                (*eager.basis, eager.offset, *eager.generators,
-                 eager.support.projector.element),
-            ):
-                assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
             assert len(lazy.basis) == len(eager.basis)
             assert len(lazy.generators) == len(eager.generators)
-            rep = eager.member(np.zeros(eager.dim)).element.blocks
-            assert all(np.array_equal(x, y)
-                       for x, y in zip(g.representative.element.blocks, rep))
+            pairs = zip(
+                (*lazy.basis, lazy.offset, *lazy.generators,
+                 lazy.support.projector.element, g.representative.element),
+                (*eager.basis, eager.offset, *eager.generators,
+                 eager.support.projector.element, eager.member(np.zeros(eager.dim)).element),
+            )
+            for a, b in pairs:
+                assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
 
 
 class TestReduceDistance:
