@@ -20,7 +20,6 @@ from .linalg import (
     embed_block,
     expm,
     frechet_derivative,
-    from_blocks,
     from_coords,
     gram_schmidt,
     hs_inner,

@@ -31,10 +31,11 @@ from .family import (
     entropy_distance,
     free_energy,
     make_compressed_family,
+    mean_value_projection,
     project_to_family,
 )
 from .findings import Report
-from .linalg import HermitianElement, coords, hs_inner, traceless_part
+from .linalg import HermitianElement, coords, project_out, traceless_part
 from .states import (
     Projector,
     State,
@@ -253,9 +254,7 @@ def reduce_distance_to_face(
     exposed face; the result agrees with the direct entropy distance.
     """
     vt = traceless_part(v)
-    resid = vt
-    for e in family.basis:
-        resid = resid - hs_inner(resid, e) * e
+    resid = project_out(vt, family.basis)
     if vt.norm() == 0.0 or resid.norm() > 1e-9 * max(1.0, vt.norm()):
         raise PreconditionError("direction is not in the tangent space")
     if not exposed_face_membership(rho, v):
@@ -372,7 +371,7 @@ def _geodesic_ladder(
     cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
     rhs = group.family.parameter_element(theta_p) - compress(p, family.offset)[1]
     x = np.linalg.lstsq(np.column_stack(cols), coords(rhs), rcond=None)[0][:-1]
-    u_hat = np.array([hs_inner(u, v) for v in family.basis])
+    u_hat = mean_value_projection(u, family)
     u_hat /= np.linalg.norm(u_hat)
 
     ladder, t = [0.0], 5.0

@@ -38,13 +38,22 @@ def parse_element(algebra: Algebra, text: str) -> HermitianElement:
     return HermitianElement(algebra, blocks)
 
 
-def emit_element(a: HermitianElement) -> str:
-    parts = []
+def element_entries(a: HermitianElement) -> list[float]:
+    """Row-major re,im pairs per block, the wire format for matrix entries."""
+    out: list[float] = []
     for b in a.blocks:
         for row in np.asarray(b):
             for entry in row:
-                parts.append(f"{format(entry.real, '.17g')},{format(entry.imag, '.17g')}")
-    return " ".join(parts)
+                out.extend((float(entry.real), float(entry.imag)))
+    return out
+
+
+def emit_element(a: HermitianElement) -> str:
+    """The entries of a as parse_element reads them."""
+    v = element_entries(a)
+    return " ".join(
+        f"{format(x, '.17g')},{format(y, '.17g')}" for x, y in zip(v[::2], v[1::2])
+    )
 
 
 @dataclass
@@ -103,12 +112,10 @@ class RunConfig:
             )
         if cp.has_section("family"):
             cfg.family_name = cp.get("family", "name", fallback=cfg.family_name)
-            gens = []
-            for i in range(1, 17):
-                key = f"generator{i}"
-                if cp.has_option("family", key):
-                    gens.append(cp.get("family", key))
-            cfg.custom_generators = tuple(gens)
+            keys = [k for k in cp.options("family")
+                    if k.startswith("generator") and k[9:].isdigit()]
+            keys.sort(key=lambda k: int(k[9:]))
+            cfg.custom_generators = tuple(cp.get("family", k) for k in keys)
         if cp.has_section("solver"):
             cfg.tol = cp.getfloat("solver", "tol", fallback=cfg.tol)
             cfg.param_cap = cp.getfloat("solver", "param_cap", fallback=cfg.param_cap)

@@ -28,9 +28,10 @@ from .errors import AlgebraMismatchError, PreconditionError, SolverError
 from .linalg import (
     Algebra,
     HermitianElement,
+    divided_differences,
     gram_schmidt,
     hs_inner,
-    identity,
+    project_out,
     traceless_part,
     zero,
 )
@@ -40,6 +41,7 @@ from .states import (
     SupportBasis,
     compress,
     full_support,
+    log_on_support,
     max_eig_data,
     relative_entropy,
     restricted_eigh,
@@ -50,12 +52,12 @@ from .states import (
 # -- the trace-normalized exponential and its inverse chart -------------------
 
 
-def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
-    """Trace-normalized exponential e^a / tr(e^a).
+def _gibbs(a: HermitianElement, support: SupportBasis | None):
+    """The Gibbs kernel: (F, state, pairs, z, mu) for a in pAp.
 
-    With a support basis the superscript-p version p e^a / tr(p e^a) is
-    computed for a in pAp.  Overflow is avoided by shifting a by its largest
-    eigenvalue first; the result is invariant under a -> a + t*identity.
+    F = ln tr(p e^a) and state = p e^a / tr(p e^a), evaluated on the
+    eigenpairs of a within Im(p) shifted by the largest eigenvalue mu, so
+    tr(p e^(a - mu)) = z stays in [1, N] and nothing overflows.
     """
     if support is None:
         support = full_support(a.algebra)
@@ -68,7 +70,18 @@ def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
             blocks.append(np.zeros((n, n)))
         else:
             blocks.append((V * (np.exp(w - mu) / z)) @ V.conj().T)
-    return State(HermitianElement(a.algebra, blocks))
+    state = State(HermitianElement(a.algebra, blocks))
+    return mu + float(np.log(z)), state, pairs, z, mu
+
+
+def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
+    """Trace-normalized exponential e^a / tr(e^a).
+
+    With a support basis the superscript-p version p e^a / tr(p e^a) is
+    computed for a in pAp.  Overflow is avoided by shifting a by its largest
+    eigenvalue first; the result is invariant under a -> a + t*identity.
+    """
+    return _gibbs(a, support)[1]
 
 
 def ln0(rho: State) -> HermitianElement:
@@ -78,10 +91,7 @@ def ln0(rho: State) -> HermitianElement:
     """
     if not rho.is_invertible():
         raise PreconditionError("canonical chart needs an invertible state")
-    log = rho.spectral.reconstruct(
-        tuple(np.log(w) for w in rho.spectral.eigenvalues)
-    )
-    return traceless_part(log)
+    return traceless_part(log_on_support(rho))
 
 
 def free_energy(
@@ -91,12 +101,8 @@ def free_energy(
 
     Equivariant under trace shifts: F(a + t*identity) = F(a) + t.
     """
-    if support is None:
-        support = full_support(a.algebra)
-    pairs = restricted_eigh(a, support)
-    mu = max(float(w[0]) for w, _ in pairs if w.size)
-    z = sum(float(np.exp(w - mu).sum()) for w, _ in pairs)
-    return mu + float(np.log(z)), exp1(a, support)
+    value, state, *_ = _gibbs(a, support)
+    return value, state
 
 
 # -- family --------------------------------------------------------------------
@@ -124,9 +130,7 @@ class ExponentialFamily:
 
     @property
     def support_projector(self) -> Projector:
-        if self.support is None:
-            return Projector(identity(self.algebra))
-        return self.support.projector
+        return (self.support or full_support(self.algebra)).projector
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
         out = zero(self.algebra)
@@ -162,18 +166,8 @@ def make_family(
     if offset is None:
         off = zero(algebra)
     else:
-        off = traceless_part(offset)
-        for e in basis:
-            off = off - hs_inner(off, e) * e
+        off = project_out(traceless_part(offset), basis)
     return ExponentialFamily(algebra, basis, off, gens, None)
-
-
-def _project_out(
-    a: HermitianElement, basis: Sequence[HermitianElement]
-) -> HermitianElement:
-    for e in basis:
-        a = a - hs_inner(a, e) * e
-    return a
 
 
 def make_compressed_family(
@@ -196,12 +190,11 @@ def make_compressed_family(
             gens.append(cg)
     basis: list[HermitianElement] = []
     for g in gens:
-        v = _project_out(g, basis)
-        v = _project_out(v, basis)
+        v = project_out(project_out(g, basis), basis)
         if v.norm() > defaults.MAX_EIG_GAP * max(1.0, g.norm()):
             basis.append(v / v.norm())
     _, off = compress(p, parent.offset)
-    off = _project_out(off, basis)
+    off = project_out(off, basis)
     return ExponentialFamily(
         parent.algebra, tuple(basis), off, tuple(gens), support
     )
@@ -239,21 +232,9 @@ class ProjectionResult:
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
     """Objective F(a) - theta.m, gradient, state and spectral pairs at theta."""
-    a = family.parameter_element(theta)
-    support = family.support or full_support(family.algebra)
-    pairs = restricted_eigh(a, support)
-    mu = max(float(w[0]) for w, _ in pairs if w.size)
-    z = sum(float(np.exp(w - mu).sum()) for w, _ in pairs)
-    obj = mu + float(np.log(z)) - float(theta @ moments)
-    blocks = []
-    for (w, V), n in zip(pairs, family.algebra.block_dims):
-        if w.size == 0:
-            blocks.append(np.zeros((n, n)))
-        else:
-            blocks.append((V * (np.exp(w - mu) / z)) @ V.conj().T)
-    sigma = State(HermitianElement(family.algebra, blocks))
-    means = np.array([hs_inner(sigma.element, v) for v in family.basis])
-    grad = means - moments
+    value, sigma, pairs, z, mu = _gibbs(family.parameter_element(theta), family.support)
+    obj = value - float(theta @ moments)
+    grad = mean_value_projection(sigma.element, family) - moments
     return obj, grad, sigma, pairs, z, mu
 
 
@@ -268,13 +249,7 @@ def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: n
     for bi, (w, V) in enumerate(pairs):
         if w.size == 0:
             continue
-        ws = w - mu
-        ew = np.exp(ws)
-        diff = ws[:, None] - ws[None, :]
-        close = np.abs(diff) < defaults.DIVIDED_DIFF_DEGENERACY
-        safe = np.where(close, 1.0, diff)
-        table = (ew[:, None] - ew[None, :]) / safe
-        table = np.where(close, np.exp((ws[:, None] + ws[None, :]) / 2.0), table)
+        table = divided_differences(w - mu, np.exp, np.exp)
         tilted = [V.conj().T @ v.blocks[bi] @ V for v in family.basis]
         for i in range(d):
             for j in range(i, d):
@@ -332,7 +307,7 @@ def project_to_family(
                 "state not supported in the family's corner algebra; "
                 "its entropy distance from the compressed family is infinite"
             )
-    moments = np.array([hs_inner(rho.element, v) for v in family.basis])
+    moments = mean_value_projection(rho.element, family)
     base = vn_entropy(rho) + hs_inner(rho.element, family.offset)
 
     theta = np.zeros(family.dim)
@@ -472,12 +447,8 @@ def pythagorean_residual(rho: State, sigma: State, tau: State) -> float:
     """
     if not (sigma.is_invertible() and tau.is_invertible()):
         raise PreconditionError("sigma and tau must be invertible")
-    log_sigma = sigma.spectral.reconstruct(
-        tuple(np.log(w) for w in sigma.spectral.eigenvalues)
-    )
-    log_tau = tau.spectral.reconstruct(
-        tuple(np.log(w) for w in tau.spectral.eigenvalues)
-    )
+    log_sigma = log_on_support(sigma)
+    log_tau = log_on_support(tau)
     ortho = hs_inner(rho.element - sigma.element, log_tau - log_sigma)
     if abs(ortho) > 1e-10 * max(1.0, (log_tau - log_sigma).norm()):
         raise PreconditionError(

@@ -10,7 +10,7 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,17 +131,6 @@ class HermitianElement:
         """Hilbert-Schmidt norm sqrt(tr(a^2))."""
         return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks)))
 
-    def to_dense(self) -> np.ndarray:
-        """The element as one block-diagonal N x N matrix."""
-        n = self.algebra.dim
-        out = np.zeros((n, n), dtype=complex)
-        k = 0
-        for b in self.blocks:
-            m = b.shape[0]
-            out[k : k + m, k : k + m] = b
-            k += m
-        return out
-
     def __repr__(self):
         return f"HermitianElement(dims={self.algebra.block_dims}, norm={self.norm():.6g})"
 
@@ -155,10 +144,6 @@ def zero(algebra: Algebra) -> HermitianElement:
 
 def identity(algebra: Algebra) -> HermitianElement:
     return HermitianElement(algebra, [np.eye(n) for n in algebra.block_dims])
-
-
-def from_blocks(algebra: Algebra, blocks: Iterable[np.ndarray]) -> HermitianElement:
-    return HermitianElement(algebra, list(blocks))
 
 
 def embed_block(algebra: Algebra, index: int, block: np.ndarray) -> HermitianElement:
@@ -316,7 +301,7 @@ def logm(a: HermitianElement) -> HermitianElement:
 # -- Frechet derivatives of matrix functions ----------------------------------
 
 
-def _divided_differences(
+def divided_differences(
     w: np.ndarray, f: Callable, fprime: Callable
 ) -> np.ndarray:
     """First divided difference table f[w_i, w_j], with f' on the diagonal
@@ -335,6 +320,15 @@ def _divided_differences(
     return table
 
 
+def frechet_block(
+    w: np.ndarray, V: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable
+) -> np.ndarray:
+    """One block of the Daleckii-Krein derivative, V (f[w_i,w_j] * V* b V) V*,
+    for eigenpairs (w, V) given as columns."""
+    table = divided_differences(w, f, fprime)
+    return V @ (table * (V.conj().T @ b @ V)) @ V.conj().T
+
+
 def frechet_derivative(
     a: HermitianElement,
     b: HermitianElement,
@@ -350,11 +344,10 @@ def frechet_derivative(
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("operands belong to different algebras")
     spec = eigh(a)
-    blocks = []
-    for w, V, bb in zip(spec.eigenvalues, spec.eigenvectors, b.blocks):
-        table = _divided_differences(w, f, fprime)
-        bt = V.conj().T @ bb @ V
-        blocks.append(V @ (table * bt) @ V.conj().T)
+    blocks = [
+        frechet_block(w, V, bb, f, fprime)
+        for w, V, bb in zip(spec.eigenvalues, spec.eigenvectors, b.blocks)
+    ]
     return HermitianElement(a.algebra, blocks)
 
 
@@ -369,10 +362,20 @@ def dlog(a: HermitianElement, b: HermitianElement) -> HermitianElement:
     for w in spec.eigenvalues:
         if np.any(w <= 0):
             raise DomainError("log derivative requires a positive definite element")
-    return frechet_derivative(a, b, np.log, lambda x: 1.0 / x)
+    return frechet_derivative(a, b, np.log, np.reciprocal)
 
 
 # -- orthonormalization -------------------------------------------------------
+
+
+def project_out(
+    a: HermitianElement, basis: Sequence[HermitianElement]
+) -> HermitianElement:
+    """One modified Gram-Schmidt pass: a minus its components along the
+    orthonormal basis, removed one at a time."""
+    for e in basis:
+        a = a - hs_inner(a, e) * e
+    return a
 
 
 def gram_schmidt(
@@ -385,12 +388,8 @@ def gram_schmidt(
     """
     basis: list[HermitianElement] = []
     for el in elements:
-        v = el
-        for e in basis:
-            v = v - hs_inner(v, e) * e
         # second pass for numerical orthogonality
-        for e in basis:
-            v = v - hs_inner(v, e) * e
+        v = project_out(project_out(el, basis), basis)
         nv = v.norm()
         if nv <= tol * max(1.0, el.norm()):
             raise ValueError("rank-deficient spanning set in Gram-Schmidt")

@@ -21,27 +21,19 @@ from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
     ProjectionResult,
-    exp1,
     free_energy,
     project_to_family,
 )
-from .linalg import HermitianElement, hs_inner
+from .linalg import HermitianElement, frechet_block, hs_inner
 from .states import (
     Projector,
     State,
     SupportBasis,
+    _support_pairs,
     compress,
     log_on_support,
     support_projector,
 )
-
-
-def _check_supported(u: HermitianElement, p: Projector):
-    pup = HermitianElement(
-        u.algebra, [pb @ ub @ pb for pb, ub in zip(p.element.blocks, u.blocks)]
-    )
-    if (u - pup).norm() > 1e-10 * max(1.0, u.norm()):
-        raise PreconditionError("direction is not supported in the face algebra pAp")
 
 
 def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
@@ -50,25 +42,12 @@ def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
     Computed by divided differences of ln on the support spectrum; equals the
     resolvent integral of (rho + s p)^-1 u (rho + s p)^-1 over s > 0.
     """
-    p = support_projector(rho)
-    _check_supported(u, p)
-    blocks = []
-    for (w, V), ub in zip(
-        zip(rho.spectral.eigenvalues, rho.spectral.eigenvectors), u.blocks
-    ):
-        keep = w > defaults.SUPPORT_CUTOFF
-        wk = w[keep]
-        Q = V[:, keep]
-        if wk.size == 0:
-            blocks.append(np.zeros_like(ub))
-            continue
-        diff = wk[:, None] - wk[None, :]
-        close = np.abs(diff) < defaults.DIVIDED_DIFF_DEGENERACY
-        safe = np.where(close, 1.0, diff)
-        table = (np.log(wk)[:, None] - np.log(wk)[None, :]) / safe
-        table = np.where(close, 2.0 / (wk[:, None] + wk[None, :]), table)
-        ut = Q.conj().T @ ub @ Q
-        blocks.append(Q @ (table * ut) @ Q.conj().T)
+    if not support_projector(rho).contains(u):
+        raise PreconditionError("direction is not supported in the face algebra pAp")
+    blocks = [
+        frechet_block(w, V, ub, np.log, np.reciprocal)
+        for (w, V), ub in zip(_support_pairs(rho), u.blocks)
+    ]
     return HermitianElement(rho.algebra, blocks)
 
 
@@ -84,8 +63,8 @@ def dE_directional_derivative(
     supported in the face algebra of rho; the value is
     <u, ln^p(rho) - theta> with theta the projection's canonical parameter.
     """
-    p = support_projector(rho)
-    _check_supported(u, p)
+    if not support_projector(rho).contains(u):
+        raise PreconditionError("direction is not supported in the face algebra pAp")
     if abs(u.trace()) > 1e-10 * max(1.0, u.norm()):
         raise PreconditionError("direction must be traceless")
     if projection is None:
@@ -140,11 +119,9 @@ def maximizer_certificate(
     theta = family.parameter_element(res.theta_star)
     p = support_projector(rho)
     ptp, _ = compress(p, theta)
-    support = SupportBasis(p)
-    candidate = exp1(ptp, support)
+    f_face, candidate = free_energy(ptp, SupportBasis(p))
     residual = (rho.element - candidate.element).norm()
     f_theta, _ = free_energy(theta)
-    f_face, _ = free_energy(ptp, support)
     grad = log_on_support(rho) - theta
     _, grad_face = compress(p, grad)
     return MaximizerCertificate(

@@ -15,6 +15,7 @@ import numpy as np
 
 from .boundary import BoundaryClassification, MeanValueBoundary
 from .closures import ClosureAtlas
+from .config import element_entries
 from .findings import Report
 from .linalg import HermitianElement
 from .maximizer import SearchCandidate
@@ -45,16 +46,6 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> Non
         cells = [c if isinstance(c, str) else fmt(c) for c in row]
         lines.append(",".join(cells))
     atomic_write(path, "\n".join(lines) + "\n")
-
-
-def element_entries(a: HermitianElement) -> list[float]:
-    """Row-major re,im pairs per block, the wire format for matrix entries."""
-    out: list[float] = []
-    for b in a.blocks:
-        for row in np.asarray(b):
-            for entry in row:
-                out.extend((float(entry.real), float(entry.imag)))
-    return out
 
 
 def entry_header(a: HermitianElement) -> list[str]:

@@ -8,6 +8,8 @@ package are consistent.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import defaults
@@ -106,12 +108,13 @@ class Projector:
             return False
         return (self.element - other.element).norm() <= tol
 
+    def contains(self, a: HermitianElement) -> bool:
+        """Whether a is supported in pAp, i.e. a = pap within the support cutoff."""
+        pap, _ = compress(self, a)
+        return (a - pap).norm() <= defaults.SUPPORT_CUTOFF * max(1.0, a.norm())
+
     def __repr__(self):
         return f"Projector(dims={self.algebra.block_dims}, rank={self.rank})"
-
-
-def state_from_blocks(algebra: Algebra, blocks) -> State:
-    return State(HermitianElement(algebra, blocks))
 
 
 def pure_state(algebra: Algebra, block_index: int, vector: np.ndarray) -> State:
@@ -174,10 +177,7 @@ def relative_entropy(rho: State, sigma: State) -> float:
 
 def support_projector(rho: State) -> Projector:
     """Projector with the same image as rho (eigenvalue cutoff 1e-10)."""
-    blocks = []
-    for w, V in zip(rho.spectral.eigenvalues, rho.spectral.eigenvectors):
-        keep = V[:, w > defaults.SUPPORT_CUTOFF]
-        blocks.append(keep @ keep.conj().T)
+    blocks = [V @ V.conj().T for _, V in _support_pairs(rho)]
     return Projector(HermitianElement(rho.algebra, blocks))
 
 
@@ -292,13 +292,10 @@ class SupportBasis:
                 blocks.append(q @ s @ q.conj().T)
         return HermitianElement(self.algebra, blocks)
 
-    def contains(self, a: HermitianElement, tol: float = defaults.SUPPORT_CUTOFF) -> bool:
-        """Whether a is supported in pAp, i.e. a = pap within tolerance."""
-        pap, _ = compress(self.projector, a)
-        return (a - pap).norm() <= tol * max(1.0, a.norm())
 
-
+@lru_cache(maxsize=None)
 def full_support(algebra: Algebra) -> SupportBasis:
+    """The identity support basis, built once per algebra."""
     return SupportBasis(Projector(identity(algebra)))
 
 
@@ -317,9 +314,5 @@ def restricted_eigh(a: HermitianElement, support: SupportBasis):
 
 def log_on_support(rho: State) -> HermitianElement:
     """ln^p(rho) on the support of rho, zero on the kernel."""
-    blocks = []
-    for w, V in zip(rho.spectral.eigenvalues, rho.spectral.eigenvectors):
-        keep = w > defaults.SUPPORT_CUTOFF
-        Vk = V[:, keep]
-        blocks.append((Vk * np.log(w[keep])) @ Vk.conj().T)
+    blocks = [(V * np.log(w)) @ V.conj().T for w, V in _support_pairs(rho)]
     return HermitianElement(rho.algebra, blocks)

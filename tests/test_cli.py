@@ -38,6 +38,21 @@ class TestConfig:
         again = parse_element(Algebra((2, 1)), text)
         assert (a - again).norm() < 1e-15
 
+    def test_roundtrip_beyond_sixteen_generators(self, rng):
+        from qexpfam.config import build_family
+        from qexpfam.sampling import random_traceless
+
+        gens = tuple(emit_element(random_traceless(Algebra((5,)), rng)) for _ in range(20))
+        cfg = RunConfig(block_dims=(5,), family_name="custom", custom_generators=gens)
+        assert RunConfig.parse(cfg.emit()) == cfg
+        # keys are read in numeric order, whatever order the file lists them in
+        text = "[algebra]\nblocks = 5\n[family]\nname = custom\n" + "".join(
+            f"generator{k} = {gens[k - 1]}\n" for k in range(20, 0, -1)
+        )
+        again = RunConfig.parse(text)
+        assert again.custom_generators == gens
+        assert build_family(again).dim == 20
+
     def test_bad_family_rejected(self):
         with pytest.raises(PreconditionError):
             RunConfig.parse("[family]\nname = nonsense\n")
@@ -176,7 +191,10 @@ class TestDeterminism:
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
-        env = dict(os.environ)
+        import qexpfam
+
+        src = os.path.dirname(os.path.dirname(qexpfam.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
         result = subprocess.run(
             [sys.executable, "-m", "qexpfam.cli", "distance", "--family",
              "staffelberg", "--state", "c", "--out", str(tmp_path), "--quiet"],
