@@ -136,7 +136,7 @@ class DirectionSweep:
 
     def slack(self, rho_blocks: Sequence[np.ndarray], alphas) -> np.ndarray:
         """<rho, u> - mu_+(u) per angle, <= 0 and zero where rho is on the face;
-        the stacked matmul rounds exactly like hs_inner's tensordot."""
+        the stacked matmul rounds exactly like hs_inner's np.dot."""
         us = self.blocks(alphas)
         inner = sum(np.matmul(np.reshape(r, (1, 1, r.size)), u.conj().reshape(-1, r.size, 1))
                     for r, u in zip(rho_blocks, us))

@@ -33,7 +33,7 @@ from .errors import (
     SolverError,
     UnderResolvedSweepError,
 )
-from .family import distance_continuation, entropy_distance, project_to_family
+from .family import _project_ladder, entropy_distance
 from .findings import Report
 from .linalg import from_coords, traceless_part
 from .maximizer import dE_directional_derivative, local_max_search, maximizer_certificate
@@ -91,13 +91,12 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
     """Distance report: direct minimization ladder plus exact face reduction."""
     family = build_family(cfg)
     rho = parse_state(cfg, state_spec)
-    res = project_to_family(
-        rho, family, tol=cfg.tol, param_cap=cfg.param_cap, max_iter=cfg.max_iter
-    )
-    # the ladder's last cap is param_cap itself, whose solve is res
-    caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0))
-    ladder = distance_continuation(rho, family, caps=caps, tol=cfg.tol,
-                                   max_iter=cfg.max_iter)
+    # the ladder's last cap is param_cap itself, whose solve is res; it goes
+    # first so that a failing solve raises as the direct solve would
+    caps = (cfg.param_cap,) + tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0))
+    res, *lower = _project_ladder(rho, family, caps, tol=cfg.tol,
+                                  max_iter=cfg.max_iter)
+    ladder = [(cap, r.distance, r.attained) for cap, r in zip(caps[1:], lower)]
     ladder.append((float(cfg.param_cap), res.distance, res.attained))
     face = _search_face_direction(rho, family)
     exact = None

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,25 +93,34 @@ class ConeModel:
     )
     base_radius: float = 1.0 / np.sqrt(2.0)
 
-    @property
+    # the derived constants are computed once per model (cached_property
+    # stores them in the instance dict, which a frozen dataclass allows)
+
+    @cached_property
     def z_hat(self) -> HermitianElement:
         return self.z / self.z.norm()
 
+    @cached_property
+    def _third(self) -> HermitianElement:
+        return identity(ALGEBRA) / 3.0
+
+    @cached_property
+    def _pauli_hats(self) -> tuple[HermitianElement, HermitianElement]:
+        return pauli(1) / pauli(1).norm(), pauli(2) / pauli(2).norm()
+
     def height(self, a: HermitianElement) -> float:
         """Coordinate of a along the unit cone axis, centered at tracial."""
-        third = identity(ALGEBRA) / 3.0
-        return hs_inner(a - third, self.z_hat)
+        return hs_inner(a - self._third, self.z_hat)
 
     def radius(self, a: HermitianElement) -> float:
-        s1h = pauli(1) / pauli(1).norm()
-        s2h = pauli(2) / pauli(2).norm()
+        s1h, s2h = self._pauli_hats
         return float(np.hypot(hs_inner(a, s1h), hs_inner(a, s2h)))
 
-    @property
+    @cached_property
     def apex_height(self) -> float:
         return self.height(self.apex)
 
-    @property
+    @cached_property
     def base_height(self) -> float:
         return self.height(base_circle_state(0.0).element)
 

@@ -243,19 +243,22 @@ def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: n
 
     H_ij = <v_i, Dexp(a)[v_j]> / tr e^a - <v_i,sigma><v_j,sigma>, assembled
     from exp divided differences in the eigenbasis of the parameter element.
+    Every pair (i, j) of a block is one product of the stacked tilted basis;
+    its elements and their sum round as sum(conj(T_i) * table * T_j) does.
     """
     d = family.dim
     H = np.zeros((d, d))
+    upper = np.triu_indices(d)
     for bi, (w, V) in enumerate(pairs):
         if w.size == 0:
             continue
         table = divided_differences(w - mu, np.exp, np.exp)
-        tilted = [V.conj().T @ v.blocks[bi] @ V for v in family.basis]
-        for i in range(d):
-            for j in range(i, d):
-                val = float(np.sum(tilted[i].conj() * table * tilted[j]).real) / z
-                H[i, j] += val
-                H[j, i] = H[i, j]
+        Vh = V.conj().T
+        tilted = np.stack([Vh @ v.blocks[bi] @ V for v in family.basis])
+        cov = ((tilted.conj()[:, None] * table) * tilted[None, :]).sum(axis=(-2, -1))
+        H[upper] += cov.real[upper] / z
+    lower = np.tril_indices(d, -1)
+    H[lower] = H.T[lower]
     H -= np.outer(means, means)
     return H
 
@@ -283,21 +286,25 @@ def _decide_attainment(rho: State, family: ExponentialFamily, theta: np.ndarray)
     return not (by_value or by_image)
 
 
-def project_to_family(
-    rho: State,
-    family: ExponentialFamily,
-    tol: float = defaults.SOLVER_TOL,
-    param_cap: float = defaults.PARAM_CAP,
-    max_iter: int = defaults.MAX_ITER,
-) -> ProjectionResult:
-    """Entropy projection of rho onto the family.
+@dataclass
+class _NewtonState:
+    """The projection solver's state at the start of a Newton iteration."""
 
-    Damped Newton on the convex free-energy objective, Hessian assembled from
-    the exp Frechet derivative (the BKM covariance, positive definite along
-    the run).  attained=True requires the gradient below ``tol`` inside the
-    parameter cap; hitting the cap while the objective still decreases
-    reports attained=False, the signature of an infimum on the boundary.
-    """
+    theta: np.ndarray
+    fval: float
+    grad: np.ndarray
+    sigma: State
+    pairs: list
+    z: float
+    mu: float
+    min_hess: float = float("inf")
+    iterations: int = 0
+    stalled: int = 0
+    cap_hit: bool = False
+
+
+def _newton_setup(rho: State, family: ExponentialFamily):
+    """Checks, then (moments, entropy offset, solver state at theta = 0)."""
     if rho.algebra != family.algebra:
         raise AlgebraMismatchError("state and family in different algebras")
     if family.support is not None:
@@ -309,13 +316,31 @@ def project_to_family(
             )
     moments = mean_value_projection(rho.element, family)
     base = vn_entropy(rho) + hs_inner(rho.element, family.offset)
-
     theta = np.zeros(family.dim)
     fval, grad, sigma, pairs, z, mu = _objective_pieces(family, theta, moments)
-    min_hess = float("inf")
+    return moments, base, _NewtonState(theta, fval, grad, sigma, pairs, z, mu)
+
+
+def _newton(
+    family: ExponentialFamily,
+    moments: np.ndarray,
+    start: _NewtonState,
+    tol: float,
+    param_cap: float,
+    max_iter: int,
+) -> tuple[_NewtonState, _NewtonState | None]:
+    """Damped Newton from ``start`` within ``param_cap``.
+
+    Returns the final state and the resume point: the state at the start of
+    the first iteration in which the cap acted (the full step left the cap
+    ball, or the accepted point reached its sphere), None if it never did.
+    Up to that iteration every larger cap takes exactly the same path.
+    """
+    theta, fval, grad = start.theta, start.fval, start.grad
+    sigma, pairs, z, mu = start.sigma, start.pairs, start.z, start.mu
+    min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
     cap_hit = False
-    iterations = 0
-    stalled = 0
+    resume = None
 
     while iterations < max_iter:
         gnorm = float(np.linalg.norm(grad))
@@ -323,6 +348,8 @@ def project_to_family(
             break
         if family.dim == 0:
             break
+        here = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
+                            min_hess, iterations, stalled)
         means = grad + moments
         H = _bkm_hessian(family, pairs, z, mu, means)
         eigs = np.linalg.eigvalsh(H)
@@ -348,6 +375,8 @@ def project_to_family(
                     lo = mid
             t = lo
             hit_cap_now = True
+            if resume is None:
+                resume = here
         accepted = False
         # resolution floor: near the optimum the true decrease drops below
         # what the objective can represent; the Newton step is still right
@@ -375,28 +404,99 @@ def project_to_family(
             stalled = 0
         if hit_cap_now or np.linalg.norm(theta) >= param_cap:
             cap_hit = True
+            if resume is None:
+                resume = here
             break
 
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm > tol and not cap_hit and iterations >= max_iter:
+    end = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
+                       min_hess, iterations, stalled, cap_hit)
+    return end, resume
+
+
+def _newton_finish(
+    rho: State,
+    family: ExponentialFamily,
+    base: float,
+    end: _NewtonState,
+    tol: float,
+    max_iter: int,
+) -> ProjectionResult:
+    """The ProjectionResult of a final solver state; SolverError when the
+    iteration budget ran out short of convergence and of the cap."""
+    gnorm = float(np.linalg.norm(end.grad))
+    if gnorm > tol and not end.cap_hit and end.iterations >= max_iter:
         raise SolverError(
             f"no convergence in {max_iter} iterations (|grad| = {gnorm:.3e})"
         )
 
-    distance = max(fval - base, 0.0)
+    distance = max(end.fval - base, 0.0)
     attained = (
-        not cap_hit and gnorm <= tol and _decide_attainment(rho, family, theta)
+        not end.cap_hit and gnorm <= tol and _decide_attainment(rho, family, end.theta)
     )
     return ProjectionResult(
-        theta_star=theta,
-        sigma_star=sigma,
+        theta_star=end.theta,
+        sigma_star=end.sigma,
         attained=attained,
         grad_residual=gnorm,
-        iterations=iterations,
+        iterations=end.iterations,
         distance=distance,
-        cap_hit=cap_hit,
-        min_hessian_eig=min_hess,
+        cap_hit=end.cap_hit,
+        min_hessian_eig=end.min_hess,
     )
+
+
+def project_to_family(
+    rho: State,
+    family: ExponentialFamily,
+    tol: float = defaults.SOLVER_TOL,
+    param_cap: float = defaults.PARAM_CAP,
+    max_iter: int = defaults.MAX_ITER,
+) -> ProjectionResult:
+    """Entropy projection of rho onto the family.
+
+    Damped Newton on the convex free-energy objective, Hessian assembled from
+    the exp Frechet derivative (the BKM covariance, positive definite along
+    the run).  attained=True requires the gradient below ``tol`` inside the
+    parameter cap; hitting the cap while the objective still decreases
+    reports attained=False, the signature of an infimum on the boundary.
+    """
+    moments, base, start = _newton_setup(rho, family)
+    end, _ = _newton(family, moments, start, tol, param_cap, max_iter)
+    return _newton_finish(rho, family, base, end, tol, max_iter)
+
+
+def _project_ladder(
+    rho: State,
+    family: ExponentialFamily,
+    caps: Sequence[float],
+    tol: float = defaults.SOLVER_TOL,
+    max_iter: int = defaults.MAX_ITER,
+) -> list[ProjectionResult]:
+    """project_to_family at each cap, in the order of ``caps``, bit for bit.
+
+    The caps run in ascending order.  Each resumes from the state where the
+    previous cap first acted, and reuses the previous result when that cap
+    never acted, so the shared Newton path is computed once.  Equal results
+    may be the same object.  The first cap, in the given order, whose own
+    solve would raise SolverError raises it here.
+    """
+    moments, base, start = _newton_setup(rho, family)
+    ends: dict[float, _NewtonState] = {}
+    end = resume = None
+    for cap in sorted(set(float(c) for c in caps)):
+        if end is None or resume is not None:
+            end, resume = _newton(
+                family, moments, start if resume is None else resume, tol, cap, max_iter
+            )
+        ends[cap] = end
+    results: dict[int, ProjectionResult] = {}
+    out = []
+    for cap in caps:
+        end = ends[float(cap)]
+        if id(end) not in results:
+            results[id(end)] = _newton_finish(rho, family, base, end, tol, max_iter)
+        out.append(results[id(end)])
+    return out
 
 
 def entropy_distance(
@@ -425,18 +525,16 @@ def distance_continuation(
 ) -> list[tuple[float, float, bool]]:
     """Objective values at a ladder of parameter caps, for extrapolation.
 
-    Returns (cap, value, attained) per cap.  Each cap is an independent solve
-    from theta = 0, which retraces the Newton path of the smaller caps up to
-    where their cap cut it off; the values are non-increasing in practice,
-    not by construction.
+    Returns (cap, value, attained) per cap, in the given order; caps may
+    repeat.  Each cap's value and flag equal an independent solve from
+    theta = 0 (entropy_distance at that cap) bit for bit: below a cap the
+    Newton path does not depend on it, so the path that the caps share is
+    computed once and each larger cap continues from where the smaller one
+    was cut off.  The values are non-increasing in practice, not by
+    construction.
     """
-    out = []
-    for cap in caps:
-        value, attained = entropy_distance(
-            rho, family, tol=tol, param_cap=float(cap), max_iter=max_iter
-        )
-        out.append((float(cap), value, attained))
-    return out
+    results = _project_ladder(rho, family, caps, tol=tol, max_iter=max_iter)
+    return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 
 def pythagorean_residual(rho: State, sigma: State, tau: State) -> float:

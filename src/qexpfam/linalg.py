@@ -89,6 +89,24 @@ class HermitianElement:
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", tuple(sym))
 
+    @classmethod
+    def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
+        """Internal constructor for sums and real multiples of elements.
+
+        Such blocks are exactly Hermitian already, so the drift check and the
+        defensive copy are skipped; the symmetrization stays, which keeps the
+        bits (signed zeros included) equal to the public constructor's.
+        """
+        out = object.__new__(cls)
+        sym = []
+        for b in blocks:
+            h = (b + b.conj().T) / 2.0
+            h.setflags(write=False)
+            sym.append(h)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "blocks", tuple(sym))
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("HermitianElement is immutable")
 
@@ -100,19 +118,19 @@ class HermitianElement:
 
     def __add__(self, other: "HermitianElement") -> "HermitianElement":
         self._check_same(other)
-        return HermitianElement(
+        return HermitianElement._trusted(
             self.algebra, [a + b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __sub__(self, other: "HermitianElement") -> "HermitianElement":
         self._check_same(other)
-        return HermitianElement(
+        return HermitianElement._trusted(
             self.algebra, [a - b for a, b in zip(self.blocks, other.blocks)]
         )
 
     def __mul__(self, t: float) -> "HermitianElement":
         t = float(t)
-        return HermitianElement(self.algebra, [t * a for a in self.blocks])
+        return HermitianElement._trusted(self.algebra, [t * a for a in self.blocks])
 
     __rmul__ = __mul__
 
@@ -219,7 +237,9 @@ def hs_inner(a: HermitianElement, b: HermitianElement) -> float:
         raise AlgebraMismatchError("operands belong to different algebras")
     total = 0.0
     for x, y in zip(a.blocks, b.blocks):
-        total += np.tensordot(x, y.conj(), axes=2).real
+        # the single BLAS call np.tensordot(x, y.conj(), axes=2) makes after
+        # its reshapes, without its Python overhead
+        total += np.dot(x.reshape(1, -1), y.conj().reshape(-1, 1))[0, 0].real
     return float(total)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qexpfam import cone
+from qexpfam import cone, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1, make_family, mean_value_projection
@@ -33,6 +33,23 @@ class TestConeConstants:
         third = identity(cone.ALGEBRA) / 3.0
         assert model.radius(third) == pytest.approx(0.0, abs=1e-14)
         assert model.height(third) == pytest.approx(0.0, abs=1e-14)
+
+    def test_contains_builds_no_state_after_first_call(self, monkeypatch):
+        model = cone.ConeModel()
+        point = cone.project_to_slice(cone.midpoint_state().element)
+        model.contains(point)
+        built = []
+        real = states.State.__init__
+
+        def counting(self, element):
+            built.append(1)
+            real(self, element)
+
+        monkeypatch.setattr(states.State, "__init__", counting)
+        for _ in range(3):
+            model.contains(point)
+            model.boundary_distance(point)
+        assert built == []
 
 
 class TestBaseCircle:

@@ -1,20 +1,29 @@
 """The shared numerical kernels: Gibbs state, project-out and support tests."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam.family import exp1, free_energy
+from qexpfam.family import (
+    _bkm_hessian,
+    _objective_pieces,
+    exp1,
+    free_energy,
+    make_compressed_family,
+)
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    divided_differences,
     eigh,
     expm,
     gram_schmidt,
     hs_inner,
     identity,
     project_out,
+    zero,
 )
-from qexpfam.sampling import random_hermitian, random_traceless
+from qexpfam.sampling import random_family, random_hermitian, random_traceless
 from qexpfam.states import Projector, compress
 
 # random block algebras of total dimension <= 6; derandomized so the suite
@@ -88,3 +97,121 @@ def test_free_energy_decomposes_each_block_twice(monkeypatch, rng):
         monkeypatch.undo()
         # per block: one decomposition of a, one in the State constructor
         assert len(calls) == 2 * algebra.n_blocks
+
+
+# -- bit identity of the fast kernels with the code they replaced ----------------
+
+
+def _bits(element_or_blocks):
+    blocks = getattr(element_or_blocks, "blocks", element_or_blocks)
+    return [b.tobytes() for b in blocks]
+
+
+@kernel_settings
+@given(block_dims, seeds, st.floats(-3.0, 3.0))
+def test_internal_arithmetic_matches_public_constructor(dims, seed, t):
+    algebra = Algebra(tuple(dims))
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(algebra, rng), random_hermitian(algebra, rng, 2.0)
+
+    def public(blocks):
+        return HermitianElement(algebra, blocks)
+
+    assert _bits(a + b) == _bits(public([x + y for x, y in zip(a.blocks, b.blocks)]))
+    assert _bits(a - b) == _bits(public([x - y for x, y in zip(a.blocks, b.blocks)]))
+    assert _bits(t * a) == _bits(public([t * x for x in a.blocks]))
+    assert _bits(-a) == _bits(public([-1.0 * x for x in a.blocks]))
+
+    fam = random_family(algebra, min(3, algebra.real_dim - 1), rng)
+    theta = rng.normal(size=fam.dim)
+    want = zero(algebra)
+    for c, v in zip(theta, fam.basis):
+        scaled = public([float(c) * x for x in v.blocks])
+        want = public([x + y for x, y in zip(want.blocks, scaled.blocks)])
+    assert _bits(fam.tangent_element(theta)) == _bits(want)
+
+
+def _bkm_hessian_loop(family, pairs, z, mu, means):
+    """The pairwise double loop the stacked BKM Hessian replaced, verbatim."""
+    d = family.dim
+    H = np.zeros((d, d))
+    for bi, (w, V) in enumerate(pairs):
+        if w.size == 0:
+            continue
+        table = divided_differences(w - mu, np.exp, np.exp)
+        tilted = [V.conj().T @ v.blocks[bi] @ V for v in family.basis]
+        for i in range(d):
+            for j in range(i, d):
+                val = float(np.sum(tilted[i].conj() * table * tilted[j]).real) / z
+                H[i, j] += val
+                H[j, i] = H[i, j]
+    H -= np.outer(means, means)
+    return H
+
+
+def _hs_inner_tensordot(a, b):
+    """hs_inner as it was written with np.tensordot, verbatim."""
+    total = 0.0
+    for x, y in zip(a.blocks, b.blocks):
+        total += np.tensordot(x, y.conj(), axes=2).real
+    return float(total)
+
+
+def _assert_hessian_bits(fam, rng, scale):
+    theta = scale * rng.normal(size=fam.dim)
+    moments = rng.normal(size=fam.dim)
+    _, grad, _, pairs, z, mu = _objective_pieces(fam, theta, moments)
+    means = grad + moments
+    got = _bkm_hessian(fam, pairs, z, mu, means)
+    assert got.tobytes() == _bkm_hessian_loop(fam, pairs, z, mu, means).tobytes()
+
+
+@kernel_settings
+@given(block_dims.filter(lambda dims: sum(n * n for n in dims) >= 2), seeds,
+       st.floats(0.1, 30.0))
+def test_stacked_hessian_matches_double_loop(dims, seed, scale):
+    algebra = Algebra(tuple(dims))
+    rng = np.random.default_rng(seed)
+    fam = random_family(algebra, int(rng.integers(1, algebra.real_dim)), rng)
+    _assert_hessian_bits(fam, rng, scale)
+
+
+@pytest.mark.parametrize("dims, dim", [((16,), 12), ((4, 4, 4, 4), 6), ((8, 8), 10)])
+def test_stacked_hessian_matches_double_loop_at_size(dims, dim):
+    rng = np.random.default_rng(sum(dims) + dim)
+    fam = random_family(Algebra(dims), dim, rng)
+    for scale in (0.3, 3.0, 40.0):
+        _assert_hessian_bits(fam, rng, scale)
+
+
+def test_stacked_hessian_skips_empty_support_block():
+    algebra = Algebra((3, 2, 1))
+    rng = np.random.default_rng(5)
+    parent = random_family(algebra, 6, rng)
+    # rank 2 in block 0, all of block 1, nothing of block 2
+    q = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0][:, :2]
+    p = Projector(HermitianElement(algebra, [q @ q.conj().T, np.eye(2), np.zeros((1, 1))]))
+    fam = make_compressed_family(parent, p)
+    assert fam.dim > 0
+    _, _, _, pairs, _, _ = _objective_pieces(fam, np.zeros(fam.dim), np.zeros(fam.dim))
+    assert pairs[2][0].size == 0
+    for scale in (0.5, 5.0):
+        _assert_hessian_bits(fam, rng, scale)
+
+
+@kernel_settings
+@given(block_dims, seeds, st.floats(0.1, 10.0))
+def test_hs_inner_matches_tensordot(dims, seed, scale):
+    algebra = Algebra(tuple(dims))
+    rng = np.random.default_rng(seed)
+    a, b = random_hermitian(algebra, rng, scale), random_hermitian(algebra, rng)
+    assert hs_inner(a, b).hex() == _hs_inner_tensordot(a, b).hex()
+
+
+@pytest.mark.parametrize("dims", [(16,), (4, 4, 4, 4), (8, 8)])
+def test_hs_inner_matches_tensordot_at_size(dims):
+    algebra = Algebra(dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(20):
+        a, b = random_hermitian(algebra, rng, 3.0), random_hermitian(algebra, rng)
+        assert hs_inner(a, b).hex() == _hs_inner_tensordot(a, b).hex()

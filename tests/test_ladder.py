@@ -1,0 +1,109 @@
+"""The parameter-cap ladder: shared Newton path, independent-solve results."""
+
+import numpy as np
+import pytest
+
+from qexpfam import cone, family
+from qexpfam.family import (
+    _project_ladder,
+    distance_continuation,
+    entropy_distance,
+    make_family,
+    project_to_family,
+)
+from qexpfam.linalg import Algebra, HermitianElement
+from qexpfam.sampling import random_state, random_traceless
+from qexpfam.states import State
+
+
+def _unitary(n, rng):
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def _face_case(dims, dim, rank, seed):
+    """A family whose first generator has a rank-``rank`` top eigenspace in
+    block 0, a full-rank state of that face (its projection recedes to the
+    boundary) and an invertible state (its projection is attained)."""
+    rng = np.random.default_rng(seed)
+    algebra = Algebra(dims)
+    blocks, top = [], None
+    for k, n in enumerate(dims):
+        u = _unitary(n, rng)
+        w = rng.uniform(-1.0, 0.5, size=n)
+        if k == 0:
+            w[:rank] = 1.0
+            top = u[:, :rank]
+        blocks.append((u * w) @ u.conj().T)
+    gens = [HermitianElement(algebra, blocks)]
+    gens += [random_traceless(algebra, rng) for _ in range(dim - 1)]
+    fam = make_family(algebra, gens)
+    g = rng.normal(size=(rank, rank)) + 1j * rng.normal(size=(rank, rank))
+    small = g @ g.conj().T + 0.1 * np.eye(rank)
+    face = [np.zeros((n, n), dtype=complex) for n in dims]
+    face[0] = top @ (small / np.trace(small).real) @ top.conj().T
+    boundary = State(HermitianElement(algebra, face))
+    interior = random_state(algebra, rng, invertible=True, min_eig=1e-2)
+    return fam, boundary, interior
+
+
+def _cases():
+    out = []
+    for k, (dims, dim, rank) in enumerate([((16,), 4, 4), ((4, 4, 4, 4), 4, 2)]):
+        fam, boundary, interior = _face_case(dims, dim, rank, 40 + k)
+        out += [(f"{dims}-boundary", fam, boundary), (f"{dims}-interior", fam, interior)]
+    staffelberg = cone.staffelberg_family()
+    out += [("cone-rho0", staffelberg, cone.base_circle_state(0.0)),
+            ("cone-rho1", staffelberg, cone.base_circle_state(1.0)),
+            ("cone-interior", staffelberg,
+             random_state(cone.ALGEBRA, np.random.default_rng(44), invertible=True))]
+    return out
+
+
+CASES = _cases()
+# unsorted, a repeat, a cap that acts at the first step and one that the
+# interior paths never reach
+CAPS = (50.0, 0.5, 200.0, 25.0, 50.0, 1e4)
+
+
+def _fingerprint(res):
+    return (res.theta_star.tobytes(),
+            tuple(b.tobytes() for b in res.sigma_star.element.blocks),
+            res.distance.hex(), res.attained, res.cap_hit, res.iterations,
+            float(res.grad_residual).hex(), float(res.min_hessian_eig).hex())
+
+
+@pytest.mark.parametrize("label, fam, rho", CASES, ids=[c[0] for c in CASES])
+def test_continuation_equals_independent_solves(label, fam, rho):
+    ladder = distance_continuation(rho, fam, caps=CAPS)
+    assert [cap for cap, _, _ in ladder] == list(CAPS)
+    for cap, value, attained in ladder:
+        want, want_attained = entropy_distance(rho, fam, param_cap=cap)
+        assert (value.hex(), attained) == (want.hex(), want_attained), cap
+
+
+@pytest.mark.parametrize("label, fam, rho", CASES, ids=[c[0] for c in CASES])
+def test_ladder_results_equal_project_to_family(label, fam, rho):
+    results = _project_ladder(rho, fam, CAPS)
+    for cap, res in zip(CAPS, results):
+        want = project_to_family(rho, fam, param_cap=cap)
+        assert _fingerprint(res) == _fingerprint(want), cap
+
+
+def test_ladder_shares_the_newton_path(monkeypatch):
+    fam, rho, _ = _face_case((4, 4, 4, 4), 4, 2, 41)
+    caps = (25.0, 50.0, 100.0, 200.0)
+    real = family._objective_pieces
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(family, "_objective_pieces", counting)
+    for cap in caps:
+        entropy_distance(rho, fam, param_cap=cap)
+    independent = len(calls)
+    calls.clear()
+    distance_continuation(rho, fam, caps=caps)
+    assert len(calls) < independent
