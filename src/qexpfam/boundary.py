@@ -13,6 +13,11 @@ cross.  Crossings between grid angles are located by minimizing the spectral
 gap, so tangent segments are found even when no grid direction hits their
 normal exactly.
 
+Each segment endpoint is classified at its own crossing, not against the
+grid: the one-sided radius of curvature of the boundary beyond it is zero
+at an exposed corner and positive at a non-exposed tangent point.  The only
+under-resolved sweep is one with fewer than SWEEP_MIN_ANGLES angles.
+
 Both run on DirectionSweep, a raw-block kernel over whole arrays of angles
 that closures.py shares for its atlas and face search.
 """
@@ -34,7 +39,9 @@ class BoundaryFace:
     """Exposed face of the mean value set in one sweep direction.
 
     endpoints holds the two extreme points in tangent coordinates (equal for
-    a point face); dim is 0 for a point, 1 for a segment.
+    a point face); dim is 0 for a point, 1 for a segment.  radii holds the
+    one-sided radius of curvature of the boundary beyond each endpoint (0 for
+    a point face); labels reads them as "exposed" (r = 0) or "non-exposed".
     """
 
     alpha: float
@@ -43,11 +50,12 @@ class BoundaryFace:
     dim: int
     multiplicity: int
     refined: bool = False
+    radii: tuple[float, float] = (0.0, 0.0)
 
     @property
-    def length(self) -> float:
-        (a1, a2), (b1, b2) = self.endpoints
-        return float(np.hypot(b1 - a1, b2 - a2))
+    def labels(self) -> tuple[str, str]:
+        res = _resolution(self.support_value)
+        return tuple("non-exposed" if r > res else "exposed" for r in self.radii)
 
 
 @dataclass(frozen=True)
@@ -58,17 +66,8 @@ class MeanValueBoundary:
     n_angles: int
     faces: tuple[BoundaryFace, ...]
 
-    def scale(self) -> float:
-        pts = np.array([e for f in self.faces for e in f.endpoints])
-        if len(pts) < 2:
-            return 1.0
-        span = pts.max(axis=0) - pts.min(axis=0)
-        return max(float(np.hypot(*span)), 1e-12)
-
-    def segments(self, tol: float | None = None) -> list[BoundaryFace]:
-        if tol is None:
-            tol = 1e-7 * (1.0 + self.scale())
-        return [f for f in self.faces if f.length > tol]
+    def segments(self) -> list[BoundaryFace]:
+        return [f for f in self.faces if f.dim == 1]
 
 
 @dataclass(frozen=True)
@@ -161,30 +160,56 @@ class DirectionSweep:
         return None
 
 
+def _resolution(mu: float) -> float:
+    """Distance below which two boundary points of a face with support value
+    mu count as one, and radius of curvature below which a corner is exposed."""
+    return 1e-7 * (1.0 + abs(mu))
+
+
 def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
           refined: bool = False) -> BoundaryFace:
-    """Exposed face in direction alpha from row i of the sweep spectra."""
+    """Exposed face in direction alpha from row i of the sweep spectra.
+
+    A segment endpoint psi in block k is labelled by the one-sided radius of
+    curvature of the boundary beyond it, from Kato's second-order perturbation
+    of the top eigenvector along u_perp:
+
+        r = sum_j 2 |<psi_j, u_perp psi>|^2 / (mu - lam_j)
+
+    over the eigenpairs (lam_j, psi_j) of block k outside the maximal
+    eigenspace.  r = 0 means nearby directions still expose psi (an exposed
+    corner); r > 0 means they expose points converging to psi (a non-exposed
+    tangent point).
+    """
     c, s = np.cos(alpha), np.sin(alpha)
     mu = max(float(w[i, -1]) for w in spectra.values)
-    lows, highs, mult = [], [], 0
+    lows, highs, perps, mult = [], [], {}, 0
     for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
         keep = w[i] >= mu - defaults.MAX_EIG_GAP
         mult += int(keep.sum())
         if keep.any():
             # extreme eigenvectors of the orthogonal direction on the maximal eigenspace
-            Q = V[i][:, keep]
-            vals, Y = np.linalg.eigh(Q.conj().T @ (-s * kernel.a[k] + c * kernel.b[k]) @ Q)
+            Q, perp = V[i][:, keep], -s * kernel.a[k] + c * kernel.b[k]
+            vals, Y = np.linalg.eigh(Q.conj().T @ perp @ Q)
             lows.append((float(vals[0]), k, Q @ Y[:, 0]))
             highs.append((float(vals[-1]), k, Q @ Y[:, -1]))
+            perps[k] = perp
     ends = [min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])]
     e_lo, e_hi = [
         tuple(float((psi.conj() @ v[k] @ psi).real) for v in (kernel.a, kernel.b))
         for _, k, psi in ends
     ]
-    sep = np.hypot(e_hi[0] - e_lo[0], e_hi[1] - e_lo[1])
-    dim = 1 if sep > 1e-7 * (1.0 + abs(mu)) else 0
+    dim = 1 if np.hypot(e_hi[0] - e_lo[0], e_hi[1] - e_lo[1]) > _resolution(mu) else 0
+
+    def radius(k: int, psi: np.ndarray) -> float:
+        w, V = spectra.values[k][i], spectra.vectors[k][i]
+        out = w < mu - defaults.MAX_EIG_GAP
+        coupling = V[:, out].conj().T @ (perps[k] @ psi)
+        return float(np.sum(2.0 * np.abs(coupling) ** 2 / (mu - w[out])))
+
+    radii = tuple(radius(k, psi) for _, k, psi in ends) if dim else (0.0, 0.0)
     return BoundaryFace(alpha=float(alpha), support_value=mu, endpoints=(e_lo, e_hi),
-                        dim=dim, multiplicity=mult, refined=refined)
+                        dim=dim, multiplicity=mult, refined=refined, radii=radii)
 
 
 def mean_value_boundary_sweep(
@@ -224,48 +249,24 @@ def mean_value_boundary_sweep(
 
 
 def classify_boundary_faces(boundary: MeanValueBoundary) -> BoundaryClassification:
-    """Label every segment endpoint of the boundary exposed or non-exposed.
+    """Collect the labelled segment endpoints of the boundary, once each.
 
     An endpoint is exposed when some sweep direction cuts out exactly that
-    point; it is non-exposed when nearby directions only expose points
-    converging to it (the tangent-point situation).  Gaps in between mean the
-    sweep cannot decide and a finer grid is requested.
+    point and non-exposed when nearby directions only expose points
+    converging to it (the tangent-point situation); _face decides which from
+    the curvature radius at the endpoint.  Endpoints of different segments
+    closer than the face resolution are one vertex.  A sweep with fewer than
+    SWEEP_MIN_ANGLES angles is rejected as under-resolved.
     """
     if boundary.n_angles < defaults.SWEEP_MIN_ANGLES:
         raise UnderResolvedSweepError(
             f"need at least {defaults.SWEEP_MIN_ANGLES} sweep angles to "
             f"classify faces, got {boundary.n_angles}"
         )
-    scale = boundary.scale()
-    tol_same = 1e-6 * scale
-    step = 2.0 * np.pi / boundary.n_angles
-    tol_near = 20.0 * step * scale
-
-    points = np.array(
-        [f.endpoints[0] for f in boundary.faces if f.dim == 0], dtype=float
-    )
-    segments = boundary.segments()
-
-    # distinct endpoints over all segments
-    endpoints: list[tuple[float, float]] = []
-    for seg in segments:
-        for e in seg.endpoints:
-            if not any(np.hypot(e[0] - q[0], e[1] - q[1]) <= tol_same for q in endpoints):
-                endpoints.append(e)
-
-    vertices = []
-    for t in endpoints:
-        if points.size:
-            dist = float(np.min(np.hypot(points[:, 0] - t[0], points[:, 1] - t[1])))
-        else:
-            dist = np.inf
-        if dist <= tol_same:
-            vertices.append((t, "exposed"))
-        elif dist <= tol_near:
-            vertices.append((t, "non-exposed"))
-        else:
-            raise UnderResolvedSweepError(
-                f"no point face near segment endpoint {t} (closest {dist:.3e}); "
-                "request a finer grid"
-            )
+    vertices: list[tuple[tuple[float, float], str]] = []
+    for seg in boundary.segments():
+        res = _resolution(seg.support_value)
+        for e, label in zip(seg.endpoints, seg.labels):
+            if not any(np.hypot(e[0] - q[0], e[1] - q[1]) <= res for q, _ in vertices):
+                vertices.append((e, label))
     return BoundaryClassification(vertices=tuple(vertices))

@@ -2,7 +2,7 @@
 
     qexpfam sweep    [--phi LIST | --family NAME] --out DIR
     qexpfam distance --state SPEC [--family NAME] --out DIR
-    qexpfam report   --which staffelberg|swallow|closures|maximizer --out DIR
+    qexpfam report   --which staffelberg|swallow|closures|maximizer|cone --out DIR
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 contract violation inside a report.  With --quiet only machine-readable
@@ -72,7 +72,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         boundary = mean_value_boundary_sweep(family, n_angles=cfg.n_angles)
         classes = classify_boundary_faces(boundary)
         base = os.path.join(cfg.out_dir, f"boundary_{tag}")
-        boundary_csv(base + ".csv", boundary, classes)
+        boundary_csv(base + ".csv", boundary)
         boundary_svg(base + ".svg", boundary, classes)
         n_seg = len(boundary.segments())
         if phi is not None:

@@ -31,6 +31,7 @@ from .family import (
     exp1,
     ln0,
     make_family,
+    mean_value_projection,
     project_to_family,
 )
 from .findings import Report
@@ -43,6 +44,7 @@ from .linalg import (
     traceless_part,
     zero,
 )
+from .sampling import random_state
 from .states import Projector, State, relative_entropy, tracial_state
 
 ALGEBRA = Algebra((2, 1))
@@ -315,8 +317,6 @@ def swallow_polar_tangents() -> tuple[np.ndarray, np.ndarray]:
     circle; they are the mean-value images of rho(0) and rho(pi/2).
     """
     fam = swallow_family()
-    from .family import mean_value_projection
-
     t1 = mean_value_projection(base_circle_state(0.0).element, fam)
     t2 = mean_value_projection(base_circle_state(np.pi / 2.0).element, fam)
     return t1, t2
@@ -336,8 +336,6 @@ def cone_identity_residuals(
     (iii) exp1 of slice directions stays in the cone and reaches every
     relative-interior point.
     """
-    from .sampling import random_state
-
     if rng is None:
         rng = np.random.default_rng(0)
     cone = ConeModel()

@@ -15,7 +15,7 @@ HERMITIZE_REJECT = 1e-9
 # image-inclusion or support question is asked.
 SUPPORT_CUTOFF = 1e-10
 
-# State validation: eigenvalues in [-STATE_NEG_CLAMP, 0) are clamped to 0,
+# State validation: eigenvalues in [-STATE_TOL, 0) are clamped to 0,
 # anything more negative is rejected; |trace - 1| must stay below this too.
 STATE_TOL = 1e-12
 

@@ -22,4 +22,4 @@ class SolverError(RuntimeError):
 
 
 class UnderResolvedSweepError(RuntimeError):
-    """A boundary sweep was too coarse to classify faces; request a finer grid."""
+    """A boundary sweep has fewer than SWEEP_MIN_ANGLES angles to classify."""

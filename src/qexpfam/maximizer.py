@@ -22,6 +22,7 @@ from .family import (
     ExponentialFamily,
     ProjectionResult,
     free_energy,
+    make_compressed_family,
     project_to_family,
 )
 from .linalg import HermitianElement, frechet_block, hs_inner
@@ -32,6 +33,7 @@ from .states import (
     _support_pairs,
     compress,
     log_on_support,
+    max_eig_data,
     support_projector,
 )
 
@@ -211,9 +213,6 @@ def local_max_search(
 
     target = family
     if face_direction is not None:
-        from .states import max_eig_data
-        from .family import make_compressed_family
-
         _, p_dir = max_eig_data(face_direction)
         if not p_dir.same_image(p, tol=1e-8):
             raise PreconditionError(

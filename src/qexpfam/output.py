@@ -57,25 +57,13 @@ def entry_header(a: HermitianElement) -> list[str]:
     return cols
 
 
-def boundary_csv(
-    path: str, boundary: MeanValueBoundary, classes: BoundaryClassification | None
-) -> None:
+def boundary_csv(path: str, boundary: MeanValueBoundary) -> None:
     """Boundary rows: alpha, support_value, x1, x2, face_dim, nonexposed_flag."""
-    nonexp = classes.nonexposed if classes is not None else []
-    scale = boundary.scale()
-
-    def flag(point) -> int:
-        return int(
-            any(np.hypot(point[0] - q[0], point[1] - q[1]) <= 1e-6 * scale for q in nonexp)
-        )
-
     rows = []
     for face in boundary.faces:
-        emitted = face.endpoints if face.dim == 1 else face.endpoints[:1]
-        for x1, x2 in emitted:
-            rows.append(
-                (face.alpha, face.support_value, x1, x2, str(face.dim), str(flag((x1, x2))))
-            )
+        for (x1, x2), label in zip(face.endpoints[:face.dim + 1], face.labels):
+            rows.append((face.alpha, face.support_value, x1, x2, str(face.dim),
+                         str(int(label == "non-exposed"))))
     write_csv(path, ["alpha", "support_value", "x1", "x2", "face_dim", "nonexposed_flag"], rows)
 
 

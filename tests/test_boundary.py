@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexpfam import cone
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError, UnderResolvedSweepError
 from qexpfam.family import make_family
-from qexpfam.linalg import diagonal, hs_inner
-from qexpfam.states import State
+from qexpfam.linalg import Algebra, diagonal, hs_inner
+from qexpfam.states import State, max_eig_data
 
 
 @pytest.fixture
@@ -98,3 +99,90 @@ class TestUnderResolution:
         b = mean_value_boundary_sweep(fam, 4)
         with pytest.raises(UnderResolvedSweepError):
             classify_boundary_faces(b)
+
+
+def _n_nonexposed(family) -> int:
+    return classify_boundary_faces(mean_value_boundary_sweep(family)).n_nonexposed
+
+
+def _rotated(family, theta: float):
+    """The same plane spanned by the basis rotated by theta."""
+    v1, v2 = family.basis
+    c, s = float(np.cos(theta)), float(np.sin(theta))
+    return make_family(family.algebra, [c * v1 + s * v2, -s * v1 + c * v2])
+
+
+class TestNonexposedByCurvature:
+    """Segment endpoints are classified by their curvature radius, not by the
+    distance to the nearest grid-angle point face."""
+
+    def test_every_tilt_below_pi_over_3_has_two(self):
+        phis = np.linspace(0.0, np.pi / 3.0, 202)[1:-1]
+        counts = {float(phi): _n_nonexposed(cone.plane_for_angle(phi)) for phi in phis}
+        assert {phi: n for phi, n in counts.items() if n != 2} == {}
+
+    @pytest.mark.parametrize("phi, expected", [
+        (0.03, 2), (0.8255269040265483, 2),
+        (0.0, 0), (np.pi / 3.0, 0), (1.2, 0), (np.pi / 2.0, 0),
+    ])
+    def test_named_tilts(self, phi, expected):
+        assert _n_nonexposed(cone.plane_for_angle(phi)) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(st.sampled_from([0.03, 0.8255269040265483, np.pi / 6.0]), st.floats(0.0, np.pi))
+    def test_basis_rotation_leaves_count(self, phi, theta):
+        assert _n_nonexposed(_rotated(cone.plane_for_angle(phi), theta)) == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.integers(0, 2**32 - 1))
+    def test_commutative_families_are_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        algebra = Algebra((1, 1, 1, 1))
+        fam = make_family(algebra, [diagonal(algebra, rng.normal(size=4)) for _ in range(2)])
+        boundary = mean_value_boundary_sweep(fam)
+        assert classify_boundary_faces(boundary).n_nonexposed == 0
+        assert all(f.radii == (0.0, 0.0) for f in boundary.faces)
+
+
+def _exposed_point(family, alpha: float) -> np.ndarray:
+    """Mean value of the top eigenvector of u(alpha), from max_eig_data."""
+    v1, v2 = family.basis
+    _, p = max_eig_data(float(np.cos(alpha)) * v1 + float(np.sin(alpha)) * v2)
+    assert p.rank == 1
+    return np.array([hs_inner(p.element, v1), hs_inner(p.element, v2)])
+
+
+@pytest.mark.parametrize("family", [
+    cone.plane_for_angle(0.03),
+    cone.plane_for_angle(np.pi / 6.0),
+    cone.plane_for_angle(0.8255269040265483),
+    cone.swallow_family(),
+], ids=["phi0.03", "phi_pi/6", "phi0.8255", "swallow"])
+def test_curvature_radius_matches_finite_differences(family):
+    # the endpoint at the low (high) side of a segment is the limit of the
+    # points exposed just below (above) its direction, approached at speed r
+    delta = 1e-5
+    segments = mean_value_boundary_sweep(family).segments()
+    assert len(segments) == 2
+    radii = []
+    for seg in segments:
+        for side, end, r in zip((-1.0, 1.0), seg.endpoints, seg.radii):
+            moved = _exposed_point(family, seg.alpha + side * delta)
+            fd = float(np.linalg.norm(moved - np.array(end))) / delta
+            if r == 0.0:
+                assert fd <= 1e-9
+            else:
+                assert abs(fd - r) <= 1e-4 * r
+            radii.append(r)
+    # each segment joins one exposed corner (radius exactly 0) to one tangent point
+    assert sorted(r > 0.0 for r in radii) == [False, False, True, True]
+
+
+def test_apex_radius_is_exactly_zero():
+    boundary = mean_value_boundary_sweep(cone.plane_for_angle(0.03))
+    apex = np.array([hs_inner(cone.apex_state().element, v)
+                     for v in boundary.family.basis])
+    ends = [(np.array(e), r) for f in boundary.segments()
+            for e, r in zip(f.endpoints, f.radii)]
+    at_apex = [r for e, r in ends if np.linalg.norm(e - apex) < 1e-9]
+    assert len(at_apex) == 2 and at_apex == [0.0, 0.0]
