@@ -69,6 +69,7 @@ from .closures import (
     AtlasGroup,
     ClosureAtlas,
     egeodesic_limit,
+    face_chain,
     geodesic_closure_atlas,
     inclusion_chain_check,
     rI_membership,

@@ -19,7 +19,7 @@ at an exposed corner and positive at a non-exposed tangent point.  The only
 under-resolved sweep is one with fewer than SWEEP_MIN_ANGLES angles.
 
 Both run on DirectionSweep, a raw-block kernel over whole arrays of angles
-that closures.py shares for its atlas and face search.
+that closures.py shares for its atlas and its face finder.
 """
 
 from __future__ import annotations
@@ -132,14 +132,6 @@ class DirectionSweep:
     def spectra(self, alphas) -> SweepSpectra:
         pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
         return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
-
-    def slack(self, rho_blocks: Sequence[np.ndarray], alphas) -> np.ndarray:
-        """<rho, u> - mu_+(u) per angle, <= 0 and zero where rho is on the face;
-        the stacked matmul rounds exactly like hs_inner's np.dot."""
-        us = self.blocks(alphas)
-        inner = sum(np.matmul(np.reshape(r, (1, 1, r.size)), u.conj().reshape(-1, r.size, 1))
-                    for r, u in zip(rho_blocks, us))
-        return inner[:, 0, 0].real - np.max([np.linalg.eigh(u)[0][:, -1] for u in us], axis=0)
 
     def locate_crossing(self, lo: float, hi: float, stop: float) -> float | None:
         """Ternary search on the top gap for an eigenvalue crossing in (lo, hi),

@@ -19,12 +19,7 @@ import numpy as np
 
 from . import cone, defaults
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
-from .closures import (
-    _search_face_direction,
-    geodesic_closure_atlas,
-    inclusion_chain_check,
-    reduce_distance_to_face,
-)
+from .closures import face_chain, geodesic_closure_atlas, inclusion_chain_check
 from .config import RunConfig, build_family, parse_state
 from .errors import (
     DomainError,
@@ -88,7 +83,8 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
-    """Distance report: direct minimization ladder plus exact face reduction."""
+    """Distance report: direct minimization ladder plus, when rho lies on a
+    face, the exact distance inside the last family of its face chain."""
     family = build_family(cfg)
     rho = parse_state(cfg, state_spec)
     # the ladder's last cap is param_cap itself, whose solve is res; it goes
@@ -98,14 +94,9 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
                                   max_iter=cfg.max_iter)
     ladder = [(cap, r.distance, r.attained) for cap, r in zip(caps[1:], lower)]
     ladder.append((float(cfg.param_cap), res.distance, res.attained))
-    face = _search_face_direction(rho, family)
-    exact = None
-    if face is not None:
-        try:
-            exact = reduce_distance_to_face(rho, family, face, tol=cfg.tol,
-                                            param_cap=defaults.RI_PARAM_CAP)
-        except PreconditionError:
-            exact = None
+    projectors, last = face_chain(rho, family)
+    exact = (entropy_distance(rho, last, tol=cfg.tol, param_cap=defaults.RI_PARAM_CAP)[0]
+             if projectors else None)
 
     _say(cfg, f"distance value={fmt(res.distance)} attained={int(res.attained)}",
          machine=True)

@@ -8,12 +8,13 @@ algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
 where eigenvalue branches merge (higher-rank projectors, measure zero in the
 sweep) are located by a ternary search on the top spectral gap.  The sweep
-and the face-direction search run on boundary.DirectionSweep (a = g2, b = g1).
+runs on boundary.DirectionSweep (a = g2, b = g1).
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
 distance from the compressed family, which turns several boundary distances
-into exactly solvable problems.
+into exactly solvable problems.  face_chain applies this face by face (Weis &
+Knauf, arXiv:1007.5464; Csiszar & Matus, IEEE Trans. IT 49, 2003).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .family import (
     project_to_family,
 )
 from .findings import Report
-from .linalg import HermitianElement, coords, project_out, traceless_part
+from .linalg import HermitianElement, coords, hs_inner, project_out, traceless_part
 from .states import (
     Projector,
     State,
@@ -43,6 +44,7 @@ from .states import (
     compress,
     exposed_face_membership,
     max_eig_data,
+    support_projector,
 )
 
 
@@ -244,14 +246,14 @@ def reduce_distance_to_face(
     rho: State,
     family: ExponentialFamily,
     v: HermitianElement,
-    tol: float = defaults.SOLVER_TOL,
     param_cap: float = defaults.RI_PARAM_CAP,
 ) -> float:
     """Entropy distance of a state on the exposed face of v, computed inside
     the compressed family of the maximal projector of v.
 
     Requires v (up to its trace part) in the tangent space and rho in the
-    exposed face; the result agrees with the direct entropy distance.
+    exposed face; the result agrees with the direct entropy distance.  One
+    step of face_chain, with the direction given instead of found.
     """
     vt = traceless_part(v)
     resid = project_out(vt, family.basis)
@@ -259,92 +261,90 @@ def reduce_distance_to_face(
         raise PreconditionError("direction is not in the tangent space")
     if not exposed_face_membership(rho, v):
         raise PreconditionError("state is not in the exposed face of v")
-    _, p = max_eig_data(v)
-    fam_p = make_compressed_family(family, p)
-    res = project_to_family(rho, fam_p, tol=tol, param_cap=param_cap)
-    return res.distance
+    fam_p = make_compressed_family(family, max_eig_data(v)[1])
+    return project_to_family(rho, fam_p, param_cap=param_cap).distance
 
 
-def _search_face_direction(
-    rho: State, family: ExponentialFamily, n_grid: int = 720
-) -> HermitianElement | None:
-    """Search the 2D direction sphere for a face containing rho.
+def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
+                   b: HermitianElement) -> HermitianElement:
+    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)).
 
-    Maximizes <rho, u(alpha)> - mu_+(u(alpha)) (always <= 0, zero exactly on
-    a face) on a grid, evaluated in one kernel call, with golden-section
-    refinement of the best candidate.
+    The margin is positive where u exposes supp(rho) alone and zero where it
+    exposes a larger face.  Its grid maximum is refined by bisection on the
+    sign of its derivative <rho, u'> - <psi, u' psi>, psi the top eigenvector
+    on Im(rest), which stays well conditioned where its eigenvalue meets
+    <rho, u>: a tangent direction is found to machine precision.
     """
-    if family.dim != 2 or len(family.generators) != 2:
-        return None
-    kernel = _polar_sweep(family)
+    pairs = [(x, y) for x, y in zip(rest.restrict(a), rest.restrict(b)) if x.size]
+    kernel = DirectionSweep([x for x, _ in pairs], [y for _, y in pairs])
+    ra, rb = hs_inner(rho.element, a), hs_inner(rho.element, b)
 
-    def slack(alpha: float) -> float:
-        return float(kernel.slack(rho.element.blocks, [alpha])[0])
+    def slope(t: float) -> float:
+        spectra = kernel.spectra([t])
+        k = int(np.argmax([w[0, -1] for w in spectra.values]))
+        psi = spectra.vectors[k][0, :, -1]
+        du = np.cos(t) * kernel.b[k] - np.sin(t) * kernel.a[k]
+        return np.cos(t) * rb - np.sin(t) * ra - np.vdot(psi, du @ psi).real
 
-    alphas = np.linspace(0.0, 2.0 * np.pi, n_grid, endpoint=False)
-    j = int(np.argmax(kernel.slack(rho.element.blocks, alphas)))
-    lo = alphas[j] - 2.0 * np.pi / n_grid
-    hi = alphas[j] + 2.0 * np.pi / n_grid
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = hi - phi * (hi - lo), lo + phi * (hi - lo)
-    fa, fb = slack(a), slack(b)
-    for _ in range(120):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + phi * (hi - lo)
-            fb = slack(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - phi * (hi - lo)
-            fa = slack(a)
-    alpha = 0.5 * (lo + hi)
-    if slack(alpha) < -1e-9:
-        return None
-    # golden section stalls at sqrt(eps) on a smooth maximum; a parabola fit
-    # through slack samples super-resolves the face angle, which keeps the
-    # maximal projector (and any compressed family built from it) clean
-    for h in (1e-4, 1e-6):
-        s0, sp, sm = slack(alpha), slack(alpha + h), slack(alpha - h)
-        curv = sp - 2.0 * s0 + sm
-        if curv >= -1e-300:
-            break
-        shift = -0.5 * h * (sp - sm) / curv
-        if abs(shift) > h:
-            shift = np.sign(shift) * h
-        if slack(alpha + shift) >= s0:
-            alpha += shift
-    if slack(alpha) < -1e-9:
-        return None
-    return sweep_direction(family, alpha)
+    grid = np.linspace(0.0, 2.0 * np.pi, defaults.SWEEP_ANGLES, endpoint=False)
+    j = int(np.argmax(ra * np.cos(grid) + rb * np.sin(grid) - kernel.spectra(grid).top()))
+    lo, t, hi = grid[j] - grid[1], grid[j], grid[j] + grid[1]
+    while lo < t < hi:
+        lo, hi = (t, hi) if slope(t) > 0.0 else (lo, t)
+        t = 0.5 * (lo + hi)
+    return float(np.cos(t)) * a + float(np.sin(t)) * b
 
 
-def rI_membership(
-    rho: State,
-    family: ExponentialFamily,
-    eps: float = defaults.RI_EPS,
-    param_cap: float = defaults.RI_PARAM_CAP,
-    face_direction: HermitianElement | None = None,
-) -> bool:
-    """Whether rho lies in the reverse-information closure (distance < eps).
+def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement | None:
+    """A tangent direction exposing the smallest face that contains rho, or None.
 
-    When rho sits on an exposed face of a tangent direction the distance is
-    first reduced to the compressed family, which answers exactly; otherwise
-    the direct minimization at the given parameter cap decides.
+    Such a u leaves the support q of rho invariant and acts on it as a
+    scalar, q u P = lambda q with P the family's carrier: the (u, lambda)
+    form the null space L of one thin SVD.  dim L = 1 leaves +-w to test,
+    dim L = 2 the direction of widest margin; dim L >= 3 is not decided.
     """
-    if face_direction is None:
-        face_direction = _search_face_direction(rho, family)
-    if face_direction is not None:
-        try:
-            return (
-                reduce_distance_to_face(
-                    rho, family, face_direction, param_cap=param_cap
-                )
-                < eps
-            )
-        except PreconditionError:
-            pass
-    value, _ = entropy_distance(rho, family, param_cap=param_cap)
-    return value < eps
+    q, carrier = support_projector(rho).element, family.support_projector.element
+    cols = [[x @ y @ z for x, y, z in zip(q.blocks, v.blocks, carrier.blocks)]
+            for v in family.basis] + [[-x for x in q.blocks]]
+    system = np.column_stack([np.concatenate([b.ravel() for b in c]) for c in cols])
+    _, s, vh = np.linalg.svd(np.vstack([system.real, system.imag]), full_matrices=False)
+    null = vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
+    if len(null) == 1:
+        candidates = [family.tangent_element(sign * null[0]) for sign in (1.0, -1.0)]
+    elif len(null) == 2:
+        a, b = (family.tangent_element(c) for c in np.linalg.qr(null.T)[0].T)
+        rest = SupportBasis(Projector(carrier - q))
+        candidates = [_widest_margin(rho, rest, a, b)]
+    else:
+        return None
+    return next((u for u in candidates if exposed_face_membership(rho, u)), None)
+
+
+def face_chain(
+    rho: State, family: ExponentialFamily
+) -> tuple[list[Projector], ExponentialFamily]:
+    """The faces that carry rho's entropy distance, and the family left.
+
+    Each step compresses the family to the maximal projector of a direction
+    from _face_direction, which keeps rho's distance; the chain ends when no
+    face is found.  Two steps reach a non-exposed face: at swallow rho(0)
+    the face rho + apex, then rho.  Where the directions that could expose a
+    face span 3 or more dimensions the chain stops early: its last family
+    still has rho's distance, but may not attain it.
+    """
+    projectors: list[Projector] = []
+    while (u := _face_direction(rho, family)) is not None:
+        projectors.append(max_eig_data(u)[1])
+        family = make_compressed_family(family, projectors[-1])
+    return projectors, family
+
+
+def rI_membership(rho: State, family: ExponentialFamily) -> bool:
+    """Whether rho's entropy distance is below RI_EPS, solved at parameter cap
+    RI_PARAM_CAP in the last family of its face_chain, where a state on a
+    face is attained (a chain stopped early leaves the cap to decide)."""
+    _, last = face_chain(rho, family)
+    return entropy_distance(rho, last, param_cap=defaults.RI_PARAM_CAP)[0] < defaults.RI_EPS
 
 
 # -- the inclusion chain ----------------------------------------------------------

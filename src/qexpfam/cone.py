@@ -602,7 +602,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         u = swallow_direction(alpha)
         d = reduce_distance_to_face(rho, fam, u)
         report.add("rI_membership", f"{name} has entropy distance zero", d, 1e-9)
-        member = rI_membership(rho, fam, face_direction=u)
+        member = rI_membership(rho, fam)
         report.add("rI_flag", f"rI membership of {name}", 0.0 if member else 1.0, 0.0,
                    ok=member)
         spike = min(spikes, key=lambda g: abs(g.alpha_lo % (2 * np.pi) - alpha))

@@ -154,6 +154,11 @@ class RunConfig:
                 f"unknown family '{self.family_name}' "
                 "(use staffelberg | swallow | cone:<phi> | custom)"
             )
+        if self.family_name.startswith("cone:"):
+            try:
+                float(self.family_name[5:])
+            except ValueError:
+                raise PreconditionError(f"bad cone angle in '{self.family_name}'") from None
         if self.family_name == "custom" and len(self.custom_generators) < 1:
             raise PreconditionError("custom family needs generator1, generator2, ...")
 
@@ -185,32 +190,37 @@ def parse_state(cfg: RunConfig, spec: str):
     member:<t1,..>   family member at the given coordinates
     diag:<p1,..>     diagonal state with the given spectrum
     raw:<entries>    re,im entries row major per block
+
+    Malformed numbers and invalid states raise PreconditionError.
     """
     from . import cone
     from .linalg import diagonal, identity
     from .states import State
 
     kind, _, arg = spec.partition(":")
-    if kind == "circle":
-        return cone.base_circle_state(float(arg))
-    if kind == "apex":
-        return cone.apex_state()
-    if kind == "c":
-        return cone.midpoint_state()
-    if kind == "tau":
-        lam = float(arg)
-        return State(
-            (1.0 - lam / 2.0) * cone.base_circle_state(0.0).element
-            + (lam / 2.0) * cone.unit()
-        )
-    if kind == "tracial":
-        return State(identity(cfg.algebra) / cfg.algebra.dim)
-    if kind == "member":
-        coords = [float(x) for x in arg.split(",") if x.strip()]
-        return build_family(cfg).member(coords)
-    if kind == "diag":
-        entries = [float(x) for x in arg.split(",") if x.strip()]
-        return State(diagonal(cfg.algebra, entries))
-    if kind == "raw":
-        return State(parse_element(cfg.algebra, arg))
+    try:
+        if kind == "circle":
+            return cone.base_circle_state(float(arg))
+        if kind == "apex":
+            return cone.apex_state()
+        if kind == "c":
+            return cone.midpoint_state()
+        if kind == "tau":
+            lam = float(arg)
+            return State(
+                (1.0 - lam / 2.0) * cone.base_circle_state(0.0).element
+                + (lam / 2.0) * cone.unit()
+            )
+        if kind == "tracial":
+            return State(identity(cfg.algebra) / cfg.algebra.dim)
+        if kind == "member":
+            coords = [float(x) for x in arg.split(",") if x.strip()]
+            return build_family(cfg).member(coords)
+        if kind == "diag":
+            entries = [float(x) for x in arg.split(",") if x.strip()]
+            return State(diagonal(cfg.algebra, entries))
+        if kind == "raw":
+            return State(parse_element(cfg.algebra, arg))
+    except ValueError as exc:
+        raise PreconditionError(f"bad state spec '{spec}': {exc}") from None
     raise PreconditionError(f"unknown state spec '{spec}'")

@@ -142,8 +142,11 @@ class ExponentialFamily:
         return self.offset + self.tangent_element(theta)
 
     def member(self, theta: np.ndarray | Sequence[float]) -> State:
-        """The family member exp1(offset + sum theta_i v_i)."""
-        return exp1(self.parameter_element(np.asarray(theta, dtype=float)), self.support)
+        """The family member exp1(offset + sum theta_i v_i); theta has dim entries."""
+        theta = np.asarray(theta, dtype=float)
+        if theta.shape != (self.dim,):
+            raise PreconditionError(f"expected {self.dim} coordinates, got {theta.shape}")
+        return exp1(self.parameter_element(theta), self.support)
 
 
 def make_family(

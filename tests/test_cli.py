@@ -86,6 +86,18 @@ class TestCliExitCodes:
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--state", "tau:3"],
+        ["--state", "circle:x"],
+        ["--state", "diag:0.5,0.6,-0.1"],
+        ["--state", "member:1"],
+        ["--family", "cone:abc", "--state", "c"],
+    ])
+    def test_malformed_distance_input_exits_2(self, tmp_path, capsys, args):
+        code = main(["distance", *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_under_resolved_sweep_exits_3(self, tmp_path):
         code = main(["sweep", "--phi", str(np.pi / 6.0), "--angles", "4",
                      "--out", str(tmp_path)])
@@ -166,6 +178,22 @@ class TestDistanceCommand:
         ladder = [float(l.split("value=")[1].split()[0])
                   for l in out.splitlines() if l.startswith("continuation ")]
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
+
+
+    def test_superfamily_rho0_exact_path_zero(self, tmp_path, capsys):
+        # {s1 + 1, s2 + 1, s3} contains the swallow family; rho(0) keeps
+        # entropy distance zero through its two-step face chain
+        cfg = tmp_path / "super.cfg"
+        cfg.write_text(
+            "[family]\nname = custom\n"
+            "generator1 = 0,0 1,0 1,0 0,0 1,0\n"
+            "generator2 = 0,0 0,-1 0,1 0,0 1,0\n"
+            "generator3 = 1,0 0,0 0,0 -1,0 0,0\n"
+        )
+        code = main(["distance", "--config", str(cfg), "--state", "circle:0",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        assert "exact_path value=0" in capsys.readouterr().out.splitlines()
 
 
 class TestDeterminism:
