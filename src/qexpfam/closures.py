@@ -8,7 +8,7 @@ algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
 where eigenvalue branches merge (higher-rank projectors, measure zero in the
 sweep) are located by a ternary search on the top spectral gap.  The sweep
-runs on boundary.DirectionSweep (a = g2, b = g1).
+runs on linalg.DirectionSweep (a = g2, b = g1).
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -25,10 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from . import defaults
-from .boundary import DirectionSweep
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
+    _face_direction,
     entropy_distance,
     free_energy,
     make_compressed_family,
@@ -36,7 +36,8 @@ from .family import (
     project_to_family,
 )
 from .findings import Report
-from .linalg import HermitianElement, coords, hs_inner, project_out, traceless_part
+from .linalg import (DirectionSweep, HermitianElement, coords, eigh, project_out,
+                     traceless_part)
 from .states import (
     Projector,
     State,
@@ -44,7 +45,6 @@ from .states import (
     compress,
     exposed_face_membership,
     max_eig_data,
-    support_projector,
 )
 
 
@@ -265,84 +265,49 @@ def reduce_distance_to_face(
     return project_to_family(rho, fam_p, param_cap=param_cap).distance
 
 
-def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
-                   b: HermitianElement) -> HermitianElement:
-    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)).
-
-    The margin is positive where u exposes supp(rho) alone and zero where it
-    exposes a larger face.  Its grid maximum is refined by bisection on the
-    sign of its derivative <rho, u'> - <psi, u' psi>, psi the top eigenvector
-    on Im(rest), which stays well conditioned where its eigenvalue meets
-    <rho, u>: a tangent direction is found to machine precision.
-    """
-    pairs = [(x, y) for x, y in zip(rest.restrict(a), rest.restrict(b)) if x.size]
-    kernel = DirectionSweep([x for x, _ in pairs], [y for _, y in pairs])
-    ra, rb = hs_inner(rho.element, a), hs_inner(rho.element, b)
-
-    def slope(t: float) -> float:
-        spectra = kernel.spectra([t])
-        k = int(np.argmax([w[0, -1] for w in spectra.values]))
-        psi = spectra.vectors[k][0, :, -1]
-        du = np.cos(t) * kernel.b[k] - np.sin(t) * kernel.a[k]
-        return np.cos(t) * rb - np.sin(t) * ra - np.vdot(psi, du @ psi).real
-
-    grid = np.linspace(0.0, 2.0 * np.pi, defaults.SWEEP_ANGLES, endpoint=False)
-    j = int(np.argmax(ra * np.cos(grid) + rb * np.sin(grid) - kernel.spectra(grid).top()))
-    lo, t, hi = grid[j] - grid[1], grid[j], grid[j] + grid[1]
-    while lo < t < hi:
-        lo, hi = (t, hi) if slope(t) > 0.0 else (lo, t)
-        t = 0.5 * (lo + hi)
-    return float(np.cos(t)) * a + float(np.sin(t)) * b
-
-
-def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement | None:
-    """A tangent direction exposing the smallest face that contains rho, or None.
-
-    Such a u leaves the support q of rho invariant and acts on it as a
-    scalar, q u P = lambda q with P the family's carrier: the (u, lambda)
-    form the null space L of one thin SVD.  dim L = 1 leaves +-w to test,
-    dim L = 2 the direction of widest margin; dim L >= 3 is not decided.
-    """
-    q, carrier = support_projector(rho).element, family.support_projector.element
-    cols = [[x @ y @ z for x, y, z in zip(q.blocks, v.blocks, carrier.blocks)]
-            for v in family.basis] + [[-x for x in q.blocks]]
-    system = np.column_stack([np.concatenate([b.ravel() for b in c]) for c in cols])
-    _, s, vh = np.linalg.svd(np.vstack([system.real, system.imag]), full_matrices=False)
-    null = vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
-    if len(null) == 1:
-        candidates = [family.tangent_element(sign * null[0]) for sign in (1.0, -1.0)]
-    elif len(null) == 2:
-        a, b = (family.tangent_element(c) for c in np.linalg.qr(null.T)[0].T)
-        rest = SupportBasis(Projector(carrier - q))
-        candidates = [_widest_margin(rho, rest, a, b)]
-    else:
-        return None
-    return next((u for u in candidates if exposed_face_membership(rho, u)), None)
-
-
 def face_chain(
     rho: State, family: ExponentialFamily
 ) -> tuple[list[Projector], ExponentialFamily]:
     """The faces that carry rho's entropy distance, and the family left.
 
     Each step compresses the family to the maximal projector of a direction
-    from _face_direction, which keeps rho's distance; the chain ends when no
-    face is found.  Two steps reach a non-exposed face: at swallow rho(0)
-    the face rho + apex, then rho.  Where the directions that could expose a
-    face span 3 or more dimensions the chain stops early: its last family
-    still has rho's distance, but may not attain it.
+    from _face_direction, which keeps rho's distance; the chain ends in the
+    family where rho lies on no proper face and its projection is attained.
+    A face is skipped when a direction of the same family exposes the next
+    one too, so each face is the smallest exposed face of the family before
+    it that contains rho.  Two steps reach a non-exposed face: at swallow
+    rho(0) the face rho + apex, then rho.
     """
     projectors: list[Projector] = []
-    while (u := _face_direction(rho, family)) is not None:
-        projectors.append(max_eig_data(u)[1])
-        family = make_compressed_family(family, projectors[-1])
+    u = _face_direction(rho, family)
+    while u is not None:
+        p = max_eig_data(u)[1]
+        inner = make_compressed_family(family, p)
+        v = _face_direction(rho, inner)
+        if v is not None:
+            w = _inner_face_direction(family, u, p, v)
+            if max_eig_data(w)[1].rank < p.rank and exposed_face_membership(rho, w):
+                u = w
+                continue
+        projectors.append(p)
+        family, u = inner, v
     return projectors, family
+
+
+def _inner_face_direction(family: ExponentialFamily, u: HermitianElement,
+                          p: Projector, v: HermitianElement) -> HermitianElement:
+    """u + eps x for the x in the tangent space whose compression c^p(x) is
+    v, with eps small enough that the maximal projector of the sum stays
+    inside p, the maximal projector of u, where v picks its face."""
+    cols = np.column_stack([coords(compress(p, b)[1]) for b in family.basis])
+    x = family.tangent_element(np.linalg.lstsq(cols, coords(v), rcond=None)[0])
+    w = eigh(u).all_eigenvalues()
+    return u + (w[0] - w[p.rank]) / (4.0 * x.norm()) * x
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
     """Whether rho's entropy distance is below RI_EPS, solved at parameter cap
-    RI_PARAM_CAP in the last family of its face_chain, where a state on a
-    face is attained (a chain stopped early leaves the cap to decide)."""
+    RI_PARAM_CAP in the last family of its face_chain, where it is attained."""
     _, last = face_chain(rho, family)
     return entropy_distance(rho, last, param_cap=defaults.RI_PARAM_CAP)[0] < defaults.RI_EPS
 

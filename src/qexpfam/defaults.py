@@ -1,7 +1,9 @@
 """Numerical tolerances and solver defaults used across the package.
 
 Every cutoff lives here so the same knob is used wherever the same kind of
-decision is made (support membership, eigenvalue degeneracy, ...).
+decision is made (support membership, eigenvalue degeneracy, ...).  Whether
+a projection is attained has no cutoff of its own: it is the exposed-face
+decision, made with MAX_EIG_GAP and FACE_VALUE_TOL.
 """
 
 # Largest total matrix dimension an algebra may have.
@@ -40,12 +42,6 @@ PARAM_CAP = 80.0
 MAX_ITER = 500
 ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
-
-# Attainment decision: |theta| below ATTAIN_PARAM_MIN counts as the origin; rho
-# is on the face of the recession direction when value gap or image leak is small.
-ATTAIN_PARAM_MIN = 1e-6
-ATTAIN_FACE_VALUE_TOL = 1e-8
-ATTAIN_LEAK_TOL = 1e-9
 
 # Reverse-information membership.
 RI_EPS = 1e-3

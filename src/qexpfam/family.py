@@ -13,13 +13,16 @@ The projection onto the family minimizes the strictly convex objective
 by damped Newton with Armijo backtracking.  Its value recovers the relative
 entropy through S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which
 stays meaningful when the infimum recedes to the boundary and no minimizer
-exists; non-attainment is detected and reported as a flag, not an error.
+exists.  That happens exactly when rho lies on a proper exposed face of the
+mean value set; the face finder decides it and the solver reports it as a
+flag, not an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,6 +30,7 @@ from . import defaults
 from .errors import AlgebraMismatchError, PreconditionError, SolverError
 from .linalg import (
     Algebra,
+    DirectionSweep,
     HermitianElement,
     divided_differences,
     gram_schmidt,
@@ -40,11 +44,13 @@ from .states import (
     State,
     SupportBasis,
     compress,
+    exposed_face_membership,
     full_support,
     log_on_support,
     max_eig_data,
     relative_entropy,
     restricted_eigh,
+    support_projector,
     vn_entropy,
 )
 
@@ -211,6 +217,138 @@ def mean_value_projection(a: HermitianElement, family: ExponentialFamily) -> np.
     return np.array([hs_inner(a, v) for v in family.basis], dtype=float)
 
 
+# -- exposed faces -------------------------------------------------------------
+
+
+def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
+                   b: HermitianElement) -> HermitianElement:
+    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)).
+
+    The margin is positive where u exposes supp(rho) alone and zero where it
+    exposes a larger face.  Its grid maximum is refined by bisection on the
+    sign of its derivative <rho, u'> - <psi, u' psi>, psi the top eigenvector
+    on Im(rest), which stays well conditioned where its eigenvalue meets
+    <rho, u>: a tangent direction is found to machine precision.
+    """
+    pairs = [(x, y) for x, y in zip(rest.restrict(a), rest.restrict(b)) if x.size]
+    kernel = DirectionSweep([x for x, _ in pairs], [y for _, y in pairs])
+    ra, rb = hs_inner(rho.element, a), hs_inner(rho.element, b)
+
+    def slope(t: float) -> float:
+        spectra = kernel.spectra([t])
+        k = int(np.argmax([w[0, -1] for w in spectra.values]))
+        psi = spectra.vectors[k][0, :, -1]
+        du = np.cos(t) * kernel.b[k] - np.sin(t) * kernel.a[k]
+        return np.cos(t) * rb - np.sin(t) * ra - np.vdot(psi, du @ psi).real
+
+    grid = np.linspace(0.0, 2.0 * np.pi, defaults.SWEEP_ANGLES, endpoint=False)
+    j = int(np.argmax(ra * np.cos(grid) + rb * np.sin(grid) - kernel.spectra(grid).top()))
+    lo, t, hi = grid[j] - grid[1], grid[j], grid[j] + grid[1]
+    while lo < t < hi:
+        lo, hi = (t, hi) if slope(t) > 0.0 else (lo, t)
+        t = 0.5 * (lo + hi)
+    return float(np.cos(t)) * a + float(np.sin(t)) * b
+
+
+def _steepest_margin(rho: State, rest: SupportBasis, family: ExponentialFamily,
+                     basis: np.ndarray) -> HermitianElement:
+    """The unit u in the span of the orthonormal coordinate columns d_j of
+    ``basis`` maximizing the concave margin <rho, u> - mu_+(u on Im(rest)).
+
+    From the best of +-d_j, each step searches the great circle from u
+    towards the tangent part y of the min-norm supergradient r - g exactly
+    (_widest_margin), until the margin stops rising or y = 0: r_j = <rho, d_j>,
+    g_j = tr(S d_j) over states S on the top eigenspace of u on Im(rest)
+    (within MAX_EIG_GAP), the min-norm point found by Frank-Wolfe.  A margin
+    above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.
+    """
+    dirs = [family.tangent_element(c) for c in basis.T]
+    r = np.array([hs_inner(rho.element, d) for d in dirs])
+    stacked = [np.stack(x) for x in zip(*(rest.restrict(d) for d in dirs)) if x[0].size]
+
+    def at(c: np.ndarray):
+        """The margin at coordinates c and the columns tilted onto the top."""
+        pairs = [np.linalg.eigh(np.tensordot(c, x, axes=1)) for x in stacked]
+        mu = max(w[-1] for w, _ in pairs)
+        tops = [V[:, w >= mu - defaults.MAX_EIG_GAP] for w, V in pairs]
+        return r @ c - mu, [Q.conj().T @ x @ Q for x, Q in zip(stacked, tops) if Q.size]
+
+    def vertex(tilted: list[np.ndarray], weights: np.ndarray) -> np.ndarray:
+        tops = [np.linalg.eigh(np.tensordot(weights, x, axes=1)) for x in tilted]
+        k = int(np.argmax([w[-1] for w, _ in tops]))
+        psi = tops[k][1][:, -1]
+        return np.einsum("i,jik,k->j", psi.conj(), tilted[k], psi).real
+
+    c = max((s * e for e in np.eye(len(r)) for s in (1.0, -1.0)), key=lambda c: at(c)[0])
+    m, tilted = at(c)
+    while m <= defaults.MAX_EIG_GAP:
+        g = vertex(tilted, r)
+        for _ in range(100):  # the great-circle search needs an ascent direction only
+            d = vertex(tilted, r - g) - g
+            gap = float((r - g) @ d)
+            if gap <= 0.0:
+                break
+            g = g + min(1.0, gap / float(d @ d)) * d
+        y = (r - g) - ((r - g) @ c) * c
+        y -= (y @ c) * c
+        if not np.any(y):
+            break
+        u = _widest_margin(rho, rest, family.tangent_element(basis @ c),
+                           family.tangent_element(basis @ (y / np.linalg.norm(y))))
+        c_new = basis.T @ mean_value_projection(u, family)
+        c_new /= np.linalg.norm(c_new)
+        m_new, t_new = at(c_new)
+        if not m_new > m:
+            break
+        c, m, tilted = c_new, m_new, t_new
+    return family.tangent_element(basis @ c)
+
+
+def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.ndarray:
+    """Coordinate rows spanning the tangent directions u that act on the
+    projector q as a scalar, q u P = lambda q with P the family's carrier:
+    the (u, lambda) null space of one thin SVD."""
+    carrier = family.support_projector.element
+    cols = [[x @ y @ z for x, y, z in zip(q.blocks, v.blocks, carrier.blocks)]
+            for v in family.basis] + [[-x for x in q.blocks]]
+    system = np.column_stack([np.concatenate([b.ravel() for b in c]) for c in cols])
+    _, s, vh = np.linalg.svd(np.vstack([system.real, system.imag]), full_matrices=False)
+    return vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
+
+
+def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement | None:
+    """A tangent direction exposing a face that contains rho, or None when
+    rho lies on no proper face of the family's mean value set.
+
+    Such a u acts on the support q of rho as a scalar: u lies in L =
+    _scalar_directions(q), where rho is on the face of u exactly when the
+    concave margin <rho, u> - mu_+(u on P - q) is >= 0, P the carrier.  Its
+    maximum over L's unit sphere decides: +-w for dim L = 1, _widest_margin
+    for dim L = 2, _steepest_margin for dim L >= 3, whose end is also tried
+    projected onto the directions tying its maximal eigenspace exactly.
+    """
+    if rho.support_rank == family.support_projector.rank:
+        return None
+    q = support_projector(rho).element
+    null = _scalar_directions(q, family)
+    if len(null) == 1:
+        candidates = [family.tangent_element(sign * null[0]) for sign in (1.0, -1.0)]
+    elif len(null) >= 2:
+        basis = np.linalg.qr(null.T)[0]
+        rest = SupportBasis(Projector(family.support_projector.element - q))
+        if len(null) == 2:
+            a, b = (family.tangent_element(c) for c in basis.T)
+            candidates = [_widest_margin(rho, rest, a, b)]
+        else:
+            u = _steepest_margin(rho, rest, family, basis)
+            tie = np.linalg.qr(_scalar_directions(max_eig_data(u)[1].element, family).T)[0]
+            x = tie @ (tie.T @ mean_value_projection(u, family))
+            candidates = [family.tangent_element(x), u] if np.any(x) else [u]
+    else:
+        return None
+    return next((u for u in candidates if exposed_face_membership(rho, u)), None)
+
+
 # -- projection solver ----------------------------------------------------------
 
 
@@ -218,9 +356,11 @@ def mean_value_projection(a: HermitianElement, family: ExponentialFamily) -> np.
 class ProjectionResult:
     """Outcome of projecting a state onto a family.
 
-    distance is S(rho, sigma*) when attained, otherwise the best (still
-    decreasing) objective value reached before the parameter cap; theta_star
-    are coordinates in the orthonormal tangent basis.
+    attained: the solver converged inside the parameter cap and rho lies on
+    no proper exposed face of the mean value set (_face_direction), so the
+    minimizer exists.  distance is S(rho, sigma*) when attained, otherwise
+    the best (still decreasing) objective value reached; theta_star are
+    coordinates in the orthonormal tangent basis.
     """
 
     theta_star: np.ndarray
@@ -264,29 +404,6 @@ def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: n
     H[lower] = H.T[lower]
     H -= np.outer(means, means)
     return H
-
-
-def _decide_attainment(rho: State, family: ExponentialFamily, theta: np.ndarray) -> bool:
-    """Whether the solved stationary point is a genuine minimizer.
-
-    A state invertible in the family's carrier algebra never sits on an
-    exposed face, so its projection is attained.  A singular state whose
-    parameter drifted along a recession direction u has <rho,u> = mu_+(u);
-    then the objective is still strictly decreasing along u and the infimum
-    lives on the boundary.
-    """
-    carrier_rank = family.support_projector.rank
-    if rho.support_rank == carrier_rank:
-        return True
-    norm = float(np.linalg.norm(theta))
-    if norm < defaults.ATTAIN_PARAM_MIN:
-        return True
-    direction = family.tangent_element(theta / norm)
-    mu, p = max_eig_data(direction)
-    by_value = abs(hs_inner(rho.element, direction) - mu) <= defaults.ATTAIN_FACE_VALUE_TOL
-    leak = 1.0 - hs_inner(rho.element, p.element)
-    by_image = leak <= defaults.ATTAIN_LEAK_TOL
-    return not (by_value or by_image)
 
 
 @dataclass
@@ -417,15 +534,15 @@ def _newton(
 
 
 def _newton_finish(
-    rho: State,
-    family: ExponentialFamily,
     base: float,
     end: _NewtonState,
     tol: float,
     max_iter: int,
+    on_face: Callable[[], bool],
 ) -> ProjectionResult:
     """The ProjectionResult of a final solver state; SolverError when the
-    iteration budget ran out short of convergence and of the cap."""
+    iteration budget ran out short of convergence and of the cap.  on_face
+    is asked only when the solver converged inside the cap."""
     gnorm = float(np.linalg.norm(end.grad))
     if gnorm > tol and not end.cap_hit and end.iterations >= max_iter:
         raise SolverError(
@@ -433,9 +550,7 @@ def _newton_finish(
         )
 
     distance = max(end.fval - base, 0.0)
-    attained = (
-        not end.cap_hit and gnorm <= tol and _decide_attainment(rho, family, end.theta)
-    )
+    attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,
         sigma_star=end.sigma,
@@ -460,12 +575,14 @@ def project_to_family(
     Damped Newton on the convex free-energy objective, Hessian assembled from
     the exp Frechet derivative (the BKM covariance, positive definite along
     the run).  attained=True requires the gradient below ``tol`` inside the
-    parameter cap; hitting the cap while the objective still decreases
-    reports attained=False, the signature of an infimum on the boundary.
+    parameter cap and rho on no proper exposed face (_face_direction, the
+    face_chain kernel); otherwise the infimum lies on the boundary of the
+    family and no minimizer exists.
     """
     moments, base, start = _newton_setup(rho, family)
     end, _ = _newton(family, moments, start, tol, param_cap, max_iter)
-    return _newton_finish(rho, family, base, end, tol, max_iter)
+    return _newton_finish(base, end, tol, max_iter,
+                          lambda: _face_direction(rho, family) is not None)
 
 
 def _project_ladder(
@@ -481,7 +598,8 @@ def _project_ladder(
     previous cap first acted, and reuses the previous result when that cap
     never acted, so the shared Newton path is computed once.  Equal results
     may be the same object.  The first cap, in the given order, whose own
-    solve would raise SolverError raises it here.
+    solve would raise SolverError raises it here.  The face question is
+    asked at most once.
     """
     moments, base, start = _newton_setup(rho, family)
     ends: dict[float, _NewtonState] = {}
@@ -493,11 +611,12 @@ def _project_ladder(
             )
         ends[cap] = end
     results: dict[int, ProjectionResult] = {}
+    on_face = cache(lambda: _face_direction(rho, family) is not None)
     out = []
     for cap in caps:
         end = ends[float(cap)]
         if id(end) not in results:
-            results[id(end)] = _newton_finish(rho, family, base, end, tol, max_iter)
+            results[id(end)] = _newton_finish(base, end, tol, max_iter, on_face)
         out.append(results[id(end)])
     return out
 

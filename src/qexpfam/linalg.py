@@ -318,6 +318,76 @@ def logm(a: HermitianElement) -> HermitianElement:
     return apply_matrix_function(a, np.log)
 
 
+# -- direction sweeps ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SweepSpectra:
+    """Per-block np.linalg.eigh output of u(alpha) stacked over angles:
+    values[k] (n_angles, n_k) ascending, vectors[k] (n_angles, n_k, n_k)."""
+
+    values: list[np.ndarray]
+    vectors: list[np.ndarray]
+
+    def top(self) -> np.ndarray:
+        return np.max([w[:, -1] for w in self.values], axis=0)
+
+    def top_gap(self) -> np.ndarray:
+        w = np.sort(np.concatenate(self.values, axis=1), axis=1)
+        return w[:, -1] - w[:, -2]
+
+    def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Ranks and blocks of the maximal projectors (merge gap MAX_EIG_GAP),
+        built and symmetrized as states.max_eig_data builds them, bit for bit."""
+        threshold = (self.top() - defaults.MAX_EIG_GAP)[:, None]
+        ranks, blocks = 0, []
+        for w, V in zip(self.values, self.vectors):
+            order, r = np.argsort(w, axis=-1)[:, ::-1], (w >= threshold).sum(axis=1)
+            P = np.zeros(V.shape, dtype=complex)
+            for rank in np.unique(r[r > 0]):
+                idx = np.flatnonzero(r == rank)
+                keep = np.take_along_axis(V[idx], order[idx, None, :rank], axis=-1)
+                P[idx] = keep @ keep.conj().swapaxes(-1, -2)
+            ranks = ranks + r
+            blocks.append((P + P.conj().swapaxes(-1, -2)) / 2.0)
+        return ranks, blocks
+
+
+class DirectionSweep:
+    """u(alpha) = cos(alpha) a + sin(alpha) b on raw blocks, queried with angle
+    arrays: each query runs one stacked np.linalg.eigh per block."""
+
+    def __init__(self, a: Sequence[np.ndarray], b: Sequence[np.ndarray]):
+        self.a, self.b = [np.asarray(x) for x in a], [np.asarray(x) for x in b]
+
+    def blocks(self, alphas) -> list[np.ndarray]:
+        alphas = np.asarray(alphas, dtype=float)
+        c, s = np.cos(alphas)[:, None, None], np.sin(alphas)[:, None, None]
+        return [c * a + s * b for a, b in zip(self.a, self.b)]
+
+    def spectra(self, alphas) -> SweepSpectra:
+        pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
+        return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
+
+    def locate_crossing(self, lo: float, hi: float, stop: float) -> float | None:
+        """Ternary search on the top gap for an eigenvalue crossing in (lo, hi),
+        down to width ``stop``; None unless the gap closes to MAX_EIG_GAP."""
+        for _ in range(200):
+            if hi - lo < stop:
+                break
+            m1 = lo + (hi - lo) / 3.0
+            m2 = hi - (hi - lo) / 3.0
+            g1, g2 = self.spectra([m1, m2]).top_gap()
+            if g1 <= g2:
+                hi = m2
+            else:
+                lo = m1
+        alpha = 0.5 * (lo + hi)
+        if self.spectra([alpha]).top_gap()[0] <= defaults.MAX_EIG_GAP:
+            return alpha
+        return None
+
+
 # -- Frechet derivatives of matrix functions ----------------------------------
 
 

@@ -355,12 +355,11 @@ class TestFaceChain:
            st.integers(1, 3), st.integers(0, 12), st.integers(0, 2**32 - 1))
     def test_face_of_a_generator(self, n0, rest, r, extra, seed):
         # rho is a full-rank state on the rank-r top eigenspace of g1: its
-        # chain is g1's maximal projector, where the projection is attained.
-        # The family dimension is capped so that the directions that could
-        # expose rho form a subspace of dimension at most 2.
+        # chain is g1's maximal projector, where the projection is attained,
+        # whatever the dimension of the directions that could expose rho
         r = min(r, n0 - 1)
         algebra = Algebra((n0, *rest))
-        dim = min(1 + extra, 2 * r * (n0 - r) + r * r + 1, algebra.real_dim - 1)
+        dim = min(1 + extra, algebra.real_dim - 1)
         rng = np.random.default_rng(seed)
 
         def unitary(n):

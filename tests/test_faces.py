@@ -1,0 +1,232 @@
+"""Exposed faces in every commutant dimension: attainment, face chains, and
+their oracle, monotonicity and invariance properties."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qexpfam import cone, defaults
+from qexpfam.closures import face_chain, rI_membership
+from qexpfam.errors import PreconditionError
+from qexpfam.family import make_family, project_to_family
+from qexpfam.linalg import Algebra, HermitianElement, diagonal
+from qexpfam.maximizer import maximizer_certificate
+from qexpfam.sampling import random_traceless
+from qexpfam.states import State
+
+
+def _full_diagonal(n):
+    """All invertible diagonal states of (1,)^n, generators e_i - e_n."""
+    algebra = Algebra((1,) * n)
+    eye = np.eye(n)
+    return algebra, make_family(algebra, [diagonal(algebra, eye[i] - eye[-1])
+                                          for i in range(n - 1)])
+
+
+def _moment_family(points):
+    """The abelian family whose mean value set is the convex hull of the
+    rows of ``points``: coordinate j of the moments is generator j."""
+    points = np.asarray(points, dtype=float)
+    algebra = Algebra((1,) * len(points))
+    return algebra, make_family(algebra, [diagonal(algebra, c) for c in points.T])
+
+
+def _superfamily():
+    return make_family(cone.ALGEBRA, [cone.pauli(1) + cone.unit(),
+                                      cone.pauli(2) + cone.unit(), cone.pauli(3)])
+
+
+def _exact_distance(rho, family):
+    """rho's distance, solved in the last family of its chain (attained)."""
+    projectors, last = face_chain(rho, family)
+    res = project_to_family(rho, last, param_cap=defaults.RI_PARAM_CAP)
+    assert res.attained
+    return res.distance, [p.rank for p in projectors]
+
+
+class TestBoundaryStates:
+    @pytest.mark.parametrize("p", [[0.3, 0.7, 0, 0], [0.3, 0.3, 0.4, 0],
+                                   [0.3, 0.7, 0, 0, 0]])
+    def test_singular_diagonal_state_is_not_attained(self, p):
+        # the moments lie on the boundary of the simplex: no minimizer, though
+        # Newton stops inside the cap with a tiny gradient
+        algebra, fam = _full_diagonal(len(p))
+        rho = State(diagonal(algebra, p))
+        assert not project_to_family(rho, fam).attained
+        with pytest.raises(PreconditionError):
+            maximizer_certificate(rho, fam)
+
+    def test_vertex_chain(self):
+        algebra, fam = _full_diagonal(4)
+        rho = State(diagonal(algebra, [1.0, 0, 0, 0]))
+        assert not project_to_family(rho, fam).attained
+        assert [p.rank for p in face_chain(rho, fam)[0]] == [1]
+
+    def test_edge_chain(self):
+        algebra, fam = _full_diagonal(5)
+        rho = State(diagonal(algebra, [0.5, 0.5, 0, 0, 0]))
+        assert [p.rank for p in face_chain(rho, fam)[0]] == [2]
+
+    def test_superfamily_apex(self):
+        # the commutant of the apex is 3-dimensional; the apex is exposed
+        projectors, last = face_chain(cone.apex_state(), _superfamily())
+        assert [p.rank for p in projectors] == [1]
+        assert last.dim == 0
+        assert rI_membership(cone.apex_state(), _superfamily())
+
+    def test_point_inside_an_edge(self):
+        # (1/2, 1/2, 0) lies inside the edge of the tetrahedron between its
+        # first two vertices: the smallest face holds coordinates 1, 2 and 5
+        algebra, fam = _moment_family([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1],
+                                       [0.5, 0.5, 0]])
+        rho = State(diagonal(algebra, [0, 0, 0, 0, 1.0]))
+        distance, ranks = _exact_distance(rho, fam)
+        assert ranks == [3]
+        assert distance == pytest.approx(np.log(3.0), abs=1e-12)
+
+
+def _minimal_face(points, support):
+    """(on the boundary, indices of the smallest face holding the support)
+    of the polytope spanned by integer ``points``, by brute force over the
+    facet hyperplanes through d of them (integer cofactor normals)."""
+    n, d = points.shape
+    lifted = np.hstack([points, np.ones((n, 1), dtype=int)])
+    face, boundary = set(range(n)), False
+    for rows in itertools.combinations(range(n), d):
+        sub = lifted[list(rows)]
+        normal = np.array([(-1) ** k * round(np.linalg.det(np.delete(sub, k, axis=1)))
+                           for k in range(d + 1)])
+        values = lifted @ normal
+        if not normal.any() or (values.min() < 0 < values.max()):
+            continue
+        on = set(np.flatnonzero(values == 0).tolist())
+        if set(support) <= on:
+            face, boundary = face & on, True
+    return boundary, face
+
+
+def _polytope_case(n, d, seed):
+    """A full-dimensional integer polytope family and a state on a random support."""
+    rng = np.random.default_rng(seed)
+    while True:
+        points = rng.integers(-2, 3, size=(n, d))
+        try:
+            algebra, fam = _moment_family(points)
+            break
+        except ValueError:  # points in a hyperplane: a lower-dimensional family
+            continue
+    support = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    weights = np.zeros(n)
+    weights[support] = rng.dirichlet(np.ones(len(support)))
+    return points, support, fam, State(diagonal(algebra, weights))
+
+
+class TestAbelianOracle:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(4, 7), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_attainment_and_chain_match_the_facets(self, n, d, seed):
+        # attained exactly when the moments are interior; on the boundary the
+        # chain is the one face holding every point on the smallest face
+        d = min(d, n - 1)
+        points, support, fam, rho = _polytope_case(n, d, seed)
+        boundary, face = _minimal_face(points, support)
+        assert project_to_family(rho, fam).attained == (not boundary)
+        projectors, _ = face_chain(rho, fam)
+        assert [p.rank for p in projectors] == ([len(face)] if boundary else [])
+
+
+def _unitary(n, rng):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def _generator_face_case(seed, extra):
+    """A block algebra, generators [g1, ...] with a rank-r top eigenspace of
+    g1 in block 0, and two states: one full rank on that face and one member
+    of the family compressed to it (a geodesic limit)."""
+    rng = np.random.default_rng(seed)
+    n0 = int(rng.integers(2, 5))
+    algebra = Algebra((n0, *rng.integers(1, 3, size=int(rng.integers(0, 3)))))
+    r = int(rng.integers(1, n0))
+    blocks, top = [], None
+    for k, n in enumerate(algebra.block_dims):
+        u, w = _unitary(n, rng), rng.uniform(-1.0, 0.5, size=n)
+        if k == 0:
+            w[:r], top = 1.0, u[:, :r]
+        blocks.append((u * w) @ u.conj().T)
+    dim = min(2 + extra, algebra.real_dim - 2)
+    gens = [HermitianElement(algebra, blocks)] + [random_traceless(algebra, rng)
+                                                  for _ in range(dim)]
+    lam, v = rng.dirichlet(np.ones(r)) + 0.05, _unitary(r, rng)
+    state = [np.zeros((n, n)) for n in algebra.block_dims]
+    state[0] = top @ ((v * (lam / lam.sum())) @ v.conj().T) @ top.conj().T
+    face_state = State(HermitianElement(algebra, state))
+    fam = make_family(algebra, gens[:-1])
+    _, last = face_chain(face_state, fam)
+    limit = last.member(rng.normal(size=last.dim))
+    return rng, algebra, gens, face_state, limit
+
+
+class TestMonotonicity:
+    @pytest.mark.parametrize("alpha", np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+    def test_swallow_superfamily_on_the_base_circle(self, alpha):
+        rho = cone.base_circle_state(alpha)
+        small, big = cone.swallow_family(), _superfamily()
+        assert _exact_distance(rho, big)[0] <= _exact_distance(rho, small)[0] + 1e-9
+        assert rI_membership(rho, big) or not rI_membership(rho, small)
+
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_one_more_generator(self, seed, extra):
+        # E' = E + one generator: d(rho, E') <= d(rho, E), and rI(E) => rI(E'),
+        # where rI_membership is the exact distance below RI_EPS
+        _, _, gens, face_state, limit = _generator_face_case(seed, extra)
+        small = make_family(face_state.algebra, gens[:-1])
+        big = make_family(face_state.algebra, gens)
+        for rho in (face_state, limit):
+            d_small, d_big = _exact_distance(rho, small)[0], _exact_distance(rho, big)[0]
+            assert d_big <= d_small + 1e-9
+            assert d_big < defaults.RI_EPS or not d_small < defaults.RI_EPS
+        assert _exact_distance(limit, small)[0] < defaults.RI_EPS
+
+
+def _summary(rho, family):
+    distance, ranks = _exact_distance(rho, family)
+    return project_to_family(rho, family).attained, ranks, distance
+
+
+class TestInvariance:
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
+    def test_block_unitary_and_basis_mixing(self, seed, extra):
+        # attained, chain ranks and distance do not depend on the basis of
+        # the algebra or of the family
+        rng, algebra, gens, face_state, limit = _generator_face_case(seed, extra)
+        fam = make_family(algebra, gens)
+        us = [_unitary(n, rng) for n in algebra.block_dims]
+
+        def conj(a):
+            return HermitianElement(algebra, [u @ b @ u.conj().T for u, b in zip(us, a.blocks)])
+
+        mix = np.linalg.qr(rng.normal(size=(len(gens), len(gens))))[0]
+        mixed = make_family(algebra, [sum((float(m) * g for m, g in zip(row, gens)),
+                                          0.0 * gens[0]) for row in mix])
+        rotated = make_family(algebra, [conj(g) for g in gens])
+        for rho in (face_state, limit):
+            want = _summary(rho, fam)
+            for got in (_summary(rho, mixed), _summary(State(conj(rho.element)), rotated)):
+                assert got[:2] == want[:2]
+                assert got[2] == pytest.approx(want[2], abs=1e-9)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(st.integers(4, 7), st.integers(3, 4), st.integers(0, 2**32 - 1))
+    def test_polytope_basis_mixing(self, n, d, seed):
+        d = min(d, n - 1)
+        points, _, fam, rho = _polytope_case(n, d, seed)
+        mix = np.linalg.qr(np.random.default_rng(seed).normal(size=(d, d)))[0]
+        _, mixed = _moment_family(points @ mix)
+        want, got = _summary(rho, fam), _summary(rho, mixed)
+        assert got[:2] == want[:2]
+        assert got[2] == pytest.approx(want[2], abs=1e-9)
