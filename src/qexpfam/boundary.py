@@ -11,7 +11,9 @@ maximal eigenspace, block by block.
 Segments appear exactly where the two largest eigenvalue branches of u(alpha)
 cross.  Crossings between grid angles are located by minimizing the spectral
 gap, so tangent segments are found even when no grid direction hits their
-normal exactly.
+normal exactly; the searches of all gap minima run in lockstep.  Rows with
+a simple top eigenvalue expose a point, read for all of them at once from
+the sweep's eigenvectors; only rows with a multiple one go through _face.
 
 Each segment endpoint is classified at its own crossing, not against the
 grid: the one-sided radius of curvature of the boundary beyond it is zero
@@ -31,7 +33,7 @@ import numpy as np
 from . import defaults
 from .errors import PreconditionError, UnderResolvedSweepError
 from .family import ExponentialFamily
-from .linalg import DirectionSweep, SweepSpectra
+from .linalg import DirectionSweep, SweepSpectra, angle_dist
 
 
 @dataclass(frozen=True)
@@ -93,7 +95,8 @@ def _resolution(mu: float) -> float:
 
 def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
           refined: bool = False) -> BoundaryFace:
-    """Exposed face in direction alpha from row i of the sweep spectra.
+    """Exposed face in direction alpha from row i of the sweep spectra, for a
+    row whose maximal eigenspace may be multiple (_faces stacks the others).
 
     A segment endpoint psi in block k is labelled by the one-sided radius of
     curvature of the boundary beyond it, from Kato's second-order perturbation
@@ -137,6 +140,29 @@ def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
                         dim=dim, multiplicity=mult, refined=refined, radii=radii)
 
 
+def _faces(kernel: DirectionSweep, alphas, spectra: SweepSpectra,
+           refined: bool = False) -> list[BoundaryFace]:
+    """Exposed faces in directions alphas, one per row of the sweep spectra:
+    stacked points of the top eigenvector where the maximal eigenspace is
+    one-dimensional (summed over blocks), _face elsewhere."""
+    mu = spectra.top()
+    keep = [w >= (mu - defaults.MAX_EIG_GAP)[:, None] for w in spectra.values]
+    simple = sum(k.sum(axis=1) for k in keep) == 1
+    points: dict[int, tuple[float, float]] = {}
+    for k, V in enumerate(spectra.vectors):
+        rows = np.flatnonzero(simple & keep[k][:, -1])
+        psi = V[rows, :, -1]
+        x, y = ((psi.conj()[:, None, :] @ v[k] @ psi[:, :, None])[:, 0, 0].real.tolist()
+                for v in (kernel.a, kernel.b))
+        points.update(zip(rows.tolist(), zip(x, y)))
+    return [
+        BoundaryFace(alpha=float(a), support_value=float(mu[i]), endpoints=(points[i],) * 2,
+                     dim=0, multiplicity=1, refined=refined)
+        if i in points else _face(kernel, a, spectra, i, refined)
+        for i, a in enumerate(alphas)
+    ]
+
+
 def mean_value_boundary_sweep(
     family: ExponentialFamily, n_angles: int = defaults.SWEEP_ANGLES
 ) -> MeanValueBoundary:
@@ -152,23 +178,21 @@ def mean_value_boundary_sweep(
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
     spectra = kernel.spectra(alphas)
-    faces = [_face(kernel, a, spectra, i) for i, a in enumerate(alphas)]
     gaps = spectra.top_gap()
 
-    kinks: list[float] = []
+    # one crossing search per local minimum of the gap, all in lockstep
+    minima = alphas[(gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))]
     step = 2.0 * np.pi / len(alphas)
-    for j in np.flatnonzero((gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))):
-        found = kernel.locate_crossing(
-            alphas[j] - step, alphas[j] + step, defaults.SWEEP_CROSSING_TOL
-        )
-        if found is not None:
-            found %= 2.0 * np.pi
-            if not any(abs(found - k) < 1e-9 for k in kinks):
-                kinks.append(found)
-    for alpha in kinks:
-        if np.abs(alphas - alpha).min() >= 1e-12:  # not a grid angle
-            faces.append(_face(kernel, alpha, kernel.spectra([alpha]), 0, refined=True))
+    found = kernel.locate_crossings(minima - step, minima + step, defaults.SWEEP_CROSSING_TOL)
+    kinks: list[float] = []
+    for alpha in (found[~np.isnan(found)] % (2.0 * np.pi)).tolist():
+        if all(angle_dist(alpha, k) >= 1e-9 for k in kinks):
+            kinks.append(alpha)
+    kinks = [k for k in kinks if angle_dist(alphas, k).min() >= 1e-12]  # not grid angles
 
+    faces = _faces(kernel, alphas, spectra)
+    if kinks:
+        faces += _faces(kernel, kinks, kernel.spectra(kinks), refined=True)
     faces.sort(key=lambda f: f.alpha)
     return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=tuple(faces))
 

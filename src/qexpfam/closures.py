@@ -30,14 +30,15 @@ from .family import (
     ExponentialFamily,
     _face_direction,
     entropy_distance,
+    exp1,
     free_energy,
     make_compressed_family,
     mean_value_projection,
     project_to_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, coords, eigh, project_out,
-                     traceless_part)
+from .linalg import (DirectionSweep, HermitianElement, angle_dist, coords, eigh,
+                     project_out, traceless_part, zero)
 from .states import (
     Projector,
     State,
@@ -93,11 +94,13 @@ class AtlasGroup:
 
     @cached_property
     def representative(self) -> State:
+        if self.rank == 1:  # pAp = C p: the family is the single state p
+            return exp1(zero(self.parent.algebra), SupportBasis(self.projector))
         return self.family.member(np.zeros(self.family.dim))
 
     @property
     def family_dim(self) -> int:
-        return self.family.dim
+        return 0 if self.rank == 1 else self.family.dim
 
     @property
     def mid_angle(self) -> float:
@@ -138,11 +141,6 @@ def _polar_sweep(family: ExponentialFamily) -> DirectionSweep:
         raise PreconditionError("polar sweeps need exactly two generators")
     g1, g2 = family.generators
     return DirectionSweep(g2.blocks, g1.blocks)
-
-
-def _angle_dist(a: float, b: float) -> float:
-    d = abs(a - b) % (2.0 * np.pi)
-    return min(d, 2.0 * np.pi - d)
 
 
 def geodesic_closure_atlas(
@@ -206,28 +204,20 @@ def geodesic_closure_atlas(
         if spike:
             transitions.append(a_lo)
 
-    # hidden crossings between adjacent samples with a genuine projector jump
-    known_spikes = [g.alpha_lo for g in groups if g.spike]
-    for j in range(n):
-        k = (j + 1) % n
-        if same_next[j]:
-            continue
-        if dist[j] <= jump_tol:
-            continue  # smooth drift of a moving rank-one projector
-        lo = float(alphas[j])
-        hi = float(alphas[j] + step)
-        if any(
-            _angle_dist(lo, s) < 1.5 * step or _angle_dist(hi, s) < 1.5 * step
-            for s in known_spikes
-        ):
-            continue  # the crossing is already a sampled spike
-        alpha_star = kernel.locate_crossing(lo, hi, defaults.TRANSITION_ANGLE_TOL * 0.5)
-        if alpha_star is None:
+    # hidden crossings: adjacent samples with a genuine projector jump (not the
+    # smooth drift of a moving rank-one projector) away from every sampled spike
+    spikes = np.array([g.alpha_lo for g in groups if g.spike])
+    near = angle_dist(np.stack([alphas, alphas + step])[..., None], spikes) < 1.5 * step
+    brackets = np.flatnonzero(~same_next & (dist > jump_tol) & ~near.any(axis=(0, 2))).tolist()
+    found = kernel.locate_crossings(alphas[brackets], alphas[brackets] + step,
+                                    defaults.TRANSITION_ANGLE_TOL * 0.5)
+    for j, alpha_star in zip(brackets, found.tolist()):
+        if np.isnan(alpha_star):
             continue
         p_star = projector(kernel.spectra([alpha_star]).max_projectors()[1], 0)
         transitions.append(alpha_star % (2.0 * np.pi))
         if not (p_star.same_image(projector(blocks, j))
-                or p_star.same_image(projector(blocks, k))):
+                or p_star.same_image(projector(blocks, (j + 1) % n))):
             add_group(p_star, alpha_star, alpha_star, 0, True)
 
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))

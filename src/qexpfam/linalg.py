@@ -355,7 +355,8 @@ class SweepSpectra:
 
 class DirectionSweep:
     """u(alpha) = cos(alpha) a + sin(alpha) b on raw blocks, queried with angle
-    arrays: each query runs one stacked np.linalg.eigh per block."""
+    arrays: each query runs one stacked np.linalg.eigh per block, and the
+    crossing searches of all brackets advance together."""
 
     def __init__(self, a: Sequence[np.ndarray], b: Sequence[np.ndarray]):
         self.a, self.b = [np.asarray(x) for x in a], [np.asarray(x) for x in b]
@@ -369,23 +370,31 @@ class DirectionSweep:
         pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
         return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
 
-    def locate_crossing(self, lo: float, hi: float, stop: float) -> float | None:
-        """Ternary search on the top gap for an eigenvalue crossing in (lo, hi),
-        down to width ``stop``; None unless the gap closes to MAX_EIG_GAP."""
+    def locate_crossings(self, lo, hi, stop: float) -> np.ndarray:
+        """Ternary searches on the top gap for an eigenvalue crossing in each
+        bracket (lo[j], hi[j]), down to width ``stop``, run in lockstep: each
+        step is one spectra call over the live brackets.  NaN where the gap
+        does not close to MAX_EIG_GAP."""
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        if not lo.size:
+            return lo
         for _ in range(200):
-            if hi - lo < stop:
+            live = np.flatnonzero(hi - lo >= stop)
+            if not live.size:
                 break
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            g1, g2 = self.spectra([m1, m2]).top_gap()
-            if g1 <= g2:
-                hi = m2
-            else:
-                lo = m1
+            third = (hi[live] - lo[live]) / 3.0
+            m1, m2 = lo[live] + third, hi[live] - third
+            g = self.spectra(np.concatenate([m1, m2])).top_gap()
+            left = g[:live.size] <= g[live.size:]
+            hi[live[left]], lo[live[~left]] = m2[left], m1[~left]
         alpha = 0.5 * (lo + hi)
-        if self.spectra([alpha]).top_gap()[0] <= defaults.MAX_EIG_GAP:
-            return alpha
-        return None
+        return np.where(self.spectra(alpha).top_gap() <= defaults.MAX_EIG_GAP, alpha, np.nan)
+
+
+def angle_dist(a, b):
+    """Distance between angles on the circle, elementwise."""
+    d = np.abs(np.subtract(a, b)) % (2.0 * np.pi)
+    return np.minimum(d, 2.0 * np.pi - d)
 
 
 # -- Frechet derivatives of matrix functions ----------------------------------

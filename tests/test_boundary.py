@@ -143,6 +143,16 @@ class TestNonexposedByCurvature:
         assert classify_boundary_faces(boundary).n_nonexposed == 0
         assert all(f.radii == (0.0, 0.0) for f in boundary.faces)
 
+    def test_square_crossing_at_angle_zero_counted_once(self):
+        # the crossing at grid angle 0 comes back from the last bracket just
+        # below 2 pi; it must match the grid angle across the wrap
+        algebra = Algebra((1, 1, 1, 1))
+        fam = make_family(algebra, [diagonal(algebra, [1.0, -1.0, 1.0, -1.0]),
+                                    diagonal(algebra, [1.0, 1.0, -1.0, -1.0])])
+        boundary = mean_value_boundary_sweep(fam)
+        assert len(boundary.faces) == 720
+        assert len(boundary.segments()) == 4
+
 
 def _exposed_point(family, alpha: float) -> np.ndarray:
     """Mean value of the top eigenvector of u(alpha), from max_eig_data."""
