@@ -12,7 +12,7 @@ import numpy as np
 
 from qexpfam import (
     distance_continuation,
-    entropy_distance,
+    project_to_family,
     reduce_distance_to_face,
     rI_membership,
 )
@@ -35,7 +35,7 @@ for cap, value, attained in distance_continuation(rho0, family,
 
 print("\nbut arbitrarily close on the base circle the distance vanishes:")
 for alpha in (0.5, 0.3, 0.15):
-    d, _ = entropy_distance(cone.base_circle_state(alpha), family, param_cap=200.0)
+    d = project_to_family(cone.base_circle_state(alpha), family, param_cap=200.0).distance
     print(f"  d(rho({alpha})) = {d:.3e}")
 
 print("\nreverse-information membership:")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cone, defaults
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
-from .closures import face_chain, geodesic_closure_atlas, inclusion_chain_check
+from .closures import geodesic_closure_atlas, inclusion_chain_check
 from .config import RunConfig, build_family, parse_state
 from .errors import (
     DomainError,
@@ -83,36 +83,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
-    """Distance report: direct minimization ladder plus, when rho lies on a
-    face, the exact distance inside the last family of its face chain."""
+    """Distance report: the exact distance (entropy_distance), then the
+    direct minimization ladder at fractions of the parameter cap, whose
+    attained flags take the exact distance's answer."""
     family = build_family(cfg)
     rho = parse_state(cfg, state_spec)
-    # the ladder's last cap is param_cap itself, whose solve is res; it goes
-    # first so that a failing solve raises as the direct solve would
-    caps = (cfg.param_cap,) + tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0))
-    res, *lower = _project_ladder(rho, family, caps, tol=cfg.tol,
-                                  max_iter=cfg.max_iter)
-    ladder = [(cap, r.distance, r.attained) for cap, r in zip(caps[1:], lower)]
-    ladder.append((float(cfg.param_cap), res.distance, res.attained))
-    projectors, last = face_chain(rho, family)
-    exact = (entropy_distance(rho, last, tol=cfg.tol, param_cap=defaults.RI_PARAM_CAP)[0]
-             if projectors else None)
+    value, attained = entropy_distance(rho, family, tol=cfg.tol, max_iter=cfg.max_iter)
+    caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0, 1.0))
+    results = _project_ladder(rho, family, caps, lambda: not attained,
+                              tol=cfg.tol, max_iter=cfg.max_iter)
+    res = results[-1]
 
-    _say(cfg, f"distance value={fmt(res.distance)} attained={int(res.attained)}",
-         machine=True)
+    _say(cfg, f"distance value={fmt(value)} attained={int(attained)}", machine=True)
     coords = " ".join(fmt(t) for t in res.theta_star)
     _say(cfg, f"projection theta=[{coords}] grad={fmt(res.grad_residual)} "
               f"iterations={res.iterations}", machine=True)
-    if exact is not None:
-        _say(cfg, f"exact_path value={fmt(exact)}", machine=True)
-    for cap, value, attained in ladder:
-        _say(cfg, f"continuation cap={fmt(cap)} value={fmt(value)} "
-                  f"attained={int(attained)}", machine=True)
+    if not attained:
+        _say(cfg, f"exact_path value={fmt(value)}", machine=True)
+    for cap, r in zip(caps, results):
+        _say(cfg, f"continuation cap={fmt(cap)} value={fmt(r.distance)} "
+                  f"attained={int(r.attained)}", machine=True)
 
-    rows = [("direct", cap, value, str(int(att))) for cap, value, att in ladder]
-    rows.append(("final", cfg.param_cap, res.distance, str(int(res.attained))))
-    if exact is not None:
-        rows.append(("exact_face", defaults.RI_PARAM_CAP, exact, "1"))
+    rows = [("direct", cap, r.distance, str(int(r.attained))) for cap, r in zip(caps, results)]
+    rows.append(("final", defaults.RI_PARAM_CAP, value, str(int(attained))))
     write_csv(
         os.path.join(cfg.out_dir, "distance.csv"),
         ["path", "param_cap", "value", "attained"],

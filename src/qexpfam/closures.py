@@ -13,8 +13,9 @@ runs on linalg.DirectionSweep (a = g2, b = g1).
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
 distance from the compressed family, which turns several boundary distances
-into exactly solvable problems.  face_chain applies this face by face (Weis &
-Knauf, arXiv:1007.5464; Csiszar & Matus, IEEE Trans. IT 49, 2003).
+into exactly solvable problems.  family.face_chain applies this face by face
+(Weis & Knauf, arXiv:1007.5464; Csiszar & Matus, IEEE Trans. IT 49, 2003),
+and family.entropy_distance solves in the family it ends in.
 """
 
 from __future__ import annotations
@@ -26,18 +27,19 @@ import numpy as np
 
 from . import defaults
 from .errors import PreconditionError
-from .family import (
+from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
     _face_direction,
     entropy_distance,
     exp1,
+    face_chain,
     free_energy,
     make_compressed_family,
     mean_value_projection,
     project_to_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, angle_dist, coords, eigh,
+from .linalg import (DirectionSweep, HermitianElement, angle_dist, coords,
                      project_out, traceless_part, zero)
 from .states import (
     Projector,
@@ -255,51 +257,9 @@ def reduce_distance_to_face(
     return project_to_family(rho, fam_p, param_cap=param_cap).distance
 
 
-def face_chain(
-    rho: State, family: ExponentialFamily
-) -> tuple[list[Projector], ExponentialFamily]:
-    """The faces that carry rho's entropy distance, and the family left.
-
-    Each step compresses the family to the maximal projector of a direction
-    from _face_direction, which keeps rho's distance; the chain ends in the
-    family where rho lies on no proper face and its projection is attained.
-    A face is skipped when a direction of the same family exposes the next
-    one too, so each face is the smallest exposed face of the family before
-    it that contains rho.  Two steps reach a non-exposed face: at swallow
-    rho(0) the face rho + apex, then rho.
-    """
-    projectors: list[Projector] = []
-    u = _face_direction(rho, family)
-    while u is not None:
-        p = max_eig_data(u)[1]
-        inner = make_compressed_family(family, p)
-        v = _face_direction(rho, inner)
-        if v is not None:
-            w = _inner_face_direction(family, u, p, v)
-            if max_eig_data(w)[1].rank < p.rank and exposed_face_membership(rho, w):
-                u = w
-                continue
-        projectors.append(p)
-        family, u = inner, v
-    return projectors, family
-
-
-def _inner_face_direction(family: ExponentialFamily, u: HermitianElement,
-                          p: Projector, v: HermitianElement) -> HermitianElement:
-    """u + eps x for the x in the tangent space whose compression c^p(x) is
-    v, with eps small enough that the maximal projector of the sum stays
-    inside p, the maximal projector of u, where v picks its face."""
-    cols = np.column_stack([coords(compress(p, b)[1]) for b in family.basis])
-    x = family.tangent_element(np.linalg.lstsq(cols, coords(v), rcond=None)[0])
-    w = eigh(u).all_eigenvalues()
-    return u + (w[0] - w[p.rank]) / (4.0 * x.norm()) * x
-
-
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
-    """Whether rho's entropy distance is below RI_EPS, solved at parameter cap
-    RI_PARAM_CAP in the last family of its face_chain, where it is attained."""
-    _, last = face_chain(rho, family)
-    return entropy_distance(rho, last, param_cap=defaults.RI_PARAM_CAP)[0] < defaults.RI_EPS
+    """Whether rho's exact entropy distance (entropy_distance) is below RI_EPS."""
+    return entropy_distance(rho, family)[0] < defaults.RI_EPS
 
 
 # -- the inclusion chain ----------------------------------------------------------
@@ -311,14 +271,13 @@ def _geodesic_ladder(
     theta_p: np.ndarray,
     s: State,
     u: HermitianElement,
-    param_cap: float,
 ) -> tuple[float, float]:
     """Hilbert-Schmidt distance from s = group.family.member(theta_p) to the
     family along the e-geodesic that converges to s; returns (distance, t).
 
     theta_p is lifted to parent coordinates x by least squares through c^p
     (multiples of p are dropped: exp1^p ignores them); then member(x + t u_hat)
-    is evaluated for t = 0, 5, 10, 20, ... doubling, ending on the param_cap
+    is evaluated for t = 0, 5, 10, 20, ... doubling, ending on the RI_PARAM_CAP
     sphere, where u_hat is the unit coordinate vector of u.  The smallest value
     comes from an explicit family member, so it bounds the distance above.
     """
@@ -329,6 +288,7 @@ def _geodesic_ladder(
     u_hat = mean_value_projection(u, family)
     u_hat /= np.linalg.norm(u_hat)
 
+    param_cap = defaults.RI_PARAM_CAP
     ladder, t = [0.0], 5.0
     while np.linalg.norm(x + t * u_hat) < param_cap:
         ladder.append(t)
@@ -344,17 +304,15 @@ def _geodesic_ladder(
 
 def inclusion_chain_check(
     family: ExponentialFamily,
-    eps: float = defaults.RI_EPS,
-    param_cap: float = defaults.RI_PARAM_CAP,
     n_directions: int = defaults.SWEEP_ANGLES,
     max_groups: int = 24,
 ) -> Report:
     """Verify the closure inclusion chain on sampled states.
 
-    Geodesic-closure members must have entropy distance below eps; states at
-    distance below eps must be approximable in norm, within the bound that
-    the Pinsker-Csiszar inequality grants (||.||_1 <= sqrt(2 eps)).  The norm
-    approximation follows each sampled group's own e-geodesic.
+    Geodesic-closure members must have entropy distance below RI_EPS; states
+    at distance below RI_EPS must be approximable in norm, within the bound
+    that the Pinsker-Csiszar inequality grants (||.||_1 <= sqrt(2 RI_EPS)).
+    The norm approximation follows each sampled group's own e-geodesic.
     """
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
@@ -364,7 +322,7 @@ def inclusion_chain_check(
         stride = max(1, len(groups) // max_groups)
         groups = groups[::stride]
 
-    norm_bound = float(np.sqrt(2.0 * eps)) * 1.5
+    norm_bound = float(np.sqrt(2.0 * defaults.RI_EPS)) * 1.5
     for g in groups:
         u = sweep_direction(family, g.mid_angle)
         thetas = [("representative", np.zeros(g.family_dim))]
@@ -374,8 +332,8 @@ def inclusion_chain_check(
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
             s = g.family.member(theta_p)
-            d = reduce_distance_to_face(family=family, rho=s, v=u, param_cap=param_cap)
-            report.add("geo_subset_rI", where, d, eps)
-            gap, t = _geodesic_ladder(family, g, theta_p, s, u, param_cap)
+            d = reduce_distance_to_face(family=family, rho=s, v=u)
+            report.add("geo_subset_rI", where, d, defaults.RI_EPS)
+            gap, t = _geodesic_ladder(family, g, theta_p, s, u)
             report.add("rI_subset_norm", f"{where}, t={t:g}", gap, norm_bound)
     return report

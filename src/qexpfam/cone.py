@@ -485,8 +485,9 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
     attained_any = any(att for _, _, att in ladder)
     report.add("distance_rho0_nonattained", "no cap attains the infimum",
                1.0 if attained_any else 0.0, 0.0, ok=not attained_any)
-    d03, _ = entropy_distance(base_circle_state(0.3), fam, param_cap=200.0)
-    report.add("distance_circle_near_rho0", "d(rho(0.3)) small at cap 200", d03, 1e-2)
+    d03, _ = entropy_distance(base_circle_state(0.3), fam)
+    report.add("distance_circle_near_rho0", "d(rho(0.3)) = 0: the circle is in the rI-closure",
+               d03, 1e-9)
 
     # (d) norm closure: tau paths reach [rho(0), c], the certificate bars the rest
     s_half, tau_half = staffelberg_tau_path(0.5, 1.0e4)

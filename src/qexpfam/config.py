@@ -148,12 +148,15 @@ class RunConfig:
             raise PreconditionError("solver knobs must be positive")
         if self.n_angles < 4:
             raise PreconditionError("n_angles must be at least 4")
-        known = {"staffelberg", "swallow", "custom"}
-        if self.family_name not in known and not self.family_name.startswith("cone:"):
+        name = self.family_name
+        named = name in ("staffelberg", "swallow") or name.startswith("cone:")
+        if not named and name != "custom":
             raise PreconditionError(
-                f"unknown family '{self.family_name}' "
+                f"unknown family '{name}' "
                 "(use staffelberg | swallow | cone:<phi> | custom)"
             )
+        if named and self.block_dims != (2, 1):
+            raise PreconditionError(f"family '{name}' lives in the cone algebra, blocks = 2,1")
         if self.family_name.startswith("cone:"):
             try:
                 float(self.family_name[5:])
@@ -198,6 +201,8 @@ def parse_state(cfg: RunConfig, spec: str):
     from .states import State
 
     kind, _, arg = spec.partition(":")
+    if kind in ("circle", "apex", "c", "tau") and cfg.algebra != cone.ALGEBRA:
+        raise PreconditionError(f"state '{kind}' lives in the cone algebra, blocks = 2,1")
     try:
         if kind == "circle":
             return cone.base_circle_state(float(arg))

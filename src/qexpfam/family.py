@@ -15,7 +15,9 @@ entropy through S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which
 stays meaningful when the infimum recedes to the boundary and no minimizer
 exists.  That happens exactly when rho lies on a proper exposed face of the
 mean value set; the face finder decides it and the solver reports it as a
-flag, not an error.
+flag, not an error.  entropy_distance solves in the family of the face that
+carries rho (face_chain), where the minimum is attained; the caps remain for
+extrapolation.
 """
 
 from __future__ import annotations
@@ -32,7 +34,9 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
+    coords,
     divided_differences,
+    eigh,
     gram_schmidt,
     hs_inner,
     project_out,
@@ -349,6 +353,48 @@ def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement |
     return next((u for u in candidates if exposed_face_membership(rho, u)), None)
 
 
+def face_chain(
+    rho: State, family: ExponentialFamily
+) -> tuple[list[Projector], ExponentialFamily]:
+    """The faces that carry rho's entropy distance, and the family left.
+
+    Each step compresses the family to the maximal projector of a direction
+    from _face_direction, which keeps rho's distance; the chain ends in the
+    family where rho lies on no proper face and its projection is attained.
+    A face is skipped when a direction of the same family exposes the next
+    one too, so each face is the smallest exposed face of the family before
+    it that contains rho.  Two steps reach a non-exposed face: at swallow
+    rho(0) the face rho + apex, then rho.
+    """
+    if rho.algebra != family.algebra:
+        raise AlgebraMismatchError("state and family in different algebras")
+    projectors: list[Projector] = []
+    u = _face_direction(rho, family)
+    while u is not None:
+        p = max_eig_data(u)[1]
+        inner = make_compressed_family(family, p)
+        v = _face_direction(rho, inner)
+        if v is not None:
+            w = _inner_face_direction(family, u, p, v)
+            if max_eig_data(w)[1].rank < p.rank and exposed_face_membership(rho, w):
+                u = w
+                continue
+        projectors.append(p)
+        family, u = inner, v
+    return projectors, family
+
+
+def _inner_face_direction(family: ExponentialFamily, u: HermitianElement,
+                          p: Projector, v: HermitianElement) -> HermitianElement:
+    """u + eps x for the x in the tangent space whose compression c^p(x) is
+    v, with eps small enough that the maximal projector of the sum stays
+    inside p, the maximal projector of u, where v picks its face."""
+    cols = np.column_stack([coords(compress(p, b)[1]) for b in family.basis])
+    x = family.tangent_element(np.linalg.lstsq(cols, coords(v), rcond=None)[0])
+    w = eigh(u).all_eigenvalues()
+    return u + (w[0] - w[p.rank]) / (4.0 * x.norm()) * x
+
+
 # -- projection solver ----------------------------------------------------------
 
 
@@ -579,27 +625,29 @@ def project_to_family(
     face_chain kernel); otherwise the infimum lies on the boundary of the
     family and no minimizer exists.
     """
-    moments, base, start = _newton_setup(rho, family)
-    end, _ = _newton(family, moments, start, tol, param_cap, max_iter)
-    return _newton_finish(base, end, tol, max_iter,
-                          lambda: _face_direction(rho, family) is not None)
+    return _project_ladder(rho, family, (param_cap,),
+                           lambda: _face_direction(rho, family) is not None,
+                           tol=tol, max_iter=max_iter)[0]
 
 
 def _project_ladder(
     rho: State,
     family: ExponentialFamily,
     caps: Sequence[float],
+    on_face: Callable[[], bool],
     tol: float = defaults.SOLVER_TOL,
     max_iter: int = defaults.MAX_ITER,
 ) -> list[ProjectionResult]:
-    """project_to_family at each cap, in the order of ``caps``, bit for bit.
+    """The projection at each cap, in the order of ``caps``, each bit for bit
+    the solve from theta = 0 at that cap; on_face answers whether rho lies
+    on a proper face.
 
     The caps run in ascending order.  Each resumes from the state where the
     previous cap first acted, and reuses the previous result when that cap
     never acted, so the shared Newton path is computed once.  Equal results
     may be the same object.  The first cap, in the given order, whose own
-    solve would raise SolverError raises it here.  The face question is
-    asked at most once.
+    solve would raise SolverError raises it here.  on_face is asked at most
+    once.
     """
     moments, base, start = _newton_setup(rho, family)
     ends: dict[float, _NewtonState] = {}
@@ -611,7 +659,7 @@ def _project_ladder(
             )
         ends[cap] = end
     results: dict[int, ProjectionResult] = {}
-    on_face = cache(lambda: _face_direction(rho, family) is not None)
+    on_face = cache(on_face)
     out = []
     for cap in caps:
         end = ends[float(cap)]
@@ -625,16 +673,20 @@ def entropy_distance(
     rho: State,
     family: ExponentialFamily,
     tol: float = defaults.SOLVER_TOL,
-    param_cap: float = defaults.PARAM_CAP,
     max_iter: int = defaults.MAX_ITER,
 ) -> tuple[float, bool]:
-    """Entropy distance of rho from the family with its attainment flag.
+    """Entropy distance of rho from the family's closure, and whether the
+    family itself attains it.
 
-    When the flag is False the value is the solver's best objective at the
-    parameter cap; the objective is monotone decreasing along the run, so it
-    upper-bounds the boundary infimum.
+    The minimum over the closure is attained in the family of the face that
+    carries rho (Csiszar & Matus, IEEE Trans. IT 49, 2003): face_chain finds
+    it, and one Newton solve at RI_PARAM_CAP in that last family gives the
+    value.  attained: the chain is empty and the solve converged; the chain
+    answers the solve's face test, so the finder is not asked again.
     """
-    res = project_to_family(rho, family, tol=tol, param_cap=param_cap, max_iter=max_iter)
+    projectors, last = face_chain(rho, family)
+    res = _project_ladder(rho, last, (defaults.RI_PARAM_CAP,), lambda: bool(projectors),
+                          tol=tol, max_iter=max_iter)[0]
     return res.distance, res.attained
 
 
@@ -649,13 +701,15 @@ def distance_continuation(
 
     Returns (cap, value, attained) per cap, in the given order; caps may
     repeat.  Each cap's value and flag equal an independent solve from
-    theta = 0 (entropy_distance at that cap) bit for bit: below a cap the
+    theta = 0 (project_to_family at that cap) bit for bit: below a cap the
     Newton path does not depend on it, so the path that the caps share is
     computed once and each larger cap continues from where the smaller one
     was cut off.  The values are non-increasing in practice, not by
-    construction.
+    construction, and bound the exact entropy_distance from above.
     """
-    results = _project_ladder(rho, family, caps, tol=tol, max_iter=max_iter)
+    results = _project_ladder(rho, family, caps,
+                              lambda: _face_direction(rho, family) is not None,
+                              tol=tol, max_iter=max_iter)
     return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 

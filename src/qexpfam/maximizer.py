@@ -20,7 +20,6 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
-    ProjectionResult,
     free_energy,
     make_compressed_family,
     project_to_family,
@@ -57,7 +56,6 @@ def dE_directional_derivative(
     rho: State,
     u: HermitianElement,
     family: ExponentialFamily,
-    projection: ProjectionResult | None = None,
 ) -> float:
     """Directional derivative of the entropy distance at rho along u.
 
@@ -69,8 +67,7 @@ def dE_directional_derivative(
         raise PreconditionError("direction is not supported in the face algebra pAp")
     if abs(u.trace()) > 1e-10 * max(1.0, u.norm()):
         raise PreconditionError("direction must be traceless")
-    if projection is None:
-        projection = project_to_family(rho, family)
+    projection = project_to_family(rho, family)
     if not projection.attained:
         raise PreconditionError(
             "projection of rho is not attained; the derivative is undefined"
@@ -153,24 +150,12 @@ def _clip_to_simplex(values: np.ndarray) -> np.ndarray:
 
 def _project_face_state(support: SupportBasis, a: HermitianElement) -> State:
     """Nearest state with support inside p: eigenvalue clipping to the simplex."""
-    small = support.restrict(a)
-    blocks = []
-    ws, vs = [], []
-    for s in small:
-        if s.shape[0] == 0:
-            ws.append(np.zeros(0))
-            vs.append(s)
-            continue
-        w, V = np.linalg.eigh(s)
-        ws.append(w)
-        vs.append(V)
-    clipped = _clip_to_simplex(np.concatenate(ws))
-    out = []
-    k = 0
-    for w, V in zip(ws, vs):
-        c = clipped[k : k + len(w)]
+    pairs = [np.linalg.eigh(s) for s in support.restrict(a)]
+    clipped = _clip_to_simplex(np.concatenate([w for w, _ in pairs]))
+    out, k = [], 0
+    for w, V in pairs:
+        out.append((V * clipped[k : k + len(w)]) @ V.conj().T)
         k += len(w)
-        out.append((V * c) @ V.conj().T if len(w) else V)
     return State(support.embed(out))
 
 
@@ -192,7 +177,6 @@ def local_max_search(
     n_starts: int = 6,
     max_steps: int = 200,
     seed: int = 0,
-    step_tol: float = 1e-9,
     face_direction: HermitianElement | None = None,
 ) -> list[SearchCandidate]:
     """Projected gradient ascent of the entropy distance over the face of p.
@@ -252,7 +236,7 @@ def local_max_search(
             q = support_projector(rho)
             grad = log_on_support(rho) - theta
             _, grad_face = compress(q, grad)
-            if grad_face.norm() <= step_tol:
+            if grad_face.norm() <= 1e-9:
                 stationary = True
                 break
             step = 1.0

@@ -59,7 +59,7 @@ def test_criterion_01_staffelberg_discontinuity():
     ok_monotone = all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
     ok_cap80 = values[-1] <= np.log(2.0) + 5e-3
 
-    d03, _ = entropy_distance(cone.base_circle_state(0.3), fam, param_cap=200.0)
+    d03 = project_to_family(cone.base_circle_state(0.3), fam, param_cap=200.0).distance
     ok_circle = d03 <= 1e-2
 
     elapsed = time.monotonic() - start

@@ -74,6 +74,15 @@ class TestConfig:
             parse_state(cfg, "bogus:1")
 
 
+ABELIAN_CONFIG = (
+    "[algebra]\nblocks = 1,1,1\n"
+    "[family]\nname = custom\n"
+    "generator1 = 1,0 -1,0 0,0\n"
+    "generator2 = 1,0 1,0 -2,0\n"
+    "[sweep]\nn_angles = 360\n"
+)
+
+
 class TestCliExitCodes:
     def test_bad_family_exits_2(self, tmp_path, capsys):
         code = main(["distance", "--family", "nonsense", "--state", "c",
@@ -95,6 +104,19 @@ class TestCliExitCodes:
     ])
     def test_malformed_distance_input_exits_2(self, tmp_path, capsys, args):
         code = main(["distance", *args, "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("config, args", [
+        ("[algebra]\nblocks = 1,1,1\n", ["distance", "--state", "tracial"]),
+        ("[algebra]\nblocks = 1,1,1\n", ["report", "--which", "maximizer"]),
+        (ABELIAN_CONFIG, ["distance", "--state", "apex"]),
+    ])
+    def test_algebra_mismatch_exits_2(self, tmp_path, capsys, config, args):
+        # the named families and the cone states live in blocks = 2,1 only
+        path = tmp_path / "x.cfg"
+        path.write_text(config)
+        code = main([*args, "--config", str(path), "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -132,13 +154,7 @@ class TestSweepCommand:
 
     def test_custom_abelian_polygon(self, tmp_path):
         cfg = tmp_path / "abelian.cfg"
-        cfg.write_text(
-            "[algebra]\nblocks = 1,1,1\n"
-            "[family]\nname = custom\n"
-            "generator1 = 1,0 -1,0 0,0\n"
-            "generator2 = 1,0 1,0 -2,0\n"
-            "[sweep]\nn_angles = 360\n"
-        )
+        cfg.write_text(ABELIAN_CONFIG)
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--quiet"])
         assert code == 0
         text = (tmp_path / "boundary_custom.csv").read_text()
@@ -159,6 +175,30 @@ class TestDistanceCommand:
         exact = [l for l in out.splitlines() if l.startswith("exact_path ")][0]
         assert "0.6931" in exact
         assert (tmp_path / "distance.csv").exists()
+
+    @pytest.mark.parametrize("family, state, expected", [
+        ("staffelberg", "circle:0", np.log(2.0)),
+        ("staffelberg", "apex", np.log(2.0)),
+        ("staffelberg", "circle:0.3", 0.0),
+        ("staffelberg", "c", 0.0),
+        ("swallow", "circle:0", 0.0),
+    ])
+    def test_headline_is_the_exact_distance(self, tmp_path, capsys, family, state,
+                                            expected):
+        # the parameter cap leaves ln 2 + 7e-11 at circle:0 and apex, 0.093 at
+        # circle:0.3 and 0.135 at swallow circle:0; the face chain gives the
+        # exact value
+        code = main(["distance", "--family", family, "--state", state,
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        direct = [l for l in out if l.startswith("distance ")][0]
+        if expected == 0.0:
+            assert direct.startswith("distance value=0 ")
+        else:
+            assert abs(float(direct.split("value=")[1].split()[0]) - expected) <= 1e-15
+        rows = (tmp_path / "distance.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["direct"] * 4 + ["final"]
 
     def test_family_member_zero(self, tmp_path, capsys):
         code = main(["distance", "--family", "staffelberg", "--state",

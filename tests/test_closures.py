@@ -273,9 +273,9 @@ class TestReduceDistance:
         v2 = traceless_part(cone.pauli(2) + cone.unit())
         rho = State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.unit())
         reduced = reduce_distance_to_face(rho, staffelberg, v2)
-        direct, attained = entropy_distance(rho, staffelberg, param_cap=200.0)
-        assert not attained
-        assert abs(direct - reduced) <= 1e-6
+        direct = project_to_family(rho, staffelberg, param_cap=200.0)
+        assert not direct.attained
+        assert abs(direct.distance - reduced) <= 1e-6
 
     def test_membership_precondition(self, staffelberg):
         v2 = traceless_part(cone.pauli(2) + cone.unit())
@@ -385,7 +385,11 @@ class TestFaceChain:
         assert projectors[0].same_image(max_eig_data(g1)[1])
         res = project_to_family(rho, last, param_cap=defaults.RI_PARAM_CAP)
         assert res.attained
-        assert abs(res.distance - reduce_distance_to_face(rho, fam, g1)) <= 1e-9
+        reduced = reduce_distance_to_face(rho, fam, g1)
+        assert abs(res.distance - reduced) <= 1e-9
+        value, attained = entropy_distance(rho, fam)
+        assert not attained
+        assert abs(value - reduced) <= 1e-9
 
 
 class TestInclusionChain:

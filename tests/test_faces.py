@@ -3,14 +3,15 @@ their oracle, monotonicity and invariance properties."""
 
 import itertools
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam import cone, defaults
+from qexpfam import cli, closures, cone, defaults, family
 from qexpfam.closures import face_chain, rI_membership
 from qexpfam.errors import PreconditionError
-from qexpfam.family import make_family, project_to_family
+from qexpfam.family import entropy_distance, make_family, project_to_family
 from qexpfam.linalg import Algebra, HermitianElement, diagonal
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import random_traceless
@@ -135,6 +136,88 @@ class TestAbelianOracle:
         assert project_to_family(rho, fam).attained == (not boundary)
         projectors, _ = face_chain(rho, fam)
         assert [p.rank for p in projectors] == ([len(face)] if boundary else [])
+
+
+def _gibbs_on_face_distance(points, weights, face):
+    """D(p || q*) at 30 digits, q* the Gibbs distribution on the points of
+    ``face`` with p's mean: its moment equations are solved by mpmath in
+    integer coordinates y_i = <b, x_i> over directions b spanning the face."""
+    idx = sorted(face)
+    dirs = []
+    for i in idx[1:]:
+        cand = dirs + [points[i] - points[idx[0]]]
+        if np.linalg.matrix_rank(np.array(cand)) == len(cand):
+            dirs = cand
+    with mpmath.workdps(30):
+        y = [[mpmath.mpf(int(b @ points[i])) for b in dirs] for i in idx]
+        p = [mpmath.mpf(float(weights[i])) for i in idx]
+        mean = [mpmath.fsum(pi * yi[j] for pi, yi in zip(p, y)) for j in range(len(dirs))]
+
+        def gibbs(c):
+            e = [mpmath.exp(mpmath.fsum(cj * yj for cj, yj in zip(c, yi))) for yi in y]
+            return [ei / mpmath.fsum(e) for ei in e]
+
+        def moments(*c):
+            q = gibbs(c)
+            return [mpmath.fsum(qi * yi[j] for qi, yi in zip(q, y)) - mean[j]
+                    for j in range(len(dirs))]
+
+        c = []
+        if dirs:
+            root = mpmath.findroot(moments, [mpmath.mpf(0)] * len(dirs),
+                                   tol=mpmath.mpf(10) ** -50, maxsteps=100)
+            c = [root[j] for j in range(len(dirs))]
+        q = gibbs(c)
+        return float(mpmath.fsum(pi * mpmath.log(pi / qi) for pi, qi in zip(p, q) if pi))
+
+
+class TestAbelianDistanceOracle:
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(st.integers(4, 7), st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_distance_is_the_gibbs_distribution_on_the_smallest_face(self, n, d, seed):
+        # classical closures face by face (Csiszar & Matus): the closure
+        # member nearest p is the Gibbs distribution on the smallest face
+        # holding p's support, with p's mean
+        d = min(d, n - 1)
+        points, support, fam, rho = _polytope_case(n, d, seed)
+        _, face = _minimal_face(points, support)
+        weights = [b[0, 0].real for b in rho.element.blocks]
+        want = _gibbs_on_face_distance(points, weights, face)
+        assert entropy_distance(rho, fam)[0] == pytest.approx(want, abs=1e-10)
+
+
+class TestFinderAskedOnce:
+    @pytest.fixture
+    def asked(self, monkeypatch):
+        """The (rho, family) pairs put to the face finder, by identity."""
+        pairs = []
+        real = family._face_direction
+
+        def counting(rho, fam):
+            pairs.append((rho, fam))
+            return real(rho, fam)
+
+        for module in (family, closures):
+            monkeypatch.setattr(module, "_face_direction", counting)
+        return pairs
+
+    @staticmethod
+    def _repeats(pairs):
+        keys = [(id(rho), id(fam)) for rho, fam in pairs]
+        return len(keys) - len(set(keys))
+
+    @pytest.mark.parametrize("make, alpha", [(cone.staffelberg_family, 0.0),
+                                             (cone.swallow_family, 0.0),
+                                             (cone.swallow_family, 0.7)])
+    def test_rI_membership(self, asked, make, alpha):
+        rI_membership(cone.base_circle_state(alpha), make())
+        assert asked and self._repeats(asked) == 0
+
+    @pytest.mark.parametrize("state", ["circle:0", "c", "apex", "tau:0.6", "circle:1.3"])
+    def test_distance_command(self, asked, tmp_path, state):
+        assert cli.main(["distance", "--state", state, "--out", str(tmp_path),
+                         "--quiet"]) == 0
+        assert asked and self._repeats(asked) == 0
 
 
 def _unitary(n, rng):

@@ -146,11 +146,9 @@ class TestProjection:
         assert value <= 1e-12
 
     def test_rho_pi_in_closure(self, staffelberg):
-        value, attained = entropy_distance(
-            cone.base_circle_state(np.pi), staffelberg, param_cap=80.0
-        )
-        assert not attained
-        assert value <= 1e-6
+        res = project_to_family(cone.base_circle_state(np.pi), staffelberg, param_cap=80.0)
+        assert not res.attained
+        assert res.distance <= 1e-6
 
     def test_continuation_monotone(self, staffelberg):
         ladder = distance_continuation(
