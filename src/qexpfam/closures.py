@@ -31,7 +31,6 @@ from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
     _face_direction,
     entropy_distance,
-    exp1,
     face_chain,
     free_energy,
     make_compressed_family,
@@ -40,11 +39,12 @@ from .family import (  # face_chain and _face_direction are re-exported
 )
 from .findings import Report
 from .linalg import (DirectionSweep, HermitianElement, angle_dist, coords,
-                     project_out, traceless_part, zero)
+                     project_out, traceless_part)
 from .states import (
     Projector,
     State,
     SupportBasis,
+    _rank_one_state,
     compress,
     exposed_face_membership,
     max_eig_data,
@@ -96,8 +96,11 @@ class AtlasGroup:
 
     @cached_property
     def representative(self) -> State:
-        if self.rank == 1:  # pAp = C p: the family is the single state p
-            return exp1(zero(self.parent.algebra), SupportBasis(self.projector))
+        if self.rank == 1:  # pAp = C p: the family is the single state p, on
+            # p's eigenvector as the compressed family's support basis finds it
+            k, p = next((k, b) for k, b in enumerate(self.projector.element.blocks)
+                        if b.trace().real > 0.5)
+            return _rank_one_state(self.parent.algebra, k, np.linalg.eigh(p)[1][:, ::-1])
         return self.family.member(np.zeros(self.family.dim))
 
     @property

@@ -45,7 +45,7 @@ from .linalg import (
     zero,
 )
 from .sampling import random_state
-from .states import Projector, State, relative_entropy, tracial_state
+from .states import Projector, State, pure_state, relative_entropy, tracial_state
 
 ALGEBRA = Algebra((2, 1))
 
@@ -75,8 +75,8 @@ def z_element() -> HermitianElement:
 
 def base_circle_state(alpha: float) -> State:
     """Pure state (id2 + sin(a) s1 + cos(a) s2)/2 + 0 on the base circle."""
-    b = np.sin(alpha) * SIGMA1 + np.cos(alpha) * SIGMA2
-    return State(embed_block(ALGEBRA, 0, 0.5 * (np.eye(2) + b)))
+    # the +1 eigenvector of sin(a) s1 + cos(a) s2
+    return pure_state(ALGEBRA, 0, [1.0, 1j * np.exp(-1j * alpha)])
 
 
 def midpoint_state() -> State:

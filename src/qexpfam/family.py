@@ -4,7 +4,9 @@ A family is the image under the trace-normalized exponential of an affine
 subspace offset + span(basis) of traceless self-adjoint elements.  Families in
 a compressed corner algebra pAp carry a support basis and use the
 superscript-p calculus throughout; the full algebra is the special case
-p = identity.
+p = identity.  The basis is also stacked per block, so tangent elements, mean
+values and the BKM Hessian are one product per block, and each Gibbs state is
+built from the eigenpairs of its parameter element.
 
 The projection onto the family minimizes the strictly convex objective
 
@@ -23,7 +25,7 @@ extrapolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,7 +55,6 @@ from .states import (
     log_on_support,
     max_eig_data,
     relative_entropy,
-    restricted_eigh,
     support_projector,
     vn_entropy,
 )
@@ -67,20 +68,22 @@ def _gibbs(a: HermitianElement, support: SupportBasis | None):
 
     F = ln tr(p e^a) and state = p e^a / tr(p e^a), evaluated on the
     eigenpairs of a within Im(p) shifted by the largest eigenvalue mu, so
-    tr(p e^(a - mu)) = z stays in [1, N] and nothing overflows.
+    tr(p e^(a - mu)) = z stays in [1, N] and nothing overflows.  The state is
+    built from those eigenpairs, padded with zero weights on the kernel
+    columns of p; in the full algebra they are a's own.
     """
     if support is None:
-        support = full_support(a.algebra)
-    pairs = restricted_eigh(a, support)
+        pairs = [(w[::-1], V[:, ::-1]) for w, V in map(np.linalg.eigh, a.blocks)]
+    else:  # values descending, vectors as columns of the ambient blocks
+        pairs = [(w[::-1], q @ Y[:, ::-1]) for q, (w, Y)
+                 in zip(support.columns, map(np.linalg.eigh, support.restrict(a)))]
+    kernel = (support or full_support(a.algebra)).kernel
     mu = max(float(w[0]) for w, _ in pairs if w.size)
-    z = sum(float(np.exp(w - mu).sum()) for w, _ in pairs)
-    blocks = []
-    for (w, V), n in zip(pairs, a.algebra.block_dims):
-        if w.size == 0:
-            blocks.append(np.zeros((n, n)))
-        else:
-            blocks.append((V * (np.exp(w - mu) / z)) @ V.conj().T)
-    state = State(HermitianElement(a.algebra, blocks))
+    weights = [np.exp(w - mu) for w, _ in pairs]
+    z = sum(float(e.sum()) for e in weights)
+    values = [np.concatenate([e / z, np.zeros(k.shape[1])]) for e, k in zip(weights, kernel)]
+    vectors = [np.hstack([V, k]) for (_, V), k in zip(pairs, kernel)]
+    state = State._from_spectrum(a.algebra, values, vectors)
     return mu + float(np.log(z)), state, pairs, z, mu
 
 
@@ -142,11 +145,18 @@ class ExponentialFamily:
     def support_projector(self) -> Projector:
         return (self.support or full_support(self.algebra)).projector
 
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        """The basis as one (dim, n_k, n_k) array per block."""
+        return tuple(
+            np.array([v.blocks[k] for v in self.basis], dtype=complex).reshape(self.dim, n, n)
+            for k, n in enumerate(self.algebra.block_dims)
+        )
+
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
-        out = zero(self.algebra)
-        for t, v in zip(np.atleast_1d(theta), self.basis):
-            out = out + float(t) * v
-        return out
+        return HermitianElement._trusted(
+            self.algebra, [np.tensordot(theta, s, axes=1) for s in self.stacks]
+        )
 
     def parameter_element(self, theta: np.ndarray) -> HermitianElement:
         return self.offset + self.tangent_element(theta)
@@ -218,7 +228,11 @@ def make_compressed_family(
 
 def mean_value_projection(a: HermitianElement, family: ExponentialFamily) -> np.ndarray:
     """Coordinates (<a,v_1>, ..., <a,v_n>) in the orthonormal tangent basis."""
-    return np.array([hs_inner(a, v) for v in family.basis], dtype=float)
+    if a.algebra != family.algebra:
+        raise AlgebraMismatchError("element and family in different algebras")
+    # tr(a v) = sum(a^T * v) for Hermitian v: one product per block
+    return sum((s.reshape(family.dim, b.size) @ b.T.ravel()).real
+               for s, b in zip(family.stacks, a.blocks))
 
 
 # -- exposed faces -------------------------------------------------------------
@@ -266,9 +280,9 @@ def _steepest_margin(rho: State, rest: SupportBasis, family: ExponentialFamily,
     (within MAX_EIG_GAP), the min-norm point found by Frank-Wolfe.  A margin
     above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.
     """
-    dirs = [family.tangent_element(c) for c in basis.T]
-    r = np.array([hs_inner(rho.element, d) for d in dirs])
-    stacked = [np.stack(x) for x in zip(*(rest.restrict(d) for d in dirs)) if x[0].size]
+    r = basis.T @ mean_value_projection(rho.element, family)
+    stacked = [q.conj().T @ np.tensordot(basis.T, s, axes=1) @ q
+               for q, s in zip(rest.columns, family.stacks) if q.size]
 
     def at(c: np.ndarray):
         """The margin at coordinates c and the columns tilted onto the top."""
@@ -313,9 +327,9 @@ def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.nda
     projector q as a scalar, q u P = lambda q with P the family's carrier:
     the (u, lambda) null space of one thin SVD."""
     carrier = family.support_projector.element
-    cols = [[x @ y @ z for x, y, z in zip(q.blocks, v.blocks, carrier.blocks)]
-            for v in family.basis] + [[-x for x in q.blocks]]
-    system = np.column_stack([np.concatenate([b.ravel() for b in c]) for c in cols])
+    rows = [(x @ s @ z).reshape(family.dim, x.size)
+            for x, s, z in zip(q.blocks, family.stacks, carrier.blocks)]
+    system = np.vstack([np.hstack(rows), -np.hstack([x.ravel() for x in q.blocks])]).T
     _, s, vh = np.linalg.svd(np.vstack([system.real, system.imag]), full_matrices=False)
     return vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
 
@@ -438,12 +452,11 @@ def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: n
     d = family.dim
     H = np.zeros((d, d))
     upper = np.triu_indices(d)
-    for bi, (w, V) in enumerate(pairs):
+    for (w, V), stack in zip(pairs, family.stacks):
         if w.size == 0:
             continue
         table = divided_differences(w - mu, np.exp, np.exp)
-        Vh = V.conj().T
-        tilted = np.stack([Vh @ v.blocks[bi] @ V for v in family.basis])
+        tilted = V.conj().T @ stack @ V
         cov = ((tilted.conj()[:, None] * table) * tilted[None, :]).sum(axis=(-2, -1))
         H[upper] += cov.real[upper] / z
     lower = np.tril_indices(d, -1)
@@ -487,6 +500,12 @@ def _newton_setup(rho: State, family: ExponentialFamily):
     return moments, base, _NewtonState(theta, fval, grad, sigma, pairs, z, mu)
 
 
+def _resolution(scale: float) -> float:
+    """What the objective resolves at terms of size ``scale``: the Armijo
+    floor near the optimum, and the largest distance that is rounding."""
+    return 4.0 * np.finfo(float).eps * (1.0 + abs(scale))
+
+
 def _newton(
     family: ExponentialFamily,
     moments: np.ndarray,
@@ -528,25 +547,17 @@ def _newton(
         slope = float(grad @ step)
         t = 1.0
         hit_cap_now = False
-        nrm = np.linalg.norm(theta + step)
-        if nrm > param_cap:
-            # shrink along the ray to land on the cap sphere; the objective
-            # still decreases there by convexity
-            lo, hi = 0.0, 1.0
-            for _ in range(80):
-                mid = (lo + hi) / 2.0
-                if np.linalg.norm(theta + mid * step) > param_cap:
-                    hi = mid
-                else:
-                    lo = mid
-            t = lo
+        if np.linalg.norm(theta + step) > param_cap:
+            # shrink along the ray to land on the cap sphere, the root t of
+            # |theta + t step| = cap; the objective still decreases there by
+            # convexity
+            a, b = float(step @ step), float(theta @ step)
+            t = (np.sqrt(b * b + a * (param_cap ** 2 - theta @ theta)) - b) / a
             hit_cap_now = True
             if resume is None:
                 resume = here
         accepted = False
-        # resolution floor: near the optimum the true decrease drops below
-        # what the objective can represent; the Newton step is still right
-        floor = 4.0 * np.finfo(float).eps * (1.0 + abs(fval))
+        floor = _resolution(fval)
         for _ in range(defaults.ARMIJO_MAX_HALVINGS):
             cand = theta + t * step
             f2, g2, s2, p2, z2, m2 = _objective_pieces(family, cand, moments)
@@ -595,7 +606,9 @@ def _newton_finish(
             f"no convergence in {max_iter} iterations (|grad| = {gnorm:.3e})"
         )
 
-    distance = max(end.fval - base, 0.0)
+    # f = F - theta.m rounds at the size of the free energy F, not of f
+    excess = end.fval - base
+    distance = excess if excess > _resolution(end.mu + np.log(end.z)) else 0.0
     attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,

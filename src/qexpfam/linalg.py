@@ -91,11 +91,13 @@ class HermitianElement:
 
     @classmethod
     def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
-        """Internal constructor for sums and real multiples of elements.
+        """Internal constructor for sums, real multiples and eigen-
+        reconstructions of elements.
 
-        Such blocks are exactly Hermitian already, so the drift check and the
-        defensive copy are skipped; the symmetrization stays, which keeps the
-        bits (signed zeros included) equal to the public constructor's.
+        Such blocks are Hermitian up to rounding already, so the drift check
+        and the defensive copy are skipped; the symmetrization stays, which
+        keeps the bits (signed zeros included) equal to the public
+        constructor's.
         """
         out = object.__new__(cls)
         sym = []
@@ -260,10 +262,8 @@ class SpectralData:
 
     def reconstruct(self, values: tuple[np.ndarray, ...] | None = None) -> HermitianElement:
         vals = self.eigenvalues if values is None else values
-        blocks = [
-            (V * w) @ V.conj().T for w, V in zip(vals, self.eigenvectors)
-        ]
-        return HermitianElement(self.algebra, blocks)
+        blocks = [(V * w) @ V.conj().T for w, V in zip(vals, self.eigenvectors)]
+        return HermitianElement._trusted(self.algebra, blocks)
 
 
 def eigh(a: HermitianElement) -> SpectralData:
@@ -405,15 +405,13 @@ def divided_differences(
 ) -> np.ndarray:
     """First divided difference table f[w_i, w_j], with f' on the diagonal
     and on pairs closer than the degeneracy threshold."""
-    n = len(w)
-    wi = w[:, None] * np.ones((1, n))
-    wj = w[None, :] * np.ones((n, 1))
-    diff = wi - wj
+    diff = w[:, None] - w[None, :]
     close = np.abs(diff) < defaults.DIVIDED_DIFF_DEGENERACY
     safe = np.where(close, 1.0, diff)
     with np.errstate(all="ignore"):
-        table = (f(wi) - f(wj)) / safe
-        table = np.where(close, fprime((wi + wj) / 2.0), table)
+        fw = f(w)
+        table = (fw[:, None] - fw[None, :]) / safe
+        table = np.where(close, fprime((w[:, None] + w[None, :]) / 2.0), table)
     if not np.all(np.isfinite(table)):
         raise DomainError("divided differences not finite on spectrum")
     return table

@@ -1,9 +1,10 @@
 """States, projectors, entropies and exposed faces of the state space.
 
-A state is a positive unit-trace self-adjoint element.  Relative entropy is
-+infinity when the second argument's image does not contain the first's; the
-image test uses one global eigenvalue cutoff so all support decisions in the
-package are consistent.
+A state is a positive unit-trace self-adjoint element with its spectral
+decomposition; Gibbs and pure states are built from their eigenpairs.
+Relative entropy is +infinity when the second argument's image does not
+contain the first's; the image test uses one global eigenvalue cutoff so all
+support decisions in the package are consistent.
 """
 
 from __future__ import annotations
@@ -35,23 +36,31 @@ class State:
     Eigenvalues in [-1e-12, 0) are clamped to zero; more negative spectra and
     trace errors beyond 1e-12 are rejected.  The spectral decomposition is
     computed once at construction and reused by entropies and support tests.
+    _from_spectrum runs the same checks on eigenpairs already in hand.
     """
 
     __slots__ = ("element", "spectral", "support_rank")
 
     def __init__(self, element: HermitianElement):
         spec = eigh(element)
-        clamped = []
-        for w in spec.eigenvalues:
-            if np.any(w < -defaults.STATE_TOL):
-                raise ValueError(
-                    f"not positive semidefinite (min eigenvalue {w.min():.3e})"
-                )
-            clamped.append(np.maximum(w, 0.0))
+        self._fill(spec.algebra, spec.eigenvalues, spec.eigenvectors)
+
+    @classmethod
+    def _from_spectrum(cls, algebra: Algebra, values, vectors) -> "State":
+        """From per-block eigenvalues (descending) and complete eigenvectors."""
+        out = object.__new__(cls)
+        out._fill(algebra, values, vectors)
+        return out
+
+    def _fill(self, algebra: Algebra, values, vectors):
+        low = min(float(w.min(initial=0.0)) for w in values)
+        if low < -defaults.STATE_TOL:
+            raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e})")
+        clamped = [np.maximum(w, 0.0) for w in values]
         tr = float(sum(w.sum() for w in clamped))
-        if abs(tr - 1.0) > defaults.STATE_TOL * element.algebra.dim:
+        if abs(tr - 1.0) > defaults.STATE_TOL * algebra.dim:
             raise ValueError(f"trace {tr} is not 1")
-        spec = SpectralData(spec.algebra, tuple(clamped), spec.eigenvectors)
+        spec = SpectralData(algebra, tuple(clamped), tuple(vectors))
         object.__setattr__(self, "spectral", spec)
         object.__setattr__(self, "element", spec.reconstruct())
         rank = int(sum((w > defaults.SUPPORT_CUTOFF).sum() for w in clamped))
@@ -119,11 +128,19 @@ class Projector:
 
 def pure_state(algebra: Algebra, block_index: int, vector: np.ndarray) -> State:
     """Rank-one state |v><v| supported in one block."""
-    v = np.asarray(vector, dtype=complex)
-    v = v / np.linalg.norm(v)
-    blocks = [np.zeros((n, n)) for n in algebra.block_dims]
-    blocks[block_index] = np.outer(v, v.conj())
-    return State(HermitianElement(algebra, blocks))
+    v = np.asarray(vector, dtype=complex) / np.linalg.norm(vector)
+    # complete v to an orthonormal basis: the other columns of a QR of [v, I]
+    rest = np.linalg.qr(np.column_stack([v, np.eye(len(v))]))[0][:, 1:]
+    return _rank_one_state(algebra, block_index, np.column_stack([v, rest]))
+
+
+def _rank_one_state(algebra: Algebra, block_index: int, columns: np.ndarray) -> State:
+    """The pure state on the first of the orthonormal ``columns`` of one block."""
+    values = [np.zeros(n) for n in algebra.block_dims]
+    vectors = [np.eye(n, dtype=complex) for n in algebra.block_dims]
+    values[block_index][0] = 1.0
+    vectors[block_index] = columns
+    return State._from_spectrum(algebra, values, vectors)
 
 
 def tracial_state(algebra: Algebra) -> State:
@@ -255,18 +272,18 @@ def pinsker_gap(rho: State, sigma: State) -> float:
 
 
 class SupportBasis:
-    """Orthonormal columns spanning Im(p) per block; carrier for pAp calculus."""
+    """Orthonormal columns spanning Im(p) per block, and the kernel columns
+    that complete them; carrier for pAp calculus."""
 
-    __slots__ = ("projector", "columns")
+    __slots__ = ("projector", "columns", "kernel")
 
     def __init__(self, projector: Projector):
-        cols = []
-        for b, n in zip(projector.element.blocks, projector.algebra.block_dims):
-            w, V = np.linalg.eigh(b)
-            keep = V[:, w > 0.5]
-            cols.append(np.ascontiguousarray(keep))
+        pairs = [np.linalg.eigh(b) for b in projector.element.blocks]
         object.__setattr__(self, "projector", projector)
-        object.__setattr__(self, "columns", tuple(cols))
+        object.__setattr__(self, "columns", tuple(
+            np.ascontiguousarray(V[:, w > 0.5]) for w, V in pairs))
+        object.__setattr__(self, "kernel", tuple(
+            np.ascontiguousarray(V[:, w <= 0.5]) for w, V in pairs))
 
     def __setattr__(self, name, value):
         raise AttributeError("SupportBasis is immutable")
@@ -284,32 +301,14 @@ class SupportBasis:
         return [q.conj().T @ b @ q for q, b in zip(self.columns, a.blocks)]
 
     def embed(self, small: list[np.ndarray]) -> HermitianElement:
-        blocks = []
-        for q, s, n in zip(self.columns, small, self.algebra.block_dims):
-            if q.shape[1] == 0:
-                blocks.append(np.zeros((n, n)))
-            else:
-                blocks.append(q @ s @ q.conj().T)
-        return HermitianElement(self.algebra, blocks)
+        return HermitianElement(
+            self.algebra, [q @ s @ q.conj().T for q, s in zip(self.columns, small)])
 
 
 @lru_cache(maxsize=None)
 def full_support(algebra: Algebra) -> SupportBasis:
     """The identity support basis, built once per algebra."""
     return SupportBasis(Projector(identity(algebra)))
-
-
-def restricted_eigh(a: HermitianElement, support: SupportBasis):
-    """Eigen-decomposition of a within Im(p): per-block (values desc, Q-columns)."""
-    out = []
-    for q, small in zip(support.columns, support.restrict(a)):
-        if q.shape[1] == 0:
-            out.append((np.zeros(0), q))
-            continue
-        w, Y = np.linalg.eigh(small)
-        order = np.argsort(w)[::-1]
-        out.append((w[order], q @ Y[:, order]))
-    return out
 
 
 def log_on_support(rho: State) -> HermitianElement:

@@ -14,8 +14,8 @@ from qexpfam.family import (
     project_to_family,
     pythagorean_residual,
 )
-from qexpfam.linalg import diagonal, hs_inner, identity, zero
-from qexpfam.sampling import random_state, random_traceless
+from qexpfam.linalg import Algebra, diagonal, hs_inner, identity, zero
+from qexpfam.sampling import random_family, random_state, random_traceless
 from qexpfam.states import State, relative_entropy, tracial_state
 
 
@@ -144,6 +144,15 @@ class TestProjection:
         value, attained = entropy_distance(staffelberg.member([0.3, 0.2]), staffelberg)
         assert attained
         assert value <= 1e-12
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random"])
+    def test_members_have_distance_exactly_zero(self, name):
+        rng = np.random.default_rng(31)
+        fam = {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
+               "random": lambda: random_family(Algebra((4, 4, 4, 4)), 6, rng)}[name]()
+        for _ in range(30):
+            member = fam.member(rng.normal(scale=4.0, size=fam.dim))
+            assert entropy_distance(member, fam) == (0.0, True)
 
     def test_rho_pi_in_closure(self, staffelberg):
         res = project_to_family(cone.base_circle_state(np.pi), staffelberg, param_cap=80.0)

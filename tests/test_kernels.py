@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qexpfam.defaults import MAX_ITER, PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
     _bkm_hessian,
+    _newton,
+    _newton_setup,
     _objective_pieces,
     exp1,
     free_energy,
@@ -21,10 +24,10 @@ from qexpfam.linalg import (
     hs_inner,
     identity,
     project_out,
-    zero,
 )
-from qexpfam.sampling import random_family, random_hermitian, random_traceless
-from qexpfam.states import Projector, compress
+from qexpfam.sampling import (random_family, random_hermitian, random_state,
+                               random_traceless)
+from qexpfam.states import Projector, State, compress
 
 # random block algebras of total dimension <= 6; derandomized so the suite
 # sees the same examples on every run
@@ -80,7 +83,7 @@ def test_projector_contains_its_corner_only(dims, seed):
     assert not p.contains(pap + (identity(algebra) - p.element))
 
 
-def test_free_energy_decomposes_each_block_twice(monkeypatch, rng):
+def test_free_energy_decomposes_each_block_once(monkeypatch, rng):
     real_eigh = np.linalg.eigh
     for dims in [(2, 1), (3, 2, 1), (4, 4, 4, 4)]:
         algebra = Algebra(dims)
@@ -95,8 +98,23 @@ def test_free_energy_decomposes_each_block_twice(monkeypatch, rng):
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         free_energy(a)
         monkeypatch.undo()
-        # per block: one decomposition of a, one in the State constructor
-        assert len(calls) == 2 * algebra.n_blocks
+        # per block: one decomposition of a; the state is built from it
+        assert len(calls) == algebra.n_blocks
+
+
+def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
+    fam = random_family(Algebra((4, 4, 4, 4)), 6, rng)
+    moments, _, start = _newton_setup(random_state(fam.algebra, rng), fam)
+    built = []
+    for cls in (HermitianElement, State):
+        def init(self, *args, _real=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _real(self, *args)
+        monkeypatch.setattr(cls, "__init__", init)
+    end, _ = _newton(fam, moments, start, SOLVER_TOL, PARAM_CAP, MAX_ITER)
+    monkeypatch.undo()
+    assert end.iterations > 0
+    assert built == []
 
 
 # -- bit identity of the fast kernels with the code they replaced ----------------
@@ -124,10 +142,7 @@ def test_internal_arithmetic_matches_public_constructor(dims, seed, t):
 
     fam = random_family(algebra, min(3, algebra.real_dim - 1), rng)
     theta = rng.normal(size=fam.dim)
-    want = zero(algebra)
-    for c, v in zip(theta, fam.basis):
-        scaled = public([float(c) * x for x in v.blocks])
-        want = public([x + y for x, y in zip(want.blocks, scaled.blocks)])
+    want = public([np.tensordot(theta, stack, axes=1) for stack in fam.stacks])
     assert _bits(fam.tangent_element(theta)) == _bits(want)
 
 

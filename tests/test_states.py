@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexpfam import cone
 from qexpfam.errors import PreconditionError
-from qexpfam.linalg import HermitianElement, diagonal, hs_inner, identity
-from qexpfam.sampling import random_state, random_traceless, random_unit_traceless
+from qexpfam.family import exp1
+from qexpfam.linalg import Algebra, HermitianElement, diagonal, eigh, hs_inner, identity
+from qexpfam.sampling import (random_hermitian, random_state, random_traceless,
+                              random_unit_traceless)
 from qexpfam.states import (
     Projector,
     State,
+    SupportBasis,
     compress,
     exposed_face_membership,
     max_eig_data,
@@ -250,3 +254,55 @@ class TestPinskerGap:
             rho = random_state(algebra, rng, invertible=False)
             sigma = random_state(algebra, rng, invertible=False)
             assert pinsker_gap(rho, sigma) >= -1e-12
+
+
+# -- states built from their spectrum -------------------------------------------
+
+spectrum_dims = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
+    lambda dims: 2 <= sum(dims) <= 8
+)
+
+
+def _random_support(algebra, rng, empty_first_block):
+    """A spectral projector of rank 1 to N-1 of a random element, optionally
+    with nothing of the first block."""
+    keep = rng.permutation(algebra.dim) < rng.integers(1, algebra.dim)
+    n0 = algebra.block_dims[0]
+    if empty_first_block and algebra.n_blocks > 1:
+        keep[:n0] = False
+        keep[n0 + rng.integers(algebra.dim - n0)] = True
+    blocks, k = [], 0
+    for V in eigh(random_hermitian(algebra, rng)).eigenvectors:
+        q = V[:, keep[k : k + V.shape[1]]]
+        blocks.append(q @ q.conj().T)
+        k += V.shape[1]
+    return SupportBasis(Projector(HermitianElement(algebra, blocks)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(spectrum_dims, st.integers(0, 2**32 - 1), st.floats(0.1, 6.0), st.booleans())
+def test_gibbs_state_from_spectrum_matches_public_constructor(dims, seed, scale,
+                                                              empty_first_block):
+    algebra = Algebra(tuple(dims))
+    rng = np.random.default_rng(seed)
+    a = random_hermitian(algebra, rng, scale)
+    support = _random_support(algebra, rng, empty_first_block)
+    for s in (None, support):
+        fast = exp1(a, s)
+        public = State(fast.element)
+        assert (fast.element - public.element).norm() <= 1e-13
+        for w, v in zip(fast.spectral.eigenvalues, public.spectral.eigenvalues):
+            assert np.max(np.abs(w - v), initial=0.0) <= 1e-13
+        assert fast.support_rank == public.support_rank
+    assert fast.min_eigenvalue() == 0.0
+
+
+def test_from_spectrum_rejects_as_the_public_constructor(algebra):
+    vectors = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
+    for values in ([np.array([1.1, -0.1]), np.zeros(1)],
+                   [np.array([0.5, 0.3]), np.array([0.1])]):
+        with pytest.raises(ValueError) as public:
+            State(HermitianElement(algebra, [np.diag(w) for w in values]))
+        with pytest.raises(ValueError) as fast:
+            State._from_spectrum(algebra, values, vectors)
+        assert str(fast.value) == str(public.value)
