@@ -123,7 +123,6 @@ class ClosureAtlas:
     family: ExponentialFamily
     n_directions: int
     groups: tuple[AtlasGroup, ...]
-    transition_angles: tuple[float, ...]
 
     def spike_groups(self) -> list[AtlasGroup]:
         return [g for g in self.groups if g.spike]
@@ -192,7 +191,6 @@ def geodesic_closure_atlas(
     jump_tol = 5.0 * step
 
     groups: list[AtlasGroup] = []
-    transitions: list[float] = []
 
     def add_group(p: Projector, a_lo: float, a_hi: float, count: int, spike: bool):
         groups.append(AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike,
@@ -206,8 +204,6 @@ def geodesic_closure_atlas(
             ranks[(run[0] - 1) % n], ranks[(run[0] + 1) % n]
         )
         add_group(p, a_lo, a_hi, len(run), spike)
-        if spike:
-            transitions.append(a_lo)
 
     # hidden crossings: adjacent samples with a genuine projector jump (not the
     # smooth drift of a moving rank-one projector) away from every sampled spike
@@ -220,18 +216,12 @@ def geodesic_closure_atlas(
         if np.isnan(alpha_star):
             continue
         p_star = projector(kernel.spectra([alpha_star]).max_projectors()[1], 0)
-        transitions.append(alpha_star % (2.0 * np.pi))
         if not (p_star.same_image(projector(blocks, j))
                 or p_star.same_image(projector(blocks, (j + 1) % n))):
             add_group(p_star, alpha_star, alpha_star, 0, True)
 
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
-    return ClosureAtlas(
-        family=family,
-        n_directions=n,
-        groups=tuple(groups),
-        transition_angles=tuple(sorted(t % (2.0 * np.pi) for t in transitions)),
-    )
+    return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))
 
 
 # -- distance reduction and rI membership ----------------------------------------
@@ -274,9 +264,9 @@ def _geodesic_ladder(
     theta_p: np.ndarray,
     s: State,
     u: HermitianElement,
-) -> tuple[float, float]:
+) -> float:
     """Hilbert-Schmidt distance from s = group.family.member(theta_p) to the
-    family along the e-geodesic that converges to s; returns (distance, t).
+    family along the e-geodesic that converges to s.
 
     theta_p is lifted to parent coordinates x by least squares through c^p
     (multiples of p are dropped: exp1^p ignores them); then member(x + t u_hat)
@@ -300,9 +290,7 @@ def _geodesic_ladder(
     disc = b * b - float(x @ x) + param_cap**2
     if disc >= 0.0 and -b + np.sqrt(disc) > ladder[-1]:
         ladder.append(-b + np.sqrt(disc))
-    return min(
-        ((s.element - family.member(x + t * u_hat).element).norm(), t) for t in ladder
-    )
+    return min((s.element - family.member(x + t * u_hat).element).norm() for t in ladder)
 
 
 def inclusion_chain_check(
@@ -337,6 +325,6 @@ def inclusion_chain_check(
             s = g.family.member(theta_p)
             d = reduce_distance_to_face(family=family, rho=s, v=u)
             report.add("geo_subset_rI", where, d, defaults.RI_EPS)
-            gap, t = _geodesic_ladder(family, g, theta_p, s, u)
-            report.add("rI_subset_norm", f"{where}, t={t:g}", gap, norm_bound)
+            gap = _geodesic_ladder(family, g, theta_p, s, u)
+            report.add("rI_subset_norm", where, gap, norm_bound)
     return report

@@ -7,6 +7,10 @@ z = -id2/2 + 1, whose closure is the cone C over the base disk K with apex
 mean value set: a triangle at 0, an ellipse with a corner and two non-exposed
 tangent points below pi/3, an ellipse from pi/3 on.
 
+The model's constants (the Pauli elements, the apex, z, the tracial third,
+the orthonormal slice frame and the cone's heights) are built once, at
+import; elements and states are immutable, so the accessors return them.
+
 The dividing angle pi/3 belongs to the Staffelberg family, whose entropy
 distance is discontinuous at the base-circle state rho(0); the swallow family
 at arccos(sqrt(2/5)) has two non-exposed faces but a continuous distance.
@@ -15,8 +19,6 @@ at arccos(sqrt(2/5)) has two non-exposed faces but a continuous distance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from .linalg import (
     embed_block,
     hs_inner,
     identity,
-    traceless_part,
     zero,
 )
 from .sampling import random_state
@@ -53,24 +54,33 @@ SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
+PAULI = tuple(embed_block(ALGEBRA, 0, s) for s in (SIGMA1, SIGMA2, SIGMA3))
+APEX = embed_block(ALGEBRA, 1, np.array([[1.0]]))
+Z = embed_block(ALGEBRA, 0, -0.5 * np.eye(2)) + APEX
+THIRD = identity(ALGEBRA) / 3.0
+APEX_STATE = State(APEX)
+# the orthonormal slice frame (s1_hat, s2_hat, z_hat) of U
+FRAME = tuple(d / d.norm() for d in (PAULI[0], PAULI[1], Z))
+BASE_RADIUS = 1.0 / np.sqrt(2.0)
+
 
 def pauli(i: int) -> HermitianElement:
     """sigma_i + 0, the Pauli matrices embedded in the first block."""
-    return embed_block(ALGEBRA, 0, (SIGMA1, SIGMA2, SIGMA3)[i - 1])
+    return PAULI[i - 1]
 
 
 def unit() -> HermitianElement:
     """0_2 + 1, the apex direction."""
-    return embed_block(ALGEBRA, 1, np.array([[1.0]]))
+    return APEX
 
 
 def apex_state() -> State:
-    return State(unit())
+    return APEX_STATE
 
 
 def z_element() -> HermitianElement:
     """z = -id2/2 + 1, the traceless axis direction of the cone."""
-    return embed_block(ALGEBRA, 0, -0.5 * np.eye(2)) + unit()
+    return Z
 
 
 def base_circle_state(alpha: float) -> State:
@@ -79,82 +89,49 @@ def base_circle_state(alpha: float) -> State:
     return pure_state(ALGEBRA, 0, [1.0, 1j * np.exp(-1j * alpha)])
 
 
+def tau_state(lam: float) -> State:
+    """tau(lam) = (1 - lam/2) rho(0) + (lam/2) apex on the generating line."""
+    return State((1.0 - lam / 2.0) * base_circle_state(0.0).element + (lam / 2.0) * APEX)
+
+
 def midpoint_state() -> State:
-    """c, the midpoint of the generating line [rho(0), apex]."""
-    return State(0.5 * base_circle_state(0.0).element + 0.5 * unit())
+    """c = tau(1), the midpoint of the generating line [rho(0), apex]."""
+    return tau_state(1.0)
 
 
-@dataclass(frozen=True)
-class ConeModel:
-    """Fixed constants of the 3D cone picture (all in ALGEBRA)."""
+def cone_coordinates(a: HermitianElement) -> tuple[float, float]:
+    """(height along z_hat, centered at the tracial third; radius in the s1-s2 plane)."""
+    s1h, s2h, zh = FRAME
+    return hs_inner(a - THIRD, zh), float(np.hypot(hs_inner(a, s1h), hs_inner(a, s2h)))
 
-    z: HermitianElement = field(default_factory=z_element)
-    apex: HermitianElement = field(default_factory=unit)
-    axis_base: HermitianElement = field(
-        default_factory=lambda: embed_block(ALGEBRA, 0, 0.5 * np.eye(2))
-    )
-    base_radius: float = 1.0 / np.sqrt(2.0)
 
-    # the derived constants are computed once per model (cached_property
-    # stores them in the instance dict, which a frozen dataclass allows)
+APEX_HEIGHT = cone_coordinates(APEX)[0]
+BASE_HEIGHT = cone_coordinates(base_circle_state(0.0).element)[0]
 
-    @cached_property
-    def z_hat(self) -> HermitianElement:
-        return self.z / self.z.norm()
 
-    @cached_property
-    def _third(self) -> HermitianElement:
-        return identity(ALGEBRA) / 3.0
+def contains(a: HermitianElement) -> bool:
+    """Membership of a point of the affine slice (1/3)id + U in the cone."""
+    h, r = cone_coordinates(a)
+    if h < BASE_HEIGHT - 1e-9 or h > APEX_HEIGHT + 1e-9:
+        return False
+    frac = (APEX_HEIGHT - h) / (APEX_HEIGHT - BASE_HEIGHT)
+    return r <= BASE_RADIUS * frac + 1e-9
 
-    @cached_property
-    def _pauli_hats(self) -> tuple[HermitianElement, HermitianElement]:
-        return pauli(1) / pauli(1).norm(), pauli(2) / pauli(2).norm()
 
-    def height(self, a: HermitianElement) -> float:
-        """Coordinate of a along the unit cone axis, centered at tracial."""
-        return hs_inner(a - self._third, self.z_hat)
-
-    def radius(self, a: HermitianElement) -> float:
-        s1h, s2h = self._pauli_hats
-        return float(np.hypot(hs_inner(a, s1h), hs_inner(a, s2h)))
-
-    @cached_property
-    def apex_height(self) -> float:
-        return self.height(self.apex)
-
-    @cached_property
-    def base_height(self) -> float:
-        return self.height(base_circle_state(0.0).element)
-
-    def cone_coordinates(self, a: HermitianElement) -> tuple[float, float]:
-        return self.height(a), self.radius(a)
-
-    def contains(self, a: HermitianElement, tol: float = 1e-9) -> bool:
-        """Membership of a point of the affine slice (1/3)id + U in the cone."""
-        h, r = self.cone_coordinates(a)
-        if h < self.base_height - tol or h > self.apex_height + tol:
-            return False
-        frac = (self.apex_height - h) / (self.apex_height - self.base_height)
-        return r <= self.base_radius * frac + tol
-
-    def boundary_distance(self, a: HermitianElement) -> float:
-        """Distance of (h, r) cone coordinates to the boundary (2D section)."""
-        h, r = self.cone_coordinates(a)
-        hb, ha, rb = self.base_height, self.apex_height, self.base_radius
-        # lateral line in the (r, h) half plane through (rb, hb) and (0, ha)
-        t = np.hypot(ha - hb, rb)
-        lateral = abs((ha - hb) * r + rb * h - rb * ha) / t
-        base = abs(h - hb)
-        return float(min(lateral, base))
+def boundary_distance(a: HermitianElement) -> float:
+    """Distance of (h, r) cone coordinates to the boundary (2D section)."""
+    h, r = cone_coordinates(a)
+    hb, ha, rb = BASE_HEIGHT, APEX_HEIGHT, BASE_RADIUS
+    # lateral line in the (r, h) half plane through (rb, hb) and (0, ha)
+    t = np.hypot(ha - hb, rb)
+    lateral = abs((ha - hb) * r + rb * h - rb * ha) / t
+    base = abs(h - hb)
+    return float(min(lateral, base))
 
 
 def project_to_slice(a: HermitianElement) -> HermitianElement:
     """Orthogonal projection onto U = span{s1, s2} + R z."""
-    out = zero(ALGEBRA)
-    for d in (pauli(1), pauli(2), z_element()):
-        d = d / d.norm()
-        out = out + hs_inner(a, d) * d
-    return out
+    return sum((hs_inner(a, d) * d for d in FRAME), zero(ALGEBRA))
 
 
 def plane_for_angle(phi: float) -> ExponentialFamily:
@@ -165,10 +142,8 @@ def plane_for_angle(phi: float) -> ExponentialFamily:
     """
     if not 0.0 <= phi <= np.pi / 2.0 + 1e-12:
         raise PreconditionError(f"angle {phi} outside [0, pi/2]")
-    s2h = pauli(2) / pauli(2).norm()
-    zh = z_element() / z_element().norm()
-    second = float(np.sin(phi)) * s2h + float(np.cos(phi)) * zh
-    return make_family(ALGEBRA, [pauli(1), second])
+    second = float(np.sin(phi)) * FRAME[1] + float(np.cos(phi)) * FRAME[2]
+    return make_family(ALGEBRA, [PAULI[0], second])
 
 
 def angle_of_plane(family: ExponentialFamily) -> float:
@@ -283,10 +258,7 @@ def staffelberg_tau_path(lam: float, t: float) -> tuple[State, State]:
         raise PreconditionError("t must be positive")
     ratio = (2.0 - lam) / lam
     alpha = np.sqrt(2.0 * np.log(ratio) / t)
-    tau = State(
-        (1.0 - lam / 2.0) * base_circle_state(0.0).element + (lam / 2.0) * unit()
-    )
-    return staffelberg_sigma(alpha, t), tau
+    return staffelberg_sigma(alpha, t), tau_state(lam)
 
 
 def swallow_direction(alpha: float) -> HermitianElement:
@@ -303,8 +275,7 @@ def swallow_bilinear(a: HermitianElement, b: HermitianElement) -> float:
     eta = <., s1 + 1 - id/3> and xi = <., s2 + 1 - id/3>.  It vanishes on all
     circle states and pairs the apex to exactly the two tangent points.
     """
-    v1 = traceless_part(pauli(1) + unit())
-    v2 = traceless_part(pauli(2) + unit())
+    v1, v2 = PAULI[0] + APEX - THIRD, PAULI[1] + APEX - THIRD
     eta_a, eta_b = hs_inner(a, v1), hs_inner(b, v1)
     xi_a, xi_b = hs_inner(a, v2), hs_inner(b, v2)
     return eta_a * eta_b + xi_a * xi_b + (eta_a + eta_b + xi_a + xi_b) / 3.0 - 7.0 / 9.0
@@ -338,38 +309,33 @@ def cone_identity_residuals(
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    cone = ConeModel()
-    third = identity(ALGEBRA) / 3.0
+    s1h, s2h, zh = FRAME
     report = Report(name="cone_identities")
 
     # (i) projection identity
     worst = 0.0
     for _ in range(n_samples):
         rho = random_state(ALGEBRA, rng, invertible=False)
-        y = project_to_slice(rho.element - third) + third
-        worst = max(worst, 0.0 if cone.contains(y) else cone.boundary_distance(y))
+        y = project_to_slice(rho.element - THIRD) + THIRD
+        worst = max(worst, 0.0 if contains(y) else boundary_distance(y))
     report.add("projection_in_cone", f"{n_samples} random states", worst, 1e-9)
 
     worst = 0.0
     for alpha in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
-        y = project_to_slice(base_circle_state(alpha).element - third) + third
-        worst = max(worst, cone.boundary_distance(y))
-    y = project_to_slice(apex_state().element - third) + third
-    worst = max(worst, cone.boundary_distance(y))
+        y = project_to_slice(base_circle_state(alpha).element - THIRD) + THIRD
+        worst = max(worst, boundary_distance(y))
+    y = project_to_slice(APEX_STATE.element - THIRD) + THIRD
+    worst = max(worst, boundary_distance(y))
     report.add("extreme_points_on_boundary", "base circle and apex", worst, 1e-9)
 
     # (ii) slice-intersection identity: positivity iff cone membership
     disagreements = 0
     for _ in range(n_samples):
-        u = (
-            rng.normal() * pauli(1) / pauli(1).norm()
-            + rng.normal() * pauli(2) / pauli(2).norm()
-            + rng.normal() * z_element() / z_element().norm()
-        ) * 0.45
-        y = third + u
+        u = (rng.normal() * s1h + rng.normal() * s2h + rng.normal() * zh) * 0.45
+        y = THIRD + u
         is_state = min(np.linalg.eigvalsh(y.blocks[0]).min(), y.blocks[1][0, 0].real) >= -1e-9
-        in_cone = cone.contains(y)
-        margin = cone.boundary_distance(y)
+        in_cone = contains(y)
+        margin = boundary_distance(y)
         if is_state != in_cone and margin > 1e-9:
             disagreements += 1
     report.add(
@@ -379,13 +345,9 @@ def cone_identity_residuals(
     # (iii) exp1(U) inside the cone, and onto its relative interior
     worst = 0.0
     for _ in range(n_samples):
-        u = (
-            rng.normal() * pauli(1)
-            + rng.normal() * pauli(2)
-            + rng.normal() * z_element()
-        )
+        u = rng.normal() * PAULI[0] + rng.normal() * PAULI[1] + rng.normal() * Z
         y = exp1(u).element
-        worst = max(worst, 0.0 if cone.contains(y) else cone.boundary_distance(y))
+        worst = max(worst, 0.0 if contains(y) else boundary_distance(y))
     report.add("exp1_in_cone", f"{n_samples} slice directions", worst, 1e-9)
 
     worst_norm, worst_theta = 0.0, 0.0
@@ -393,8 +355,8 @@ def cone_identity_residuals(
         s = rng.uniform(0.1, 1.0)
         alpha = rng.uniform(0.0, 2.0 * np.pi)
         h = rng.uniform(0.0, 1.0)
-        extreme = (1.0 - h) * base_circle_state(alpha).element + h * apex_state().element
-        target = State(s * third + (1.0 - s) * extreme)
+        extreme = (1.0 - h) * base_circle_state(alpha).element + h * APEX_STATE.element
+        target = State(s * THIRD + (1.0 - s) * extreme)
         theta = ln0(target)
         resid = (theta - project_to_slice(theta)).norm()
         worst = max(worst, resid)
@@ -462,7 +424,7 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
                worst, 1e-9)
 
     # (b) distance on the generating line equals S(. , c)
-    v2 = traceless_part(pauli(2) + unit())
+    v2 = PAULI[1] + APEX - THIRD
     worst = 0.0
     for s in np.linspace(0.05, 0.95, 7):
         rho = State((1.0 - s) * rho0.element + s * unit())

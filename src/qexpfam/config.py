@@ -211,11 +211,7 @@ def parse_state(cfg: RunConfig, spec: str):
         if kind == "c":
             return cone.midpoint_state()
         if kind == "tau":
-            lam = float(arg)
-            return State(
-                (1.0 - lam / 2.0) * cone.base_circle_state(0.0).element
-                + (lam / 2.0) * cone.unit()
-            )
+            return cone.tau_state(float(arg))
         if kind == "tracial":
             return State(identity(cfg.algebra) / cfg.algebra.dim)
         if kind == "member":

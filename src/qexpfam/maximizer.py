@@ -25,6 +25,7 @@ from .family import (
     project_to_family,
 )
 from .linalg import HermitianElement, frechet_block, hs_inner
+from .sampling import haar_unitary
 from .states import (
     Projector,
     State,
@@ -219,9 +220,7 @@ def local_max_search(
             if r == 0:
                 blocks.append(np.zeros((0, 0)))
                 continue
-            g = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
-            q, rr = np.linalg.qr(g)
-            q = q * (np.diagonal(rr) / np.abs(np.diagonal(rr)))
+            q = haar_unitary(r, rng)
             blocks.append((q * lam[k : k + r]) @ q.conj().T)
             k += r
         starts.append(State(support.embed(blocks)))

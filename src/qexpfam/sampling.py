@@ -30,6 +30,13 @@ def random_unit_traceless(
     return a / a.norm()
 
 
+def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random m x m unitary: QR of a complex Gaussian, phases fixed by R."""
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    q, r = np.linalg.qr(g)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def random_state(
     algebra: Algebra,
     rng: np.random.Generator,
@@ -46,9 +53,7 @@ def random_state(
         lam = (1.0 - n * min_eig) * lam + min_eig
     blocks, k = [], 0
     for m in algebra.block_dims:
-        g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
-        q, r = np.linalg.qr(g)
-        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        q = haar_unitary(m, rng)
         blocks.append((q * lam[k : k + m]) @ q.conj().T)
         k += m
     return State(HermitianElement(algebra, blocks))

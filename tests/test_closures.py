@@ -400,10 +400,11 @@ class TestInclusionChain:
     def test_swallow_chain(self, swallow):
         report = inclusion_chain_check(swallow)
         assert report.ok, [f for f in report.failures()]
-        # each norm finding names the ladder step that reached its minimum
+        # each norm finding names its group only: the ladder step of the
+        # minimum is often a tie at the rounding floor, not a fact of the state
         norm = [f for f in report.findings if f.check == "rI_subset_norm"]
         assert len(norm) == len(report.findings) // 2
-        assert all(re.search(r", t=[0-9.]+$", f.detail) for f in norm)
+        assert all(re.search(r"\] rank [0-9]+$", f.detail) for f in norm)
 
     def test_offset_family_chain(self, staffelberg, algebra, rng):
         fam = make_family(algebra, list(staffelberg.generators),

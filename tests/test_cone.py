@@ -5,7 +5,7 @@ from qexpfam import cone, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1, make_family, mean_value_projection
-from qexpfam.linalg import coords, hs_inner, identity
+from qexpfam.linalg import HermitianElement, coords, hs_inner, identity
 from qexpfam.states import max_eig_data
 
 
@@ -29,27 +29,39 @@ class TestConeConstants:
         assert hs_inner(cone.unit(), v3) == pytest.approx(1.0, abs=1e-14)
 
     def test_tracial_on_axis(self):
-        model = cone.ConeModel()
         third = identity(cone.ALGEBRA) / 3.0
-        assert model.radius(third) == pytest.approx(0.0, abs=1e-14)
-        assert model.height(third) == pytest.approx(0.0, abs=1e-14)
+        height, radius = cone.cone_coordinates(third)
+        assert radius == pytest.approx(0.0, abs=1e-14)
+        assert height == pytest.approx(0.0, abs=1e-14)
 
     def test_contains_builds_no_state_after_first_call(self, monkeypatch):
-        model = cone.ConeModel()
         point = cone.project_to_slice(cone.midpoint_state().element)
-        model.contains(point)
+        cone.contains(point)
         built = []
-        real = states.State.__init__
+        for cls in (states.State, HermitianElement):
+            def counting(self, *args, real=cls.__init__, name=cls.__name__):
+                built.append(name)
+                real(self, *args)
 
-        def counting(self, element):
-            built.append(1)
-            real(self, element)
-
-        monkeypatch.setattr(states.State, "__init__", counting)
+            monkeypatch.setattr(cls, "__init__", counting)
         for _ in range(3):
-            model.contains(point)
-            model.boundary_distance(point)
+            cone.contains(point)
+            cone.boundary_distance(point)
         assert built == []
+
+    def test_constants_built_once(self, monkeypatch):
+        assert cone.pauli(1) is cone.pauli(1)
+        calls = []
+        real = cone.embed_block
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(cone, "embed_block", counting)
+        cone.cone_identity_residuals()
+        cone.swallow_report()
+        assert calls == []
 
 
 class TestBaseCircle:
