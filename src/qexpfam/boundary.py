@@ -9,16 +9,21 @@ bottom eigenvectors of the orthogonal sweep direction compressed to the
 maximal eigenspace, block by block.
 
 Segments appear exactly where the two largest eigenvalue branches of u(alpha)
-cross.  Crossings between grid angles are located by minimizing the spectral
-gap, so tangent segments are found even when no grid direction hits their
-normal exactly; the searches of all gap minima run in lockstep.  Rows with
-a simple top eigenvalue expose a point, read for all of them at once from
-the sweep's eigenvectors; only rows with a multiple one go through _face.
+cross.  DirectionSweep.crossings brackets every grid interval across which
+the maximal projector jumps and locates the crossing in it, all in lockstep,
+so tangent segments are found even when no grid direction hits their normal
+exactly; the closure atlas takes its spikes from the same rule.
+Rows with a simple top eigenvalue expose a point, read for all of them at
+once from the sweep's eigenvectors; only rows with a multiple one go through
+_face.
 
 Each segment endpoint is classified at its own crossing, not against the
 grid: the one-sided radius of curvature of the boundary beyond it is zero
-at an exposed corner and positive at a non-exposed tangent point.  The only
-under-resolved sweep is one with fewer than SWEEP_MIN_ANGLES angles.
+at an exposed corner and positive at a non-exposed tangent point.  A sweep
+with fewer than SWEEP_MIN_ANGLES angles is rejected, but a finer one is not
+fully resolved either: two crossings inside one grid interval leave at most
+one segment (a random (1,1,1,1) family shows 3 of its 4 segments at 64
+angles).
 
 Both run on linalg.DirectionSweep, a raw-block kernel over whole arrays of
 angles that the closure atlas and the face finder share.
@@ -33,7 +38,7 @@ import numpy as np
 from . import defaults
 from .errors import PreconditionError, UnderResolvedSweepError
 from .family import ExponentialFamily
-from .linalg import DirectionSweep, SweepSpectra, angle_dist
+from .linalg import DirectionSweep, SweepSpectra
 
 
 @dataclass(frozen=True)
@@ -168,8 +173,8 @@ def mean_value_boundary_sweep(
 ) -> MeanValueBoundary:
     """Sweep the boundary of the mean value set of a 2D family.
 
-    Emits one face per grid angle plus one per located eigenvalue crossing;
-    deterministic order by angle.
+    Emits one face per grid angle plus one per eigenvalue crossing between
+    grid angles (DirectionSweep.crossings); deterministic order by angle.
     """
     if family.dim != 2:
         raise PreconditionError("boundary sweeps require a 2D tangent space")
@@ -178,21 +183,9 @@ def mean_value_boundary_sweep(
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
     spectra = kernel.spectra(alphas)
-    gaps = spectra.top_gap()
-
-    # one crossing search per local minimum of the gap, all in lockstep
-    minima = alphas[(gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))]
-    step = 2.0 * np.pi / len(alphas)
-    found = kernel.locate_crossings(minima - step, minima + step, defaults.SWEEP_CROSSING_TOL)
-    kinks: list[float] = []
-    for alpha in (found[~np.isnan(found)] % (2.0 * np.pi)).tolist():
-        if all(angle_dist(alpha, k) >= 1e-9 for k in kinks):
-            kinks.append(alpha)
-    kinks = [k for k in kinks if angle_dist(alphas, k).min() >= 1e-12]  # not grid angles
-
-    faces = _faces(kernel, alphas, spectra)
-    if kinks:
-        faces += _faces(kernel, kinks, kernel.spectra(kinks), refined=True)
+    kinks = kernel.crossings(alphas, spectra)
+    faces = (_faces(kernel, alphas, spectra)
+             + _faces(kernel, kinks, kernel.spectra(kinks), refined=True))
     faces.sort(key=lambda f: f.alpha)
     return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=tuple(faces))
 

@@ -6,9 +6,11 @@ p e^{p theta p} / tr(p e^{p theta p}) with p the maximal projector of u.  The
 geodesic closure is therefore a disjoint union of families in corner
 algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
-where eigenvalue branches merge (higher-rank projectors, measure zero in the
-sweep) are located by a ternary search on the top spectral gap.  The sweep
-runs on linalg.DirectionSweep (a = g2, b = g1).
+where eigenvalue branches cross (higher-rank projectors, measure zero in the
+sweep) come from DirectionSweep.crossings, the rule that gives the boundary
+sweep its segments: a grid interval across which the maximal projector
+jumps holds one.  Two crossings inside one grid interval leave at most one
+spike.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1).
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -38,8 +40,8 @@ from .family import (  # face_chain and _face_direction are re-exported
     project_to_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, angle_dist, coords,
-                     project_out, traceless_part)
+from .linalg import (DirectionSweep, HermitianElement, coords, project_out,
+                     traceless_part)
 from .states import (
     Projector,
     State,
@@ -153,10 +155,12 @@ def geodesic_closure_atlas(
     """Sample the geodesic closure of a 2D family over a polar direction grid.
 
     Directions are grouped by equality of their maximal projectors (within
-    1e-9, robust to phase ambiguity inside degenerate eigenspaces);
-    projector discontinuities between grid angles are refined by a ternary
-    gap search to 1e-10 and checked for a higher-rank crossing direction
-    there.  Grid projectors stay raw blocks; one Projector is built per run.
+    1e-9, robust to phase ambiguity inside degenerate eigenspaces).  A run
+    of one whose rank exceeds both neighbours is a spike on the grid; each
+    eigenvalue crossing between grid angles (DirectionSweep.crossings,
+    located to SWEEP_CROSSING_TOL) adds one spike with the higher-rank
+    projector there.  Grid projectors stay raw blocks; one Projector is
+    built per run.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -165,10 +169,8 @@ def geodesic_closure_atlas(
     n = int(n_directions)
     alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     kernel = _polar_sweep(family)
-    ranks, blocks = kernel.spectra(alphas).max_projectors()
-
-    def projector(stack: list[np.ndarray], j: int) -> Projector:
-        return Projector(HermitianElement(family.algebra, [b[j] for b in stack]))
+    spectra = kernel.spectra(alphas)
+    ranks, blocks = spectra.max_projectors()
 
     # distance from each grid projector to the next one (cyclically); equal
     # images: equal rank and distance within the merge tolerance
@@ -187,39 +189,18 @@ def geodesic_closure_atlas(
     if len(runs) > 1 and same_next[n - 1]:
         runs[0] = runs.pop() + runs[0]
 
-    step = 2.0 * np.pi / n
-    jump_tol = 5.0 * step
+    def group(stack, j: int, a_lo, a_hi, count: int, spike: bool) -> AtlasGroup:
+        p = Projector(HermitianElement(family.algebra, [b[j] for b in stack]))
+        return AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike, family)
 
-    groups: list[AtlasGroup] = []
-
-    def add_group(p: Projector, a_lo: float, a_hi: float, count: int, spike: bool):
-        groups.append(AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike,
-                                 family))
-
-    for run in runs:
-        p = projector(blocks, run[0])
-        a_lo = float(alphas[run[0]])
-        a_hi = float(alphas[run[-1]])
-        spike = len(run) == 1 and p.rank > min(
-            ranks[(run[0] - 1) % n], ranks[(run[0] + 1) % n]
-        )
-        add_group(p, a_lo, a_hi, len(run), spike)
-
-    # hidden crossings: adjacent samples with a genuine projector jump (not the
-    # smooth drift of a moving rank-one projector) away from every sampled spike
-    spikes = np.array([g.alpha_lo for g in groups if g.spike])
-    near = angle_dist(np.stack([alphas, alphas + step])[..., None], spikes) < 1.5 * step
-    brackets = np.flatnonzero(~same_next & (dist > jump_tol) & ~near.any(axis=(0, 2))).tolist()
-    found = kernel.locate_crossings(alphas[brackets], alphas[brackets] + step,
-                                    defaults.TRANSITION_ANGLE_TOL * 0.5)
-    for j, alpha_star in zip(brackets, found.tolist()):
-        if np.isnan(alpha_star):
-            continue
-        p_star = projector(kernel.spectra([alpha_star]).max_projectors()[1], 0)
-        if not (p_star.same_image(projector(blocks, j))
-                or p_star.same_image(projector(blocks, (j + 1) % n))):
-            add_group(p_star, alpha_star, alpha_star, 0, True)
-
+    groups = []
+    for r in runs:
+        spike = len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n])
+        groups.append(group(blocks, r[0], alphas[r[0]], alphas[r[-1]], len(r), spike))
+    # one spike per eigenvalue crossing between grid angles
+    found = kernel.crossings(alphas, spectra)
+    spikes = kernel.spectra(found).max_projectors()[1]
+    groups += [group(spikes, i, a, a, 0, True) for i, a in enumerate(found)]
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
     return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))
 

@@ -50,6 +50,5 @@ RI_PARAM_CAP = 200.0
 # Boundary sweeps.
 SWEEP_ANGLES = 720
 SWEEP_MIN_ANGLES = 64
-# Stop width of the crossing locator: boundary kinks, atlas transitions (/2).
+# Stop width of the crossing locator, for boundary kinks and atlas spikes alike.
 SWEEP_CROSSING_TOL = 1e-13
-TRANSITION_ANGLE_TOL = 1e-10

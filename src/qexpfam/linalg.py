@@ -332,9 +332,10 @@ class SweepSpectra:
     def top(self) -> np.ndarray:
         return np.max([w[:, -1] for w in self.values], axis=0)
 
-    def top_gap(self) -> np.ndarray:
+    def top_gap(self, m=1) -> np.ndarray:
+        """Largest eigenvalue minus the (m + 1)-th largest; m may vary by angle."""
         w = np.sort(np.concatenate(self.values, axis=1), axis=1)
-        return w[:, -1] - w[:, -2]
+        return w[:, -1] - w[np.arange(len(w)), -1 - np.asarray(m)]
 
     def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Ranks and blocks of the maximal projectors (merge gap MAX_EIG_GAP),
@@ -370,31 +371,48 @@ class DirectionSweep:
         pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
         return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
 
-    def locate_crossings(self, lo, hi, stop: float) -> np.ndarray:
-        """Ternary searches on the top gap for an eigenvalue crossing in each
-        bracket (lo[j], hi[j]), down to width ``stop``, run in lockstep: each
+    def locate_crossings(self, lo, hi, m) -> np.ndarray:
+        """Ternary searches for an eigenvalue crossing in each bracket
+        (lo[j], hi[j]) on top_gap(m[j]), the gap below the top m[j]
+        eigenvalues, down to width SWEEP_CROSSING_TOL, run in lockstep: each
         step is one spectra call over the live brackets.  NaN where the gap
         does not close to MAX_EIG_GAP."""
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        m = np.asarray(m)
         if not lo.size:
             return lo
         for _ in range(200):
-            live = np.flatnonzero(hi - lo >= stop)
+            live = np.flatnonzero(hi - lo >= defaults.SWEEP_CROSSING_TOL)
             if not live.size:
                 break
             third = (hi[live] - lo[live]) / 3.0
             m1, m2 = lo[live] + third, hi[live] - third
-            g = self.spectra(np.concatenate([m1, m2])).top_gap()
+            g = self.spectra(np.concatenate([m1, m2])).top_gap(np.tile(m[live], 2))
             left = g[:live.size] <= g[live.size:]
             hi[live[left]], lo[live[~left]] = m2[left], m1[~left]
         alpha = 0.5 * (lo + hi)
-        return np.where(self.spectra(alpha).top_gap() <= defaults.MAX_EIG_GAP, alpha, np.nan)
+        return np.where(self.spectra(alpha).top_gap(m) <= defaults.MAX_EIG_GAP, alpha, np.nan)
 
+    def crossings(self, alphas, spectra: SweepSpectra) -> np.ndarray:
+        """Angles between adjacent angles of the sorted grid alphas
+        (cyclically; spectra is its sweep) where the top eigenvalue branch
+        crosses another, located by locate_crossings.
 
-def angle_dist(a, b):
-    """Distance between angles on the circle, elementwise."""
-    d = np.abs(np.subtract(a, b)) % (2.0 * np.pi)
-    return np.minimum(d, 2.0 * np.pi - d)
+        An interval is bracketed when the maximal projector jumps across it,
+        tr(P_j P_j+1) < min(rank_j, rank_j+1) / 2: a crossing swaps the top
+        eigenspace for an orthogonal one, also where one branch stays
+        multiple, while a smooth step or a crossing on a grid angle keeps the
+        overlap near full.  The search runs on the gap below the larger rank.
+        Of two crossings in one interval at most one is found.
+        """
+        ranks, P = spectra.max_projectors()
+        overlap = sum(np.sum(B * np.roll(B, -1, axis=0).conj(), axis=(1, 2)).real for B in P)
+        ranks_next = np.roll(ranks, -1)
+        j = np.flatnonzero(overlap < 0.5 * np.minimum(ranks, ranks_next))
+        lo = np.asarray(alphas, dtype=float)
+        hi = np.append(lo[1:], lo[0] + 2.0 * np.pi)
+        found = self.locate_crossings(lo[j], hi[j], np.maximum(ranks, ranks_next)[j])
+        return found[~np.isnan(found)]
 
 
 # -- Frechet derivatives of matrix functions ----------------------------------

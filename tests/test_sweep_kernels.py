@@ -1,20 +1,23 @@
 """The stacked sweep kernels against the per-angle code they replaced.
 
-_reference_face and _reference_locate_crossing are verbatim copies of the
-per-row face builder and the scalar ternary crossing search that
-boundary._faces and DirectionSweep.locate_crossings replace; the stacked
-kernels must reproduce them bit for bit, so faces and angles are compared
-with ==, not a tolerance.
+_reference_face is a verbatim copy of the per-row face builder that
+boundary._faces replaces, and _reference_locate_crossing is the scalar
+ternary crossing search that DirectionSweep.locate_crossings replaces,
+extended by the gap index m of the search; _reference_sweep applies the
+crossing rule of DirectionSweep.crossings one grid interval at a time.  The
+stacked kernels must reproduce them bit for bit, so faces and angles are
+compared with ==, not a tolerance.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from qexpfam import cone, defaults
+from qexpfam import cone, defaults, sampling
 from qexpfam.boundary import BoundaryFace, _resolution, mean_value_boundary_sweep
+from qexpfam.closures import geodesic_closure_atlas
 from qexpfam.family import make_family
-from qexpfam.linalg import Algebra, DirectionSweep, SweepSpectra, angle_dist, diagonal
+from qexpfam.linalg import Algebra, DirectionSweep, SweepSpectra, diagonal
 from qexpfam.sampling import random_traceless
 
 
@@ -52,45 +55,48 @@ def _reference_face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra,
 
 
 def _reference_locate_crossing(self: DirectionSweep, lo: float, hi: float,
-                               stop: float) -> float | None:
+                               stop: float, m: int = 1) -> float | None:
     for _ in range(200):
         if hi - lo < stop:
             break
         m1 = lo + (hi - lo) / 3.0
         m2 = hi - (hi - lo) / 3.0
-        g1, g2 = self.spectra([m1, m2]).top_gap()
+        g1, g2 = self.spectra([m1, m2]).top_gap(m)
         if g1 <= g2:
             hi = m2
         else:
             lo = m1
     alpha = 0.5 * (lo + hi)
-    if self.spectra([alpha]).top_gap()[0] <= defaults.MAX_EIG_GAP:
+    if self.spectra([alpha]).top_gap(m)[0] <= defaults.MAX_EIG_GAP:
         return alpha
     return None
 
 
 def _reference_sweep(family, n_angles: int) -> list[BoundaryFace]:
     """The per-angle sweep: one _reference_face per grid angle and one scalar
-    search per gap minimum, with kinks compared on the circle."""
+    search per grid interval across which the maximal projector jumps."""
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
     spectra = kernel.spectra(alphas)
     faces = [_reference_face(kernel, a, spectra, i) for i, a in enumerate(alphas)]
-    gaps = spectra.top_gap()
-    kinks: list[float] = []
-    step = 2.0 * np.pi / len(alphas)
-    for j in np.flatnonzero((gaps <= np.roll(gaps, 1)) & (gaps <= np.roll(gaps, -1))):
-        found = _reference_locate_crossing(
-            kernel, alphas[j] - step, alphas[j] + step, defaults.SWEEP_CROSSING_TOL
-        )
-        if found is not None:
-            found %= 2.0 * np.pi
-            if not any(angle_dist(found, k) < 1e-9 for k in kinks):
-                kinks.append(found)
-    for alpha in kinks:
-        if angle_dist(alphas, alpha).min() >= 1e-12:
-            faces.append(_reference_face(kernel, alpha, kernel.spectra([alpha]), 0,
-                                         refined=True))
+    n = len(alphas)
+
+    def top(i: int) -> list[np.ndarray]:
+        mu = max(w[i, -1] for w in spectra.values)
+        return [V[i][:, w[i] >= mu - defaults.MAX_EIG_GAP]
+                for w, V in zip(spectra.values, spectra.vectors)]
+
+    for j in range(n):
+        Q0, Q1 = top(j), top((j + 1) % n)
+        r0, r1 = sum(q.shape[1] for q in Q0), sum(q.shape[1] for q in Q1)
+        overlap = sum(np.linalg.norm(q0.conj().T @ q1) ** 2 for q0, q1 in zip(Q0, Q1))
+        if overlap < 0.5 * min(r0, r1):
+            hi = alphas[j + 1] if j + 1 < n else alphas[0] + 2.0 * np.pi
+            found = _reference_locate_crossing(kernel, alphas[j], hi,
+                                               defaults.SWEEP_CROSSING_TOL, max(r0, r1))
+            if found is not None:
+                faces.append(_reference_face(kernel, found, kernel.spectra([found]), 0,
+                                             refined=True))
     faces.sort(key=lambda f: f.alpha)
     return faces
 
@@ -129,6 +135,7 @@ def _gap_minima_brackets(kernel: DirectionSweep, n: int):
 class TestStackedSweep:
     @settings(derandomize=True, deadline=None, max_examples=16)
     @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([97, 180]))
+    @example((2, 1, 1), 15, True, 97)  # crossings with a double top eigenvalue
     def test_random_families_match_per_angle_faces(self, dims, seed, commutative, n):
         fam = _random_family(dims, seed, commutative)
         got = mean_value_boundary_sweep(fam, n).faces
@@ -140,7 +147,6 @@ class TestStackedSweep:
     @pytest.mark.parametrize("phi", [0.0, 0.03, 0.5, 0.8255269040265483,
                                      1.0471975511965976, 1.2, 1.5707963267948966])
     def test_cone_tilts_match_per_angle_faces(self, phi):
-        # at pi/2 the gap is flat: every grid angle starts a crossing search
         fam = cone.plane_for_angle(phi)
         assert list(mean_value_boundary_sweep(fam, 180).faces) == _reference_sweep(fam, 180)
 
@@ -152,9 +158,8 @@ class TestStackedSweep:
 
 class TestLockstepCrossings:
     @settings(derandomize=True, deadline=None, max_examples=10)
-    @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans(),
-           st.sampled_from([defaults.SWEEP_CROSSING_TOL, defaults.TRANSITION_ANGLE_TOL * 0.5]))
-    def test_batch_matches_scalar_search(self, dims, seed, commutative, stop):
+    @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, 2]))
+    def test_batch_matches_scalar_search(self, dims, seed, commutative, m):
         fam = _random_family(dims, seed, commutative)
         kernel = DirectionSweep(fam.basis[0].blocks, fam.basis[1].blocks)
         lo, hi = _gap_minima_brackets(kernel, 60)
@@ -162,12 +167,66 @@ class TestLockstepCrossings:
         rng = np.random.default_rng(seed)
         extra = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=(3, 2)), axis=1)
         lo, hi = np.concatenate([lo, extra[:, 0]]), np.concatenate([hi, extra[:, 1]])
-        got = kernel.locate_crossings(lo, hi, stop)
-        for g, a, b in zip(got, lo, hi):
-            want = _reference_locate_crossing(kernel, a, b, stop)
+        # gap below the top m eigenvalues, m varying by bracket
+        m = np.where(np.arange(len(lo)) % 2, min(m, sum(dims) - 1), 1)
+        got = kernel.locate_crossings(lo, hi, m)
+        for g, a, b, k in zip(got, lo, hi, m):
+            want = _reference_locate_crossing(kernel, a, b, defaults.SWEEP_CROSSING_TOL, k)
             assert np.isnan(g) if want is None else g == want
 
     def test_empty_batch(self):
         kernel = DirectionSweep(cone.swallow_family().basis[0].blocks,
                                 cone.swallow_family().basis[1].blocks)
-        assert kernel.locate_crossings([], [], 1e-10).shape == (0,)
+        assert kernel.locate_crossings([], [], []).shape == (0,)
+
+
+class TestCrossingRule:
+    """Sweep segments and atlas spikes come from the one crossing rule."""
+
+    @staticmethod
+    def _counts(fam, n):
+        return (len(mean_value_boundary_sweep(fam, n).segments()),
+                len(geodesic_closure_atlas(fam, n).spike_groups()))
+
+    # random families, and integer diagonal ones whose polygons repeat vertices;
+    # the explicit examples are where a gap-minimum bracket rule disagreed at 90 angles
+    @settings(derandomize=True, deadline=None, max_examples=10)
+    @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans())
+    @example((3, 1), 132, False)
+    @example((1, 1, 1, 1), 139, False)
+    @example((1, 1, 1, 1), 259, False)
+    def test_segments_are_atlas_spikes(self, dims, seed, commutative):
+        if commutative:
+            fam = _random_family(dims, seed, True)
+        else:
+            fam = sampling.random_family(Algebra(dims), 2, np.random.default_rng(seed))
+        for n in (90, 180, 720):
+            segments, spikes = self._counts(fam, n)
+            assert segments == spikes
+
+    def test_repeated_vertex_triangle(self):
+        # points P, P, Q, R: on P's arc the top eigenvalue stays double, and
+        # each edge at P is a crossing of a simple branch with that pair
+        algebra = Algebra((1, 1, 1, 1))
+        fam = make_family(algebra, [diagonal(algebra, np.array([0.0, 0.0, 1.0, -1.0])),
+                                    diagonal(algebra, np.array([1.0, 1.0, -1.0, -1.0]))])
+        for n in (90, 180, 720):
+            assert self._counts(fam, n) == (3, 3)
+
+    def test_staffelberg_sweep_has_only_grid_faces(self):
+        faces = mean_value_boundary_sweep(cone.staffelberg_family()).faces
+        assert len(faces) == defaults.SWEEP_ANGLES
+        assert not any(f.refined for f in faces)
+
+    def test_flat_gap_plane_searches_nothing(self, monkeypatch):
+        # at pi/2 the top gap is flat and never closes: there is nothing to search
+        searched = []
+        locate = DirectionSweep.locate_crossings
+
+        def spy(self, lo, hi, m):
+            searched.append(len(lo))
+            return locate(self, lo, hi, m)
+
+        monkeypatch.setattr(DirectionSweep, "locate_crossings", spy)
+        mean_value_boundary_sweep(cone.plane_for_angle(np.pi / 2))
+        assert searched == [0]
