@@ -33,6 +33,7 @@ from .findings import Report
 from .linalg import from_coords, traceless_part
 from .maximizer import dE_directional_derivative, local_max_search, maximizer_certificate
 from .output import (
+    NUM,
     atlas_csv,
     boundary_csv,
     boundary_svg,
@@ -104,11 +105,12 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
         _say(cfg, f"continuation cap={fmt(cap)} value={fmt(r.distance)} "
                   f"attained={int(r.attained)}", machine=True)
 
-    rows = [("direct", cap, r.distance, str(int(r.attained))) for cap, r in zip(caps, results)]
-    rows.append(("final", defaults.RI_PARAM_CAP, value, str(int(attained))))
+    rows = [("direct", cap, r.distance, int(r.attained)) for cap, r in zip(caps, results)]
+    rows.append(("final", defaults.RI_PARAM_CAP, value, int(attained)))
     write_csv(
         os.path.join(cfg.out_dir, "distance.csv"),
         ["path", "param_cap", "value", "attained"],
+        ["%s", NUM, NUM, "%s"],
         rows,
     )
     return EXIT_OK
@@ -131,7 +133,7 @@ def _maximizer_report(cfg: RunConfig) -> Report:
         dm, _ = entropy_distance(State(rho.element - h * u), family, tol=1e-12)
         fd = (dp - dm) / (2.0 * h)
         rel = abs(analytic - fd) / max(1e-12, abs(fd))
-        rows.append((str(k), cert.distance, cert.certified_value, cert.residual,
+        rows.append((k, cert.distance, cert.certified_value, cert.residual,
                      cert.gradient_norm, analytic, fd, rel))
         report.add("derivative_fd_match", f"state {k}", rel, 1e-5)
         consistent = abs(cert.certified_value - cert.distance)
@@ -141,6 +143,7 @@ def _maximizer_report(cfg: RunConfig) -> Report:
         os.path.join(cfg.out_dir, "maximizer_table.csv"),
         ["state", "distance", "certified_value", "residual", "gradient_norm",
          "derivative_analytic", "derivative_fd", "relative_error"],
+        ["%s"] + [NUM] * 7,
         rows,
     )
     if cfg.algebra.block_dims == (2, 1):

@@ -46,6 +46,7 @@ from .states import (
     Projector,
     State,
     SupportBasis,
+    _rank_one_blocks,
     _rank_one_state,
     compress,
     exposed_face_membership,
@@ -74,6 +75,38 @@ def egeodesic_limit(
 # -- geodesic closure atlas -----------------------------------------------------
 
 
+class _RankOneColumns:
+    """Eigenvectors of the rank-one groups' projector blocks.
+
+    The atlas adds each rank-one projector while it builds its groups.  On
+    first use (``decomposed``) every projector is assigned the block that
+    carries it, and the blocks are decomposed with one stacked eigh per
+    algebra block, columns descending: slot s is column set ``columns[k][j]``
+    for ``(k, j) = where[s]``, and its pure state lives on column 0.
+    """
+
+    def __init__(self):
+        self.projectors: list[Projector] = []
+
+    def add(self, p: Projector) -> tuple["_RankOneColumns", int]:
+        self.projectors.append(p)
+        return self, len(self.projectors) - 1
+
+    @cached_property
+    def decomposed(self) -> tuple[list[tuple[int, int]], dict[int, np.ndarray]]:
+        """(where, columns)."""
+        stacks = [np.stack(b) for b in zip(*(p.element.blocks for p in self.projectors))]
+        owner = np.argmax([np.trace(b, axis1=1, axis2=2).real for b in stacks], axis=0)
+        where, columns = [(0, 0)] * len(owner), {}
+        for k, b in enumerate(stacks):
+            slots = np.flatnonzero(owner == k)
+            if slots.size:
+                columns[k] = np.linalg.eigh(b[slots])[1][..., ::-1]
+                for j, s in enumerate(slots.tolist()):
+                    where[s] = (k, j)
+        return where, columns
+
+
 @dataclass(frozen=True)
 class AtlasGroup:
     """All sweep directions sharing one maximal projector, with their family.
@@ -81,7 +114,9 @@ class AtlasGroup:
     Interval groups cover [alpha_lo, alpha_hi] (a run that wraps past 2 pi
     has alpha_lo > alpha_hi); spike groups (isolated crossing angles, where
     the projector rank jumps) have alpha_lo=alpha_hi.  The compressed family
-    and its representative are built from the parent family on first use.
+    and its representative are built from the parent family on first use; a
+    rank-one group's representative is the pure state p, read from the
+    atlas's shared eigenvectors (pure: source and slot).
     """
 
     projector: Projector
@@ -91,6 +126,8 @@ class AtlasGroup:
     n_samples: int
     spike: bool
     parent: ExponentialFamily = field(repr=False, compare=False)
+    pure: tuple[_RankOneColumns, int] | None = field(default=None, repr=False,
+                                                     compare=False)
 
     @cached_property
     def family(self) -> ExponentialFamily:
@@ -100,9 +137,10 @@ class AtlasGroup:
     def representative(self) -> State:
         if self.rank == 1:  # pAp = C p: the family is the single state p, on
             # p's eigenvector as the compressed family's support basis finds it
-            k, p = next((k, b) for k, b in enumerate(self.projector.element.blocks)
-                        if b.trace().real > 0.5)
-            return _rank_one_state(self.parent.algebra, k, np.linalg.eigh(p)[1][:, ::-1])
+            source, slot = self.pure
+            where, columns = source.decomposed
+            k, j = where[slot]
+            return _rank_one_state(self.parent.algebra, k, columns[k][j])
         return self.family.member(np.zeros(self.family.dim))
 
     @property
@@ -128,6 +166,30 @@ class ClosureAtlas:
 
     def spike_groups(self) -> list[AtlasGroup]:
         return [g for g in self.groups if g.spike]
+
+    def representative_blocks(self) -> list[np.ndarray]:
+        """Per algebra block, the stacked blocks of every group's
+        representative, in group order, bit for bit those of
+        ``g.representative``; the rank-one groups' come from one stacked
+        reconstruction per block."""
+        algebra = self.family.algebra
+        out = [np.empty((len(self.groups), n, n), dtype=complex) for n in algebra.block_dims]
+        pure: dict[int, tuple[list[int], list[int]]] = {}  # block: rows, positions
+        for i, g in enumerate(self.groups):
+            if g.pure is None:
+                for stack, b in zip(out, g.representative.element.blocks):
+                    stack[i] = b
+            else:
+                source, slot = g.pure
+                k, j = source.decomposed[0][slot]
+                rows, positions = pure.setdefault(k, ([], []))
+                rows.append(i)
+                positions.append(j)
+        for k, (rows, positions) in pure.items():
+            blocks = _rank_one_blocks(algebra, k, source.decomposed[1][k])
+            for kk, (stack, b) in enumerate(zip(out, blocks)):
+                stack[rows] = b[positions] if kk == k else b
+        return out
 
 
 def sweep_direction(family: ExponentialFamily, alpha: float) -> HermitianElement:
@@ -160,7 +222,8 @@ def geodesic_closure_atlas(
     eigenvalue crossing between grid angles (DirectionSweep.crossings,
     located to SWEEP_CROSSING_TOL) adds one spike with the higher-rank
     projector there.  Grid projectors stay raw blocks; one Projector is
-    built per run.
+    built per run, and the rank-one ones are decomposed together on first
+    use (_RankOneColumns).
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -189,9 +252,12 @@ def geodesic_closure_atlas(
     if len(runs) > 1 and same_next[n - 1]:
         runs[0] = runs.pop() + runs[0]
 
+    pure = _RankOneColumns()
+
     def group(stack, j: int, a_lo, a_hi, count: int, spike: bool) -> AtlasGroup:
         p = Projector(HermitianElement(family.algebra, [b[j] for b in stack]))
-        return AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike, family)
+        return AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike, family,
+                          pure.add(p) if p.rank == 1 else None)
 
     groups = []
     for r in runs:

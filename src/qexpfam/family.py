@@ -420,7 +420,11 @@ class ProjectionResult:
     no proper exposed face of the mean value set (_face_direction), so the
     minimizer exists.  distance is S(rho, sigma*) when attained, otherwise
     the best (still decreasing) objective value reached; theta_star are
-    coordinates in the orthonormal tangent basis.
+    coordinates in the orthonormal tangent basis.  stop_reason says why the
+    Newton loop ended: "converged" (gradient within tol), "cap" (the step
+    reached the parameter cap), "stalled" (three steps in a row too small to
+    move theta) or "armijo_underflow" (no step length decreased the
+    objective).  It is a side channel: no CSV reads it.
     """
 
     theta_star: np.ndarray
@@ -431,6 +435,7 @@ class ProjectionResult:
     distance: float
     cap_hit: bool = False
     min_hessian_eig: float = float("inf")
+    stop_reason: str = "converged"
 
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
@@ -480,6 +485,7 @@ class _NewtonState:
     iterations: int = 0
     stalled: int = 0
     cap_hit: bool = False
+    stop_reason: str = ""
 
 
 def _newton_setup(rho: State, family: ExponentialFamily):
@@ -519,7 +525,9 @@ def _newton(
     Returns the final state and the resume point: the state at the start of
     the first iteration in which the cap acted (the full step left the cap
     ball, or the accepted point reached its sphere), None if it never did.
-    Up to that iteration every larger cap takes exactly the same path.
+    Up to that iteration every larger cap takes exactly the same path.  The
+    final state's stop_reason is ProjectionResult's, or "max_iter" when the
+    iteration budget ran out first.
     """
     theta, fval, grad = start.theta, start.fval, start.grad
     sigma, pairs, z, mu = start.sigma, start.pairs, start.z, start.mu
@@ -527,11 +535,12 @@ def _newton(
     cap_hit = False
     resume = None
 
-    while iterations < max_iter:
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm <= tol:
+    while True:
+        if float(np.linalg.norm(grad)) <= tol or family.dim == 0:
+            stop = "converged"
             break
-        if family.dim == 0:
+        if iterations >= max_iter:
+            stop = "max_iter"
             break
         here = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
                             min_hess, iterations, stalled)
@@ -572,10 +581,12 @@ def _newton(
         iterations += 1
         if not accepted:
             # step underflow: nothing representable decreases the objective
+            stop = "armijo_underflow"
             break
         if float(np.linalg.norm(t * step)) <= 1e-14 * (1.0 + np.linalg.norm(theta)):
             stalled += 1
             if stalled >= 3:
+                stop = "stalled"
                 break
         else:
             stalled = 0
@@ -583,10 +594,11 @@ def _newton(
             cap_hit = True
             if resume is None:
                 resume = here
+            stop = "cap"
             break
 
     end = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
-                       min_hess, iterations, stalled, cap_hit)
+                       min_hess, iterations, stalled, cap_hit, stop)
     return end, resume
 
 
@@ -619,6 +631,7 @@ def _newton_finish(
         distance=distance,
         cap_hit=end.cap_hit,
         min_hessian_eig=end.min_hess,
+        stop_reason=end.stop_reason,
     )
 
 

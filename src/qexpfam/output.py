@@ -1,8 +1,12 @@
-"""Deterministic CSV and SVG emission.
+"""Deterministic CSV and SVG emission through one row formatter.
 
-All numbers are written with 17 significant digits and '.' as the decimal
-separator, so outputs are byte-stable for fixed inputs; files are written
-atomically (temp file, then rename).
+Every number in a file is written with the printf conversion NUM, "%.17g":
+17 significant digits, '.' as the decimal separator, and exactly the text
+fmt (format(float(x), ".17g")) gives, so outputs are byte-stable for fixed
+inputs.  A writer takes its cells as Python floats from stacked columns
+(``.tolist()``), fills one row template per row (csv_rows), and hands the
+whole text to atomic_write (temp file, then rename); there is no per-cell
+call.  fmt stays for the stdout lines.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .config import element_entries
 from .findings import Report
 from .linalg import HermitianElement
 from .maximizer import SearchCandidate
+
+NUM = "%.17g"
 
 
 def fmt(x: float) -> str:
@@ -40,12 +46,16 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [c if isinstance(c, str) else fmt(c) for c in row]
-        lines.append(",".join(cells))
-    atomic_write(path, "\n".join(lines) + "\n")
+def csv_rows(cells: Sequence[str], rows: Iterable[tuple]) -> str:
+    """One line per row tuple from the cell formats ``cells`` (NUM for
+    numbers, "%s" for text and integers)."""
+    template = ",".join(cells) + "\n"
+    return "".join([template % r for r in rows])
+
+
+def write_csv(path: str, header: Sequence[str], cells: Sequence[str],
+              rows: Iterable[tuple]) -> None:
+    atomic_write(path, ",".join(header) + "\n" + csv_rows(cells, rows))
 
 
 def entry_header(a: HermitianElement) -> list[str]:
@@ -61,10 +71,13 @@ def boundary_csv(path: str, boundary: MeanValueBoundary) -> None:
     """Boundary rows: alpha, support_value, x1, x2, face_dim, nonexposed_flag."""
     rows = []
     for face in boundary.faces:
-        for (x1, x2), label in zip(face.endpoints[:face.dim + 1], face.labels):
-            rows.append((face.alpha, face.support_value, x1, x2, str(face.dim),
-                         str(int(label == "non-exposed"))))
-    write_csv(path, ["alpha", "support_value", "x1", "x2", "face_dim", "nonexposed_flag"], rows)
+        if face.dim:
+            rows += [(face.alpha, face.support_value, x1, x2, 1, int(label == "non-exposed"))
+                     for (x1, x2), label in zip(face.endpoints, face.labels)]
+        else:
+            rows.append((face.alpha, face.support_value, *face.endpoints[0], 0, 0))
+    write_csv(path, ["alpha", "support_value", "x1", "x2", "face_dim", "nonexposed_flag"],
+              [NUM] * 4 + ["%s"] * 2, rows)
 
 
 def boundary_svg(
@@ -77,27 +90,25 @@ def boundary_svg(
     half = max(float((arr.max(axis=0) - arr.min(axis=0)).max()) / 2.0, 1e-9)
     scale = 340.0 / half
 
-    def to_svg(p) -> tuple[str, str]:
-        x = 400.0 + scale * (p[0] - center[0])
-        y = 400.0 - scale * (p[1] - center[1])
-        return fmt(x), fmt(y)
+    def to_svg(points) -> list[float]:
+        """Drawing coordinates x0, y0, x1, y1, ... of tangent-plane points."""
+        d = scale * (np.asarray(points).reshape(-1, 2) - center)
+        return np.column_stack([400.0 + d[:, 0], 400.0 - d[:, 1]]).ravel().tolist()
 
-    poly = " ".join(",".join(to_svg(p)) for p in pts)
+    poly = " ".join([f"{NUM},{NUM}"] * len(pts)) % tuple(to_svg(arr))
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 800">',
         '<rect width="800" height="800" fill="white"/>',
         f'<polygon points="{poly}" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
     if classes is not None:
+        ring = f'<circle cx="{NUM}" cy="{NUM}" r="6" fill="none" stroke="red" stroke-width="2"/>'
+        dot = f'<circle cx="{NUM}" cy="{NUM}" r="4" fill="black"/>'
         for p in classes.nonexposed:
-            x, y = to_svg(p)
-            parts.append(
-                f'<circle cx="{x}" cy="{y}" r="6" fill="none" stroke="red" stroke-width="2"/>'
-            )
+            parts.append(ring % tuple(to_svg(p)))
         for p, label in classes.vertices:
             if label == "exposed":
-                x, y = to_svg(p)
-                parts.append(f'<circle cx="{x}" cy="{y}" r="4" fill="black"/>')
+                parts.append(dot % tuple(to_svg(p)))
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts) + "\n")
 
@@ -106,20 +117,20 @@ def atlas_csv(path: str, atlas: ClosureAtlas) -> None:
     """One row per projector group with a representative state's entries."""
     header = ["alpha_lo", "alpha_hi", "projector_rank", "family_dim"]
     header += entry_header(atlas.family.offset)
-    rows = []
-    for g in atlas.groups:
-        row: list = [g.alpha_lo, g.alpha_hi, str(g.rank), str(g.family_dim)]
-        row += element_entries(g.representative.element)
-        rows.append(row)
-    write_csv(path, header, rows)
+    m = len(atlas.groups)
+    entries = np.concatenate(
+        [b.reshape(m, -1).view(np.float64) for b in atlas.representative_blocks()], axis=1
+    )
+    rows = [(g.alpha_lo, g.alpha_hi, g.rank, g.family_dim, *e)
+            for g, e in zip(atlas.groups, entries.tolist())]
+    write_csv(path, header, [NUM, NUM, "%s", "%s"] + [NUM] * entries.shape[1], rows)
 
 
 def report_csv(path: str, report: Report) -> None:
-    rows = [
-        (f.check, f.detail.replace(",", ";"), f.value, f.bound, str(int(f.ok)))
-        for f in report.findings
-    ]
-    write_csv(path, ["check", "detail", "value", "bound", "ok"], rows)
+    rows = [(f.check, f.detail.replace(",", ";"), f.value, f.bound, int(f.ok))
+            for f in report.findings]
+    write_csv(path, ["check", "detail", "value", "bound", "ok"],
+              ["%s", "%s", NUM, NUM, "%s"], rows)
 
 
 def certificates_csv(path: str, candidates: list[SearchCandidate]) -> None:
@@ -128,20 +139,21 @@ def certificates_csv(path: str, candidates: list[SearchCandidate]) -> None:
         atomic_write(path, "start_index\n")
         return
     header = entry_header(candidates[0].state.element)
+    n_entries = len(header)
     header += ["residual", "certified_value", "gradient_norm",
                "start_index", "value", "stationary", "projection_attained"]
     rows = []
+    nan = float("nan")
     for c in candidates:
         cert = c.certificate
-        row: list = element_entries(c.state.element)
-        row += [
-            cert.residual if cert else float("nan"),
-            cert.certified_value if cert else float("nan"),
-            cert.gradient_norm if cert else float("nan"),
-            str(c.start_index),
+        rows.append((
+            *element_entries(c.state.element),
+            cert.residual if cert else nan,
+            cert.certified_value if cert else nan,
+            cert.gradient_norm if cert else nan,
+            c.start_index,
             c.value,
-            str(int(c.stationary)),
-            str(int(c.projection_attained)),
-        ]
-        rows.append(row)
-    write_csv(path, header, rows)
+            int(c.stationary),
+            int(c.projection_attained),
+        ))
+    write_csv(path, header, [NUM] * (n_entries + 3) + ["%s", NUM, "%s", "%s"], rows)

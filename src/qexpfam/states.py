@@ -134,13 +134,32 @@ def pure_state(algebra: Algebra, block_index: int, vector: np.ndarray) -> State:
     return _rank_one_state(algebra, block_index, np.column_stack([v, rest]))
 
 
-def _rank_one_state(algebra: Algebra, block_index: int, columns: np.ndarray) -> State:
-    """The pure state on the first of the orthonormal ``columns`` of one block."""
+def _rank_one_spectrum(algebra: Algebra, block_index: int, columns: np.ndarray):
+    """Per-block eigenvalues and eigenvectors of the pure state on the first
+    of the orthonormal ``columns`` of one block (or on each of a stack)."""
     values = [np.zeros(n) for n in algebra.block_dims]
     vectors = [np.eye(n, dtype=complex) for n in algebra.block_dims]
     values[block_index][0] = 1.0
     vectors[block_index] = columns
-    return State._from_spectrum(algebra, values, vectors)
+    return values, vectors
+
+
+def _rank_one_state(algebra: Algebra, block_index: int, columns: np.ndarray) -> State:
+    """The pure state on the first of the orthonormal ``columns`` of one block."""
+    return State._from_spectrum(algebra, *_rank_one_spectrum(algebra, block_index, columns))
+
+
+def _rank_one_blocks(algebra: Algebra, block_index: int, columns: np.ndarray) -> list:
+    """The element blocks of _rank_one_state for each (n, n) column set of
+    the stack ``columns``, bit for bit: a stack in block ``block_index``, one
+    shared (zero) block elsewhere.  These are SpectralData.reconstruct and
+    HermitianElement._trusted on the last two axes, which gives each block of
+    a stack the bits of its own product."""
+    out = []
+    for w, V in zip(*_rank_one_spectrum(algebra, block_index, columns)):
+        h = (V * w) @ V.conj().swapaxes(-1, -2)
+        out.append((h + h.conj().swapaxes(-1, -2)) / 2.0)
+    return out
 
 
 def tracial_state(algebra: Algebra) -> State:

@@ -337,3 +337,44 @@ class TestLargerAlgebra:
         big = Algebra((3, 2, 1))
         a = random_traceless(big, rng)
         assert (ln0(exp1(a)) - a).norm() <= 1e-10
+
+
+class TestStopReason:
+    """ProjectionResult.stop_reason records why the Newton loop ended."""
+
+    def _interior(self, staffelberg):
+        rng = np.random.default_rng(3)
+        return random_state(staffelberg.algebra, rng, invertible=True, min_eig=0.05)
+
+    def test_converged(self, staffelberg):
+        res = project_to_family(self._interior(staffelberg), staffelberg)
+        assert res.stop_reason == "converged"
+        assert res.attained and res.grad_residual <= 1e-10
+
+    def test_cap(self, swallow):
+        # the apex is in the swallow's rI-closure but not in the family
+        res = project_to_family(cone.apex_state(), swallow)
+        assert res.stop_reason == "cap"
+        assert res.cap_hit and not res.attained
+
+    def test_stalled(self, staffelberg):
+        # with tol 0 the gradient never counts as small; at the optimum the
+        # Newton steps are rounding-sized and stop moving theta
+        res = project_to_family(self._interior(staffelberg), staffelberg, tol=0.0)
+        assert res.stop_reason == "stalled"
+        assert not res.cap_hit
+
+    def test_armijo_underflow(self, staffelberg, monkeypatch):
+        from qexpfam import family as family_mod
+
+        real = family_mod._objective_pieces
+
+        def uphill(fam, theta, moments):
+            # every trial point away from theta = 0 looks worse than the start
+            obj, *rest = real(fam, theta, moments)
+            return (obj + (1.0 if np.any(theta) else 0.0), *rest)
+
+        monkeypatch.setattr(family_mod, "_objective_pieces", uphill)
+        res = project_to_family(self._interior(staffelberg), staffelberg)
+        assert res.stop_reason == "armijo_underflow"
+        assert res.iterations == 1 and not np.any(res.theta_star)
