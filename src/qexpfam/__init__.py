@@ -60,7 +60,6 @@ from .family import (
 )
 from .boundary import (
     BoundaryClassification,
-    BoundaryFace,
     MeanValueBoundary,
     classify_boundary_faces,
     mean_value_boundary_sweep,

@@ -13,9 +13,12 @@ cross.  DirectionSweep.crossings brackets every grid interval across which
 the maximal projector jumps and locates the crossing in it, all in lockstep,
 so tangent segments are found even when no grid direction hits their normal
 exactly; the closure atlas takes its spikes from the same rule.
-Rows with a simple top eigenvalue expose a point, read for all of them at
-once from the sweep's eigenvectors; only rows with a multiple one go through
-_face.
+Every row, on the grid or at a crossing, goes through one stacked face
+kernel (_faces), whatever the multiplicity of its top eigenvalue: the rows
+are grouped by the rank of their maximal eigenspace in each block, with one
+eigh per (block, rank) group, and only segments get radii.  The faces are
+the columns of one record array (MeanValueBoundary.faces), which the
+writers read whole.
 
 Each segment endpoint is classified at its own crossing, not against the
 grid: the one-sided radius of curvature of the boundary beyond it is zero
@@ -41,40 +44,46 @@ from .family import ExponentialFamily
 from .linalg import DirectionSweep, SweepSpectra
 
 
-@dataclass(frozen=True)
-class BoundaryFace:
-    """Exposed face of the mean value set in one sweep direction.
-
-    endpoints holds the two extreme points in tangent coordinates (equal for
-    a point face); dim is 0 for a point, 1 for a segment.  radii holds the
-    one-sided radius of curvature of the boundary beyond each endpoint (0 for
-    a point face); labels reads them as "exposed" (r = 0) or "non-exposed".
-    """
-
-    alpha: float
-    support_value: float
-    endpoints: tuple[tuple[float, float], tuple[float, float]]
-    dim: int
-    multiplicity: int
-    refined: bool = False
-    radii: tuple[float, float] = (0.0, 0.0)
-
-    @property
-    def labels(self) -> tuple[str, str]:
-        res = _resolution(self.support_value)
-        return tuple("non-exposed" if r > res else "exposed" for r in self.radii)
+# one row of MeanValueBoundary.faces
+FACE = np.dtype([("alpha", float), ("support_value", float), ("endpoints", float, (2, 2)),
+                 ("dim", int), ("refined", bool), ("radii", float, (2,))])
 
 
 @dataclass(frozen=True)
 class MeanValueBoundary:
-    """Swept boundary of a 2D mean value set, faces ordered by angle."""
+    """Swept boundary of a 2D mean value set.
+
+    faces is a read-only record array, one row per exposed face, sorted by
+    alpha with a stable sort, so a grid row comes before a refined row at the
+    same angle.  Its columns:
+
+    - alpha: the sweep angle of the direction u(alpha);
+    - support_value: the largest eigenvalue of u(alpha);
+    - endpoints: (2, 2), the low and the high extreme point in tangent
+      coordinates (equal for a point face);
+    - dim: 0 for a point, 1 for a segment;
+    - refined: True for a located eigenvalue crossing between grid angles;
+    - radii: (2,), the one-sided radius of curvature of the boundary beyond
+      each endpoint (0 for a point face).
+    """
 
     family: ExponentialFamily
     n_angles: int
-    faces: tuple[BoundaryFace, ...]
+    faces: np.recarray
 
-    def segments(self) -> list[BoundaryFace]:
-        return [f for f in self.faces if f.dim == 1]
+    def segments(self) -> np.recarray:
+        return self.faces[self.faces.dim == 1]
+
+    def nonexposed(self) -> np.ndarray:
+        """(n_faces, 2) flags: the endpoint is a non-exposed tangent point,
+        its radius exceeds the face resolution (an exposed corner has 0)."""
+        return self.faces.radii > _resolution(self.faces.support_value)[:, None]
+
+    def points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Face row and endpoint slot of every boundary point in angle order:
+        the one point of a point face, both endpoints of a segment."""
+        row = np.repeat(np.arange(len(self.faces)), self.faces.dim + 1)
+        return row, np.arange(len(row)) - np.searchsorted(row, row)
 
 
 @dataclass(frozen=True)
@@ -92,20 +101,25 @@ class BoundaryClassification:
         return len(self.nonexposed)
 
 
-def _resolution(mu: float) -> float:
+def _resolution(mu: np.ndarray | float) -> np.ndarray | float:
     """Distance below which two boundary points of a face with support value
     mu count as one, and radius of curvature below which a corner is exposed."""
-    return 1e-7 * (1.0 + abs(mu))
+    return 1e-7 * (1.0 + np.abs(mu))
 
 
-def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
-          refined: bool = False) -> BoundaryFace:
-    """Exposed face in direction alpha from row i of the sweep spectra, for a
-    row whose maximal eigenspace may be multiple (_faces stacks the others).
+def _faces(kernel: DirectionSweep, alphas, spectra: SweepSpectra,
+           refined: bool = False) -> np.ndarray:
+    """Exposed faces in directions alphas, one FACE row per sweep row.
 
-    A segment endpoint psi in block k is labelled by the one-sided radius of
-    curvature of the boundary beyond it, from Kato's second-order perturbation
-    of the top eigenvector along u_perp:
+    The rows are grouped by the rank r of their maximal eigenspace in each
+    block.  One stacked eigh per (block, r) group diagonalizes the orthogonal
+    direction u_perp compressed to that eigenspace; its lowest and highest
+    eigenvectors are the candidate ends, and over the blocks the lowest value
+    gives the low end and the highest the high end (the first block on
+    ties).  A row is a segment when its ends are farther apart than the face
+    resolution, and only segment ends get a radius: the one-sided radius of
+    curvature of the boundary beyond the end psi in block k, from Kato's
+    second-order perturbation of the top eigenvector along u_perp,
 
         r = sum_j 2 |<psi_j, u_perp psi>|^2 / (mu - lam_j)
 
@@ -114,58 +128,48 @@ def _face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
     corner); r > 0 means they expose points converging to psi (a non-exposed
     tangent point).
     """
-    c, s = np.cos(alpha), np.sin(alpha)
-    mu = max(float(w[i, -1]) for w in spectra.values)
-    lows, highs, perps, mult = [], [], {}, 0
-    for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
-        keep = w[i] >= mu - defaults.MAX_EIG_GAP
-        mult += int(keep.sum())
-        if keep.any():
-            # extreme eigenvectors of the orthogonal direction on the maximal eigenspace
-            Q, perp = V[i][:, keep], -s * kernel.a[k] + c * kernel.b[k]
-            vals, Y = np.linalg.eigh(Q.conj().T @ perp @ Q)
-            lows.append((float(vals[0]), k, Q @ Y[:, 0]))
-            highs.append((float(vals[-1]), k, Q @ Y[:, -1]))
-            perps[k] = perp
-    ends = [min(lows, key=lambda e: e[0]), max(highs, key=lambda e: e[0])]
-    e_lo, e_hi = [
-        tuple(float((psi.conj() @ v[k] @ psi).real) for v in (kernel.a, kernel.b))
-        for _, k, psi in ends
-    ]
-    dim = 1 if np.hypot(e_hi[0] - e_lo[0], e_hi[1] - e_lo[1]) > _resolution(mu) else 0
-
-    def radius(k: int, psi: np.ndarray) -> float:
-        w, V = spectra.values[k][i], spectra.vectors[k][i]
-        out = w < mu - defaults.MAX_EIG_GAP
-        coupling = V[:, out].conj().T @ (perps[k] @ psi)
-        return float(np.sum(2.0 * np.abs(coupling) ** 2 / (mu - w[out])))
-
-    radii = tuple(radius(k, psi) for _, k, psi in ends) if dim else (0.0, 0.0)
-    return BoundaryFace(alpha=float(alpha), support_value=mu, endpoints=(e_lo, e_hi),
-                        dim=dim, multiplicity=mult, refined=refined, radii=radii)
-
-
-def _faces(kernel: DirectionSweep, alphas, spectra: SweepSpectra,
-           refined: bool = False) -> list[BoundaryFace]:
-    """Exposed faces in directions alphas, one per row of the sweep spectra:
-    stacked points of the top eigenvector where the maximal eigenspace is
-    one-dimensional (summed over blocks), _face elsewhere."""
+    alphas = np.asarray(alphas, dtype=float)
+    n, n_blocks = len(alphas), len(spectra.values)
+    c, s = np.cos(alphas), np.sin(alphas)
     mu = spectra.top()
-    keep = [w >= (mu - defaults.MAX_EIG_GAP)[:, None] for w in spectra.values]
-    simple = sum(k.sum(axis=1) for k in keep) == 1
-    points: dict[int, tuple[float, float]] = {}
-    for k, V in enumerate(spectra.vectors):
-        rows = np.flatnonzero(simple & keep[k][:, -1])
-        psi = V[rows, :, -1]
-        x, y = ((psi.conj()[:, None, :] @ v[k] @ psi[:, :, None])[:, 0, 0].real.tolist()
-                for v in (kernel.a, kernel.b))
-        points.update(zip(rows.tolist(), zip(x, y)))
-    return [
-        BoundaryFace(alpha=float(a), support_value=float(mu[i]), endpoints=(points[i],) * 2,
-                     dim=0, multiplicity=1, refined=refined)
-        if i in points else _face(kernel, a, spectra, i, refined)
-        for i, a in enumerate(alphas)
-    ]
+    # per end (low, high), block and row: the value to minimize and the point
+    key = np.full((2, n_blocks, n), np.inf)
+    pts = np.zeros((2, n_blocks, n, 2))
+    groups = []
+    for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
+        size = w.shape[1]
+        rank = (w >= (mu - defaults.MAX_EIG_GAP)[:, None]).sum(axis=1)
+        # contiguous eigenvector rows, the layout of V[i][:, mask].T, so BLAS sums as per row
+        Vt = np.ascontiguousarray(V.swapaxes(1, 2))
+        for r in np.unique(rank[rank > 0]).tolist():
+            idx = np.flatnonzero(rank == r)
+            Qt = Vt[idx, size - r:]
+            Q = Qt.swapaxes(1, 2)
+            perp = -s[idx, None, None] * kernel.a[k] + c[idx, None, None] * kernel.b[k]
+            vals, Y = np.linalg.eigh(Qt.conj() @ perp @ Q)
+            key[0, k, idx], key[1, k, idx] = vals[:, 0], -vals[:, -1]
+            ends = [(Q @ Y[:, :, j, None])[:, :, 0] for j in (0, -1)]
+            for j, psi in enumerate(ends):
+                for x, v in enumerate((kernel.a[k], kernel.b[k])):
+                    xv = psi.conj()[:, None, :] @ v @ psi[:, :, None]
+                    pts[j, k, idx, x] = xv[:, 0, 0].real
+            groups.append((k, idx, size - r, perp, ends, Vt))
+    best = key.argmin(axis=1)
+    e = pts[np.arange(2)[:, None], best, np.arange(n)]
+    dim = np.hypot(*(e[1] - e[0]).T) > _resolution(mu)
+
+    radii = np.zeros((n, 2))
+    for k, idx, out, perp, ends, Vt in groups:
+        w = spectra.values[k]
+        for j, psi in enumerate(ends):
+            sel = dim[idx] & (best[j, idx] == k)
+            rows = idx[sel]
+            coupling = (Vt[rows, :out].conj() @ (perp[sel] @ psi[sel][:, :, None]))[:, :, 0]
+            radii[rows, j] = np.sum(2.0 * np.abs(coupling) ** 2
+                                    / (mu[rows, None] - w[rows, :out]), axis=1)
+
+    return np.rec.fromarrays([alphas, mu, e.swapaxes(0, 1), dim, np.full(n, refined), radii],
+                             dtype=FACE)
 
 
 def mean_value_boundary_sweep(
@@ -183,11 +187,12 @@ def mean_value_boundary_sweep(
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
     spectra = kernel.spectra(alphas)
-    kinks = kernel.crossings(alphas, spectra)
-    faces = (_faces(kernel, alphas, spectra)
-             + _faces(kernel, kinks, kernel.spectra(kinks), refined=True))
-    faces.sort(key=lambda f: f.alpha)
-    return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=tuple(faces))
+    kinks = kernel.crossings(alphas, *spectra.max_projectors())
+    faces = np.concatenate([_faces(kernel, alphas, spectra),
+                            _faces(kernel, kinks, kernel.spectra(kinks), refined=True)])
+    faces = faces[np.argsort(faces["alpha"], kind="stable")].view(np.recarray)
+    faces.flags.writeable = False
+    return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=faces)
 
 
 def classify_boundary_faces(boundary: MeanValueBoundary) -> BoundaryClassification:
@@ -195,10 +200,10 @@ def classify_boundary_faces(boundary: MeanValueBoundary) -> BoundaryClassificati
 
     An endpoint is exposed when some sweep direction cuts out exactly that
     point and non-exposed when nearby directions only expose points
-    converging to it (the tangent-point situation); _face decides which from
-    the curvature radius at the endpoint.  Endpoints of different segments
-    closer than the face resolution are one vertex.  A sweep with fewer than
-    SWEEP_MIN_ANGLES angles is rejected as under-resolved.
+    converging to it (the tangent-point situation); the curvature radius at
+    the endpoint decides which (MeanValueBoundary.nonexposed).  Endpoints of
+    different segments closer than the face resolution are one vertex.  A
+    sweep below SWEEP_MIN_ANGLES angles is rejected as under-resolved.
     """
     if boundary.n_angles < defaults.SWEEP_MIN_ANGLES:
         raise UnderResolvedSweepError(
@@ -206,9 +211,11 @@ def classify_boundary_faces(boundary: MeanValueBoundary) -> BoundaryClassificati
             f"classify faces, got {boundary.n_angles}"
         )
     vertices: list[tuple[tuple[float, float], str]] = []
-    for seg in boundary.segments():
-        res = _resolution(seg.support_value)
-        for e, label in zip(seg.endpoints, seg.labels):
+    seg = boundary.faces.dim == 1
+    f, flags = boundary.faces[seg], boundary.nonexposed()[seg]
+    for ends, res, labels in zip(f.endpoints.tolist(), _resolution(f.support_value).tolist(),
+                                 flags.tolist()):
+        for e, nonexposed in zip(ends, labels):
             if not any(np.hypot(e[0] - q[0], e[1] - q[1]) <= res for q, _ in vertices):
-                vertices.append((e, label))
+                vertices.append((tuple(e), "non-exposed" if nonexposed else "exposed"))
     return BoundaryClassification(vertices=tuple(vertices))

@@ -264,7 +264,7 @@ def geodesic_closure_atlas(
         spike = len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n])
         groups.append(group(blocks, r[0], alphas[r[0]], alphas[r[-1]], len(r), spike))
     # one spike per eigenvalue crossing between grid angles
-    found = kernel.crossings(alphas, spectra)
+    found = kernel.crossings(alphas, ranks, blocks)
     spikes = kernel.spectra(found).max_projectors()[1]
     groups += [group(spikes, i, a, a, 0, True) for i, a in enumerate(found)]
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))

@@ -393,10 +393,11 @@ class DirectionSweep:
         alpha = 0.5 * (lo + hi)
         return np.where(self.spectra(alpha).top_gap(m) <= defaults.MAX_EIG_GAP, alpha, np.nan)
 
-    def crossings(self, alphas, spectra: SweepSpectra) -> np.ndarray:
+    def crossings(self, alphas, ranks: np.ndarray, P: list[np.ndarray]) -> np.ndarray:
         """Angles between adjacent angles of the sorted grid alphas
-        (cyclically; spectra is its sweep) where the top eigenvalue branch
-        crosses another, located by locate_crossings.
+        (cyclically) where the top eigenvalue branch crosses another, located
+        by locate_crossings; ranks and P are the maximal projectors of the
+        grid's sweep (SweepSpectra.max_projectors).
 
         An interval is bracketed when the maximal projector jumps across it,
         tr(P_j P_j+1) < min(rank_j, rank_j+1) / 2: a crossing swaps the top
@@ -405,7 +406,6 @@ class DirectionSweep:
         overlap near full.  The search runs on the gap below the larger rank.
         Of two crossings in one interval at most one is found.
         """
-        ranks, P = spectra.max_projectors()
         overlap = sum(np.sum(B * np.roll(B, -1, axis=0).conj(), axis=(1, 2)).real for B in P)
         ranks_next = np.roll(ranks, -1)
         j = np.flatnonzero(overlap < 0.5 * np.minimum(ranks, ranks_next))

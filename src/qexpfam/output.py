@@ -68,24 +68,21 @@ def entry_header(a: HermitianElement) -> list[str]:
 
 
 def boundary_csv(path: str, boundary: MeanValueBoundary) -> None:
-    """Boundary rows: alpha, support_value, x1, x2, face_dim, nonexposed_flag."""
-    rows = []
-    for face in boundary.faces:
-        if face.dim:
-            rows += [(face.alpha, face.support_value, x1, x2, 1, int(label == "non-exposed"))
-                     for (x1, x2), label in zip(face.endpoints, face.labels)]
-        else:
-            rows.append((face.alpha, face.support_value, *face.endpoints[0], 0, 0))
+    """Boundary rows: alpha, support_value, x1, x2, face_dim, nonexposed_flag;
+    one row per point face, one per segment endpoint."""
+    f, (row, slot) = boundary.faces, boundary.points()
+    x = f.endpoints[row, slot]
+    rows = zip(f.alpha[row].tolist(), f.support_value[row].tolist(), x[:, 0].tolist(),
+               x[:, 1].tolist(), f.dim[row].tolist(),
+               boundary.nonexposed()[row, slot].astype(int).tolist())
     write_csv(path, ["alpha", "support_value", "x1", "x2", "face_dim", "nonexposed_flag"],
               [NUM] * 4 + ["%s"] * 2, rows)
 
 
-def boundary_svg(
-    path: str, boundary: MeanValueBoundary, classes: BoundaryClassification | None
-) -> None:
+def boundary_svg(path: str, boundary: MeanValueBoundary,
+                 classes: BoundaryClassification) -> None:
     """Fixed 800x800 drawing: boundary polyline plus non-exposed markers."""
-    pts = [e for f in boundary.faces for e in (f.endpoints if f.dim else f.endpoints[:1])]
-    arr = np.asarray(pts)
+    arr = boundary.faces.endpoints[boundary.points()]
     center = (arr.max(axis=0) + arr.min(axis=0)) / 2.0
     half = max(float((arr.max(axis=0) - arr.min(axis=0)).max()) / 2.0, 1e-9)
     scale = 340.0 / half
@@ -95,20 +92,16 @@ def boundary_svg(
         d = scale * (np.asarray(points).reshape(-1, 2) - center)
         return np.column_stack([400.0 + d[:, 0], 400.0 - d[:, 1]]).ravel().tolist()
 
-    poly = " ".join([f"{NUM},{NUM}"] * len(pts)) % tuple(to_svg(arr))
+    poly = " ".join([f"{NUM},{NUM}"] * len(arr)) % tuple(to_svg(arr))
+    ring = f'<circle cx="{NUM}" cy="{NUM}" r="6" fill="none" stroke="red" stroke-width="2"/>'
+    dot = f'<circle cx="{NUM}" cy="{NUM}" r="4" fill="black"/>'
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 800 800">',
         '<rect width="800" height="800" fill="white"/>',
         f'<polygon points="{poly}" fill="none" stroke="black" stroke-width="1.5"/>',
     ]
-    if classes is not None:
-        ring = f'<circle cx="{NUM}" cy="{NUM}" r="6" fill="none" stroke="red" stroke-width="2"/>'
-        dot = f'<circle cx="{NUM}" cy="{NUM}" r="4" fill="black"/>'
-        for p in classes.nonexposed:
-            parts.append(ring % tuple(to_svg(p)))
-        for p, label in classes.vertices:
-            if label == "exposed":
-                parts.append(dot % tuple(to_svg(p)))
+    parts += [ring % tuple(to_svg(p)) for p in classes.nonexposed]
+    parts += [dot % tuple(to_svg(p)) for p, label in classes.vertices if label == "exposed"]
     parts.append("</svg>")
     atomic_write(path, "\n".join(parts) + "\n")
 

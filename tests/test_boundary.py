@@ -1,3 +1,8 @@
+import importlib.util
+import types
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +12,7 @@ from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError, UnderResolvedSweepError
 from qexpfam.family import make_family
 from qexpfam.linalg import Algebra, diagonal, hs_inner
+from qexpfam.sampling import random_family
 from qexpfam.states import State, max_eig_data
 
 
@@ -141,7 +147,7 @@ class TestNonexposedByCurvature:
         fam = make_family(algebra, [diagonal(algebra, rng.normal(size=4)) for _ in range(2)])
         boundary = mean_value_boundary_sweep(fam)
         assert classify_boundary_faces(boundary).n_nonexposed == 0
-        assert all(f.radii == (0.0, 0.0) for f in boundary.faces)
+        assert np.all(boundary.faces.radii == 0.0)
 
     def test_square_crossing_at_angle_zero_counted_once(self):
         # the crossing at grid angle 0 comes back from the last bracket just
@@ -196,3 +202,17 @@ def test_apex_radius_is_exactly_zero():
             for e, r in zip(f.endpoints, f.radii)]
     at_apex = [r for e, r in ends if np.linalg.norm(e - apex) < 1e-9]
     assert len(at_apex) == 2 and at_apex == [0.0, 0.0]
+
+
+def test_trace_hook_reads_face_counts():
+    # the benchmark's --trace 1 counts faces and refined rows of every sweep
+    # through this hook; it must keep working on the face records
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = types.SimpleNamespace(counts=Counter())
+    fam = random_family(Algebra((1, 1, 1, 1)), 2, np.random.default_rng(139))
+    hook = tracing.AFTER_HOOKS["boundary.mean_value_boundary_sweep"]
+    hook(tracer, mean_value_boundary_sweep(fam, 720))
+    assert tracer.counts == Counter({"boundary.faces": 724, "boundary.refined": 4})

@@ -35,15 +35,17 @@ def ref_csv(header, rows) -> str:
 
 def ref_boundary_csv(boundary) -> str:
     rows = []
-    for face in boundary.faces:
-        for (x1, x2), label in zip(face.endpoints[:face.dim + 1], face.labels):
-            rows.append((face.alpha, face.support_value, x1, x2, str(face.dim),
-                         str(int(label == "non-exposed"))))
+    f = boundary.faces
+    for alpha, mu, ends, dim, flags in zip(f.alpha, f.support_value, f.endpoints, f.dim,
+                                           boundary.nonexposed()):
+        for (x1, x2), flag in zip(ends[:dim + 1], flags):
+            rows.append((alpha, mu, x1, x2, str(dim), str(int(flag))))
     return ref_csv(["alpha", "support_value", "x1", "x2", "face_dim", "nonexposed_flag"], rows)
 
 
 def ref_boundary_svg(boundary, classes) -> str:
-    pts = [e for f in boundary.faces for e in (f.endpoints if f.dim else f.endpoints[:1])]
+    f = boundary.faces
+    pts = [e for ends, dim in zip(f.endpoints, f.dim) for e in ends[:dim + 1]]
     arr = np.asarray(pts)
     center = (arr.max(axis=0) + arr.min(axis=0)) / 2.0
     half = max(float((arr.max(axis=0) - arr.min(axis=0)).max()) / 2.0, 1e-9)

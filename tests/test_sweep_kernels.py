@@ -1,12 +1,13 @@
 """The stacked sweep kernels against the per-angle code they replaced.
 
-_reference_face is a verbatim copy of the per-row face builder that
-boundary._faces replaces, and _reference_locate_crossing is the scalar
-ternary crossing search that DirectionSweep.locate_crossings replaces,
-extended by the gap index m of the search; _reference_sweep applies the
-crossing rule of DirectionSweep.crossings one grid interval at a time.  The
-stacked kernels must reproduce them bit for bit, so faces and angles are
-compared with ==, not a tolerance.
+_reference_face is the per-row face code that boundary._faces replaces:
+one eigh of the orthogonal direction per block of the row's maximal
+eigenspace, returning the row's fields as a dict.  _reference_locate_crossing
+is the scalar ternary crossing search that DirectionSweep.locate_crossings
+replaces, extended by the gap index m of the search; _reference_sweep applies
+the crossing rule of DirectionSweep.crossings one grid interval at a time.
+The stacked kernels must reproduce them bit for bit, so every field of every
+record row and every angle is compared with ==, not a tolerance.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qexpfam import cone, defaults, sampling
-from qexpfam.boundary import BoundaryFace, _resolution, mean_value_boundary_sweep
+from qexpfam.boundary import _resolution, mean_value_boundary_sweep
 from qexpfam.closures import geodesic_closure_atlas
 from qexpfam.family import make_family
 from qexpfam.linalg import Algebra, DirectionSweep, SweepSpectra, diagonal
@@ -22,13 +23,12 @@ from qexpfam.sampling import random_traceless
 
 
 def _reference_face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra, i: int,
-                    refined: bool = False) -> BoundaryFace:
+                    refined: bool = False) -> dict:
     c, s = np.cos(alpha), np.sin(alpha)
     mu = max(float(w[i, -1]) for w in spectra.values)
-    lows, highs, perps, mult = [], [], {}, 0
+    lows, highs, perps = [], [], {}
     for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
         keep = w[i] >= mu - defaults.MAX_EIG_GAP
-        mult += int(keep.sum())
         if keep.any():
             # extreme eigenvectors of the orthogonal direction on the maximal eigenspace
             Q, perp = V[i][:, keep], -s * kernel.a[k] + c * kernel.b[k]
@@ -50,8 +50,8 @@ def _reference_face(kernel: DirectionSweep, alpha: float, spectra: SweepSpectra,
         return float(np.sum(2.0 * np.abs(coupling) ** 2 / (mu - w[out])))
 
     radii = tuple(radius(k, psi) for _, k, psi in ends) if dim else (0.0, 0.0)
-    return BoundaryFace(alpha=float(alpha), support_value=mu, endpoints=(e_lo, e_hi),
-                        dim=dim, multiplicity=mult, refined=refined, radii=radii)
+    return dict(alpha=float(alpha), support_value=mu, endpoints=(e_lo, e_hi),
+                dim=dim, refined=refined, radii=radii)
 
 
 def _reference_locate_crossing(self: DirectionSweep, lo: float, hi: float,
@@ -72,7 +72,7 @@ def _reference_locate_crossing(self: DirectionSweep, lo: float, hi: float,
     return None
 
 
-def _reference_sweep(family, n_angles: int) -> list[BoundaryFace]:
+def _reference_sweep(family, n_angles: int) -> list[dict]:
     """The per-angle sweep: one _reference_face per grid angle and one scalar
     search per grid interval across which the maximal projector jumps."""
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
@@ -97,8 +97,16 @@ def _reference_sweep(family, n_angles: int) -> list[BoundaryFace]:
             if found is not None:
                 faces.append(_reference_face(kernel, found, kernel.spectra([found]), 0,
                                              refined=True))
-    faces.sort(key=lambda f: f.alpha)
+    faces.sort(key=lambda f: f["alpha"])
     return faces
+
+
+def _assert_rows_equal(got, want):
+    """Record rows against reference dicts, field by field, with ==."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for name, value in w.items():
+            assert np.all(g[name] == np.asarray(value)), name
 
 
 def _random_family(dims: tuple[int, ...], seed: int, commutative: bool):
@@ -136,24 +144,21 @@ class TestStackedSweep:
     @settings(derandomize=True, deadline=None, max_examples=16)
     @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([97, 180]))
     @example((2, 1, 1), 15, True, 97)  # crossings with a double top eigenvalue
+    @example((2, 4), 0, False, 97)  # radii of refined rows in a 4x4 block
     def test_random_families_match_per_angle_faces(self, dims, seed, commutative, n):
         fam = _random_family(dims, seed, commutative)
-        got = mean_value_boundary_sweep(fam, n).faces
-        want = _reference_sweep(fam, n)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g == w
+        _assert_rows_equal(mean_value_boundary_sweep(fam, n).faces, _reference_sweep(fam, n))
 
     @pytest.mark.parametrize("phi", [0.0, 0.03, 0.5, 0.8255269040265483,
                                      1.0471975511965976, 1.2, 1.5707963267948966])
     def test_cone_tilts_match_per_angle_faces(self, phi):
         fam = cone.plane_for_angle(phi)
-        assert list(mean_value_boundary_sweep(fam, 180).faces) == _reference_sweep(fam, 180)
+        _assert_rows_equal(mean_value_boundary_sweep(fam, 180).faces, _reference_sweep(fam, 180))
 
     @pytest.mark.parametrize("name", ["staffelberg_family", "swallow_family"])
     def test_named_families_match_per_angle_faces(self, name):
         fam = getattr(cone, name)()
-        assert list(mean_value_boundary_sweep(fam).faces) == _reference_sweep(fam, 720)
+        _assert_rows_equal(mean_value_boundary_sweep(fam).faces, _reference_sweep(fam, 720))
 
 
 class TestLockstepCrossings:
@@ -212,6 +217,27 @@ class TestCrossingRule:
                                     diagonal(algebra, np.array([1.0, 1.0, -1.0, -1.0]))])
         for n in (90, 180, 720):
             assert self._counts(fam, n) == (3, 3)
+
+    # two crossings 0.057 rad (sweep) and 0.085 rad (atlas) apart: they share
+    # one interval of the 64-angle grid but not of the 90- or 720-angle one
+    _PAIRED = [((1, 1, 1, 1), 139, "sweep"), ((2, 2), 47, "atlas")]
+
+    @staticmethod
+    def _four_crossings(dims, seed, kind, n):
+        fam = sampling.random_family(Algebra(dims), 2, np.random.default_rng(seed))
+        if kind == "sweep":
+            return len(mean_value_boundary_sweep(fam, n).segments()) == 4
+        return len(geodesic_closure_atlas(fam, n).spike_groups()) == 4
+
+    @pytest.mark.parametrize("dims, seed, kind", _PAIRED)
+    def test_paired_crossings_apart_on_fine_grids(self, dims, seed, kind):
+        assert self._four_crossings(dims, seed, kind, 90)
+        assert self._four_crossings(dims, seed, kind, 720)
+
+    @pytest.mark.xfail(strict=True, reason="a grid interval yields at most one crossing")
+    @pytest.mark.parametrize("dims, seed, kind", _PAIRED)
+    def test_paired_crossings_in_one_interval(self, dims, seed, kind):
+        assert self._four_crossings(dims, seed, kind, 64)
 
     def test_staffelberg_sweep_has_only_grid_faces(self):
         faces = mean_value_boundary_sweep(cone.staffelberg_family()).faces
