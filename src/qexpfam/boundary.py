@@ -2,34 +2,22 @@
 
 The mean value set is the orthogonal projection of state space onto the
 tangent plane.  A sweep walks the unit directions u(alpha) = cos(alpha) v1 +
-sin(alpha) v2, records the support value (the largest eigenvalue of u) and
-the exposed face it cuts out.  The face projects INTO the supporting line, so
-it is a point or a segment; its endpoints are extreme states, i.e. top and
-bottom eigenvectors of the orthogonal sweep direction compressed to the
-maximal eigenspace, block by block.
+sin(alpha) v2 and records the support value (the largest eigenvalue of u)
+and the exposed face, a point or a segment whose endpoints are the extreme
+eigenvectors of the orthogonal direction compressed to the maximal
+eigenspace.  Segments appear exactly where the two largest eigenvalue
+branches cross; DirectionSweep.crossings locates them between grid angles
+(both, where a third branch passes the top inside one interval), and the
+closure atlas takes its spikes from the same rule.  Grid and crossing rows
+share one stacked face kernel (_faces), whose record array the writers read
+(MeanValueBoundary.faces).
 
-Segments appear exactly where the two largest eigenvalue branches of u(alpha)
-cross.  DirectionSweep.crossings brackets every grid interval across which
-the maximal projector jumps and locates the crossing in it, all in lockstep,
-so tangent segments are found even when no grid direction hits their normal
-exactly; the closure atlas takes its spikes from the same rule.
-Every row, on the grid or at a crossing, goes through one stacked face
-kernel (_faces), whatever the multiplicity of its top eigenvalue: the rows
-are grouped by the rank of their maximal eigenspace in each block, with one
-eigh per (block, rank) group, and only segments get radii.  The faces are
-the columns of one record array (MeanValueBoundary.faces), which the
-writers read whole.
-
-Each segment endpoint is classified at its own crossing, not against the
-grid: the one-sided radius of curvature of the boundary beyond it is zero
-at an exposed corner and positive at a non-exposed tangent point.  A sweep
-with fewer than SWEEP_MIN_ANGLES angles is rejected, but a finer one is not
-fully resolved either: two crossings inside one grid interval leave at most
-one segment (a random (1,1,1,1) family shows 3 of its 4 segments at 64
-angles).
-
-Both run on linalg.DirectionSweep, a raw-block kernel over whole arrays of
-angles that the closure atlas and the face finder share.
+Each segment endpoint is classified at its own crossing by the one-sided
+radius of curvature beyond it: zero at an exposed corner, positive at a
+non-exposed tangent point.  Sweeps below SWEEP_MIN_ANGLES angles are
+rejected; a finer one still misses two crossings in one grid interval whose
+top eigenspace swaps away and back.  All of it runs on linalg.DirectionSweep,
+which the closure atlas and the face finder share.
 """
 
 from __future__ import annotations
@@ -187,9 +175,9 @@ def mean_value_boundary_sweep(
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
     alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
     spectra = kernel.spectra(alphas)
-    kinks = kernel.crossings(alphas, *spectra.max_projectors())
+    kinks, at = kernel.crossings(alphas, *spectra.max_projectors())
     faces = np.concatenate([_faces(kernel, alphas, spectra),
-                            _faces(kernel, kinks, kernel.spectra(kinks), refined=True)])
+                            _faces(kernel, kinks, at, refined=True)])
     faces = faces[np.argsort(faces["alpha"], kind="stable")].view(np.recarray)
     faces.flags.writeable = False
     return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=faces)

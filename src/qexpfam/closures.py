@@ -7,10 +7,10 @@ geodesic closure is therefore a disjoint union of families in corner
 algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
 where eigenvalue branches cross (higher-rank projectors, measure zero in the
-sweep) come from DirectionSweep.crossings, the rule that gives the boundary
-sweep its segments: a grid interval across which the maximal projector
-jumps holds one.  Two crossings inside one grid interval leave at most one
-spike.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1).
+sweep) come from DirectionSweep.crossings, the rule of the boundary sweep's
+segments: one per grid interval across which the maximal projector jumps,
+or two where a third branch passes the top, and none where it swaps back
+inside one.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1).
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -264,8 +264,8 @@ def geodesic_closure_atlas(
         spike = len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n])
         groups.append(group(blocks, r[0], alphas[r[0]], alphas[r[-1]], len(r), spike))
     # one spike per eigenvalue crossing between grid angles
-    found = kernel.crossings(alphas, ranks, blocks)
-    spikes = kernel.spectra(found).max_projectors()[1]
+    found, at = kernel.crossings(alphas, ranks, blocks)
+    spikes = at.max_projectors()[1]
     groups += [group(spikes, i, a, a, 0, True) for i, a in enumerate(found)]
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
     return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))

@@ -50,5 +50,5 @@ RI_PARAM_CAP = 200.0
 # Boundary sweeps.
 SWEEP_ANGLES = 720
 SWEEP_MIN_ANGLES = 64
-# Stop width of the crossing locator, for boundary kinks and atlas spikes alike.
+# Crossing locator stop (kinks and spikes): Newton step |f / f'| or bracket width.
 SWEEP_CROSSING_TOL = 1e-13

@@ -354,6 +354,15 @@ class SweepSpectra:
         return ranks, blocks
 
 
+def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
+    """Stacks (..., n_k, n_k), one per block, as block-diagonal stacks (..., N, N)."""
+    edges = np.cumsum([0] + [x.shape[-1] for x in blocks]).tolist()
+    out = np.zeros(blocks[0].shape[:-2] + (edges[-1],) * 2, dtype=complex)
+    for x, i, j in zip(blocks, edges, edges[1:]):
+        out[..., i:j, i:j] = x
+    return out
+
+
 class DirectionSweep:
     """u(alpha) = cos(alpha) a + sin(alpha) b on raw blocks, queried with angle
     arrays: each query runs one stacked np.linalg.eigh per block, and the
@@ -371,48 +380,81 @@ class DirectionSweep:
         pairs = [np.linalg.eigh(u) for u in self.blocks(alphas)]
         return SweepSpectra([w for w, _ in pairs], [V for _, V in pairs])
 
-    def locate_crossings(self, lo, hi, m) -> np.ndarray:
-        """Ternary searches for an eigenvalue crossing in each bracket
-        (lo[j], hi[j]) on top_gap(m[j]), the gap below the top m[j]
-        eigenvalues, down to width SWEEP_CROSSING_TOL, run in lockstep: each
-        step is one spectra call over the live brackets.  NaN where the gap
-        does not close to MAX_EIG_GAP."""
-        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        m = np.asarray(m)
-        if not lo.size:
-            return lo
-        for _ in range(200):
-            live = np.flatnonzero(hi - lo >= defaults.SWEEP_CROSSING_TOL)
-            if not live.size:
-                break
-            third = (hi[live] - lo[live]) / 3.0
-            m1, m2 = lo[live] + third, hi[live] - third
-            g = self.spectra(np.concatenate([m1, m2])).top_gap(np.tile(m[live], 2))
-            left = g[:live.size] <= g[live.size:]
-            hi[live[left]], lo[live[~left]] = m2[left], m1[~left]
-        alpha = 0.5 * (lo + hi)
-        return np.where(self.spectra(alpha).top_gap(m) <= defaults.MAX_EIG_GAP, alpha, np.nan)
+    def locate_crossings(self, lo, hi, P_lo, P_hi) -> tuple[np.ndarray, SweepSpectra]:
+        """Crossings of branch A, the top eigenspace at lo[j], with branch B, the
+        one at hi[j] (block-diagonal projectors P_lo[j], P_hi[j]), and the
+        spectra there as spectra() gives them: safeguarded Newton steps on
+        f = lambda_A - lambda_B, in lockstep, one spectra call a step.
 
-    def crossings(self, alphas, ranks: np.ndarray, P: list[np.ndarray]) -> np.ndarray:
+        A branch of rank r keeps the r eigenvectors of largest overlap with its
+        last projector; lambda is their mean eigenvalue, with slope
+        tr(Q* u' Q) / r (Hellmann-Feynman).  A search stops when |f / f'| <
+        SWEEP_CROSSING_TOL (tested first, then one more step onto the Newton
+        point); a step that leaves f's sign bracket, does not halve the last
+        one or follows an ambiguous tracking (kept overlap <= 1/2) bisects.  A
+        stop under a third branch C splits into searches of A against C and C
+        against B (both crossings of A -> C -> B); any other stop is a root if
+        top_gap(m) <= MAX_EIG_GAP, m the larger rank.
+        """
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+        if not lo.size:
+            return lo, SweepSpectra([u[:0].real for u in self.a], [u[None][:0] for u in self.a])
+        a, b, x, dx, done = lo, hi, 0.5 * (lo + hi), hi - lo, np.zeros(len(lo), dtype=bool)
+        P = np.stack([P_lo, P_hi])
+        rank = P.trace(axis1=-2, axis2=-1).real.round()
+        for _ in range(200):
+            at = self.spectra(x)
+            V, w = _block_diag(at.vectors), np.concatenate(at.values, axis=1)
+            Vh, du = V.conj(), _block_diag(self.blocks(x + 0.5 * np.pi))  # u'(x) = u(x + pi/2)
+            overlap = (Vh * (P @ V)).sum(-2).real
+            keep = np.argsort(np.argsort(-overlap), axis=-1) < rank[..., None]
+            lam = (w * keep).sum(-1) / rank
+            slope = ((Vh * (du @ V)).sum(-2).real * keep).sum(-1) / rank
+            tracked = ((overlap > 0.5) | ~keep).all(-1)
+            f, fp, clear = lam[0] - lam[1], slope[0] - slope[1], tracked.all(0)
+            step = np.divide(f, fp, out=np.zeros_like(f), where=fp != 0)
+            conv = (f == 0.0) | (clear & (fp != 0) & (np.abs(step) < defaults.SWEEP_CROSSING_TOL))
+            a, b = np.where(f > 0, x, a), np.where(f < 0, x, b)  # f > 0 at a, f < 0 at b
+            done = done | (b - a < defaults.SWEEP_CROSSING_TOL) | (conv & (x - step == x))
+            newton = conv | clear & (a < x - step) & (x - step < b) & (2 * abs(step) <= abs(dx))
+            nxt = np.where(done, x, np.where(newton, x - step, 0.5 * (a + b)))
+            a, b = np.where(conv, nxt, a), np.where(conv, nxt, b)  # so it ends at nxt
+            P = np.where(tracked[..., None, None], (V * keep[..., None, :]) @ Vh.swapaxes(1, 2), P)
+            x, dx = nxt, x - nxt
+            if done.all():
+                break
+        above = at.top() - lam.max(0) > defaults.MAX_EIG_GAP
+        root = done & ~above & (at.top_gap(rank.max(0).astype(int)) <= defaults.MAX_EIG_GAP)
+        split = np.flatnonzero(done & above)
+        C = _block_diag(at.max_projectors()[1])[split]
+        more, more_at = self.locate_crossings(
+            np.append(lo[split], x[split]), np.append(x[split], hi[split]),
+            np.concatenate([P[0, split], C]), np.concatenate([C, P[1, split]]))
+        return np.append(x[root], more), SweepSpectra(*(
+            [np.concatenate([u[root], v]) for u, v in zip(mine, theirs)]
+            for mine, theirs in ((at.values, more_at.values), (at.vectors, more_at.vectors))))
+
+    def crossings(self, alphas, ranks, P: list[np.ndarray]) -> tuple[np.ndarray, SweepSpectra]:
         """Angles between adjacent angles of the sorted grid alphas
-        (cyclically) where the top eigenvalue branch crosses another, located
-        by locate_crossings; ranks and P are the maximal projectors of the
-        grid's sweep (SweepSpectra.max_projectors).
+        (cyclically) where the top eigenvalue branch crosses another, with
+        their spectra; ranks and P are the grid's maximal projectors
+        (SweepSpectra.max_projectors).
 
         An interval is bracketed when the maximal projector jumps across it,
         tr(P_j P_j+1) < min(rank_j, rank_j+1) / 2: a crossing swaps the top
         eigenspace for an orthogonal one, also where one branch stays
         multiple, while a smooth step or a crossing on a grid angle keeps the
-        overlap near full.  The search runs on the gap below the larger rank.
-        Of two crossings in one interval at most one is found.
+        overlap near full.  locate_crossings follows the end projectors (and
+        finds both crossings where a third branch passes the top); an interval
+        whose top eigenspace swaps away and back is not bracketed.
         """
-        overlap = sum(np.sum(B * np.roll(B, -1, axis=0).conj(), axis=(1, 2)).real for B in P)
-        ranks_next = np.roll(ranks, -1)
-        j = np.flatnonzero(overlap < 0.5 * np.minimum(ranks, ranks_next))
+        P = _block_diag(P)
+        P_next = np.roll(P, -1, axis=0)
+        j = np.flatnonzero((P * P_next.conj()).sum((1, 2)).real
+                           < 0.5 * np.minimum(ranks, np.roll(ranks, -1)))
         lo = np.asarray(alphas, dtype=float)
         hi = np.append(lo[1:], lo[0] + 2.0 * np.pi)
-        found = self.locate_crossings(lo[j], hi[j], np.maximum(ranks, ranks_next)[j])
-        return found[~np.isnan(found)]
+        return self.locate_crossings(lo[j], hi[j], P[j], P_next[j])
 
 
 # -- Frechet derivatives of matrix functions ----------------------------------

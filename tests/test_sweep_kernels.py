@@ -3,13 +3,17 @@
 _reference_face is the per-row face code that boundary._faces replaces:
 one eigh of the orthogonal direction per block of the row's maximal
 eigenspace, returning the row's fields as a dict.  _reference_locate_crossing
-is the scalar ternary crossing search that DirectionSweep.locate_crossings
-replaces, extended by the gap index m of the search; _reference_sweep applies
-the crossing rule of DirectionSweep.crossings one grid interval at a time.
-The stacked kernels must reproduce them bit for bit, so every field of every
-record row and every angle is compared with ==, not a tolerance.
+is a scalar ternary search on the gap below the top m eigenvalues, an
+independent crossing locator; _reference_sweep applies the crossing rule of
+DirectionSweep.crossings one grid interval at a time with it.  Grid rows must
+match bit for bit, so every field is compared with ==.  The Newton locator
+and the ternary search reach the same crossing by different arithmetic, so a
+refined row's angle must lie within 1e-13 of the reference one, and its other
+fields must equal _reference_face at that angle.  An mpmath oracle at 40
+digits checks the located angles themselves.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,7 +22,7 @@ from qexpfam import cone, defaults, sampling
 from qexpfam.boundary import _resolution, mean_value_boundary_sweep
 from qexpfam.closures import geodesic_closure_atlas
 from qexpfam.family import make_family
-from qexpfam.linalg import Algebra, DirectionSweep, SweepSpectra, diagonal
+from qexpfam.linalg import Algebra, DirectionSweep, SweepSpectra, _block_diag, diagonal
 from qexpfam.sampling import random_traceless
 
 
@@ -101,10 +105,33 @@ def _reference_sweep(family, n_angles: int) -> list[dict]:
     return faces
 
 
-def _assert_rows_equal(got, want):
-    """Record rows against reference dicts, field by field, with ==."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
+def _confirmed(kernel: DirectionSweep, x: float) -> bool:
+    """Whether the reference search finds a crossing within 1e-13 of x, on
+    the bracket x -+ 1e-6 and the gap below the larger top rank at its ends."""
+    m = kernel.spectra([x - 1e-6, x + 1e-6]).max_projectors()[0].max()
+    near = _reference_locate_crossing(kernel, x - 1e-6, x + 1e-6, defaults.SWEEP_CROSSING_TOL, m)
+    return near is not None and abs(near - x) < 1e-13
+
+
+def _assert_sweep_matches(fam, n_angles: int):
+    """The sweep's rows against _reference_sweep.  Grid rows match field by
+    field with ==.  Every reference crossing is a refined row within 1e-13,
+    and every refined row is a crossing the reference confirms (_confirmed:
+    an interval with two crossings yields both, the reference one of them),
+    with the other fields of _reference_face at the row's angle."""
+    got, want = mean_value_boundary_sweep(fam, n_angles).faces, _reference_sweep(fam, n_angles)
+    kernel = DirectionSweep(fam.basis[0].blocks, fam.basis[1].blocks)
+    grid = [w for w in want if not w["refined"]]
+    assert len(got[~got.refined]) == len(grid)
+    for g, w in zip(got[~got.refined], grid):
+        for name, value in w.items():
+            assert np.all(g[name] == np.asarray(value)), name
+    refined = got[got.refined]
+    for w in want:
+        assert not w["refined"] or np.min(np.abs(refined.alpha - w["alpha"])) < 1e-13
+    for g in refined:
+        assert _confirmed(kernel, g.alpha)
+        w = _reference_face(kernel, g.alpha, kernel.spectra([g.alpha]), 0, refined=True)
         for name, value in w.items():
             assert np.all(g[name] == np.asarray(value)), name
 
@@ -146,43 +173,85 @@ class TestStackedSweep:
     @example((2, 1, 1), 15, True, 97)  # crossings with a double top eigenvalue
     @example((2, 4), 0, False, 97)  # radii of refined rows in a 4x4 block
     def test_random_families_match_per_angle_faces(self, dims, seed, commutative, n):
-        fam = _random_family(dims, seed, commutative)
-        _assert_rows_equal(mean_value_boundary_sweep(fam, n).faces, _reference_sweep(fam, n))
+        _assert_sweep_matches(_random_family(dims, seed, commutative), n)
 
     @pytest.mark.parametrize("phi", [0.0, 0.03, 0.5, 0.8255269040265483,
                                      1.0471975511965976, 1.2, 1.5707963267948966])
     def test_cone_tilts_match_per_angle_faces(self, phi):
-        fam = cone.plane_for_angle(phi)
-        _assert_rows_equal(mean_value_boundary_sweep(fam, 180).faces, _reference_sweep(fam, 180))
+        _assert_sweep_matches(cone.plane_for_angle(phi), 180)
 
     @pytest.mark.parametrize("name", ["staffelberg_family", "swallow_family"])
     def test_named_families_match_per_angle_faces(self, name):
-        fam = getattr(cone, name)()
-        _assert_rows_equal(mean_value_boundary_sweep(fam).faces, _reference_sweep(fam, 720))
+        _assert_sweep_matches(getattr(cone, name)(), 720)
 
 
 class TestLockstepCrossings:
     @settings(derandomize=True, deadline=None, max_examples=10)
-    @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([1, 2]))
-    def test_batch_matches_scalar_search(self, dims, seed, commutative, m):
+    @given(_DIMS, st.integers(0, 2**32 - 1), st.booleans())
+    def test_batch_matches_scalar_search(self, dims, seed, commutative):
         fam = _random_family(dims, seed, commutative)
         kernel = DirectionSweep(fam.basis[0].blocks, fam.basis[1].blocks)
         lo, hi = _gap_minima_brackets(kernel, 60)
-        # brackets of every width, so the searches stop at different steps
-        rng = np.random.default_rng(seed)
-        extra = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=(3, 2)), axis=1)
-        lo, hi = np.concatenate([lo, extra[:, 0]]), np.concatenate([hi, extra[:, 1]])
-        # gap below the top m eigenvalues, m varying by bracket
-        m = np.where(np.arange(len(lo)) % 2, min(m, sum(dims) - 1), 1)
-        got = kernel.locate_crossings(lo, hi, m)
-        for g, a, b, k in zip(got, lo, hi, m):
-            want = _reference_locate_crossing(kernel, a, b, defaults.SWEEP_CROSSING_TOL, k)
-            assert np.isnan(g) if want is None else g == want
+        # and the intervals the crossing rule brackets on a coarse grid of
+        # random size, so the searches stop at different steps
+        grid = np.linspace(0.0, 2.0 * np.pi, np.random.default_rng(seed).integers(8, 64),
+                           endpoint=False)
+        ranks, P = kernel.spectra(grid).max_projectors()
+        overlap = sum(np.sum(B * np.roll(B, -1, axis=0).conj(), axis=(1, 2)).real for B in P)
+        j = np.flatnonzero(overlap < 0.5 * np.minimum(ranks, np.roll(ranks, -1)))
+        lo, hi = np.append(lo, grid[j]), np.append(hi, np.append(grid[1:], 2.0 * np.pi)[j])
+        (r_lo, P_lo), (r_hi, P_hi) = (kernel.spectra(x).max_projectors() for x in (lo, hi))
+        P_lo, P_hi = _block_diag(P_lo), _block_diag(P_hi)
+        got, at = kernel.locate_crossings(lo, hi, P_lo, P_hi)
+        fresh = kernel.spectra(got)
+        assert all(np.array_equal(x, y) for x, y in zip(at.values + at.vectors,
+                                                        fresh.values + fresh.vectors))
+        # lockstep: each bracket searched alone gives the same roots, bit for bit
+        alone = [kernel.locate_crossings(lo[[i]], hi[[i]], P_lo[[i]], P_hi[[i]])[0]
+                 for i in range(len(lo))]
+        assert np.array_equal(np.sort(got), np.sort(np.concatenate(alone)))
+        for a, b, m, roots in zip(lo, hi, np.maximum(r_lo, r_hi), alone):
+            # the root the reference finds is found, and every root found is
+            # confirmed (both crossings where a third branch intervenes)
+            want = _reference_locate_crossing(kernel, a, b, defaults.SWEEP_CROSSING_TOL, m)
+            if want is not None:
+                assert np.min(np.abs(roots - want), initial=np.inf) < 1e-13
+            assert all(_confirmed(kernel, x) for x in roots)
 
     def test_empty_batch(self):
         kernel = DirectionSweep(cone.swallow_family().basis[0].blocks,
                                 cone.swallow_family().basis[1].blocks)
-        assert kernel.locate_crossings([], [], []).shape == (0,)
+        P = np.empty((0, 3, 3), dtype=complex)
+        roots, at = kernel.locate_crossings([], [], P, P)
+        assert roots.shape == (0,)
+        assert [w.shape for w in at.values] == [(0, 2), (0, 1)]
+
+
+def _mp_crossing(fam, alpha: float) -> mpmath.mpf:
+    """The crossing near alpha at 40 digits: the root of the difference of
+    the top eigenvalues of the two blocks whose tops are largest at alpha."""
+    a, b = fam.basis[0].blocks, fam.basis[1].blocks
+    tops = [np.linalg.eigvalsh(np.cos(alpha) * x + np.sin(alpha) * y)[-1] for x, y in zip(a, b)]
+    pair = np.argsort(tops)[-2:]
+    with mpmath.workdps(40):
+        def top(k, t):
+            x, y = mpmath.matrix(a[k].tolist()), mpmath.matrix(b[k].tolist())
+            return max(mpmath.mp.eighe(mpmath.cos(t) * x + mpmath.sin(t) * y, eigvals_only=True))
+
+        return mpmath.findroot(lambda t: top(pair[0], t) - top(pair[1], t), mpmath.mpf(alpha))
+
+
+class TestCrossingOracle:
+    @pytest.mark.parametrize("fam", [
+        *(cone.plane_for_angle(phi) for phi in (0.03, 0.5, 0.8255269040265483, 1.0)),
+        sampling.random_family(Algebra((1, 1, 1, 1)), 2, np.random.default_rng(139)),
+        sampling.random_family(Algebra((2, 2)), 2, np.random.default_rng(47)),
+    ], ids=["tilt0.03", "tilt0.5", "tilt0.8255", "tilt1.0", "1111-s139", "22-s47"])
+    def test_roots_match_mpmath(self, fam):
+        for n in (64, 720):
+            faces = mean_value_boundary_sweep(fam, n).faces
+            for alpha in faces.alpha[faces.refined]:
+                assert abs(alpha - float(_mp_crossing(fam, alpha))) < 1e-13
 
 
 class TestCrossingRule:
@@ -234,8 +303,14 @@ class TestCrossingRule:
         assert self._four_crossings(dims, seed, kind, 90)
         assert self._four_crossings(dims, seed, kind, 720)
 
-    @pytest.mark.xfail(strict=True, reason="a grid interval yields at most one crossing")
-    @pytest.mark.parametrize("dims, seed, kind", _PAIRED)
+    # the atlas pair swaps the top eigenspace away and back inside one
+    # 64-direction interval, so the interval is not bracketed
+    @pytest.mark.parametrize("dims, seed, kind", [
+        _PAIRED[0],
+        pytest.param(*_PAIRED[1], marks=pytest.mark.xfail(strict=True, reason=(
+            "crossings 3.34435 and 3.42905 share one 64-direction interval whose "
+            "top eigenspace swaps back, so it is never bracketed"))),
+    ])
     def test_paired_crossings_in_one_interval(self, dims, seed, kind):
         assert self._four_crossings(dims, seed, kind, 64)
 
@@ -249,10 +324,24 @@ class TestCrossingRule:
         searched = []
         locate = DirectionSweep.locate_crossings
 
-        def spy(self, lo, hi, m):
+        def spy(self, lo, *rest):
             searched.append(len(lo))
-            return locate(self, lo, hi, m)
+            return locate(self, lo, *rest)
 
         monkeypatch.setattr(DirectionSweep, "locate_crossings", spy)
         mean_value_boundary_sweep(cone.plane_for_angle(np.pi / 2))
         assert searched == [0]
+
+    def test_cone_sweep_locates_in_few_spectra(self, monkeypatch):
+        # one spectra call for the grid; the crossings and their faces take the rest
+        calls = []
+        spectra = DirectionSweep.spectra
+
+        def spy(self, alphas):
+            calls.append(len(alphas))
+            return spectra(self, alphas)
+
+        monkeypatch.setattr(DirectionSweep, "spectra", spy)
+        mean_value_boundary_sweep(cone.plane_for_angle(0.5))
+        assert calls[0] == defaults.SWEEP_ANGLES
+        assert len(calls) <= 8
