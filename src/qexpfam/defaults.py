@@ -24,9 +24,6 @@ STATE_TOL = 1e-12
 # Projectors: ||p^2 - p|| tolerance.
 PROJECTOR_TOL = 1e-12
 
-# Divided differences switch to f' when eigenvalues are closer than this.
-DIVIDED_DIFF_DEGENERACY = 1e-12
-
 # Spectral gap below which eigenvalues are merged into one maximal projector.
 MAX_EIG_GAP = 1e-9
 

@@ -460,7 +460,7 @@ def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: n
     for (w, V), stack in zip(pairs, family.stacks):
         if w.size == 0:
             continue
-        table = divided_differences(w - mu, np.exp, np.exp)
+        table = divided_differences(w - mu, "exp")
         tilted = V.conj().T @ stack @ V
         cov = ((tilted.conj()[:, None] * table) * tilted[None, :]).sum(axis=(-2, -1))
         H[upper] += cov.real[upper] / z

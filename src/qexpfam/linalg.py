@@ -460,39 +460,38 @@ class DirectionSweep:
 # -- Frechet derivatives of matrix functions ----------------------------------
 
 
-def divided_differences(
-    w: np.ndarray, f: Callable, fprime: Callable
-) -> np.ndarray:
-    """First divided difference table f[w_i, w_j], with f' on the diagonal
-    and on pairs closer than the degeneracy threshold."""
-    diff = w[:, None] - w[None, :]
-    close = np.abs(diff) < defaults.DIVIDED_DIFF_DEGENERACY
-    safe = np.where(close, 1.0, diff)
+def divided_differences(w: np.ndarray, f: str) -> np.ndarray:
+    """First divided difference table f[w_i, w_j] of f = "exp" or "log".
+
+    Closed forms that stay accurate at any gap g = |w_i - w_j|, with hi and
+    lo the larger and smaller eigenvalue: exp[w_i, w_j] = e^hi (-expm1(-g)/g)
+    and log[w_i, w_j] = log1p(g/lo)/g, so no difference of nearly equal
+    function values is taken.  Exact ties take the derivative, e^hi or 1/lo.
+    Both tables are symmetric.
+    """
+    x, y = w[:, None], w[None, :]
+    gap = np.abs(x - y)
+    tie = gap == 0.0
     with np.errstate(all="ignore"):
-        fw = f(w)
-        table = (fw[:, None] - fw[None, :]) / safe
-        table = np.where(close, fprime((w[:, None] + w[None, :]) / 2.0), table)
+        if f == "exp":
+            table = np.exp(np.maximum(x, y)) * np.where(tie, 1.0, -np.expm1(-gap) / gap)
+        else:
+            lo = np.minimum(x, y)
+            table = np.where(tie, 1.0 / lo, np.log1p(gap / lo) / gap)
     if not np.all(np.isfinite(table)):
         raise DomainError("divided differences not finite on spectrum")
     return table
 
 
-def frechet_block(
-    w: np.ndarray, V: np.ndarray, b: np.ndarray, f: Callable, fprime: Callable
-) -> np.ndarray:
+def frechet_block(w: np.ndarray, V: np.ndarray, b: np.ndarray, f: str) -> np.ndarray:
     """One block of the Daleckii-Krein derivative, V (f[w_i,w_j] * V* b V) V*,
-    for eigenpairs (w, V) given as columns."""
-    table = divided_differences(w, f, fprime)
+    for eigenpairs (w, V) given as columns and f = "exp" or "log"."""
+    table = divided_differences(w, f)
     return V @ (table * (V.conj().T @ b @ V)) @ V.conj().T
 
 
-def frechet_derivative(
-    a: HermitianElement,
-    b: HermitianElement,
-    f: Callable,
-    fprime: Callable,
-) -> HermitianElement:
-    """Derivative of the matrix function f at a in direction b.
+def frechet_derivative(a: HermitianElement, b: HermitianElement, f: str) -> HermitianElement:
+    """Derivative of the matrix function f = "exp" or "log" at a in direction b.
 
     Computed in the eigenbasis of a as the Schur product of f's first divided
     differences with the rotated direction (Daleckii-Krein).  Linear in b and
@@ -502,7 +501,7 @@ def frechet_derivative(
         raise AlgebraMismatchError("operands belong to different algebras")
     spec = eigh(a)
     blocks = [
-        frechet_block(w, V, bb, f, fprime)
+        frechet_block(w, V, bb, f)
         for w, V, bb in zip(spec.eigenvalues, spec.eigenvectors, b.blocks)
     ]
     return HermitianElement(a.algebra, blocks)
@@ -510,7 +509,7 @@ def frechet_derivative(
 
 def dexp(a: HermitianElement, b: HermitianElement) -> HermitianElement:
     """Derivative of the matrix exponential at a in direction b."""
-    return frechet_derivative(a, b, np.exp, np.exp)
+    return frechet_derivative(a, b, "exp")
 
 
 def dlog(a: HermitianElement, b: HermitianElement) -> HermitianElement:
@@ -519,7 +518,7 @@ def dlog(a: HermitianElement, b: HermitianElement) -> HermitianElement:
     for w in spec.eigenvalues:
         if np.any(w <= 0):
             raise DomainError("log derivative requires a positive definite element")
-    return frechet_derivative(a, b, np.log, np.reciprocal)
+    return frechet_derivative(a, b, "log")
 
 
 # -- orthonormalization -------------------------------------------------------

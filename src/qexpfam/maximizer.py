@@ -47,7 +47,7 @@ def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
     if not support_projector(rho).contains(u):
         raise PreconditionError("direction is not supported in the face algebra pAp")
     blocks = [
-        frechet_block(w, V, ub, np.log, np.reciprocal)
+        frechet_block(w, V, ub, "log")
         for (w, V), ub in zip(_support_pairs(rho), u.blocks)
     ]
     return HermitianElement(rho.algebra, blocks)

@@ -153,7 +153,7 @@ def _bkm_hessian_loop(family, pairs, z, mu, means):
     for bi, (w, V) in enumerate(pairs):
         if w.size == 0:
             continue
-        table = divided_differences(w - mu, np.exp, np.exp)
+        table = divided_differences(w - mu, "exp")
         tilted = [V.conj().T @ v.blocks[bi] @ V for v in family.basis]
         for i in range(d):
             for j in range(i, d):

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,11 +10,11 @@ from qexpfam.linalg import (
     apply_matrix_function,
     coords,
     dexp,
+    divided_differences,
     dlog,
     eigh,
     expm,
     from_coords,
-    frechet_derivative,
     gram_schmidt,
     hs_inner,
     identity,
@@ -218,15 +219,23 @@ class TestFrechetDerivative:
             hs_inner(b, expm(a)), abs=1e-10
         )
 
-    def test_general_function_with_fprime(self, algebra, rng):
-        a, b = rand(algebra, rng), rand(algebra, rng)
-        got = frechet_derivative(a, b, np.sin, np.cos)
-        h = 1e-5
-        fd = (
-            apply_matrix_function(a + h * b, np.sin)
-            - apply_matrix_function(a - h * b, np.sin)
-        ) / (2.0 * h)
-        assert (got - fd).norm() <= 1e-7 * max(1.0, got.norm())
+    @pytest.mark.parametrize("f", ["exp", "log"])
+    def test_divided_differences_match_mpmath(self, f):
+        # eigenvalue pairs (base, base + gap) for gaps from 1e-14 to 1: no
+        # cancellation at any gap, against a 40-digit (F(x) - F(y)) / (x - y)
+        fn = mpmath.exp if f == "exp" else mpmath.log
+        bases = (0.7, 1e-3, 5.0) + ((-3.0, -40.0) if f == "exp" else ())
+        with mpmath.workdps(40):
+            for base in bases:
+                for gap in np.logspace(-14.0, 0.0, 29):
+                    w = np.array([base, base + gap, base])
+                    table = divided_differences(w, f)
+                    assert np.array_equal(table, table.T)
+                    x, y = (mpmath.mpf(float(v)) for v in w[:2])
+                    want = (fn(x) - fn(y)) / (x - y)
+                    assert abs(table[0, 1] - want) <= 1e-14 * abs(want), (base, gap)
+                    # an exact tie takes the derivative
+                    assert table[0, 2] == table[0, 0] == (np.exp(base) if f == "exp" else 1.0 / base)
 
 
 class TestGramSchmidt:
