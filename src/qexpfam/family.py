@@ -63,28 +63,34 @@ from .states import (
 # -- the trace-normalized exponential and its inverse chart -------------------
 
 
-def _gibbs(a: HermitianElement, support: SupportBasis | None):
-    """The Gibbs kernel: (F, state, pairs, z, mu) for a in pAp.
+def _gibbs_spectrum(a: HermitianElement, support: SupportBasis | None):
+    """The Gibbs kernel: (F, pairs, z, mu) for a in pAp.
 
-    F = ln tr(p e^a) and state = p e^a / tr(p e^a), evaluated on the
-    eigenpairs of a within Im(p) shifted by the largest eigenvalue mu, so
-    tr(p e^(a - mu)) = z stays in [1, N] and nothing overflows.  The state is
-    built from those eigenpairs, padded with zero weights on the kernel
-    columns of p; in the full algebra they are a's own.
+    pairs are the eigenpairs of a within Im(p), values descending and vectors
+    as columns of the ambient blocks; mu is the largest eigenvalue, so
+    tr(p e^(a - mu)) = z stays in [1, N] and F = ln tr(p e^a) = mu + ln z
+    overflows nowhere.  The Gibbs state p e^a / tr(p e^a) puts the weights
+    e^(w - mu) / z on these pairs (_gibbs_state).
     """
     if support is None:
         pairs = [(w[::-1], V[:, ::-1]) for w, V in map(np.linalg.eigh, a.blocks)]
     else:  # values descending, vectors as columns of the ambient blocks
         pairs = [(w[::-1], q @ Y[:, ::-1]) for q, (w, Y)
                  in zip(support.columns, map(np.linalg.eigh, support.restrict(a)))]
-    kernel = (support or full_support(a.algebra)).kernel
     mu = max(float(w[0]) for w, _ in pairs if w.size)
-    weights = [np.exp(w - mu) for w, _ in pairs]
-    z = sum(float(e.sum()) for e in weights)
-    values = [np.concatenate([e / z, np.zeros(k.shape[1])]) for e, k in zip(weights, kernel)]
+    z = sum(float(np.exp(w - mu).sum()) for w, _ in pairs)
+    return mu + float(np.log(z)), pairs, z, mu
+
+
+def _gibbs_state(algebra: Algebra, support: SupportBasis | None, pairs, z: float,
+                 mu: float) -> State:
+    """The Gibbs state of _gibbs_spectrum's pairs, padded with zero weights
+    on the kernel columns of p; in the full algebra they are a's own."""
+    kernel = (support or full_support(algebra)).kernel
+    values = [np.concatenate([np.exp(w - mu) / z, np.zeros(k.shape[1])])
+              for (w, _), k in zip(pairs, kernel)]
     vectors = [np.hstack([V, k]) for (_, V), k in zip(pairs, kernel)]
-    state = State._from_spectrum(a.algebra, values, vectors)
-    return mu + float(np.log(z)), state, pairs, z, mu
+    return State._from_spectrum(algebra, values, vectors)
 
 
 def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
@@ -94,7 +100,7 @@ def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
     computed for a in pAp.  Overflow is avoided by shifting a by its largest
     eigenvalue first; the result is invariant under a -> a + t*identity.
     """
-    return _gibbs(a, support)[1]
+    return _gibbs_state(a.algebra, support, *_gibbs_spectrum(a, support)[1:])
 
 
 def ln0(rho: State) -> HermitianElement:
@@ -114,8 +120,8 @@ def free_energy(
 
     Equivariant under trace shifts: F(a + t*identity) = F(a) + t.
     """
-    value, state, *_ = _gibbs(a, support)
-    return value, state
+    value, *spectrum = _gibbs_spectrum(a, support)
+    return value, _gibbs_state(a.algebra, support, *spectrum)
 
 
 # -- family --------------------------------------------------------------------
@@ -439,48 +445,49 @@ class ProjectionResult:
 
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
-    """Objective F(a) - theta.m, gradient, state and spectral pairs at theta."""
-    value, sigma, pairs, z, mu = _gibbs(family.parameter_element(theta), family.support)
-    obj = value - float(theta @ moments)
-    grad = mean_value_projection(sigma.element, family) - moments
-    return obj, grad, sigma, pairs, z, mu
+    """Objective F(a) - theta.m, its gradient, and the point it was read from.
 
-
-def _bkm_hessian(family: ExponentialFamily, pairs, z: float, mu: float, means: np.ndarray):
-    """BKM covariance of the tangent basis at the current member.
-
-    H_ij = <v_i, Dexp(a)[v_j]> / tr e^a - <v_i,sigma><v_j,sigma>, assembled
-    from exp divided differences in the eigenbasis of the parameter element.
-    Every pair (i, j) of a block is one product of the stacked tilted basis;
-    its elements and their sum round as sum(conj(T_i) * table * T_j) does.
+    One eigendecomposition of a = offset + sum theta_i v_i (_gibbs_spectrum);
+    each block's stacked basis S_k is then tilted into its eigenbasis, T_k =
+    V_k* S_k V_k, and the mean values are the Gibbs-weighted diagonals of T:
+    means_i = sum_k sum_m p_m Re (T_k,i)_mm with p = e^(w - mu) / z.  The
+    point (pairs, T, z, mu, means) feeds the BKM Hessian and the final Gibbs
+    state; no state is built here.
     """
-    d = family.dim
-    H = np.zeros((d, d))
-    upper = np.triu_indices(d)
-    for (w, V), stack in zip(pairs, family.stacks):
-        if w.size == 0:
-            continue
-        table = divided_differences(w - mu, "exp")
-        tilted = V.conj().T @ stack @ V
-        cov = ((tilted.conj()[:, None] * table) * tilted[None, :]).sum(axis=(-2, -1))
-        H[upper] += cov.real[upper] / z
-    lower = np.tril_indices(d, -1)
-    H[lower] = H.T[lower]
-    H -= np.outer(means, means)
-    return H
+    value, pairs, z, mu = _gibbs_spectrum(family.parameter_element(theta), family.support)
+    tilted = [V.conj().T @ s @ V for (_, V), s in zip(pairs, family.stacks)]
+    means = sum(np.diagonal(T, axis1=1, axis2=2).real @ (np.exp(w - mu) / z)
+                for (w, _), T in zip(pairs, tilted))
+    return value - float(theta @ moments), means - moments, (pairs, tilted, z, mu, means)
+
+
+def _bkm_hessian(point) -> np.ndarray:
+    """BKM covariance of the tangent basis at a point of _objective_pieces.
+
+    H_ij = <v_i - m_i, Dexp(a)[v_j - m_j]> / tr e^a with m the means; in the
+    eigenbasis of a this is sum_k sum_mn t_mn Re(conj(C_k,i) C_k,j)_mn / z,
+    C_k,i = T_k,i - m_i 1 and t the exp divided differences of w - mu.  They
+    are positive, so H is the Gram matrix of R_k = [Re | Im](C_k * sqrt(t))
+    reshaped to (dim, 2 n_k^2): one real product per block, symmetric and
+    positive semidefinite by construction.  Centering first leaves no
+    cancellation against m m^T, which an error in m enters only squared.
+    """
+    pairs, tilted, z, mu, means = point
+    rows = (((T - means[:, None, None] * np.eye(len(w))) * np.sqrt(divided_differences(w - mu, "exp")))
+            .view(float).reshape(len(means), -1) for (w, _), T in zip(pairs, tilted))
+    return sum(R @ R.T for R in rows) / z
 
 
 @dataclass
 class _NewtonState:
-    """The projection solver's state at the start of a Newton iteration."""
+    """The projection solver at the start of a Newton iteration: theta, its
+    objective value and gradient, and the point of _objective_pieces they
+    were read from, which the Hessian and the final Gibbs state reuse."""
 
     theta: np.ndarray
     fval: float
     grad: np.ndarray
-    sigma: State
-    pairs: list
-    z: float
-    mu: float
+    point: tuple
     min_hess: float = float("inf")
     iterations: int = 0
     stalled: int = 0
@@ -502,8 +509,7 @@ def _newton_setup(rho: State, family: ExponentialFamily):
     moments = mean_value_projection(rho.element, family)
     base = vn_entropy(rho) + hs_inner(rho.element, family.offset)
     theta = np.zeros(family.dim)
-    fval, grad, sigma, pairs, z, mu = _objective_pieces(family, theta, moments)
-    return moments, base, _NewtonState(theta, fval, grad, sigma, pairs, z, mu)
+    return moments, base, _NewtonState(theta, *_objective_pieces(family, theta, moments))
 
 
 def _resolution(scale: float) -> float:
@@ -529,8 +535,7 @@ def _newton(
     final state's stop_reason is ProjectionResult's, or "max_iter" when the
     iteration budget ran out first.
     """
-    theta, fval, grad = start.theta, start.fval, start.grad
-    sigma, pairs, z, mu = start.sigma, start.pairs, start.z, start.mu
+    theta, fval, grad, point = start.theta, start.fval, start.grad, start.point
     min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
     cap_hit = False
     resume = None
@@ -542,10 +547,8 @@ def _newton(
         if iterations >= max_iter:
             stop = "max_iter"
             break
-        here = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
-                            min_hess, iterations, stalled)
-        means = grad + moments
-        H = _bkm_hessian(family, pairs, z, mu, means)
+        here = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled)
+        H = _bkm_hessian(point)
         eigs = np.linalg.eigvalsh(H)
         min_hess = min(min_hess, float(eigs[0]))
         if eigs[0] <= 0.0:
@@ -569,11 +572,11 @@ def _newton(
         floor = _resolution(fval)
         for _ in range(defaults.ARMIJO_MAX_HALVINGS):
             cand = theta + t * step
-            f2, g2, s2, p2, z2, m2 = _objective_pieces(family, cand, moments)
+            f2, g2, p2 = _objective_pieces(family, cand, moments)
             if f2 <= fval + defaults.ARMIJO_C1 * t * slope + floor or (
                 hit_cap_now and f2 < fval
             ):
-                theta, fval, grad, sigma, pairs, z, mu = cand, f2, g2, s2, p2, z2, m2
+                theta, fval, grad, point = cand, f2, g2, p2
                 accepted = True
                 break
             t *= 0.5
@@ -597,21 +600,22 @@ def _newton(
             stop = "cap"
             break
 
-    end = _NewtonState(theta, fval, grad, sigma, pairs, z, mu,
-                       min_hess, iterations, stalled, cap_hit, stop)
+    end = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled, cap_hit, stop)
     return end, resume
 
 
 def _newton_finish(
+    family: ExponentialFamily,
     base: float,
     end: _NewtonState,
     tol: float,
     max_iter: int,
     on_face: Callable[[], bool],
 ) -> ProjectionResult:
-    """The ProjectionResult of a final solver state; SolverError when the
-    iteration budget ran out short of convergence and of the cap.  on_face
-    is asked only when the solver converged inside the cap."""
+    """The ProjectionResult of a final solver state, whose Gibbs state is the
+    one built in the whole solve; SolverError when the iteration budget ran
+    out short of convergence and of the cap.  on_face is asked only when the
+    solver converged inside the cap."""
     gnorm = float(np.linalg.norm(end.grad))
     if gnorm > tol and not end.cap_hit and end.iterations >= max_iter:
         raise SolverError(
@@ -619,12 +623,13 @@ def _newton_finish(
         )
 
     # f = F - theta.m rounds at the size of the free energy F, not of f
+    pairs, _, z, mu, _ = end.point
     excess = end.fval - base
-    distance = excess if excess > _resolution(end.mu + np.log(end.z)) else 0.0
+    distance = excess if excess > _resolution(mu + np.log(z)) else 0.0
     attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,
-        sigma_star=end.sigma,
+        sigma_star=_gibbs_state(family.algebra, family.support, pairs, z, mu),
         attained=attained,
         grad_residual=gnorm,
         iterations=end.iterations,
@@ -690,7 +695,7 @@ def _project_ladder(
     for cap in caps:
         end = ends[float(cap)]
         if id(end) not in results:
-            results[id(end)] = _newton_finish(base, end, tol, max_iter, on_face)
+            results[id(end)] = _newton_finish(family, base, end, tol, max_iter, on_face)
         out.append(results[id(end)])
     return out
 
