@@ -12,6 +12,7 @@ result lines are printed.  Fixed config and seed give byte-identical CSVs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -189,7 +190,9 @@ def cmd_report(cfg: RunConfig, which: str) -> int:
     return EXIT_OK if report.ok else EXIT_CONTRACT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once: parse_args returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="qexpfam",
         description="Entropy distance from exponential families of quantum states",

@@ -137,6 +137,29 @@ class TestCliExitCodes:
         assert code == 0
 
 
+class TestParser:
+    def test_options_do_not_leak_between_calls(self, tmp_path, capsys):
+        from qexpfam import cli
+
+        assert cli._build_parser() is cli._build_parser()
+        outs = [tmp_path / name for name in ("seeded", "plain", "default_seed")]
+        assert main(["report", "--which", "cone", "--seed", "3", "--quiet",
+                     "--out", str(outs[0])]) == 0
+        quiet = capsys.readouterr().out
+        assert main(["report", "--which", "cone", "--out", str(outs[1])]) == 0
+        loud = capsys.readouterr().out
+        assert "finding check=" not in quiet and "finding check=" in loud
+        assert main(["report", "--which", "cone", "--seed", str(RunConfig().seed),
+                     "--out", str(outs[2])]) == 0
+        seeded, plain, default = ((d / "report_cone.csv").read_bytes() for d in outs)
+        assert plain == default != seeded
+        with pytest.raises(SystemExit) as bad:
+            main(["report", "--out", str(tmp_path)])
+        assert bad.value.code == 2
+        assert main(["sweep", "--phi", "0.5", "--angles", "64", "--quiet",
+                     "--out", str(tmp_path)]) == 0
+
+
 class TestSweepCommand:
     def test_writes_csv_and_svg(self, tmp_path, capsys):
         code = main(["sweep", "--phi", "0.5235987755982988", "--out", str(tmp_path),
