@@ -4,22 +4,22 @@ A family is the image under the trace-normalized exponential of an affine
 subspace offset + span(basis) of traceless self-adjoint elements.  Families in
 a compressed corner algebra pAp carry a support basis and use the
 superscript-p calculus throughout; the full algebra is the special case
-p = identity.  The basis is also stacked per block, so tangent elements, mean
-values and the BKM Hessian are one product per block, and each Gibbs state is
-built from the eigenpairs of its parameter element.
+p = identity.  The basis is also stacked per block, so tangent elements and
+the basis tilted into an eigenbasis are one product per block.
 
 The projection onto the family minimizes the strictly convex objective
 
     f(theta) = F(offset + sum_i theta_i v_i) - <rho, sum_i theta_i v_i>
 
-by damped Newton with Armijo backtracking.  Its value recovers the relative
-entropy through S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which
-stays meaningful when the infimum recedes to the boundary and no minimizer
-exists.  That happens exactly when rho lies on a proper exposed face of the
-mean value set; the face finder decides it and the solver reports it as a
-flag, not an error.  entropy_distance solves in the family of the face that
-carries rho (face_chain), where the minimum is attained; the caps remain for
-extrapolation.
+by damped Newton with Armijo backtracking in the eigenbasis of the parameter
+element: one eigendecomposition per iterate gives f, the mean values and the
+BKM Hessian, and a solve builds one Gibbs state.  f recovers the relative
+entropy as S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which stays
+meaningful when the infimum recedes to the boundary and no minimizer exists.
+That happens exactly when rho lies on a proper exposed face of the mean value
+set; the face finder decides it and the solver reports it as a flag, not an
+error.  entropy_distance solves in the family of the face that carries rho
+(face_chain), where the minimum is attained; the caps remain for extrapolation.
 """
 
 from __future__ import annotations
@@ -64,13 +64,11 @@ from .states import (
 
 
 def _gibbs_spectrum(a: HermitianElement, support: SupportBasis | None):
-    """The Gibbs kernel: (F, pairs, z, mu) for a in pAp.
+    """The Gibbs kernel: (F, pairs, z, mu) for a in pAp, F = ln tr(p e^a).
 
-    pairs are the eigenpairs of a within Im(p), values descending and vectors
-    as columns of the ambient blocks; mu is the largest eigenvalue, so
-    tr(p e^(a - mu)) = z stays in [1, N] and F = ln tr(p e^a) = mu + ln z
-    overflows nowhere.  The Gibbs state p e^a / tr(p e^a) puts the weights
-    e^(w - mu) / z on these pairs (_gibbs_state).
+    pairs are the eigenpairs of a within Im(p), values descending; with mu the
+    largest, z = tr(p e^(a - mu)) lies in [1, N] and F = mu + ln z cannot
+    overflow.  The Gibbs state puts weights e^(w - mu) / z on the pairs.
     """
     if support is None:
         pairs = [(w[::-1], V[:, ::-1]) for w, V in map(np.linalg.eigh, a.blocks)]
@@ -82,8 +80,7 @@ def _gibbs_spectrum(a: HermitianElement, support: SupportBasis | None):
     return mu + float(np.log(z)), pairs, z, mu
 
 
-def _gibbs_state(algebra: Algebra, support: SupportBasis | None, pairs, z: float,
-                 mu: float) -> State:
+def _gibbs_state(algebra: Algebra, support: SupportBasis | None, pairs, z, mu) -> State:
     """The Gibbs state of _gibbs_spectrum's pairs, padded with zero weights
     on the kernel columns of p; in the full algebra they are a's own."""
     kernel = (support or full_support(algebra)).kernel
@@ -445,14 +442,12 @@ class ProjectionResult:
 
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
-    """Objective F(a) - theta.m, its gradient, and the point it was read from.
+    """Objective F(a) - theta.m, its gradient, and the point (pairs, T, z, mu,
+    means) they were read from, which the Hessian and the Gibbs state reuse.
 
-    One eigendecomposition of a = offset + sum theta_i v_i (_gibbs_spectrum);
-    each block's stacked basis S_k is then tilted into its eigenbasis, T_k =
-    V_k* S_k V_k, and the mean values are the Gibbs-weighted diagonals of T:
-    means_i = sum_k sum_m p_m Re (T_k,i)_mm with p = e^(w - mu) / z.  The
-    point (pairs, T, z, mu, means) feeds the BKM Hessian and the final Gibbs
-    state; no state is built here.
+    One eigendecomposition of a = offset + sum theta_i v_i; each block's basis
+    stack S_k is tilted into its eigenbasis, T_k = V_k* S_k V_k, and the means
+    are the Gibbs-weighted diagonals sum_k sum_m p_m Re (T_k,i)_mm.
     """
     value, pairs, z, mu = _gibbs_spectrum(family.parameter_element(theta), family.support)
     tilted = [V.conj().T @ s @ V for (_, V), s in zip(pairs, family.stacks)]
@@ -462,27 +457,28 @@ def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.
 
 
 def _bkm_hessian(point) -> np.ndarray:
-    """BKM covariance of the tangent basis at a point of _objective_pieces.
+    """BKM covariance H_ij = <v_i - m_i, Dexp(a)[v_j - m_j]> / tr e^a of the
+    tangent basis at a point of _objective_pieces, m the means.
 
-    H_ij = <v_i - m_i, Dexp(a)[v_j - m_j]> / tr e^a with m the means; in the
-    eigenbasis of a this is sum_k sum_mn t_mn Re(conj(C_k,i) C_k,j)_mn / z,
-    C_k,i = T_k,i - m_i 1 and t the exp divided differences of w - mu.  They
-    are positive, so H is the Gram matrix of R_k = [Re | Im](C_k * sqrt(t))
-    reshaped to (dim, 2 n_k^2): one real product per block, symmetric and
-    positive semidefinite by construction.  Centering first leaves no
-    cancellation against m m^T, which an error in m enters only squared.
+    In the eigenbasis of a it is sum_k sum_mn t_mn Re(conj(C_k,i) C_k,j)_mn / z
+    with C_k,i = T_k,i - m_i 1 and t > 0 the exp divided differences of
+    w - mu: the Gram matrix of R_k = [Re | Im](C_k * sqrt(t)) as (dim, 2 n_k^2),
+    one real product per block, symmetric and positive semidefinite by
+    construction.  Centered first, it has no cancellation against m m^T.
     """
-    pairs, tilted, z, mu, means = point
-    rows = (((T - means[:, None, None] * np.eye(len(w))) * np.sqrt(divided_differences(w - mu, "exp")))
-            .view(float).reshape(len(means), -1) for (w, _), T in zip(pairs, tilted))
-    return sum(R @ R.T for R in rows) / z
+    pairs, tilted, z, mu, m = point
+    H = np.zeros((len(m), len(m)))
+    for (w, _), T in zip(pairs, tilted):
+        root = np.sqrt(divided_differences(w - mu, "exp"))
+        R = ((T - m[:, None, None] * np.eye(len(w))) * root).view(float).reshape(len(m), -1)
+        H += R @ R.T
+    return H / z
 
 
 @dataclass
 class _NewtonState:
-    """The projection solver at the start of a Newton iteration: theta, its
-    objective value and gradient, and the point of _objective_pieces they
-    were read from, which the Hessian and the final Gibbs state reuse."""
+    """The solver at the start of a Newton iteration: theta, its objective
+    value and gradient, and the point of _objective_pieces they come from."""
 
     theta: np.ndarray
     fval: float
