@@ -463,21 +463,21 @@ class DirectionSweep:
 def divided_differences(w: np.ndarray, f: str) -> np.ndarray:
     """First divided difference table f[w_i, w_j] of f = "exp" or "log".
 
-    Closed forms that stay accurate at any gap g = |w_i - w_j|, with hi and
-    lo the larger and smaller eigenvalue: exp[w_i, w_j] = e^hi (-expm1(-g)/g)
-    and log[w_i, w_j] = log1p(g/lo)/g, so no difference of nearly equal
-    function values is taken.  Exact ties take the derivative, e^hi or 1/lo.
-    Both tables are symmetric.
+    Closed forms accurate at any gap g = |w_i - w_j|, with hi and lo the
+    larger and smaller eigenvalue: exp[w_i, w_j] = e^hi (-expm1(-g)/g) and
+    log[w_i, w_j] = log1p(g/lo)/g take no difference of nearly equal function
+    values.  Exact ties take the derivative, e^hi or 1/lo.  Symmetric.
     """
     x, y = w[:, None], w[None, :]
     gap = np.abs(x - y)
-    tie = gap == 0.0
     with np.errstate(all="ignore"):
         if f == "exp":
-            table = np.exp(np.maximum(x, y)) * np.where(tie, 1.0, -np.expm1(-gap) / gap)
-        else:
+            table = np.exp(np.maximum(x, y)) * np.where(gap == 0.0, 1.0, -np.expm1(-gap) / gap)
+        elif f == "log":
             lo = np.minimum(x, y)
-            table = np.where(tie, 1.0 / lo, np.log1p(gap / lo) / gap)
+            table = np.where(gap == 0.0, 1.0 / lo, np.log1p(gap / lo) / gap)
+        else:
+            raise ValueError(f"no divided differences for '{f}' (use exp | log)")
     if not np.all(np.isfinite(table)):
         raise DomainError("divided differences not finite on spectrum")
     return table

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam.defaults import MAX_ITER, PARAM_CAP, SOLVER_TOL
 from qexpfam import family as family_mod
+from qexpfam.defaults import MAX_ITER, PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
     _bkm_hessian,
     _newton,

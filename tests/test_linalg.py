@@ -14,6 +14,7 @@ from qexpfam.linalg import (
     dlog,
     eigh,
     expm,
+    frechet_derivative,
     from_coords,
     gram_schmidt,
     hs_inner,
@@ -218,6 +219,10 @@ class TestFrechetDerivative:
         assert dexp(a, b).trace() == pytest.approx(
             hs_inner(b, expm(a)), abs=1e-10
         )
+
+    def test_unknown_function_rejected(self, algebra, rng):
+        with pytest.raises(ValueError, match="exp | log"):
+            frechet_derivative(rand(algebra, rng), rand(algebra, rng), "sin")
 
     @pytest.mark.parametrize("f", ["exp", "log"])
     def test_divided_differences_match_mpmath(self, f):
