@@ -10,7 +10,9 @@ where eigenvalue branches cross (higher-rank projectors, measure zero in the
 sweep) come from DirectionSweep.crossings, the rule of the boundary sweep's
 segments: one per grid interval across which the maximal projector jumps,
 or two where a third branch passes the top, and none where it swaps back
-inside one.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1).
+inside one.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1), and
+each atlas group is a row of its stacked maximal projectors: the public,
+validated Projector is built only when a caller reads it.
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -75,59 +77,32 @@ def egeodesic_limit(
 # -- geodesic closure atlas -----------------------------------------------------
 
 
-class _RankOneColumns:
-    """Eigenvectors of the rank-one groups' projector blocks.
-
-    The atlas adds each rank-one projector while it builds its groups.  On
-    first use (``decomposed``) every projector is assigned the block that
-    carries it, and the blocks are decomposed with one stacked eigh per
-    algebra block, columns descending: slot s is column set ``columns[k][j]``
-    for ``(k, j) = where[s]``, and its pure state lives on column 0.
-    """
-
-    def __init__(self):
-        self.projectors: list[Projector] = []
-
-    def add(self, p: Projector) -> tuple["_RankOneColumns", int]:
-        self.projectors.append(p)
-        return self, len(self.projectors) - 1
-
-    @cached_property
-    def decomposed(self) -> tuple[list[tuple[int, int]], dict[int, np.ndarray]]:
-        """(where, columns)."""
-        stacks = [np.stack(b) for b in zip(*(p.element.blocks for p in self.projectors))]
-        owner = np.argmax([np.trace(b, axis1=1, axis2=2).real for b in stacks], axis=0)
-        where, columns = [(0, 0)] * len(owner), {}
-        for k, b in enumerate(stacks):
-            slots = np.flatnonzero(owner == k)
-            if slots.size:
-                columns[k] = np.linalg.eigh(b[slots])[1][..., ::-1]
-                for j, s in enumerate(slots.tolist()):
-                    where[s] = (k, j)
-        return where, columns
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AtlasGroup:
     """All sweep directions sharing one maximal projector, with their family.
 
     Interval groups cover [alpha_lo, alpha_hi] (a run that wraps past 2 pi
     has alpha_lo > alpha_hi); spike groups (isolated crossing angles, where
-    the projector rank jumps) have alpha_lo=alpha_hi.  The compressed family
-    and its representative are built from the parent family on first use; a
-    rank-one group's representative is the pure state p, read from the
-    atlas's shared eigenvectors (pure: source and slot).
+    the projector rank jumps) have alpha_lo=alpha_hi.  blocks and rank are
+    the group's row of the sweep's maximal projectors; the validated
+    Projector, the compressed family and its representative are built on
+    first use.  A rank-one group's representative is the pure state on
+    column 0 of pure = (block, columns), the eigenvectors (descending) of its
+    projector block, decomposed with the atlas.  Groups compare by identity.
     """
 
-    projector: Projector
+    blocks: tuple[np.ndarray, ...] = field(repr=False)
     rank: int
     alpha_lo: float
     alpha_hi: float
     n_samples: int
     spike: bool
-    parent: ExponentialFamily = field(repr=False, compare=False)
-    pure: tuple[_RankOneColumns, int] | None = field(default=None, repr=False,
-                                                     compare=False)
+    parent: ExponentialFamily = field(repr=False)
+    pure: tuple[int, np.ndarray] | None = field(default=None, repr=False)
+
+    @cached_property
+    def projector(self) -> Projector:
+        return Projector(HermitianElement(self.parent.algebra, self.blocks))
 
     @cached_property
     def family(self) -> ExponentialFamily:
@@ -135,12 +110,8 @@ class AtlasGroup:
 
     @cached_property
     def representative(self) -> State:
-        if self.rank == 1:  # pAp = C p: the family is the single state p, on
-            # p's eigenvector as the compressed family's support basis finds it
-            source, slot = self.pure
-            where, columns = source.decomposed
-            k, j = where[slot]
-            return _rank_one_state(self.parent.algebra, k, columns[k][j])
+        if self.pure is not None:  # pAp = C p: the family is the single state p
+            return _rank_one_state(self.parent.algebra, *self.pure)
         return self.family.member(np.zeros(self.family.dim))
 
     @property
@@ -174,21 +145,17 @@ class ClosureAtlas:
         reconstruction per block."""
         algebra = self.family.algebra
         out = [np.empty((len(self.groups), n, n), dtype=complex) for n in algebra.block_dims]
-        pure: dict[int, tuple[list[int], list[int]]] = {}  # block: rows, positions
+        pure: dict[int, list[int]] = {}  # block: rows of its rank-one groups
         for i, g in enumerate(self.groups):
             if g.pure is None:
                 for stack, b in zip(out, g.representative.element.blocks):
                     stack[i] = b
             else:
-                source, slot = g.pure
-                k, j = source.decomposed[0][slot]
-                rows, positions = pure.setdefault(k, ([], []))
-                rows.append(i)
-                positions.append(j)
-        for k, (rows, positions) in pure.items():
-            blocks = _rank_one_blocks(algebra, k, source.decomposed[1][k])
-            for kk, (stack, b) in enumerate(zip(out, blocks)):
-                stack[rows] = b[positions] if kk == k else b
+                pure.setdefault(g.pure[0], []).append(i)
+        for k, rows in pure.items():
+            columns = np.stack([self.groups[i].pure[1] for i in rows])
+            for stack, b in zip(out, _rank_one_blocks(algebra, k, columns)):
+                stack[rows] = b
         return out
 
 
@@ -221,9 +188,10 @@ def geodesic_closure_atlas(
     of one whose rank exceeds both neighbours is a spike on the grid; each
     eigenvalue crossing between grid angles (DirectionSweep.crossings,
     located to SWEEP_CROSSING_TOL) adds one spike with the higher-rank
-    projector there.  Grid projectors stay raw blocks; one Projector is
-    built per run, and the rank-one ones are decomposed together on first
-    use (_RankOneColumns).
+    projector there.  The crossing rows join the grid's projector stacks,
+    and each group keeps its row: nothing is validated while the atlas is
+    built.  The rank-one rows are decomposed with one stacked eigh per
+    algebra block, over the rows whose projector that block carries.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -252,21 +220,30 @@ def geodesic_closure_atlas(
     if len(runs) > 1 and same_next[n - 1]:
         runs[0] = runs.pop() + runs[0]
 
-    pure = _RankOneColumns()
-
-    def group(stack, j: int, a_lo, a_hi, count: int, spike: bool) -> AtlasGroup:
-        p = Projector(HermitianElement(family.algebra, [b[j] for b in stack]))
-        return AtlasGroup(p, p.rank, float(a_lo), float(a_hi), count, spike, family,
-                          pure.add(p) if p.rank == 1 else None)
-
-    groups = []
-    for r in runs:
-        spike = len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n])
-        groups.append(group(blocks, r[0], alphas[r[0]], alphas[r[-1]], len(r), spike))
-    # one spike per eigenvalue crossing between grid angles
+    # (row, alpha_lo, alpha_hi, n_samples, spike) per group; the rows of the
+    # crossings, one spike each, follow the grid's
+    rows = [(r[0], alphas[r[0]], alphas[r[-1]], len(r),
+             len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n]))
+            for r in runs]
     found, at = kernel.crossings(alphas, ranks, blocks)
-    spikes = at.max_projectors()[1]
-    groups += [group(spikes, i, a, a, 0, True) for i, a in enumerate(found)]
+    rows += [(n + i, a, a, 0, True) for i, a in enumerate(found)]
+    spike_ranks, spike_blocks = at.max_projectors()
+    ranks = np.concatenate([ranks, spike_ranks])
+    blocks = [np.concatenate(pair) for pair in zip(blocks, spike_blocks)]
+
+    # a rank-one projector lives in the block where its trace is 1
+    ones = np.array([row[0] for row in rows if ranks[row[0]] == 1], dtype=int)
+    owner = np.argmax([np.trace(b[ones], axis1=1, axis2=2).real for b in blocks], axis=0)
+    pure = {}
+    for k, b in enumerate(blocks):
+        mine = ones[owner == k]
+        if mine.size:
+            columns = np.linalg.eigh(b[mine])[1][..., ::-1]
+            pure.update((j, (k, c)) for j, c in zip(mine.tolist(), columns))
+
+    groups = [AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), float(lo), float(hi),
+                         count, bool(spike), family, pure.get(j))
+              for j, lo, hi, count, spike in rows]
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
     return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))
 

@@ -226,6 +226,43 @@ class TestLazyAtlas:
         assert g.family is g.family and g.representative is g.representative
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random (2,2)"])
+    def test_atlas_validates_nothing_and_groups_are_sweep_rows(self, name, monkeypatch):
+        fam = {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
+               "random (2,2)": lambda: random_family(Algebra((2, 2)), 2,
+                                                     np.random.default_rng(4))}[name]()
+        built = []
+        for cls in (Projector, HermitianElement):
+            def init(self, *args, _real=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _real(self, *args)
+            monkeypatch.setattr(cls, "__init__", init)
+        atlas = geodesic_closure_atlas(fam)
+        assert built == []
+        g = atlas.groups[0]
+        assert g.projector is g.projector
+        assert built.count("Projector") == 1
+        monkeypatch.undo()
+
+        # each group's projector is its row of the sweep, bit for bit: a grid
+        # row at alpha_lo, or the row of the crossing at alpha_lo
+        n = atlas.n_directions
+        alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        kernel = _polar_sweep(fam)
+        ranks, rows = kernel.spectra(alphas).max_projectors()
+        found, at = kernel.crossings(alphas, ranks, rows)
+        spike_ranks, spike_rows = at.max_projectors()
+        for g in atlas.groups:
+            if g.n_samples:
+                j = int(np.flatnonzero(alphas == g.alpha_lo)[0])
+                rank, row = ranks[j], [b[j] for b in rows]
+            else:
+                i = int(np.flatnonzero(found == g.alpha_lo)[0])
+                rank, row = spike_ranks[i], [b[i] for b in spike_rows]
+            assert g.rank == rank == g.projector.rank
+            assert [b.tobytes() for b in g.projector.element.blocks] == [
+                b.tobytes() for b in row]
+
     @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
     def test_lazy_equals_eager(self, name):
         atlas = _default_atlas(name)
