@@ -90,10 +90,9 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
     attained flags take the exact distance's answer."""
     family = build_family(cfg)
     rho = parse_state(cfg, state_spec)
-    value, attained = entropy_distance(rho, family, tol=cfg.tol, max_iter=cfg.max_iter)
+    value, attained = entropy_distance(rho, family)
     caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0, 1.0))
-    results = _project_ladder(rho, family, caps, lambda: not attained,
-                              tol=cfg.tol, max_iter=cfg.max_iter)
+    results = _project_ladder(rho, family, caps, lambda: not attained)
     res = results[-1]
 
     _say(cfg, f"distance value={fmt(value)} attained={int(attained)}", machine=True)

@@ -63,9 +63,7 @@ class RunConfig:
     block_dims: tuple[int, ...] = (2, 1)
     family_name: str = "staffelberg"
     custom_generators: tuple[str, ...] = ()
-    tol: float = defaults.SOLVER_TOL
     param_cap: float = defaults.PARAM_CAP
-    max_iter: int = defaults.MAX_ITER
     n_angles: int = defaults.SWEEP_ANGLES
     out_dir: str = "out"
     seed: int = 0
@@ -83,11 +81,7 @@ class RunConfig:
         for i, g in enumerate(self.custom_generators, start=1):
             fam[f"generator{i}"] = g
         cp["family"] = fam
-        cp["solver"] = {
-            "tol": format(self.tol, ".17g"),
-            "param_cap": format(self.param_cap, ".17g"),
-            "max_iter": str(self.max_iter),
-        }
+        cp["solver"] = {"param_cap": format(self.param_cap, ".17g")}
         sweep = {"n_angles": str(self.n_angles)}
         if self.phi_list:
             sweep["phi"] = ",".join(format(p, ".17g") for p in self.phi_list)
@@ -117,9 +111,7 @@ class RunConfig:
             keys.sort(key=lambda k: int(k[9:]))
             cfg.custom_generators = tuple(cp.get("family", k) for k in keys)
         if cp.has_section("solver"):
-            cfg.tol = cp.getfloat("solver", "tol", fallback=cfg.tol)
             cfg.param_cap = cp.getfloat("solver", "param_cap", fallback=cfg.param_cap)
-            cfg.max_iter = cp.getint("solver", "max_iter", fallback=cfg.max_iter)
         if cp.has_section("sweep"):
             cfg.n_angles = cp.getint("sweep", "n_angles", fallback=cfg.n_angles)
             if cp.has_option("sweep", "phi"):
@@ -144,8 +136,8 @@ class RunConfig:
             raise PreconditionError(f"invalid block dims {self.block_dims}")
         if sum(self.block_dims) > defaults.MAX_TOTAL_DIM:
             raise PreconditionError("total algebra dimension exceeds the cap")
-        if self.tol <= 0 or self.param_cap <= 0 or self.max_iter < 1:
-            raise PreconditionError("solver knobs must be positive")
+        if self.param_cap <= 0:
+            raise PreconditionError("the parameter cap must be positive")
         if self.n_angles < 4:
             raise PreconditionError("n_angles must be at least 4")
         name = self.family_name

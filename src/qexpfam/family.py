@@ -162,7 +162,10 @@ class ExponentialFamily:
         )
 
     def parameter_element(self, theta: np.ndarray) -> HermitianElement:
-        return self.offset + self.tangent_element(theta)
+        """offset + sum theta_i v_i, one product per block."""
+        pairs = zip(self.offset.blocks, self.stacks)
+        return HermitianElement._trusted(
+            self.algebra, [o + np.tensordot(theta, s, axes=1) for o, s in pairs])
 
     def member(self, theta: np.ndarray | Sequence[float]) -> State:
         """The family member exp1(offset + sum theta_i v_i); theta has dim entries."""
@@ -520,7 +523,6 @@ def _newton(
     start: _NewtonState,
     tol: float,
     param_cap: float,
-    max_iter: int,
 ) -> tuple[_NewtonState, _NewtonState | None]:
     """Damped Newton from ``start`` within ``param_cap``.
 
@@ -529,7 +531,7 @@ def _newton(
     ball, or the accepted point reached its sphere), None if it never did.
     Up to that iteration every larger cap takes exactly the same path.  The
     final state's stop_reason is ProjectionResult's, or "max_iter" when the
-    iteration budget ran out first.
+    iteration budget, defaults.MAX_ITER, ran out first.
     """
     theta, fval, grad, point = start.theta, start.fval, start.grad, start.point
     min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
@@ -540,7 +542,7 @@ def _newton(
         if float(np.linalg.norm(grad)) <= tol or family.dim == 0:
             stop = "converged"
             break
-        if iterations >= max_iter:
+        if iterations >= defaults.MAX_ITER:
             stop = "max_iter"
             break
         here = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled)
@@ -605,7 +607,6 @@ def _newton_finish(
     base: float,
     end: _NewtonState,
     tol: float,
-    max_iter: int,
     on_face: Callable[[], bool],
 ) -> ProjectionResult:
     """The ProjectionResult of a final solver state, whose Gibbs state is the
@@ -613,9 +614,9 @@ def _newton_finish(
     out short of convergence and of the cap.  on_face is asked only when the
     solver converged inside the cap."""
     gnorm = float(np.linalg.norm(end.grad))
-    if gnorm > tol and not end.cap_hit and end.iterations >= max_iter:
+    if gnorm > tol and not end.cap_hit and end.iterations >= defaults.MAX_ITER:
         raise SolverError(
-            f"no convergence in {max_iter} iterations (|grad| = {gnorm:.3e})"
+            f"no convergence in {defaults.MAX_ITER} iterations (|grad| = {gnorm:.3e})"
         )
 
     # f = F - theta.m rounds at the size of the free energy F, not of f
@@ -641,7 +642,6 @@ def project_to_family(
     family: ExponentialFamily,
     tol: float = defaults.SOLVER_TOL,
     param_cap: float = defaults.PARAM_CAP,
-    max_iter: int = defaults.MAX_ITER,
 ) -> ProjectionResult:
     """Entropy projection of rho onto the family.
 
@@ -653,8 +653,7 @@ def project_to_family(
     family and no minimizer exists.
     """
     return _project_ladder(rho, family, (param_cap,),
-                           lambda: _face_direction(rho, family) is not None,
-                           tol=tol, max_iter=max_iter)[0]
+                           lambda: _face_direction(rho, family) is not None, tol=tol)[0]
 
 
 def _project_ladder(
@@ -663,7 +662,6 @@ def _project_ladder(
     caps: Sequence[float],
     on_face: Callable[[], bool],
     tol: float = defaults.SOLVER_TOL,
-    max_iter: int = defaults.MAX_ITER,
 ) -> list[ProjectionResult]:
     """The projection at each cap, in the order of ``caps``, each bit for bit
     the solve from theta = 0 at that cap; on_face answers whether rho lies
@@ -681,9 +679,7 @@ def _project_ladder(
     end = resume = None
     for cap in sorted(set(float(c) for c in caps)):
         if end is None or resume is not None:
-            end, resume = _newton(
-                family, moments, start if resume is None else resume, tol, cap, max_iter
-            )
+            end, resume = _newton(family, moments, start if resume is None else resume, tol, cap)
         ends[cap] = end
     results: dict[int, ProjectionResult] = {}
     on_face = cache(on_face)
@@ -691,7 +687,7 @@ def _project_ladder(
     for cap in caps:
         end = ends[float(cap)]
         if id(end) not in results:
-            results[id(end)] = _newton_finish(family, base, end, tol, max_iter, on_face)
+            results[id(end)] = _newton_finish(family, base, end, tol, on_face)
         out.append(results[id(end)])
     return out
 
@@ -700,7 +696,6 @@ def entropy_distance(
     rho: State,
     family: ExponentialFamily,
     tol: float = defaults.SOLVER_TOL,
-    max_iter: int = defaults.MAX_ITER,
 ) -> tuple[float, bool]:
     """Entropy distance of rho from the family's closure, and whether the
     family itself attains it.
@@ -713,7 +708,7 @@ def entropy_distance(
     """
     projectors, last = face_chain(rho, family)
     res = _project_ladder(rho, last, (defaults.RI_PARAM_CAP,), lambda: bool(projectors),
-                          tol=tol, max_iter=max_iter)[0]
+                          tol=tol)[0]
     return res.distance, res.attained
 
 
@@ -722,7 +717,6 @@ def distance_continuation(
     family: ExponentialFamily,
     caps: Sequence[float] = (10.0, 20.0, 40.0, 80.0),
     tol: float = defaults.SOLVER_TOL,
-    max_iter: int = defaults.MAX_ITER,
 ) -> list[tuple[float, float, bool]]:
     """Objective values at a ladder of parameter caps, for extrapolation.
 
@@ -735,8 +729,7 @@ def distance_continuation(
     construction, and bound the exact entropy_distance from above.
     """
     results = _project_ladder(rho, family, caps,
-                              lambda: _face_direction(rho, family) is not None,
-                              tol=tol, max_iter=max_iter)
+                              lambda: _face_direction(rho, family) is not None, tol=tol)
     return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 

@@ -16,9 +16,7 @@ class TestConfig:
         cfg = RunConfig(
             block_dims=(2, 1),
             family_name="cone:0.5",
-            tol=1e-11,
             param_cap=40.0,
-            max_iter=321,
             n_angles=360,
             out_dir="somewhere",
             seed=17,

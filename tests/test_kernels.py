@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexpfam import family as family_mod
-from qexpfam.defaults import MAX_ITER, PARAM_CAP, SOLVER_TOL
+from qexpfam.defaults import PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
     _bkm_hessian,
     _newton,
@@ -115,7 +115,7 @@ def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
             built.append(_name)
             _real(self, *args)
         monkeypatch.setattr(cls, "__init__", init)
-    end, _ = _newton(fam, moments, start, SOLVER_TOL, PARAM_CAP, MAX_ITER)
+    end, _ = _newton(fam, moments, start, SOLVER_TOL, PARAM_CAP)
     monkeypatch.undo()
     assert end.iterations > 0
     assert built == []
