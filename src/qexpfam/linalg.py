@@ -310,11 +310,8 @@ def expm(a: HermitianElement) -> HermitianElement:
 
 
 def logm(a: HermitianElement) -> HermitianElement:
-    """Matrix logarithm; requires a strictly positive spectrum."""
-    spec = eigh(a)
-    for w in spec.eigenvalues:
-        if np.any(w <= 0):
-            raise DomainError("logarithm requires a positive definite element")
+    """Matrix logarithm; requires a strictly positive spectrum (DomainError
+    from apply_matrix_function otherwise: log is not finite there)."""
     return apply_matrix_function(a, np.log)
 
 
@@ -467,7 +464,10 @@ def divided_differences(w: np.ndarray, f: str) -> np.ndarray:
     larger and smaller eigenvalue: exp[w_i, w_j] = e^hi (-expm1(-g)/g) and
     log[w_i, w_j] = log1p(g/lo)/g take no difference of nearly equal function
     values.  Exact ties take the derivative, e^hi or 1/lo.  Symmetric.
+    DomainError for log unless every w > 0.
     """
+    if f == "log" and np.any(w <= 0):
+        raise DomainError("log divided differences require a positive spectrum")
     x, y = w[:, None], w[None, :]
     gap = np.abs(x - y)
     with np.errstate(all="ignore"):
@@ -513,11 +513,8 @@ def dexp(a: HermitianElement, b: HermitianElement) -> HermitianElement:
 
 
 def dlog(a: HermitianElement, b: HermitianElement) -> HermitianElement:
-    """Derivative of the matrix logarithm at a (positive definite) in direction b."""
-    spec = eigh(a)
-    for w in spec.eigenvalues:
-        if np.any(w <= 0):
-            raise DomainError("log derivative requires a positive definite element")
+    """Derivative of the matrix logarithm at a (positive definite, else
+    DomainError from divided_differences) in direction b."""
     return frechet_derivative(a, b, "log")
 
 

@@ -220,6 +220,29 @@ class TestFrechetDerivative:
             hs_inner(b, expm(a)), abs=1e-10
         )
 
+    def test_log_functions_decompose_once_and_check_the_domain(self, algebra, monkeypatch):
+        # one eigh per block for dlog and logm; singular, indefinite and
+        # negative definite elements raise (the log table of a negative
+        # spectrum would otherwise be finite)
+        calls, real_eigh = [], np.linalg.eigh
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        b = HermitianElement(algebra, [np.array([[0.3, 0.1j], [-0.1j, -0.2]]), np.array([[1.0]])])
+        good = HermitianElement(algebra, [np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([[0.4]])])
+        for fn in (lambda a: dlog(a, b), logm):
+            calls.clear()
+            fn(good)
+            assert len(calls) == algebra.n_blocks
+        for diag_2, one in (([1.0, 0.0], 0.5), ([1.0, -0.5], 2.0), ([-1.0, -2.0], -3.0)):
+            bad = HermitianElement(algebra, [np.diag(diag_2), np.array([[one]])])
+            for fn in (lambda a: dlog(a, b), logm):
+                with pytest.raises(DomainError):
+                    fn(bad)
+
     def test_unknown_function_rejected(self, algebra, rng):
         with pytest.raises(ValueError, match="exp | log"):
             frechet_derivative(rand(algebra, rng), rand(algebra, rng), "sin")
