@@ -579,10 +579,9 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
                0.0 if monotone else 1.0, 0.0, ok=monotone)
 
     # (c) bilinear-form identities of the projected base circle
-    worst = max(
-        abs(swallow_bilinear(base_circle_state(a).element, base_circle_state(a).element))
-        for a in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
-    )
+    circle = (base_circle_state(a).element
+              for a in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))
+    worst = max(abs(swallow_bilinear(e, e)) for e in circle)
     report.add("bilinear_circle", "beta vanishes on the base circle", worst, 1e-12)
     report.add("bilinear_tangent_rho0", "beta pairs the apex with rho(0)",
                abs(swallow_bilinear(rho0.element, apex.element)), 1e-12)
