@@ -226,11 +226,11 @@ class TestLazyAtlas:
         assert g.family is g.family and g.representative is g.representative
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random (2,2)"])
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random-2,2-seed4"])
     def test_atlas_validates_nothing_and_groups_are_sweep_rows(self, name, monkeypatch):
         fam = {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
-               "random (2,2)": lambda: random_family(Algebra((2, 2)), 2,
-                                                     np.random.default_rng(4))}[name]()
+               "random-2,2-seed4": lambda: random_family(Algebra((2, 2)), 2,
+                                                         np.random.default_rng(4))}[name]()
         built = []
         for cls in (Projector, HermitianElement):
             def init(self, *args, _real=cls.__init__, _name=cls.__name__):
