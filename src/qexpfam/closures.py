@@ -20,6 +20,11 @@ distance from the compressed family, which turns several boundary distances
 into exactly solvable problems.  family.face_chain applies this face by face
 (Weis & Knauf, arXiv:1007.5464; Csiszar & Matus, IEEE Trans. IT 49, 2003),
 and family.entropy_distance solves in the family it ends in.
+
+inclusion_chain_check verifies geodesic closure in rI-closure in norm
+closure on sampled atlas groups.  Their directions come from one sweep;
+each norm leg walks the group's e-geodesic, all rungs as one stacked Gibbs
+evaluation per algebra block.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ from .errors import PreconditionError
 from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
     _face_direction,
+    _member_blocks,
     entropy_distance,
     face_chain,
     free_energy,
@@ -48,10 +54,10 @@ from .states import (
     Projector,
     State,
     SupportBasis,
+    _on_exposed_face,
     _rank_one_blocks,
     _rank_one_state,
     compress,
-    exposed_face_membership,
     max_eig_data,
 )
 
@@ -268,9 +274,10 @@ def reduce_distance_to_face(
     resid = project_out(vt, family.basis)
     if vt.norm() == 0.0 or resid.norm() > 1e-9 * max(1.0, vt.norm()):
         raise PreconditionError("direction is not in the tangent space")
-    if not exposed_face_membership(rho, v):
+    mu, p = max_eig_data(v)
+    if not _on_exposed_face(rho, v, mu, p):
         raise PreconditionError("state is not in the exposed face of v")
-    fam_p = make_compressed_family(family, max_eig_data(v)[1])
+    fam_p = make_compressed_family(family, p)
     return project_to_family(rho, fam_p, param_cap=param_cap).distance
 
 
@@ -295,8 +302,10 @@ def _geodesic_ladder(
     theta_p is lifted to parent coordinates x by least squares through c^p
     (multiples of p are dropped: exp1^p ignores them); then member(x + t u_hat)
     is evaluated for t = 0, 5, 10, 20, ... doubling, ending on the RI_PARAM_CAP
-    sphere, where u_hat is the unit coordinate vector of u.  The smallest value
-    comes from an explicit family member, so it bounds the distance above.
+    sphere, where u_hat is the unit coordinate vector of u.  The rungs are one
+    stack per algebra block (family._member_blocks: one eigh per block, no
+    State), bit for bit the members' elements.  The smallest value comes from
+    an explicit family member, so it bounds the distance above.
     """
     p = group.projector
     cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
@@ -314,7 +323,13 @@ def _geodesic_ladder(
     disc = b * b - float(x @ x) + param_cap**2
     if disc >= 0.0 and -b + np.sqrt(disc) > ladder[-1]:
         ladder.append(-b + np.sqrt(disc))
-    return min((s.element - family.member(x + t * u_hat).element).norm() for t in ladder)
+    rungs = _member_blocks(family, np.array([x + t * u_hat for t in ladder]))
+    # s.element - member, symmetrized as _trusted does; each rung's norm as
+    # HermitianElement.norm takes it (one norm over a stack moves bits)
+    diff = [sb - mb for sb, mb in zip(s.element.blocks, rungs)]
+    diff = [(d + d.conj().swapaxes(-1, -2)) / 2.0 for d in diff]
+    return min(float(np.sqrt(sum(np.linalg.norm(d[i]) ** 2 for d in diff)))
+               for i in range(len(ladder)))
 
 
 def inclusion_chain_check(
@@ -338,8 +353,9 @@ def inclusion_chain_check(
         groups = groups[::stride]
 
     norm_bound = float(np.sqrt(2.0 * defaults.RI_EPS)) * 1.5
-    for g in groups:
-        u = sweep_direction(family, g.mid_angle)
+    directions = _polar_sweep(family).blocks([g.mid_angle for g in groups])
+    for i, g in enumerate(groups):
+        u = HermitianElement(family.algebra, [b[i] for b in directions])
         thetas = [("representative", np.zeros(g.family_dim))]
         if g.family_dim >= 1:
             thetas.append(("member", 0.7 * np.ones(g.family_dim)))

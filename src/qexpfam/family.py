@@ -36,6 +36,7 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
+    _reconstruct_stack,
     coords,
     divided_differences,
     eigh,
@@ -49,6 +50,8 @@ from .states import (
     Projector,
     State,
     SupportBasis,
+    _on_exposed_face,
+    _state_spectrum,
     compress,
     exposed_face_membership,
     full_support,
@@ -88,6 +91,33 @@ def _gibbs_state(algebra: Algebra, support: SupportBasis | None, pairs, z, mu) -
               for (w, _), k in zip(pairs, kernel)]
     vectors = [np.hstack([V, k]) for (_, V), k in zip(pairs, kernel)]
     return State._from_spectrum(algebra, values, vectors)
+
+
+def _combine(theta, stack: np.ndarray) -> np.ndarray:
+    """sum_i theta_i stack[i] for a (dim, n, n) stack: the single BLAS call
+    np.tensordot(theta, stack, axes=1) makes after its reshapes, without its
+    Python overhead."""
+    dim, n, _ = stack.shape
+    return np.dot(np.asarray(theta).reshape(1, dim), stack.reshape(dim, n * n)).reshape(n, n)
+
+
+def _member_blocks(family: ExponentialFamily, thetas: np.ndarray) -> list[np.ndarray]:
+    """Per block, the stacked blocks of family.member(theta) for each row of
+    thetas, bit for bit, from one eigh per block over the stack; the checks
+    of State are run on every row.  Full-algebra families only.  Separate
+    from _gibbs_spectrum, whose per-element form is the solver's hot path.
+    """
+    # rows one at a time: one product over the whole matrix moves bits
+    a = [np.stack([o + _combine(theta, s) for theta in thetas])
+         for o, s in zip(family.offset.blocks, family.stacks)]
+    spectra = [np.linalg.eigh((b + b.conj().swapaxes(-1, -2)) / 2.0) for b in a]
+    # _gibbs_spectrum's mu, z and weights, elementwise over the rows
+    w = [v[:, ::-1] for v, _ in spectra]
+    mu = np.max([x[:, 0] for x in w], axis=0)[:, None]
+    z = sum(np.exp(x - mu).sum(axis=1) for x in w)[:, None]
+    weights = _state_spectrum(family.algebra, [np.exp(x - mu) / z for x in w])
+    return [_reconstruct_stack(x, np.ascontiguousarray(V[..., ::-1]))
+            for x, (_, V) in zip(weights, spectra)]
 
 
 def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
@@ -158,14 +188,14 @@ class ExponentialFamily:
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
         return HermitianElement._trusted(
-            self.algebra, [np.tensordot(theta, s, axes=1) for s in self.stacks]
+            self.algebra, [_combine(theta, s) for s in self.stacks]
         )
 
     def parameter_element(self, theta: np.ndarray) -> HermitianElement:
         """offset + sum theta_i v_i, one product per block."""
         pairs = zip(self.offset.blocks, self.stacks)
         return HermitianElement._trusted(
-            self.algebra, [o + np.tensordot(theta, s, axes=1) for o, s in pairs])
+            self.algebra, [o + _combine(theta, s) for o, s in pairs])
 
     def member(self, theta: np.ndarray | Sequence[float]) -> State:
         """The family member exp1(offset + sum theta_i v_i); theta has dim entries."""
@@ -396,7 +426,8 @@ def face_chain(
         v = _face_direction(rho, inner)
         if v is not None:
             w = _inner_face_direction(family, u, p, v)
-            if max_eig_data(w)[1].rank < p.rank and exposed_face_membership(rho, w):
+            mu_w, p_w = max_eig_data(w)
+            if p_w.rank < p.rank and _on_exposed_face(rho, w, mu_w, p_w):
                 u = w
                 continue
         projectors.append(p)

@@ -91,8 +91,8 @@ class HermitianElement:
 
     @classmethod
     def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
-        """Internal constructor for sums, real multiples and eigen-
-        reconstructions of elements.
+        """Internal constructor for sums, real multiples, compressions pap
+        and eigen-reconstructions of elements.
 
         Such blocks are Hermitian up to rounding already, so the drift check
         and the defensive copy are skipped; the symmetrization stays, which
@@ -264,6 +264,14 @@ class SpectralData:
         vals = self.eigenvalues if values is None else values
         blocks = [(V * w) @ V.conj().T for w, V in zip(vals, self.eigenvectors)]
         return HermitianElement._trusted(self.algebra, blocks)
+
+
+def _reconstruct_stack(w: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """SpectralData.reconstruct and HermitianElement._trusted on the last
+    axes of eigenvalues w (..., n) and eigenvectors V (..., n, n), which
+    gives each matrix of a stack the bits of its own product."""
+    h = (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    return (h + h.conj().swapaxes(-1, -2)) / 2.0
 
 
 def eigh(a: HermitianElement) -> SpectralData:

@@ -23,6 +23,7 @@ from .linalg import (
     Algebra,
     HermitianElement,
     SpectralData,
+    _reconstruct_stack,
     eigh,
     hs_inner,
     identity,
@@ -53,13 +54,7 @@ class State:
         return out
 
     def _fill(self, algebra: Algebra, values, vectors):
-        low = min(float(w.min(initial=0.0)) for w in values)
-        if low < -defaults.STATE_TOL:
-            raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e})")
-        clamped = [np.maximum(w, 0.0) for w in values]
-        tr = float(sum(w.sum() for w in clamped))
-        if abs(tr - 1.0) > defaults.STATE_TOL * algebra.dim:
-            raise ValueError(f"trace {tr} is not 1")
+        clamped = _state_spectrum(algebra, values)
         spec = SpectralData(algebra, tuple(clamped), tuple(vectors))
         object.__setattr__(self, "spectral", spec)
         object.__setattr__(self, "element", spec.reconstruct())
@@ -81,6 +76,20 @@ class State:
 
     def __repr__(self):
         return f"State(dims={self.algebra.block_dims}, rank={self.support_rank})"
+
+
+def _state_spectrum(algebra: Algebra, values) -> list[np.ndarray]:
+    """A state's per-block eigenvalues, checked: values in [-1e-12, 0) are
+    clamped to zero, more negative ones and trace errors beyond 1e-12 raise.
+    The blocks may also be stacks of rows, one state per row."""
+    low = min(float(w.min(initial=0.0)) for w in values)
+    if low < -defaults.STATE_TOL:
+        raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e})")
+    clamped = [np.maximum(w, 0.0) for w in values]
+    tr = sum(w.sum(axis=-1) for w in clamped)
+    if (abs(tr - 1.0) > defaults.STATE_TOL * algebra.dim).any():
+        raise ValueError(f"trace {tr} is not 1")
+    return clamped
 
 
 class Projector:
@@ -152,14 +161,9 @@ def _rank_one_state(algebra: Algebra, block_index: int, columns: np.ndarray) -> 
 def _rank_one_blocks(algebra: Algebra, block_index: int, columns: np.ndarray) -> list:
     """The element blocks of _rank_one_state for each (n, n) column set of
     the stack ``columns``, bit for bit: a stack in block ``block_index``, one
-    shared (zero) block elsewhere.  These are SpectralData.reconstruct and
-    HermitianElement._trusted on the last two axes, which gives each block of
-    a stack the bits of its own product."""
-    out = []
-    for w, V in zip(*_rank_one_spectrum(algebra, block_index, columns)):
-        h = (V * w) @ V.conj().swapaxes(-1, -2)
-        out.append((h + h.conj().swapaxes(-1, -2)) / 2.0)
-    return out
+    shared (zero) block elsewhere."""
+    return [_reconstruct_stack(w, V)
+            for w, V in zip(*_rank_one_spectrum(algebra, block_index, columns))]
 
 
 def tracial_state(algebra: Algebra) -> State:
@@ -241,7 +245,12 @@ def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
     """
     if u.norm() == 0.0:
         raise PreconditionError("direction u must be non-zero")
-    mu, p = max_eig_data(u)
+    return _on_exposed_face(rho, u, *max_eig_data(u))
+
+
+def _on_exposed_face(rho: State, u: HermitianElement, mu: float, p: Projector) -> bool:
+    """exposed_face_membership for a non-zero u with max_eig_data(u) = (mu, p)
+    in hand."""
     by_value = abs(hs_inner(rho.element, u) - mu) <= defaults.FACE_VALUE_TOL
     leak = 1.0 - hs_inner(rho.element, p.element)
     by_image = leak <= defaults.SUPPORT_CUTOFF
@@ -264,7 +273,7 @@ def compress(p: Projector, a: HermitianElement) -> tuple[HermitianElement, Hermi
         raise PreconditionError("cannot compress by the zero projector")
     if p.algebra != a.algebra:
         raise AlgebraMismatchError("projector and element in different algebras")
-    pap = HermitianElement(
+    pap = HermitianElement._trusted(
         p.algebra, [pb @ ab @ pb for pb, ab in zip(p.element.blocks, a.blocks)]
     )
     shift = hs_inner(p.element, a) / p.rank

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from qexpfam import closures, cone, defaults
 from qexpfam.closures import (
     _face_direction,
+    _geodesic_ladder,
     _polar_sweep,
     egeodesic_limit,
     face_chain,
@@ -22,16 +23,19 @@ from qexpfam.closures import (
 )
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (
+    ExponentialFamily,
     entropy_distance,
     exp1,
     free_energy,
     make_compressed_family,
     make_family,
+    mean_value_projection,
     project_to_family,
 )
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    coords,
     diagonal,
     eigh,
     hs_inner,
@@ -42,6 +46,7 @@ from qexpfam.sampling import random_family, random_hermitian, random_traceless
 from qexpfam.states import (
     Projector,
     State,
+    compress,
     exposed_face_membership,
     max_eig_data,
     relative_entropy,
@@ -492,6 +497,92 @@ class TestInclusionChain:
                     assert not res.attained
                 except PreconditionError:
                     pass  # not even supported in that corner algebra
+
+
+def _per_rung_ladder(family, group, theta_p, s, u):
+    """_geodesic_ladder with one family.member per rung, the form it had
+    before its rungs were stacked: the bit-for-bit reference."""
+    p = group.projector
+    cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
+    rhs = group.family.parameter_element(theta_p) - compress(p, family.offset)[1]
+    x = np.linalg.lstsq(np.column_stack(cols), coords(rhs), rcond=None)[0][:-1]
+    u_hat = mean_value_projection(u, family)
+    u_hat /= np.linalg.norm(u_hat)
+
+    param_cap = defaults.RI_PARAM_CAP
+    ladder, t = [0.0], 5.0
+    while np.linalg.norm(x + t * u_hat) < param_cap:
+        ladder.append(t)
+        t *= 2.0
+    b = float(x @ u_hat)
+    disc = b * b - float(x @ x) + param_cap**2
+    if disc >= 0.0 and -b + np.sqrt(disc) > ladder[-1]:
+        ladder.append(-b + np.sqrt(disc))
+    return min((s.element - family.member(x + t * u_hat).element).norm() for t in ladder)
+
+
+def _ladder_atlas(name):
+    if name == "offset":  # the family of test_offset_family_chain
+        fam = cone.staffelberg_family()
+        fam = make_family(fam.algebra, list(fam.generators), offset=random_hermitian(
+            fam.algebra, np.random.default_rng(20260809)))
+        return geodesic_closure_atlas(fam)
+    if name == "random-2,2":
+        return geodesic_closure_atlas(random_family(Algebra((2, 2)), 2, np.random.default_rng(5)))
+    return _default_atlas(name)
+
+
+def _ladder_inputs(atlas, group):
+    """The (theta_p, s, u) of each of inclusion_chain_check's samples of group."""
+    u = sweep_direction(atlas.family, group.mid_angle)
+    thetas = [np.zeros(group.family_dim)]
+    if group.family_dim >= 1:
+        thetas.append(0.7 * np.ones(group.family_dim))
+    return [(theta_p, group.family.member(theta_p), u) for theta_p in thetas]
+
+
+class TestGeodesicLadder:
+    @pytest.mark.parametrize(
+        "name", ["staffelberg", "swallow", "cone:0.7", "offset", "random-2,2"])
+    def test_stacked_rungs_equal_per_rung_members(self, name):
+        # about 24 groups, from the middle of each stride: on swallow these
+        # include group 495 (alpha 5.873), whose value moves in the last bit
+        # when the rungs' parameter blocks come from one tensordot
+        atlas = _ladder_atlas(name)
+        stride = len(atlas.groups) // 24
+        for g in atlas.groups[stride // 2::stride]:
+            for theta_p, s, u in _ladder_inputs(atlas, g):
+                fast = _geodesic_ladder(atlas.family, g, theta_p, s, u)
+                assert fast == _per_rung_ladder(atlas.family, g, theta_p, s, u)
+
+    @pytest.mark.parametrize("name", ["swallow", "abelian-111"])
+    def test_one_eigh_per_block_and_no_member(self, name, monkeypatch):
+        if name == "abelian-111":
+            algebra = Algebra((1, 1, 1))
+            atlas = geodesic_closure_atlas(make_family(algebra, [
+                diagonal(algebra, [1.0, -1.0, 0.0]), diagonal(algebra, [1.0, 1.0, -2.0])]))
+        else:
+            atlas = _default_atlas(name)
+        g = max(atlas.groups, key=lambda g: g.family_dim)  # a member off the representative
+        theta_p, s, u = _ladder_inputs(atlas, g)[-1]
+        members, eighs = [], []
+        member, real_eigh = ExponentialFamily.member, np.linalg.eigh
+
+        def spy(calls, fn):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(ExponentialFamily, "member", spy(members, member))
+        monkeypatch.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
+        _geodesic_ladder(atlas.family, g, theta_p, s, u)
+        monkeypatch.undo()
+        assert members == []
+        assert len(eighs) == atlas.family.algebra.n_blocks
+        # each call decomposes one stack that holds every rung
+        assert len({np.shape(m)[0] for (m,) in eighs}) == 1
+        assert np.shape(eighs[0][0])[0] >= 3
 
 
 class TestNormClosureUpperBound:
