@@ -38,8 +38,10 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
+    _combine,
     _face_direction,
-    _member_blocks,
+    _gibbs,
+    _gibbs_spectra,
     entropy_distance,
     face_chain,
     free_energy,
@@ -48,8 +50,8 @@ from .family import (  # face_chain and _face_direction are re-exported
     project_to_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, coords, project_out,
-                     traceless_part)
+from .linalg import (DirectionSweep, HermitianElement, _reconstruct_stack, coords,
+                     project_out, traceless_part)
 from .states import (
     Projector,
     State,
@@ -57,6 +59,7 @@ from .states import (
     _on_exposed_face,
     _rank_one_blocks,
     _rank_one_state,
+    _state_spectrum,
     compress,
     max_eig_data,
 )
@@ -303,9 +306,9 @@ def _geodesic_ladder(
     (multiples of p are dropped: exp1^p ignores them); then member(x + t u_hat)
     is evaluated for t = 0, 5, 10, 20, ... doubling, ending on the RI_PARAM_CAP
     sphere, where u_hat is the unit coordinate vector of u.  The rungs are one
-    stack per algebra block (family._member_blocks: one eigh per block, no
-    State), bit for bit the members' elements.  The smallest value comes from
-    an explicit family member, so it bounds the distance above.
+    stack per algebra block (family._gibbs: one eigh per block, no State),
+    bit for bit the members' elements.  The smallest value comes from an
+    explicit family member, so it bounds the distance above.
     """
     p = group.projector
     cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
@@ -323,7 +326,13 @@ def _geodesic_ladder(
     disc = b * b - float(x @ x) + param_cap**2
     if disc >= 0.0 and -b + np.sqrt(disc) > ladder[-1]:
         ladder.append(-b + np.sqrt(disc))
-    rungs = _member_blocks(family, np.array([x + t * u_hat for t in ladder]))
+    # parameter_element per rung, stacked (one product over the stack moves bits)
+    a = [np.stack([o + _combine(x + t * u_hat, s) for t in ladder])
+         for o, s in zip(family.offset.blocks, family.stacks)]
+    gibbs = _gibbs([(m + m.conj().swapaxes(-1, -2)) / 2.0 for m in a], family.support)
+    values, vectors = _gibbs_spectra(family.support, gibbs)
+    rungs = [_reconstruct_stack(w, V)
+             for w, V in zip(_state_spectrum(family.algebra, values), vectors)]
     # s.element - member, symmetrized as _trusted does; each rung's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     diff = [sb - mb for sb, mb in zip(s.element.blocks, rungs)]

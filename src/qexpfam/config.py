@@ -19,23 +19,22 @@ from .linalg import Algebra, HermitianElement
 
 
 def parse_element(algebra: Algebra, text: str) -> HermitianElement:
-    """Hermitian element from 're,im re,im ...' entries, row major per block."""
+    """Hermitian element from 're,im re,im ...' entries, row major per block;
+    malformed entries and non-Hermitian blocks raise PreconditionError."""
     pairs = text.replace(";", " ").split()
-    values = []
-    for pair in pairs:
-        re_s, im_s = pair.split(",")
-        values.append(complex(float(re_s), float(im_s)))
     need = sum(n * n for n in algebra.block_dims)
-    if len(values) != need:
+    if len(pairs) != need:
         raise PreconditionError(
             f"expected {need} complex entries for block dims {algebra.block_dims}, "
-            f"got {len(values)}"
+            f"got {len(pairs)}"
         )
-    blocks, k = [], 0
-    for n in algebra.block_dims:
-        blocks.append(np.array(values[k : k + n * n]).reshape(n, n))
-        k += n * n
-    return HermitianElement(algebra, blocks)
+    try:
+        values = np.array([complex(float(x), float(y)) for x, y in (p.split(",") for p in pairs)])
+        ends = np.cumsum([n * n for n in algebra.block_dims])[:-1]
+        return HermitianElement(algebra, [b.reshape(n, n) for b, n
+                                          in zip(np.split(values, ends), algebra.block_dims)])
+    except ValueError as exc:  # a malformed re,im pair, or a block that is not Hermitian
+        raise PreconditionError(f"bad element entries: {exc}") from None
 
 
 def element_entries(a: HermitianElement) -> list[float]:
@@ -171,7 +170,10 @@ def build_family(cfg: RunConfig):
     if name.startswith("cone:"):
         return cone.plane_for_angle(float(name.split(":", 1)[1]))
     gens = [parse_element(cfg.algebra, g) for g in cfg.custom_generators]
-    return make_family(cfg.algebra, gens)
+    try:
+        return make_family(cfg.algebra, gens)
+    except ValueError as exc:  # rank-deficient once their trace parts are removed
+        raise PreconditionError(f"custom generators: {exc}") from None
 
 
 def parse_state(cfg: RunConfig, spec: str):

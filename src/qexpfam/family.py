@@ -5,7 +5,8 @@ subspace offset + span(basis) of traceless self-adjoint elements.  Families in
 a compressed corner algebra pAp carry a support basis and use the
 superscript-p calculus throughout; the full algebra is the special case
 p = identity.  The basis is also stacked per block, so tangent elements and
-the basis tilted into an eigenbasis are one product per block.
+the basis tilted into an eigenbasis are one product per block.  One Gibbs
+kernel, _gibbs, serves exp1, free_energy, the solver and the closure ladder.
 
 The projection onto the family minimizes the strictly convex objective
 
@@ -25,7 +26,7 @@ error.  entropy_distance solves in the family of the face that carries rho
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
-    _reconstruct_stack,
     coords,
     divided_differences,
     eigh,
@@ -51,9 +51,7 @@ from .states import (
     State,
     SupportBasis,
     _on_exposed_face,
-    _state_spectrum,
     compress,
-    exposed_face_membership,
     full_support,
     log_on_support,
     max_eig_data,
@@ -66,31 +64,37 @@ from .states import (
 # -- the trace-normalized exponential and its inverse chart -------------------
 
 
-def _gibbs_spectrum(a: HermitianElement, support: SupportBasis | None):
-    """The Gibbs kernel: (F, pairs, z, mu) for a in pAp, F = ln tr(p e^a).
-
-    pairs are the eigenpairs of a within Im(p), values descending; with mu the
-    largest, z = tr(p e^(a - mu)) lies in [1, N] and F = mu + ln z cannot
-    overflow.  The Gibbs state puts weights e^(w - mu) / z on the pairs.
-    """
+def _gibbs(blocks, support: SupportBasis | None):
+    """The Gibbs kernel: (F, pairs, weights, z, mu) for the blocks of a in pAp,
+    F = ln tr(p e^a); a block may be a (rows, n_k, n_k) stack, each row with
+    the bits of its own call.  pairs are the eigenpairs of a within Im(p),
+    values descending; with mu the largest, z = tr(p e^(a - mu)) lies in
+    [1, N] and F = mu + ln z cannot overflow.  The Gibbs state puts weights
+    e^(w - mu) / z on the pairs; mu and z keep a trailing axis of length one."""
     if support is None:
-        pairs = [(w[::-1], V[:, ::-1]) for w, V in map(np.linalg.eigh, a.blocks)]
+        pairs = [(w[..., ::-1], V[..., ::-1]) for w, V in map(np.linalg.eigh, blocks)]
     else:  # values descending, vectors as columns of the ambient blocks
-        pairs = [(w[::-1], q @ Y[:, ::-1]) for q, (w, Y)
-                 in zip(support.columns, map(np.linalg.eigh, support.restrict(a)))]
-    mu = max(float(w[0]) for w, _ in pairs if w.size)
-    z = sum(float(np.exp(w - mu).sum()) for w, _ in pairs)
-    return mu + float(np.log(z)), pairs, z, mu
+        pairs = [(w[..., ::-1], q @ Y[..., ::-1]) for q, (w, Y)
+                 in zip(support.columns, map(np.linalg.eigh, support.restrict(blocks)))]
+    mu = reduce(np.maximum, [w[..., :1] for w, _ in pairs if w.shape[-1]])
+    e = [np.exp(w - mu) for w, _ in pairs]
+    z = reduce(np.add, [x.sum(-1, keepdims=True) for x in e])
+    return (mu + np.log(z))[..., 0], pairs, [x / z for x in e], z, mu
 
 
-def _gibbs_state(algebra: Algebra, support: SupportBasis | None, pairs, z, mu) -> State:
-    """The Gibbs state of _gibbs_spectrum's pairs, padded with zero weights
-    on the kernel columns of p; in the full algebra they are a's own."""
-    kernel = (support or full_support(algebra)).kernel
-    values = [np.concatenate([np.exp(w - mu) / z, np.zeros(k.shape[1])])
-              for (w, _), k in zip(pairs, kernel)]
-    vectors = [np.hstack([V, k]) for (_, V), k in zip(pairs, kernel)]
-    return State._from_spectrum(algebra, values, vectors)
+def _gibbs_spectra(support: SupportBasis | None, gibbs):
+    """A _gibbs result's states as per-block eigenvalues and eigenvectors,
+    completed by the kernel columns of p with zero weights; stacked blocks give
+    one state per row.  Unchecked: State._from_spectrum and the closure ladder
+    run _state_spectrum on them."""
+    _, pairs, weights, _, _ = gibbs
+    if support is None:  # no kernel columns
+        return weights, [np.ascontiguousarray(V) for _, V in pairs]
+    values = [np.concatenate([x, np.zeros(x.shape[:-1] + k.shape[1:])], axis=-1)
+              for x, k in zip(weights, support.kernel)]
+    vectors = [np.concatenate([V, np.broadcast_to(k, V.shape[:-1] + k.shape[1:])], axis=-1)
+               for (_, V), k in zip(pairs, support.kernel)]
+    return values, vectors
 
 
 def _combine(theta, stack: np.ndarray) -> np.ndarray:
@@ -101,25 +105,6 @@ def _combine(theta, stack: np.ndarray) -> np.ndarray:
     return np.dot(np.asarray(theta).reshape(1, dim), stack.reshape(dim, n * n)).reshape(n, n)
 
 
-def _member_blocks(family: ExponentialFamily, thetas: np.ndarray) -> list[np.ndarray]:
-    """Per block, the stacked blocks of family.member(theta) for each row of
-    thetas, bit for bit, from one eigh per block over the stack; the checks
-    of State are run on every row.  Full-algebra families only.  Separate
-    from _gibbs_spectrum, whose per-element form is the solver's hot path.
-    """
-    # rows one at a time: one product over the whole matrix moves bits
-    a = [np.stack([o + _combine(theta, s) for theta in thetas])
-         for o, s in zip(family.offset.blocks, family.stacks)]
-    spectra = [np.linalg.eigh((b + b.conj().swapaxes(-1, -2)) / 2.0) for b in a]
-    # _gibbs_spectrum's mu, z and weights, elementwise over the rows
-    w = [v[:, ::-1] for v, _ in spectra]
-    mu = np.max([x[:, 0] for x in w], axis=0)[:, None]
-    z = sum(np.exp(x - mu).sum(axis=1) for x in w)[:, None]
-    weights = _state_spectrum(family.algebra, [np.exp(x - mu) / z for x in w])
-    return [_reconstruct_stack(x, np.ascontiguousarray(V[..., ::-1]))
-            for x, (_, V) in zip(weights, spectra)]
-
-
 def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
     """Trace-normalized exponential e^a / tr(e^a).
 
@@ -127,7 +112,7 @@ def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
     computed for a in pAp.  Overflow is avoided by shifting a by its largest
     eigenvalue first; the result is invariant under a -> a + t*identity.
     """
-    return _gibbs_state(a.algebra, support, *_gibbs_spectrum(a, support)[1:])
+    return free_energy(a, support)[1]
 
 
 def ln0(rho: State) -> HermitianElement:
@@ -147,8 +132,8 @@ def free_energy(
 
     Equivariant under trace shifts: F(a + t*identity) = F(a) + t.
     """
-    value, *spectrum = _gibbs_spectrum(a, support)
-    return value, _gibbs_state(a.algebra, support, *spectrum)
+    gibbs = _gibbs(a.blocks, support)
+    return float(gibbs[0]), State._from_spectrum(a.algebra, *_gibbs_spectra(support, gibbs))
 
 
 # -- family --------------------------------------------------------------------
@@ -284,7 +269,7 @@ def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
     on Im(rest), which stays well conditioned where its eigenvalue meets
     <rho, u>: a tangent direction is found to machine precision.
     """
-    pairs = [(x, y) for x, y in zip(rest.restrict(a), rest.restrict(b)) if x.size]
+    pairs = [(x, y) for x, y in zip(rest.restrict(a.blocks), rest.restrict(b.blocks)) if x.size]
     kernel = DirectionSweep([x for x, _ in pairs], [y for _, y in pairs])
     ra, rb = hs_inner(rho.element, a), hs_inner(rho.element, b)
 
@@ -370,9 +355,10 @@ def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.nda
     return vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
 
 
-def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement | None:
-    """A tangent direction exposing a face that contains rho, or None when
-    rho lies on no proper face of the family's mean value set.
+def _face_direction(rho: State, family: ExponentialFamily
+                    ) -> tuple[HermitianElement, Projector] | None:
+    """A tangent direction u exposing a face that contains rho, and the maximal
+    projector of u; None when rho lies on no proper face of the mean value set.
 
     Such a u acts on the support q of rho as a scalar: u lies in L =
     _scalar_directions(q), where rho is on the face of u exactly when the
@@ -400,7 +386,8 @@ def _face_direction(rho: State, family: ExponentialFamily) -> HermitianElement |
             candidates = [family.tangent_element(x), u] if np.any(x) else [u]
     else:
         return None
-    return next((u for u in candidates if exposed_face_membership(rho, u)), None)
+    faces = ((u, *max_eig_data(u)) for u in candidates)
+    return next(((u, p) for u, mu, p in faces if _on_exposed_face(rho, u, mu, p)), None)
 
 
 def face_chain(
@@ -419,19 +406,19 @@ def face_chain(
     if rho.algebra != family.algebra:
         raise AlgebraMismatchError("state and family in different algebras")
     projectors: list[Projector] = []
-    u = _face_direction(rho, family)
-    while u is not None:
-        p = max_eig_data(u)[1]
+    face = _face_direction(rho, family)
+    while face is not None:
+        u, p = face
         inner = make_compressed_family(family, p)
-        v = _face_direction(rho, inner)
-        if v is not None:
-            w = _inner_face_direction(family, u, p, v)
+        inner_face = _face_direction(rho, inner)
+        if inner_face is not None:
+            w = _inner_face_direction(family, u, p, inner_face[0])
             mu_w, p_w = max_eig_data(w)
             if p_w.rank < p.rank and _on_exposed_face(rho, w, mu_w, p_w):
-                u = w
+                face = w, p_w
                 continue
         projectors.append(p)
-        family, u = inner, v
+        family, face = inner, inner_face
     return projectors, family
 
 
@@ -476,18 +463,18 @@ class ProjectionResult:
 
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
-    """Objective F(a) - theta.m, its gradient, and the point (pairs, T, z, mu,
+    """Objective F(a) - theta.m, its gradient, and the point (_gibbs at a, T,
     means) they were read from, which the Hessian and the Gibbs state reuse.
 
     One eigendecomposition of a = offset + sum theta_i v_i; each block's basis
     stack S_k is tilted into its eigenbasis, T_k = V_k* S_k V_k, and the means
     are the Gibbs-weighted diagonals sum_k sum_m p_m Re (T_k,i)_mm.
     """
-    value, pairs, z, mu = _gibbs_spectrum(family.parameter_element(theta), family.support)
+    gibbs = _gibbs(family.parameter_element(theta).blocks, family.support)
+    value, pairs, weights, _, _ = gibbs
     tilted = [V.conj().T @ s @ V for (_, V), s in zip(pairs, family.stacks)]
-    means = sum(np.diagonal(T, axis1=1, axis2=2).real @ (np.exp(w - mu) / z)
-                for (w, _), T in zip(pairs, tilted))
-    return value - float(theta @ moments), means - moments, (pairs, tilted, z, mu, means)
+    means = sum(np.diagonal(T, axis1=1, axis2=2).real @ p for p, T in zip(weights, tilted))
+    return float(value) - float(theta @ moments), means - moments, (gibbs, tilted, means)
 
 
 def _bkm_hessian(point) -> np.ndarray:
@@ -500,7 +487,7 @@ def _bkm_hessian(point) -> np.ndarray:
     one real product per block, symmetric and positive semidefinite by
     construction.  Centered first, it has no cancellation against m m^T.
     """
-    pairs, tilted, z, mu, m = point
+    (_, pairs, _, z, mu), tilted, m = point
     H = np.zeros((len(m), len(m)))
     for (w, _), T in zip(pairs, tilted):
         root = np.sqrt(divided_differences(w - mu, "exp"))
@@ -651,13 +638,13 @@ def _newton_finish(
         )
 
     # f = F - theta.m rounds at the size of the free energy F, not of f
-    pairs, _, z, mu, _ = end.point
+    gibbs = end.point[0]
     excess = end.fval - base
-    distance = excess if excess > _resolution(mu + np.log(z)) else 0.0
+    distance = excess if excess > _resolution(gibbs[0]) else 0.0
     attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,
-        sigma_star=_gibbs_state(family.algebra, family.support, pairs, z, mu),
+        sigma_star=State._from_spectrum(family.algebra, *_gibbs_spectra(family.support, gibbs)),
         attained=attained,
         grad_residual=gnorm,
         iterations=end.iterations,

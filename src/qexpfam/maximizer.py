@@ -151,7 +151,7 @@ def _clip_to_simplex(values: np.ndarray) -> np.ndarray:
 
 def _project_face_state(support: SupportBasis, a: HermitianElement) -> State:
     """Nearest state with support inside p: eigenvalue clipping to the simplex."""
-    pairs = [np.linalg.eigh(s) for s in support.restrict(a)]
+    pairs = [np.linalg.eigh(s) for s in support.restrict(a.blocks)]
     clipped = _clip_to_simplex(np.concatenate([w for w, _ in pairs]))
     out, k = [], 0
     for w, V in pairs:

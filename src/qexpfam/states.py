@@ -324,9 +324,9 @@ class SupportBasis:
     def rank(self) -> int:
         return self.projector.rank
 
-    def restrict(self, a: HermitianElement) -> list[np.ndarray]:
-        """Per-block r_k x r_k matrices Q* a Q."""
-        return [q.conj().T @ b @ q for q, b in zip(self.columns, a.blocks)]
+    def restrict(self, blocks) -> list[np.ndarray]:
+        """Per-block r_k x r_k matrices Q* b Q of blocks, or of stacks of them."""
+        return [q.conj().T @ b @ q for q, b in zip(self.columns, blocks)]
 
     def embed(self, small: list[np.ndarray]) -> HermitianElement:
         return HermitianElement(

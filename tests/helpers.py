@@ -1,8 +1,8 @@
 import numpy as np
 
-from qexpfam.linalg import HermitianElement
-from qexpfam.sampling import random_traceless
-from qexpfam.states import max_eig_data
+from qexpfam.linalg import HermitianElement, eigh
+from qexpfam.sampling import random_hermitian, random_traceless
+from qexpfam.states import Projector, SupportBasis, max_eig_data
 
 
 def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):
@@ -31,3 +31,19 @@ def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):
         qk = np.eye(mdim) - pk
         dec.append(pk @ tk @ pk + qk @ tk @ qk)
     return HermitianElement(algebra, dec), u
+
+
+def random_support(algebra, rng, empty_first_block):
+    """A spectral projector of rank 1 to N-1 of a random element, optionally
+    with nothing of the first block."""
+    keep = rng.permutation(algebra.dim) < rng.integers(1, algebra.dim)
+    n0 = algebra.block_dims[0]
+    if empty_first_block and algebra.n_blocks > 1:
+        keep[:n0] = False
+        keep[n0 + rng.integers(algebra.dim - n0)] = True
+    blocks, k = [], 0
+    for V in eigh(random_hermitian(algebra, rng)).eigenvectors:
+        q = V[:, keep[k : k + V.shape[1]]]
+        blocks.append(q @ q.conj().T)
+        k += V.shape[1]
+    return SupportBasis(Projector(HermitianElement(algebra, blocks)))

@@ -93,6 +93,18 @@ class TestCliExitCodes:
         code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("generators", [
+        "generator1 = 1,0 0,0 0,0 -1,0 0\n",
+        "generator1 = 0,0 1,0 0,0 0,0 0,0\n",
+        "generator1 = 1,0 0,0 0,0 -1,0 0,0\ngenerator2 = 2,0 0,0 0,0 -2,0 0,0\n",
+    ], ids=["malformed-pair", "not-hermitian", "dependent"])
+    def test_bad_custom_generators_exit_2(self, tmp_path, capsys, generators):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("[family]\nname = custom\n" + generators)
+        code = main(["sweep", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("args", [
         ["--state", "tau:3"],
         ["--state", "circle:x"],

@@ -682,9 +682,10 @@ class TestSweepKernelParity:
                 _, p = max_eig_data(_object_path_direction(fam, a))
                 states.append(State(p.element / p.rank))
         for k, rho in enumerate(states):
-            u = _face_direction(rho, fam)
-            assert (u is None) == (k in _NO_FACE.get(name, ())), k
-            if u is not None:
+            face = _face_direction(rho, fam)
+            assert (face is None) == (k in _NO_FACE.get(name, ())), k
+            if face is not None:
+                u, _ = face
                 assert exposed_face_membership(rho, u)
                 _, p = max_eig_data(u)
                 assert p.contains(support_projector(rho).element)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam import cli, closures, cone, defaults, family
+from qexpfam import cli, closures, cone, defaults, family, states
 from qexpfam.closures import face_chain, rI_membership
 from qexpfam.errors import PreconditionError
 from qexpfam.family import entropy_distance, make_family, project_to_family
@@ -218,6 +218,30 @@ class TestFinderAskedOnce:
         assert cli.main(["distance", "--state", state, "--out", str(tmp_path),
                          "--quiet"]) == 0
         assert asked and self._repeats(asked) == 0
+
+
+@pytest.mark.parametrize("make", [cone.staffelberg_family, cone.swallow_family])
+def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
+    # each direction that decides a face is decomposed once: face_chain takes
+    # the maximal projector from the decision, not from a second max_eig_data
+    chains, real_chain, real_max = [], family.face_chain, states.max_eig_data
+
+    def chain(rho, fam):
+        chains.append([])
+        return real_chain(rho, fam)
+
+    def decompose(u):
+        chains[-1].append(b"".join(b.tobytes() for b in u.blocks))
+        return real_max(u)
+
+    monkeypatch.setattr(family, "face_chain", chain)
+    for module in (family, states):
+        monkeypatch.setattr(module, "max_eig_data", decompose)
+    fam = make()
+    for alpha in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
+        rI_membership(cone.base_circle_state(alpha), fam)
+    assert len(chains) == 20 and any(chains)
+    assert all(len(set(c)) == len(c) for c in chains)
 
 
 def _unitary(n, rng):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_support
 from qexpfam import family as family_mod
 from qexpfam.defaults import PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
     _bkm_hessian,
+    _gibbs,
+    _gibbs_spectra,
     _newton,
     _newton_setup,
     _objective_pieces,
@@ -21,6 +24,7 @@ from qexpfam.family import (
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    _reconstruct_stack,
     divided_differences,
     eigh,
     expm,
@@ -31,7 +35,7 @@ from qexpfam.linalg import (
 )
 from qexpfam.sampling import (random_family, random_hermitian, random_state,
                                random_traceless)
-from qexpfam.states import Projector, State, compress, full_support
+from qexpfam.states import Projector, State, _state_spectrum, compress, full_support
 
 # random block algebras of total dimension <= 6; derandomized so the suite
 # sees the same examples on every run
@@ -53,6 +57,33 @@ def test_gibbs_matches_matrix_exponential(dims, seed, scale):
     assert abs(value - want) <= 1e-12 * max(1.0, abs(want))
     gibbs = e / e.trace()
     assert (exp1(a).element - gibbs).norm() <= 1e-12 * gibbs.norm()
+
+
+@kernel_settings
+@given(block_dims.filter(lambda dims: sum(dims) >= 2), seeds, st.integers(1, 4),
+       st.sampled_from(["full", "compressed", "empty-block"]))
+def test_stacked_gibbs_rows_equal_one_element_calls(dims, seed, rows, kind):
+    # each row of one stacked kernel call has the bits of its own call: F, the
+    # weights, and the state blocks exp1 builds; compressed families pad their
+    # kernel columns, and "empty-block" keeps nothing of the first block
+    algebra = Algebra(tuple(dims))
+    rng = np.random.default_rng(seed)
+    fam = random_family(algebra, int(rng.integers(1, algebra.real_dim)), rng)
+    if kind != "full":
+        fam = make_compressed_family(
+            fam, random_support(algebra, rng, kind == "empty-block").projector)
+    elements = [fam.parameter_element(rng.normal(scale=3.0, size=fam.dim))
+                for _ in range(rows)]
+    stack = [np.stack(b) for b in zip(*(a.blocks for a in elements))]
+    gibbs = _gibbs(stack, fam.support)
+    free, _, weights, _, _ = gibbs
+    values, vectors = _gibbs_spectra(fam.support, gibbs)
+    states = [_reconstruct_stack(w, V) for w, V in zip(_state_spectrum(algebra, values), vectors)]
+    for i, a in enumerate(elements):
+        one_free, _, one_weights, _, _ = _gibbs(a.blocks, fam.support)
+        assert free[i].tobytes() == one_free.tobytes()
+        assert [x[i].tobytes() for x in weights] == [x.tobytes() for x in one_weights]
+        assert [x[i].tobytes() for x in states] == _bits(exp1(a, fam.support).element)
 
 
 @kernel_settings
@@ -152,6 +183,30 @@ def test_solve_builds_one_state_and_decomposes_once_per_evaluation(monkeypatch, 
     assert abs(res.grad_residual - residual) <= 1e-12
 
 
+@pytest.mark.parametrize("dims, dim", [((16,), 12), ((4, 4, 4, 4), 6), ((2, 1), 2)])
+def test_solve_takes_one_gibbs_exp_per_block_and_evaluation(monkeypatch, dims, dim):
+    # the objective, the means and the final state share one np.exp per block
+    # and evaluation; every other exp is one of the Hessian's divided differences
+    fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
+    rho = random_state(fam.algebra, np.random.default_rng(dim), invertible=True, min_eig=1e-2)
+    exps, evaluations, tables = [], [], []
+    real_exp, pieces, real_tables = np.exp, family_mod._objective_pieces, divided_differences
+
+    def spy(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "exp", spy(exps, real_exp))
+    monkeypatch.setattr(family_mod, "_objective_pieces", spy(evaluations, pieces))
+    monkeypatch.setattr(family_mod, "divided_differences", spy(tables, real_tables))
+    res = project_to_family(rho, fam)
+    monkeypatch.undo()
+    assert res.attained and res.iterations > 0 and tables
+    assert len(exps) == len(evaluations) * fam.algebra.n_blocks + len(tables)
+
+
 # -- the fast kernels against the code they replaced ------------------------------
 
 
@@ -184,7 +239,7 @@ def test_internal_arithmetic_matches_public_constructor(dims, seed, t):
 def _bkm_hessian_loop(family, point):
     """The pairwise double loop the stacked BKM Hessian replaced, kept as the
     accuracy reference: sum(conj(T_i) * table * T_j) per pair and block."""
-    pairs, _, z, mu, means = point
+    (_, pairs, _, (z,), mu), _, means = point
     d = family.dim
     H = np.zeros((d, d))
     for bi, (w, V) in enumerate(pairs):
@@ -291,7 +346,7 @@ def test_stacked_hessian_skips_empty_support_block():
     p = Projector(HermitianElement(algebra, [q @ q.conj().T, np.eye(2), np.zeros((1, 1))]))
     fam = make_compressed_family(parent, p)
     assert fam.dim > 0
-    _, _, (pairs, *_) = _objective_pieces(fam, np.zeros(fam.dim), np.zeros(fam.dim))
+    _, _, ((_, pairs, *_), *_) = _objective_pieces(fam, np.zeros(fam.dim), np.zeros(fam.dim))
     assert pairs[2][0].size == 0
     for scale in (0.5, 5.0):
         _assert_hessian_accurate(fam, rng, scale)

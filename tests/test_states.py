@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_support
 from qexpfam import cone
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1
-from qexpfam.linalg import Algebra, HermitianElement, diagonal, eigh, hs_inner, identity
+from qexpfam.linalg import Algebra, HermitianElement, diagonal, hs_inner, identity
 from qexpfam.sampling import (random_hermitian, random_state, random_traceless,
                               random_unit_traceless)
 from qexpfam.states import (
     Projector,
     State,
-    SupportBasis,
     compress,
     exposed_face_membership,
     max_eig_data,
@@ -263,22 +263,6 @@ spectrum_dims = st.lists(st.integers(1, 4), min_size=1, max_size=4).filter(
 )
 
 
-def _random_support(algebra, rng, empty_first_block):
-    """A spectral projector of rank 1 to N-1 of a random element, optionally
-    with nothing of the first block."""
-    keep = rng.permutation(algebra.dim) < rng.integers(1, algebra.dim)
-    n0 = algebra.block_dims[0]
-    if empty_first_block and algebra.n_blocks > 1:
-        keep[:n0] = False
-        keep[n0 + rng.integers(algebra.dim - n0)] = True
-    blocks, k = [], 0
-    for V in eigh(random_hermitian(algebra, rng)).eigenvectors:
-        q = V[:, keep[k : k + V.shape[1]]]
-        blocks.append(q @ q.conj().T)
-        k += V.shape[1]
-    return SupportBasis(Projector(HermitianElement(algebra, blocks)))
-
-
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(spectrum_dims, st.integers(0, 2**32 - 1), st.floats(0.1, 6.0), st.booleans())
 def test_gibbs_state_from_spectrum_matches_public_constructor(dims, seed, scale,
@@ -286,7 +270,7 @@ def test_gibbs_state_from_spectrum_matches_public_constructor(dims, seed, scale,
     algebra = Algebra(tuple(dims))
     rng = np.random.default_rng(seed)
     a = random_hermitian(algebra, rng, scale)
-    support = _random_support(algebra, rng, empty_first_block)
+    support = random_support(algebra, rng, empty_first_block)
     for s in (None, support):
         fast = exp1(a, s)
         public = State(fast.element)
