@@ -22,8 +22,9 @@ into exactly solvable problems.  family.face_chain applies this face by face
 and family.entropy_distance solves in the family it ends in.
 
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
-closure on sampled atlas groups.  Their directions come from one sweep;
-each norm leg walks the group's e-geodesic, all rungs as one stacked Gibbs
+closure on sampled atlas groups.  Their directions and top gaps come from
+one sweep; each norm leg evaluates the group's e-geodesic once, at the t its
+gap sets (defaults.CHAIN_GAP_T), every sample in one stacked Gibbs
 evaluation per algebra block.
 """
 
@@ -292,53 +293,43 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
 # -- the inclusion chain ----------------------------------------------------------
 
 
-def _geodesic_ladder(
-    family: ExponentialFamily,
-    group: AtlasGroup,
-    theta_p: np.ndarray,
-    s: State,
-    u: HermitianElement,
-) -> float:
-    """Hilbert-Schmidt distance from s = group.family.member(theta_p) to the
-    family along the e-geodesic that converges to s.
+def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
+    """Hilbert-Schmidt distance from each sample s = g.family.member(theta_p)
+    of legs, entries (g, u, gap, [(theta_p, s), ...]), to the member
+    family.member(x + t_end u_hat) on the e-geodesic that converges to s: an
+    explicit member, so the value bounds the distance to the family above.
 
-    theta_p is lifted to parent coordinates x by least squares through c^p
-    (multiples of p are dropped: exp1^p ignores them); then member(x + t u_hat)
-    is evaluated for t = 0, 5, 10, 20, ... doubling, ending on the RI_PARAM_CAP
-    sphere, where u_hat is the unit coordinate vector of u.  The rungs are one
-    stack per algebra block (family._gibbs: one eigh per block, no State),
-    bit for bit the members' elements.  The smallest value comes from an
-    explicit family member, so it bounds the distance above.
+    A group's theta_p are lifted to x by one least-squares solve through c^p
+    (multiples of p are dropped: exp1^p ignores them); u_hat is the unit
+    coordinate vector of u, and t_end = CHAIN_GAP_T ||u|| / gap.  All members
+    are one stack per algebra block (family._gibbs: one eigh per block, no
+    State), each row bit for bit the member's element.
     """
-    p = group.projector
-    cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
-    rhs = group.family.parameter_element(theta_p) - compress(p, family.offset)[1]
-    x = np.linalg.lstsq(np.column_stack(cols), coords(rhs), rcond=None)[0][:-1]
-    u_hat = mean_value_projection(u, family)
-    u_hat /= np.linalg.norm(u_hat)
-
-    param_cap = defaults.RI_PARAM_CAP
-    ladder, t = [0.0], 5.0
-    while np.linalg.norm(x + t * u_hat) < param_cap:
-        ladder.append(t)
-        t *= 2.0
-    b = float(x @ u_hat)
-    disc = b * b - float(x @ x) + param_cap**2
-    if disc >= 0.0 and -b + np.sqrt(disc) > ladder[-1]:
-        ladder.append(-b + np.sqrt(disc))
-    # parameter_element per rung, stacked (one product over the stack moves bits)
-    a = [np.stack([o + _combine(x + t * u_hat, s) for t in ladder])
+    params, states = [], []
+    for g, u, gap, samples in legs:
+        p = g.projector
+        cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
+        off = compress(p, family.offset)[1]
+        rhs = [coords(g.family.parameter_element(theta_p) - off) for theta_p, _ in samples]
+        x = np.linalg.lstsq(np.column_stack(cols), np.column_stack(rhs), rcond=None)[0][:-1]
+        u_hat = mean_value_projection(u, family)
+        norm = np.linalg.norm(u_hat)
+        u_hat /= norm
+        params += [xi + defaults.CHAIN_GAP_T * norm / gap * u_hat for xi in x.T]
+        states += [s for _, s in samples]
+    # parameter_element per row, stacked (one product over the stack moves bits)
+    a = [np.stack([o + _combine(x, s) for x in params])
          for o, s in zip(family.offset.blocks, family.stacks)]
     gibbs = _gibbs([(m + m.conj().swapaxes(-1, -2)) / 2.0 for m in a], family.support)
     values, vectors = _gibbs_spectra(family.support, gibbs)
-    rungs = [_reconstruct_stack(w, V)
-             for w, V in zip(_state_spectrum(family.algebra, values), vectors)]
-    # s.element - member, symmetrized as _trusted does; each rung's norm as
+    members = [_reconstruct_stack(w, V)
+               for w, V in zip(_state_spectrum(family.algebra, values), vectors)]
+    # s.element - member, symmetrized as _trusted does; each row's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
-    diff = [sb - mb for sb, mb in zip(s.element.blocks, rungs)]
-    diff = [(d + d.conj().swapaxes(-1, -2)) / 2.0 for d in diff]
-    return min(float(np.sqrt(sum(np.linalg.norm(d[i]) ** 2 for d in diff)))
-               for i in range(len(ladder)))
+    targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
+    diff = [(d + d.conj().swapaxes(-1, -2)) / 2.0 for d in map(np.subtract, targets, members)]
+    return [float(np.sqrt(sum(np.linalg.norm(d[i]) ** 2 for d in diff)))
+            for i in range(len(states))]
 
 
 def inclusion_chain_check(
@@ -356,24 +347,24 @@ def inclusion_chain_check(
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
 
-    groups = list(atlas.groups)
-    if len(groups) > max_groups:
-        stride = max(1, len(groups) // max_groups)
-        groups = groups[::stride]
-
+    groups = atlas.groups[::-(-len(atlas.groups) // max_groups)]  # at most max_groups
     norm_bound = float(np.sqrt(2.0 * defaults.RI_EPS)) * 1.5
-    directions = _polar_sweep(family).blocks([g.mid_angle for g in groups])
+    kernel, mids = _polar_sweep(family), [g.mid_angle for g in groups]
+    directions = kernel.blocks(mids)
+    gaps = kernel.spectra(mids).top_gap([g.rank for g in groups])
+    rows, legs = [], []
     for i, g in enumerate(groups):
         u = HermitianElement(family.algebra, [b[i] for b in directions])
         thetas = [("representative", np.zeros(g.family_dim))]
         if g.family_dim >= 1:
             thetas.append(("member", 0.7 * np.ones(g.family_dim)))
-        for tag, theta_p in thetas:
+        samples = [(theta_p, g.family.member(theta_p)) for _, theta_p in thetas]
+        for (tag, _), (_, s) in zip(thetas, samples):
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
-            s = g.family.member(theta_p)
-            d = reduce_distance_to_face(family=family, rho=s, v=u)
-            report.add("geo_subset_rI", where, d, defaults.RI_EPS)
-            gap = _geodesic_ladder(family, g, theta_p, s, u)
-            report.add("rI_subset_norm", where, gap, norm_bound)
+            rows.append((where, reduce_distance_to_face(family=family, rho=s, v=u)))
+        legs.append((g, u, gaps[i], samples))
+    for (where, d), norm in zip(rows, _norm_leg(family, legs)):
+        report.add("geo_subset_rI", where, d, defaults.RI_EPS)
+        report.add("rI_subset_norm", where, norm, norm_bound)
     return report

@@ -43,6 +43,10 @@ ARMIJO_MAX_HALVINGS = 60
 # Reverse-information membership.
 RI_EPS = 1e-3
 RI_PARAM_CAP = 200.0
+# Inclusion chain: each e-geodesic exp1(x + t u) is evaluated once, at t gap =
+# CHAIN_GAP_T for unit u, gap the eigenvalue gap below u's maximal eigenspace.
+# Where x couples that eigenspace the error falls like 1 / (t gap).
+CHAIN_GAP_T = 1e4
 
 # Boundary sweeps.
 SWEEP_ANGLES = 720

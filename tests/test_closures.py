@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import os
 import re
@@ -11,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 from qexpfam import closures, cone, defaults
 from qexpfam.closures import (
     _face_direction,
-    _geodesic_ladder,
     _polar_sweep,
     egeodesic_limit,
     face_chain,
@@ -442,11 +442,35 @@ class TestInclusionChain:
     def test_swallow_chain(self, swallow):
         report = inclusion_chain_check(swallow)
         assert report.ok, [f for f in report.failures()]
-        # each norm finding names its group only: the ladder step of the
-        # minimum is often a tie at the rounding floor, not a fact of the state
+        # each norm finding names its group only, not the t its e-geodesic
+        # ends at
         norm = [f for f in report.findings if f.check == "rI_subset_norm"]
         assert len(norm) == len(report.findings) // 2
         assert all(re.search(r"\] rank [0-9]+$", f.detail) for f in norm)
+
+    def test_swallow_every_group(self, swallow):
+        report = inclusion_chain_check(swallow, max_groups=10**6)
+        assert report.ok, [f for f in report.failures()]
+        assert len(_sampled_groups(report)) == len(_default_atlas("swallow").groups)
+
+    def test_staffelberg_small_gaps(self, staffelberg, monkeypatch):
+        # the groups within 0.22 rad of alpha = 0, where the direction's top
+        # gap falls to 3.8e-5: at t = RI_PARAM_CAP 50 of them missed the bound
+        atlas = _default_atlas("staffelberg")
+        near = tuple(g for g in atlas.groups if min(g.mid_angle, 2.0 * np.pi - g.mid_angle) < 0.22)
+        monkeypatch.setattr(closures, "geodesic_closure_atlas",
+                            lambda family, n_directions: dataclasses.replace(atlas, groups=near))
+        report = inclusion_chain_check(staffelberg, max_groups=10**6)
+        assert report.ok, [f for f in report.failures()]
+        assert len(_sampled_groups(report)) == len(near) == 51
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7"])
+    def test_at_most_max_groups(self, name):
+        # 542 // 24 and 566 // 24 strides sampled 25 of swallow's and cone:0.7's groups
+        family = _default_atlas(name).family
+        for max_groups in (24, 7):
+            assert len(_sampled_groups(inclusion_chain_check(family, max_groups=max_groups))) \
+                == max_groups
 
     def test_offset_family_chain(self, staffelberg, algebra, rng):
         fam = make_family(algebra, list(staffelberg.generators),
@@ -500,8 +524,9 @@ class TestInclusionChain:
 
 
 def _per_rung_ladder(family, group, theta_p, s, u):
-    """_geodesic_ladder with one family.member per rung, the form it had
-    before its rungs were stacked: the bit-for-bit reference."""
+    """The norm leg as it was before each e-geodesic got one rung: the
+    smallest distance over t = 0, 5, 10, 20, ... doubling, ending on the
+    RI_PARAM_CAP sphere, one family.member per rung."""
     p = group.projector
     cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
     rhs = group.family.parameter_element(theta_p) - compress(p, family.offset)[1]
@@ -521,7 +546,25 @@ def _per_rung_ladder(family, group, theta_p, s, u):
     return min((s.element - family.member(x + t * u_hat).element).norm() for t in ladder)
 
 
-def _ladder_atlas(name):
+def _one_rung(family, group, u, thetas):
+    """The norm values of group's samples, one family.member each at
+    x + t_end u_hat: the bit-for-bit reference.  Both samples are lifted in
+    one least-squares solve, as a one-column solve may move bits."""
+    p = group.projector
+    cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
+    rhs = [coords(group.family.parameter_element(theta_p) - compress(p, family.offset)[1])
+           for theta_p in thetas]
+    x = np.linalg.lstsq(np.column_stack(cols), np.column_stack(rhs), rcond=None)[0][:-1]
+    u_hat = mean_value_projection(u, family)
+    norm = np.linalg.norm(u_hat)
+    u_hat /= norm
+    gap = _polar_sweep(family).spectra([group.mid_angle]).top_gap(group.rank)[0]
+    t_end = defaults.CHAIN_GAP_T * norm / gap
+    return [(group.family.member(theta_p).element - family.member(xi + t_end * u_hat).element).norm()
+            for theta_p, xi in zip(thetas, x.T)]
+
+
+def _chain_atlas(name):
     if name == "offset":  # the family of test_offset_family_chain
         fam = cone.staffelberg_family()
         fam = make_family(fam.algebra, list(fam.generators), offset=random_hermitian(
@@ -532,41 +575,44 @@ def _ladder_atlas(name):
     return _default_atlas(name)
 
 
-def _ladder_inputs(atlas, group):
-    """The (theta_p, s, u) of each of inclusion_chain_check's samples of group."""
-    u = sweep_direction(atlas.family, group.mid_angle)
-    thetas = [np.zeros(group.family_dim)]
-    if group.family_dim >= 1:
-        thetas.append(0.7 * np.ones(group.family_dim))
-    return [(theta_p, group.family.member(theta_p), u) for theta_p in thetas]
+def _sampled_groups(report):
+    """The group part of each finding's detail, once per sampled group."""
+    return {re.sub(r"^\w+ of ", "", f.detail) for f in report.findings}
 
 
-class TestGeodesicLadder:
-    @pytest.mark.parametrize(
-        "name", ["staffelberg", "swallow", "cone:0.7", "offset", "random-2,2"])
-    def test_stacked_rungs_equal_per_rung_members(self, name):
-        # about 24 groups, from the middle of each stride: on swallow these
-        # include group 495 (alpha 5.873), whose value moves in the last bit
-        # when the rungs' parameter blocks come from one tensordot
-        atlas = _ladder_atlas(name)
-        stride = len(atlas.groups) // 24
-        for g in atlas.groups[stride // 2::stride]:
-            for theta_p, s, u in _ladder_inputs(atlas, g):
-                fast = _geodesic_ladder(atlas.family, g, theta_p, s, u)
-                assert fast == _per_rung_ladder(atlas.family, g, theta_p, s, u)
+def _check_samples(atlas, report):
+    """(group, u, thetas) of each group the report sampled, in its order."""
+    sampled = _sampled_groups(report)
+    for g in atlas.groups:
+        if f"group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] rank {g.rank}" in sampled:
+            thetas = [np.zeros(g.family_dim)]
+            if g.family_dim >= 1:
+                thetas.append(0.7 * np.ones(g.family_dim))
+            yield g, sweep_direction(atlas.family, g.mid_angle), thetas
+
+
+CHAIN_FAMILIES = ["staffelberg", "swallow", "cone:0.7", "offset", "random-2,2"]
+
+
+class TestNormLeg:
+    @pytest.mark.parametrize("name", CHAIN_FAMILIES)
+    def test_values_are_single_members(self, name):
+        atlas = _chain_atlas(name)
+        report = inclusion_chain_check(atlas.family)
+        want = [v for g, u, thetas in _check_samples(atlas, report)
+                for v in _one_rung(atlas.family, g, u, thetas)]
+        assert [f.value for f in report.findings if f.check == "rI_subset_norm"] == want
 
     @pytest.mark.parametrize("name", ["swallow", "abelian-111"])
     def test_one_eigh_per_block_and_no_member(self, name, monkeypatch):
         if name == "abelian-111":
             algebra = Algebra((1, 1, 1))
-            atlas = geodesic_closure_atlas(make_family(algebra, [
-                diagonal(algebra, [1.0, -1.0, 0.0]), diagonal(algebra, [1.0, 1.0, -2.0])]))
+            family = make_family(algebra, [
+                diagonal(algebra, [1.0, -1.0, 0.0]), diagonal(algebra, [1.0, 1.0, -2.0])])
         else:
-            atlas = _default_atlas(name)
-        g = max(atlas.groups, key=lambda g: g.family_dim)  # a member off the representative
-        theta_p, s, u = _ladder_inputs(atlas, g)[-1]
-        members, eighs = [], []
-        member, real_eigh = ExponentialFamily.member, np.linalg.eigh
+            family = _default_atlas(name).family
+        members, eighs, leg_calls = [], [], []
+        member, real_eigh, norm_leg = ExponentialFamily.member, np.linalg.eigh, closures._norm_leg
 
         def spy(calls, fn):
             def counted(*args, **kwargs):
@@ -574,15 +620,34 @@ class TestGeodesicLadder:
                 return fn(*args, **kwargs)
             return counted
 
-        monkeypatch.setattr(ExponentialFamily, "member", spy(members, member))
-        monkeypatch.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
-        _geodesic_ladder(atlas.family, g, theta_p, s, u)
+        def spied_leg(family, legs):  # the norm leg, with member and eigh counted
+            leg_calls.append(legs)
+            with monkeypatch.context() as m:
+                m.setattr(ExponentialFamily, "member", spy(members, member))
+                m.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
+                return norm_leg(family, legs)
+
+        monkeypatch.setattr(closures, "_norm_leg", spied_leg)
+        report = inclusion_chain_check(family)
         monkeypatch.undo()
         assert members == []
-        assert len(eighs) == atlas.family.algebra.n_blocks
-        # each call decomposes one stack that holds every rung
-        assert len({np.shape(m)[0] for (m,) in eighs}) == 1
-        assert np.shape(eighs[0][0])[0] >= 3
+        assert len(eighs) == family.algebra.n_blocks
+        # one call, and one stack per block holds every sample of the check
+        (legs,) = leg_calls
+        n_samples = sum(len(samples) for *_, samples in legs)
+        assert {np.shape(m)[0] for (m,) in eighs} == {n_samples}
+        assert n_samples == len(report.findings) // 2
+
+    @pytest.mark.parametrize("name", CHAIN_FAMILIES)
+    def test_no_worse_than_the_ladder(self, name):
+        atlas = _chain_atlas(name)
+        report = inclusion_chain_check(atlas.family)
+        norms = iter(f.value for f in report.findings if f.check == "rI_subset_norm")
+        for g, u, thetas in _check_samples(atlas, report):
+            for theta_p in thetas:
+                old = _per_rung_ladder(atlas.family, g, theta_p, g.family.member(theta_p), u)
+                assert next(norms) <= old + 1e-12
+        assert next(norms, None) is None
 
 
 class TestNormClosureUpperBound:
