@@ -6,7 +6,7 @@ a compressed corner algebra pAp carry a support basis and use the
 superscript-p calculus throughout; the full algebra is the special case
 p = identity.  The basis is also stacked per block, so tangent elements and
 the basis tilted into an eigenbasis are one product per block.  One Gibbs
-kernel, _gibbs, serves exp1, free_energy, the solver and the closure ladder.
+kernel, _gibbs, serves exp1, free_energy, the solver and the chain's norm leg.
 
 The projection onto the family minimizes the strictly convex objective
 
@@ -85,8 +85,8 @@ def _gibbs(blocks, support: SupportBasis | None):
 def _gibbs_spectra(support: SupportBasis | None, gibbs):
     """A _gibbs result's states as per-block eigenvalues and eigenvectors,
     completed by the kernel columns of p with zero weights; stacked blocks give
-    one state per row.  Unchecked: State._from_spectrum and the closure ladder
-    run _state_spectrum on them."""
+    one state per row.  Unchecked: State._from_spectrum and the inclusion
+    chain's norm leg run _state_spectrum on them."""
     _, pairs, weights, _, _ = gibbs
     if support is None:  # no kernel columns
         return weights, [np.ascontiguousarray(V) for _, V in pairs]
