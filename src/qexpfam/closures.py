@@ -51,8 +51,7 @@ from .family import (  # face_chain and _face_direction are re-exported
     project_to_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, _reconstruct_stack, coords,
-                     project_out, traceless_part)
+from .linalg import DirectionSweep, HermitianElement, coords, project_out, traceless_part
 from .states import (
     Projector,
     State,
@@ -60,7 +59,7 @@ from .states import (
     _on_exposed_face,
     _rank_one_blocks,
     _rank_one_state,
-    _state_spectrum,
+    _state_blocks,
     compress,
     max_eig_data,
 )
@@ -322,8 +321,7 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
          for o, s in zip(family.offset.blocks, family.stacks)]
     gibbs = _gibbs([(m + m.conj().swapaxes(-1, -2)) / 2.0 for m in a], family.support)
     values, vectors = _gibbs_spectra(family.support, gibbs)
-    members = [_reconstruct_stack(w, V)
-               for w, V in zip(_state_spectrum(family.algebra, values), vectors)]
+    members = _state_blocks(family.algebra, values, vectors)
     # s.element - member, symmetrized as _trusted does; each row's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]

@@ -22,16 +22,17 @@ import enum
 
 import numpy as np
 
+from . import defaults
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
 from .closures import (ClosureAtlas, geodesic_closure_atlas, reduce_distance_to_face,
                        rI_membership)
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
+    _gibbs,
+    _gibbs_spectra,
     distance_continuation,
     entropy_distance,
-    exp1,
-    ln0,
     make_family,
     mean_value_projection,
     project_to_family,
@@ -40,13 +41,21 @@ from .findings import Report
 from .linalg import (
     Algebra,
     HermitianElement,
+    _reconstruct_stack,
     embed_block,
     hs_inner,
     identity,
-    zero,
 )
-from .sampling import random_state
-from .states import Projector, State, pure_state, relative_entropy, tracial_state
+from .sampling import random_spectra
+from .states import (
+    Projector,
+    State,
+    _rank_one_blocks,
+    _rank_one_state,
+    _state_blocks,
+    relative_entropy,
+    tracial_state,
+)
 
 ALGEBRA = Algebra((2, 1))
 
@@ -83,10 +92,28 @@ def z_element() -> HermitianElement:
     return Z
 
 
+def _base_circle_columns(alphas) -> np.ndarray:
+    """(rows, 2, 2) orthonormal columns [v, v_perp] per angle, v the +1
+    eigenvector of sin(a) s1 + cos(a) s2, normalized by pure_state's scalar
+    arithmetic (on an angle array np.exp and a row norm move ulps)."""
+    out = np.empty((len(alphas), 2, 2), dtype=complex)
+    for col, alpha in zip(out, alphas):
+        vector = [1.0, 1j * np.exp(-1j * alpha)]
+        v = np.asarray(vector, dtype=complex) / np.linalg.norm(vector)
+        col[:, 0] = v
+        col[:, 1] = -v[1].conjugate(), v[0].conjugate()
+    return out
+
+
+def base_circle_blocks(alphas) -> list[np.ndarray]:
+    """The element blocks of base_circle_state for an array of angles: a
+    (rows, 2, 2) stack and the shared zero block."""
+    return _rank_one_blocks(ALGEBRA, 0, _base_circle_columns(alphas))
+
+
 def base_circle_state(alpha: float) -> State:
     """Pure state (id2 + sin(a) s1 + cos(a) s2)/2 + 0 on the base circle."""
-    # the +1 eigenvector of sin(a) s1 + cos(a) s2
-    return pure_state(ALGEBRA, 0, [1.0, 1j * np.exp(-1j * alpha)])
+    return _rank_one_state(ALGEBRA, 0, _base_circle_columns([alpha])[0])
 
 
 def tau_state(lam: float) -> State:
@@ -99,39 +126,86 @@ def midpoint_state() -> State:
     return tau_state(1.0)
 
 
+def _flat(elements) -> list[np.ndarray]:
+    """Per block, the elements' blocks as the rows of a (len, n_k^2) array."""
+    return [np.array([e.blocks[k] for e in elements]).reshape(len(elements), -1)
+            for k in range(ALGEBRA.n_blocks)]
+
+
+def _inner(blocks, flat) -> np.ndarray:
+    """(rows, len) inner products <a, e> of elements given as block stacks
+    (rows, n_k, n_k) with _flat elements; a single (n_k, n_k) block, shared by
+    all rows or the one block of an element, drops the rows axis."""
+    return sum((b.reshape(b.shape[:-2] + (-1,)) @ f.conj().T).real
+               for b, f in zip(blocks, flat))
+
+
+def _span(c: np.ndarray, flat) -> list[np.ndarray]:
+    """Block stacks of sum_i c[:, i] e_i, one row per row of c, over _flat elements."""
+    return [(c @ f).reshape(len(c), n, n) for f, n in zip(flat, ALGEBRA.block_dims)]
+
+
+FRAME_FLAT = _flat(FRAME)
+
+
+def slice_coordinates(blocks) -> np.ndarray:
+    """(rows, 3) coordinates <a, d> on the frame (s1_hat, s2_hat, z_hat) of
+    elements given as block stacks.  z_hat is traceless, so the height is
+    centered at the tracial third, and a point of the affine slice
+    (1/3)id + U has the coordinates of its projection onto it.  The cone
+    geometry is one kernel on these rows; the element functions below call
+    it on an element's blocks, which drops the rows axis."""
+    return _inner(blocks, FRAME_FLAT)
+
+
+def _height_radius(c: np.ndarray):
+    return c[..., 2], np.hypot(c[..., 0], c[..., 1])
+
+
 def cone_coordinates(a: HermitianElement) -> tuple[float, float]:
     """(height along z_hat, centered at the tracial third; radius in the s1-s2 plane)."""
-    s1h, s2h, zh = FRAME
-    return hs_inner(a - THIRD, zh), float(np.hypot(hs_inner(a, s1h), hs_inner(a, s2h)))
+    h, r = _height_radius(slice_coordinates(a.blocks))
+    return float(h), float(r)
 
 
 APEX_HEIGHT = cone_coordinates(APEX)[0]
 BASE_HEIGHT = cone_coordinates(base_circle_state(0.0).element)[0]
 
 
+def _inside(c: np.ndarray) -> np.ndarray:
+    h, r = _height_radius(c)
+    frac = (APEX_HEIGHT - h) / (APEX_HEIGHT - BASE_HEIGHT)
+    return ((h >= BASE_HEIGHT - 1e-9) & (h <= APEX_HEIGHT + 1e-9)
+            & (r <= BASE_RADIUS * frac + 1e-9))
+
+
+def _boundary_gap(c: np.ndarray) -> np.ndarray:
+    h, r = _height_radius(c)
+    hb, ha, rb = BASE_HEIGHT, APEX_HEIGHT, BASE_RADIUS
+    # lateral line in the (r, h) half plane through (rb, hb) and (0, ha)
+    lateral = np.abs((ha - hb) * r + rb * h - rb * ha) / np.hypot(ha - hb, rb)
+    return np.minimum(lateral, np.abs(h - hb))
+
+
+def _outside_gap(c: np.ndarray) -> np.ndarray:
+    """0 for rows in the cone, else their distance to its boundary."""
+    return np.where(_inside(c), 0.0, _boundary_gap(c))
+
+
 def contains(a: HermitianElement) -> bool:
     """Membership of a point of the affine slice (1/3)id + U in the cone."""
-    h, r = cone_coordinates(a)
-    if h < BASE_HEIGHT - 1e-9 or h > APEX_HEIGHT + 1e-9:
-        return False
-    frac = (APEX_HEIGHT - h) / (APEX_HEIGHT - BASE_HEIGHT)
-    return r <= BASE_RADIUS * frac + 1e-9
+    return bool(_inside(slice_coordinates(a.blocks)))
 
 
 def boundary_distance(a: HermitianElement) -> float:
     """Distance of (h, r) cone coordinates to the boundary (2D section)."""
-    h, r = cone_coordinates(a)
-    hb, ha, rb = BASE_HEIGHT, APEX_HEIGHT, BASE_RADIUS
-    # lateral line in the (r, h) half plane through (rb, hb) and (0, ha)
-    t = np.hypot(ha - hb, rb)
-    lateral = abs((ha - hb) * r + rb * h - rb * ha) / t
-    base = abs(h - hb)
-    return float(min(lateral, base))
+    return float(_boundary_gap(slice_coordinates(a.blocks)))
 
 
 def project_to_slice(a: HermitianElement) -> HermitianElement:
     """Orthogonal projection onto U = span{s1, s2} + R z."""
-    return sum((hs_inner(a, d) * d for d in FRAME), zero(ALGEBRA))
+    c = slice_coordinates(a.blocks)[None]
+    return HermitianElement._trusted(ALGEBRA, [x[0] for x in _span(c, FRAME_FLAT)])
 
 
 def plane_for_angle(phi: float) -> ExponentialFamily:
@@ -233,16 +307,17 @@ def staffelberg_v3() -> HermitianElement:
     return -1.0 * base_circle_state(0.0).element + unit()
 
 
-def staffelberg_z_certificate(alpha: float, t: float) -> tuple[float, float]:
+def staffelberg_z_certificate(alpha, t):
     """The half-space certificate z(alpha,t) = T <sigma, v3> and its t-derivative.
 
     z = -cos(a) sinh(t) - cosh(t) + e^{t cos(a)} is nonpositive for t >= 0,
     which keeps the family on one side of the hyperplane through c.
+    Broadcasts over arrays of alpha and t; scalars give numpy floats.
     """
     ca = np.cos(alpha)
     value = -ca * np.sinh(t) - np.cosh(t) + np.exp(ca * t)
     deriv = -ca * np.cosh(t) - np.sinh(t) + ca * np.exp(ca * t)
-    return float(value), float(deriv)
+    return value, deriv
 
 
 def staffelberg_tau_path(lam: float, t: float) -> tuple[State, State]:
@@ -268,6 +343,15 @@ def swallow_direction(alpha: float) -> HermitianElement:
     )
 
 
+BILINEAR_FLAT = _flat((PAULI[0] + APEX - THIRD, PAULI[1] + APEX - THIRD))
+
+
+def swallow_beta(a_blocks, b_blocks) -> np.ndarray:
+    """swallow_bilinear of the rows of two element block stacks, in one pass."""
+    (eta_a, xi_a), (eta_b, xi_b) = (_inner(x, BILINEAR_FLAT).T for x in (a_blocks, b_blocks))
+    return eta_a * eta_b + xi_a * xi_b + (eta_a + eta_b + xi_a + xi_b) / 3.0 - 7.0 / 9.0
+
+
 def swallow_bilinear(a: HermitianElement, b: HermitianElement) -> float:
     """Affine quadric whose zero set is the projected base circle.
 
@@ -275,10 +359,7 @@ def swallow_bilinear(a: HermitianElement, b: HermitianElement) -> float:
     eta = <., s1 + 1 - id/3> and xi = <., s2 + 1 - id/3>.  It vanishes on all
     circle states and pairs the apex to exactly the two tangent points.
     """
-    v1, v2 = PAULI[0] + APEX - THIRD, PAULI[1] + APEX - THIRD
-    eta_a, eta_b = hs_inner(a, v1), hs_inner(b, v1)
-    xi_a, xi_b = hs_inner(a, v2), hs_inner(b, v2)
-    return eta_a * eta_b + xi_a * xi_b + (eta_a + eta_b + xi_a + xi_b) / 3.0 - 7.0 / 9.0
+    return float(swallow_beta(a.blocks, b.blocks))
 
 
 def swallow_polar_tangents() -> tuple[np.ndarray, np.ndarray]:
@@ -305,65 +386,46 @@ def cone_identity_residuals(
     cone, and the cone's extreme points are hit by extreme states; (ii) the
     slice through the tracial state meets state space exactly in the cone;
     (iii) exp1 of slice directions stays in the cone and reaches every
-    relative-interior point.
+    relative-interior point.  Each check is one array pass over its sampled
+    states, drawn in the order a loop over them would draw.
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    s1h, s2h, zh = FRAME
+    n = n_samples
     report = Report(name="cone_identities")
 
-    # (i) projection identity
-    worst = 0.0
-    for _ in range(n_samples):
-        rho = random_state(ALGEBRA, rng, invertible=False)
-        y = project_to_slice(rho.element - THIRD) + THIRD
-        worst = max(worst, 0.0 if contains(y) else boundary_distance(y))
-    report.add("projection_in_cone", f"{n_samples} random states", worst, 1e-9)
+    # (i) projection identity, on the slice coordinates of random states
+    rho = _state_blocks(ALGEBRA, *random_spectra(ALGEBRA, rng, n, invertible=False))
+    report.add("projection_in_cone", f"{n} random states",
+               _outside_gap(slice_coordinates(rho)).max(initial=0.0), 1e-9)
 
-    worst = 0.0
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
-        y = project_to_slice(base_circle_state(alpha).element - THIRD) + THIRD
-        worst = max(worst, boundary_distance(y))
-    y = project_to_slice(APEX_STATE.element - THIRD) + THIRD
-    worst = max(worst, boundary_distance(y))
-    report.add("extreme_points_on_boundary", "base circle and apex", worst, 1e-9)
+    apex = APEX_STATE.element.blocks
+    circle = base_circle_blocks(np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False))
+    gap = _boundary_gap(np.vstack([slice_coordinates(circle), slice_coordinates(apex)]))
+    report.add("extreme_points_on_boundary", "base circle and apex", gap.max(), 1e-9)
 
     # (ii) slice-intersection identity: positivity iff cone membership
-    disagreements = 0
-    for _ in range(n_samples):
-        u = (rng.normal() * s1h + rng.normal() * s2h + rng.normal() * zh) * 0.45
-        y = THIRD + u
-        is_state = min(np.linalg.eigvalsh(y.blocks[0]).min(), y.blocks[1][0, 0].real) >= -1e-9
-        in_cone = contains(y)
-        margin = boundary_distance(y)
-        if is_state != in_cone and margin > 1e-9:
-            disagreements += 1
-    report.add(
-        "slice_intersection", f"{n_samples} slice points", float(disagreements), 0.0
-    )
+    y = [t + u for t, u in zip(THIRD.blocks, _span(0.45 * rng.normal(size=(n, 3)), FRAME_FLAT))]
+    is_state = np.minimum(np.linalg.eigvalsh(y[0])[:, 0], y[1][:, 0, 0].real) >= -1e-9
+    c = slice_coordinates(y)
+    disagreements = int(((is_state != _inside(c)) & (_boundary_gap(c) > 1e-9)).sum())
+    report.add("slice_intersection", f"{n} slice points", float(disagreements), 0.0)
 
     # (iii) exp1(U) inside the cone, and onto its relative interior
-    worst = 0.0
-    for _ in range(n_samples):
-        u = rng.normal() * PAULI[0] + rng.normal() * PAULI[1] + rng.normal() * Z
-        y = exp1(u).element
-        worst = max(worst, 0.0 if contains(y) else boundary_distance(y))
-    report.add("exp1_in_cone", f"{n_samples} slice directions", worst, 1e-9)
+    u = _span(rng.normal(size=(n, 3)), _flat((PAULI[0], PAULI[1], Z)))
+    c = slice_coordinates(_exp1_blocks(u))
+    report.add("exp1_in_cone", f"{n} slice directions", _outside_gap(c).max(initial=0.0), 1e-9)
 
-    worst_norm, worst_theta = 0.0, 0.0
-    for _ in range(n_samples):
-        s = rng.uniform(0.1, 1.0)
-        alpha = rng.uniform(0.0, 2.0 * np.pi)
-        h = rng.uniform(0.0, 1.0)
-        extreme = (1.0 - h) * base_circle_state(alpha).element + h * APEX_STATE.element
-        target = State(s * THIRD + (1.0 - s) * extreme)
-        theta = ln0(target)
-        resid = (theta - project_to_slice(theta)).norm()
-        worst = max(worst, resid)
-        approx = exp1(theta)
-        worst_norm = max(worst_norm, (approx.element - target.element).norm())
-        worst_theta = max(worst_theta, theta.norm())
-    report.add("interior_chart_in_slice", "ln0 of interior points lies in U", worst, 1e-9)
+    s, alpha, h = rng.uniform((0.1, 0.0, 0.0), (1.0, 2.0 * np.pi, 1.0), size=(n, 3)).T
+    s, h = s[:, None, None], h[:, None, None]
+    target = [s * t + (1.0 - s) * ((1.0 - h) * b + h * a)
+              for t, b, a in zip(THIRD.blocks, base_circle_blocks(alpha), apex)]
+    theta, target = _ln0_blocks(target)
+    resid = _norms([x - p for x, p in zip(theta, _span(slice_coordinates(theta), FRAME_FLAT))])
+    worst_norm = _norms([x - y for x, y in zip(_exp1_blocks(theta), target)]).max(initial=0.0)
+    worst_theta = _norms(theta).max(initial=0.0)
+    report.add("interior_chart_in_slice", "ln0 of interior points lies in U",
+               resid.max(initial=0.0), 1e-9)
     report.add(
         "interior_approximation",
         f"exp1(U) reaches interior points (max |theta| {worst_theta:.2f})",
@@ -372,6 +434,30 @@ def cone_identity_residuals(
     )
     report.add("interior_parameter_cap", "parameter norm stays below 60", worst_theta, 60.0)
     return report
+
+
+def _norms(blocks) -> np.ndarray:
+    """Hilbert-Schmidt norm of each row of element block stacks."""
+    return np.sqrt(sum((np.abs(b) ** 2).sum((-2, -1)) for b in blocks))
+
+
+def _exp1_blocks(blocks) -> list[np.ndarray]:
+    """exp1 of each row of element block stacks, as element blocks."""
+    return _state_blocks(ALGEBRA, *_gibbs_spectra(None, _gibbs(blocks, None)))
+
+
+def _ln0_blocks(blocks) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """ln0 of the state in each row of element block stacks, as element
+    blocks, and the states' element blocks.  Every state must be invertible."""
+    pairs = [np.linalg.eigh(b) for b in blocks]
+    values = [w[..., ::-1] for w, _ in pairs]
+    vectors = [np.ascontiguousarray(V[..., ::-1]) for _, V in pairs]
+    states = _state_blocks(ALGEBRA, values, vectors)
+    if (sum((w > defaults.SUPPORT_CUTOFF).sum(-1) for w in values) < ALGEBRA.dim).any():
+        raise PreconditionError("canonical chart needs an invertible state")
+    log = [_reconstruct_stack(np.log(w), V) for w, V in zip(values, vectors)]
+    shift = sum(np.trace(b, axis1=-2, axis2=-1).real for b in log) / ALGEBRA.dim
+    return [b - shift[:, None, None] * np.eye(n) for b, n in zip(log, ALGEBRA.block_dims)], states
 
 
 # -- family reports ----------------------------------------------------------------
@@ -468,16 +554,13 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
     report.add("tau_path_shrinks", "doubling t improves the approximation",
                0.0 if shrink_ok else 1.0, 0.0, ok=shrink_ok)
 
-    worst_z, worst_dz = -np.inf, -np.inf
-    for alpha in np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False):
-        for t in np.linspace(0.0, 50.0, 26):
-            zval, dz = staffelberg_z_certificate(alpha, t)
-            scale = 2.0 * np.cosh(t) + np.exp(np.cos(alpha) * t)
-            worst_z = max(worst_z, zval / scale)
-            worst_dz = max(worst_dz, dz / scale)
+    alpha, t = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False),
+                           np.linspace(0.0, 50.0, 26), indexing="ij")
+    zval, dz = staffelberg_z_certificate(alpha, t)
+    scale = 2.0 * np.cosh(t) + np.exp(np.cos(alpha) * t)
     report.add("halfspace_certificate",
-               "<sigma, v3> = z/T stays nonpositive", worst_z, 1e-12)
-    report.add("halfspace_derivative", "dz/dt / T stays nonpositive", worst_dz, 1e-12)
+               "<sigma, v3> = z/T stays nonpositive", (zval / scale).max(), 1e-12)
+    report.add("halfspace_derivative", "dz/dt / T stays nonpositive", (dz / scale).max(), 1e-12)
 
     m = State(0.5 * (c.element + unit()))
     d_m = reduce_distance_to_face(m, fam, v2)
@@ -579,10 +662,9 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
                0.0 if monotone else 1.0, 0.0, ok=monotone)
 
     # (c) bilinear-form identities of the projected base circle
-    circle = (base_circle_state(a).element
-              for a in np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))
-    worst = max(abs(swallow_bilinear(e, e)) for e in circle)
-    report.add("bilinear_circle", "beta vanishes on the base circle", worst, 1e-12)
+    circle = base_circle_blocks(np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))
+    report.add("bilinear_circle", "beta vanishes on the base circle",
+               np.abs(swallow_beta(circle, circle)).max(), 1e-12)
     report.add("bilinear_tangent_rho0", "beta pairs the apex with rho(0)",
                abs(swallow_bilinear(rho0.element, apex.element)), 1e-12)
     report.add("bilinear_tangent_rho90", "beta pairs the apex with rho(pi/2)",

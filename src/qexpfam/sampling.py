@@ -30,11 +30,48 @@ def random_unit_traceless(
     return a / a.norm()
 
 
-def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random m x m unitary: QR of a complex Gaussian, phases fixed by R."""
-    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+def _haar(g: np.ndarray) -> np.ndarray:
+    """Haar-random unitaries from complex Gaussian matrices g (..., m, m): QR,
+    phases fixed by R."""
     q, r = np.linalg.qr(g)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random m x m unitary."""
+    return _haar(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+
+
+def random_spectra(
+    algebra: Algebra,
+    rng: np.random.Generator,
+    rows: int,
+    invertible: bool = True,
+    min_eig: float = 1e-3,
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The states of ``rows`` random_state calls in turn, from the same draws,
+    as per-block eigenvalue (rows, n_k) and eigenvector (rows, n_k, n_k)
+    stacks, unchecked (State._from_spectrum checks them); the QR and eigh run
+    once per block, and each row keeps the bits of its own call."""
+    n = algebra.dim
+    lam, gauss = np.empty((rows, n)), [np.empty((rows, m, m), complex) for m in algebra.block_dims]
+    for i in range(rows):
+        lam[i] = rng.dirichlet(np.ones(n))
+        for g, m in zip(gauss, algebra.block_dims):
+            g[i] = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    if invertible:
+        lam = (1.0 - n * min_eig) * lam + min_eig
+    edges = np.cumsum((0,) + algebra.block_dims)
+    values, vectors = [], []
+    for g, k, l in zip(gauss, edges, edges[1:]):
+        q = _haar(g)
+        h = (q * lam[:, None, k:l]) @ q.conj().swapaxes(-1, -2)
+        w, V = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+        order = np.argsort(w, axis=-1)[:, ::-1]  # as linalg.eigh orders each row
+        values.append(np.take_along_axis(w, order, axis=-1))
+        vectors.append(np.take_along_axis(V, order[:, None, :], axis=-1))
+    return values, vectors
 
 
 def random_state(
@@ -47,16 +84,8 @@ def random_state(
 
     With ``invertible`` the spectrum is floored away from zero.
     """
-    n = algebra.dim
-    lam = rng.dirichlet(np.ones(n))
-    if invertible:
-        lam = (1.0 - n * min_eig) * lam + min_eig
-    blocks, k = [], 0
-    for m in algebra.block_dims:
-        q = haar_unitary(m, rng)
-        blocks.append((q * lam[k : k + m]) @ q.conj().T)
-        k += m
-    return State(HermitianElement(algebra, blocks))
+    values, vectors = random_spectra(algebra, rng, 1, invertible, min_eig)
+    return State._from_spectrum(algebra, [w[0] for w in values], [V[0] for V in vectors])
 
 
 def random_family(

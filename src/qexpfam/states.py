@@ -166,6 +166,12 @@ def _rank_one_blocks(algebra: Algebra, block_index: int, columns: np.ndarray) ->
             for w, V in zip(*_rank_one_spectrum(algebra, block_index, columns))]
 
 
+def _state_blocks(algebra: Algebra, values, vectors) -> list[np.ndarray]:
+    """The element blocks of State._from_spectrum for each row of stacked
+    per-block eigenvalues and eigenvectors, with its checks, bit for bit."""
+    return [_reconstruct_stack(w, V) for w, V in zip(_state_spectrum(algebra, values), vectors)]
+
+
 def tracial_state(algebra: Algebra) -> State:
     return State(identity(algebra) / algebra.dim)
 

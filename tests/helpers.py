@@ -1,8 +1,11 @@
 import numpy as np
 
-from qexpfam.linalg import HermitianElement, eigh
+from qexpfam import cone
+from qexpfam.family import exp1, ln0
+from qexpfam.findings import Report
+from qexpfam.linalg import HermitianElement, eigh, hs_inner, zero
 from qexpfam.sampling import random_hermitian, random_traceless
-from qexpfam.states import Projector, SupportBasis, max_eig_data
+from qexpfam.states import Projector, State, SupportBasis, max_eig_data, pure_state
 
 
 def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):
@@ -47,3 +50,127 @@ def random_support(algebra, rng, empty_first_block):
         blocks.append(q @ q.conj().T)
         k += V.shape[1]
     return SupportBasis(Projector(HermitianElement(algebra, blocks)))
+
+
+# -- per-state references for the stacked cone checks ---------------------------
+#
+# The formulas below are the per-state code that sampling.random_state,
+# cone.base_circle_state, the cone geometry, cone.swallow_bilinear and
+# cone.cone_identity_residuals ran before they went to stacks; the tests
+# compare the stacked code with them on the same draws.
+
+
+def reference_random_state(algebra, rng, invertible=True, min_eig=1e-3):
+    n = algebra.dim
+    lam = rng.dirichlet(np.ones(n))
+    if invertible:
+        lam = (1.0 - n * min_eig) * lam + min_eig
+    blocks, k = [], 0
+    for m in algebra.block_dims:
+        g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        q, r = np.linalg.qr(g)
+        q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+        blocks.append((q * lam[k : k + m]) @ q.conj().T)
+        k += m
+    return State(HermitianElement(algebra, blocks))
+
+
+def reference_base_circle_state(alpha):
+    return pure_state(cone.ALGEBRA, 0, [1.0, 1j * np.exp(-1j * alpha)])
+
+
+def _reference_coordinates(a):
+    s1h, s2h, zh = cone.FRAME
+    return hs_inner(a - cone.THIRD, zh), float(np.hypot(hs_inner(a, s1h), hs_inner(a, s2h)))
+
+
+def _reference_heights():
+    return (_reference_coordinates(cone.APEX)[0],
+            _reference_coordinates(reference_base_circle_state(0.0).element)[0])
+
+
+def _reference_contains(a):
+    ha, hb = _reference_heights()
+    h, r = _reference_coordinates(a)
+    if h < hb - 1e-9 or h > ha + 1e-9:
+        return False
+    return r <= cone.BASE_RADIUS * (ha - h) / (ha - hb) + 1e-9
+
+
+def _reference_boundary_distance(a):
+    ha, hb = _reference_heights()
+    h, r = _reference_coordinates(a)
+    rb = cone.BASE_RADIUS
+    lateral = abs((ha - hb) * r + rb * h - rb * ha) / np.hypot(ha - hb, rb)
+    return float(min(lateral, abs(h - hb)))
+
+
+def _reference_project_to_slice(a):
+    return sum((hs_inner(a, d) * d for d in cone.FRAME), zero(cone.ALGEBRA))
+
+
+def reference_swallow_bilinear(a, b):
+    v1 = cone.PAULI[0] + cone.APEX - cone.THIRD
+    v2 = cone.PAULI[1] + cone.APEX - cone.THIRD
+    eta_a, eta_b = hs_inner(a, v1), hs_inner(b, v1)
+    xi_a, xi_b = hs_inner(a, v2), hs_inner(b, v2)
+    return eta_a * eta_b + xi_a * xi_b + (eta_a + eta_b + xi_a + xi_b) / 3.0 - 7.0 / 9.0
+
+
+def reference_cone_identity_residuals(n_samples, rng):
+    """The findings of cone.cone_identity_residuals, one state at a time."""
+    s1h, s2h, zh = cone.FRAME
+    third, apex = cone.THIRD, cone.APEX_STATE.element
+    report = Report(name="cone_identities")
+
+    def outside(y):
+        return 0.0 if _reference_contains(y) else _reference_boundary_distance(y)
+
+    worst = 0.0
+    for _ in range(n_samples):
+        rho = reference_random_state(cone.ALGEBRA, rng, invertible=False)
+        worst = max(worst, outside(_reference_project_to_slice(rho.element - third) + third))
+    report.add("projection_in_cone", f"{n_samples} random states", worst, 1e-9)
+
+    worst = 0.0
+    for alpha in np.linspace(0.0, 2.0 * np.pi, 36, endpoint=False):
+        y = _reference_project_to_slice(reference_base_circle_state(alpha).element - third) + third
+        worst = max(worst, _reference_boundary_distance(y))
+    y = _reference_project_to_slice(apex - third) + third
+    worst = max(worst, _reference_boundary_distance(y))
+    report.add("extreme_points_on_boundary", "base circle and apex", worst, 1e-9)
+
+    disagreements = 0
+    for _ in range(n_samples):
+        y = third + (rng.normal() * s1h + rng.normal() * s2h + rng.normal() * zh) * 0.45
+        is_state = min(np.linalg.eigvalsh(y.blocks[0]).min(), y.blocks[1][0, 0].real) >= -1e-9
+        if is_state != _reference_contains(y) and _reference_boundary_distance(y) > 1e-9:
+            disagreements += 1
+    report.add("slice_intersection", f"{n_samples} slice points", float(disagreements), 0.0)
+
+    worst = 0.0
+    for _ in range(n_samples):
+        u = rng.normal() * cone.PAULI[0] + rng.normal() * cone.PAULI[1] + rng.normal() * cone.Z
+        worst = max(worst, outside(exp1(u).element))
+    report.add("exp1_in_cone", f"{n_samples} slice directions", worst, 1e-9)
+
+    worst_norm, worst_theta = 0.0, 0.0
+    for _ in range(n_samples):
+        s = rng.uniform(0.1, 1.0)
+        alpha = rng.uniform(0.0, 2.0 * np.pi)
+        h = rng.uniform(0.0, 1.0)
+        extreme = (1.0 - h) * reference_base_circle_state(alpha).element + h * apex
+        target = State(s * third + (1.0 - s) * extreme)
+        theta = ln0(target)
+        worst = max(worst, (theta - _reference_project_to_slice(theta)).norm())
+        worst_norm = max(worst_norm, (exp1(theta).element - target.element).norm())
+        worst_theta = max(worst_theta, theta.norm())
+    report.add("interior_chart_in_slice", "ln0 of interior points lies in U", worst, 1e-9)
+    report.add(
+        "interior_approximation",
+        f"exp1(U) reaches interior points (max |theta| {worst_theta:.2f})",
+        worst_norm,
+        1e-6,
+    )
+    report.add("interior_parameter_cap", "parameter norm stays below 60", worst_theta, 60.0)
+    return report

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from helpers import (reference_base_circle_state, reference_cone_identity_residuals,
+                     reference_random_state, reference_swallow_bilinear)
 
-from qexpfam import cone, states
+from qexpfam import cone, sampling, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1, make_family, mean_value_projection
-from qexpfam.linalg import HermitianElement, coords, hs_inner, identity
+from qexpfam.linalg import Algebra, HermitianElement, coords, hs_inner, identity
 from qexpfam.states import max_eig_data
 
 
@@ -62,6 +64,32 @@ class TestConeConstants:
         cone.cone_identity_residuals()
         cone.swallow_report()
         assert calls == []
+
+
+class TestStackedStates:
+    """The stacked samplers keep the bits of the per-state formulas, which
+    other workloads build their inputs with."""
+
+    @pytest.mark.parametrize("dims", [(2, 1), (2, 2), (4, 4, 4, 4)])
+    @pytest.mark.parametrize("invertible", [True, False])
+    def test_random_state_bits(self, dims, invertible):
+        algebra = Algebra(dims)
+        for seed in (0, 1, 2):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(3):
+                want = reference_random_state(algebra, want_rng, invertible)
+                got = sampling.random_state(algebra, got_rng, invertible)
+                for x, y in zip(want.element.blocks + want.spectral.eigenvalues,
+                                got.element.blocks + got.spectral.eigenvalues):
+                    assert x.tobytes() == y.tobytes()
+            assert want_rng.random() == got_rng.random()
+
+    def test_base_circle_state_bits(self):
+        for alpha in np.linspace(0.0, 2.0 * np.pi, 3600, endpoint=False):
+            want, got = reference_base_circle_state(alpha), cone.base_circle_state(alpha)
+            for x, y in zip(want.element.blocks + want.spectral.eigenvalues,
+                            got.element.blocks + got.spectral.eigenvalues):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestBaseCircle:
@@ -157,6 +185,42 @@ class TestConeIdentities:
     def test_report_passes(self):
         report = cone.cone_identity_residuals(n_samples=120)
         assert report.ok, report.failures()
+
+    @pytest.mark.parametrize("seed", [0, 3, 12345])
+    @pytest.mark.parametrize("n_samples", [1, 7, 200])
+    def test_stacked_checks_match_per_state(self, seed, n_samples):
+        got = cone.cone_identity_residuals(n_samples, np.random.default_rng(seed))
+        want = reference_cone_identity_residuals(n_samples, np.random.default_rng(seed))
+        assert [(f.check, f.detail, f.ok) for f in got.findings] == \
+            [(f.check, f.detail, f.ok) for f in want.findings]
+        for g, w in zip(got.findings, want.findings):
+            if g.check == "slice_intersection":
+                assert g.value == w.value
+            elif g.check == "interior_parameter_cap":
+                assert g.value == pytest.approx(w.value, rel=1e-13, abs=0.0)
+            else:
+                assert abs(g.value - w.value) <= 1e-14, g.check
+
+    def test_checks_stack_their_states(self, monkeypatch):
+        """Decompositions and State constructions do not grow with n_samples."""
+        counts = {}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+        monkeypatch.setattr(np.linalg, "qr", counting("qr", np.linalg.qr))
+        monkeypatch.setattr(states.State, "_fill", counting("state", states.State._fill))
+        seen = []
+        for n in (20, 200):
+            counts.clear()
+            cone.cone_identity_residuals(n, np.random.default_rng(1))
+            seen.append(dict(counts))
+        assert seen[0] == seen[1]
+        assert seen[0]["qr"] == 2  # one per block of the sampled states
 
     def test_apex_in_slice(self):
         # the apex already lies in (1/3)id + U, so projecting is exact
@@ -284,6 +348,17 @@ class TestSwallowBilinear:
             for a in np.linspace(0.0, 2 * np.pi, 360, endpoint=False)
         )
         assert worst <= 1e-12
+
+    def test_circle_check_matches_per_state(self):
+        alphas = np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False)
+        circle = cone.base_circle_blocks(alphas)
+        got = cone.swallow_beta(circle, circle)
+        want = []
+        for a in alphas:
+            e = reference_base_circle_state(a).element
+            want.append(reference_swallow_bilinear(e, e))
+        assert np.abs(got - want).max() <= 1e-14
+        assert np.abs(got).max() == np.abs(want).max()
 
     def test_apex_pairings(self):
         apex = cone.apex_state().element
