@@ -22,13 +22,13 @@ import enum
 
 import numpy as np
 
-from . import defaults
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
 from .closures import (ClosureAtlas, geodesic_closure_atlas, reduce_distance_to_face,
                        rI_membership)
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
+    _chart,
     _gibbs,
     _gibbs_spectra,
     distance_continuation,
@@ -41,7 +41,6 @@ from .findings import Report
 from .linalg import (
     Algebra,
     HermitianElement,
-    _reconstruct_stack,
     embed_block,
     hs_inner,
     identity,
@@ -448,16 +447,11 @@ def _exp1_blocks(blocks) -> list[np.ndarray]:
 
 def _ln0_blocks(blocks) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """ln0 of the state in each row of element block stacks, as element
-    blocks, and the states' element blocks.  Every state must be invertible."""
+    blocks, and the states' element blocks."""
     pairs = [np.linalg.eigh(b) for b in blocks]
     values = [w[..., ::-1] for w, _ in pairs]
     vectors = [np.ascontiguousarray(V[..., ::-1]) for _, V in pairs]
-    states = _state_blocks(ALGEBRA, values, vectors)
-    if (sum((w > defaults.SUPPORT_CUTOFF).sum(-1) for w in values) < ALGEBRA.dim).any():
-        raise PreconditionError("canonical chart needs an invertible state")
-    log = [_reconstruct_stack(np.log(w), V) for w, V in zip(values, vectors)]
-    shift = sum(np.trace(b, axis1=-2, axis2=-1).real for b in log) / ALGEBRA.dim
-    return [b - shift[:, None, None] * np.eye(n) for b, n in zip(log, ALGEBRA.block_dims)], states
+    return _chart(values, vectors), _state_blocks(ALGEBRA, values, vectors)
 
 
 # -- family reports ----------------------------------------------------------------

@@ -37,6 +37,7 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
+    _reconstruct_stack,
     coords,
     divided_differences,
     eigh,
@@ -120,9 +121,20 @@ def ln0(rho: State) -> HermitianElement:
 
     Inverse of exp1 on traceless elements: exp1(ln0(rho)) = rho.
     """
-    if not rho.is_invertible():
+    spec = rho.spectral
+    return HermitianElement._trusted(rho.algebra, _chart(spec.eigenvalues, spec.eigenvectors))
+
+
+def _chart(values, vectors) -> list[np.ndarray]:
+    """The blocks of ln0 for per-block eigenvalues and eigenvectors of a
+    state, or stacks of them with one state per row; every state must be
+    invertible."""
+    dim = sum(w.shape[-1] for w in values)
+    if (sum((w > defaults.SUPPORT_CUTOFF).sum(-1) for w in values) < dim).any():
         raise PreconditionError("canonical chart needs an invertible state")
-    return traceless_part(log_on_support(rho))
+    log = [_reconstruct_stack(np.log(w), V) for w, V in zip(values, vectors)]
+    shift = sum(np.trace(b, axis1=-2, axis2=-1).real for b in log) / dim
+    return [b - shift[..., None, None] * np.eye(b.shape[-1]) for b in log]
 
 
 def free_energy(

@@ -1,11 +1,12 @@
 import numpy as np
 
 from qexpfam import cone
-from qexpfam.family import exp1, ln0
+from qexpfam.family import exp1
 from qexpfam.findings import Report
-from qexpfam.linalg import HermitianElement, eigh, hs_inner, zero
+from qexpfam.linalg import HermitianElement, eigh, hs_inner, traceless_part, zero
 from qexpfam.sampling import random_hermitian, random_traceless
-from qexpfam.states import Projector, State, SupportBasis, max_eig_data, pure_state
+from qexpfam.states import (Projector, State, SupportBasis, log_on_support, max_eig_data,
+                            pure_state)
 
 
 def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):
@@ -55,8 +56,8 @@ def random_support(algebra, rng, empty_first_block):
 # -- per-state references for the stacked cone checks ---------------------------
 #
 # The formulas below are the per-state code that sampling.random_state,
-# cone.base_circle_state, the cone geometry, cone.swallow_bilinear and
-# cone.cone_identity_residuals ran before they went to stacks; the tests
+# cone.base_circle_state, the cone geometry, cone.swallow_bilinear, family.ln0
+# and cone.cone_identity_residuals ran before they went to stacks; the tests
 # compare the stacked code with them on the same draws.
 
 
@@ -161,7 +162,8 @@ def reference_cone_identity_residuals(n_samples, rng):
         h = rng.uniform(0.0, 1.0)
         extreme = (1.0 - h) * reference_base_circle_state(alpha).element + h * apex
         target = State(s * third + (1.0 - s) * extreme)
-        theta = ln0(target)
+        assert target.is_invertible()
+        theta = traceless_part(log_on_support(target))
         worst = max(worst, (theta - _reference_project_to_slice(theta)).norm())
         worst_norm = max(worst_norm, (exp1(theta).element - target.element).norm())
         worst_theta = max(worst_theta, theta.norm())
