@@ -68,9 +68,9 @@ def random_spectra(
         q = _haar(g)
         h = (q * lam[:, None, k:l]) @ q.conj().swapaxes(-1, -2)
         w, V = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
-        order = np.argsort(w, axis=-1)[:, ::-1]  # as linalg.eigh orders each row
-        values.append(np.take_along_axis(w, order, axis=-1))
-        vectors.append(np.take_along_axis(V, order[:, None, :], axis=-1))
+        # descending, the order linalg.eigh gives distinct eigenvalues
+        values.append(w[:, ::-1])
+        vectors.append(np.ascontiguousarray(V[..., ::-1]))
     return values, vectors
 
 
