@@ -39,6 +39,7 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
+    _check_tangent,
     _combine,
     _face_direction,
     _gibbs,
@@ -51,7 +52,7 @@ from .family import (  # face_chain and _face_direction are re-exported
     project_to_family,
 )
 from .findings import Report
-from .linalg import DirectionSweep, HermitianElement, coords, project_out, traceless_part
+from .linalg import DirectionSweep, HermitianElement, coords
 from .states import (
     Projector,
     State,
@@ -273,10 +274,7 @@ def reduce_distance_to_face(
     exposed face; the result agrees with the direct entropy distance.  One
     step of face_chain, with the direction given instead of found.
     """
-    vt = traceless_part(v)
-    resid = project_out(vt, family.basis)
-    if vt.norm() == 0.0 or resid.norm() > 1e-9 * max(1.0, vt.norm()):
-        raise PreconditionError("direction is not in the tangent space")
+    _check_tangent(family, v)
     mu, p = max_eig_data(v)
     if not _on_exposed_face(rho, v, mu, p):
         raise PreconditionError("state is not in the exposed face of v")

@@ -256,6 +256,13 @@ def make_compressed_family(
     )
 
 
+def _check_tangent(family: ExponentialFamily, v: HermitianElement) -> None:
+    """Reject v unless its traceless part is a non-zero tangent direction."""
+    vt = traceless_part(v)
+    if vt.norm() == 0.0 or project_out(vt, family.basis).norm() > 1e-9 * max(1.0, vt.norm()):
+        raise PreconditionError("direction is not in the tangent space")
+
+
 # -- mean value chart ----------------------------------------------------------
 
 

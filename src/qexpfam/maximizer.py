@@ -20,6 +20,7 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
+    _check_tangent,
     free_energy,
     make_compressed_family,
     project_to_family,
@@ -38,43 +39,40 @@ from .states import (
 )
 
 
+def _check_face_direction(p: Projector, u: HermitianElement, traceless: bool) -> None:
+    """Reject u outside the face algebra pAp or, if traceless is asked, with a trace."""
+    if not p.contains(u):
+        raise PreconditionError("direction is not supported in the face algebra pAp")
+    if traceless and abs(u.trace()) > 1e-10 * max(1.0, u.norm()):
+        raise PreconditionError("direction must be traceless")
+
+
+def _face_gradient(rho: State, theta: HermitianElement) -> tuple[Projector, HermitianElement]:
+    """The support projector p of rho and the face gradient c^p(ln^p(rho) - theta)."""
+    p = support_projector(rho)
+    _, grad_face = compress(p, log_on_support(rho) - theta)
+    return p, grad_face
+
+
 def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
     """Derivative of the support logarithm ln^p at rho in direction u.
 
     Computed by divided differences of ln on the support spectrum; equals the
     resolvent integral of (rho + s p)^-1 u (rho + s p)^-1 over s > 0.
     """
-    if not support_projector(rho).contains(u):
-        raise PreconditionError("direction is not supported in the face algebra pAp")
-    blocks = [
-        frechet_block(w, V, ub, "log")
-        for (w, V), ub in zip(_support_pairs(rho), u.blocks)
-    ]
-    return HermitianElement(rho.algebra, blocks)
+    _check_face_direction(support_projector(rho), u, traceless=False)
+    pairs = zip(_support_pairs(rho), u.blocks)
+    return HermitianElement(rho.algebra, [frechet_block(w, V, ub, "log") for (w, V), ub in pairs])
 
 
-def dE_directional_derivative(
-    rho: State,
-    u: HermitianElement,
-    family: ExponentialFamily,
-) -> float:
+def dE_directional_derivative(rho: State, u: HermitianElement, family: ExponentialFamily) -> float:
     """Directional derivative of the entropy distance at rho along u.
 
     Requires an attained projection of rho and a traceless direction u
     supported in the face algebra of rho; the value is
     <u, ln^p(rho) - theta> with theta the projection's canonical parameter.
     """
-    if not support_projector(rho).contains(u):
-        raise PreconditionError("direction is not supported in the face algebra pAp")
-    if abs(u.trace()) > 1e-10 * max(1.0, u.norm()):
-        raise PreconditionError("direction must be traceless")
-    projection = project_to_family(rho, family)
-    if not projection.attained:
-        raise PreconditionError(
-            "projection of rho is not attained; the derivative is undefined"
-        )
-    theta = family.parameter_element(projection.theta_star)
-    return hs_inner(u, log_on_support(rho) - theta)
+    return maximizer_certificate(rho, family).derivative(u)
 
 
 @dataclass(frozen=True)
@@ -98,11 +96,16 @@ class MaximizerCertificate:
     def holds(self) -> bool:
         return self.residual <= 1e-8
 
+    def derivative(self, u: HermitianElement) -> float:
+        """The directional derivative <u, ln^p(rho) - theta> of the distance
+        along a traceless u in pAp (dE_directional_derivative)."""
+        _check_face_direction(self.support, u, traceless=True)
+        return hs_inner(u, log_on_support(self.state) - self.theta)
+
 
 def maximizer_certificate(
     rho: State,
     family: ExponentialFamily,
-    tol: float = defaults.SOLVER_TOL,
     require_attained: bool = True,
 ) -> MaximizerCertificate:
     """Evaluate the necessary condition for a local maximizer of the distance.
@@ -113,17 +116,15 @@ def maximizer_certificate(
     ``require_attained=False`` the certificate is evaluated at the solver's
     final iterate even when the projection recedes to the family boundary.
     """
-    res = project_to_family(rho, family, tol=tol)
+    res = project_to_family(rho, family)
     if require_attained and not res.attained:
         raise PreconditionError("projection of rho is not attained")
     theta = family.parameter_element(res.theta_star)
-    p = support_projector(rho)
+    p, grad_face = _face_gradient(rho, theta)
     ptp, _ = compress(p, theta)
     f_face, candidate = free_energy(ptp, SupportBasis(p))
     residual = (rho.element - candidate.element).norm()
     f_theta, _ = free_energy(theta)
-    grad = log_on_support(rho) - theta
-    _, grad_face = compress(p, grad)
     return MaximizerCertificate(
         state=rho,
         support=p,
@@ -162,7 +163,9 @@ def _project_face_state(support: SupportBasis, a: HermitianElement) -> State:
 
 @dataclass(frozen=True)
 class SearchCandidate:
-    """One ascent run: where it stopped and how it certifies."""
+    """One ascent run: where it stopped and how it certifies.  certificate is
+    None when the end state's full-family projection is not attained, always
+    so in face mode (a proper face shares no family member's mean values)."""
 
     start_index: int
     state: State
@@ -183,13 +186,15 @@ def local_max_search(
     """Projected gradient ascent of the entropy distance over the face of p.
 
     When p is the maximal projector of a tangent direction (pass it as
-    face_direction) the objective is evaluated inside the compressed family,
-    where it agrees with the full entropy distance on the face and stays
-    attainable.  Starts are drawn from a seeded Dirichlet over spectra in the
-    face; iterates are re-projected to the trace-one positive elements of
-    pAp by eigenvalue clipping.  Iterates without an attained projection are
-    flagged and their runs stopped.  Deterministic for a fixed seed; results
-    ordered by start index.
+    face_direction; a direction outside the tangent space is rejected) the
+    objective is evaluated inside the compressed family, where it agrees with
+    the full entropy distance on the face and stays attainable; candidates
+    then get no certificate, as a state on a proper exposed face never
+    attains its full-family projection.  Starts are drawn from a seeded
+    Dirichlet over spectra in the face; iterates are re-projected to the
+    trace-one positive elements of pAp by eigenvalue clipping.  Iterates
+    without an attained projection are flagged and their runs stopped.
+    Deterministic for a fixed seed; results ordered by start index.
     """
     if p.rank == 0:
         raise PreconditionError("the face projector must be non-zero")
@@ -198,6 +203,7 @@ def local_max_search(
 
     target = family
     if face_direction is not None:
+        _check_tangent(family, face_direction)
         _, p_dir = max_eig_data(face_direction)
         if not p_dir.same_image(p, tol=1e-8):
             raise PreconditionError(
@@ -207,8 +213,7 @@ def local_max_search(
 
     def evaluate(rho: State):
         res = project_to_family(rho, target, param_cap=defaults.RI_PARAM_CAP)
-        theta = target.parameter_element(res.theta_star)
-        return res.distance, res.attained, theta
+        return res.distance, res.attained, target.parameter_element(res.theta_star)
 
     starts: list[State] = [State(p.element / p.rank)]
     for _ in range(max(0, n_starts - 1)):
@@ -232,38 +237,26 @@ def local_max_search(
         for _ in range(max_steps):
             if not attained:
                 break
-            q = support_projector(rho)
-            grad = log_on_support(rho) - theta
-            _, grad_face = compress(q, grad)
+            _, grad_face = _face_gradient(rho, theta)
             if grad_face.norm() <= 1e-9:
                 stationary = True
                 break
             step = 1.0
-            improved = False
             while step > 1e-14:
                 trial = _project_face_state(support, rho.element + step * grad_face)
                 tval, tatt, ttheta = evaluate(trial)
                 if tval > value + 1e-4 * step * grad_face.norm() ** 2:
                     rho, value, attained, theta = trial, tval, tatt, ttheta
-                    improved = True
                     break
                 step *= 0.5
-            if not improved:
+            else:
                 stationary = True
                 break
         cert = None
-        try:
-            cert = maximizer_certificate(rho, family)
-        except PreconditionError:
-            cert = None
-        candidates.append(
-            SearchCandidate(
-                start_index=idx,
-                state=rho,
-                value=value,
-                stationary=stationary,
-                projection_attained=attained,
-                certificate=cert,
-            )
-        )
+        if face_direction is None:
+            try:
+                cert = maximizer_certificate(rho, family)
+            except PreconditionError:
+                pass
+        candidates.append(SearchCandidate(idx, rho, value, stationary, attained, cert))
     return candidates

@@ -281,6 +281,19 @@ class TestDeterminism:
             b = (d2 / name).read_bytes()
             assert a == b, name
 
+    def test_maximizer_report_projects_each_state_once(self, tmp_path, monkeypatch):
+        # 12 certificates (which also give the derivatives), 24 finite-difference
+        # distances and 14 face-search solves, each in the compressed family
+        from qexpfam import family
+
+        calls, ladder = [], family._project_ladder
+        monkeypatch.setattr(family, "_project_ladder",
+                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        assert main(["report", "--which", "maximizer", "--seed", "0",
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        assert len(calls) == 50
+        assert sum(f.support is not None for f in calls) == 14
+
     def test_byte_identical_sweeps(self, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"
         for d in (d1, d2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qexpfam import cone
+from qexpfam import cone, maximizer
 from qexpfam.errors import PreconditionError
 from qexpfam.family import entropy_distance, make_family, project_to_family
 from qexpfam.linalg import diagonal, traceless_part
@@ -15,6 +15,7 @@ from qexpfam.sampling import random_state, random_traceless
 from qexpfam.states import (
     Projector,
     State,
+    max_eig_data,
     relative_entropy,
     support_projector,
 )
@@ -66,8 +67,13 @@ class TestDirectionalDerivative:
     def test_requires_support(self, staffelberg):
         rho = cone.base_circle_state(0.3)  # rank one
         u = cone.pauli(3)  # not supported in the face algebra
-        with pytest.raises(PreconditionError):
-            dE_directional_derivative(rho, u, staffelberg)
+
+        def at_last_iterate(r, v, f):  # the projection of rho is not attained
+            return maximizer_certificate(r, f, require_attained=False).derivative(v)
+
+        for derivative in (dE_directional_derivative, at_last_iterate):
+            with pytest.raises(PreconditionError):
+                derivative(rho, u, staffelberg)
 
     def test_requires_attained_projection(self, staffelberg, abelian3):
         rho = cone.base_circle_state(0.0)
@@ -75,12 +81,14 @@ class TestDirectionalDerivative:
             cone.base_circle_state(0.0).element - cone.unit()
         )
         # u is supported in p A p for p = rho(0) + apex but projection recedes
-        with pytest.raises(PreconditionError):
-            dE_directional_derivative(
-                State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.unit()),
-                u,
-                staffelberg,
-            )
+        for derivative in (dE_directional_derivative,
+                           lambda r, v, f: maximizer_certificate(r, f).derivative(v)):
+            with pytest.raises(PreconditionError):
+                derivative(
+                    State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.unit()),
+                    u,
+                    staffelberg,
+                )
 
 
 class TestDlnp:
@@ -224,6 +232,30 @@ class TestLocalMaxSearch:
         p = Projector(identity(algebra))
         cands = local_max_search(fam, p, n_starts=3, max_steps=40)
         assert max(c.value for c in cands) <= 1e-8
+
+    def test_face_mode_never_projects_onto_the_full_family(self, staffelberg, monkeypatch):
+        # a state on a proper exposed face never attains its full-family
+        # projection, so face mode solves only in the compressed family
+        families = []
+
+        def spy(rho, family, *args, **kwargs):
+            families.append(family)
+            return project_to_family(rho, family, *args, **kwargs)
+
+        monkeypatch.setattr(maximizer, "project_to_family", spy)
+        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        cands = local_max_search(staffelberg, p, n_starts=3,
+                                 face_direction=cone.pauli(2) + cone.unit())
+        assert families and all(f is not staffelberg for f in families)
+        assert all(c.certificate is None for c in cands)
+
+    def test_face_direction_must_be_tangent(self, staffelberg):
+        # z is not tangent to the Staffelberg family, and its maximal
+        # projector is the apex, so only the tangent check rejects it
+        p = Projector(cone.unit())
+        assert max_eig_data(cone.z_element())[1].same_image(p, tol=1e-8)
+        with pytest.raises(PreconditionError, match="tangent space"):
+            local_max_search(staffelberg, p, n_starts=1, face_direction=cone.z_element())
 
     def test_deterministic(self, staffelberg):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
