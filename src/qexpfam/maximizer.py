@@ -98,7 +98,8 @@ class MaximizerCertificate:
 
     def derivative(self, u: HermitianElement) -> float:
         """The directional derivative <u, ln^p(rho) - theta> of the distance
-        along a traceless u in pAp (dE_directional_derivative)."""
+        along a traceless u in pAp (dE_directional_derivative); without an
+        attained projection, the same expression at the solver's last iterate."""
         _check_face_direction(self.support, u, traceless=True)
         return hs_inner(u, log_on_support(self.state) - self.theta)
 
