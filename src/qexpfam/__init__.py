@@ -32,7 +32,6 @@ from .linalg import (
 from .states import (
     Projector,
     State,
-    SupportBasis,
     compress,
     exposed_face_membership,
     log_on_support,

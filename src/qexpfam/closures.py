@@ -39,6 +39,7 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (  # face_chain and _face_direction are re-exported
     ExponentialFamily,
+    _chain_projection,
     _check_tangent,
     _combine,
     _face_direction,
@@ -49,14 +50,12 @@ from .family import (  # face_chain and _face_direction are re-exported
     free_energy,
     make_compressed_family,
     mean_value_projection,
-    project_to_family,
 )
 from .findings import Report
 from .linalg import DirectionSweep, HermitianElement, coords
 from .states import (
     Projector,
     State,
-    SupportBasis,
     _on_exposed_face,
     _rank_one_blocks,
     _rank_one_state,
@@ -78,9 +77,8 @@ def egeodesic_limit(
     if u.norm() == 0.0:
         raise PreconditionError("geodesic direction must be non-zero")
     _, p = max_eig_data(u)
-    support = SupportBasis(p)
     ptp, _ = compress(p, theta)
-    asymptote, limit = free_energy(ptp, support)
+    asymptote, limit = free_energy(ptp, p)
     return limit, float(asymptote)
 
 
@@ -271,15 +269,17 @@ def reduce_distance_to_face(
     the compressed family of the maximal projector of v.
 
     Requires v (up to its trace part) in the tangent space and rho in the
-    exposed face; the result agrees with the direct entropy distance.  One
-    step of face_chain, with the direction given instead of found.
+    exposed face.  The first step of face_chain, with the direction given
+    instead of found; the chain then continues inside the face's family and
+    one solve at ``param_cap`` in the family it ends in gives the value, as
+    in entropy_distance: exact, also where rho lies on a proper face of the
+    face's family (swallow rho(0) on the face of its tangent direction).
     """
     _check_tangent(family, v)
     mu, p = max_eig_data(v)
     if not _on_exposed_face(rho, v, mu, p):
         raise PreconditionError("state is not in the exposed face of v")
-    fam_p = make_compressed_family(family, p)
-    return project_to_family(rho, fam_p, param_cap=param_cap).distance
+    return _chain_projection(rho, make_compressed_family(family, p), param_cap).distance
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:

@@ -637,7 +637,9 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     report.add("atlas_circle_members", "they are base circle states", worst, 1e-9)
 
     # (b) rho(0), rho(pi/2) are missed by the geodesic closure but have
-    # distance zero through the two-stage reduction
+    # distance zero through the two-stage reduction, which
+    # reduce_distance_to_face computes exactly: its face chain continues
+    # inside the family of the face of u
     for name, rho, alpha in (("rho(0)", rho0, 0.0), ("rho(pi/2)", rho90, np.pi / 2.0)):
         u = swallow_direction(alpha)
         d = reduce_distance_to_face(rho, fam, u)

@@ -135,8 +135,8 @@ class RunConfig:
             raise PreconditionError(f"invalid block dims {self.block_dims}")
         if sum(self.block_dims) > defaults.MAX_TOTAL_DIM:
             raise PreconditionError("total algebra dimension exceeds the cap")
-        if self.param_cap <= 0:
-            raise PreconditionError("the parameter cap must be positive")
+        if not 0.0 < self.param_cap < np.inf:
+            raise PreconditionError(f"the parameter cap {self.param_cap} is not in (0, inf)")
         if self.n_angles < 4:
             raise PreconditionError("n_angles must be at least 4")
         name = self.family_name
@@ -199,7 +199,10 @@ def parse_state(cfg: RunConfig, spec: str):
         raise PreconditionError(f"state '{kind}' lives in the cone algebra, blocks = 2,1")
     try:
         if kind == "circle":
-            return cone.base_circle_state(float(arg))
+            alpha = float(arg)
+            if not np.isfinite(alpha):  # cos and sin would give NaN eigenvectors
+                raise ValueError(f"angle {alpha} is not finite")
+            return cone.base_circle_state(alpha)
         if kind == "apex":
             return cone.apex_state()
         if kind == "c":

@@ -2,7 +2,7 @@
 
 A family is the image under the trace-normalized exponential of an affine
 subspace offset + span(basis) of traceless self-adjoint elements.  Families in
-a compressed corner algebra pAp carry a support basis and use the
+a compressed corner algebra pAp carry a support projector and use the
 superscript-p calculus throughout; the full algebra is the special case
 p = identity.  The basis is also stacked per block, so tangent elements and
 the basis tilted into an eigenbasis are one product per block.  One Gibbs
@@ -50,7 +50,6 @@ from .linalg import (
 from .states import (
     Projector,
     State,
-    SupportBasis,
     _on_exposed_face,
     compress,
     full_support,
@@ -65,7 +64,7 @@ from .states import (
 # -- the trace-normalized exponential and its inverse chart -------------------
 
 
-def _gibbs(blocks, support: SupportBasis | None):
+def _gibbs(blocks, support: Projector | None):
     """The Gibbs kernel: (F, pairs, weights, z, mu) for the blocks of a in pAp,
     F = ln tr(p e^a); a block may be a (rows, n_k, n_k) stack, each row with
     the bits of its own call.  pairs are the eigenpairs of a within Im(p),
@@ -83,7 +82,7 @@ def _gibbs(blocks, support: SupportBasis | None):
     return (mu + np.log(z))[..., 0], pairs, [x / z for x in e], z, mu
 
 
-def _gibbs_spectra(support: SupportBasis | None, gibbs):
+def _gibbs_spectra(support: Projector | None, gibbs):
     """A _gibbs result's states as per-block eigenvalues and eigenvectors,
     completed by the kernel columns of p with zero weights; stacked blocks give
     one state per row.  Unchecked: State._from_spectrum and the inclusion
@@ -106,10 +105,10 @@ def _combine(theta, stack: np.ndarray) -> np.ndarray:
     return np.dot(np.asarray(theta).reshape(1, dim), stack.reshape(dim, n * n)).reshape(n, n)
 
 
-def exp1(a: HermitianElement, support: SupportBasis | None = None) -> State:
+def exp1(a: HermitianElement, support: Projector | None = None) -> State:
     """Trace-normalized exponential e^a / tr(e^a).
 
-    With a support basis the superscript-p version p e^a / tr(p e^a) is
+    With a support projector p the superscript-p version p e^a / tr(p e^a) is
     computed for a in pAp.  Overflow is avoided by shifting a by its largest
     eigenvalue first; the result is invariant under a -> a + t*identity.
     """
@@ -138,7 +137,7 @@ def _chart(values, vectors) -> list[np.ndarray]:
 
 
 def free_energy(
-    a: HermitianElement, support: SupportBasis | None = None
+    a: HermitianElement, support: Projector | None = None
 ) -> tuple[float, State]:
     """Free energy F(a) = ln tr(e^a) together with its gradient exp1(a).
 
@@ -165,7 +164,7 @@ class ExponentialFamily:
     basis: tuple[HermitianElement, ...]
     offset: HermitianElement
     generators: tuple[HermitianElement, ...]
-    support: SupportBasis | None = None
+    support: Projector | None = None
 
     @property
     def dim(self) -> int:
@@ -173,7 +172,7 @@ class ExponentialFamily:
 
     @property
     def support_projector(self) -> Projector:
-        return (self.support or full_support(self.algebra)).projector
+        return self.support or full_support(self.algebra)
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
@@ -238,7 +237,6 @@ def make_compressed_family(
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
-    support = SupportBasis(p)
     gens = []
     for g in parent.generators:
         _, cg = compress(p, g)
@@ -252,7 +250,7 @@ def make_compressed_family(
     _, off = compress(p, parent.offset)
     off = project_out(off, basis)
     return ExponentialFamily(
-        parent.algebra, tuple(basis), off, tuple(gens), support
+        parent.algebra, tuple(basis), off, tuple(gens), p
     )
 
 
@@ -278,7 +276,7 @@ def mean_value_projection(a: HermitianElement, family: ExponentialFamily) -> np.
 # -- exposed faces -------------------------------------------------------------
 
 
-def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
+def _widest_margin(rho: State, rest: Projector, a: HermitianElement,
                    b: HermitianElement) -> HermitianElement:
     """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)).
 
@@ -308,7 +306,7 @@ def _widest_margin(rho: State, rest: SupportBasis, a: HermitianElement,
     return float(np.cos(t)) * a + float(np.sin(t)) * b
 
 
-def _steepest_margin(rho: State, rest: SupportBasis, family: ExponentialFamily,
+def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
                      basis: np.ndarray) -> HermitianElement:
     """The unit u in the span of the orthonormal coordinate columns d_j of
     ``basis`` maximizing the concave margin <rho, u> - mu_+(u on Im(rest)).
@@ -394,7 +392,7 @@ def _face_direction(rho: State, family: ExponentialFamily
         candidates = [family.tangent_element(sign * null[0]) for sign in (1.0, -1.0)]
     elif len(null) >= 2:
         basis = np.linalg.qr(null.T)[0]
-        rest = SupportBasis(Projector(family.support_projector.element - q))
+        rest = Projector(family.support_projector.element - q)
         if len(null) == 2:
             a, b = (family.tangent_element(c) for c in basis.T)
             candidates = [_widest_margin(rho, rest, a, b)]
@@ -743,10 +741,16 @@ def entropy_distance(
     value.  attained: the chain is empty and the solve converged; the chain
     answers the solve's face test, so the finder is not asked again.
     """
-    projectors, last = face_chain(rho, family)
-    res = _project_ladder(rho, last, (defaults.RI_PARAM_CAP,), lambda: bool(projectors),
-                          tol=tol)[0]
+    res = _chain_projection(rho, family, defaults.RI_PARAM_CAP, tol)
     return res.distance, res.attained
+
+
+def _chain_projection(rho: State, family: ExponentialFamily, param_cap: float,
+                      tol: float = defaults.SOLVER_TOL) -> ProjectionResult:
+    """The solve at ``param_cap`` in the family that face_chain ends in, as
+    entropy_distance and closures.reduce_distance_to_face run it."""
+    projectors, last = face_chain(rho, family)
+    return _project_ladder(rho, last, (param_cap,), lambda: bool(projectors), tol=tol)[0]
 
 
 def distance_continuation(

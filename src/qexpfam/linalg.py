@@ -61,8 +61,9 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 class HermitianElement:
     """A self-adjoint element of a block-diagonal matrix algebra.
 
-    Construction symmetrizes the input, (a + a*)/2, and rejects it when the
-    anti-Hermitian correction is larger than round-off tolerance.
+    Construction symmetrizes the input, (a + a*)/2, and rejects it when it is
+    not finite or the anti-Hermitian correction is larger than round-off
+    tolerance.
     """
 
     __slots__ = ("algebra", "blocks")
@@ -79,6 +80,8 @@ class HermitianElement:
                 raise AlgebraMismatchError(
                     f"block of shape {b.shape} does not match dimension {n}"
                 )
+            if not np.isfinite(b).all():
+                raise ValueError("input block has a non-finite entry")
             h = (b + b.conj().T) / 2.0
             drift = np.linalg.norm(b - h)
             if drift > defaults.HERMITIZE_REJECT * (1.0 + np.linalg.norm(h)):

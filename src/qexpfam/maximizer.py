@@ -30,7 +30,6 @@ from .sampling import haar_unitary
 from .states import (
     Projector,
     State,
-    SupportBasis,
     _support_pairs,
     compress,
     log_on_support,
@@ -123,7 +122,7 @@ def maximizer_certificate(
     theta = family.parameter_element(res.theta_star)
     p, grad_face = _face_gradient(rho, theta)
     ptp, _ = compress(p, theta)
-    f_face, candidate = free_energy(ptp, SupportBasis(p))
+    f_face, candidate = free_energy(ptp, p)
     residual = (rho.element - candidate.element).norm()
     f_theta, _ = free_energy(theta)
     return MaximizerCertificate(
@@ -151,15 +150,15 @@ def _clip_to_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(values - tau, 0.0)
 
 
-def _project_face_state(support: SupportBasis, a: HermitianElement) -> State:
+def _project_face_state(p: Projector, a: HermitianElement) -> State:
     """Nearest state with support inside p: eigenvalue clipping to the simplex."""
-    pairs = [np.linalg.eigh(s) for s in support.restrict(a.blocks)]
+    pairs = [np.linalg.eigh(s) for s in p.restrict(a.blocks)]
     clipped = _clip_to_simplex(np.concatenate([w for w, _ in pairs]))
     out, k = [], 0
     for w, V in pairs:
         out.append((V * clipped[k : k + len(w)]) @ V.conj().T)
         k += len(w)
-    return State(support.embed(out))
+    return State(p.embed(out))
 
 
 @dataclass(frozen=True)
@@ -199,7 +198,6 @@ def local_max_search(
     """
     if p.rank == 0:
         raise PreconditionError("the face projector must be non-zero")
-    support = SupportBasis(p)
     rng = np.random.default_rng(seed)
 
     target = family
@@ -221,7 +219,7 @@ def local_max_search(
         lam = rng.dirichlet(np.ones(p.rank))
         blocks = []
         k = 0
-        for q_cols in support.columns:
+        for q_cols in p.columns:
             r = q_cols.shape[1]
             if r == 0:
                 blocks.append(np.zeros((0, 0)))
@@ -229,7 +227,7 @@ def local_max_search(
             q = haar_unitary(r, rng)
             blocks.append((q * lam[k : k + r]) @ q.conj().T)
             k += r
-        starts.append(State(support.embed(blocks)))
+        starts.append(State(p.embed(blocks)))
 
     candidates = []
     for idx, rho in enumerate(starts):
@@ -244,7 +242,7 @@ def local_max_search(
                 break
             step = 1.0
             while step > 1e-14:
-                trial = _project_face_state(support, rho.element + step * grad_face)
+                trial = _project_face_state(p, rho.element + step * grad_face)
                 tval, tatt, ttheta = evaluate(trial)
                 if tval > value + 1e-4 * step * grad_face.norm() ** 2:
                     rho, value, attained, theta = trial, tval, tatt, ttheta

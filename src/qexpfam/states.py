@@ -9,7 +9,7 @@ support decisions in the package are consistent.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -82,20 +82,23 @@ def _state_spectrum(algebra: Algebra, values) -> list[np.ndarray]:
     """A state's per-block eigenvalues, checked: values in [-1e-12, 0) are
     clamped to zero, more negative ones and trace errors beyond 1e-12 raise.
     The blocks may also be stacks of rows, one state per row."""
-    low = min(float(w.min(initial=0.0)) for w in values)
-    if low < -defaults.STATE_TOL:
+    low = float(reduce(np.minimum, [w.min(initial=0.0) for w in values]))  # NaN propagates
+    if not low >= -defaults.STATE_TOL:
         raise ValueError(f"not positive semidefinite (min eigenvalue {low:.3e})")
     clamped = [np.maximum(w, 0.0) for w in values]
     tr = sum(w.sum(axis=-1) for w in clamped)
-    if (abs(tr - 1.0) > defaults.STATE_TOL * algebra.dim).any():
+    if not (abs(tr - 1.0) <= defaults.STATE_TOL * algebra.dim).all():
         raise ValueError(f"trace {tr} is not 1")
     return clamped
 
 
 class Projector:
-    """An orthogonal projector: p^2 = p* = p."""
+    """An orthogonal projector: p^2 = p* = p.
 
-    __slots__ = ("element", "rank")
+    It also carries the pAp calculus: the orthonormal columns spanning Im(p)
+    per block, and the kernel columns that complete them, come from one eigh
+    per block on first use and are kept.
+    """
 
     def __init__(self, element: HermitianElement):
         err = 0.0
@@ -116,6 +119,28 @@ class Projector:
     @property
     def algebra(self) -> Algebra:
         return self.element.algebra
+
+    @cached_property
+    def _eigh(self) -> list:
+        return [np.linalg.eigh(b) for b in self.element.blocks]
+
+    @cached_property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal columns spanning Im(p), per block."""
+        return tuple(np.ascontiguousarray(V[:, w > 0.5]) for w, V in self._eigh)
+
+    @cached_property
+    def kernel(self) -> tuple[np.ndarray, ...]:
+        """Orthonormal columns spanning the kernel of p, per block."""
+        return tuple(np.ascontiguousarray(V[:, w <= 0.5]) for w, V in self._eigh)
+
+    def restrict(self, blocks) -> list[np.ndarray]:
+        """Per-block r_k x r_k matrices Q* b Q of blocks, or of stacks of them."""
+        return [q.conj().T @ b @ q for q, b in zip(self.columns, blocks)]
+
+    def embed(self, small: list[np.ndarray]) -> HermitianElement:
+        return HermitianElement(
+            self.algebra, [q @ s @ q.conj().T for q, s in zip(self.columns, small)])
 
     def is_identity(self) -> bool:
         return self.rank == self.algebra.dim
@@ -305,44 +330,10 @@ def pinsker_gap(rho: State, sigma: State) -> float:
 # ambient matrices.
 
 
-class SupportBasis:
-    """Orthonormal columns spanning Im(p) per block, and the kernel columns
-    that complete them; carrier for pAp calculus."""
-
-    __slots__ = ("projector", "columns", "kernel")
-
-    def __init__(self, projector: Projector):
-        pairs = [np.linalg.eigh(b) for b in projector.element.blocks]
-        object.__setattr__(self, "projector", projector)
-        object.__setattr__(self, "columns", tuple(
-            np.ascontiguousarray(V[:, w > 0.5]) for w, V in pairs))
-        object.__setattr__(self, "kernel", tuple(
-            np.ascontiguousarray(V[:, w <= 0.5]) for w, V in pairs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportBasis is immutable")
-
-    @property
-    def algebra(self) -> Algebra:
-        return self.projector.algebra
-
-    @property
-    def rank(self) -> int:
-        return self.projector.rank
-
-    def restrict(self, blocks) -> list[np.ndarray]:
-        """Per-block r_k x r_k matrices Q* b Q of blocks, or of stacks of them."""
-        return [q.conj().T @ b @ q for q, b in zip(self.columns, blocks)]
-
-    def embed(self, small: list[np.ndarray]) -> HermitianElement:
-        return HermitianElement(
-            self.algebra, [q @ s @ q.conj().T for q, s in zip(self.columns, small)])
-
-
 @lru_cache(maxsize=None)
-def full_support(algebra: Algebra) -> SupportBasis:
-    """The identity support basis, built once per algebra."""
-    return SupportBasis(Projector(identity(algebra)))
+def full_support(algebra: Algebra) -> Projector:
+    """The identity projector, built once per algebra."""
+    return Projector(identity(algebra))
 
 
 def log_on_support(rho: State) -> HermitianElement:

@@ -5,8 +5,7 @@ from qexpfam.family import exp1
 from qexpfam.findings import Report
 from qexpfam.linalg import HermitianElement, eigh, hs_inner, traceless_part, zero
 from qexpfam.sampling import random_hermitian, random_traceless
-from qexpfam.states import (Projector, State, SupportBasis, log_on_support, max_eig_data,
-                            pure_state)
+from qexpfam.states import Projector, State, log_on_support, max_eig_data, pure_state
 
 
 def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):
@@ -50,7 +49,7 @@ def random_support(algebra, rng, empty_first_block):
         q = V[:, keep[k : k + V.shape[1]]]
         blocks.append(q @ q.conj().T)
         k += V.shape[1]
-    return SupportBasis(Projector(HermitianElement(algebra, blocks)))
+    return Projector(HermitianElement(algebra, blocks))
 
 
 # -- per-state references for the stacked cone checks ---------------------------

@@ -97,7 +97,8 @@ class TestCliExitCodes:
         "generator1 = 1,0 0,0 0,0 -1,0 0\n",
         "generator1 = 0,0 1,0 0,0 0,0 0,0\n",
         "generator1 = 1,0 0,0 0,0 -1,0 0,0\ngenerator2 = 2,0 0,0 0,0 -2,0 0,0\n",
-    ], ids=["malformed-pair", "not-hermitian", "dependent"])
+        "generator1 = nan,0 0,0 0,0 -1,0 0,0\ngenerator2 = 0,0 1,0 1,0 0,0 0,0\n",
+    ], ids=["malformed-pair", "not-hermitian", "dependent", "non-finite"])
     def test_bad_custom_generators_exit_2(self, tmp_path, capsys, generators):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[family]\nname = custom\n" + generators)
@@ -111,6 +112,14 @@ class TestCliExitCodes:
         ["--state", "diag:0.5,0.6,-0.1"],
         ["--state", "member:1"],
         ["--family", "cone:abc", "--state", "c"],
+        ["--state", "diag:nan,0.5,0.5"],
+        ["--state", "tau:nan"],
+        ["--state", "member:nan,0"],
+        ["--state", "raw:inf,0 0,0 0,0 0,0 0.5,0"],
+        ["--state", "circle:nan"],
+        ["--state", "circle:inf"],
+        ["--state", "c", "--cap", "nan"],
+        ["--state", "c", "--cap", "inf"],
     ])
     def test_malformed_distance_input_exits_2(self, tmp_path, capsys, args):
         code = main(["distance", *args, "--out", str(tmp_path)])

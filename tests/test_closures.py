@@ -42,7 +42,7 @@ from qexpfam.linalg import (
     identity,
     traceless_part,
 )
-from qexpfam.sampling import random_family, random_hermitian, random_traceless
+from qexpfam.sampling import haar_unitary, random_family, random_hermitian, random_traceless
 from qexpfam.states import (
     Projector,
     State,
@@ -279,12 +279,35 @@ class TestLazyAtlas:
             assert len(lazy.generators) == len(eager.generators)
             pairs = zip(
                 (*lazy.basis, lazy.offset, *lazy.generators,
-                 lazy.support.projector.element, g.representative.element),
+                 lazy.support.element, g.representative.element),
                 (*eager.basis, eager.offset, *eager.generators,
-                 eager.support.projector.element, eager.member(np.zeros(eager.dim)).element),
+                 eager.support.element, eager.member(np.zeros(eager.dim)).element),
             )
             for a, b in pairs:
                 assert all(np.array_equal(x, y) for x, y in zip(a.blocks, b.blocks))
+
+
+def _random_face_case():
+    """(state, family, direction): a full-rank state on the rank-2 top face,
+    in block 0, of the first generator of a random 6-dim 4x(4x4) family."""
+    rng = np.random.default_rng(11)
+    algebra = Algebra((4, 4, 4, 4))
+    blocks = []
+    for k in range(4):
+        u = haar_unitary(4, rng)
+        w = rng.uniform(-1.0, 0.5, size=4)
+        if k == 0:
+            w[:2] = 1.0
+            top = u[:, :2]
+        blocks.append((u * w) @ u.conj().T)
+    gens = [HermitianElement(algebra, blocks)] + [random_traceless(algebra, rng)
+                                                  for _ in range(5)]
+    fam = make_family(algebra, gens)
+    lam = 0.05 + 0.95 * rng.dirichlet(np.ones(2))
+    u = haar_unitary(2, rng)
+    face = [np.zeros((4, 4), dtype=complex) for _ in range(4)]
+    face[0] = top @ ((u * (lam / lam.sum())) @ u.conj().T) @ top.conj().T
+    return State(HermitianElement(algebra, face)), fam, fam.generators[0]
 
 
 class TestReduceDistance:
@@ -305,11 +328,28 @@ class TestReduceDistance:
         u = cone.swallow_direction(0.0)
         assert reduce_distance_to_face(rho, swallow, u) <= 1e-9
 
-    def test_swallow_corner_distance_zero(self, swallow):
-        got = reduce_distance_to_face(
-            cone.base_circle_state(0.0), swallow, cone.swallow_direction(0.0)
-        )
-        assert got <= 1e-9
+    @pytest.mark.parametrize("alpha", [0.0, np.pi / 2.0])
+    def test_swallow_corner_distance_zero(self, swallow, alpha):
+        # rho lies on a proper face of the face's family: the chain's second
+        # step reaches distance 0 exactly
+        rho = cone.base_circle_state(alpha)
+        got = reduce_distance_to_face(rho, swallow, cone.swallow_direction(alpha))
+        assert got == 0.0
+        assert got == entropy_distance(rho, swallow)[0]
+
+    def test_equals_the_face_family_solve_off_its_faces(self, staffelberg):
+        # on no proper face of the face's family the chain stops there, and
+        # the value is that family's own solve, bit for bit
+        v2 = traceless_part(cone.pauli(2) + cone.unit())
+        rho0 = cone.base_circle_state(0.0)
+        upper = State(0.5 * (cone.midpoint_state().element + cone.unit()))
+        cases = [(State((1.0 - s) * rho0.element + s * cone.unit()), staffelberg, v2)
+                 for s in np.linspace(0.05, 0.95, 7)]
+        cases += [(rho0, staffelberg, v2), (upper, staffelberg, v2), _random_face_case()]
+        for rho, fam, v in cases:
+            face_family = make_compressed_family(fam, max_eig_data(v)[1])
+            direct = project_to_family(rho, face_family, param_cap=defaults.RI_PARAM_CAP)
+            assert reduce_distance_to_face(rho, fam, v) == direct.distance
 
     def test_agrees_with_direct_where_direct_converges(self, staffelberg):
         v2 = traceless_part(cone.pauli(2) + cone.unit())

@@ -71,7 +71,7 @@ def test_stacked_gibbs_rows_equal_one_element_calls(dims, seed, rows, kind):
     fam = random_family(algebra, int(rng.integers(1, algebra.real_dim)), rng)
     if kind != "full":
         fam = make_compressed_family(
-            fam, random_support(algebra, rng, kind == "empty-block").projector)
+            fam, random_support(algebra, rng, kind == "empty-block"))
     elements = [fam.parameter_element(rng.normal(scale=3.0, size=fam.dim))
                 for _ in range(rows)]
     stack = [np.stack(b) for b in zip(*(a.blocks for a in elements))]
@@ -123,7 +123,6 @@ def test_free_energy_decomposes_each_block_once(monkeypatch, rng):
     for dims in [(2, 1), (3, 2, 1), (4, 4, 4, 4)]:
         algebra = Algebra(dims)
         a = random_traceless(algebra, rng)
-        free_energy(a)  # builds the algebra's identity support basis once
         calls = []
 
         def counting_eigh(m, *args, **kwargs):
@@ -156,7 +155,6 @@ def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
 def test_solve_builds_one_state_and_decomposes_once_per_evaluation(monkeypatch, dims, dim):
     fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
     rho = random_state(fam.algebra, np.random.default_rng(dim), invertible=True, min_eig=1e-2)
-    full_support(fam.algebra)  # the cached identity support basis is built once
     states, evaluations, eighs = [], [], []
     init, from_spectrum = State.__init__, State._from_spectrum.__func__
     pieces, real_eigh = family_mod._objective_pieces, np.linalg.eigh

@@ -55,6 +55,11 @@ class TestHermitianElement:
         b = np.array([[1.0, 1.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
             HermitianElement(algebra, [b, np.array([[0.0]])])
+        for x in (np.nan, np.inf):  # a non-finite entry fails the check too
+            with pytest.raises(ValueError, match="non-finite"):
+                HermitianElement(algebra, [np.diag([x, 0.5]), np.array([[0.5]])])
+            with pytest.raises(ValueError, match="non-finite"):
+                HermitianElement(algebra, [np.eye(2), np.array([[x]])])
 
     def test_block_shape_mismatch(self, algebra):
         with pytest.raises(AlgebraMismatchError):

@@ -249,6 +249,30 @@ class TestLocalMaxSearch:
         assert families and all(f is not staffelberg for f in families)
         assert all(c.certificate is None for c in cands)
 
+    def test_face_projector_is_decomposed_once(self, staffelberg, monkeypatch):
+        # the image and kernel columns of p come from one eigh per block of p,
+        # kept by p and shared by the compressed family and the face search
+        decomposed = []
+
+        def spy(a, *args, **kwargs):
+            decomposed.extend(b for b in p.element.blocks if a is b)
+            return real_eigh(a, *args, **kwargs)
+
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        for _ in range(3):
+            assert [q.shape[1] for q in p.columns] == [1, 1]
+            assert [k.shape[1] for k in p.kernel] == [1, 0]
+        assert len(decomposed) == p.algebra.n_blocks
+
+        decomposed.clear()
+        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        assert maximizer.make_compressed_family(staffelberg, p).support is p
+        local_max_search(staffelberg, p, n_starts=2, max_steps=5,
+                         face_direction=cone.pauli(2) + cone.unit())
+        assert len(decomposed) == p.algebra.n_blocks
+
     def test_face_direction_must_be_tangent(self, staffelberg):
         # z is not tangent to the Staffelberg family, and its maximal
         # projector is the apex, so only the tangent check rejects it

@@ -36,6 +36,13 @@ class TestState:
         el = HermitianElement(algebra, [np.diag([1.1, -0.1]), np.array([[0.0]])])
         with pytest.raises(ValueError):
             State(el)
+        # a non-finite eigenvalue in either block fails the checks too
+        vectors = [np.eye(2, dtype=complex), np.eye(1, dtype=complex)]
+        for x in (np.nan, np.inf):
+            for values in ([np.array([x, 0.5]), np.array([0.5])],
+                           [np.array([0.5, 0.5]), np.array([x])]):
+                with pytest.raises(ValueError, match="nan|inf"):
+                    State._from_spectrum(algebra, values, vectors)
 
     def test_rejects_wrong_trace(self, algebra):
         with pytest.raises(ValueError):
