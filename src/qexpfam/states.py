@@ -80,7 +80,7 @@ class State:
 
 def _state_spectrum(algebra: Algebra, values) -> list[np.ndarray]:
     """A state's per-block eigenvalues, checked: values in [-1e-12, 0) are
-    clamped to zero, more negative ones and trace errors beyond 1e-12 raise.
+    clamped to zero; more negative ones, NaN and trace errors beyond 1e-12 raise.
     The blocks may also be stacks of rows, one state per row."""
     low = float(reduce(np.minimum, [w.min(initial=0.0) for w in values]))  # NaN propagates
     if not low >= -defaults.STATE_TOL:

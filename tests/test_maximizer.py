@@ -3,7 +3,8 @@ import pytest
 
 from qexpfam import cone, maximizer
 from qexpfam.errors import PreconditionError
-from qexpfam.family import entropy_distance, make_family, project_to_family
+from qexpfam.family import (entropy_distance, make_compressed_family, make_family,
+                            project_to_family)
 from qexpfam.linalg import diagonal, traceless_part
 from qexpfam.maximizer import (
     dE_directional_derivative,
@@ -252,13 +253,12 @@ class TestLocalMaxSearch:
     def test_face_projector_is_decomposed_once(self, staffelberg, monkeypatch):
         # the image and kernel columns of p come from one eigh per block of p,
         # kept by p and shared by the compressed family and the face search
-        decomposed = []
+        decomposed, real_eigh = [], np.linalg.eigh
 
         def spy(a, *args, **kwargs):
             decomposed.extend(b for b in p.element.blocks if a is b)
             return real_eigh(a, *args, **kwargs)
 
-        real_eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", spy)
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
         for _ in range(3):
@@ -268,7 +268,7 @@ class TestLocalMaxSearch:
 
         decomposed.clear()
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        assert maximizer.make_compressed_family(staffelberg, p).support is p
+        assert make_compressed_family(staffelberg, p).support is p
         local_max_search(staffelberg, p, n_starts=2, max_steps=5,
                          face_direction=cone.pauli(2) + cone.unit())
         assert len(decomposed) == p.algebra.n_blocks
