@@ -29,7 +29,7 @@ import numpy as np
 from . import defaults
 from .errors import PreconditionError, UnderResolvedSweepError
 from .family import ExponentialFamily
-from .linalg import DirectionSweep, SweepSpectra
+from .linalg import DirectionSweep, SweepSpectra, top_eigenspace
 
 
 # one row of MeanValueBoundary.faces
@@ -119,14 +119,13 @@ def _faces(kernel: DirectionSweep, alphas, spectra: SweepSpectra,
     alphas = np.asarray(alphas, dtype=float)
     n, n_blocks = len(alphas), len(spectra.values)
     c, s = np.cos(alphas), np.sin(alphas)
-    mu = spectra.top()
+    mu, ranks = top_eigenspace(spectra.values)
     # per end (low, high), block and row: the value to minimize and the point
     key = np.full((2, n_blocks, n), np.inf)
     pts = np.zeros((2, n_blocks, n, 2))
     groups = []
-    for k, (w, V) in enumerate(zip(spectra.values, spectra.vectors)):
-        size = w.shape[1]
-        rank = (w >= (mu - defaults.MAX_EIG_GAP)[:, None]).sum(axis=1)
+    for k, (V, rank) in enumerate(zip(spectra.vectors, ranks)):
+        size = V.shape[-1]
         # contiguous eigenvector rows, the layout of V[i][:, mask].T, so BLAS sums as per row
         Vt = np.ascontiguousarray(V.swapaxes(1, 2))
         for r in np.unique(rank[rank > 0]).tolist():

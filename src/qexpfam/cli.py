@@ -203,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--family", help="staffelberg | swallow | cone:<phi> | custom")
         p.add_argument("--phi", help="comma separated list of plane angles")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="random seed")
+        p.add_argument("--seed", type=int, help="random seed (non-negative)")
         p.add_argument("--angles", type=int, help="sweep resolution")
         p.add_argument("--cap", type=float, help="solver parameter cap")
         p.add_argument("--quiet", action="store_true", help="machine-readable output only")

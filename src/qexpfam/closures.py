@@ -219,12 +219,7 @@ def geodesic_closure_atlas(
     same_next = (ranks == np.roll(ranks, -1)) & (dist <= defaults.MAX_EIG_GAP)
 
     # runs of consecutive equal projectors (cyclically)
-    runs: list[list[int]] = [[0]]
-    for j in range(1, n):
-        if same_next[j - 1]:
-            runs[-1].append(j)
-        else:
-            runs.append([j])
+    runs = [r.tolist() for r in np.split(np.arange(n), np.flatnonzero(~same_next[:-1]) + 1)]
     if len(runs) > 1 and same_next[n - 1]:
         runs[0] = runs.pop() + runs[0]
 

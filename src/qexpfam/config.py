@@ -139,6 +139,8 @@ class RunConfig:
             raise PreconditionError(f"the parameter cap {self.param_cap} is not in (0, inf)")
         if self.n_angles < 4:
             raise PreconditionError("n_angles must be at least 4")
+        if self.seed < 0:
+            raise PreconditionError(f"the seed {self.seed} is negative")
         name = self.family_name
         named = name in ("staffelberg", "swallow") or name.startswith("cone:")
         if not named and name != "custom":

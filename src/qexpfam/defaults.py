@@ -1,9 +1,10 @@
 """Numerical tolerances and solver defaults used across the package.
 
 Every cutoff lives here so the same knob is used wherever the same kind of
-decision is made (support membership, eigenvalue degeneracy, ...).  Whether
-a projection is attained has no cutoff of its own: it is the exposed-face
-decision, made with MAX_EIG_GAP and FACE_VALUE_TOL.
+decision is made (support membership, eigenvalue degeneracy, ...).  The one
+eigenvalue-merge test is linalg.top_eigenspace.  Whether a projection is
+attained has no cutoff of its own: it is the exposed-face decision, made
+with that test and FACE_VALUE_TOL.
 """
 
 # Largest total matrix dimension an algebra may have.
@@ -24,7 +25,10 @@ STATE_TOL = 1e-12
 # Projectors: ||p^2 - p|| tolerance.
 PROJECTOR_TOL = 1e-12
 
-# Spectral gap below which eigenvalues are merged into one maximal projector.
+# Spectral gap below which eigenvalues merge into one maximal projector: the only merge
+# test is linalg.top_eigenspace.  Other readers: the rank cuts of make_compressed_family
+# and _scalar_directions, projector equality in the atlas merge and Projector.same_image,
+# _steepest_margin's margin stop and locate_crossings' third-branch test.
 MAX_EIG_GAP = 1e-9
 
 # Exposed-face membership: |<rho,u> - mu_+(u)| tolerance.

@@ -44,6 +44,7 @@ from .linalg import (
     gram_schmidt,
     hs_inner,
     project_out,
+    top_eigenspace,
     traceless_part,
     zero,
 )
@@ -218,10 +219,7 @@ def make_family(
         if g.algebra != algebra:
             raise AlgebraMismatchError("generator in wrong algebra")
     basis = tuple(gram_schmidt(list(gens)))
-    if offset is None:
-        off = zero(algebra)
-    else:
-        off = project_out(traceless_part(offset), basis)
+    off = zero(algebra) if offset is None else project_out(traceless_part(offset), basis)
     return ExponentialFamily(algebra, basis, off, gens, None)
 
 
@@ -237,11 +235,8 @@ def make_compressed_family(
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
-    gens = []
-    for g in parent.generators:
-        _, cg = compress(p, g)
-        if cg.norm() > defaults.MAX_EIG_GAP * max(1.0, g.norm()):
-            gens.append(cg)
+    pairs = [(g, compress(p, g)[1]) for g in parent.generators]
+    gens = [cg for g, cg in pairs if cg.norm() > defaults.MAX_EIG_GAP * max(1.0, g.norm())]
     basis: list[HermitianElement] = []
     for g in gens:
         v = project_out(project_out(g, basis), basis)
@@ -249,9 +244,7 @@ def make_compressed_family(
             basis.append(v / v.norm())
     _, off = compress(p, parent.offset)
     off = project_out(off, basis)
-    return ExponentialFamily(
-        parent.algebra, tuple(basis), off, tuple(gens), p
-    )
+    return ExponentialFamily(parent.algebra, tuple(basis), off, tuple(gens), p)
 
 
 def _check_tangent(family: ExponentialFamily, v: HermitianElement) -> None:
@@ -315,7 +308,7 @@ def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
     towards the tangent part y of the min-norm supergradient r - g exactly
     (_widest_margin), until the margin stops rising or y = 0: r_j = <rho, d_j>,
     g_j = tr(S d_j) over states S on the top eigenspace of u on Im(rest)
-    (within MAX_EIG_GAP), the min-norm point found by Frank-Wolfe.  A margin
+    (top_eigenspace), the min-norm point found by Frank-Wolfe.  A margin
     above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.
     """
     r = basis.T @ mean_value_projection(rho.element, family)
@@ -325,8 +318,8 @@ def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
     def at(c: np.ndarray):
         """The margin at coordinates c and the columns tilted onto the top."""
         pairs = [np.linalg.eigh(np.tensordot(c, x, axes=1)) for x in stacked]
-        mu = max(w[-1] for w, _ in pairs)
-        tops = [V[:, w >= mu - defaults.MAX_EIG_GAP] for w, V in pairs]
+        mu, ranks = top_eigenspace([w for w, _ in pairs])
+        tops = [V[:, V.shape[1] - k:] for (_, V), k in zip(pairs, ranks)]
         return r @ c - mu, [Q.conj().T @ x @ Q for x, Q in zip(stacked, tops) if Q.size]
 
     def vertex(tilted: list[np.ndarray], weights: np.ndarray) -> np.ndarray:

@@ -291,6 +291,16 @@ def eigh(a: HermitianElement) -> SpectralData:
     return SpectralData(a.algebra, tuple(vals), tuple(vecs))
 
 
+def top_eigenspace(values: Sequence[np.ndarray]):
+    """mu, the largest eigenvalue, and per block the count of eigenvalues within
+    MAX_EIG_GAP of mu, from each block's eigenvalues in any order: values[k]
+    of shape (n_k,) for one element or (rows, n_k) for a stack.  This is the
+    package's one eigenvalue-merge test, the rank of the top eigenspace."""
+    mu = np.maximum.reduce([w.max(axis=-1) for w in values])
+    cut = (mu - defaults.MAX_EIG_GAP)[..., None]
+    return mu, [(w >= cut).sum(axis=-1) for w in values]
+
+
 def trace_norm(a: HermitianElement) -> float:
     """Trace norm: the sum of absolute eigenvalues."""
     return float(sum(np.abs(w).sum() for w in eigh(a).eigenvalues))
@@ -346,20 +356,18 @@ class SweepSpectra:
         return w[:, -1] - w[np.arange(len(w)), -1 - np.asarray(m)]
 
     def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Ranks and blocks of the maximal projectors (merge gap MAX_EIG_GAP),
-        built and symmetrized as states.max_eig_data builds them, bit for bit."""
-        threshold = (self.top() - defaults.MAX_EIG_GAP)[:, None]
-        ranks, blocks = 0, []
-        for w, V in zip(self.values, self.vectors):
-            order, r = np.argsort(w, axis=-1)[:, ::-1], (w >= threshold).sum(axis=1)
+        """Ranks and blocks of the maximal projectors (top_eigenspace), built and
+        symmetrized as states.max_eig_data builds them, bit for bit."""
+        ranks, blocks = top_eigenspace(self.values)[1], []
+        for w, V, r in zip(self.values, self.vectors, ranks):
+            order = np.argsort(w, axis=-1)[:, ::-1]
             P = np.zeros(V.shape, dtype=complex)
             for rank in np.unique(r[r > 0]):
                 idx = np.flatnonzero(r == rank)
                 keep = np.take_along_axis(V[idx], order[idx, None, :rank], axis=-1)
                 P[idx] = keep @ keep.conj().swapaxes(-1, -2)
-            ranks = ranks + r
             blocks.append((P + P.conj().swapaxes(-1, -2)) / 2.0)
-        return ranks, blocks
+        return sum(ranks), blocks
 
 
 def _block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -402,7 +410,7 @@ class DirectionSweep:
         one or follows an ambiguous tracking (kept overlap <= 1/2) bisects.  A
         stop under a third branch C splits into searches of A against C and C
         against B (both crossings of A -> C -> B); any other stop is a root if
-        top_gap(m) <= MAX_EIG_GAP, m the larger rank.
+        top_eigenspace's total rank there exceeds m, the larger tracked rank.
         """
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         if not lo.size:
@@ -431,8 +439,9 @@ class DirectionSweep:
             x, dx = nxt, x - nxt
             if done.all():
                 break
-        above = at.top() - lam.max(0) > defaults.MAX_EIG_GAP
-        root = done & ~above & (at.top_gap(rank.max(0).astype(int)) <= defaults.MAX_EIG_GAP)
+        mu, top_ranks = top_eigenspace(at.values)
+        above = mu - lam.max(0) > defaults.MAX_EIG_GAP
+        root = done & ~above & (sum(top_ranks) > rank.max(0))
         split = np.flatnonzero(done & above)
         C = _block_diag(at.max_projectors()[1])[split]
         more, more_at = self.locate_crossings(

@@ -27,6 +27,7 @@ from .linalg import (
     eigh,
     hs_inner,
     identity,
+    top_eigenspace,
     trace_norm,
 )
 
@@ -255,16 +256,13 @@ def support_projector(rho: State) -> Projector:
 def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
     """Largest eigenvalue across all blocks and its maximal projector.
 
-    Eigenvalues within the gap tolerance 1e-9 of the maximum are merged into
-    one spectral projector.
+    In each block it spans the eigenvectors of the r_k largest eigenvalues, r_k
+    from top_eigenspace: those within MAX_EIG_GAP (1e-9) of the maximum merge.
     """
     spec = eigh(u)
-    mu = max(float(w[0]) for w in spec.eigenvalues if w.size)
-    blocks = []
-    for w, V in zip(spec.eigenvalues, spec.eigenvectors):
-        keep = V[:, w >= mu - defaults.MAX_EIG_GAP]
-        blocks.append(keep @ keep.conj().T)
-    return mu, Projector(HermitianElement(u.algebra, blocks))
+    mu, ranks = top_eigenspace(spec.eigenvalues)
+    blocks = [V[:, :r] @ V[:, :r].conj().T for V, r in zip(spec.eigenvectors, ranks)]
+    return float(mu), Projector(HermitianElement(u.algebra, blocks))
 
 
 def exposed_face_membership(rho: State, u: HermitianElement) -> bool:

@@ -139,6 +139,20 @@ class TestCliExitCodes:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("which", ["cone", "maximizer"])
+    @pytest.mark.parametrize("source", ["option", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, which, source):
+        # numpy rejects negative seeds; the config must reject them first
+        args = ["report", "--which", which, "--out", str(tmp_path)]
+        if source == "option":
+            args += ["--seed", "-1"]
+        else:
+            path = tmp_path / "seed.cfg"
+            path.write_text("[run]\nseed = -1\n")
+            args += ["--config", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
     def test_under_resolved_sweep_exits_3(self, tmp_path):
         code = main(["sweep", "--phi", str(np.pi / 6.0), "--angles", "4",
                      "--out", str(tmp_path)])

@@ -7,8 +7,10 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog
 
 from qexpfam import cli, closures, cone, defaults, family, states
+from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.closures import face_chain, rI_membership
 from qexpfam.errors import PreconditionError
 from qexpfam.family import entropy_distance, make_family, project_to_family
@@ -337,3 +339,94 @@ class TestInvariance:
         want, got = _summary(rho, fam), _summary(rho, mixed)
         assert got[:2] == want[:2]
         assert got[2] == pytest.approx(want[2], abs=1e-9)
+
+
+def _lp_facial_set(points, weights):
+    """The atoms of the smallest face of conv(points) holding the mean of
+    ``weights``, by one LP (HiGHS): the atoms that some representation
+    z >= 0, sum(z) = s, points^T z = s * mean can weight.  That set is a
+    cone, so the maximum of sum(y), y <= min(z, 1), puts y = 1 exactly on
+    the facial set."""
+    n, d = points.shape
+    mean = points.T @ weights
+    # variables (z, s, y), all non-negative
+    eq = np.zeros((d + 1, 2 * n + 1))
+    eq[:d, :n], eq[:d, n] = points.T, -mean
+    eq[d, :n], eq[d, n] = 1.0, -1.0
+    ub = np.hstack([-np.eye(n), np.zeros((n, 1)), np.eye(n)])
+    res = linprog(np.concatenate([np.zeros(n + 1), -np.ones(n)]), A_ub=ub, b_ub=np.zeros(n),
+                  A_eq=eq, b_eq=np.zeros(d + 1), bounds=[(0, None)] * (n + 1) + [(0, 1)] * n,
+                  method="highs")
+    assert res.status == 0
+    return set(np.flatnonzero(res.x[n + 1:] > 0.5).tolist())
+
+
+def _classical_distance(points, weights, face):
+    """D(p || q*), q* the Gibbs distribution exp(<theta, x_i>) / Z on the
+    atoms of ``face`` with p's mean, by damped Newton on the log-partition
+    function (least-squares steps, since the face may not be full-dimensional)."""
+    x, p = points[sorted(face)].astype(float), weights[sorted(face)]
+    mean, theta = p @ x, np.zeros(points.shape[1])
+
+    def dual(t):  # ln Z(t) - <t, mean>, convex, minimized at q*
+        logits = x @ t
+        top = logits.max()
+        return top + np.log(np.exp(logits - top).sum()) - t @ mean
+
+    for _ in range(100):
+        logits = x @ theta
+        q = np.exp(logits - logits.max())
+        q /= q.sum()
+        grad = q @ x - mean
+        if np.abs(grad).max() < 1e-15:
+            break
+        step = np.linalg.lstsq((x * q[:, None]).T @ x - np.outer(q @ x, q @ x), grad,
+                               rcond=None)[0]
+        t = 1.0
+        while dual(theta - t * step) > dual(theta) and t > 1e-12:
+            t /= 2.0
+        theta = theta - t * step
+    on = p > 0
+    return float(p[on] @ np.log(p[on]) + dual(theta))
+
+
+def _abelian_case(n, d, seed):
+    """An abelian family with generator entries in {-1, 0, 1} and a state on
+    a random support: (points, weights, family, state)."""
+    rng = np.random.default_rng(seed)
+    while True:
+        points = rng.integers(-1, 2, size=(n, d))
+        try:
+            algebra, fam = _moment_family(points)
+            break
+        except ValueError:  # dependent generators once their trace parts go
+            continue
+    support = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+    weights = np.zeros(n)
+    weights[support] = rng.dirichlet(np.ones(len(support)))
+    return points, weights, fam, State(diagonal(algebra, weights))
+
+
+class TestAbelianLPOracle:
+    """In an abelian algebra the mean value set is a polytope: every face is
+    exposed, the face of a state is an LP facial set, and the distance is the
+    classical I-projection onto the Gibbs family of that face."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.integers(5, 16), st.integers(2, 8), st.integers(0, 2**32 - 1))
+    def test_chain_support_and_distance(self, n, d, seed):
+        points, weights, fam, rho = _abelian_case(n, min(d, n - 1), seed)
+        projectors, last = face_chain(rho, fam)
+        assert len(projectors) <= 1
+        face = _lp_facial_set(points, weights)
+        carrier = last.support_projector.element.blocks
+        assert {i for i, b in enumerate(carrier) if b[0, 0].real > 0.5} == face
+        want = _classical_distance(points, weights, face)
+        assert entropy_distance(rho, fam)[0] == pytest.approx(want, abs=1e-12)
+
+    @settings(derandomize=True, deadline=None, max_examples=12)
+    @given(st.integers(5, 16), st.integers(0, 2**32 - 1))
+    def test_planar_polygons_have_no_nonexposed_point(self, n, seed):
+        _, _, fam, _ = _abelian_case(n, 2, seed)
+        boundary = mean_value_boundary_sweep(fam)
+        assert classify_boundary_faces(boundary).n_nonexposed == 0

@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import random_support
-from qexpfam import cone
+from qexpfam import cone, defaults
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1
-from qexpfam.linalg import Algebra, HermitianElement, diagonal, hs_inner, identity
+from qexpfam.linalg import (Algebra, DirectionSweep, HermitianElement, diagonal, hs_inner,
+                            identity)
 from qexpfam.sampling import (random_hermitian, random_state, random_traceless,
                               random_unit_traceless)
 from qexpfam.states import (
@@ -133,6 +134,23 @@ class TestMaxEigData:
         mu, p = max_eig_data(identity(algebra))
         assert mu == 1.0
         assert p.is_identity()
+
+    @pytest.mark.parametrize("split, rank", [(0.5, 2), (2.0, 1)])
+    def test_merge_threshold_across_blocks(self, split, rank):
+        # top eigenvalues 1 in block 0 and 1 - split * MAX_EIG_GAP in block 1
+        # merge exactly when they lie within MAX_EIG_GAP, in max_eig_data and
+        # in a one-row sweep alike, and both build the same projector
+        algebra = Algebra((2, 2))
+        q = np.linalg.qr(np.random.default_rng(5).normal(size=(2, 2)))[0]
+        u = HermitianElement(algebra, [
+            (q * [1.0, -0.3]) @ q.T, np.diag([1.0 - split * defaults.MAX_EIG_GAP, 0.2])])
+        mu, p = max_eig_data(u)
+        assert mu == pytest.approx(1.0, abs=1e-15)
+        assert p.rank == rank
+        ranks, blocks = DirectionSweep(u.blocks, [0.0 * b for b in u.blocks]).spectra(
+            [0.0]).max_projectors()
+        assert ranks.tolist() == [rank]
+        assert all(np.array_equal(b[0], pb) for b, pb in zip(blocks, p.element.blocks))
 
 
 class TestExposedFaceMembership:
