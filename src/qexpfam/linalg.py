@@ -291,7 +291,7 @@ def eigh(a: HermitianElement) -> SpectralData:
     return SpectralData(a.algebra, tuple(vals), tuple(vecs))
 
 
-def top_eigenspace(values: Sequence[np.ndarray]):
+def top_eigenspace(values: Sequence[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
     """mu, the largest eigenvalue, and per block the count of eigenvalues within
     MAX_EIG_GAP of mu, from each block's eigenvalues in any order: values[k]
     of shape (n_k,) for one element or (rows, n_k) for a stack.  This is the
