@@ -148,10 +148,7 @@ def _maximizer_report(cfg: RunConfig) -> Report:
     )
     if cfg.algebra.block_dims == (2, 1):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        cands = local_max_search(
-            cone.staffelberg_family(), p, seed=cfg.seed,
-            face_direction=cone.pauli(2) + cone.unit(),
-        )
+        cands = local_max_search(cone.staffelberg_family(), p, seed=cfg.seed)
         certificates_csv(os.path.join(cfg.out_dir, "certificates.csv"), cands)
         best = max(c.value for c in cands)
         report.add("face_search_max", "largest distance on the [rho(0), apex] face",

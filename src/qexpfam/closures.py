@@ -22,10 +22,13 @@ into exactly solvable problems.  family.face_chain applies this face by face
 and family.entropy_distance solves in the family it ends in.
 
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
-closure on sampled atlas groups.  Their directions and top gaps come from
-one sweep; each norm leg evaluates the group's e-geodesic once, at the t its
-gap sets (defaults.CHAIN_GAP_T), every sample in one stacked Gibbs
-evaluation per algebra block.
+closure on sampled atlas groups.  Each sample is a member of its group's
+compressed family, the family of the face that the group's directions
+expose, so its distance is solved in that family, where the face chain
+would lead.  The directions and top gaps come from one sweep; each norm leg
+evaluates the group's e-geodesic once, at the t its gap sets
+(defaults.CHAIN_GAP_T), every sample in one stacked Gibbs evaluation per
+algebra block.
 """
 
 from __future__ import annotations
@@ -353,7 +356,7 @@ def inclusion_chain_check(
         for (tag, _), (_, s) in zip(thetas, samples):
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
-            rows.append((where, reduce_distance_to_face(family=family, rho=s, v=u)))
+            rows.append((where, _chain_projection(s, g.family, defaults.RI_PARAM_CAP).distance))
         legs.append((g, u, gaps[i], samples))
     for (where, d), norm in zip(rows, _norm_leg(family, legs)):
         report.add("geo_subset_rI", where, d, defaults.RI_EPS)

@@ -741,7 +741,8 @@ def entropy_distance(
 def _chain_projection(rho: State, family: ExponentialFamily, param_cap: float,
                       tol: float = defaults.SOLVER_TOL) -> ProjectionResult:
     """The solve at ``param_cap`` in the family that face_chain ends in, as
-    entropy_distance and closures.reduce_distance_to_face run it."""
+    entropy_distance, closures.reduce_distance_to_face and
+    closures.inclusion_chain_check run it."""
     projectors, last = face_chain(rho, family)
     return _project_ladder(rho, last, (param_cap,), lambda: bool(projectors), tol=tol)[0]
 
@@ -750,7 +751,6 @@ def distance_continuation(
     rho: State,
     family: ExponentialFamily,
     caps: Sequence[float] = (10.0, 20.0, 40.0, 80.0),
-    tol: float = defaults.SOLVER_TOL,
 ) -> list[tuple[float, float, bool]]:
     """Objective values at a ladder of parameter caps, for extrapolation.
 
@@ -763,7 +763,7 @@ def distance_continuation(
     construction, and bound the exact entropy_distance from above.
     """
     results = _project_ladder(rho, family, caps,
-                              lambda: _face_direction(rho, family) is not None, tol=tol)
+                              lambda: _face_direction(rho, family) is not None)
     return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 

@@ -18,13 +18,7 @@ import numpy as np
 
 from . import defaults
 from .errors import PreconditionError
-from .family import (
-    ExponentialFamily,
-    _check_tangent,
-    free_energy,
-    make_compressed_family,
-    project_to_family,
-)
+from .family import ExponentialFamily, ProjectionResult, face_chain, free_energy, project_to_family
 from .linalg import HermitianElement, frechet_block, hs_inner
 from .sampling import haar_unitary
 from .states import (
@@ -33,7 +27,6 @@ from .states import (
     _support_pairs,
     compress,
     log_on_support,
-    max_eig_data,
     support_projector,
 )
 
@@ -119,6 +112,12 @@ def maximizer_certificate(
     res = project_to_family(rho, family)
     if require_attained and not res.attained:
         raise PreconditionError("projection of rho is not attained")
+    return _certificate(rho, family, res)
+
+
+def _certificate(rho: State, family: ExponentialFamily, res: ProjectionResult
+                 ) -> MaximizerCertificate:
+    """The certificate of rho from res, its projection onto family."""
     theta = family.parameter_element(res.theta_star)
     p, grad_face = _face_gradient(rho, theta)
     ptp, _ = compress(p, theta)
@@ -164,8 +163,9 @@ def _project_face_state(p: Projector, a: HermitianElement) -> State:
 @dataclass(frozen=True)
 class SearchCandidate:
     """One ascent run: where it stopped and how it certifies.  certificate is
-    None when the end state's full-family projection is not attained, always
-    so in face mode (a proper face shares no family member's mean values)."""
+    None when the end state's projection is not attained, and always when
+    the face chain of p / rank(p) is not empty (a state on a proper face
+    never attains its full-family projection)."""
 
     start_index: int
     state: State
@@ -181,38 +181,23 @@ def local_max_search(
     n_starts: int = 6,
     max_steps: int = 200,
     seed: int = 0,
-    face_direction: HermitianElement | None = None,
 ) -> list[SearchCandidate]:
     """Projected gradient ascent of the entropy distance over the face of p.
 
-    When p is the maximal projector of a tangent direction (pass it as
-    face_direction; a direction outside the tangent space is rejected) the
-    objective is evaluated inside the compressed family, where it agrees with
-    the full entropy distance on the face and stays attainable; candidates
-    then get no certificate, as a state on a proper exposed face never
-    attains its full-family projection.  Starts are drawn from a seeded
-    Dirichlet over spectra in the face; iterates are re-projected to the
-    trace-one positive elements of pAp by eigenvalue clipping.  Iterates
-    without an attained projection are flagged and their runs stopped.
-    Deterministic for a fixed seed; results ordered by start index.
+    The objective is evaluated in the family that face_chain ends in for the
+    first start p / rank(p), where it agrees with the entropy distance on the
+    face and stays attainable; each iterate is solved there once, at
+    RI_PARAM_CAP.  Starts are drawn from a seeded Dirichlet over spectra in
+    the face; iterates are re-projected to the trace-one positive elements
+    of pAp by eigenvalue clipping.  Iterates without an attained projection
+    are flagged and their runs stopped.  When the chain is empty, a
+    candidate with an attained projection is certified from that projection
+    (maximizer_certificate).  Deterministic for a fixed seed; results
+    ordered by start index.
     """
     if p.rank == 0:
         raise PreconditionError("the face projector must be non-zero")
     rng = np.random.default_rng(seed)
-
-    target = family
-    if face_direction is not None:
-        _check_tangent(family, face_direction)
-        _, p_dir = max_eig_data(face_direction)
-        if not p_dir.same_image(p, tol=1e-8):
-            raise PreconditionError(
-                "face projector does not match the direction's maximal projector"
-            )
-        target = make_compressed_family(family, p)
-
-    def evaluate(rho: State):
-        res = project_to_family(rho, target, param_cap=defaults.RI_PARAM_CAP)
-        return res.distance, res.attained, target.parameter_element(res.theta_star)
 
     starts: list[State] = [State(p.element / p.rank)]
     for _ in range(max(0, n_starts - 1)):
@@ -229,33 +214,34 @@ def local_max_search(
             k += r
         starts.append(State(p.embed(blocks)))
 
+    projectors, target = face_chain(starts[0], family)
+
+    def evaluate(rho: State) -> ProjectionResult:
+        return project_to_family(rho, target, param_cap=defaults.RI_PARAM_CAP)
+
     candidates = []
     for idx, rho in enumerate(starts):
-        value, attained, theta = evaluate(rho)
+        res = evaluate(rho)
         stationary = False
         for _ in range(max_steps):
-            if not attained:
+            if not res.attained:
                 break
-            _, grad_face = _face_gradient(rho, theta)
+            _, grad_face = _face_gradient(rho, target.parameter_element(res.theta_star))
             if grad_face.norm() <= 1e-9:
                 stationary = True
                 break
             step = 1.0
             while step > 1e-14:
                 trial = _project_face_state(p, rho.element + step * grad_face)
-                tval, tatt, ttheta = evaluate(trial)
-                if tval > value + 1e-4 * step * grad_face.norm() ** 2:
-                    rho, value, attained, theta = trial, tval, tatt, ttheta
+                tres = evaluate(trial)
+                if tres.distance > res.distance + 1e-4 * step * grad_face.norm() ** 2:
+                    rho, res = trial, tres
                     break
                 step *= 0.5
             else:
                 stationary = True
                 break
-        cert = None
-        if face_direction is None:
-            try:
-                cert = maximizer_certificate(rho, family)
-            except PreconditionError:
-                pass
-        candidates.append(SearchCandidate(idx, rho, value, stationary, attained, cert))
+        cert = _certificate(rho, family, res) if not projectors and res.attained else None
+        candidates.append(
+            SearchCandidate(idx, rho, res.distance, stationary, res.attained, cert))
     return candidates

@@ -146,11 +146,12 @@ class Projector:
     def is_identity(self) -> bool:
         return self.rank == self.algebra.dim
 
-    def same_image(self, other: "Projector", tol: float = defaults.MAX_EIG_GAP) -> bool:
-        """Image equality, robust to basis rotation inside degenerate eigenspaces."""
+    def same_image(self, other: "Projector") -> bool:
+        """Image equality within MAX_EIG_GAP, robust to basis rotation inside
+        degenerate eigenspaces."""
         if self.rank != other.rank:
             return False
-        return (self.element - other.element).norm() <= tol
+        return (self.element - other.element).norm() <= defaults.MAX_EIG_GAP
 
     def contains(self, a: HermitianElement) -> bool:
         """Whether a is supported in pAp, i.e. a = pap within the support cutoff."""

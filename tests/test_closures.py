@@ -504,6 +504,26 @@ class TestInclusionChain:
         assert report.ok, [f for f in report.failures()]
         assert len(_sampled_groups(report)) == len(near) == 51
 
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7", "random"])
+    def test_group_projector_is_its_mid_angle_face(self, name):
+        # the chain solves each sample in its group's family, which holds
+        # only if the group's projector is the maximal projector of the
+        # direction at its mid-angle, the face that direction exposes: equal
+        # ranks and images as Projector.same_image compares them
+        if name == "random":
+            atlases = [geodesic_closure_atlas(random_family(
+                Algebra(dims), 2, np.random.default_rng([seed, *dims])))
+                for dims in ((2, 2), (1, 2, 1), (3,), (2, 1)) for seed in (0, 1)]
+        else:
+            atlases = [_default_atlas(name)]
+        for atlas in atlases:
+            spectra = _polar_sweep(atlas.family).spectra([g.mid_angle for g in atlas.groups])
+            ranks, blocks = spectra.max_projectors()
+            for i, g in enumerate(atlas.groups):
+                dist = np.sqrt(sum(np.linalg.norm(b[i] - gb) ** 2
+                                   for b, gb in zip(blocks, g.blocks)))
+                assert ranks[i] == g.rank and dist <= defaults.MAX_EIG_GAP, g
+
     @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7"])
     def test_at_most_max_groups(self, name):
         # 542 // 24 and 566 // 24 strides sampled 25 of swallow's and cone:0.7's groups

@@ -1,34 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qexpfam import cone, maximizer
+from qexpfam import cone, defaults, maximizer
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (entropy_distance, make_compressed_family, make_family,
                             project_to_family)
-from qexpfam.linalg import diagonal, traceless_part
+from qexpfam.linalg import Algebra, diagonal, identity, traceless_part
 from qexpfam.maximizer import (
     dE_directional_derivative,
     dlnp,
     local_max_search,
     maximizer_certificate,
 )
-from qexpfam.sampling import random_state, random_traceless
+from qexpfam.sampling import random_family, random_state, random_traceless
 from qexpfam.states import (
     Projector,
     State,
-    max_eig_data,
     relative_entropy,
     support_projector,
 )
-
-
-def face_direction(algebra, rng, rho):
-    u = random_traceless(algebra, rng, 0.5)
-    p = support_projector(rho)
-    blocks = [pb @ ub @ pb for pb, ub in zip(p.element.blocks, u.blocks)]
-    from qexpfam.linalg import HermitianElement
-
-    return traceless_part(HermitianElement(algebra, blocks))
 
 
 class TestDirectionalDerivative:
@@ -207,10 +199,7 @@ class TestLocalMaxSearch:
         best_grid = float(np.max(values))
 
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        cands = local_max_search(
-            staffelberg, p, n_starts=5,
-            face_direction=cone.pauli(2) + cone.unit(),
-        )
+        cands = local_max_search(staffelberg, p, n_starts=5)
         best = max(c.value for c in cands)
         assert best == pytest.approx(best_grid, abs=1e-6)
         assert best == pytest.approx(np.log(2.0), abs=1e-6)
@@ -228,15 +217,14 @@ class TestLocalMaxSearch:
         from qexpfam.linalg import gram_schmidt
 
         fam = make_family(algebra, gram_schmidt(gens))
-        from qexpfam.linalg import identity
-
         p = Projector(identity(algebra))
         cands = local_max_search(fam, p, n_starts=3, max_steps=40)
         assert max(c.value for c in cands) <= 1e-8
 
-    def test_face_mode_never_projects_onto_the_full_family(self, staffelberg, monkeypatch):
+    def test_proper_face_never_projects_onto_the_full_family(self, staffelberg, monkeypatch):
         # a state on a proper exposed face never attains its full-family
-        # projection, so face mode solves only in the compressed family
+        # projection, so a search over one solves only in the face chain's
+        # last family, and its candidates get no certificate
         families = []
 
         def spy(rho, family, *args, **kwargs):
@@ -245,10 +233,47 @@ class TestLocalMaxSearch:
 
         monkeypatch.setattr(maximizer, "project_to_family", spy)
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        cands = local_max_search(staffelberg, p, n_starts=3,
-                                 face_direction=cone.pauli(2) + cone.unit())
+        cands = local_max_search(staffelberg, p, n_starts=3)
         assert families and all(f is not staffelberg for f in families)
+        assert all(f.support.same_image(p) for f in families)
         assert all(c.certificate is None for c in cands)
+
+    def test_interior_search_solves_once_per_evaluation(self, rng, monkeypatch):
+        # with an empty face chain each evaluation, a start or a trial step,
+        # is one solve at RI_PARAM_CAP in the family itself, and a certificate
+        # is built from the last of them: equal to a fresh certificate
+        solves, trials = [], []
+        real_trial = maximizer._project_face_state
+
+        def spy_solve(rho, family, *args, **kwargs):
+            solves.append((family, kwargs.get("param_cap")))
+            return project_to_family(rho, family, *args, **kwargs)
+
+        def spy_trial(p, a):
+            trials.append(a)
+            return real_trial(p, a)
+
+        monkeypatch.setattr(maximizer, "project_to_family", spy_solve)
+        monkeypatch.setattr(maximizer, "_project_face_state", spy_trial)
+        for dims in ((2,), (3,), (2, 1), (2, 2), (1, 1, 1)):
+            fam = random_family(Algebra(dims), 2, rng)
+            solves.clear()
+            trials.clear()
+            cands = local_max_search(fam, Projector(identity(fam.algebra)), n_starts=3,
+                                     max_steps=30)
+            assert trials and len(solves) == len(cands) + len(trials)
+            assert all(f is fam and cap == defaults.RI_PARAM_CAP for f, cap in solves)
+            for c in cands:
+                assert c.projection_attained and c.certificate is not None
+                want = maximizer_certificate(c.state, fam)
+                for field in dataclasses.fields(want):
+                    a, b = getattr(c.certificate, field.name), getattr(want, field.name)
+                    if isinstance(a, float):
+                        assert a == b, field.name
+                    else:  # State, Projector or HermitianElement
+                        for x, y in zip(getattr(a, "element", a).blocks,
+                                        getattr(b, "element", b).blocks):
+                            assert np.array_equal(x, y), field.name
 
     def test_face_projector_is_decomposed_once(self, staffelberg, monkeypatch):
         # the image and kernel columns of p come from one eigh per block of p,
@@ -269,24 +294,13 @@ class TestLocalMaxSearch:
         decomposed.clear()
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
         assert make_compressed_family(staffelberg, p).support is p
-        local_max_search(staffelberg, p, n_starts=2, max_steps=5,
-                         face_direction=cone.pauli(2) + cone.unit())
+        local_max_search(staffelberg, p, n_starts=2, max_steps=5)
         assert len(decomposed) == p.algebra.n_blocks
-
-    def test_face_direction_must_be_tangent(self, staffelberg):
-        # z is not tangent to the Staffelberg family, and its maximal
-        # projector is the apex, so only the tangent check rejects it
-        p = Projector(cone.unit())
-        assert max_eig_data(cone.z_element())[1].same_image(p, tol=1e-8)
-        with pytest.raises(PreconditionError, match="tangent space"):
-            local_max_search(staffelberg, p, n_starts=1, face_direction=cone.z_element())
 
     def test_deterministic(self, staffelberg):
         p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        a = local_max_search(staffelberg, p, n_starts=3, seed=7,
-                             face_direction=cone.pauli(2) + cone.unit())
-        b = local_max_search(staffelberg, p, n_starts=3, seed=7,
-                             face_direction=cone.pauli(2) + cone.unit())
+        a = local_max_search(staffelberg, p, n_starts=3, seed=7)
+        b = local_max_search(staffelberg, p, n_starts=3, seed=7)
         for x, y in zip(a, b):
             assert x.value == y.value
             assert (x.state.element - y.state.element).norm() == 0.0
