@@ -40,12 +40,12 @@ import numpy as np
 
 from . import defaults
 from .errors import PreconditionError
-from .family import (  # face_chain and _face_direction are re-exported
+from .family import (  # face_chain and _exposing_direction are re-exported
     ExponentialFamily,
     _chain_projection,
     _check_tangent,
     _combine,
-    _face_direction,
+    _exposing_direction,
     _gibbs,
     _gibbs_spectra,
     entropy_distance,

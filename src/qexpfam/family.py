@@ -365,8 +365,8 @@ def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.nda
     return vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
 
 
-def _face_direction(rho: State, family: ExponentialFamily
-                    ) -> tuple[HermitianElement, Projector] | None:
+def _exposing_direction(rho: State, family: ExponentialFamily
+                        ) -> tuple[HermitianElement, Projector] | None:
     """A tangent direction u exposing a face that contains rho, and the maximal
     projector of u; None when rho lies on no proper face of the mean value set.
 
@@ -406,7 +406,7 @@ def face_chain(
     """The faces that carry rho's entropy distance, and the family left.
 
     Each step compresses the family to the maximal projector of a direction
-    from _face_direction, which keeps rho's distance; the chain ends in the
+    from _exposing_direction, which keeps rho's distance; the chain ends in the
     family where rho lies on no proper face and its projection is attained.
     A face is skipped when a direction of the same family exposes the next
     one too, so each face is the smallest exposed face of the family before
@@ -416,13 +416,13 @@ def face_chain(
     if rho.algebra != family.algebra:
         raise AlgebraMismatchError("state and family in different algebras")
     projectors: list[Projector] = []
-    face = _face_direction(rho, family)
+    face = _exposing_direction(rho, family)
     while face is not None:
         u, p = face
         inner = make_compressed_family(family, p)
-        inner_face = _face_direction(rho, inner)
+        inner_face = _exposing_direction(rho, inner)
         if inner_face is not None:
-            w = _inner_face_direction(family, u, p, inner_face[0])
+            w = _inner_exposing_direction(family, u, p, inner_face[0])
             mu_w, p_w = max_eig_data(w)
             if p_w.rank < p.rank and _on_exposed_face(rho, w, mu_w, p_w):
                 face = w, p_w
@@ -432,8 +432,8 @@ def face_chain(
     return projectors, family
 
 
-def _inner_face_direction(family: ExponentialFamily, u: HermitianElement,
-                          p: Projector, v: HermitianElement) -> HermitianElement:
+def _inner_exposing_direction(family: ExponentialFamily, u: HermitianElement,
+                              p: Projector, v: HermitianElement) -> HermitianElement:
     """u + eps x for the x in the tangent space whose compression c^p(x) is
     v, with eps small enough that the maximal projector of the sum stays
     inside p, the maximal projector of u, where v picks its face."""
@@ -451,7 +451,7 @@ class ProjectionResult:
     """Outcome of projecting a state onto a family.
 
     attained: the solver converged inside the parameter cap and rho lies on
-    no proper exposed face of the mean value set (_face_direction), so the
+    no proper exposed face of the mean value set (_exposing_direction), so the
     minimizer exists.  distance is S(rho, sigma*) when attained, otherwise
     the best (still decreasing) objective value reached; theta_star are
     coordinates in the orthonormal tangent basis.  stop_reason says why the
@@ -676,12 +676,12 @@ def project_to_family(
     Damped Newton on the convex free-energy objective, Hessian assembled from
     the exp Frechet derivative (the BKM covariance, positive definite along
     the run).  attained=True requires the gradient below ``tol`` inside the
-    parameter cap and rho on no proper exposed face (_face_direction, the
+    parameter cap and rho on no proper exposed face (_exposing_direction, the
     face_chain kernel); otherwise the infimum lies on the boundary of the
     family and no minimizer exists.
     """
     return _project_ladder(rho, family, (param_cap,),
-                           lambda: _face_direction(rho, family) is not None, tol=tol)[0]
+                           lambda: _exposing_direction(rho, family) is not None, tol=tol)[0]
 
 
 def _project_ladder(
@@ -763,7 +763,7 @@ def distance_continuation(
     construction, and bound the exact entropy_distance from above.
     """
     results = _project_ladder(rho, family, caps,
-                              lambda: _face_direction(rho, family) is not None)
+                              lambda: _exposing_direction(rho, family) is not None)
     return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 

@@ -31,7 +31,7 @@ from .states import (
 )
 
 
-def _check_face_direction(p: Projector, u: HermitianElement, traceless: bool) -> None:
+def _check_in_face_algebra(p: Projector, u: HermitianElement, traceless: bool) -> None:
     """Reject u outside the face algebra pAp or, if traceless is asked, with a trace."""
     if not p.contains(u):
         raise PreconditionError("direction is not supported in the face algebra pAp")
@@ -52,7 +52,7 @@ def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
     Computed by divided differences of ln on the support spectrum; equals the
     resolvent integral of (rho + s p)^-1 u (rho + s p)^-1 over s > 0.
     """
-    _check_face_direction(support_projector(rho), u, traceless=False)
+    _check_in_face_algebra(support_projector(rho), u, traceless=False)
     pairs = zip(_support_pairs(rho), u.blocks)
     return HermitianElement(rho.algebra, [frechet_block(w, V, ub, "log") for (w, V), ub in pairs])
 
@@ -92,7 +92,7 @@ class MaximizerCertificate:
         """The directional derivative <u, ln^p(rho) - theta> of the distance
         along a traceless u in pAp (dE_directional_derivative); without an
         attained projection, the same expression at the solver's last iterate."""
-        _check_face_direction(self.support, u, traceless=True)
+        _check_in_face_algebra(self.support, u, traceless=True)
         return hs_inner(u, log_on_support(self.state) - self.theta)
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from qexpfam import closures, cone, defaults
 from qexpfam.closures import (
-    _face_direction,
+    _exposing_direction,
     _polar_sweep,
     egeodesic_limit,
     face_chain,
@@ -807,7 +807,7 @@ class TestSweepKernelParity:
                 _, p = max_eig_data(_object_path_direction(fam, a))
                 states.append(State(p.element / p.rank))
         for k, rho in enumerate(states):
-            face = _face_direction(rho, fam)
+            face = _exposing_direction(rho, fam)
             assert (face is None) == (k in _NO_FACE.get(name, ())), k
             if face is not None:
                 u, _ = face

@@ -193,14 +193,14 @@ class TestFinderAskedOnce:
     def asked(self, monkeypatch):
         """The (rho, family) pairs put to the face finder, by identity."""
         pairs = []
-        real = family._face_direction
+        real = family._exposing_direction
 
         def counting(rho, fam):
             pairs.append((rho, fam))
             return real(rho, fam)
 
         for module in (family, closures):
-            monkeypatch.setattr(module, "_face_direction", counting)
+            monkeypatch.setattr(module, "_exposing_direction", counting)
         return pairs
 
     @staticmethod

@@ -5,7 +5,7 @@ import pytest
 
 from qexpfam import cone, family
 from qexpfam.family import (
-    _face_direction,
+    _exposing_direction,
     _project_ladder,
     distance_continuation,
     make_family,
@@ -84,7 +84,7 @@ def test_continuation_equals_independent_solves(label, fam, rho):
 
 @pytest.mark.parametrize("label, fam, rho", CASES, ids=[c[0] for c in CASES])
 def test_ladder_results_equal_project_to_family(label, fam, rho):
-    results = _project_ladder(rho, fam, CAPS, lambda: _face_direction(rho, fam) is not None)
+    results = _project_ladder(rho, fam, CAPS, lambda: _exposing_direction(rho, fam) is not None)
     for cap, res in zip(CAPS, results):
         want = project_to_family(rho, fam, param_cap=cap)
         assert _fingerprint(res) == _fingerprint(want), cap
