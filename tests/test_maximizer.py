@@ -277,7 +277,8 @@ class TestLocalMaxSearch:
 
     def test_face_projector_is_decomposed_once(self, staffelberg, monkeypatch):
         # the image and kernel columns of p come from one eigh per block of p,
-        # kept by p and shared by the compressed family and the face search
+        # kept by p and shared by its compressed family; the face search, whose
+        # family comes from the face chain, decomposes p once too
         decomposed, real_eigh = [], np.linalg.eigh
 
         def spy(a, *args, **kwargs):
