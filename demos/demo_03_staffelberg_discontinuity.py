@@ -21,7 +21,7 @@ from qexpfam.linalg import hs_inner, traceless_part
 
 family = cone.staffelberg_family()
 rho0 = cone.base_circle_state(0.0)
-v2 = traceless_part(cone.pauli(2) + cone.unit())
+v2 = traceless_part(cone.PAULI[1] + cone.APEX)
 
 print("exact distance at rho(0), via the compressed family on its face:")
 exact = reduce_distance_to_face(rho0, family, v2)
@@ -49,7 +49,7 @@ for lam in (0.25, 0.5, 0.75):
     print(f"  lam = {lam}:  |sigma - tau| = "
           f"{(sigma.element - tau.element).norm():.2e}")
 
-m = 0.5 * (cone.midpoint_state().element + cone.unit())
+m = 0.5 * (cone.midpoint_state().element + cone.APEX)
 print("\nthe upper half ]c, apex] is excluded by a half-space certificate:")
 print("  <midpoint, v3> =", hs_inner(m, cone.staffelberg_v3()),
       "> 0, while every family member has <sigma, v3> <= 0")

@@ -61,4 +61,4 @@ worst = max(
 )
 print("  max |beta(rho(a), rho(a))| over the circle:", worst)
 print("  beta(rho(0), apex) =",
-      cone.swallow_bilinear(rho0.element, cone.apex_state().element))
+      cone.swallow_bilinear(rho0.element, cone.APEX_STATE.element))

@@ -54,7 +54,7 @@ print("\nsearch for maximizers on the face [rho(0), apex] of the Staffelberg")
 print("family (the distance there is S(. , c), maximal at the endpoints);")
 print("the search solves in the family that the face chain of the face's")
 print("center reaches, so no direction is passed:")
-p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
 candidates = local_max_search(family, p, n_starts=5)
 for c in candidates:
     print(f"  start {c.start_index}: value {c.value:.9f}  "

@@ -49,6 +49,7 @@ from .family import (
     distance_continuation,
     entropy_distance,
     exp1,
+    face_chain,
     free_energy,
     ln0,
     make_compressed_family,
@@ -67,7 +68,6 @@ from .closures import (
     AtlasGroup,
     ClosureAtlas,
     egeodesic_limit,
-    face_chain,
     geodesic_closure_atlas,
     inclusion_chain_check,
     rI_membership,

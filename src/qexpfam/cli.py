@@ -147,7 +147,7 @@ def _maximizer_report(cfg: RunConfig) -> Report:
         rows,
     )
     if cfg.algebra.block_dims == (2, 1):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         cands = local_max_search(cone.staffelberg_family(), p, seed=cfg.seed)
         certificates_csv(os.path.join(cfg.out_dir, "certificates.csv"), cands)
         best = max(c.value for c in cands)

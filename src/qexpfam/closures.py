@@ -24,11 +24,11 @@ and family.entropy_distance solves in the family it ends in.
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
 closure on sampled atlas groups.  Each sample is a member of its group's
 compressed family, the family of the face that the group's directions
-expose, so its distance is solved in that family, where the face chain
-would lead.  The directions and top gaps come from one sweep; each norm leg
-evaluates the group's e-geodesic once, at the t its gap sets
-(defaults.CHAIN_GAP_T), every sample in one stacked Gibbs evaluation per
-algebra block.
+expose, so its distance is entropy_distance in that family, where the face
+chain of the full family would lead.  The directions and top gaps come from
+one sweep; each norm leg evaluates the group's e-geodesic once, at the t its
+gap sets (defaults.CHAIN_GAP_T), every sample in one stacked Gibbs
+evaluation per algebra block.
 """
 
 from __future__ import annotations
@@ -40,16 +40,14 @@ import numpy as np
 
 from . import defaults
 from .errors import PreconditionError
-from .family import (  # face_chain and _exposing_direction are re-exported
+from .family import (
     ExponentialFamily,
     _chain_projection,
     _check_tangent,
     _combine,
-    _exposing_direction,
     _gibbs,
     _gibbs_spectra,
     entropy_distance,
-    face_chain,
     free_energy,
     make_compressed_family,
     mean_value_projection,
@@ -266,6 +264,8 @@ def reduce_distance_to_face(
     """Entropy distance of a state on the exposed face of v, computed inside
     the compressed family of the maximal projector of v.
 
+    For callers that already hold a face direction: entropy_distance finds
+    the face from rho alone and is the path the package's reports read.
     Requires v (up to its trace part) in the tangent space and rho in the
     exposed face.  The first step of face_chain, with the direction given
     instead of found; the chain then continues inside the face's family and
@@ -356,7 +356,7 @@ def inclusion_chain_check(
         for (tag, _), (_, s) in zip(thetas, samples):
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
-            rows.append((where, _chain_projection(s, g.family, defaults.RI_PARAM_CAP).distance))
+            rows.append((where, entropy_distance(s, g.family)[0]))
         legs.append((g, u, gaps[i], samples))
     for (where, d), norm in zip(rows, _norm_leg(family, legs)):
         report.add("geo_subset_rI", where, d, defaults.RI_EPS)

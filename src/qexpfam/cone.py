@@ -7,9 +7,10 @@ z = -id2/2 + 1, whose closure is the cone C over the base disk K with apex
 mean value set: a triangle at 0, an ellipse with a corner and two non-exposed
 tangent points below pi/3, an ellipse from pi/3 on.
 
-The model's constants (the Pauli elements, the apex, z, the tracial third,
-the orthonormal slice frame and the cone's heights) are built once, at
-import; elements and states are immutable, so the accessors return them.
+The model's constants (the Pauli elements PAULI, the apex APEX and its state
+APEX_STATE, z as Z, the tracial third, the orthonormal slice frame and the
+cone's heights) are built once, at import, and read by name: elements and
+states are immutable.
 
 The dividing angle pi/3 belongs to the Staffelberg family, whose entropy
 distance is discontinuous at the base-circle state rho(0); the swallow family
@@ -23,8 +24,7 @@ import enum
 import numpy as np
 
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
-from .closures import (ClosureAtlas, geodesic_closure_atlas, reduce_distance_to_face,
-                       rI_membership)
+from .closures import ClosureAtlas, geodesic_closure_atlas, rI_membership
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
@@ -35,7 +35,6 @@ from .family import (
     entropy_distance,
     make_family,
     mean_value_projection,
-    project_to_family,
 )
 from .findings import Report
 from .linalg import (
@@ -70,25 +69,6 @@ APEX_STATE = State(APEX)
 # the orthonormal slice frame (s1_hat, s2_hat, z_hat) of U
 FRAME = tuple(d / d.norm() for d in (PAULI[0], PAULI[1], Z))
 BASE_RADIUS = 1.0 / np.sqrt(2.0)
-
-
-def pauli(i: int) -> HermitianElement:
-    """sigma_i + 0, the Pauli matrices embedded in the first block."""
-    return PAULI[i - 1]
-
-
-def unit() -> HermitianElement:
-    """0_2 + 1, the apex direction."""
-    return APEX
-
-
-def apex_state() -> State:
-    return APEX_STATE
-
-
-def z_element() -> HermitianElement:
-    """z = -id2/2 + 1, the traceless axis direction of the cone."""
-    return Z
 
 
 def _base_circle_columns(alphas) -> np.ndarray:
@@ -227,13 +207,12 @@ def angle_of_plane(family: ExponentialFamily) -> float:
     """
     if family.dim != 2:
         raise PreconditionError("angle is defined for 2D planes")
-    z = z_element()
     for v in family.basis:
         resid = v - project_to_slice(v)
         if resid.norm() > 1e-9:
             raise PreconditionError("plane is not contained in the slice U")
-    proj = np.hypot(*(hs_inner(z, v) for v in family.basis))
-    return float(np.arccos(np.clip(proj / z.norm(), -1.0, 1.0)))
+    proj = np.hypot(*(hs_inner(Z, v) for v in family.basis))
+    return float(np.arccos(np.clip(proj / Z.norm(), -1.0, 1.0)))
 
 
 class MeanValueShape(enum.Enum):
@@ -266,17 +245,17 @@ def classify_by_angle(phi: float) -> MeanValueShape:
 
 def staffelberg_family() -> ExponentialFamily:
     """The linear family generated by s1 + 0 and s2 + 1 (angle pi/3)."""
-    return make_family(ALGEBRA, [pauli(1), pauli(2) + unit()])
+    return make_family(ALGEBRA, [PAULI[0], PAULI[1] + APEX])
 
 
 def swallow_family() -> ExponentialFamily:
     """The linear family generated by s1 + 1 and s2 + 1 (angle arccos sqrt(2/5))."""
-    return make_family(ALGEBRA, [pauli(1) + unit(), pauli(2) + unit()])
+    return make_family(ALGEBRA, [PAULI[0] + APEX, PAULI[1] + APEX])
 
 
 def staffelberg_direction(alpha: float) -> HermitianElement:
     """u(alpha) = sin(a)(s1 + 0) + cos(a)(s2 + 1); maximal eigenvalue 1."""
-    return float(np.sin(alpha)) * pauli(1) + float(np.cos(alpha)) * (pauli(2) + unit())
+    return float(np.sin(alpha)) * PAULI[0] + float(np.cos(alpha)) * (PAULI[1] + APEX)
 
 
 def staffelberg_sigma(alpha: float, t: float) -> State:
@@ -297,13 +276,13 @@ def staffelberg_sigma(alpha: float, t: float) -> State:
     b = np.sin(alpha) * SIGMA1 + ca * SIGMA2
     block1 = (np.eye(2) * ch + b * sh) / T
     return State(
-        embed_block(ALGEBRA, 0, block1) + (e3 / T) * unit()
+        embed_block(ALGEBRA, 0, block1) + (e3 / T) * APEX
     )
 
 
 def staffelberg_v3() -> HermitianElement:
     """v3 = -rho(0) + 1, the normal completing the tangent basis inside U."""
-    return -1.0 * base_circle_state(0.0).element + unit()
+    return -1.0 * base_circle_state(0.0).element + APEX
 
 
 def staffelberg_z_certificate(alpha, t):
@@ -337,9 +316,7 @@ def staffelberg_tau_path(lam: float, t: float) -> tuple[State, State]:
 
 def swallow_direction(alpha: float) -> HermitianElement:
     """u(alpha) = sin(a)(s1 + 1) + cos(a)(s2 + 1) for the swallow family."""
-    return float(np.sin(alpha)) * (pauli(1) + unit()) + float(np.cos(alpha)) * (
-        pauli(2) + unit()
-    )
+    return float(np.sin(alpha)) * (PAULI[0] + APEX) + float(np.cos(alpha)) * (PAULI[1] + APEX)
 
 
 BILINEAR_FLAT = _flat((PAULI[0] + APEX - THIRD, PAULI[1] + APEX - THIRD))
@@ -469,7 +446,7 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
     report = Report(name="staffelberg")
     c = midpoint_state()
     rho0 = base_circle_state(0.0)
-    p2c = Projector(rho0.element + unit())
+    p2c = Projector(rho0.element + APEX)
 
     # (a) closure atlas: punctured base circle plus the singleton {c}
     atlas = atlas or geodesic_closure_atlas(fam)
@@ -504,18 +481,17 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
                worst, 1e-9)
 
     # (b) distance on the generating line equals S(. , c)
-    v2 = PAULI[1] + APEX - THIRD
     worst = 0.0
     for s in np.linspace(0.05, 0.95, 7):
-        rho = State((1.0 - s) * rho0.element + s * unit())
-        via_face = reduce_distance_to_face(rho, fam, v2)
+        rho = State((1.0 - s) * rho0.element + s * APEX)
+        via_face, _ = entropy_distance(rho, fam)
         direct = relative_entropy(rho, c)
         worst = max(worst, abs(via_face - direct))
     report.add("segment_distance_formula", "d(rho) = S(rho, c) on [rho(0), apex]",
                worst, 1e-9)
 
     # (c) the discontinuity at rho(0)
-    exact = reduce_distance_to_face(rho0, fam, v2)
+    exact, _ = entropy_distance(rho0, fam)
     report.add("distance_rho0_exact", "reduced distance at rho(0) is ln 2",
                abs(exact - np.log(2.0)), 1e-9)
     ladder = distance_continuation(rho0, fam, caps=(10.0, 20.0, 40.0, 80.0))
@@ -556,8 +532,8 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
                "<sigma, v3> = z/T stays nonpositive", (zval / scale).max(), 1e-12)
     report.add("halfspace_derivative", "dz/dt / T stays nonpositive", (dz / scale).max(), 1e-12)
 
-    m = State(0.5 * (c.element + unit()))
-    d_m = reduce_distance_to_face(m, fam, v2)
+    m = State(0.5 * (c.element + APEX))
+    d_m, _ = entropy_distance(m, fam)
     s_m = relative_entropy(m, c)
     report.add("upper_segment_distance", "midpoint of ]c, apex] matches S(. , c)",
                abs(d_m - s_m), 1e-9)
@@ -583,7 +559,6 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     report = Report(name="swallow")
     rho0 = base_circle_state(0.0)
     rho90 = base_circle_state(np.pi / 2.0)
-    apex = apex_state()
 
     # (a) atlas structure
     atlas = atlas or geodesic_closure_atlas(fam)
@@ -596,7 +571,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         best = min(targets, key=lambda t: abs(angle - t))
         report.add("atlas_spike_angle", f"crossing near alpha = {best:.6f}",
                    abs(angle - best), 1e-8)
-        expected_p = Projector(targets[best].element + unit())
+        expected_p = Projector(targets[best].element + APEX)
         report.add("atlas_spike_projector", "projector is rho + apex",
                    (g.projector.element - expected_p.element).norm(), 1e-8)
         report.add("atlas_spike_segment", "compressed family is one-dimensional",
@@ -607,7 +582,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         )
         report.add("atlas_spike_segment_end", "the segment family approaches rho",
                    end_dist, 1e-4)
-        mid = State(0.5 * (targets[best].element + unit()))
+        mid = State(0.5 * (targets[best].element + APEX))
         report.add("atlas_spike_segment_mid", "exp1^p(0) is the segment midpoint",
                    (g.representative.element - mid.element).norm(), 1e-9)
 
@@ -620,7 +595,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     if const:
         g = const[0]
         report.add("atlas_apex_member", "its single state is the apex",
-                   (g.representative.element - apex.element).norm(), 1e-9)
+                   (g.representative.element - APEX_STATE.element).norm(), 1e-9)
         inside = 0.0 < g.alpha_lo < g.alpha_hi < np.pi / 2.0
         report.add("atlas_apex_interval", "covering the open quarter arc",
                    0.0 if inside else 1.0, 0.0, ok=inside)
@@ -637,20 +612,19 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     report.add("atlas_circle_members", "they are base circle states", worst, 1e-9)
 
     # (b) rho(0), rho(pi/2) are missed by the geodesic closure but have
-    # distance zero through the two-stage reduction, which
-    # reduce_distance_to_face computes exactly: its face chain continues
-    # inside the family of the face of u
+    # distance zero through the two-stage reduction, which entropy_distance
+    # computes exactly: its face chain takes two steps, to the face rho + apex
+    # and then to rho, and the segment family's own chain ends at rho too
     for name, rho, alpha in (("rho(0)", rho0, 0.0), ("rho(pi/2)", rho90, np.pi / 2.0)):
-        u = swallow_direction(alpha)
-        d = reduce_distance_to_face(rho, fam, u)
+        d, _ = entropy_distance(rho, fam)
         report.add("rI_membership", f"{name} has entropy distance zero", d, 1e-9)
         member = rI_membership(rho, fam)
         report.add("rI_flag", f"rI membership of {name}", 0.0 if member else 1.0, 0.0,
                    ok=member)
         spike = min(spikes, key=lambda g: abs(g.alpha_lo % (2 * np.pi) - alpha))
-        res = project_to_family(rho, spike.family, param_cap=60.0)
+        _, attained = entropy_distance(rho, spike.family)
         report.add("geo_misses", f"{name} is not attained inside the segment family",
-                   1.0 if res.attained else 0.0, 0.0, ok=not res.attained)
+                   1.0 if attained else 0.0, 0.0, ok=not attained)
 
     ladder = distance_continuation(rho0, fam, caps=(25.0, 50.0, 100.0, 200.0))
     monotone = all(b[1] <= a[1] + 1e-9 for a, b in zip(ladder, ladder[1:]))
@@ -662,9 +636,9 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
     report.add("bilinear_circle", "beta vanishes on the base circle",
                np.abs(swallow_beta(circle, circle)).max(), 1e-12)
     report.add("bilinear_tangent_rho0", "beta pairs the apex with rho(0)",
-               abs(swallow_bilinear(rho0.element, apex.element)), 1e-12)
+               abs(swallow_bilinear(rho0.element, APEX_STATE.element)), 1e-12)
     report.add("bilinear_tangent_rho90", "beta pairs the apex with rho(pi/2)",
-               abs(swallow_bilinear(rho90.element, apex.element)), 1e-12)
+               abs(swallow_bilinear(rho90.element, APEX_STATE.element)), 1e-12)
     center = swallow_bilinear(tracial_state(ALGEBRA).element, tracial_state(ALGEBRA).element)
     report.add("bilinear_center", "the tracial state is interior (beta < 0)",
                center, 0.0, ok=center < 0.0)

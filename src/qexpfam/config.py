@@ -206,7 +206,7 @@ def parse_state(cfg: RunConfig, spec: str):
                 raise ValueError(f"angle {alpha} is not finite")
             return cone.base_circle_state(alpha)
         if kind == "apex":
-            return cone.apex_state()
+            return cone.APEX_STATE
         if kind == "c":
             return cone.midpoint_state()
         if kind == "tau":

@@ -27,9 +27,9 @@ PROJECTOR_TOL = 1e-12
 
 # Spectral gap below which eigenvalues merge into one maximal projector: the only merge
 # test is linalg.top_eigenspace.  Other readers: the rank cuts of make_compressed_family
-# and _scalar_directions, projector equality in the atlas merge and in Projector.same_image
-# (which has no tolerance of its own), _steepest_margin's margin stop and
-# locate_crossings' third-branch test.
+# and _scalar_directions, _check_tangent's residual cut, projector equality in the atlas
+# merge and in Projector.same_image (which has no tolerance of its own), _steepest_margin's
+# margin stop and locate_crossings' third-branch test.
 MAX_EIG_GAP = 1e-9
 
 # Exposed-face membership: |<rho,u> - mu_+(u)| tolerance.

@@ -250,7 +250,8 @@ def make_compressed_family(
 def _check_tangent(family: ExponentialFamily, v: HermitianElement) -> None:
     """Reject v unless its traceless part is a non-zero tangent direction."""
     vt = traceless_part(v)
-    if vt.norm() == 0.0 or project_out(vt, family.basis).norm() > 1e-9 * max(1.0, vt.norm()):
+    if vt.norm() == 0.0 or (project_out(vt, family.basis).norm()
+                            > defaults.MAX_EIG_GAP * max(1.0, vt.norm())):
         raise PreconditionError("direction is not in the tangent space")
 
 
@@ -741,8 +742,7 @@ def entropy_distance(
 def _chain_projection(rho: State, family: ExponentialFamily, param_cap: float,
                       tol: float = defaults.SOLVER_TOL) -> ProjectionResult:
     """The solve at ``param_cap`` in the family that face_chain ends in, as
-    entropy_distance, closures.reduce_distance_to_face and
-    closures.inclusion_chain_check run it."""
+    entropy_distance and closures.reduce_distance_to_face run it."""
     projectors, last = face_chain(rho, family)
     return _project_ladder(rho, last, (param_cap,), lambda: bool(projectors), tol=tol)[0]
 

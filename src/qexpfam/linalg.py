@@ -10,6 +10,7 @@ immutable values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -201,16 +202,23 @@ def traceless_part(a: HermitianElement) -> HermitianElement:
 # Used for Gram-Schmidt, subspace projectors and randomized sampling.
 
 
+@cache
+def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the (i, j) with i < j in row order, built once
+    per n and read-only, since every caller shares them."""
+    upper = np.triu_indices(n, 1)
+    for index in upper:
+        index.setflags(write=False)
+    return upper
+
+
 def coords(a: HermitianElement) -> np.ndarray:
     out = []
     for b in a.blocks:
-        n = b.shape[0]
-        out.extend(b[i, i].real for i in range(n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                out.append(np.sqrt(2.0) * b[i, j].real)
-                out.append(-np.sqrt(2.0) * b[i, j].imag)
-    return np.asarray(out, dtype=float)
+        u = b[_upper(b.shape[0])]
+        out += [np.diagonal(b).real,
+                np.stack([np.sqrt(2.0) * u.real, -np.sqrt(2.0) * u.imag], axis=1).ravel()]
+    return np.concatenate(out)
 
 
 def from_coords(algebra: Algebra, v: np.ndarray) -> HermitianElement:
@@ -219,17 +227,14 @@ def from_coords(algebra: Algebra, v: np.ndarray) -> HermitianElement:
         raise AlgebraMismatchError(f"expected {algebra.real_dim} coordinates")
     blocks, k = [], 0
     for n in algebra.block_dims:
+        i, j = _upper(n)
+        re, im = v[k + n:k + n * n:2], v[k + n + 1:k + n * n:2]
         b = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            b[i, i] = v[k]
-            k += 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                re, im = v[k], v[k + 1]
-                k += 2
-                b[i, j] = (re - 1j * im) / np.sqrt(2.0)
-                b[j, i] = (re + 1j * im) / np.sqrt(2.0)
+        b[np.diag_indices(n)] = v[k:k + n]
+        b[i, j] = (re - 1j * im) / np.sqrt(2.0)
+        b[j, i] = (re + 1j * im) / np.sqrt(2.0)
         blocks.append(b)
+        k += n * n
     return HermitianElement(algebra, blocks)
 
 

@@ -49,7 +49,7 @@ def test_criterion_01_staffelberg_discontinuity():
     start = time.monotonic()
     fam = cone.staffelberg_family()
     rho0 = cone.base_circle_state(0.0)
-    v2 = traceless_part(cone.pauli(2) + cone.unit())
+    v2 = traceless_part(cone.PAULI[1] + cone.APEX)
 
     exact = reduce_distance_to_face(rho0, fam, v2)
     ok_exact = abs(exact - np.log(2.0)) <= 1e-9
@@ -164,9 +164,9 @@ def test_criterion_05_swallow_closure_structure():
     )
     beta_worst = max(
         beta_worst,
-        abs(cone.swallow_bilinear(cone.base_circle_state(0.0).element, cone.unit())),
+        abs(cone.swallow_bilinear(cone.base_circle_state(0.0).element, cone.APEX)),
         abs(cone.swallow_bilinear(
-            cone.base_circle_state(np.pi / 2.0).element, cone.unit()
+            cone.base_circle_state(np.pi / 2.0).element, cone.APEX
         )),
     )
     ok = ok_spikes and interval_ranks_ok and ok_ri and beta_worst <= 1e-12

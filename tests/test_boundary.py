@@ -27,7 +27,7 @@ def abelian_family(abelian3):
 
 class TestSweepBasics:
     def test_requires_2d(self, algebra):
-        fam = make_family(algebra, [cone.pauli(1)])
+        fam = make_family(algebra, [cone.PAULI[0]])
         with pytest.raises(PreconditionError):
             mean_value_boundary_sweep(fam)
 
@@ -196,7 +196,7 @@ def test_curvature_radius_matches_finite_differences(family):
 
 def test_apex_radius_is_exactly_zero():
     boundary = mean_value_boundary_sweep(cone.plane_for_angle(0.03))
-    apex = np.array([hs_inner(cone.apex_state().element, v)
+    apex = np.array([hs_inner(cone.APEX_STATE.element, v)
                      for v in boundary.family.basis])
     ends = [(np.array(e), r) for f in boundary.segments()
             for e, r in zip(f.endpoints, f.radii)]

@@ -11,10 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from qexpfam import closures, cone, defaults
 from qexpfam.closures import (
-    _exposing_direction,
     _polar_sweep,
     egeodesic_limit,
-    face_chain,
     geodesic_closure_atlas,
     inclusion_chain_check,
     rI_membership,
@@ -24,8 +22,10 @@ from qexpfam.closures import (
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (
     ExponentialFamily,
+    _exposing_direction,
     entropy_distance,
     exp1,
+    face_chain,
     free_energy,
     make_compressed_family,
     make_family,
@@ -62,7 +62,7 @@ class TestEgeodesicLimit:
     def test_sigma3_direction(self, algebra):
         from qexpfam.linalg import zero
 
-        limit, asym = egeodesic_limit(zero(algebra), cone.pauli(3))
+        limit, asym = egeodesic_limit(zero(algebra), cone.PAULI[2])
         want = np.zeros((2, 2))
         want[0, 0] = 1.0
         assert np.linalg.norm(limit.element.blocks[0] - want) < 1e-14
@@ -96,7 +96,7 @@ class TestEgeodesicLimit:
     def test_coupled_pairs_converge_slowly(self, algebra, rng):
         # with top-block coupling the approach is only O(1/lambda): still a
         # limit, but visible only at large parameters
-        theta = 0.5 * cone.pauli(1)
+        theta = 0.5 * cone.PAULI[0]
         u = cone.staffelberg_direction(0.7)
         limit, _ = egeodesic_limit(theta, u)
         errs = [
@@ -118,13 +118,13 @@ class TestCompressedFamily:
         assert res.distance <= 1e-10
 
     def test_staffelberg_collapses_to_c(self, staffelberg):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         fam = make_compressed_family(staffelberg, p)
         assert fam.dim == 0
         assert (fam.member([]).element - cone.midpoint_state().element).norm() < 1e-12
 
     def test_swallow_gives_open_segment(self, swallow):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         fam = make_compressed_family(swallow, p)
         assert fam.dim == 1
         # members are mixtures of rho(0) and the apex, never the endpoints
@@ -132,7 +132,7 @@ class TestCompressedFamily:
             member = fam.member([t])
             w = np.array([
                 hs_inner(member.element, cone.base_circle_state(0.0).element),
-                hs_inner(member.element, cone.unit()),
+                hs_inner(member.element, cone.APEX),
             ])
             assert w.min() > 0.0
             assert w.sum() == pytest.approx(1.0, abs=1e-10)
@@ -173,7 +173,7 @@ class TestAtlas:
         assert len(apex_groups) == 1
         g = apex_groups[0]
         assert 0.0 < g.alpha_lo and g.alpha_hi < np.pi / 2.0
-        assert (g.representative.element - cone.apex_state().element).norm() < 1e-10
+        assert (g.representative.element - cone.APEX_STATE.element).norm() < 1e-10
 
     def test_abelian_simplex_brute_force(self, abelian3):
         # oracle: the maximal projector of a diagonal direction is the
@@ -312,17 +312,17 @@ def _random_face_case():
 
 class TestReduceDistance:
     def test_segment_states_match_relative_entropy(self, staffelberg):
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
         c = cone.midpoint_state()
         for s in (0.1, 0.5, 0.9):
             rho = State(
-                (1.0 - s) * cone.base_circle_state(0.0).element + s * cone.unit()
+                (1.0 - s) * cone.base_circle_state(0.0).element + s * cone.APEX
             )
             got = reduce_distance_to_face(rho, staffelberg, v2)
             assert got == pytest.approx(relative_entropy(rho, c), abs=1e-10)
 
     def test_family_member_of_compressed(self, swallow):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         fam_p = make_compressed_family(swallow, p)
         rho = fam_p.member([0.8])
         u = cone.swallow_direction(0.0)
@@ -340,10 +340,10 @@ class TestReduceDistance:
     def test_equals_the_face_family_solve_off_its_faces(self, staffelberg):
         # on no proper face of the face's family the chain stops there, and
         # the value is that family's own solve, bit for bit
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
         rho0 = cone.base_circle_state(0.0)
-        upper = State(0.5 * (cone.midpoint_state().element + cone.unit()))
-        cases = [(State((1.0 - s) * rho0.element + s * cone.unit()), staffelberg, v2)
+        upper = State(0.5 * (cone.midpoint_state().element + cone.APEX))
+        cases = [(State((1.0 - s) * rho0.element + s * cone.APEX), staffelberg, v2)
                  for s in np.linspace(0.05, 0.95, 7)]
         cases += [(rho0, staffelberg, v2), (upper, staffelberg, v2), _random_face_case()]
         for rho, fam, v in cases:
@@ -352,22 +352,22 @@ class TestReduceDistance:
             assert reduce_distance_to_face(rho, fam, v) == direct.distance
 
     def test_agrees_with_direct_where_direct_converges(self, staffelberg):
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
-        rho = State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.unit())
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
+        rho = State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.APEX)
         reduced = reduce_distance_to_face(rho, staffelberg, v2)
         direct = project_to_family(rho, staffelberg, param_cap=200.0)
         assert not direct.attained
         assert abs(direct.distance - reduced) <= 1e-6
 
     def test_membership_precondition(self, staffelberg):
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
         with pytest.raises(PreconditionError):
             reduce_distance_to_face(tracial_state(cone.ALGEBRA), staffelberg, v2)
 
     def test_direction_outside_tangent_rejected(self, staffelberg):
         with pytest.raises(PreconditionError):
             reduce_distance_to_face(
-                cone.base_circle_state(0.0), staffelberg, cone.pauli(3)
+                cone.base_circle_state(0.0), staffelberg, cone.PAULI[2]
             )
 
 
@@ -388,8 +388,8 @@ class TestRIMembership:
 
 def _superfamily():
     """{s1 + 1, s2 + 1, s3}: a 3D family containing the swallow family."""
-    return make_family(cone.ALGEBRA, [cone.pauli(1) + cone.unit(),
-                                      cone.pauli(2) + cone.unit(), cone.pauli(3)])
+    return make_family(cone.ALGEBRA, [cone.PAULI[0] + cone.APEX,
+                                      cone.PAULI[1] + cone.APEX, cone.PAULI[2]])
 
 
 class TestFaceChain:
@@ -400,7 +400,7 @@ class TestFaceChain:
         rho = cone.base_circle_state(alpha)
         projectors, last = face_chain(rho, make())
         assert [p.rank for p in projectors] == [2, 1]
-        face = rho.element + cone.unit()
+        face = rho.element + cone.APEX
         assert (projectors[0].element - face).norm() <= defaults.MAX_EIG_GAP
         assert last.dim == 0
         assert rI_membership(rho, make())
@@ -417,10 +417,10 @@ class TestFaceChain:
         # one direction, at which the mean value set's boundary is smooth;
         # the family left is the single state c, at distance ln 2 from both
         c, s = float(np.cos(turn)), float(np.sin(turn))
-        g1, g2 = cone.pauli(1), cone.pauli(2) + cone.unit()
+        g1, g2 = cone.PAULI[0], cone.PAULI[1] + cone.APEX
         fam = make_family(cone.ALGEBRA, [c * g1 + s * g2, c * g2 - s * g1])
-        face = cone.base_circle_state(0.0).element + cone.unit()
-        for rho in (cone.base_circle_state(0.0), cone.apex_state()):
+        face = cone.base_circle_state(0.0).element + cone.APEX
+        for rho in (cone.base_circle_state(0.0), cone.APEX_STATE):
             projectors, last = face_chain(rho, fam)
             assert [p.rank for p in projectors] == [2]
             assert (projectors[0].element - face).norm() <= defaults.MAX_EIG_GAP

@@ -5,19 +5,20 @@ from helpers import (reference_base_circle_state, reference_cone_identity_residu
 
 from qexpfam import cone, sampling, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
+from qexpfam.closures import geodesic_closure_atlas, reduce_distance_to_face
 from qexpfam.errors import PreconditionError
-from qexpfam.family import exp1, make_family, mean_value_projection
+from qexpfam.family import entropy_distance, exp1, make_family, mean_value_projection
 from qexpfam.linalg import Algebra, HermitianElement, coords, hs_inner, identity
-from qexpfam.states import max_eig_data
+from qexpfam.states import State, max_eig_data
 
 
 class TestConeConstants:
     def test_z_norm_squared(self):
-        assert cone.z_element().norm() ** 2 == pytest.approx(1.5, abs=1e-14)
+        assert cone.Z.norm() ** 2 == pytest.approx(1.5, abs=1e-14)
 
     def test_z_orthogonal_to_base_plane(self):
         for i in (1, 2):
-            assert hs_inner(cone.z_element(), cone.pauli(i)) == pytest.approx(0.0, abs=1e-14)
+            assert hs_inner(cone.Z, cone.PAULI[i - 1]) == pytest.approx(0.0, abs=1e-14)
 
     def test_v3_orthogonal_to_staffelberg_tangent(self, staffelberg):
         v3 = cone.staffelberg_v3()
@@ -28,7 +29,7 @@ class TestConeConstants:
         v3 = cone.staffelberg_v3()
         assert hs_inner(cone.base_circle_state(0.0).element, v3) == pytest.approx(-1.0, abs=1e-14)
         assert hs_inner(cone.midpoint_state().element, v3) == pytest.approx(0.0, abs=1e-14)
-        assert hs_inner(cone.unit(), v3) == pytest.approx(1.0, abs=1e-14)
+        assert hs_inner(cone.APEX, v3) == pytest.approx(1.0, abs=1e-14)
 
     def test_tracial_on_axis(self):
         third = identity(cone.ALGEBRA) / 3.0
@@ -52,7 +53,6 @@ class TestConeConstants:
         assert built == []
 
     def test_constants_built_once(self, monkeypatch):
-        assert cone.pauli(1) is cone.pauli(1)
         calls = []
         real = cone.embed_block
 
@@ -124,7 +124,7 @@ class TestPlanesAndAngles:
 
     def test_phi_zero_contains_z(self):
         plane = cone.plane_for_angle(0.0)
-        z = cone.z_element()
+        z = cone.Z
         proj = sum(hs_inner(z, v) ** 2 for v in plane.basis)
         assert proj == pytest.approx(z.norm() ** 2, abs=1e-12)
         assert cone.angle_of_plane(plane) == pytest.approx(0.0, abs=1e-7)
@@ -147,7 +147,7 @@ class TestPlanesAndAngles:
             assert cone.angle_of_plane(plane) == pytest.approx(phi, abs=1e-7)
 
     def test_plane_not_in_slice_rejected(self, algebra):
-        fam = make_family(algebra, [cone.pauli(1), cone.pauli(3)])
+        fam = make_family(algebra, [cone.PAULI[0], cone.PAULI[2]])
         with pytest.raises(PreconditionError):
             cone.angle_of_plane(fam)
 
@@ -225,17 +225,17 @@ class TestConeIdentities:
     def test_apex_in_slice(self):
         # the apex already lies in (1/3)id + U, so projecting is exact
         third = identity(cone.ALGEBRA) / 3.0
-        y = cone.project_to_slice(cone.apex_state().element - third) + third
-        assert (y - cone.apex_state().element).norm() < 1e-12
+        y = cone.project_to_slice(cone.APEX_STATE.element - third) + third
+        assert (y - cone.APEX_STATE.element).norm() < 1e-12
 
     def test_axis_geodesic_reaches_apex(self):
         # exp1(t z) climbs the cone axis toward the apex
         for t, tol in ((10.0, 1e-3), (30.0, 1e-8)):
-            rho = exp1(t * cone.z_element())
-            gap = (rho.element - cone.apex_state().element).norm()
+            rho = exp1(t * cone.Z)
+            gap = (rho.element - cone.APEX_STATE.element).norm()
             assert gap < tol
-        limit_mu, limit_p = max_eig_data(cone.z_element())
-        assert (limit_p.element - cone.unit()).norm() < 1e-12
+        limit_mu, limit_p = max_eig_data(cone.Z)
+        assert (limit_p.element - cone.APEX).norm() < 1e-12
 
 
 class TestStaffelbergFamily:
@@ -251,7 +251,7 @@ class TestStaffelbergFamily:
         rho_pi = cone.base_circle_state(np.pi).element
         c = cone.midpoint_state().element
         for lam in (-3.0, -1.0, 0.0, 1.0, 3.0):
-            sigma = exp1(lam * (cone.pauli(2) + cone.unit()))
+            sigma = exp1(lam * (cone.PAULI[1] + cone.APEX))
             # decompose in the segment: sigma = a rho_pi + b c + residual
             gram = np.array(
                 [[hs_inner(rho_pi, rho_pi), hs_inner(rho_pi, c)],
@@ -336,7 +336,7 @@ class TestSwallowFamily:
 
     def test_z_orthogonal_to_generator_difference(self, swallow):
         g1, g2 = swallow.generators
-        assert hs_inner(cone.z_element(), g2 - g1) == pytest.approx(0.0, abs=1e-12)
+        assert hs_inner(cone.Z, g2 - g1) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestSwallowBilinear:
@@ -361,7 +361,7 @@ class TestSwallowBilinear:
         assert np.abs(got).max() == np.abs(want).max()
 
     def test_apex_pairings(self):
-        apex = cone.apex_state().element
+        apex = cone.APEX_STATE.element
         assert abs(cone.swallow_bilinear(cone.base_circle_state(0.0).element, apex)) <= 1e-12
         assert abs(
             cone.swallow_bilinear(cone.base_circle_state(np.pi / 2.0).element, apex)
@@ -391,3 +391,26 @@ class TestReports:
     def test_swallow_report_ok(self):
         report = cone.swallow_report()
         assert report.ok, report.failures()
+
+    def test_report_distances_equal_the_face_given_ones(self, staffelberg, swallow):
+        # the 11 exact distances the two reports read from entropy_distance
+        # equal, bit for bit, the reduction given the face's direction: the
+        # Staffelberg generator s2 + 1 (traceless) and the swallow u(alpha)
+        v = staffelberg.generators[1]
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(
+            v.blocks, (cone.PAULI[1] + cone.APEX - cone.THIRD).blocks))
+        rho0 = cone.base_circle_state(0.0)
+        upper = State(0.5 * (cone.midpoint_state().element + cone.APEX))
+        cases = [(State((1.0 - s) * rho0.element + s * cone.APEX), staffelberg, v)
+                 for s in np.linspace(0.05, 0.95, 7)]
+        cases += [(rho0, staffelberg, v), (upper, staffelberg, v)]
+        cases += [(cone.base_circle_state(a), swallow, cone.swallow_direction(a))
+                  for a in (0.0, np.pi / 2.0)]
+        for rho, fam, u in cases:
+            assert entropy_distance(rho, fam)[0] == reduce_distance_to_face(rho, fam, u)
+
+    def test_swallow_corners_not_attained_in_their_segment_families(self, swallow):
+        spikes = geodesic_closure_atlas(swallow).spike_groups()
+        for alpha in (0.0, np.pi / 2.0):
+            spike = min(spikes, key=lambda g: abs(g.alpha_lo % (2 * np.pi) - alpha))
+            assert entropy_distance(cone.base_circle_state(alpha), spike.family) == (0.0, False)

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from qexpfam import cli, closures, cone, defaults, family, states
+from qexpfam import cli, cone, defaults, family, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
-from qexpfam.closures import face_chain, rI_membership
+from qexpfam.closures import rI_membership
 from qexpfam.errors import PreconditionError
-from qexpfam.family import entropy_distance, make_family, project_to_family
+from qexpfam.family import entropy_distance, face_chain, make_family, project_to_family
 from qexpfam.linalg import Algebra, HermitianElement, diagonal
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import random_traceless
@@ -37,8 +37,8 @@ def _moment_family(points):
 
 
 def _superfamily():
-    return make_family(cone.ALGEBRA, [cone.pauli(1) + cone.unit(),
-                                      cone.pauli(2) + cone.unit(), cone.pauli(3)])
+    return make_family(cone.ALGEBRA, [cone.PAULI[0] + cone.APEX,
+                                      cone.PAULI[1] + cone.APEX, cone.PAULI[2]])
 
 
 def _exact_distance(rho, family):
@@ -74,10 +74,10 @@ class TestBoundaryStates:
 
     def test_superfamily_apex(self):
         # the commutant of the apex is 3-dimensional; the apex is exposed
-        projectors, last = face_chain(cone.apex_state(), _superfamily())
+        projectors, last = face_chain(cone.APEX_STATE, _superfamily())
         assert [p.rank for p in projectors] == [1]
         assert last.dim == 0
-        assert rI_membership(cone.apex_state(), _superfamily())
+        assert rI_membership(cone.APEX_STATE, _superfamily())
 
     def test_point_inside_an_edge(self):
         # (1/2, 1/2, 0) lies inside the edge of the tetrahedron between its
@@ -199,8 +199,7 @@ class TestFinderAskedOnce:
             pairs.append((rho, fam))
             return real(rho, fam)
 
-        for module in (family, closures):
-            monkeypatch.setattr(module, "_exposing_direction", counting)
+        monkeypatch.setattr(family, "_exposing_direction", counting)
         return pairs
 
     @staticmethod

@@ -32,7 +32,7 @@ class TestExp1:
     def test_scalar_oracle(self):
         # exp1(t s3 + 0) = diag(e^t, e^-t, 1) / (2 cosh t + 1)
         t = 0.9
-        rho = exp1(t * cone.pauli(3))
+        rho = exp1(t * cone.PAULI[2])
         z = 2.0 * np.cosh(t) + 1.0
         want = np.array([np.exp(t), np.exp(-t), 1.0]) / z
         got = np.array(
@@ -42,7 +42,7 @@ class TestExp1:
         assert np.allclose(got, want, atol=1e-14)
 
     def test_large_parameter_no_overflow(self, algebra):
-        rho = exp1(400.0 * cone.pauli(3))
+        rho = exp1(400.0 * cone.PAULI[2])
         assert rho.support_rank >= 1
 
 
@@ -68,7 +68,7 @@ class TestFreeEnergy:
 
     def test_scalar_oracle(self):
         t = 1.3
-        f, _ = free_energy(t * cone.pauli(3))
+        f, _ = free_energy(t * cone.PAULI[2])
         assert f == pytest.approx(np.log(2.0 * np.cosh(t) + 1.0), abs=1e-12)
 
     def test_gradient_finite_difference(self, algebra, rng):
@@ -192,7 +192,7 @@ class TestMeanValueProjection:
         # <rho(pi/2), s1 + 0> = 1; the orthonormal coordinate rescales by |s1 + 0|
         rho = cone.base_circle_state(np.pi / 2.0)
         m = mean_value_projection(rho.element, staffelberg)
-        raw = m[0] * cone.pauli(1).norm()
+        raw = m[0] * cone.PAULI[0].norm()
         assert raw == pytest.approx(1.0, abs=1e-12)
 
 
@@ -256,7 +256,7 @@ class TestGeodesicMonotonicity:
         # strictly decreasing in t
         rho = cone.base_circle_state(0.0)
         u = cone.staffelberg_direction(0.0)
-        theta = 0.3 * cone.pauli(1)
+        theta = 0.3 * cone.PAULI[0]
         values = [
             relative_entropy(rho, exp1(theta + t * u)) for t in np.linspace(0.0, 6.0, 13)
         ]
@@ -353,7 +353,7 @@ class TestStopReason:
 
     def test_cap(self, swallow):
         # the apex is in the swallow's rI-closure but not in the family
-        res = project_to_family(cone.apex_state(), swallow)
+        res = project_to_family(cone.APEX_STATE, swallow)
         assert res.stop_reason == "cap"
         assert res.cap_hit and not res.attained
 

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qexpfam import cone
 from qexpfam.errors import AlgebraMismatchError, DomainError
@@ -72,19 +73,83 @@ class TestHermitianElement:
         assert abs(np.linalg.norm(coords(a)) - a.norm()) < 1e-12
 
 
+def _coords_loop(a):
+    """coords entry by entry: the diagonal, then (re, im) pairs for i < j."""
+    out = []
+    for b in a.blocks:
+        n = b.shape[0]
+        out.extend(b[i, i].real for i in range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                out.append(np.sqrt(2.0) * b[i, j].real)
+                out.append(-np.sqrt(2.0) * b[i, j].imag)
+    return np.asarray(out, dtype=float)
+
+
+def _from_coords_loop(algebra, v):
+    """from_coords entry by entry, in the order of _coords_loop."""
+    blocks, k = [], 0
+    for n in algebra.block_dims:
+        b = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            b[i, i] = v[k]
+            k += 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                re, im = v[k], v[k + 1]
+                k += 2
+                b[i, j] = (re - 1j * im) / np.sqrt(2.0)
+                b[j, i] = (re + 1j * im) / np.sqrt(2.0)
+        blocks.append(b)
+    return HermitianElement(algebra, blocks)
+
+
+def _verbatim(algebra, v):
+    """The element whose diagonal entries and (re, im) parts above the
+    diagonal are v's values as they are, signed zeros included (complex
+    arithmetic, as in from_coords, can turn -0.0 into 0.0)."""
+    blocks, k = [], 0
+    for n in algebra.block_dims:
+        b = np.zeros((n, n), dtype=complex)
+        b.real[np.diag_indices(n)] = v[k:k + n]
+        for i, j in zip(*np.triu_indices(n, 1)):
+            b.real[i, j] = b.real[j, i] = v[k + n]
+            b.imag[i, j], b.imag[j, i] = v[k + n + 1], -v[k + n + 1]
+            k += 2
+        blocks.append(b)
+        k += n
+    return HermitianElement(algebra, blocks)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(dims=st.sampled_from([(2, 1), (3,), (4, 4, 4, 4), (16,), (1, 1, 1), (2, 2)]),
+       data=st.data())
+def test_coords_keep_the_bits_of_the_per_entry_loop(dims, data):
+    # signed zeros included: the block expressions do the loop's arithmetic
+    algebra = Algebra(dims)
+    entry = st.sampled_from([0.0, -0.0]) | st.floats(-1e3, 1e3, allow_nan=False)
+    v = np.array(data.draw(st.lists(entry, min_size=algebra.real_dim,
+                                    max_size=algebra.real_dim)), dtype=float)
+    want = _from_coords_loop(algebra, v)
+    got = from_coords(algebra, v)
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got.blocks, want.blocks))
+    for a in (want, _verbatim(algebra, v)):
+        assert coords(a).tobytes() == _coords_loop(a).tobytes()
+
+
 class TestHsInner:
     def test_identity_trace(self, algebra):
         one = identity(algebra)
         assert hs_inner(one, one) == pytest.approx(3.0, abs=1e-14)
 
     def test_pauli_orthogonality(self, algebra):
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
-        assert hs_inner(cone.pauli(1), v2) == pytest.approx(0.0, abs=1e-14)
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
+        assert hs_inner(cone.PAULI[0], v2) == pytest.approx(0.0, abs=1e-14)
 
     def test_hand_oracle_z_v2(self, algebra):
         # direct 3x3 trace of (-id2/2 + 1)(s2 + 1 - id/3) evaluates to 1
-        z = cone.z_element()
-        v2 = traceless_part(cone.pauli(2) + cone.unit())
+        z = cone.Z
+        v2 = traceless_part(cone.PAULI[1] + cone.APEX)
         assert hs_inner(z, v2) == pytest.approx(1.0, abs=1e-14)
 
     def test_mismatch_raises(self, algebra, abelian3):
@@ -100,7 +165,7 @@ class TestHsInner:
 
 class TestEigh:
     def test_sigma3(self, algebra):
-        w = eigh(cone.pauli(3)).eigenvalues[0]
+        w = eigh(cone.PAULI[2]).eigenvalues[0]
         assert np.allclose(w, [1.0, -1.0])
 
     def test_identity(self, algebra):
@@ -144,7 +209,7 @@ class TestMatrixFunctions:
 
     def test_log_domain(self, algebra):
         with pytest.raises(DomainError):
-            logm(cone.pauli(3))
+            logm(cone.PAULI[2])
 
     def test_commutes_with_conjugation(self, algebra, rng):
         a = rand(algebra, rng)
@@ -160,7 +225,7 @@ class TestMatrixFunctions:
 
 class TestTraceNorm:
     def test_sigma3(self):
-        assert trace_norm(cone.pauli(3)) == pytest.approx(2.0, abs=1e-14)
+        assert trace_norm(cone.PAULI[2]) == pytest.approx(2.0, abs=1e-14)
 
     def test_zero_difference(self, algebra, rng):
         a = rand(algebra, rng)

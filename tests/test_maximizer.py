@@ -59,7 +59,7 @@ class TestDirectionalDerivative:
 
     def test_requires_support(self, staffelberg):
         rho = cone.base_circle_state(0.3)  # rank one
-        u = cone.pauli(3)  # not supported in the face algebra
+        u = cone.PAULI[2]  # not supported in the face algebra
 
         def at_last_iterate(r, v, f):  # the projection of rho is not attained
             return maximizer_certificate(r, f, require_attained=False).derivative(v)
@@ -71,14 +71,14 @@ class TestDirectionalDerivative:
     def test_requires_attained_projection(self, staffelberg, abelian3):
         rho = cone.base_circle_state(0.0)
         u = traceless_part(
-            cone.base_circle_state(0.0).element - cone.unit()
+            cone.base_circle_state(0.0).element - cone.APEX
         )
         # u is supported in p A p for p = rho(0) + apex but projection recedes
         for derivative in (dE_directional_derivative,
                            lambda r, v, f: maximizer_certificate(r, f).derivative(v)):
             with pytest.raises(PreconditionError):
                 derivative(
-                    State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.unit()),
+                    State(0.5 * cone.base_circle_state(0.0).element + 0.5 * cone.APEX),
                     u,
                     staffelberg,
                 )
@@ -138,7 +138,7 @@ class TestDlnp:
     def test_unsupported_direction_rejected(self, staffelberg):
         rho = cone.base_circle_state(0.0)
         with pytest.raises(PreconditionError):
-            dlnp(rho, cone.pauli(1))
+            dlnp(rho, cone.PAULI[0])
 
 
 class TestCertificate:
@@ -193,12 +193,12 @@ class TestLocalMaxSearch:
         values = []
         for s in grid:
             rho = State(
-                (1.0 - s) * cone.base_circle_state(0.0).element + s * cone.unit()
+                (1.0 - s) * cone.base_circle_state(0.0).element + s * cone.APEX
             )
             values.append(relative_entropy(rho, c))
         best_grid = float(np.max(values))
 
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         cands = local_max_search(staffelberg, p, n_starts=5)
         best = max(c.value for c in cands)
         assert best == pytest.approx(best_grid, abs=1e-6)
@@ -206,7 +206,7 @@ class TestLocalMaxSearch:
         winner = max(cands, key=lambda c: c.value).state
         dist_ends = min(
             (winner.element - cone.base_circle_state(0.0).element).norm(),
-            (winner.element - cone.unit()).norm(),
+            (winner.element - cone.APEX).norm(),
         )
         assert dist_ends <= 1e-6
 
@@ -232,7 +232,7 @@ class TestLocalMaxSearch:
             return project_to_family(rho, family, *args, **kwargs)
 
         monkeypatch.setattr(maximizer, "project_to_family", spy)
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         cands = local_max_search(staffelberg, p, n_starts=3)
         assert families and all(f is not staffelberg for f in families)
         assert all(f.support.same_image(p) for f in families)
@@ -286,20 +286,20 @@ class TestLocalMaxSearch:
             return real_eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", spy)
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         for _ in range(3):
             assert [q.shape[1] for q in p.columns] == [1, 1]
             assert [k.shape[1] for k in p.kernel] == [1, 0]
         assert len(decomposed) == p.algebra.n_blocks
 
         decomposed.clear()
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         assert make_compressed_family(staffelberg, p).support is p
         local_max_search(staffelberg, p, n_starts=2, max_steps=5)
         assert len(decomposed) == p.algebra.n_blocks
 
     def test_deterministic(self, staffelberg):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         a = local_max_search(staffelberg, p, n_starts=3, seed=7)
         b = local_max_search(staffelberg, p, n_starts=3, seed=7)
         for x, y in zip(a, b):

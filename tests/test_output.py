@@ -167,7 +167,7 @@ def test_report_csv_matches_reference(tmp_path):
 
 def test_certificates_csv_matches_reference(tmp_path):
     family = cone.staffelberg_family()
-    p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+    p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
     cands = local_max_search(family, p, n_starts=2, seed=7)
     rho = random_state(family.algebra, np.random.default_rng(5), invertible=True, min_eig=0.05)
     cands.append(dataclasses.replace(cands[0], start_index=2, state=rho,

@@ -120,12 +120,12 @@ class TestMaxEigData:
         # u(0) = s2 + 1 has top eigenvalue 1 with projector rho(0) + apex = 2c
         mu, p = max_eig_data(cone.staffelberg_direction(0.0))
         assert mu == pytest.approx(1.0, abs=1e-14)
-        want = cone.base_circle_state(0.0).element + cone.unit()
+        want = cone.base_circle_state(0.0).element + cone.APEX
         assert (p.element - want).norm() < 1e-12
         assert p.rank == 2
 
     def test_sigma3(self):
-        mu, p = max_eig_data(cone.pauli(3))
+        mu, p = max_eig_data(cone.PAULI[2])
         assert mu == 1.0
         assert p.rank == 1
         assert abs(p.element.blocks[0][0, 0] - 1.0) < 1e-14
@@ -160,7 +160,7 @@ class TestExposedFaceMembership:
         )
 
     def test_tracial_not_in_face(self, algebra):
-        assert not exposed_face_membership(tracial_state(algebra), cone.pauli(3))
+        assert not exposed_face_membership(tracial_state(algebra), cone.PAULI[2])
 
     def test_top_eigenvector_in_face(self, algebra, rng):
         for _ in range(10):
@@ -196,26 +196,26 @@ class TestCompress:
 
     def test_swallow_generator(self):
         # p (s1 + 1) p = 0_2 + 1 for p = rho(0) + apex
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
-        pap, _ = compress(p, cone.pauli(1) + cone.unit())
-        assert (pap - cone.unit()).norm() < 1e-12
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
+        pap, _ = compress(p, cone.PAULI[0] + cone.APEX)
+        assert (pap - cone.APEX).norm() < 1e-12
 
     def test_staffelberg_tangent_collapses(self, staffelberg):
         # c^p kills the whole tangent space when p = 2c
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         for v in staffelberg.basis:
             _, cp = compress(p, v)
             assert cp.norm() < 1e-12
 
     def test_idempotent_on_corner(self, algebra, rng):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         a = random_traceless(algebra, rng)
         _, c1 = compress(p, a)
         _, c2 = compress(p, c1)
         assert (c1 - c2).norm() < 1e-12
 
     def test_self_adjoint_on_corner(self, algebra, rng):
-        p = Projector(cone.base_circle_state(0.0).element + cone.unit())
+        p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         a = random_traceless(algebra, rng)
         b_raw = random_traceless(algebra, rng)
         b, _ = compress(p, b_raw)  # b in pAp
@@ -241,7 +241,7 @@ class TestSupportProjector:
 
     def test_midpoint(self):
         p = support_projector(cone.midpoint_state())
-        want = cone.base_circle_state(0.0).element + cone.unit()
+        want = cone.base_circle_state(0.0).element + cone.APEX
         assert (p.element - want).norm() < 1e-12
 
 
