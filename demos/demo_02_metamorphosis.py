@@ -17,7 +17,8 @@ from qexpfam import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam import cone
 from qexpfam.output import boundary_svg
 
-OUT = os.path.join(os.path.dirname(__file__), "demos_out")
+HERE = os.path.dirname(os.path.abspath(__file__))
+OUT = os.path.join(HERE, "demos_out")
 
 print("angle      shape                 non-exposed  segments")
 for k in range(7):
@@ -31,6 +32,6 @@ for k in range(7):
     assert classes.n_nonexposed == shape.n_nonexposed
     boundary_svg(os.path.join(OUT, f"metamorphosis_{k}.svg"), boundary, classes)
 
-print(f"\nSVG drawings written to {OUT}/")
+print(f"\nSVG drawings written to {os.path.relpath(OUT, os.path.dirname(HERE))}/")
 print("the non-exposed points (red circles) are tangent points of the two")
 print("tangent lines from the projected apex to the projected base circle")

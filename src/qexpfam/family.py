@@ -4,30 +4,33 @@ A family is the image under the trace-normalized exponential of an affine
 subspace offset + span(basis) of traceless self-adjoint elements.  Families in
 a compressed corner algebra pAp carry a support projector and use the
 superscript-p calculus throughout; the full algebra is the special case
-p = identity.  The basis is also stacked per block, so tangent elements and
-the basis tilted into an eigenbasis are one product per block.  One Gibbs
-kernel, _gibbs, serves exp1, free_energy, the solver and the chain's norm leg.
+p = identity.  The basis is also stacked per block, so tangent elements are
+one product per block.  One Gibbs kernel, _gibbs, serves exp1, free_energy,
+the solver and the chain's norm leg; it stacks the blocks of equal size (and
+rank, with a support) into one eigendecomposition and one exp per size group.
 
 The projection onto the family minimizes the strictly convex objective
 
     f(theta) = F(offset + sum_i theta_i v_i) - <rho, sum_i theta_i v_i>
 
 by damped Newton with Armijo backtracking in the eigenbasis of the parameter
-element: one eigendecomposition per iterate gives f, the mean values and the
-BKM Hessian, and a solve builds one Gibbs state.  f recovers the relative
-entropy as S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which stays
-meaningful when the infimum recedes to the boundary and no minimizer exists.
-That happens exactly when rho lies on a proper exposed face of the mean value
-set; the face finder decides it and the solver reports it as a flag, not an
-error.  entropy_distance solves in the family of the face that carries rho
-(face_chain), where the minimum is attained; the caps remain for extrapolation.
+element: one eigendecomposition per iterate and size group gives f, the mean
+values and the BKM Hessian, and a solve builds one Gibbs state.  Sums over
+blocks run in block order, so every value has the bits of a block-by-block
+evaluation.  f recovers the relative entropy as S(rho, exp1(a)) = f(theta) -
+S(rho) - <rho, offset>, which stays meaningful when the infimum recedes to the
+boundary and no minimizer exists.  That happens exactly when rho lies on a
+proper exposed face of the mean value set; the face finder decides it and the
+solver reports it as a flag, not an error.  entropy_distance solves in the
+family of the face that carries rho (face_chain), where the minimum is
+attained; the caps remain for extrapolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,6 +47,8 @@ from .linalg import (
     gram_schmidt,
     hs_inner,
     project_out,
+    size_groups,
+    stack_groups,
     top_eigenspace,
     traceless_part,
     zero,
@@ -65,36 +70,82 @@ from .states import (
 # -- the trace-normalized exponential and its inverse chart -------------------
 
 
-def _gibbs(blocks, support: Projector | None):
-    """The Gibbs kernel: (F, pairs, weights, z, mu) for the blocks of a in pAp,
-    F = ln tr(p e^a); a block may be a (rows, n_k, n_k) stack, each row with
-    the bits of its own call.  pairs are the eigenpairs of a within Im(p),
-    values descending; with mu the largest, z = tr(p e^(a - mu)) lies in
-    [1, N] and F = mu + ln z cannot overflow.  The Gibbs state puts weights
-    e^(w - mu) / z on the pairs; mu and z keep a trailing axis of length one."""
+class _Gibbs(NamedTuple):
+    """A _gibbs result: F, then per size group (linalg.size_groups) the
+    eigenvalues of a within Im(p), descending, the eigenvectors as columns of
+    the ambient blocks, and the Gibbs weights e^(w - mu) / z, each a stack
+    whose first axis runs over the group's blocks; order is each block's
+    (group, row) in block order."""
+
+    free: np.ndarray
+    values: list[np.ndarray]
+    vectors: list[np.ndarray]
+    weights: list[np.ndarray]
+    z: np.ndarray
+    mu: np.ndarray
+    order: tuple[tuple[int, int], ...]
+
+    def per_block(self, stacks) -> list:
+        """The rows of per-group ``stacks``, one per block, in block order."""
+        return [stacks[g][j] for g, j in self.order]
+
+
+def _size_groups(support: Projector | None, blocks):
+    """The size groups _gibbs decomposes, (groups, order) of
+    linalg.size_groups: the blocks by n_k, or with a support by (n_k, r_k)."""
     if support is None:
-        pairs = [(w[..., ::-1], V[..., ::-1]) for w, V in map(np.linalg.eigh, blocks)]
+        return size_groups(tuple([b.shape[-1] for b in blocks]))
+    return support.grouped_columns[0]
+
+
+def _gibbs(blocks, support: Projector | None) -> _Gibbs:
+    """_gibbs_stacks for the blocks of a in pAp; a block may be a (rows, n_k,
+    n_k) stack, each row with the bits of its own call."""
+    groups, order = _size_groups(support, blocks)
+    return _gibbs_stacks(stack_groups(blocks, groups), order, support)
+
+
+def _gibbs_stacks(stacks: list[np.ndarray], order, support: Projector | None) -> _Gibbs:
+    """The Gibbs kernel: F = ln tr(p e^a) and the Gibbs state of a in pAp,
+    from the blocks of a stacked (g, *rows, n_k, n_k) per size group, with
+    ``order`` from _size_groups.
+
+    Each group takes one eigh and one exp.  With mu the largest eigenvalue,
+    z = tr(p e^(a - mu)) lies in [1, N] and F = mu + ln z cannot overflow;
+    z sums the blocks in block order, so every block and row has the bits
+    of its own decomposition."""
+    row_axes = stacks[0].ndim - 3
+    if support is None:
+        pairs = [(w[..., ::-1], V[..., ::-1]) for w, V in map(np.linalg.eigh, stacks)]
     else:  # values descending, vectors as columns of the ambient blocks
-        pairs = [(w[..., ::-1], q @ Y[..., ::-1]) for q, (w, Y)
-                 in zip(support.columns, map(np.linalg.eigh, support.restrict(blocks)))]
-    mu = reduce(np.maximum, [w[..., :1] for w, _ in pairs if w.shape[-1]])
-    e = [np.exp(w - mu) for w, _ in pairs]
-    z = reduce(np.add, [x.sum(-1, keepdims=True) for x in e])
-    return (mu + np.log(z))[..., 0], pairs, [x / z for x in e], z, mu
+        qs = [q.reshape(q.shape[:1] + (1,) * row_axes + q.shape[1:]) if row_axes else q
+              for q in support.grouped_columns[1]]
+        restricted = [q.conj().swapaxes(-1, -2) @ b @ q for q, b in zip(qs, stacks)]
+        pairs = [(w[..., ::-1], q @ Y[..., ::-1])
+                 for q, (w, Y) in zip(qs, map(np.linalg.eigh, restricted))]
+    values = [w for w, _ in pairs]
+    # the largest eigenvalue; a one-block group's top needs no reduction
+    mu = reduce(np.maximum, [w[0, ..., 0] if len(w) == 1 else w[..., 0].max(0)
+                             for w in values if w.shape[-1]])
+    e = [np.exp(w - (mu[..., None] if row_axes else mu)) for w in values]
+    sums = [x.sum(-1) for x in e]
+    z = sum([sums[g][j] for g, j in order])  # terms >= +0: the start 0 moves no bit
+    weights = [x / (z[..., None] if row_axes else z) for x in e]
+    return _Gibbs(mu + np.log(z), values, [V for _, V in pairs], weights, z, mu, order)
 
 
-def _gibbs_spectra(support: Projector | None, gibbs):
+def _gibbs_spectra(support: Projector | None, gibbs: _Gibbs):
     """A _gibbs result's states as per-block eigenvalues and eigenvectors,
     completed by the kernel columns of p with zero weights; stacked blocks give
     one state per row.  Unchecked: State._from_spectrum and the inclusion
     chain's norm leg run _state_spectrum on them."""
-    _, pairs, weights, _, _ = gibbs
+    weights, vectors = gibbs.per_block(gibbs.weights), gibbs.per_block(gibbs.vectors)
     if support is None:  # no kernel columns
-        return weights, [np.ascontiguousarray(V) for _, V in pairs]
+        return weights, [np.ascontiguousarray(V) for V in vectors]
     values = [np.concatenate([x, np.zeros(x.shape[:-1] + k.shape[1:])], axis=-1)
               for x, k in zip(weights, support.kernel)]
     vectors = [np.concatenate([V, np.broadcast_to(k, V.shape[:-1] + k.shape[1:])], axis=-1)
-               for (_, V), k in zip(pairs, support.kernel)]
+               for V, k in zip(vectors, support.kernel)]
     return values, vectors
 
 
@@ -145,7 +196,7 @@ def free_energy(
     Equivariant under trace shifts: F(a + t*identity) = F(a) + t.
     """
     gibbs = _gibbs(a.blocks, support)
-    return float(gibbs[0]), State._from_spectrum(a.algebra, *_gibbs_spectra(support, gibbs))
+    return float(gibbs.free), State._from_spectrum(a.algebra, *_gibbs_spectra(support, gibbs))
 
 
 # -- family --------------------------------------------------------------------
@@ -182,6 +233,16 @@ class ExponentialFamily:
             np.array([v.blocks[k] for v in self.basis], dtype=complex).reshape(self.dim, n, n)
             for k, n in enumerate(self.algebra.block_dims)
         )
+
+    @cached_property
+    def group_stacks(self) -> tuple[tuple, list[tuple[np.ndarray, ...]]]:
+        """_gibbs's block order and, per size group, the offset blocks stacked
+        (g, n_k, n_k) and the basis stacks (g, dim, n_k, n_k), also as
+        (g, dim, n_k^2)."""
+        groups, order = _size_groups(self.support, self.offset.blocks)
+        bases = stack_groups(self.stacks, groups)
+        flat = [S.reshape(S.shape[:2] + (S.shape[-1] ** 2,)) for S in bases]
+        return order, list(zip(stack_groups(self.offset.blocks, groups), bases, flat))
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
         return HermitianElement._trusted(
@@ -477,15 +538,24 @@ def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.
     """Objective F(a) - theta.m, its gradient, and the point (_gibbs at a, T,
     means) they were read from, which the Hessian and the Gibbs state reuse.
 
-    One eigendecomposition of a = offset + sum theta_i v_i; each block's basis
-    stack S_k is tilted into its eigenbasis, T_k = V_k* S_k V_k, and the means
-    are the Gibbs-weighted diagonals sum_k sum_m p_m Re (T_k,i)_mm.
+    One eigendecomposition of a = offset + sum theta_i v_i per size group;
+    each group's basis stack S (g, dim, n_k, n_k) is tilted into the
+    eigenbases of its blocks by one product, T = V* S V, and the means are
+    the Gibbs-weighted diagonals sum_k sum_m p_m Re (T_k,i)_mm, summed over
+    the blocks in block order.
     """
-    gibbs = _gibbs(family.parameter_element(theta).blocks, family.support)
-    value, pairs, weights, _, _ = gibbs
-    tilted = [V.conj().T @ s @ V for (_, V), s in zip(pairs, family.stacks)]
-    means = sum(np.diagonal(T, axis1=1, axis2=2).real @ p for p, T in zip(weights, tilted))
-    return float(value) - float(theta @ moments), means - moments, (gibbs, tilted, means)
+    order, groups = family.group_stacks
+    # offset + sum theta_i v_i per group: one product, each block with the
+    # bits of parameter_element
+    a = [o + (theta @ flat).reshape(o.shape) for o, _, flat in groups]
+    a = [(x + x.conj().swapaxes(-1, -2)) / 2.0 for x in a]
+    gibbs = _gibbs_stacks(a, order, family.support)
+    tilted = [V.conj().swapaxes(-1, -2)[:, None] @ S @ V[:, None]
+              for V, (_, S, _) in zip(gibbs.vectors, groups)]
+    diagonals = [np.diagonal(T, axis1=-2, axis2=-1).real for T in tilted]
+    means = sum(gibbs.per_block([(d @ p[..., None])[..., 0]
+                                 for d, p in zip(diagonals, gibbs.weights)]))
+    return float(gibbs.free) - float(theta @ moments), means - moments, (gibbs, tilted, means)
 
 
 def _bkm_hessian(point) -> np.ndarray:
@@ -495,16 +565,22 @@ def _bkm_hessian(point) -> np.ndarray:
     In the eigenbasis of a it is sum_k sum_mn t_mn Re(conj(C_k,i) C_k,j)_mn / z
     with C_k,i = T_k,i - m_i 1 and t > 0 the exp divided differences of
     w - mu: the Gram matrix of R_k = [Re | Im](C_k * sqrt(t)) as (dim, 2 n_k^2),
-    one real product per block, symmetric and positive semidefinite by
-    construction.  Centered first, it has no cancellation against m m^T.
+    symmetric and positive semidefinite by construction.  Each size group
+    takes one table and one batched Gram product; the blocks' Gram matrices
+    are summed in block order.  Centered first, it has no cancellation
+    against m m^T.
     """
-    (_, pairs, _, z, mu), tilted, m = point
+    gibbs, tilted, m = point
+    grams, shift = [], m[:, None, None]
+    for w, T in zip(gibbs.values, tilted):
+        root = np.sqrt(divided_differences(w - gibbs.mu, "exp"))[:, None]
+        R = ((T - shift * np.eye(w.shape[-1])) * root).view(float)
+        R = R.reshape(R.shape[:2] + (-1,))
+        grams.append(R @ R.swapaxes(-1, -2))
     H = np.zeros((len(m), len(m)))
-    for (w, _), T in zip(pairs, tilted):
-        root = np.sqrt(divided_differences(w - mu, "exp"))
-        R = ((T - m[:, None, None] * np.eye(len(w))) * root).view(float).reshape(len(m), -1)
-        H += R @ R.T
-    return H / z
+    for G in gibbs.per_block(grams):
+        H += G
+    return H / gibbs.z
 
 
 @dataclass
@@ -651,7 +727,7 @@ def _newton_finish(
     # f = F - theta.m rounds at the size of the free energy F, not of f
     gibbs = end.point[0]
     excess = end.fval - base
-    distance = excess if excess > _resolution(gibbs[0]) else 0.0
+    distance = excess if excess > _resolution(gibbs.free) else 0.0
     attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,

@@ -282,6 +282,27 @@ def _reconstruct_stack(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (h + h.conj().swapaxes(-1, -2)) / 2.0
 
 
+@cache
+def size_groups(sizes: tuple) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, int], ...]]:
+    """The blocks of equal ``sizes`` (one hashable key per block) as groups of
+    block indices, in order of first appearance, and each block's (group,
+    row) in block order.  One stacked call per group serves all of its
+    blocks; sums over blocks read the rows back in block order."""
+    index: dict = {}
+    for k, size in enumerate(sizes):
+        index.setdefault(size, []).append(k)
+    groups = tuple(map(tuple, index.values()))
+    rows = sorted((k, (g, j)) for g, ks in enumerate(groups) for j, k in enumerate(ks))
+    return groups, tuple(row for _, row in rows)
+
+
+def stack_groups(arrays: Sequence[np.ndarray], groups) -> list[np.ndarray]:
+    """The per-block ``arrays`` stacked (g, ...) per group of size_groups; a
+    one-block group is a view."""
+    return [arrays[g[0]][None] if len(g) == 1 else np.stack([arrays[k] for k in g])
+            for g in groups]
+
+
 def eigh(a: HermitianElement) -> SpectralData:
     """Eigendecomposition of each Hermitian block.
 
@@ -483,7 +504,8 @@ class DirectionSweep:
 
 
 def divided_differences(w: np.ndarray, f: str) -> np.ndarray:
-    """First divided difference table f[w_i, w_j] of f = "exp" or "log".
+    """First divided difference table f[w_i, w_j] of f = "exp" or "log", one
+    per row of eigenvalues w (..., n).
 
     Closed forms accurate at any gap g = |w_i - w_j|, with hi and lo the
     larger and smaller eigenvalue: exp[w_i, w_j] = e^hi (-expm1(-g)/g) and
@@ -493,7 +515,7 @@ def divided_differences(w: np.ndarray, f: str) -> np.ndarray:
     """
     if f == "log" and np.any(w <= 0):
         raise DomainError("log divided differences require a positive spectrum")
-    x, y = w[:, None], w[None, :]
+    x, y = w[..., :, None], w[..., None, :]
     gap = np.abs(x - y)
     with np.errstate(all="ignore"):
         if f == "exp":

@@ -27,6 +27,8 @@ from .linalg import (
     eigh,
     hs_inner,
     identity,
+    size_groups,
+    stack_groups,
     top_eigenspace,
     trace_norm,
 )
@@ -134,6 +136,13 @@ class Projector:
     def kernel(self) -> tuple[np.ndarray, ...]:
         """Orthonormal columns spanning the kernel of p, per block."""
         return tuple(np.ascontiguousarray(V[:, w <= 0.5]) for w, V in self._eigh)
+
+    @cached_property
+    def grouped_columns(self) -> tuple[tuple, tuple[np.ndarray, ...]]:
+        """size_groups of the blocks by (n_k, r_k), the shapes of columns, and
+        the columns stacked (g, n_k, r_k) per group."""
+        layout = size_groups(tuple(q.shape for q in self.columns))
+        return layout, tuple(stack_groups(self.columns, layout[0]))
 
     def restrict(self, blocks) -> list[np.ndarray]:
         """Per-block r_k x r_k matrices Q* b Q of blocks, or of stacks of them."""

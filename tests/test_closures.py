@@ -691,11 +691,14 @@ class TestNormLeg:
         report = inclusion_chain_check(family)
         monkeypatch.undo()
         assert members == []
-        assert len(eighs) == family.algebra.n_blocks
-        # one call, and one stack per block holds every sample of the check
+        dims = family.algebra.block_dims
+        assert len(eighs) == len(set(dims))
+        # one call, and one stack per block size, (blocks, samples, n, n),
+        # holds every sample of the check
         (legs,) = leg_calls
         n_samples = sum(len(samples) for *_, samples in legs)
-        assert {np.shape(m)[0] for (m,) in eighs} == {n_samples}
+        assert sorted(np.shape(m)[:2] for (m,) in eighs) == sorted(
+            (dims.count(n), n_samples) for n in set(dims))
         assert n_samples == len(report.findings) // 2
 
     @pytest.mark.parametrize("name", CHAIN_FAMILIES)

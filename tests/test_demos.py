@@ -9,7 +9,8 @@ import pytest
 
 import qexpfam
 
-DEMOS = sorted((pathlib.Path(__file__).parent.parent / "demos").glob("demo_*.py"))
+CHECKOUT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((CHECKOUT / "demos").glob("demo_*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -18,6 +19,8 @@ def test_demo_exits_0(demo):
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
                             env=dict(os.environ, PYTHONPATH=src))
     assert result.returncode == 0, result.stderr
+    # stdout is the same in every checkout of the same sources
+    assert str(CHECKOUT) not in result.stdout
 
 
 def test_all_five_demos_found():

@@ -1,5 +1,8 @@
 """The shared numerical kernels: Gibbs state, project-out and support tests."""
 
+from collections import namedtuple
+from functools import reduce
+
 import mpmath
 import numpy as np
 import pytest
@@ -76,13 +79,13 @@ def test_stacked_gibbs_rows_equal_one_element_calls(dims, seed, rows, kind):
                 for _ in range(rows)]
     stack = [np.stack(b) for b in zip(*(a.blocks for a in elements))]
     gibbs = _gibbs(stack, fam.support)
-    free, _, weights, _, _ = gibbs
+    weights = gibbs.per_block(gibbs.weights)
     values, vectors = _gibbs_spectra(fam.support, gibbs)
     states = [_reconstruct_stack(w, V) for w, V in zip(_state_spectrum(algebra, values), vectors)]
     for i, a in enumerate(elements):
-        one_free, _, one_weights, _, _ = _gibbs(a.blocks, fam.support)
-        assert free[i].tobytes() == one_free.tobytes()
-        assert [x[i].tobytes() for x in weights] == [x.tobytes() for x in one_weights]
+        one = _gibbs(a.blocks, fam.support)
+        assert gibbs.free[i].tobytes() == one.free.tobytes()
+        assert [x[i].tobytes() for x in weights] == _bits(one.per_block(one.weights))
         assert [x[i].tobytes() for x in states] == _bits(exp1(a, fam.support).element)
 
 
@@ -132,8 +135,10 @@ def test_free_energy_decomposes_each_block_once(monkeypatch, rng):
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         free_energy(a)
         monkeypatch.undo()
-        # per block: one decomposition of a; the state is built from it
-        assert len(calls) == algebra.n_blocks
+        # one decomposition of a per block, one stacked call per block size;
+        # the state is built from it
+        sizes = sorted(set(dims), key=dims.index)
+        assert calls == [(dims.count(n), n, n) for n in sizes]
 
 
 def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
@@ -151,7 +156,11 @@ def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
     assert built == []
 
 
-@pytest.mark.parametrize("dims, dim", [((16,), 12), ((4, 4, 4, 4), 6), ((2, 1), 2)])
+SPY_FAMILIES = [((16,), 12), ((4, 4, 4, 4), 6), ((2, 1), 2), ((1, 2, 1), 3),
+                ((1, 1, 1, 1, 1), 3)]
+
+
+@pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
 def test_solve_builds_one_state_and_decomposes_once_per_evaluation(monkeypatch, dims, dim):
     fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
     rho = random_state(fam.algebra, np.random.default_rng(dim), invertible=True, min_eig=1e-2)
@@ -173,18 +182,19 @@ def test_solve_builds_one_state_and_decomposes_once_per_evaluation(monkeypatch, 
     monkeypatch.undo()
     assert res.attained and res.iterations > 0
     assert len(states) == 1
-    # one eigh per block and objective evaluation; the Hessian and the
+    # one eigh per block size and objective evaluation; the Hessian and the
     # Gibbs state reuse the evaluation's eigenpairs
-    assert len(eighs) == len(evaluations) * fam.algebra.n_blocks
+    assert len(eighs) == len(evaluations) * len(set(dims))
     moments = mean_value_projection(rho.element, fam)
     residual = np.linalg.norm(mean_value_projection(res.sigma_star.element, fam) - moments)
     assert abs(res.grad_residual - residual) <= 1e-12
 
 
-@pytest.mark.parametrize("dims, dim", [((16,), 12), ((4, 4, 4, 4), 6), ((2, 1), 2)])
+@pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
 def test_solve_takes_one_gibbs_exp_per_block_and_evaluation(monkeypatch, dims, dim):
     # the objective, the means and the final state share one np.exp per block
-    # and evaluation; every other exp is one of the Hessian's divided differences
+    # size and evaluation; every other exp is one of the Hessian's divided
+    # difference tables, one per block size
     fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
     rho = random_state(fam.algebra, np.random.default_rng(dim), invertible=True, min_eig=1e-2)
     exps, evaluations, tables = [], [], []
@@ -202,7 +212,8 @@ def test_solve_takes_one_gibbs_exp_per_block_and_evaluation(monkeypatch, dims, d
     res = project_to_family(rho, fam)
     monkeypatch.undo()
     assert res.attained and res.iterations > 0 and tables
-    assert len(exps) == len(evaluations) * fam.algebra.n_blocks + len(tables)
+    assert len(tables) % len(set(dims)) == 0
+    assert len(exps) == len(evaluations) * len(set(dims)) + len(tables)
 
 
 # -- the fast kernels against the code they replaced ------------------------------
@@ -237,9 +248,11 @@ def test_internal_arithmetic_matches_public_constructor(dims, seed, t):
 def _bkm_hessian_loop(family, point):
     """The pairwise double loop the stacked BKM Hessian replaced, kept as the
     accuracy reference: sum(conj(T_i) * table * T_j) per pair and block."""
-    (_, pairs, _, (z,), mu), _, means = point
+    gibbs, _, means = point
+    z, mu = gibbs.z, gibbs.mu
     d = family.dim
     H = np.zeros((d, d))
+    pairs = zip(gibbs.per_block(gibbs.values), gibbs.per_block(gibbs.vectors))
     for bi, (w, V) in enumerate(pairs):
         if w.size == 0:
             continue
@@ -252,6 +265,100 @@ def _bkm_hessian_loop(family, point):
                 H[j, i] = H[i, j]
     H -= np.outer(means, means)
     return H
+
+
+# The evaluation as it ran block by block before the blocks were grouped by
+# size, kept as the bit-for-bit reference of the grouped kernels: one eigh,
+# exp, tilt, table and Gram product per block, every sum in block order.
+
+_BlockGibbs = namedtuple("_BlockGibbs", "free pairs weights z mu")
+
+
+def _gibbs_per_block(blocks, support):
+    if support is None:
+        pairs = [(w[..., ::-1], V[..., ::-1]) for w, V in map(np.linalg.eigh, blocks)]
+    else:
+        pairs = [(w[..., ::-1], q @ Y[..., ::-1]) for q, (w, Y)
+                 in zip(support.columns, map(np.linalg.eigh, support.restrict(blocks)))]
+    mu = reduce(np.maximum, [w[..., :1] for w, _ in pairs if w.shape[-1]])
+    e = [np.exp(w - mu) for w, _ in pairs]
+    z = reduce(np.add, [x.sum(-1, keepdims=True) for x in e])
+    return _BlockGibbs((mu + np.log(z))[..., 0], pairs, [x / z for x in e], z, mu)
+
+
+def _gibbs_spectra_per_block(support, gibbs):
+    if support is None:
+        return gibbs.weights, [np.ascontiguousarray(V) for _, V in gibbs.pairs]
+    values = [np.concatenate([x, np.zeros(x.shape[:-1] + k.shape[1:])], axis=-1)
+              for x, k in zip(gibbs.weights, support.kernel)]
+    vectors = [np.concatenate([V, np.broadcast_to(k, V.shape[:-1] + k.shape[1:])], axis=-1)
+               for (_, V), k in zip(gibbs.pairs, support.kernel)]
+    return values, vectors
+
+
+def _objective_pieces_per_block(family, theta, moments):
+    gibbs = _gibbs_per_block(family.parameter_element(theta).blocks, family.support)
+    tilted = [V.conj().T @ s @ V for (_, V), s in zip(gibbs.pairs, family.stacks)]
+    means = sum(np.diagonal(T, axis1=1, axis2=2).real @ p
+                for p, T in zip(gibbs.weights, tilted))
+    return float(gibbs.free) - float(theta @ moments), means - moments, (gibbs, tilted, means)
+
+
+def _bkm_hessian_per_block(point):
+    (_, pairs, _, z, mu), tilted, m = point
+    H = np.zeros((len(m), len(m)))
+    for (w, _), T in zip(pairs, tilted):
+        root = np.sqrt(divided_differences(w - mu, "exp"))
+        R = ((T - m[:, None, None] * np.eye(len(w))) * root).view(float).reshape(len(m), -1)
+        H += R @ R.T
+    return H / z
+
+
+def _solve_bits(rho, fam):
+    res = project_to_family(rho, fam)
+    return (res.theta_star.tobytes(), res.distance.hex(), res.iterations, res.stop_reason,
+            res.attained, res.grad_residual.hex(), _bits(res.sigma_star.element))
+
+
+@pytest.mark.parametrize("kind", ["full", "compressed", "empty-block"])
+@pytest.mark.parametrize("dims", [(1,) * 16, (1, 2, 1), (2, 2, 2), (4, 4, 4, 4), (3, 2, 1),
+                                  (2, 1)])
+@settings(derandomize=True, deadline=None, max_examples=3)
+@given(seed=seeds)
+def test_grouped_evaluation_keeps_the_per_block_bits(dims, kind, seed):
+    # value, gradient and Hessian at a random theta, the stacked rows of
+    # _gibbs, and a whole solve (theta*, distance, iterations, sigma*) equal
+    # the per-block evaluation bit for bit
+    algebra = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    fam = random_family(algebra, int(rng.integers(1, min(algebra.real_dim, 12))), rng)
+    if kind != "full":
+        fam = make_compressed_family(
+            fam, random_support(algebra, rng, kind == "empty-block"))
+    theta = rng.normal(scale=float(rng.choice([0.3, 3.0, 30.0])), size=fam.dim)
+    moments = rng.normal(size=fam.dim)
+    value, grad, point = _objective_pieces(fam, theta, moments)
+    ref_value, ref_grad, ref_point = _objective_pieces_per_block(fam, theta, moments)
+    assert value.hex() == ref_value.hex() and grad.tobytes() == ref_grad.tobytes()
+    if fam.dim:
+        assert _bkm_hessian(point).tobytes() == _bkm_hessian_per_block(ref_point).tobytes()
+
+    rows = [fam.parameter_element(rng.normal(scale=3.0, size=fam.dim)) for _ in range(3)]
+    stack = [np.stack(b) for b in zip(*(a.blocks for a in rows))]
+    gibbs, ref = _gibbs(stack, fam.support), _gibbs_per_block(stack, fam.support)
+    assert gibbs.free.tobytes() == ref.free.tobytes()
+    for got, want in zip(_gibbs_spectra(fam.support, gibbs),
+                         _gibbs_spectra_per_block(fam.support, ref)):
+        assert _bits(got) == _bits(want)
+
+    a = random_hermitian(algebra, rng, 2.0)
+    rho = exp1(a if fam.support is None else compress(fam.support, a)[1], fam.support)
+    got = _solve_bits(rho, fam)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(family_mod, "_objective_pieces", _objective_pieces_per_block)
+        m.setattr(family_mod, "_bkm_hessian", _bkm_hessian_per_block)
+        m.setattr(family_mod, "_gibbs_spectra", _gibbs_spectra_per_block)
+        assert got == _solve_bits(rho, fam)
 
 
 def _hessian_oracle(family, theta):
@@ -344,8 +451,8 @@ def test_stacked_hessian_skips_empty_support_block():
     p = Projector(HermitianElement(algebra, [q @ q.conj().T, np.eye(2), np.zeros((1, 1))]))
     fam = make_compressed_family(parent, p)
     assert fam.dim > 0
-    _, _, ((_, pairs, *_), *_) = _objective_pieces(fam, np.zeros(fam.dim), np.zeros(fam.dim))
-    assert pairs[2][0].size == 0
+    _, _, (gibbs, *_) = _objective_pieces(fam, np.zeros(fam.dim), np.zeros(fam.dim))
+    assert gibbs.per_block(gibbs.values)[2].size == 0
     for scale in (0.5, 5.0):
         _assert_hessian_accurate(fam, rng, scale)
 
