@@ -15,7 +15,8 @@ The projection onto the family minimizes the strictly convex objective
 
 by damped Newton with Armijo backtracking in the eigenbasis of the parameter
 element: one eigendecomposition per iterate and size group gives f, the mean
-values and the BKM Hessian, and a solve builds one Gibbs state.  Sums over
+values and the BKM Hessian.  Every solve starts from the family's cached
+point at theta = 0, and a result builds sigma* on first read.  Sums over
 blocks run in block order, so every value has the bits of a block-by-block
 evaluation.  f recovers the relative entropy as S(rho, exp1(a)) = f(theta) -
 S(rho) - <rho, offset>, which stays meaningful when the infimum recedes to the
@@ -28,7 +29,8 @@ attained; the caps remain for extrapolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from typing import Callable, NamedTuple, Sequence
 
@@ -65,6 +67,8 @@ from .states import (
     support_projector,
     vn_entropy,
 )
+
+_EPS = float(np.finfo(float).eps)
 
 
 # -- the trace-normalized exponential and its inverse chart -------------------
@@ -243,6 +247,11 @@ class ExponentialFamily:
         bases = stack_groups(self.stacks, groups)
         flat = [S.reshape(S.shape[:2] + (S.shape[-1] ** 2,)) for S in bases]
         return order, list(zip(stack_groups(self.offset.blocks, groups), bases, flat))
+
+    @cached_property
+    def origin(self) -> tuple:
+        """The point of _objective_pieces at theta = 0, where all solves start; read only."""
+        return _objective_pieces(self, np.zeros(self.dim), np.zeros(self.dim))[2]
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
         return HermitianElement._trusted(
@@ -520,18 +529,24 @@ class ProjectionResult:
     Newton loop ended: "converged" (gradient within tol), "cap" (the step
     reached the parameter cap), "stalled" (three steps in a row too small to
     move theta) or "armijo_underflow" (no step length decreased the
-    objective).  It is a side channel: no CSV reads it.
+    objective).  It is a side channel: no CSV reads it.  sigma_star is built
+    on first read from the final Gibbs point, kept outside repr and equality.
     """
 
     theta_star: np.ndarray
-    sigma_star: State
     attained: bool
     grad_residual: float
     iterations: int
     distance: float
+    _final: tuple = field(repr=False, compare=False)
     cap_hit: bool = False
     min_hessian_eig: float = float("inf")
     stop_reason: str = "converged"
+
+    @cached_property
+    def sigma_star(self) -> State:
+        family, gibbs = self._final
+        return State._from_spectrum(family.algebra, *_gibbs_spectra(family.support, gibbs))
 
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
@@ -571,11 +586,12 @@ def _bkm_hessian(point) -> np.ndarray:
     against m m^T.
     """
     gibbs, tilted, m = point
-    grams, shift = [], m[:, None, None]
+    grams = []
     for w, T in zip(gibbs.values, tilted):
-        root = np.sqrt(divided_differences(w - gibbs.mu, "exp"))[:, None]
-        R = ((T - shift * np.eye(w.shape[-1])) * root).view(float)
-        R = R.reshape(R.shape[:2] + (-1,))
+        C = T.copy()  # centered: m_i off the diagonal of each T_k,i
+        C.reshape(C.shape[:2] + (C.shape[-1] ** 2,))[..., ::C.shape[-1] + 1] -= m[:, None]
+        C *= np.sqrt(divided_differences(w - gibbs.mu, "exp"))[:, None]
+        R = C.view(float).reshape(C.shape[:2] + (-1,))
         grams.append(R @ R.swapaxes(-1, -2))
     H = np.zeros((len(m), len(m)))
     for G in gibbs.per_block(grams):
@@ -586,7 +602,8 @@ def _bkm_hessian(point) -> np.ndarray:
 @dataclass
 class _NewtonState:
     """The solver at the start of a Newton iteration: theta, its objective
-    value and gradient, and the point of _objective_pieces they come from."""
+    value and gradient, the point of _objective_pieces they come from and,
+    once that iteration has run, its (smallest Hessian eigenvalue, step)."""
 
     theta: np.ndarray
     fval: float
@@ -597,10 +614,11 @@ class _NewtonState:
     stalled: int = 0
     cap_hit: bool = False
     stop_reason: str = ""
+    newton: tuple[float, np.ndarray] | None = None
 
 
 def _newton_setup(rho: State, family: ExponentialFamily):
-    """Checks, then (moments, entropy offset, solver state at theta = 0)."""
+    """Checks, then (moments, entropy offset, solver state at family.origin)."""
     if rho.algebra != family.algebra:
         raise AlgebraMismatchError("state and family in different algebras")
     if family.support is not None:
@@ -613,13 +631,20 @@ def _newton_setup(rho: State, family: ExponentialFamily):
     moments = mean_value_projection(rho.element, family)
     base = vn_entropy(rho) + hs_inner(rho.element, family.offset)
     theta = np.zeros(family.dim)
-    return moments, base, _NewtonState(theta, *_objective_pieces(family, theta, moments))
+    gibbs, _, means = point = family.origin
+    fval = float(gibbs.free) - float(theta @ moments)
+    return moments, base, _NewtonState(theta, fval, means - moments, point)
 
 
 def _resolution(scale: float) -> float:
     """What the objective resolves at terms of size ``scale``: the Armijo
     floor near the optimum, and the largest distance that is rounding."""
-    return 4.0 * np.finfo(float).eps * (1.0 + abs(scale))
+    return 4.0 * _EPS * (1.0 + abs(scale))
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v| of a real vector by np.linalg.norm's own formula, sqrt(v . v)."""
+    return math.sqrt(v @ v)
 
 
 def _newton(
@@ -634,35 +659,40 @@ def _newton(
     Returns the final state and the resume point: the state at the start of
     the first iteration in which the cap acted (the full step left the cap
     ball, or the accepted point reached its sphere), None if it never did.
-    Up to that iteration every larger cap takes exactly the same path.  The
-    final state's stop_reason is ProjectionResult's, or "max_iter" when the
+    Up to that iteration every larger cap takes exactly the same path, and
+    a solve from the resume point reuses the step it carries.  The final
+    state's stop_reason is ProjectionResult's, or "max_iter" when the
     iteration budget, defaults.MAX_ITER, ran out first.
     """
     theta, fval, grad, point = start.theta, start.fval, start.grad, start.point
     min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
     cap_hit = False
     resume = None
+    newton = start.newton
 
     while True:
-        if float(np.linalg.norm(grad)) <= tol or family.dim == 0:
+        if _norm(grad) <= tol or family.dim == 0:
             stop = "converged"
             break
         if iterations >= defaults.MAX_ITER:
             stop = "max_iter"
             break
-        here = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled)
-        H = _bkm_hessian(point)
-        eigs = np.linalg.eigvalsh(H)
-        min_hess = min(min_hess, float(eigs[0]))
-        if eigs[0] <= 0.0:
-            # exponentially flat valley: the analytic Hessian is positive
-            # definite but below rounding noise; regularize and continue
-            H = H + (abs(eigs[0]) + 1e-15) * np.eye(family.dim)
-        step = np.linalg.solve(H, -grad)
+        if newton is None:
+            H = _bkm_hessian(point)
+            eigs = np.linalg.eigvalsh(H)
+            if eigs[0] <= 0.0:
+                # exponentially flat valley: the analytic Hessian is positive
+                # definite but below rounding noise; regularize and continue
+                H = H + (abs(eigs[0]) + 1e-15) * np.eye(family.dim)
+            newton = float(eigs[0]), np.linalg.solve(H, -grad)
+        here = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled,
+                            newton=newton)
+        min_hess = min(min_hess, newton[0])
+        step, newton = newton[1], None
         slope = float(grad @ step)
         t = 1.0
         hit_cap_now = False
-        if np.linalg.norm(theta + step) > param_cap:
+        if _norm(theta + step) > param_cap:
             # shrink along the ray to land on the cap sphere, the root t of
             # |theta + t step| = cap; the objective still decreases there by
             # convexity
@@ -689,14 +719,14 @@ def _newton(
             # step underflow: nothing representable decreases the objective
             stop = "armijo_underflow"
             break
-        if float(np.linalg.norm(t * step)) <= 1e-14 * (1.0 + np.linalg.norm(theta)):
+        if _norm(t * step) <= 1e-14 * (1.0 + _norm(theta)):
             stalled += 1
             if stalled >= 3:
                 stop = "stalled"
                 break
         else:
             stalled = 0
-        if hit_cap_now or np.linalg.norm(theta) >= param_cap:
+        if hit_cap_now or _norm(theta) >= param_cap:
             cap_hit = True
             if resume is None:
                 resume = here
@@ -714,11 +744,11 @@ def _newton_finish(
     tol: float,
     on_face: Callable[[], bool],
 ) -> ProjectionResult:
-    """The ProjectionResult of a final solver state, whose Gibbs state is the
-    one built in the whole solve; SolverError when the iteration budget ran
+    """The ProjectionResult of a final solver state, which keeps the state's
+    Gibbs point for sigma_star; SolverError when the iteration budget ran
     out short of convergence and of the cap.  on_face is asked only when the
     solver converged inside the cap."""
-    gnorm = float(np.linalg.norm(end.grad))
+    gnorm = _norm(end.grad)
     if gnorm > tol and not end.cap_hit and end.iterations >= defaults.MAX_ITER:
         raise SolverError(
             f"no convergence in {defaults.MAX_ITER} iterations (|grad| = {gnorm:.3e})"
@@ -731,11 +761,11 @@ def _newton_finish(
     attained = not end.cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,
-        sigma_star=State._from_spectrum(family.algebra, *_gibbs_spectra(family.support, gibbs)),
         attained=attained,
         grad_residual=gnorm,
         iterations=end.iterations,
         distance=distance,
+        _final=(family, gibbs),
         cap_hit=end.cap_hit,
         min_hessian_eig=end.min_hess,
         stop_reason=end.stop_reason,
@@ -773,11 +803,11 @@ def _project_ladder(
     on a proper face.
 
     The caps run in ascending order.  Each resumes from the state where the
-    previous cap first acted, and reuses the previous result when that cap
-    never acted, so the shared Newton path is computed once.  Equal results
-    may be the same object.  The first cap, in the given order, whose own
-    solve would raise SolverError raises it here.  on_face is asked at most
-    once.
+    previous cap first acted, with the Newton step that state already took,
+    and reuses the previous result when that cap never acted, so the shared
+    Newton path is computed once.  Equal results may be the same object.  The
+    first cap, in the given order, whose own solve would raise SolverError
+    raises it here.  on_face is asked at most once.
     """
     moments, base, start = _newton_setup(rho, family)
     ends: dict[float, _NewtonState] = {}

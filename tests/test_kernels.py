@@ -1,5 +1,6 @@
 """The shared numerical kernels: Gibbs state, project-out and support tests."""
 
+import dataclasses
 from collections import namedtuple
 from functools import reduce
 
@@ -179,15 +180,48 @@ def test_solve_builds_one_state_and_decomposes_once_per_evaluation(monkeypatch, 
     monkeypatch.setattr(family_mod, "_objective_pieces", spy(evaluations, pieces))
     monkeypatch.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
     res = project_to_family(rho, fam)
-    monkeypatch.undo()
     assert res.attained and res.iterations > 0
+    # the solve builds no State; sigma* is built on its first read, once
+    assert len(states) == 0
+    sigma = res.sigma_star
     assert len(states) == 1
+    assert res.sigma_star is sigma and len(states) == 1
+    monkeypatch.undo()
     # one eigh per block size and objective evaluation; the Hessian and the
     # Gibbs state reuse the evaluation's eigenpairs
     assert len(eighs) == len(evaluations) * len(set(dims))
     moments = mean_value_projection(rho.element, fam)
     residual = np.linalg.norm(mean_value_projection(res.sigma_star.element, fam) - moments)
     assert abs(res.grad_residual - residual) <= 1e-12
+
+
+def _result_bytes(res):
+    """Every compared field of a ProjectionResult as bytes, then sigma*."""
+    fields = [np.asarray(getattr(res, f.name)).tobytes()
+              for f in dataclasses.fields(res) if f.compare]
+    return fields + _bits(res.sigma_star.element)
+
+
+@pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
+def test_second_solve_starts_from_the_cached_origin(monkeypatch, dims, dim):
+    # the evaluation at theta = 0 depends on the family only: a second solve
+    # in the family skips it and keeps the bits of a solve in a fresh family
+    fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
+    rho = random_state(fam.algebra, np.random.default_rng(dim), invertible=True, min_eig=1e-2)
+    pieces, calls, counts, results = family_mod._objective_pieces, [], [], []
+
+    def counted(*args):
+        calls.append(1)
+        return pieces(*args)
+
+    monkeypatch.setattr(family_mod, "_objective_pieces", counted)
+    for family in (fam, fam, dataclasses.replace(fam)):
+        calls.clear()
+        results.append(project_to_family(rho, family))
+        counts.append(len(calls))
+    monkeypatch.undo()
+    assert counts[1] == counts[0] - 1 and counts[2] == counts[0]
+    assert _result_bytes(results[1]) == _result_bytes(results[2])
 
 
 @pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
@@ -358,7 +392,9 @@ def test_grouped_evaluation_keeps_the_per_block_bits(dims, kind, seed):
         m.setattr(family_mod, "_objective_pieces", _objective_pieces_per_block)
         m.setattr(family_mod, "_bkm_hessian", _bkm_hessian_per_block)
         m.setattr(family_mod, "_gibbs_spectra", _gibbs_spectra_per_block)
-        assert got == _solve_bits(rho, fam)
+        # a fresh family: fam caches the grouped kernel's origin point; sigma*
+        # is read inside the context, so it is built per block too
+        assert got == _solve_bits(rho, dataclasses.replace(fam))
 
 
 def _hessian_oracle(family, theta):

@@ -8,6 +8,7 @@ from qexpfam.family import (
     _exposing_direction,
     _project_ladder,
     distance_continuation,
+    face_chain,
     make_family,
     project_to_family,
 )
@@ -107,3 +108,53 @@ def test_ladder_shares_the_newton_path(monkeypatch):
     calls.clear()
     distance_continuation(rho, fam, caps=caps)
     assert len(calls) < independent
+
+
+BOUNDARY_CASES = [c for c in CASES if not c[0].endswith("interior")]
+
+
+@pytest.mark.parametrize("label, fam, rho", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+def test_resumed_rungs_reuse_their_newton_step(monkeypatch, label, fam, rho):
+    # each rung resumes with the Hessian and step its resume point already
+    # took, so the ladder builds no Hessian beyond the largest cap's solve
+    real, calls, counts = family._bkm_hessian, [], []
+
+    def counting(point):
+        calls.append(1)
+        return real(point)
+
+    monkeypatch.setattr(family, "_bkm_hessian", counting)
+    for solve in (lambda: distance_continuation(rho, fam, caps=(10.0, 20.0, 40.0, 80.0)),
+                  lambda: project_to_family(rho, fam, param_cap=80.0)):
+        calls.clear()
+        solve()
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def _arrays(x):
+    """Every array inside nested tuples and lists, depth first."""
+    if isinstance(x, (np.ndarray, np.generic)):
+        return [x]
+    if isinstance(x, (tuple, list)):
+        return [a for y in x for a in _arrays(y)]
+    return []
+
+
+def test_solves_leave_the_cached_origin_untouched():
+    # every solve in a family starts from its one origin point: an interior
+    # solve, a solve that ends there, a boundary ladder and a solve in the
+    # compressed family of the face write into neither family's origin
+    fam, boundary, interior = _face_case((4, 4, 4, 4), 4, 2, 45)
+    projectors, inner = face_chain(boundary, fam)
+    assert projectors and inner.support is not None
+    origins = [fam.origin, inner.origin]
+    before = [[a.tobytes() for a in _arrays(o)] for o in origins]
+    at_origin = project_to_family(fam.member(np.zeros(fam.dim)), fam)
+    assert at_origin.iterations == 0
+    results = [project_to_family(interior, fam), at_origin,
+               *_project_ladder(boundary, fam, (10.0, 20.0, 40.0, 80.0), lambda: True),
+               project_to_family(boundary, inner)]
+    assert all(r.sigma_star.element.algebra == fam.algebra for r in results)
+    assert [[a.tobytes() for a in _arrays(o)] for o in origins] == before
+    assert fam.origin is origins[0] and inner.origin is origins[1]
