@@ -530,7 +530,7 @@ class ProjectionResult:
     reached the parameter cap), "stalled" (three steps in a row too small to
     move theta) or "armijo_underflow" (no step length decreased the
     objective).  It is a side channel: no CSV reads it.  sigma_star is built
-    on first read from the final Gibbs point, kept outside repr and equality.
+    on first read from _final, the last Gibbs point, outside repr and equality.
     """
 
     theta_star: np.ndarray
