@@ -12,19 +12,21 @@ import numpy as np
 
 from qexpfam import (
     distance_continuation,
+    entropy_distance,
+    face_chain,
     project_to_family,
-    reduce_distance_to_face,
     rI_membership,
 )
 from qexpfam import cone
-from qexpfam.linalg import hs_inner, traceless_part
+from qexpfam.linalg import hs_inner
 
 family = cone.staffelberg_family()
 rho0 = cone.base_circle_state(0.0)
-v2 = traceless_part(cone.PAULI[1] + cone.APEX)
 
-print("exact distance at rho(0), via the compressed family on its face:")
-exact = reduce_distance_to_face(rho0, family, v2)
+print("exact distance at rho(0), solved in the family its face chain ends in:")
+chain, _ = face_chain(rho0, family)
+print("  face chain ranks:", [p.rank for p in chain])
+exact, _ = entropy_distance(rho0, family)
 print(f"  d(rho(0)) = {exact:.12f}   (ln 2 = {np.log(2):.12f})")
 
 print("\ndirect minimization approaches the same value from above:")

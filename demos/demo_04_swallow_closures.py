@@ -12,10 +12,11 @@ import numpy as np
 
 from qexpfam import (
     classify_boundary_faces,
+    entropy_distance,
+    face_chain,
     geodesic_closure_atlas,
     mean_value_boundary_sweep,
     project_to_family,
-    reduce_distance_to_face,
 )
 from qexpfam import cone
 
@@ -38,8 +39,10 @@ print("\nrho(0) is not a member of the segment family (projection recedes):")
 res = project_to_family(rho0, spikes[0].family, param_cap=60.0)
 print("  attained:", res.attained, " best value:", res.distance)
 
-print("\nyet its entropy distance vanishes through the two-stage reduction:")
-d = reduce_distance_to_face(rho0, family, cone.swallow_direction(0.0))
+print("\nyet its entropy distance vanishes through the two-stage face chain:")
+chain, _ = face_chain(rho0, family)
+print("  face chain ranks:", [p.rank for p in chain])
+d, _ = entropy_distance(rho0, family)
 print("  d(rho(0)) =", d)
 
 print("\nboundary classification of the mean value set:")

@@ -248,7 +248,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "distance":
             return cmd_distance(cfg, args.state)
         return cmd_report(cfg, args.which)
-    except PreconditionError as exc:
+    except (PreconditionError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (UnderResolvedSweepError, SolverError, NumericalDegeneracyError,

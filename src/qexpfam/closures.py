@@ -58,7 +58,7 @@ from .states import (
     Projector,
     State,
     _on_exposed_face,
-    _rank_one_blocks,
+    _rank_one_spectrum,
     _rank_one_state,
     _state_blocks,
     compress,
@@ -163,7 +163,8 @@ class ClosureAtlas:
                 pure.setdefault(g.pure[0], []).append(i)
         for k, rows in pure.items():
             columns = np.stack([self.groups[i].pure[1] for i in rows])
-            for stack, b in zip(out, _rank_one_blocks(algebra, k, columns)):
+            blocks = _state_blocks(algebra, *_rank_one_spectrum(algebra, k, columns))
+            for stack, b in zip(out, blocks):
                 stack[rows] = b
         return out
 
@@ -264,14 +265,14 @@ def reduce_distance_to_face(
     """Entropy distance of a state on the exposed face of v, computed inside
     the compressed family of the maximal projector of v.
 
-    For callers that already hold a face direction: entropy_distance finds
-    the face from rho alone and is the path the package's reports read.
     Requires v (up to its trace part) in the tangent space and rho in the
     exposed face.  The first step of face_chain, with the direction given
     instead of found; the chain then continues inside the face's family and
     one solve at ``param_cap`` in the family it ends in gives the value, as
     in entropy_distance: exact, also where rho lies on a proper face of the
     face's family (swallow rho(0) on the face of its tangent direction).
+    It stays for callers that hold a face direction, such as perfbench's
+    boundary reference; the package reads entropy_distance, which needs only rho.
     """
     _check_tangent(family, v)
     mu, p = max_eig_data(v)

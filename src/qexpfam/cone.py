@@ -48,7 +48,7 @@ from .sampling import random_spectra
 from .states import (
     Projector,
     State,
-    _rank_one_blocks,
+    _rank_one_spectrum,
     _rank_one_state,
     _state_blocks,
     relative_entropy,
@@ -87,7 +87,7 @@ def _base_circle_columns(alphas) -> np.ndarray:
 def base_circle_blocks(alphas) -> list[np.ndarray]:
     """The element blocks of base_circle_state for an array of angles: a
     (rows, 2, 2) stack and the shared zero block."""
-    return _rank_one_blocks(ALGEBRA, 0, _base_circle_columns(alphas))
+    return _state_blocks(ALGEBRA, *_rank_one_spectrum(ALGEBRA, 0, _base_circle_columns(alphas)))
 
 
 def base_circle_state(alpha: float) -> State:
@@ -171,16 +171,6 @@ def _outside_gap(c: np.ndarray) -> np.ndarray:
     return np.where(_inside(c), 0.0, _boundary_gap(c))
 
 
-def contains(a: HermitianElement) -> bool:
-    """Membership of a point of the affine slice (1/3)id + U in the cone."""
-    return bool(_inside(slice_coordinates(a.blocks)))
-
-
-def boundary_distance(a: HermitianElement) -> float:
-    """Distance of (h, r) cone coordinates to the boundary (2D section)."""
-    return float(_boundary_gap(slice_coordinates(a.blocks)))
-
-
 def project_to_slice(a: HermitianElement) -> HermitianElement:
     """Orthogonal projection onto U = span{s1, s2} + R z."""
     c = slice_coordinates(a.blocks)[None]
@@ -253,17 +243,13 @@ def swallow_family() -> ExponentialFamily:
     return make_family(ALGEBRA, [PAULI[0] + APEX, PAULI[1] + APEX])
 
 
-def staffelberg_direction(alpha: float) -> HermitianElement:
-    """u(alpha) = sin(a)(s1 + 0) + cos(a)(s2 + 1); maximal eigenvalue 1."""
-    return float(np.sin(alpha)) * PAULI[0] + float(np.cos(alpha)) * (PAULI[1] + APEX)
-
-
 def staffelberg_sigma(alpha: float, t: float) -> State:
     """Closed-form polar parametrization of the Staffelberg family.
 
     sigma(alpha, t) = [id2 cosh(t) + (sin a s1 + cos a s2) sinh(t)
                        + e^{t cos a}] / T with T = 2 cosh(t) + e^{t cos a};
-    equals exp1(t u(alpha)) to machine precision.
+    equals exp1(t u(alpha)), u(alpha) = sin(a)(s1 + 0) + cos(a)(s2 + 1), to
+    machine precision.
     """
     if t < 0:
         raise PreconditionError("the polar parameter t must be nonnegative")
@@ -312,11 +298,6 @@ def staffelberg_tau_path(lam: float, t: float) -> tuple[State, State]:
     ratio = (2.0 - lam) / lam
     alpha = np.sqrt(2.0 * np.log(ratio) / t)
     return staffelberg_sigma(alpha, t), tau_state(lam)
-
-
-def swallow_direction(alpha: float) -> HermitianElement:
-    """u(alpha) = sin(a)(s1 + 1) + cos(a)(s2 + 1) for the swallow family."""
-    return float(np.sin(alpha)) * (PAULI[0] + APEX) + float(np.cos(alpha)) * (PAULI[1] + APEX)
 
 
 BILINEAR_FLAT = _flat((PAULI[0] + APEX - THIRD, PAULI[1] + APEX - THIRD))
@@ -496,13 +477,12 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
                abs(exact - np.log(2.0)), 1e-9)
     ladder = distance_continuation(rho0, fam, caps=(10.0, 20.0, 40.0, 80.0))
     monotone = all(b[1] <= a[1] + 1e-9 for a, b in zip(ladder, ladder[1:]))
-    report.add("distance_rho0_monotone", "direct minimization decreases with the cap",
-               0.0 if monotone else 1.0, 0.0, ok=monotone)
+    report.flag("distance_rho0_monotone", "direct minimization decreases with the cap",
+                monotone)
     report.add("distance_rho0_cap80", "direct value at cap 80 near ln 2",
                ladder[-1][1] - np.log(2.0), 5e-3)
     attained_any = any(att for _, _, att in ladder)
-    report.add("distance_rho0_nonattained", "no cap attains the infimum",
-               1.0 if attained_any else 0.0, 0.0, ok=not attained_any)
+    report.flag("distance_rho0_nonattained", "no cap attains the infimum", not attained_any)
     d03, _ = entropy_distance(base_circle_state(0.3), fam)
     report.add("distance_circle_near_rho0", "d(rho(0.3)) = 0: the circle is in the rI-closure",
                d03, 1e-9)
@@ -521,8 +501,7 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
         worst = max(worst, e1)
         shrink_ok = shrink_ok and e2 < e1
     report.add("tau_path_error", "tau(lam) approximated at t = 4e4", worst, 1e-2)
-    report.add("tau_path_shrinks", "doubling t improves the approximation",
-               0.0 if shrink_ok else 1.0, 0.0, ok=shrink_ok)
+    report.flag("tau_path_shrinks", "doubling t improves the approximation", shrink_ok)
 
     alpha, t = np.meshgrid(np.linspace(0.0, 2.0 * np.pi, 72, endpoint=False),
                            np.linspace(0.0, 50.0, 26), indexing="ij")
@@ -540,9 +519,8 @@ def staffelberg_report(atlas: ClosureAtlas | None = None) -> Report:
     report.add("upper_segment_positive", "midpoint of ]c, apex] has positive distance",
                0.12 - d_m, 0.0, ok=d_m > 0.12)
     margin = hs_inner(m.element, staffelberg_v3())
-    report.add("upper_segment_outside_closure",
-               "positive v3 margin separates it from the family",
-               0.0 if margin > 0.4 else 1.0, 0.0, ok=margin > 0.4)
+    report.flag("upper_segment_outside_closure",
+                "positive v3 margin separates it from the family", margin > 0.4)
     return report
 
 
@@ -597,8 +575,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         report.add("atlas_apex_member", "its single state is the apex",
                    (g.representative.element - APEX_STATE.element).norm(), 1e-9)
         inside = 0.0 < g.alpha_lo < g.alpha_hi < np.pi / 2.0
-        report.add("atlas_apex_interval", "covering the open quarter arc",
-                   0.0 if inside else 1.0, 0.0, ok=inside)
+        report.flag("atlas_apex_interval", "covering the open quarter arc", inside)
     moving = [g for g in atlas.groups if not g.spike and g not in const]
     worst = 0.0
     ok_range = True
@@ -607,8 +584,7 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         ok_range = ok_range and (np.pi / 2.0 < alpha < 2.0 * np.pi)
         worst = max(worst, (g.representative.element
                             - base_circle_state(alpha).element).norm())
-    report.add("atlas_circle_range", "moving rank-one groups live on (pi/2, 2pi)",
-               0.0 if ok_range else 1.0, 0.0, ok=ok_range)
+    report.flag("atlas_circle_range", "moving rank-one groups live on (pi/2, 2pi)", ok_range)
     report.add("atlas_circle_members", "they are base circle states", worst, 1e-9)
 
     # (b) rho(0), rho(pi/2) are missed by the geodesic closure but have
@@ -619,17 +595,16 @@ def swallow_report(atlas: ClosureAtlas | None = None) -> Report:
         d, _ = entropy_distance(rho, fam)
         report.add("rI_membership", f"{name} has entropy distance zero", d, 1e-9)
         member = rI_membership(rho, fam)
-        report.add("rI_flag", f"rI membership of {name}", 0.0 if member else 1.0, 0.0,
-                   ok=member)
+        report.flag("rI_flag", f"rI membership of {name}", member)
         spike = min(spikes, key=lambda g: abs(g.alpha_lo % (2 * np.pi) - alpha))
         _, attained = entropy_distance(rho, spike.family)
-        report.add("geo_misses", f"{name} is not attained inside the segment family",
-                   1.0 if attained else 0.0, 0.0, ok=not attained)
+        report.flag("geo_misses", f"{name} is not attained inside the segment family",
+                    not attained)
 
     ladder = distance_continuation(rho0, fam, caps=(25.0, 50.0, 100.0, 200.0))
     monotone = all(b[1] <= a[1] + 1e-9 for a, b in zip(ladder, ladder[1:]))
-    report.add("direct_distance_monotone", "direct minimization decreases with the cap",
-               0.0 if monotone else 1.0, 0.0, ok=monotone)
+    report.flag("direct_distance_monotone", "direct minimization decreases with the cap",
+                monotone)
 
     # (c) bilinear-form identities of the projected base circle
     circle = base_circle_blocks(np.linspace(0.0, 2.0 * np.pi, 360, endpoint=False))

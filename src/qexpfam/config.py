@@ -37,19 +37,17 @@ def parse_element(algebra: Algebra, text: str) -> HermitianElement:
         raise PreconditionError(f"bad element entries: {exc}") from None
 
 
-def element_entries(a: HermitianElement) -> list[float]:
-    """Row-major re,im pairs per block, the wire format for matrix entries."""
-    out: list[float] = []
-    for b in a.blocks:
-        for row in np.asarray(b):
-            for entry in row:
-                out.extend((float(entry.real), float(entry.imag)))
-    return out
+def element_entries(blocks) -> np.ndarray:
+    """Row-major re,im pairs per block, the wire format for matrix entries,
+    of an element's complex blocks, or of stacks (rows, n_k, n_k) of them
+    with one row of entries per row."""
+    flat = [b.reshape(b.shape[:-2] + (-1,)) for b in blocks]
+    return np.concatenate(flat, axis=-1, dtype=complex).view(np.float64)
 
 
 def emit_element(a: HermitianElement) -> str:
     """The entries of a as parse_element reads them."""
-    v = element_entries(a)
+    v = element_entries(a.blocks).tolist()
     return " ".join(
         f"{format(x, '.17g')},{format(y, '.17g')}" for x, y in zip(v[::2], v[1::2])
     )

@@ -28,6 +28,10 @@ class Report:
             ok = bool(value <= bound)
         self.findings.append(Finding(check, detail, float(value), float(bound), bool(ok)))
 
+    def flag(self, check: str, detail: str, ok: bool):
+        """A pass/fail finding: value 0 when ok, else 1, against bound 0."""
+        self.add(check, detail, 0.0 if ok else 1.0, 0.0, ok)
+
     @property
     def ok(self) -> bool:
         return all(f.ok for f in self.findings)

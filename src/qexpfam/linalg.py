@@ -49,9 +49,6 @@ class Algebra:
         """Real dimension of the space of self-adjoint elements."""
         return sum(n * n for n in self.block_dims)
 
-    def is_abelian(self) -> bool:
-        return all(n == 1 for n in self.block_dims)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=complex)

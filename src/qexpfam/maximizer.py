@@ -96,28 +96,24 @@ class MaximizerCertificate:
         return hs_inner(u, log_on_support(self.state) - self.theta)
 
 
-def maximizer_certificate(
-    rho: State,
-    family: ExponentialFamily,
-    require_attained: bool = True,
-) -> MaximizerCertificate:
+def maximizer_certificate(rho: State, family: ExponentialFamily) -> MaximizerCertificate:
     """Evaluate the necessary condition for a local maximizer of the distance.
 
     Projects rho, compares it against the compressed family member
     exp1^p(p theta p) on its own support, and reports the certified distance
-    F(theta) - F^p(p theta p) together with the face-gradient norm.  With
-    ``require_attained=False`` the certificate is evaluated at the solver's
-    final iterate even when the projection recedes to the family boundary.
+    F(theta) - F^p(p theta p) together with the face-gradient norm.  The
+    projection must be attained.
     """
     res = project_to_family(rho, family)
-    if require_attained and not res.attained:
+    if not res.attained:
         raise PreconditionError("projection of rho is not attained")
     return _certificate(rho, family, res)
 
 
 def _certificate(rho: State, family: ExponentialFamily, res: ProjectionResult
                  ) -> MaximizerCertificate:
-    """The certificate of rho from res, its projection onto family."""
+    """The certificate of rho from res, its projection onto family; at an
+    unattained res, the certificate of the solver's last iterate."""
     theta = family.parameter_element(res.theta_star)
     p, grad_face = _face_gradient(rho, theta)
     ptp, _ = compress(p, theta)

@@ -110,10 +110,7 @@ def atlas_csv(path: str, atlas: ClosureAtlas) -> None:
     """One row per projector group with a representative state's entries."""
     header = ["alpha_lo", "alpha_hi", "projector_rank", "family_dim"]
     header += entry_header(atlas.family.offset)
-    m = len(atlas.groups)
-    entries = np.concatenate(
-        [b.reshape(m, -1).view(np.float64) for b in atlas.representative_blocks()], axis=1
-    )
+    entries = element_entries(atlas.representative_blocks())
     rows = [(g.alpha_lo, g.alpha_hi, g.rank, g.family_dim, *e)
             for g, e in zip(atlas.groups, entries.tolist())]
     write_csv(path, header, [NUM, NUM, "%s", "%s"] + [NUM] * entries.shape[1], rows)
@@ -140,7 +137,7 @@ def certificates_csv(path: str, candidates: list[SearchCandidate]) -> None:
     for c in candidates:
         cert = c.certificate
         rows.append((
-            *element_entries(c.state.element),
+            *element_entries(c.state.element.blocks).tolist(),
             cert.residual if cert else nan,
             cert.certified_value if cert else nan,
             cert.gradient_norm if cert else nan,

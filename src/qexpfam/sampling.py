@@ -1,11 +1,10 @@
-"""Seeded random elements, states and families for tests and reports."""
+"""Seeded random elements and states for tests and reports."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .linalg import Algebra, HermitianElement, from_coords, traceless_part
-from .family import ExponentialFamily, make_family
 from .states import State
 
 
@@ -21,13 +20,6 @@ def random_traceless(
     algebra: Algebra, rng: np.random.Generator, scale: float = 1.0
 ) -> HermitianElement:
     return traceless_part(random_hermitian(algebra, rng, scale))
-
-
-def random_unit_traceless(
-    algebra: Algebra, rng: np.random.Generator
-) -> HermitianElement:
-    a = random_traceless(algebra, rng)
-    return a / a.norm()
 
 
 def _haar(g: np.ndarray) -> np.ndarray:
@@ -86,11 +78,3 @@ def random_state(
     """
     values, vectors = random_spectra(algebra, rng, 1, invertible, min_eig)
     return State._from_spectrum(algebra, [w[0] for w in values], [V[0] for V in vectors])
-
-
-def random_family(
-    algebra: Algebra, dim: int, rng: np.random.Generator
-) -> ExponentialFamily:
-    """Linear family spanned by ``dim`` random traceless directions."""
-    gens = [random_traceless(algebra, rng) for _ in range(dim)]
-    return make_family(algebra, gens)

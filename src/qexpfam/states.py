@@ -74,9 +74,6 @@ class State:
     def is_invertible(self) -> bool:
         return self.support_rank == self.algebra.dim
 
-    def min_eigenvalue(self) -> float:
-        return float(min(w.min() for w in self.spectral.eigenvalues))
-
     def __repr__(self):
         return f"State(dims={self.algebra.block_dims}, rank={self.support_rank})"
 
@@ -152,16 +149,6 @@ class Projector:
         return HermitianElement(
             self.algebra, [q @ s @ q.conj().T for q, s in zip(self.columns, small)])
 
-    def is_identity(self) -> bool:
-        return self.rank == self.algebra.dim
-
-    def same_image(self, other: "Projector") -> bool:
-        """Image equality within MAX_EIG_GAP, robust to basis rotation inside
-        degenerate eigenspaces."""
-        if self.rank != other.rank:
-            return False
-        return (self.element - other.element).norm() <= defaults.MAX_EIG_GAP
-
     def contains(self, a: HermitianElement) -> bool:
         """Whether a is supported in pAp, i.e. a = pap within the support cutoff."""
         pap, _ = compress(self, a)
@@ -194,17 +181,9 @@ def _rank_one_state(algebra: Algebra, block_index: int, columns: np.ndarray) -> 
     return State._from_spectrum(algebra, *_rank_one_spectrum(algebra, block_index, columns))
 
 
-def _rank_one_blocks(algebra: Algebra, block_index: int, columns: np.ndarray) -> list:
-    """The element blocks of _rank_one_state for each (n, n) column set of
-    the stack ``columns``, bit for bit: a stack in block ``block_index``, one
-    shared (zero) block elsewhere."""
-    return [_reconstruct_stack(w, V)
-            for w, V in zip(*_rank_one_spectrum(algebra, block_index, columns))]
-
-
 def _state_blocks(algebra: Algebra, values, vectors) -> list[np.ndarray]:
     """The element blocks of State._from_spectrum for each row of stacked
-    per-block eigenvalues and eigenvectors, with its checks, bit for bit."""
+    eigenvectors and per-row (or shared) eigenvalues, with its checks, bit for bit."""
     return [_reconstruct_stack(w, V) for w, V in zip(_state_spectrum(algebra, values), vectors)]
 
 

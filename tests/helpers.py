@@ -1,11 +1,39 @@
 import numpy as np
 
-from qexpfam import cone
-from qexpfam.family import exp1
+from qexpfam import cone, defaults
+from qexpfam.family import exp1, make_family
 from qexpfam.findings import Report
 from qexpfam.linalg import HermitianElement, eigh, hs_inner, traceless_part, zero
 from qexpfam.sampling import random_hermitian, random_traceless
 from qexpfam.states import Projector, State, log_on_support, max_eig_data, pure_state
+
+
+def random_unit_traceless(algebra, rng):
+    a = random_traceless(algebra, rng)
+    return a / a.norm()
+
+
+def random_family(algebra, dim, rng):
+    """Linear family spanned by ``dim`` random traceless directions."""
+    return make_family(algebra, [random_traceless(algebra, rng) for _ in range(dim)])
+
+
+def staffelberg_direction(alpha):
+    """u(alpha) = sin(a)(s1 + 0) + cos(a)(s2 + 1); maximal eigenvalue 1."""
+    return (float(np.sin(alpha)) * cone.PAULI[0]
+            + float(np.cos(alpha)) * (cone.PAULI[1] + cone.APEX))
+
+
+def swallow_direction(alpha):
+    """u(alpha) = sin(a)(s1 + 1) + cos(a)(s2 + 1) for the swallow family."""
+    return (float(np.sin(alpha)) * (cone.PAULI[0] + cone.APEX)
+            + float(np.cos(alpha)) * (cone.PAULI[1] + cone.APEX))
+
+
+def same_image(p, q):
+    """Projector image equality: equal ranks, elements within MAX_EIG_GAP,
+    robust to basis rotation inside degenerate eigenspaces."""
+    return p.rank == q.rank and (p.element - q.element).norm() <= defaults.MAX_EIG_GAP
 
 
 def decoupled_pair(algebra, rng, gap_lo=0.6, gap_hi=2.0):

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import decoupled_pair
+from helpers import decoupled_pair, random_family
 
 from qexpfam import cone
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
@@ -28,7 +28,7 @@ from qexpfam.family import (
 )
 from qexpfam.linalg import Algebra, diagonal, hs_inner, traceless_part, trace_norm
 from qexpfam.maximizer import dE_directional_derivative, maximizer_certificate
-from qexpfam.sampling import random_family, random_state, random_traceless
+from qexpfam.sampling import random_state, random_traceless
 from qexpfam.states import (
     State,
     max_eig_data,
@@ -108,7 +108,7 @@ def test_criterion_03_pythagorean_identity():
             w = random_traceless(algebra, rng)
             for v in fam.basis:
                 w = w - hs_inner(w, v) * v
-            lam = sigma.min_eigenvalue()
+            lam = sigma.spectral.all_eigenvalues().min()
             rho = State(sigma.element + (0.5 * lam / max(w.norm(), 1e-12)) * w)
             worst = max(worst, pythagorean_residual(rho, sigma, tau))
     criterion(3, "Pythagorean residual <= 1e-10 on 100 triples per family",

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import random_family
 from qexpfam import cone
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError, UnderResolvedSweepError
 from qexpfam.family import make_family
 from qexpfam.linalg import Algebra, diagonal, hs_inner
-from qexpfam.sampling import random_family
 from qexpfam.states import State, max_eig_data
 
 

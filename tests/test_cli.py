@@ -153,6 +153,16 @@ class TestCliExitCodes:
         assert main(args) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("args", [["sweep", "--phi", "0.5"],
+                                      ["distance", "--state", "c"]])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, args):
+        # an existing file where the output directory should be
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main([*args, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert out.read_text() == "kept"
+
     def test_under_resolved_sweep_exits_3(self, tmp_path):
         code = main(["sweep", "--phi", str(np.pi / 6.0), "--angles", "4",
                      "--out", str(tmp_path)])

@@ -42,7 +42,7 @@ from qexpfam.linalg import (
     identity,
     traceless_part,
 )
-from qexpfam.sampling import haar_unitary, random_family, random_hermitian, random_traceless
+from qexpfam.sampling import haar_unitary, random_hermitian, random_traceless
 from qexpfam.states import (
     Projector,
     State,
@@ -55,7 +55,8 @@ from qexpfam.states import (
 )
 
 
-from helpers import decoupled_pair
+from helpers import (decoupled_pair, random_family, same_image, staffelberg_direction,
+                     swallow_direction)
 
 
 class TestEgeodesicLimit:
@@ -71,7 +72,7 @@ class TestEgeodesicLimit:
     def test_staffelberg_u0_limits_to_c(self, algebra):
         from qexpfam.linalg import zero
 
-        limit, asym = egeodesic_limit(zero(algebra), cone.staffelberg_direction(0.0))
+        limit, asym = egeodesic_limit(zero(algebra), staffelberg_direction(0.0))
         assert (limit.element - cone.midpoint_state().element).norm() < 1e-12
         assert asym == pytest.approx(np.log(2.0), abs=1e-12)
 
@@ -97,7 +98,7 @@ class TestEgeodesicLimit:
         # with top-block coupling the approach is only O(1/lambda): still a
         # limit, but visible only at large parameters
         theta = 0.5 * cone.PAULI[0]
-        u = cone.staffelberg_direction(0.7)
+        u = staffelberg_direction(0.7)
         limit, _ = egeodesic_limit(theta, u)
         errs = [
             (exp1(theta + lam * u).element - limit.element).norm()
@@ -325,7 +326,7 @@ class TestReduceDistance:
         p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         fam_p = make_compressed_family(swallow, p)
         rho = fam_p.member([0.8])
-        u = cone.swallow_direction(0.0)
+        u = swallow_direction(0.0)
         assert reduce_distance_to_face(rho, swallow, u) <= 1e-9
 
     @pytest.mark.parametrize("alpha", [0.0, np.pi / 2.0])
@@ -333,7 +334,7 @@ class TestReduceDistance:
         # rho lies on a proper face of the face's family: the chain's second
         # step reaches distance 0 exactly
         rho = cone.base_circle_state(alpha)
-        got = reduce_distance_to_face(rho, swallow, cone.swallow_direction(alpha))
+        got = reduce_distance_to_face(rho, swallow, swallow_direction(alpha))
         assert got == 0.0
         assert got == entropy_distance(rho, swallow)[0]
 
@@ -464,7 +465,7 @@ class TestFaceChain:
 
         projectors, last = face_chain(rho, fam)
         assert len(projectors) == 1
-        assert projectors[0].same_image(max_eig_data(g1)[1])
+        assert same_image(projectors[0], max_eig_data(g1)[1])
         res = project_to_family(rho, last, param_cap=defaults.RI_PARAM_CAP)
         assert res.attained
         reduced = reduce_distance_to_face(rho, fam, g1)
@@ -509,7 +510,7 @@ class TestInclusionChain:
         # the chain solves each sample in its group's family, which holds
         # only if the group's projector is the maximal projector of the
         # direction at its mid-angle, the face that direction exposes: equal
-        # ranks and images as Projector.same_image compares them
+        # ranks and images as helpers.same_image compares them
         if name == "random":
             atlases = [geodesic_closure_atlas(random_family(
                 Algebra(dims), 2, np.random.default_rng([seed, *dims])))

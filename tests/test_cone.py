@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 from helpers import (reference_base_circle_state, reference_cone_identity_residuals,
-                     reference_random_state, reference_swallow_bilinear)
+                     reference_random_state, reference_swallow_bilinear, staffelberg_direction,
+                     swallow_direction)
 
 from qexpfam import cone, sampling, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
@@ -39,7 +40,8 @@ class TestConeConstants:
 
     def test_contains_builds_no_state_after_first_call(self, monkeypatch):
         point = cone.project_to_slice(cone.midpoint_state().element)
-        cone.contains(point)
+        coords = cone.slice_coordinates(point.blocks)
+        cone._inside(coords)
         built = []
         for cls in (states.State, HermitianElement):
             def counting(self, *args, real=cls.__init__, name=cls.__name__):
@@ -48,8 +50,8 @@ class TestConeConstants:
 
             monkeypatch.setattr(cls, "__init__", counting)
         for _ in range(3):
-            cone.contains(point)
-            cone.boundary_distance(point)
+            cone._inside(cone.slice_coordinates(point.blocks))
+            cone._boundary_gap(cone.slice_coordinates(point.blocks))
         assert built == []
 
     def test_constants_built_once(self, monkeypatch):
@@ -277,7 +279,7 @@ class TestStaffelbergSigma:
         for alpha in np.linspace(0.0, 2 * np.pi, 24, endpoint=False):
             for t in (0.0, 0.5, 2.0, 10.0, 30.0, 50.0):
                 closed = cone.staffelberg_sigma(alpha, t)
-                direct = exp1(t * cone.staffelberg_direction(alpha))
+                direct = exp1(t * staffelberg_direction(alpha))
                 worst = max(worst, (closed.element - direct.element).norm())
         assert worst <= 1e-12
 
@@ -404,7 +406,7 @@ class TestReports:
         cases = [(State((1.0 - s) * rho0.element + s * cone.APEX), staffelberg, v)
                  for s in np.linspace(0.05, 0.95, 7)]
         cases += [(rho0, staffelberg, v), (upper, staffelberg, v)]
-        cases += [(cone.base_circle_state(a), swallow, cone.swallow_direction(a))
+        cases += [(cone.base_circle_state(a), swallow, swallow_direction(a))
                   for a in (0.0, np.pi / 2.0)]
         for rho, fam, u in cases:
             assert entropy_distance(rho, fam)[0] == reduce_distance_to_face(rho, fam, u)

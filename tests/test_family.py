@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import random_family, staffelberg_direction
 from qexpfam import cone
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (
@@ -15,7 +16,7 @@ from qexpfam.family import (
     pythagorean_residual,
 )
 from qexpfam.linalg import Algebra, diagonal, hs_inner, identity, zero
-from qexpfam.sampling import random_family, random_state, random_traceless
+from qexpfam.sampling import random_state, random_traceless
 from qexpfam.states import State, relative_entropy, tracial_state
 
 
@@ -215,7 +216,7 @@ class TestPythagoras:
             sigma = staffelberg.member(theta1)
             tau = staffelberg.member(theta2)
             w = _orthogonal_perturbation(staffelberg, rng, 1.0)
-            lam = sigma.min_eigenvalue()
+            lam = sigma.spectral.all_eigenvalues().min()
             rho = State(sigma.element + (0.5 * lam / max(w.norm(), 1e-12)) * w)
             assert pythagorean_residual(rho, sigma, tau) <= 1e-10
 
@@ -242,7 +243,7 @@ class TestChartBijectivity:
             theta = theta / max(1.0, np.linalg.norm(theta) / 3.0)
             member = staffelberg.member(theta)
             w = _orthogonal_perturbation(staffelberg, rng, 1.0)
-            lam = member.min_eigenvalue()
+            lam = member.spectral.all_eigenvalues().min()
             rho = State(member.element + (0.4 * lam / max(w.norm(), 1e-12)) * w)
             res = project_to_family(rho, staffelberg, tol=1e-12)
             assert res.attained
@@ -255,7 +256,7 @@ class TestGeodesicMonotonicity:
         # rho(0) lies in the face of u(0); S(rho(0), exp1(theta + t u)) is
         # strictly decreasing in t
         rho = cone.base_circle_state(0.0)
-        u = cone.staffelberg_direction(0.0)
+        u = staffelberg_direction(0.0)
         theta = 0.3 * cone.PAULI[0]
         values = [
             relative_entropy(rho, exp1(theta + t * u)) for t in np.linspace(0.0, 6.0, 13)
@@ -308,7 +309,7 @@ class TestOffsetFamily:
         tau = fam.member([-0.4, 0.6])
         # ln tau - ln sigma lies in V + R*identity, so w perp V suffices
         w = _orthogonal_perturbation(fam, rng, 1.0)
-        lam = sigma.min_eigenvalue()
+        lam = sigma.spectral.all_eigenvalues().min()
         rho = State(sigma.element + (0.4 * lam / max(w.norm(), 1e-12)) * w)
         assert pythagorean_residual(rho, sigma, tau) <= 1e-10
 
@@ -316,7 +317,7 @@ class TestOffsetFamily:
 class TestLargerAlgebra:
     def test_projection_on_three_blocks(self, rng):
         from qexpfam.linalg import Algebra
-        from qexpfam.sampling import random_family, random_state
+        from qexpfam.sampling import random_state
 
         big = Algebra((3, 2, 1))
         fam = random_family(big, 3, rng)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_support
+from helpers import random_family, random_support
 from qexpfam import family as family_mod
 from qexpfam.defaults import PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
@@ -37,8 +37,7 @@ from qexpfam.linalg import (
     identity,
     project_out,
 )
-from qexpfam.sampling import (random_family, random_hermitian, random_state,
-                               random_traceless)
+from qexpfam.sampling import random_hermitian, random_state, random_traceless
 from qexpfam.states import Projector, State, _state_spectrum, compress, full_support
 
 # random block algebras of total dimension <= 6; derandomized so the suite

@@ -36,8 +36,7 @@ class TestAlgebra:
     def test_dims(self, algebra):
         assert algebra.dim == 3
         assert algebra.real_dim == 5
-        assert not algebra.is_abelian()
-        assert Algebra((1, 1, 1)).is_abelian()
+        assert algebra.block_dims == (2, 1)
 
     def test_validation(self):
         with pytest.raises(ValueError):

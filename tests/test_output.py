@@ -1,9 +1,10 @@
 """The row-template writers against the per-cell reference, byte for byte.
 
-The reference writers below format every cell with its own fmt call and
-build the atlas representatives one eigendecomposition per group; the
-package's writers fill one "%.17g" row template per row from stacked
-columns and reconstruct rank-one representatives stacked.
+The reference writers below format every cell with its own fmt call, read
+matrix entries one at a time and build the atlas representatives one
+eigendecomposition per group; the package's writers fill one "%.17g" row
+template per row from stacked columns, encode entries as one float view and
+reconstruct rank-one representatives stacked.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import random_family
 from qexpfam import cone, output
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.closures import geodesic_closure_atlas
@@ -20,10 +22,20 @@ from qexpfam.findings import Report
 from qexpfam.linalg import Algebra
 from qexpfam.maximizer import local_max_search, maximizer_certificate
 from qexpfam.output import entry_header, fmt
-from qexpfam.sampling import random_family, random_state
+from qexpfam.sampling import random_state
 from qexpfam.states import Projector, _rank_one_state
 
 # -- the per-cell reference -------------------------------------------------------
+
+
+def ref_entries(a) -> list[float]:
+    """Row-major re,im pairs per block, one entry at a time."""
+    out = []
+    for b in a.blocks:
+        for row in np.asarray(b):
+            for entry in row:
+                out.extend((float(entry.real), float(entry.imag)))
+    return out
 
 
 def ref_csv(header, rows) -> str:
@@ -85,7 +97,7 @@ def ref_atlas_csv(atlas) -> str:
     header = ["alpha_lo", "alpha_hi", "projector_rank", "family_dim"]
     header += entry_header(atlas.family.offset)
     rows = [[g.alpha_lo, g.alpha_hi, str(g.rank), str(g.family_dim)]
-            + element_entries(ref_representative(g).element) for g in atlas.groups]
+            + ref_entries(ref_representative(g).element) for g in atlas.groups]
     return ref_csv(header, rows)
 
 
@@ -102,7 +114,7 @@ def ref_certificates_csv(candidates) -> str:
     rows = []
     for c in candidates:
         cert = c.certificate
-        rows.append(element_entries(c.state.element) + [
+        rows.append(ref_entries(c.state.element) + [
             cert.residual if cert else float("nan"),
             cert.certified_value if cert else float("nan"),
             cert.gradient_norm if cert else float("nan"),
@@ -196,20 +208,30 @@ def test_row_template_is_fmt(cells):
     assert text == ",".join(fmt(x) for x in cells) + "\n"
 
 
+@pytest.mark.parametrize("dims", [(2, 1), (3,), (1, 1, 1), (4, 4, 4, 4)])
+def test_element_entries_are_the_per_entry_reference(dims):
+    algebra = Algebra(dims)
+    rng = np.random.default_rng(sum(dims))
+    states = [random_state(algebra, rng, invertible=False) for _ in range(50)]
+    ref = np.array([ref_entries(s.element) for s in states])
+    for s, r in zip(states, ref):
+        assert np.array_equal(element_entries(s.element.blocks).view(np.int64), r.view(np.int64))
+    stacks = [np.stack([s.element.blocks[k] for s in states]) for k in range(algebra.n_blocks)]
+    assert np.array_equal(element_entries(stacks).view(np.int64), ref.view(np.int64))
+
+
 # -- stacked rank-one representatives ------------------------------------------------
 
 
 @pytest.mark.parametrize("name", ["staffelberg", "swallow", "2,2@4", "3,1@11"])
 def test_stacked_representatives_are_the_per_group_states(name):
     atlas = geodesic_closure_atlas(_family(name))
-    m = len(atlas.groups)
-    stacked = np.concatenate([b.reshape(m, -1).view(np.float64)
-                              for b in atlas.representative_blocks()], axis=1)
+    stacked = element_entries(atlas.representative_blocks())
     ones = [i for i, g in enumerate(atlas.groups) if g.rank == 1]
     assert len(ones) > 100
     for i in ones:
         g = atlas.groups[i]
-        old = np.array(element_entries(ref_representative(g).element))
+        old = np.array(ref_entries(ref_representative(g).element))
         assert np.array_equal(stacked[i].view(np.int64), old.view(np.int64))
-        new = np.array(element_entries(g.representative.element))
+        new = np.array(ref_entries(g.representative.element))
         assert np.array_equal(new.view(np.int64), old.view(np.int64))

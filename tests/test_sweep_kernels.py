@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from qexpfam import cone, defaults, sampling
+from helpers import random_family
+from qexpfam import cone, defaults
 from qexpfam.boundary import _resolution, mean_value_boundary_sweep
 from qexpfam.closures import geodesic_closure_atlas
 from qexpfam.family import make_family
@@ -244,8 +245,8 @@ def _mp_crossing(fam, alpha: float) -> mpmath.mpf:
 class TestCrossingOracle:
     @pytest.mark.parametrize("fam", [
         *(cone.plane_for_angle(phi) for phi in (0.03, 0.5, 0.8255269040265483, 1.0)),
-        sampling.random_family(Algebra((1, 1, 1, 1)), 2, np.random.default_rng(139)),
-        sampling.random_family(Algebra((2, 2)), 2, np.random.default_rng(47)),
+        random_family(Algebra((1, 1, 1, 1)), 2, np.random.default_rng(139)),
+        random_family(Algebra((2, 2)), 2, np.random.default_rng(47)),
     ], ids=["tilt0.03", "tilt0.5", "tilt0.8255", "tilt1.0", "1111-s139", "22-s47"])
     def test_roots_match_mpmath(self, fam):
         for n in (64, 720):
@@ -273,7 +274,7 @@ class TestCrossingRule:
         if commutative:
             fam = _random_family(dims, seed, True)
         else:
-            fam = sampling.random_family(Algebra(dims), 2, np.random.default_rng(seed))
+            fam = random_family(Algebra(dims), 2, np.random.default_rng(seed))
         for n in (90, 180, 720):
             segments, spikes = self._counts(fam, n)
             assert segments == spikes
@@ -293,7 +294,7 @@ class TestCrossingRule:
 
     @staticmethod
     def _four_crossings(dims, seed, kind, n):
-        fam = sampling.random_family(Algebra(dims), 2, np.random.default_rng(seed))
+        fam = random_family(Algebra(dims), 2, np.random.default_rng(seed))
         if kind == "sweep":
             return len(mean_value_boundary_sweep(fam, n).segments()) == 4
         return len(geodesic_closure_atlas(fam, n).spike_groups()) == 4
