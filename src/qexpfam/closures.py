@@ -42,7 +42,7 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
-    _chain_projection,
+    _chain_projections,
     _check_tangent,
     _combine,
     _gibbs,
@@ -278,7 +278,7 @@ def reduce_distance_to_face(
     mu, p = max_eig_data(v)
     if not _on_exposed_face(rho, v, mu, p):
         raise PreconditionError("state is not in the exposed face of v")
-    return _chain_projection(rho, make_compressed_family(family, p), param_cap).distance
+    return _chain_projections([rho], make_compressed_family(family, p), param_cap)[0].distance
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
@@ -354,10 +354,12 @@ def inclusion_chain_check(
         if g.family_dim >= 1:
             thetas.append(("member", 0.7 * np.ones(g.family_dim)))
         samples = [(theta_p, g.family.member(theta_p)) for _, theta_p in thetas]
-        for (tag, _), (_, s) in zip(thetas, samples):
+        # the group's samples share g.family: one Newton loop for both
+        exact = _chain_projections([s for _, s in samples], g.family, defaults.RI_PARAM_CAP)
+        for (tag, _), res in zip(thetas, exact):
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
-            rows.append((where, entropy_distance(s, g.family)[0]))
+            rows.append((where, res.distance))
         legs.append((g, u, gaps[i], samples))
     for (where, d), norm in zip(rows, _norm_leg(family, legs)):
         report.add("geo_subset_rI", where, d, defaults.RI_EPS)

@@ -15,16 +15,20 @@ The projection onto the family minimizes the strictly convex objective
 
 by damped Newton with Armijo backtracking in the eigenbasis of the parameter
 element: one eigendecomposition per iterate and size group gives f, the mean
-values and the BKM Hessian.  Every solve starts from the family's cached
-point at theta = 0, and a result builds sigma* on first read.  Sums over
-blocks run in block order, so every value has the bits of a block-by-block
-evaluation.  f recovers the relative entropy as S(rho, exp1(a)) = f(theta) -
-S(rho) - <rho, offset>, which stays meaningful when the infimum recedes to the
-boundary and no minimizer exists.  That happens exactly when rho lies on a
-proper exposed face of the mean value set; the face finder decides it and the
-solver reports it as a flag, not an error.  entropy_distance solves in the
-family of the face that carries rho (face_chain), where the minimum is
-attained; the caps remain for extrapolation.
+values and the BKM Hessian.  Many states of one family run in one loop: each
+keeps its own step length, cap, stall count and stop reason, and the states
+still running share one evaluation per Armijo trial, their thetas (K, dim)
+stacked (g, K, n_k, n_k) per size group, and one Hessian call per Newton step.
+Every solve starts from the family's cached point at theta = 0, and a result
+builds sigma* on first read.  Sums over blocks run in block order, so every
+value has the bits of a block-by-block evaluation, and every state those of
+its own solve.  f recovers the relative entropy as S(rho, exp1(a)) =
+f(theta) - S(rho) - <rho, offset>, which stays meaningful when the infimum
+recedes to the boundary and no minimizer exists.  That happens exactly when
+rho lies on a proper exposed face of the mean value set; the face finder
+decides it and the solver reports it as a flag, not an error.
+entropy_distance solves in the family of the face that carries rho
+(face_chain), where the minimum is attained; the caps remain for extrapolation.
 """
 
 from __future__ import annotations
@@ -76,8 +80,9 @@ _EPS = float(np.finfo(float).eps)
 
 class _Gibbs(NamedTuple):
     """A _gibbs result: F, then per size group (linalg.size_groups) the
-    eigenvalues of a within Im(p), descending, the eigenvectors as columns of
-    the ambient blocks, and the Gibbs weights e^(w - mu) / z, each a stack
+    eigenvalues w - mu of a - mu within Im(p), descending, the eigenvectors
+    as columns of the ambient blocks, and the Gibbs weights e^(w - mu) / z,
+    each a stack
     whose first axis runs over the group's blocks; order is each block's
     (group, row) in block order."""
 
@@ -131,11 +136,12 @@ def _gibbs_stacks(stacks: list[np.ndarray], order, support: Projector | None) ->
     # the largest eigenvalue; a one-block group's top needs no reduction
     mu = reduce(np.maximum, [w[0, ..., 0] if len(w) == 1 else w[..., 0].max(0)
                              for w in values if w.shape[-1]])
-    e = [np.exp(w - (mu[..., None] if row_axes else mu)) for w in values]
+    shifted = [w - (mu[..., None] if row_axes else mu) for w in values]
+    e = [np.exp(x) for x in shifted]
     sums = [x.sum(-1) for x in e]
     z = sum([sums[g][j] for g, j in order])  # terms >= +0: the start 0 moves no bit
     weights = [x / (z[..., None] if row_axes else z) for x in e]
-    return _Gibbs(mu + np.log(z), values, [V for _, V in pairs], weights, z, mu, order)
+    return _Gibbs(mu + np.log(z), shifted, [V for _, V in pairs], weights, z, mu, order)
 
 
 def _gibbs_spectra(support: Projector | None, gibbs: _Gibbs):
@@ -250,7 +256,8 @@ class ExponentialFamily:
 
     @cached_property
     def origin(self) -> tuple:
-        """The point of _objective_pieces at theta = 0, where all solves start; read only."""
+        """The point of _objective_pieces at theta = 0, where every solve of
+        every state starts; read only."""
         return _objective_pieces(self, np.zeros(self.dim), np.zeros(self.dim))[2]
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
@@ -551,36 +558,42 @@ class ProjectionResult:
 
 def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.ndarray):
     """Objective F(a) - theta.m, its gradient, and the point (_gibbs at a, T,
-    means) they were read from, which the Hessian and the Gibbs state reuse.
+    means) they were read from, which the Hessian and the Gibbs state reuse;
+    theta and moments may be (K, dim), one row per state with its own bits.
 
-    One eigendecomposition of a = offset + sum theta_i v_i per size group;
-    each group's basis stack S (g, dim, n_k, n_k) is tilted into the
-    eigenbases of its blocks by one product, T = V* S V, and the means are
-    the Gibbs-weighted diagonals sum_k sum_m p_m Re (T_k,i)_mm, summed over
-    the blocks in block order.
+    One eigendecomposition of a = offset + sum theta_i v_i per size group,
+    stacked (g, *rows, n_k, n_k); each group's basis stack S (g, dim, n_k,
+    n_k) is tilted into the eigenbases of its blocks by one product, T = V* S
+    V, and the means are the Gibbs-weighted diagonals sum_k sum_m p_m Re
+    (T_k,i)_mm, summed over the blocks in block order.
     """
     order, groups = family.group_stacks
-    # offset + sum theta_i v_i per group: one product, each block with the
-    # bits of parameter_element
-    a = [o + (theta @ flat).reshape(o.shape) for o, _, flat in groups]
+    rows = theta.shape[:-1]
+    if rows:  # the row axis after g
+        groups = [(o[:, None], S[:, None], flat[:, None]) for o, S, flat in groups]
+    # one (1, dim) @ (dim, n_k^2) product per row and block, the bits of
+    # parameter_element: a (K, dim) @ (dim, n_k^2) product would move them
+    a = [o + (theta[..., None, :] @ flat).reshape(o.shape[:1] + rows + o.shape[-2:])
+         for o, _, flat in groups]
     a = [(x + x.conj().swapaxes(-1, -2)) / 2.0 for x in a]
     gibbs = _gibbs_stacks(a, order, family.support)
-    tilted = [V.conj().swapaxes(-1, -2)[:, None] @ S @ V[:, None]
+    tilted = [V.conj().swapaxes(-1, -2)[..., None, :, :] @ S @ V[..., None, :, :]
               for V, (_, S, _) in zip(gibbs.vectors, groups)]
     diagonals = [np.diagonal(T, axis1=-2, axis2=-1).real for T in tilted]
     means = sum(gibbs.per_block([(d @ p[..., None])[..., 0]
                                  for d, p in zip(diagonals, gibbs.weights)]))
-    return float(gibbs.free) - float(theta @ moments), means - moments, (gibbs, tilted, means)
+    values = gibbs.free - np.vecdot(theta, moments)  # per row, the bits of theta @ moments
+    return values, means - moments, (gibbs, tilted, means)
 
 
 def _bkm_hessian(point) -> np.ndarray:
     """BKM covariance H_ij = <v_i - m_i, Dexp(a)[v_j - m_j]> / tr e^a of the
-    tangent basis at a point of _objective_pieces, m the means.
+    tangent basis at a point of _objective_pieces, m the means, per row.
 
     In the eigenbasis of a it is sum_k sum_mn t_mn Re(conj(C_k,i) C_k,j)_mn / z
-    with C_k,i = T_k,i - m_i 1 and t > 0 the exp divided differences of
-    w - mu: the Gram matrix of R_k = [Re | Im](C_k * sqrt(t)) as (dim, 2 n_k^2),
-    symmetric and positive semidefinite by construction.  Each size group
+    with C_k,i = T_k,i - m_i 1 and t > 0 the exp divided differences of the
+    point's w - mu: the Gram matrix of R_k = [Re | Im](C_k * sqrt(t)) as
+    (dim, 2 n_k^2), symmetric and positive semidefinite by construction.  Each size group
     takes one table and one batched Gram product; the blocks' Gram matrices
     are summed in block order.  Centered first, it has no cancellation
     against m m^T.
@@ -589,21 +602,35 @@ def _bkm_hessian(point) -> np.ndarray:
     grams = []
     for w, T in zip(gibbs.values, tilted):
         C = T.copy()  # centered: m_i off the diagonal of each T_k,i
-        C.reshape(C.shape[:2] + (C.shape[-1] ** 2,))[..., ::C.shape[-1] + 1] -= m[:, None]
-        C *= np.sqrt(divided_differences(w - gibbs.mu, "exp"))[:, None]
-        R = C.view(float).reshape(C.shape[:2] + (-1,))
+        C.reshape(C.shape[:-2] + (C.shape[-1] ** 2,))[..., ::C.shape[-1] + 1] -= m[..., None]
+        C *= np.sqrt(divided_differences(w, "exp"))[..., None, :, :]
+        R = C.view(float).reshape(C.shape[:-2] + (-1,))
         grams.append(R @ R.swapaxes(-1, -2))
-    H = np.zeros((len(m), len(m)))
+    H = np.zeros(m.shape + m.shape[-1:])
     for G in gibbs.per_block(grams):
         H += G
-    return H / gibbs.z
+    return H / gibbs.z[..., None, None]
+
+
+def _take(point, rows):
+    """Rows of a point of _objective_pieces over stacked states: a list of
+    indices stacked, one index as its state's own call gives it, None all."""
+    if rows is None:
+        return point
+    gibbs, tilted, means = point
+    values, vectors, weights, tilted = ([x[:, rows] for x in stacks] for stacks in (
+        gibbs.values, gibbs.vectors, gibbs.weights, tilted))
+    return (gibbs._replace(free=gibbs.free[rows], values=values, vectors=vectors,
+                           weights=weights, z=gibbs.z[rows], mu=gibbs.mu[rows]),
+            tilted, means[rows])
 
 
 @dataclass
 class _NewtonState:
-    """The solver at the start of a Newton iteration: theta, its objective
-    value and gradient, the point of _objective_pieces they come from and,
-    once that iteration has run, its (smallest Hessian eigenvalue, step)."""
+    """One state's solver at the start of a Newton iteration: theta, its
+    objective value and gradient, the (point of _objective_pieces, row) they
+    come from and, once that iteration has run, its (smallest Hessian
+    eigenvalue, step)."""
 
     theta: np.ndarray
     fval: float
@@ -617,23 +644,28 @@ class _NewtonState:
     newton: tuple[float, np.ndarray] | None = None
 
 
-def _newton_setup(rho: State, family: ExponentialFamily):
-    """Checks, then (moments, entropy offset, solver state at family.origin)."""
-    if rho.algebra != family.algebra:
-        raise AlgebraMismatchError("state and family in different algebras")
-    if family.support is not None:
-        inside = hs_inner(rho.element, family.support_projector.element)
-        if inside < 1.0 - defaults.SUPPORT_CUTOFF:
-            raise PreconditionError(
-                "state not supported in the family's corner algebra; "
-                "its entropy distance from the compressed family is infinite"
-            )
-    moments = mean_value_projection(rho.element, family)
-    base = vn_entropy(rho) + hs_inner(rho.element, family.offset)
-    theta = np.zeros(family.dim)
-    gibbs, _, means = point = family.origin
-    fval = float(gibbs.free) - float(theta @ moments)
-    return moments, base, _NewtonState(theta, fval, means - moments, point)
+def _newton_setup(rhos: Sequence[State], family: ExponentialFamily):
+    """Checks of each state in order, then per state its moments, entropy
+    offset and solver state at family.origin."""
+    for rho in rhos:
+        if rho.algebra != family.algebra:
+            raise AlgebraMismatchError("state and family in different algebras")
+        if family.support is not None:
+            inside = hs_inner(rho.element, family.support_projector.element)
+            if inside < 1.0 - defaults.SUPPORT_CUTOFF:
+                raise PreconditionError(
+                    "state not supported in the family's corner algebra; "
+                    "its entropy distance from the compressed family is infinite"
+                )
+    moments = [mean_value_projection(rho.element, family) for rho in rhos]
+    bases = [vn_entropy(rho) + hs_inner(rho.element, family.offset) for rho in rhos]
+    gibbs, _, means = origin = family.origin
+    starts = []
+    for m in moments:
+        theta = np.zeros(family.dim)
+        fval = float(gibbs.free) - float(theta @ m)
+        starts.append(_NewtonState(theta, fval, means - m, (origin, None)))
+    return moments, bases, starts
 
 
 def _resolution(scale: float) -> float:
@@ -649,20 +681,93 @@ def _norm(v: np.ndarray) -> float:
 
 def _newton(
     family: ExponentialFamily,
-    moments: np.ndarray,
-    start: _NewtonState,
+    moments: Sequence[np.ndarray],
+    starts: Sequence[_NewtonState],
     tol: float,
     param_cap: float,
-) -> tuple[_NewtonState, _NewtonState | None]:
-    """Damped Newton from ``start`` within ``param_cap``.
+) -> list[tuple[_NewtonState, _NewtonState | None]]:
+    """_newton_row for each state's moments from its start, the rows side by
+    side: each round serves the requests of the rows still running with one
+    Hessian, eigvalsh and solve call and one _objective_pieces call, until
+    one row is left, which _newton_alone finishes.  Per row, (final state,
+    resume point), each with the bits of its own solve."""
+    rows = [_newton_row(family, start, tol, param_cap) for start in starts]
+    out: list = [None] * len(rows)
+    replies = [(k, None) for k in range(len(rows))]
+    while replies:
+        if len(replies) == 1:
+            k, reply = replies[0]
+            out[k] = _newton_alone(family, moments[k], rows[k], reply)
+            break
+        asks = []
+        for k, reply in replies:
+            try:
+                asks.append((k, rows[k].send(reply)))
+            except StopIteration as done:
+                out[k] = done.value
+        steps = [(k, ask) for k, ask in asks if isinstance(ask, tuple)]
+        trials = [(k, ask) for k, ask in asks if not isinstance(ask, tuple)]
+        replies = []
+        if steps:
+            # a step follows an accepted trial: all rows at one come from the
+            # last round's evaluation, or all start at the origin
+            refs = [ref for _, (ref, _) in steps]
+            point = refs[0][0]
+            assert all(p is point for p, _ in refs)
+            H = _bkm_hessian(_take(point, None if refs[0][1] is None else [r for _, r in refs]))
+            H = np.broadcast_to(H, (len(steps),) + H.shape[-2:])
+            lows = np.linalg.eigvalsh(H)[:, 0].tolist()
+            H = np.array([_lifted(h, low) for h, low in zip(H, lows)])
+            x = np.linalg.solve(H, -np.array([grad for _, (_, grad) in steps])[..., None])
+            replies += [(k, pair) for (k, _), pair in zip(steps, zip(lows, x[..., 0]))]
+        if trials:
+            values, grads, point = _objective_pieces(family, np.array([t for _, t in trials]),
+                                                     np.array([moments[k] for k, _ in trials]))
+            replies += [(k, (f, grads[i], (point, i)))
+                        for i, ((k, _), f) in enumerate(zip(trials, values.tolist()))]
+    return out
 
-    Returns the final state and the resume point: the state at the start of
-    the first iteration in which the cap acted (the full step left the cap
-    ball, or the accepted point reached its sphere), None if it never did.
-    Up to that iteration every larger cap takes exactly the same path, and
-    a solve from the resume point reuses the step it carries.  The final
-    state's stop_reason is ProjectionResult's, or "max_iter" when the
-    iteration budget, defaults.MAX_ITER, ran out first.
+
+def _newton_alone(family: ExponentialFamily, moments: np.ndarray, row, reply):
+    """The rest of one _newton_row, sent ``reply`` first and served with the
+    shapes of a single solve: its (final state, resume point)."""
+    try:
+        while True:
+            ask = row.send(reply)
+            if isinstance(ask, tuple):
+                (point, k), grad = ask
+                H = _bkm_hessian(point if k is None else _take(point, k))
+                low = float(np.linalg.eigvalsh(H)[0])
+                reply = low, np.linalg.solve(_lifted(H, low), -grad)
+            else:
+                f, g, point = _objective_pieces(family, ask, moments)
+                reply = float(f), g, (point, None)
+    except StopIteration as done:
+        return done.value
+
+
+def _lifted(H: np.ndarray, low: float) -> np.ndarray:
+    """H, lifted when its smallest eigenvalue low is not positive: in an
+    exponentially flat valley the analytic Hessian is positive definite but
+    below rounding noise."""
+    return H + (abs(low) + 1e-15) * np.eye(len(H)) if low <= 0.0 else H
+
+
+def _newton_row(family: ExponentialFamily, start: _NewtonState, tol: float,
+                param_cap: float):
+    """Damped Newton from ``start`` within ``param_cap`` for one state, as a
+    generator: it yields ((point, row), gradient) for a Newton step, to be
+    sent (smallest Hessian eigenvalue, step), and a trial theta, to be sent
+    its (objective, gradient, (point, row)); it returns the final state and
+    the resume point.
+
+    The resume point is the state at the start of the first iteration in
+    which the cap acted (the full step left the cap ball, or the accepted
+    point reached its sphere), None if it never did.  Up to that iteration
+    every larger cap takes exactly the same path, and a solve from the
+    resume point reuses the step it carries.  The final state's stop_reason
+    is ProjectionResult's, or "max_iter" when the iteration budget,
+    defaults.MAX_ITER, ran out first.
     """
     theta, fval, grad, point = start.theta, start.fval, start.grad, start.point
     min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
@@ -678,15 +783,8 @@ def _newton(
             stop = "max_iter"
             break
         if newton is None:
-            H = _bkm_hessian(point)
-            eigs = np.linalg.eigvalsh(H)
-            if eigs[0] <= 0.0:
-                # exponentially flat valley: the analytic Hessian is positive
-                # definite but below rounding noise; regularize and continue
-                H = H + (abs(eigs[0]) + 1e-15) * np.eye(family.dim)
-            newton = float(eigs[0]), np.linalg.solve(H, -grad)
-        here = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled,
-                            newton=newton)
+            newton = yield point, grad
+        here = (theta, fval, grad, point, min_hess, iterations, stalled), newton
         min_hess = min(min_hess, newton[0])
         step, newton = newton[1], None
         slope = float(grad @ step)
@@ -700,12 +798,12 @@ def _newton(
             t = (np.sqrt(b * b + a * (param_cap ** 2 - theta @ theta)) - b) / a
             hit_cap_now = True
             if resume is None:
-                resume = here
+                resume = _NewtonState(*here[0], newton=here[1])
         accepted = False
         floor = _resolution(fval)
         for _ in range(defaults.ARMIJO_MAX_HALVINGS):
             cand = theta + t * step
-            f2, g2, p2 = _objective_pieces(family, cand, moments)
+            f2, g2, p2 = yield cand
             if f2 <= fval + defaults.ARMIJO_C1 * t * slope + floor or (
                 hit_cap_now and f2 < fval
             ):
@@ -729,7 +827,7 @@ def _newton(
         if hit_cap_now or _norm(theta) >= param_cap:
             cap_hit = True
             if resume is None:
-                resume = here
+                resume = _NewtonState(*here[0], newton=here[1])
             stop = "cap"
             break
 
@@ -755,7 +853,7 @@ def _newton_finish(
         )
 
     # f = F - theta.m rounds at the size of the free energy F, not of f
-    gibbs = end.point[0]
+    gibbs = _take(*end.point)[0]
     excess = end.fval - base
     distance = excess if excess > _resolution(gibbs.free) else 0.0
     attained = not end.cap_hit and gnorm <= tol and not on_face()
@@ -787,43 +885,50 @@ def project_to_family(
     face_chain kernel); otherwise the infimum lies on the boundary of the
     family and no minimizer exists.
     """
-    return _project_ladder(rho, family, (param_cap,),
-                           lambda: _exposing_direction(rho, family) is not None, tol=tol)[0]
+    return _project_ladder([rho], family, (param_cap,),
+                           lambda _: _exposing_direction(rho, family) is not None, tol=tol)[0][0]
 
 
 def _project_ladder(
-    rho: State,
+    rhos: Sequence[State],
     family: ExponentialFamily,
     caps: Sequence[float],
-    on_face: Callable[[], bool],
+    on_face: Callable[[int], bool],
     tol: float = defaults.SOLVER_TOL,
-) -> list[ProjectionResult]:
-    """The projection at each cap, in the order of ``caps``, each bit for bit
-    the solve from theta = 0 at that cap; on_face answers whether rho lies
-    on a proper face.
+) -> list[list[ProjectionResult]]:
+    """The projection of each state at each cap, per state in the order of
+    ``caps``, each bit for bit the solve of that state alone from theta = 0
+    at that cap; on_face(k) answers whether rhos[k] lies on a proper face.
 
-    The caps run in ascending order.  Each resumes from the state where the
-    previous cap first acted, with the Newton step that state already took,
-    and reuses the previous result when that cap never acted, so the shared
-    Newton path is computed once.  Equal results may be the same object.  The
-    first cap, in the given order, whose own solve would raise SolverError
-    raises it here.  on_face is asked at most once.
+    The caps run in ascending order, each in one Newton loop over the states
+    still to solve.  A state resumes from where the previous cap first acted
+    on it, with the Newton step it already took there, and reuses its
+    previous result when that cap never acted, so its shared Newton path is
+    computed once.  Equal results may be the same object.  Errors follow the
+    order of a loop over single solves: the first state, in the given order,
+    whose own solve would raise SolverError raises it here, at the first
+    such cap in the given order.  on_face is asked at most once per state.
     """
-    moments, base, start = _newton_setup(rho, family)
-    ends: dict[float, _NewtonState] = {}
-    end = resume = None
+    moments, bases, starts = _newton_setup(rhos, family)
+    ends: list[dict[float, _NewtonState]] = [{} for _ in rhos]
+    rows, last = list(range(len(rhos))), [None] * len(rhos)
     for cap in sorted(set(float(c) for c in caps)):
-        if end is None or resume is not None:
-            end, resume = _newton(family, moments, start if resume is None else resume, tol, cap)
-        ends[cap] = end
-    results: dict[int, ProjectionResult] = {}
-    on_face = cache(on_face)
+        if rows:
+            solved = _newton(family, [moments[k] for k in rows], [starts[k] for k in rows],
+                             tol, cap)
+            for k, (end, resume) in zip(rows, solved):
+                last[k], starts[k] = end, resume
+            rows = [k for k in rows if starts[k] is not None]
+        for k, end in enumerate(last):
+            ends[k][cap] = end
     out = []
-    for cap in caps:
-        end = ends[float(cap)]
-        if id(end) not in results:
-            results[id(end)] = _newton_finish(family, base, end, tol, on_face)
-        out.append(results[id(end)])
+    for k, base in enumerate(bases):
+        face, results = cache(lambda k=k: on_face(k)), {}
+        for cap in caps:
+            end = ends[k][float(cap)]
+            if id(end) not in results:
+                results[id(end)] = _newton_finish(family, base, end, tol, face)
+        out.append([results[id(ends[k][float(cap)])] for cap in caps])
     return out
 
 
@@ -841,16 +946,25 @@ def entropy_distance(
     value.  attained: the chain is empty and the solve converged; the chain
     answers the solve's face test, so the finder is not asked again.
     """
-    res = _chain_projection(rho, family, defaults.RI_PARAM_CAP, tol)
+    res = _chain_projections([rho], family, defaults.RI_PARAM_CAP, tol)[0]
     return res.distance, res.attained
 
 
-def _chain_projection(rho: State, family: ExponentialFamily, param_cap: float,
-                      tol: float = defaults.SOLVER_TOL) -> ProjectionResult:
-    """The solve at ``param_cap`` in the family that face_chain ends in, as
-    entropy_distance and closures.reduce_distance_to_face run it."""
-    projectors, last = face_chain(rho, family)
-    return _project_ladder(rho, last, (param_cap,), lambda: bool(projectors), tol=tol)[0]
+def _chain_projections(rhos: Sequence[State], family: ExponentialFamily, param_cap: float,
+                       tol: float = defaults.SOLVER_TOL) -> list[ProjectionResult]:
+    """The solve at ``param_cap`` of each state in the family its face_chain
+    ends in, as entropy_distance and closures.reduce_distance_to_face run it;
+    the states whose chains end in one family object (every full-rank
+    state's ends in ``family``) share one loop, in the order of their first."""
+    chains = [face_chain(rho, family) for rho in rhos]
+    out: list = [None] * len(rhos)
+    for last in {id(last): last for _, last in chains}.values():
+        ks = [k for k, (_, end) in enumerate(chains) if end is last]
+        results = _project_ladder([rhos[k] for k in ks], last, (param_cap,),
+                                  lambda i: bool(chains[ks[i]][0]), tol=tol)
+        for k, (res,) in zip(ks, results):
+            out[k] = res
+    return out
 
 
 def distance_continuation(
@@ -868,8 +982,8 @@ def distance_continuation(
     was cut off.  The values are non-increasing in practice, not by
     construction, and bound the exact entropy_distance from above.
     """
-    results = _project_ladder(rho, family, caps,
-                              lambda: _exposing_direction(rho, family) is not None)
+    results = _project_ladder([rho], family, caps,
+                              lambda _: _exposing_direction(rho, family) is not None)[0]
     return [(float(cap), r.distance, r.attained) for cap, r in zip(caps, results)]
 
 

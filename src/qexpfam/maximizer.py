@@ -13,12 +13,21 @@ of its own projection on its support.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import defaults
 from .errors import PreconditionError
-from .family import ExponentialFamily, ProjectionResult, face_chain, free_energy, project_to_family
+from .family import (
+    ExponentialFamily,
+    ProjectionResult,
+    _exposing_direction,
+    _project_ladder,
+    face_chain,
+    free_energy,
+    project_to_family,
+)
 from .linalg import HermitianElement, frechet_block, hs_inner
 from .sampling import haar_unitary
 from .states import (
@@ -104,10 +113,18 @@ def maximizer_certificate(rho: State, family: ExponentialFamily) -> MaximizerCer
     F(theta) - F^p(p theta p) together with the face-gradient norm.  The
     projection must be attained.
     """
-    res = project_to_family(rho, family)
-    if not res.attained:
+    return _certificates([rho], family)[0]
+
+
+def _certificates(rhos: Sequence[State], family: ExponentialFamily
+                  ) -> list[MaximizerCertificate]:
+    """maximizer_certificate of each state, the projections solved in one
+    loop (family._project_ladder)."""
+    results = _project_ladder(rhos, family, (defaults.PARAM_CAP,),
+                              lambda k: _exposing_direction(rhos[k], family) is not None)
+    if not all(res.attained for res, in results):
         raise PreconditionError("projection of rho is not attained")
-    return _certificate(rho, family, res)
+    return [_certificate(rho, family, res) for rho, (res,) in zip(rhos, results)]
 
 
 def _certificate(rho: State, family: ExponentialFamily, res: ProjectionResult

@@ -315,17 +315,19 @@ class TestDeterminism:
             assert a == b, name
 
     def test_maximizer_report_projects_each_state_once(self, tmp_path, monkeypatch):
-        # 12 certificates (which also give the derivatives), 24 finite-difference
-        # distances and 14 face-search solves, each in the compressed family
-        from qexpfam import family
+        # per solve, its rows and whether its family is compressed: the 12
+        # certificates (which also give the derivatives) in one 12-row solve,
+        # the 24 finite-difference distances in one 24-row solve, and 14
+        # single face-search solves, each in the compressed family
+        from qexpfam import family, maximizer
 
         calls, ladder = [], family._project_ladder
-        monkeypatch.setattr(family, "_project_ladder",
-                            lambda *a, **k: calls.append(a[1]) or ladder(*a, **k))
+        for module in (family, maximizer):
+            monkeypatch.setattr(module, "_project_ladder", lambda *a, **k: calls.append(
+                (len(a[0]), a[1].support is not None)) or ladder(*a, **k))
         assert main(["report", "--which", "maximizer", "--seed", "0",
                      "--out", str(tmp_path), "--quiet"]) == 0
-        assert len(calls) == 50
-        assert sum(f.support is not None for f in calls) == 14
+        assert sorted(calls) == [(1, True)] * 14 + [(12, False), (24, False)]
 
     def test_byte_identical_sweeps(self, tmp_path):
         d1, d2 = tmp_path / "s1", tmp_path / "s2"

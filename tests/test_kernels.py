@@ -14,11 +14,13 @@ from qexpfam import family as family_mod
 from qexpfam.defaults import PARAM_CAP, SOLVER_TOL
 from qexpfam.family import (
     _bkm_hessian,
+    _exposing_direction,
     _gibbs,
     _gibbs_spectra,
     _newton,
     _newton_setup,
     _objective_pieces,
+    _project_ladder,
     exp1,
     free_energy,
     make_compressed_family,
@@ -143,17 +145,19 @@ def test_free_energy_decomposes_each_block_once(monkeypatch, rng):
 
 def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
     fam = random_family(Algebra((4, 4, 4, 4)), 6, rng)
-    moments, _, start = _newton_setup(random_state(fam.algebra, rng), fam)
-    built = []
-    for cls in (HermitianElement, State):
-        def init(self, *args, _real=cls.__init__, _name=cls.__name__):
-            built.append(_name)
-            _real(self, *args)
-        monkeypatch.setattr(cls, "__init__", init)
-    end, _ = _newton(fam, moments, start, SOLVER_TOL, PARAM_CAP)
-    monkeypatch.undo()
-    assert end.iterations > 0
-    assert built == []
+    for rows in (1, 3):  # one state alone, and a stack of states
+        rhos = [random_state(fam.algebra, rng) for _ in range(rows)]
+        moments, _, starts = _newton_setup(rhos, fam)
+        built = []
+        for cls in (HermitianElement, State):
+            def init(self, *args, _real=cls.__init__, _name=cls.__name__):
+                built.append(_name)
+                _real(self, *args)
+            monkeypatch.setattr(cls, "__init__", init)
+        solved = _newton(fam, moments, starts, SOLVER_TOL, PARAM_CAP)
+        monkeypatch.undo()
+        assert len(solved) == rows and all(end.iterations > 0 for end, _ in solved)
+        assert built == []
 
 
 SPY_FAMILIES = [((16,), 12), ((4, 4, 4, 4), 6), ((2, 1), 2), ((1, 2, 1), 3),
@@ -249,6 +253,49 @@ def test_solve_takes_one_gibbs_exp_per_block_and_evaluation(monkeypatch, dims, d
     assert len(exps) == len(evaluations) * len(set(dims)) + len(tables)
 
 
+@pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
+def test_stacked_solve_decomposes_once_per_group_and_evaluation(monkeypatch, dims, dim):
+    # K states in one loop: one eigh per block size and evaluation whatever
+    # K is, no State inside the loop, and the theta = 0 evaluation once per
+    # family, not once per state
+    fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
+    rhos = [random_state(fam.algebra, np.random.default_rng(dim + k), invertible=True,
+                         min_eig=1e-2) for k in range(5)]
+    states, evaluations, eighs = [], [], []
+    init, from_spectrum = State.__init__, State._from_spectrum.__func__
+    pieces, real_eigh = family_mod._objective_pieces, np.linalg.eigh
+
+    def spy(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(State, "__init__", spy(states, init))
+    monkeypatch.setattr(State, "_from_spectrum", classmethod(spy(states, from_spectrum)))
+    monkeypatch.setattr(family_mod, "_objective_pieces", spy(evaluations, pieces))
+    monkeypatch.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
+    def solve():
+        return [res for res, in _project_ladder(
+            rhos, fam, (PARAM_CAP,), lambda k: _exposing_direction(rhos[k], fam) is not None)]
+
+    at_origin = []
+    for _ in range(2):  # a fresh family, then its cached origin
+        evaluations.clear()
+        results = solve()
+        at_origin.append(sum(not np.any(theta) for _, theta, _ in evaluations))
+        assert len(states) == 0 and all(r.attained for r in results)
+    assert at_origin == [1, 0]
+    # the rows of one evaluation share its eigh calls
+    assert max(len(theta) for _, theta, _ in evaluations) == len(rhos)
+    eighs.clear()
+    evaluations.clear()
+    solve()
+    monkeypatch.undo()
+    assert len(eighs) == len(evaluations) * len(set(dims))
+    assert len(evaluations) < sum(r.iterations for r in results)
+
+
 # -- the fast kernels against the code they replaced ------------------------------
 
 
@@ -282,14 +329,14 @@ def _bkm_hessian_loop(family, point):
     """The pairwise double loop the stacked BKM Hessian replaced, kept as the
     accuracy reference: sum(conj(T_i) * table * T_j) per pair and block."""
     gibbs, _, means = point
-    z, mu = gibbs.z, gibbs.mu
+    z = gibbs.z
     d = family.dim
     H = np.zeros((d, d))
     pairs = zip(gibbs.per_block(gibbs.values), gibbs.per_block(gibbs.vectors))
     for bi, (w, V) in enumerate(pairs):
         if w.size == 0:
             continue
-        table = divided_differences(w - mu, "exp")
+        table = divided_differences(w, "exp")  # w - mu, the point's shifted values
         tilted = [V.conj().T @ v.blocks[bi] @ V for v in family.basis]
         for i in range(d):
             for j in range(i, d):
@@ -394,6 +441,52 @@ def test_grouped_evaluation_keeps_the_per_block_bits(dims, kind, seed):
         # a fresh family: fam caches the grouped kernel's origin point; sigma*
         # is read inside the context, so it is built per block too
         assert got == _solve_bits(rho, dataclasses.replace(fam))
+
+
+def _row_states(fam, rng, rows):
+    """``rows`` states for fam, alternating an interior state and a family
+    member beyond a ladder's first caps, whose smallest eigenvalue is near
+    1e-9: the rows stop at the cap at some rungs and take different numbers
+    of iterations."""
+    out = []
+    for k in range(rows):
+        if k % 2 == 0 or fam.dim == 0:
+            a = random_hermitian(fam.algebra, rng, 2.0)
+            out.append(exp1(a if fam.support is None else compress(fam.support, a)[1],
+                            fam.support))
+            continue
+        u = rng.normal(size=fam.dim)
+        u /= np.linalg.norm(u)
+        w = fam.member(u).spectral.eigenvalues
+        spread = np.log(max(x.max() for x in w if x.size)
+                        / min(x[x > 0].min() for x in w if (x > 0).any()))
+        out.append(fam.member(np.log(1e9) / max(spread, 1e-3) * u))
+    return out
+
+
+@pytest.mark.parametrize("rows", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["full", "compressed", "empty-block"])
+@pytest.mark.parametrize("dims", [(1,) * 16, (1, 2, 1), (2, 2, 2), (4, 4, 4, 4), (3, 2, 1),
+                                  (2, 1)])
+@settings(derandomize=True, deadline=None, max_examples=2)
+@given(seed=seeds)
+def test_stacked_rows_keep_the_bits_of_single_solves(dims, kind, rows, seed):
+    # a 4-cap ladder of K states in one loop equals, row by row, the ladder
+    # of each state alone: every compared field and sigma* as bytes
+    algebra = Algebra(dims)
+    rng = np.random.default_rng(seed)
+    fam = random_family(algebra, int(rng.integers(1, min(algebra.real_dim, 12))), rng)
+    if kind != "full":
+        fam = make_compressed_family(
+            fam, random_support(algebra, rng, kind == "empty-block"))
+    rhos = _row_states(fam, rng, rows)
+    caps = (10.0, 20.0, 40.0, 80.0)
+    stacked = _project_ladder(rhos, fam, caps,
+                              lambda k: _exposing_direction(rhos[k], fam) is not None)
+    for rho, got in zip(rhos, stacked):
+        want = _project_ladder([rho], fam, caps,
+                               lambda _: _exposing_direction(rho, fam) is not None)[0]
+        assert [_result_bytes(r) for r in got] == [_result_bytes(r) for r in want]
 
 
 def _hessian_oracle(family, theta):

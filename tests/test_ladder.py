@@ -85,7 +85,7 @@ def test_continuation_equals_independent_solves(label, fam, rho):
 
 @pytest.mark.parametrize("label, fam, rho", CASES, ids=[c[0] for c in CASES])
 def test_ladder_results_equal_project_to_family(label, fam, rho):
-    results = _project_ladder(rho, fam, CAPS, lambda: _exposing_direction(rho, fam) is not None)
+    results = _project_ladder([rho], fam, CAPS, lambda _: _exposing_direction(rho, fam) is not None)[0]
     for cap, res in zip(CAPS, results):
         want = project_to_family(rho, fam, param_cap=cap)
         assert _fingerprint(res) == _fingerprint(want), cap
@@ -153,8 +153,35 @@ def test_solves_leave_the_cached_origin_untouched():
     at_origin = project_to_family(fam.member(np.zeros(fam.dim)), fam)
     assert at_origin.iterations == 0
     results = [project_to_family(interior, fam), at_origin,
-               *_project_ladder(boundary, fam, (10.0, 20.0, 40.0, 80.0), lambda: True),
+               *_project_ladder([boundary], fam, (10.0, 20.0, 40.0, 80.0), lambda _: True)[0],
                project_to_family(boundary, inner)]
     assert all(r.sigma_star.element.algebra == fam.algebra for r in results)
     assert [[a.tobytes() for a in _arrays(o)] for o in origins] == before
     assert fam.origin is origins[0] and inner.origin is origins[1]
+
+
+def test_stacked_rows_raise_for_the_first_failing_state(monkeypatch):
+    # with the iteration budget cut, a far state's own solve raises
+    # SolverError and a near one's converges; K states in one loop raise the
+    # error of the first, in input order, whose own solve raises
+    rng = np.random.default_rng(46)
+    algebra = Algebra((2, 2, 2))
+    fam = make_family(algebra, [random_traceless(algebra, rng) for _ in range(4)])
+    near = [fam.member(0.01 * rng.normal(size=fam.dim)) for _ in range(2)]
+    far = [fam.member(12.0 * rng.normal(size=fam.dim)) for _ in range(2)]
+    monkeypatch.setattr(family.defaults, "MAX_ITER", 3)
+
+    def own_error(rho):
+        with pytest.raises(family.SolverError) as err:
+            project_to_family(rho, fam)
+        return str(err.value)
+
+    assert all(project_to_family(rho, fam).attained for rho in near)
+    errors = [own_error(rho) for rho in far]
+    assert errors[0] != errors[1]
+    for rhos, want in (([near[0], far[0], near[1], far[1]], errors[0]),
+                       ([far[1], near[0], far[0]], errors[1])):
+        with pytest.raises(family.SolverError) as err:
+            _project_ladder(rhos, fam, (80.0,), lambda _: False)
+        assert str(err.value) == want
+    assert all(r.attained for r, in _project_ladder(near, fam, (80.0,), lambda _: False))
