@@ -275,6 +275,7 @@ def test_stacked_solve_decomposes_once_per_group_and_evaluation(monkeypatch, dim
     monkeypatch.setattr(State, "_from_spectrum", classmethod(spy(states, from_spectrum)))
     monkeypatch.setattr(family_mod, "_objective_pieces", spy(evaluations, pieces))
     monkeypatch.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
+
     def solve():
         return [res for res, in _project_ladder(
             rhos, fam, (PARAM_CAP,), lambda k: _exposing_direction(rhos[k], fam) is not None)]

@@ -85,7 +85,8 @@ def test_continuation_equals_independent_solves(label, fam, rho):
 
 @pytest.mark.parametrize("label, fam, rho", CASES, ids=[c[0] for c in CASES])
 def test_ladder_results_equal_project_to_family(label, fam, rho):
-    results = _project_ladder([rho], fam, CAPS, lambda _: _exposing_direction(rho, fam) is not None)[0]
+    results = _project_ladder([rho], fam, CAPS,
+                              lambda _: _exposing_direction(rho, fam) is not None)[0]
     for cap, res in zip(CAPS, results):
         want = project_to_family(rho, fam, param_cap=cap)
         assert _fingerprint(res) == _fingerprint(want), cap
