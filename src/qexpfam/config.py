@@ -176,6 +176,14 @@ def build_family(cfg: RunConfig):
         raise PreconditionError(f"custom generators: {exc}") from None
 
 
+def _finite(what: str, text: str) -> float:
+    """float(text), rejecting inf and nan: a state built from them is NaN."""
+    x = float(text)
+    if not np.isfinite(x):
+        raise ValueError(f"{what} {text.strip()} is not finite")
+    return x
+
+
 def parse_state(cfg: RunConfig, spec: str):
     """State specifications for the command line.
 
@@ -188,7 +196,7 @@ def parse_state(cfg: RunConfig, spec: str):
     diag:<p1,..>     diagonal state with the given spectrum
     raw:<entries>    re,im entries row major per block
 
-    Malformed numbers and invalid states raise PreconditionError.
+    Malformed or non-finite numbers and invalid states raise PreconditionError.
     """
     from . import cone
     from .linalg import diagonal, identity
@@ -199,20 +207,17 @@ def parse_state(cfg: RunConfig, spec: str):
         raise PreconditionError(f"state '{kind}' lives in the cone algebra, blocks = 2,1")
     try:
         if kind == "circle":
-            alpha = float(arg)
-            if not np.isfinite(alpha):  # cos and sin would give NaN eigenvectors
-                raise ValueError(f"angle {alpha} is not finite")
-            return cone.base_circle_state(alpha)
+            return cone.base_circle_state(_finite("angle", arg))
         if kind == "apex":
             return cone.APEX_STATE
         if kind == "c":
             return cone.midpoint_state()
         if kind == "tau":
-            return cone.tau_state(float(arg))
+            return cone.tau_state(_finite("lambda", arg))
         if kind == "tracial":
             return State(identity(cfg.algebra) / cfg.algebra.dim)
         if kind == "member":
-            coords = [float(x) for x in arg.split(",") if x.strip()]
+            coords = [_finite("coordinate", x) for x in arg.split(",") if x.strip()]
             return build_family(cfg).member(coords)
         if kind == "diag":
             entries = [float(x) for x in arg.split(",") if x.strip()]

@@ -19,8 +19,9 @@ values and the BKM Hessian.  Many states of one family run in one loop: each
 keeps its own step length, cap, stall count and stop reason, and the states
 still running share one evaluation per Armijo trial, their thetas (K, dim)
 stacked (g, K, n_k, n_k) per size group, and one Hessian call per Newton step.
-Every solve starts from the family's cached point at theta = 0, and a result
-builds sigma* on first read.  Sums over blocks run in block order, so every
+Every solve starts from the family's cached point at theta = 0 and takes its
+first Newton step with the family's cached Hessian there, and a result builds
+sigma* on first read.  Sums over blocks run in block order, so every
 value has the bits of a block-by-block evaluation, and every state those of
 its own solve.  f recovers the relative entropy as S(rho, exp1(a)) =
 f(theta) - S(rho) - <rho, offset>, which stays meaningful when the infimum
@@ -257,8 +258,19 @@ class ExponentialFamily:
     @cached_property
     def origin(self) -> tuple:
         """The point of _objective_pieces at theta = 0, where every solve of
-        every state starts; read only."""
+        every state starts; read only.  Its Newton step is origin_step."""
         return _objective_pieces(self, np.zeros(self.dim), np.zeros(self.dim))[2]
+
+    @cached_property
+    def origin_step(self) -> tuple[float, np.ndarray]:
+        """The smallest eigenvalue of the BKM Hessian at origin and the
+        Hessian _lifted by it, read only: the first Newton step of every
+        solve in the family solves with them, whatever its state."""
+        H = _bkm_hessian(self.origin)
+        low = float(np.linalg.eigvalsh(H)[0])
+        H = _lifted(H, low)
+        H.flags.writeable = False
+        return low, H
 
     def tangent_element(self, theta: np.ndarray) -> HermitianElement:
         return HermitianElement._trusted(
@@ -689,8 +701,8 @@ def _newton(
     """_newton_row for each state's moments from its start, the rows side by
     side: each round serves the requests of the rows still running with one
     Hessian, eigvalsh and solve call and one _objective_pieces call, until
-    one row is left, which _newton_alone finishes.  Per row, (final state,
-    resume point), each with the bits of its own solve."""
+    one row is left, which _newton_alone finishes; no round is at the origin.
+    Per row, (final state, resume point), each with the bits of its own solve."""
     rows = [_newton_row(family, start, tol, param_cap) for start in starts]
     out: list = [None] * len(rows)
     replies = [(k, None) for k in range(len(rows))]
@@ -710,12 +722,11 @@ def _newton(
         replies = []
         if steps:
             # a step follows an accepted trial: all rows at one come from the
-            # last round's evaluation, or all start at the origin
+            # last round's evaluation (a row takes its step at the origin itself)
             refs = [ref for _, (ref, _) in steps]
             point = refs[0][0]
             assert all(p is point for p, _ in refs)
-            H = _bkm_hessian(_take(point, None if refs[0][1] is None else [r for _, r in refs]))
-            H = np.broadcast_to(H, (len(steps),) + H.shape[-2:])
+            H = _bkm_hessian(_take(point, [r for _, r in refs]))
             lows = np.linalg.eigvalsh(H)[:, 0].tolist()
             H = np.array([_lifted(h, low) for h, low in zip(H, lows)])
             x = np.linalg.solve(H, -np.array([grad for _, (_, grad) in steps])[..., None])
@@ -736,7 +747,7 @@ def _newton_alone(family: ExponentialFamily, moments: np.ndarray, row, reply):
             ask = row.send(reply)
             if isinstance(ask, tuple):
                 (point, k), grad = ask
-                H = _bkm_hessian(point if k is None else _take(point, k))
+                H = _bkm_hessian(_take(point, k))
                 low = float(np.linalg.eigvalsh(H)[0])
                 reply = low, np.linalg.solve(_lifted(H, low), -grad)
             else:
@@ -759,7 +770,7 @@ def _newton_row(family: ExponentialFamily, start: _NewtonState, tol: float,
     generator: it yields ((point, row), gradient) for a Newton step, to be
     sent (smallest Hessian eigenvalue, step), and a trial theta, to be sent
     its (objective, gradient, (point, row)); it returns the final state and
-    the resume point.
+    the resume point.  A step at family.origin it solves with origin_step.
 
     The resume point is the state at the start of the first iteration in
     which the cap acted (the full step left the cap ball, or the accepted
@@ -782,7 +793,10 @@ def _newton_row(family: ExponentialFamily, start: _NewtonState, tol: float,
         if iterations >= defaults.MAX_ITER:
             stop = "max_iter"
             break
-        if newton is None:
+        if newton is None and point[0] is family.origin:
+            low, H = family.origin_step
+            newton = low, np.linalg.solve(H, -grad)
+        elif newton is None:
             newton = yield point, grad
         here = (theta, fval, grad, point, min_hess, iterations, stalled), newton
         min_hess = min(min_hess, newton[0])

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -120,11 +121,22 @@ class TestCliExitCodes:
         ["--state", "circle:inf"],
         ["--state", "c", "--cap", "nan"],
         ["--state", "c", "--cap", "inf"],
+        ["--state", "tau:inf"],
+        ["--state", "member:inf,0"],
+        ["--state", "member:1e400,0"],
     ])
     def test_malformed_distance_input_exits_2(self, tmp_path, capsys, args):
-        code = main(["distance", *args, "--out", str(tmp_path)])
-        assert code == 2
-        assert capsys.readouterr().err.startswith("config error: ")
+        # one error line and no numpy warning; a non-finite number in a
+        # state spec is named as such, not as the NaN state it would build
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["distance", *args, "--out", str(tmp_path)])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        if args[1] in ("tau:nan", "tau:inf", "member:nan,0", "member:inf,0", "member:1e400,0",
+                       "circle:nan", "circle:inf"):
+            assert err.endswith(" is not finite\n")
 
     @pytest.mark.parametrize("config, args", [
         ("[algebra]\nblocks = 1,1,1\n", ["distance", "--state", "tracial"]),

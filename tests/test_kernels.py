@@ -40,7 +40,14 @@ from qexpfam.linalg import (
     project_out,
 )
 from qexpfam.sampling import random_hermitian, random_state, random_traceless
-from qexpfam.states import Projector, State, _state_spectrum, compress, full_support
+from qexpfam.states import (
+    Projector,
+    State,
+    _state_spectrum,
+    compress,
+    full_support,
+    max_eig_data,
+)
 
 # random block algebras of total dimension <= 6; derandomized so the suite
 # sees the same examples on every run
@@ -295,6 +302,58 @@ def test_stacked_solve_decomposes_once_per_group_and_evaluation(monkeypatch, dim
     monkeypatch.undo()
     assert len(eighs) == len(evaluations) * len(set(dims))
     assert len(evaluations) < sum(r.iterations for r in results)
+
+
+@pytest.mark.parametrize("compressed", [False, True], ids=["full", "compressed"])
+@pytest.mark.parametrize("dims, dim", SPY_FAMILIES)
+def test_solved_family_reuses_its_first_newton_step(monkeypatch, dims, dim, compressed):
+    # the Hessian at theta = 0 and its eigvalsh depend on the family only: a
+    # single solve, a 3-row stacked solve and a 4-cap ladder in a family that
+    # has already solved once make one call of each fewer than in a fresh
+    # family, with the same bits
+    fam = random_family(Algebra(dims), dim, np.random.default_rng(sum(dims) + dim))
+    rng = np.random.default_rng(dim)
+    faces = [max_eig_data(fam.tangent_element(rng.normal(size=fam.dim)))[1] for _ in range(2)]
+    if compressed:  # members of the family in the complement of a face
+        fam = make_compressed_family(
+            fam, Projector(full_support(fam.algebra).element - faces[1].element))
+        rhos = [fam.member(rng.normal(size=fam.dim)) for _ in range(3)]
+    else:  # two interior states and the tracial state of a face
+        rhos = [random_state(fam.algebra, rng, invertible=True, min_eig=1e-2)
+                for _ in range(2)] + [State(faces[0].element / faces[0].rank)]
+    assert fam.dim > 0
+    hessians, eigvalshs = [], []
+    real_hessian, real_eigvalsh = family_mod._bkm_hessian, np.linalg.eigvalsh
+
+    def spy(calls, fn):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fn(*args, **kwargs)
+        return counted
+
+    def ladder(f, states, caps):
+        return [r for rs in _project_ladder(
+            states, f, caps, lambda k: _exposing_direction(states[k], f) is not None)
+            for r in rs]
+
+    solves = [lambda f: [project_to_family(rhos[0], f)],
+              lambda f: ladder(f, rhos, (PARAM_CAP,)),
+              lambda f: ladder(f, rhos[-1:], (10.0, 20.0, 40.0, 80.0))]
+    for solve in solves:
+        counts, results = [], []
+        for warm in (False, True):
+            fresh = dataclasses.replace(fam)
+            if warm:
+                project_to_family(rhos[1], fresh)
+            monkeypatch.setattr(family_mod, "_bkm_hessian", spy(hessians, real_hessian))
+            monkeypatch.setattr(np.linalg, "eigvalsh", spy(eigvalshs, real_eigvalsh))
+            hessians.clear()
+            eigvalshs.clear()
+            results.append(solve(fresh))
+            monkeypatch.undo()
+            counts.append((len(hessians), len(eigvalshs)))
+        assert counts[1] == (counts[0][0] - 1, counts[0][1] - 1)
+        assert [_result_bytes(r) for r in results[1]] == [_result_bytes(r) for r in results[0]]
 
 
 # -- the fast kernels against the code they replaced ------------------------------

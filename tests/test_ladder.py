@@ -1,5 +1,7 @@
 """The parameter-cap ladder: shared Newton path, independent-solve results."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,9 @@ BOUNDARY_CASES = [c for c in CASES if not c[0].endswith("interior")]
 @pytest.mark.parametrize("label, fam, rho", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
 def test_resumed_rungs_reuse_their_newton_step(monkeypatch, label, fam, rho):
     # each rung resumes with the Hessian and step its resume point already
-    # took, so the ladder builds no Hessian beyond the largest cap's solve
+    # took, so the ladder builds no Hessian beyond the largest cap's solve;
+    # each solve runs in a fresh copy of the family, which has not cached
+    # its first step yet
     real, calls, counts = family._bkm_hessian, [], []
 
     def counting(point):
@@ -125,10 +129,10 @@ def test_resumed_rungs_reuse_their_newton_step(monkeypatch, label, fam, rho):
         return real(point)
 
     monkeypatch.setattr(family, "_bkm_hessian", counting)
-    for solve in (lambda: distance_continuation(rho, fam, caps=(10.0, 20.0, 40.0, 80.0)),
-                  lambda: project_to_family(rho, fam, param_cap=80.0)):
+    for solve in (lambda f: distance_continuation(rho, f, caps=(10.0, 20.0, 40.0, 80.0)),
+                  lambda f: project_to_family(rho, f, param_cap=80.0)):
         calls.clear()
-        solve()
+        solve(dataclasses.replace(fam))
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
 
@@ -143,14 +147,18 @@ def _arrays(x):
 
 
 def test_solves_leave_the_cached_origin_untouched():
-    # every solve in a family starts from its one origin point: an interior
-    # solve, a solve that ends there, a boundary ladder and a solve in the
-    # compressed family of the face write into neither family's origin
+    # every solve in a family starts from its one origin point and its one
+    # first Newton step: an interior solve, a solve that ends there, a
+    # boundary ladder and a solve in the compressed family of the face write
+    # into neither family's origin nor its step, whose Hessian is read-only
     fam, boundary, interior = _face_case((4, 4, 4, 4), 4, 2, 45)
     projectors, inner = face_chain(boundary, fam)
     assert projectors and inner.support is not None
-    origins = [fam.origin, inner.origin]
+    origins = [fam.origin, inner.origin, fam.origin_step, inner.origin_step]
     before = [[a.tobytes() for a in _arrays(o)] for o in origins]
+    for _, H in origins[2:]:
+        with pytest.raises(ValueError):
+            H[0, 0] = 0.0
     at_origin = project_to_family(fam.member(np.zeros(fam.dim)), fam)
     assert at_origin.iterations == 0
     results = [project_to_family(interior, fam), at_origin,
@@ -159,6 +167,7 @@ def test_solves_leave_the_cached_origin_untouched():
     assert all(r.sigma_star.element.algebra == fam.algebra for r in results)
     assert [[a.tobytes() for a in _arrays(o)] for o in origins] == before
     assert fam.origin is origins[0] and inner.origin is origins[1]
+    assert fam.origin_step is origins[2] and inner.origin_step is origins[3]
 
 
 def test_stacked_rows_raise_for_the_first_failing_state(monkeypatch):
