@@ -701,8 +701,9 @@ def _newton(
     """_newton_row for each state's moments from its start, the rows side by
     side: each round serves the requests of the rows still running with one
     Hessian, eigvalsh and solve call and one _objective_pieces call, until
-    one row is left, which _newton_alone finishes; no round is at the origin.
-    Per row, (final state, resume point), each with the bits of its own solve."""
+    one row is left, which _newton_alone finishes.  No round is at the origin,
+    where each row steps without a Hessian or eigvalsh call.  Per row, (final
+    state, resume point), each with the bits of its own solve."""
     rows = [_newton_row(family, start, tol, param_cap) for start in starts]
     out: list = [None] * len(rows)
     replies = [(k, None) for k in range(len(rows))]
