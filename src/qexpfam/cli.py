@@ -21,7 +21,7 @@ import numpy as np
 from . import cone, defaults
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
 from .closures import geodesic_closure_atlas, inclusion_chain_check
-from .config import RunConfig, build_family, parse_state
+from .config import RunConfig, build_family, parse_angles, parse_state
 from .errors import (
     DomainError,
     NumericalDegeneracyError,
@@ -221,8 +221,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     if args.family:
         cfg.family_name = args.family
-    if args.phi:
-        cfg.phi_list = tuple(float(x) for x in args.phi.split(",") if x.strip())
+    if args.phi is not None:
+        cfg.phi_list = parse_angles(args.phi)
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:

@@ -53,6 +53,15 @@ def emit_element(a: HermitianElement) -> str:
     )
 
 
+def parse_angles(text: str) -> tuple[float, ...]:
+    """The plane angles of a comma separated list; a list that names no
+    angle raises PreconditionError, a malformed angle ValueError."""
+    angles = tuple(float(x) for x in text.split(",") if x.strip())
+    if not angles:
+        raise PreconditionError(f"the angle list '{text}' names no angle")
+    return angles
+
+
 @dataclass
 class RunConfig:
     """Everything a command needs: algebra, family, solver knobs, output."""
@@ -112,9 +121,7 @@ class RunConfig:
         if cp.has_section("sweep"):
             cfg.n_angles = cp.getint("sweep", "n_angles", fallback=cfg.n_angles)
             if cp.has_option("sweep", "phi"):
-                cfg.phi_list = tuple(
-                    float(x) for x in cp.get("sweep", "phi").split(",") if x.strip()
-                )
+                cfg.phi_list = parse_angles(cp.get("sweep", "phi"))
         if cp.has_section("output"):
             cfg.out_dir = cp.get("output", "dir", fallback=cfg.out_dir)
         if cp.has_section("run"):
@@ -202,9 +209,11 @@ def parse_state(cfg: RunConfig, spec: str):
     from .linalg import diagonal, identity
     from .states import State
 
-    kind, _, arg = spec.partition(":")
+    kind, sep, arg = spec.partition(":")
     if kind in ("circle", "apex", "c", "tau") and cfg.algebra != cone.ALGEBRA:
         raise PreconditionError(f"state '{kind}' lives in the cone algebra, blocks = 2,1")
+    if kind in ("apex", "c", "tracial") and sep:
+        raise PreconditionError(f"bad state spec '{spec}': '{kind}' takes no argument")
     try:
         if kind == "circle":
             return cone.base_circle_state(_finite("angle", arg))

@@ -15,20 +15,22 @@ The projection onto the family minimizes the strictly convex objective
 
 by damped Newton with Armijo backtracking in the eigenbasis of the parameter
 element: one eigendecomposition per iterate and size group gives f, the mean
-values and the BKM Hessian.  Many states of one family run in one loop: each
-keeps its own step length, cap, stall count and stop reason, and the states
-still running share one evaluation per Armijo trial, their thetas (K, dim)
-stacked (g, K, n_k, n_k) per size group, and one Hessian call per Newton step.
-Every solve starts from the family's cached point at theta = 0 and takes its
-first Newton step with the family's cached Hessian there, and a result builds
-sigma* on first read.  Sums over blocks run in block order, so every
-value has the bits of a block-by-block evaluation, and every state those of
-its own solve.  f recovers the relative entropy as S(rho, exp1(a)) =
-f(theta) - S(rho) - <rho, offset>, which stays meaningful when the infimum
-recedes to the boundary and no minimizer exists.  That happens exactly when
-rho lies on a proper exposed face of the mean value set; the face finder
-decides it and the solver reports it as a flag, not an error.
-entropy_distance solves in the family of the face that carries rho
+values and the BKM Hessian.  Each state walks its ascending cap ladder in
+one Newton iteration of its own (_newton_row), rewinding to where a cap first
+acted for the next cap, and one driver (_newton) runs the states of one
+family side by side: each round the states that ask share one evaluation of
+their Armijo trials and one Hessian call for their Newton steps, stacked
+(g, K, n_k, n_k) per size group when several ask and with the shapes of a
+single solve when one asks.  Every solve starts from the family's cached
+point at theta = 0 and takes its first Newton step with the family's cached
+Hessian there, and a result builds sigma* on first read.  Sums over blocks
+run in block order, so every value has the bits of a block-by-block
+evaluation, and every state those of its own solve.  f recovers the relative
+entropy as S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which stays
+meaningful when the infimum recedes to the boundary and no minimizer exists.
+That happens exactly when rho lies on a proper exposed face of the mean value
+set; the face finder decides it and the solver reports it as a flag, not an
+error.  entropy_distance solves in the family of the face that carries rho
 (face_chain), where the minimum is attained; the caps remain for extrapolation.
 """
 
@@ -637,28 +639,25 @@ def _take(point, rows):
             tilted, means[rows])
 
 
-@dataclass
-class _NewtonState:
-    """One state's solver at the start of a Newton iteration: theta, its
-    objective value and gradient, the (point of _objective_pieces, row) they
-    come from and, once that iteration has run, its (smallest Hessian
-    eigenvalue, step)."""
+class _NewtonEnd(NamedTuple):
+    """Where one state's Newton loop ended at one cap: theta, its objective
+    value and gradient, the (point of _objective_pieces, row) they come
+    from, the smallest Hessian eigenvalue met, the iteration count, whether
+    the cap stopped the loop, and why it stopped."""
 
     theta: np.ndarray
     fval: float
     grad: np.ndarray
     point: tuple
-    min_hess: float = float("inf")
-    iterations: int = 0
-    stalled: int = 0
-    cap_hit: bool = False
-    stop_reason: str = ""
-    newton: tuple[float, np.ndarray] | None = None
+    min_hess: float
+    iterations: int
+    cap_hit: bool
+    stop_reason: str
 
 
 def _newton_setup(rhos: Sequence[State], family: ExponentialFamily):
-    """Checks of each state in order, then per state its moments, entropy
-    offset and solver state at family.origin."""
+    """Checks of each state in order, then per state its moments and
+    entropy offset."""
     for rho in rhos:
         if rho.algebra != family.algebra:
             raise AlgebraMismatchError("state and family in different algebras")
@@ -671,13 +670,7 @@ def _newton_setup(rhos: Sequence[State], family: ExponentialFamily):
                 )
     moments = [mean_value_projection(rho.element, family) for rho in rhos]
     bases = [vn_entropy(rho) + hs_inner(rho.element, family.offset) for rho in rhos]
-    gibbs, _, means = origin = family.origin
-    starts = []
-    for m in moments:
-        theta = np.zeros(family.dim)
-        fval = float(gibbs.free) - float(theta @ m)
-        starts.append(_NewtonState(theta, fval, means - m, (origin, None)))
-    return moments, bases, starts
+    return moments, bases
 
 
 def _resolution(scale: float) -> float:
@@ -694,24 +687,22 @@ def _norm(v: np.ndarray) -> float:
 def _newton(
     family: ExponentialFamily,
     moments: Sequence[np.ndarray],
-    starts: Sequence[_NewtonState],
     tol: float,
-    param_cap: float,
-) -> list[tuple[_NewtonState, _NewtonState | None]]:
-    """_newton_row for each state's moments from its start, the rows side by
-    side: each round serves the requests of the rows still running with one
-    Hessian, eigvalsh and solve call and one _objective_pieces call, until
-    one row is left, which _newton_alone finishes.  No round is at the origin,
-    where each row steps without a Hessian or eigvalsh call.  Per row, (final
-    state, resume point), each with the bits of its own solve."""
-    rows = [_newton_row(family, start, tol, param_cap) for start in starts]
+    caps: Sequence[float],
+) -> list[list[_NewtonEnd]]:
+    """_newton_row for each state's moments over the ascending ``caps``, the
+    rows side by side: per row its ends, each with the bits of its own solve.
+
+    Each round serves the rows still running: their step requests with one
+    Hessian, eigvalsh and solve call, and their trials with one
+    _objective_pieces call, each stacked over the rows when several ask and
+    with the shapes of a single solve when one asks.  A step follows an
+    accepted trial, so the rows asking one share the last round's point; a
+    row steps at the origin without a request."""
+    rows = [_newton_row(family, m, tol, caps) for m in moments]
     out: list = [None] * len(rows)
     replies = [(k, None) for k in range(len(rows))]
     while replies:
-        if len(replies) == 1:
-            k, reply = replies[0]
-            out[k] = _newton_alone(family, moments[k], rows[k], reply)
-            break
         asks = []
         for k, reply in replies:
             try:
@@ -721,41 +712,28 @@ def _newton(
         steps = [(k, ask) for k, ask in asks if isinstance(ask, tuple)]
         trials = [(k, ask) for k, ask in asks if not isinstance(ask, tuple)]
         replies = []
-        if steps:
-            # a step follows an accepted trial: all rows at one come from the
-            # last round's evaluation (a row takes its step at the origin itself)
-            refs = [ref for _, (ref, _) in steps]
-            point = refs[0][0]
-            assert all(p is point for p, _ in refs)
-            H = _bkm_hessian(_take(point, [r for _, r in refs]))
+        if len(steps) == 1:
+            k, ((point, r), grad) = steps[0]
+            H = _bkm_hessian(_take(point, r))
+            low = float(np.linalg.eigvalsh(H)[0])
+            replies.append((k, (low, np.linalg.solve(_lifted(H, low), -grad))))
+        elif steps:
+            _, ((point, _), _) = steps[0]
+            H = _bkm_hessian(_take(point, [r for _, ((_, r), _) in steps]))
             lows = np.linalg.eigvalsh(H)[:, 0].tolist()
             H = np.array([_lifted(h, low) for h, low in zip(H, lows)])
             x = np.linalg.solve(H, -np.array([grad for _, (_, grad) in steps])[..., None])
             replies += [(k, pair) for (k, _), pair in zip(steps, zip(lows, x[..., 0]))]
-        if trials:
+        if len(trials) == 1:
+            k, theta = trials[0]
+            f, g, point = _objective_pieces(family, theta, moments[k])
+            replies.append((k, (float(f), g, (point, None))))
+        elif trials:
             values, grads, point = _objective_pieces(family, np.array([t for _, t in trials]),
                                                      np.array([moments[k] for k, _ in trials]))
             replies += [(k, (f, grads[i], (point, i)))
                         for i, ((k, _), f) in enumerate(zip(trials, values.tolist()))]
     return out
-
-
-def _newton_alone(family: ExponentialFamily, moments: np.ndarray, row, reply):
-    """The rest of one _newton_row, sent ``reply`` first and served with the
-    shapes of a single solve: its (final state, resume point)."""
-    try:
-        while True:
-            ask = row.send(reply)
-            if isinstance(ask, tuple):
-                (point, k), grad = ask
-                H = _bkm_hessian(_take(point, k))
-                low = float(np.linalg.eigvalsh(H)[0])
-                reply = low, np.linalg.solve(_lifted(H, low), -grad)
-            else:
-                f, g, point = _objective_pieces(family, ask, moments)
-                reply = float(f), g, (point, None)
-    except StopIteration as done:
-        return done.value
 
 
 def _lifted(H: np.ndarray, low: float) -> np.ndarray:
@@ -765,100 +743,101 @@ def _lifted(H: np.ndarray, low: float) -> np.ndarray:
     return H + (abs(low) + 1e-15) * np.eye(len(H)) if low <= 0.0 else H
 
 
-def _newton_row(family: ExponentialFamily, start: _NewtonState, tol: float,
-                param_cap: float):
-    """Damped Newton from ``start`` within ``param_cap`` for one state, as a
-    generator: it yields ((point, row), gradient) for a Newton step, to be
-    sent (smallest Hessian eigenvalue, step), and a trial theta, to be sent
-    its (objective, gradient, (point, row)); it returns the final state and
-    the resume point.  A step at family.origin it solves with origin_step.
+def _newton_row(family: ExponentialFamily, moments: np.ndarray, tol: float,
+                caps: Sequence[float]):
+    """Damped Newton for one state from family.origin, within each of the
+    ascending ``caps`` in turn, as a generator: it yields ((point, row),
+    gradient) for a Newton step, to be sent (smallest Hessian eigenvalue,
+    step), and a trial theta, to be sent its (objective, gradient, (point,
+    row)); it returns one _NewtonEnd per cap.  A step at family.origin it
+    solves with origin_step.
 
-    The resume point is the state at the start of the first iteration in
-    which the cap acted (the full step left the cap ball, or the accepted
-    point reached its sphere), None if it never did.  Up to that iteration
-    every larger cap takes exactly the same path, and a solve from the
-    resume point reuses the step it carries.  The final state's stop_reason
-    is ProjectionResult's, or "max_iter" when the iteration budget,
-    defaults.MAX_ITER, ran out first.
+    Up to the first iteration in which a cap acts (the full step left the
+    cap ball, or the accepted point reached its sphere) every larger cap
+    takes exactly the same path.  So the row keeps that iteration's start
+    and the step it took, and rewinds there for the next cap; the end at a
+    cap that never acted is the end at every larger cap.  An end's
+    stop_reason is ProjectionResult's, or "max_iter" when the iteration
+    budget, defaults.MAX_ITER, ran out first.
     """
-    theta, fval, grad, point = start.theta, start.fval, start.grad, start.point
-    min_hess, iterations, stalled = start.min_hess, start.iterations, start.stalled
-    cap_hit = False
-    resume = None
-    newton = start.newton
-
-    while True:
-        if _norm(grad) <= tol or family.dim == 0:
-            stop = "converged"
-            break
-        if iterations >= defaults.MAX_ITER:
-            stop = "max_iter"
-            break
-        if newton is None and point[0] is family.origin:
-            low, H = family.origin_step
-            newton = low, np.linalg.solve(H, -grad)
-        elif newton is None:
-            newton = yield point, grad
-        here = (theta, fval, grad, point, min_hess, iterations, stalled), newton
-        min_hess = min(min_hess, newton[0])
-        step, newton = newton[1], None
-        slope = float(grad @ step)
-        t = 1.0
-        hit_cap_now = False
-        if _norm(theta + step) > param_cap:
-            # shrink along the ray to land on the cap sphere, the root t of
-            # |theta + t step| = cap; the objective still decreases there by
-            # convexity
-            a, b = float(step @ step), float(theta @ step)
-            t = (np.sqrt(b * b + a * (param_cap ** 2 - theta @ theta)) - b) / a
-            hit_cap_now = True
-            if resume is None:
-                resume = _NewtonState(*here[0], newton=here[1])
-        accepted = False
-        floor = _resolution(fval)
-        for _ in range(defaults.ARMIJO_MAX_HALVINGS):
-            cand = theta + t * step
-            f2, g2, p2 = yield cand
-            if f2 <= fval + defaults.ARMIJO_C1 * t * slope + floor or (
-                hit_cap_now and f2 < fval
-            ):
-                theta, fval, grad, point = cand, f2, g2, p2
-                accepted = True
+    gibbs, _, means = family.origin
+    rewind = (np.zeros(family.dim), float(gibbs.free), means - moments, (family.origin, None),
+              float("inf"), 0, 0), None
+    ends: list[_NewtonEnd] = []
+    for param_cap in caps:
+        (theta, fval, grad, point, min_hess, iterations, stalled), newton = rewind
+        rewind, cap_hit = None, False
+        while True:
+            if _norm(grad) <= tol or family.dim == 0:
+                stop = "converged"
                 break
-            t *= 0.5
+            if iterations >= defaults.MAX_ITER:
+                stop = "max_iter"
+                break
+            if newton is None and point[0] is family.origin:
+                low, H = family.origin_step
+                newton = low, np.linalg.solve(H, -grad)
+            elif newton is None:
+                newton = yield point, grad
+            here = (theta, fval, grad, point, min_hess, iterations, stalled), newton
+            min_hess = min(min_hess, newton[0])
+            step, newton = newton[1], None
+            slope = float(grad @ step)
+            t = 1.0
             hit_cap_now = False
-        iterations += 1
-        if not accepted:
-            # step underflow: nothing representable decreases the objective
-            stop = "armijo_underflow"
-            break
-        if _norm(t * step) <= 1e-14 * (1.0 + _norm(theta)):
-            stalled += 1
-            if stalled >= 3:
-                stop = "stalled"
+            if _norm(theta + step) > param_cap:
+                # shrink along the ray to land on the cap sphere, the root t of
+                # |theta + t step| = cap; the objective still decreases there by
+                # convexity
+                a, b = float(step @ step), float(theta @ step)
+                t = (np.sqrt(b * b + a * (param_cap ** 2 - theta @ theta)) - b) / a
+                hit_cap_now = True
+                rewind = rewind or here
+            accepted = False
+            floor = _resolution(fval)
+            for _ in range(defaults.ARMIJO_MAX_HALVINGS):
+                cand = theta + t * step
+                f2, g2, p2 = yield cand
+                if f2 <= fval + defaults.ARMIJO_C1 * t * slope + floor or (
+                    hit_cap_now and f2 < fval
+                ):
+                    theta, fval, grad, point = cand, f2, g2, p2
+                    accepted = True
+                    break
+                t *= 0.5
+                hit_cap_now = False
+            iterations += 1
+            if not accepted:
+                # step underflow: nothing representable decreases the objective
+                stop = "armijo_underflow"
                 break
-        else:
-            stalled = 0
-        if hit_cap_now or _norm(theta) >= param_cap:
-            cap_hit = True
-            if resume is None:
-                resume = _NewtonState(*here[0], newton=here[1])
-            stop = "cap"
+            if _norm(t * step) <= 1e-14 * (1.0 + _norm(theta)):
+                stalled += 1
+                if stalled >= 3:
+                    stop = "stalled"
+                    break
+            else:
+                stalled = 0
+            if hit_cap_now or _norm(theta) >= param_cap:
+                cap_hit = True
+                rewind = rewind or here
+                stop = "cap"
+                break
+        ends.append(_NewtonEnd(theta, fval, grad, point, min_hess, iterations, cap_hit, stop))
+        if rewind is None:
             break
-
-    end = _NewtonState(theta, fval, grad, point, min_hess, iterations, stalled, cap_hit, stop)
-    return end, resume
+    return ends + ends[-1:] * (len(caps) - len(ends))
 
 
 def _newton_finish(
     family: ExponentialFamily,
     base: float,
-    end: _NewtonState,
+    end: _NewtonEnd,
     tol: float,
     on_face: Callable[[], bool],
 ) -> ProjectionResult:
-    """The ProjectionResult of a final solver state, which keeps the state's
-    Gibbs point for sigma_star; SolverError when the iteration budget ran
+    """The ProjectionResult of a _NewtonEnd, which keeps the end's Gibbs
+    point for sigma_star; SolverError when the iteration budget ran
     out short of convergence and of the cap.  on_face is asked only when the
     solver converged inside the cap."""
     gnorm = _norm(end.grad)
@@ -915,35 +894,24 @@ def _project_ladder(
     ``caps``, each bit for bit the solve of that state alone from theta = 0
     at that cap; on_face(k) answers whether rhos[k] lies on a proper face.
 
-    The caps run in ascending order, each in one Newton loop over the states
-    still to solve.  A state resumes from where the previous cap first acted
-    on it, with the Newton step it already took there, and reuses its
-    previous result when that cap never acted, so its shared Newton path is
-    computed once.  Equal results may be the same object.  Errors follow the
-    order of a loop over single solves: the first state, in the given order,
-    whose own solve would raise SolverError raises it here, at the first
-    such cap in the given order.  on_face is asked at most once per state.
+    One Newton loop walks every state up its sorted distinct caps
+    (_newton), so the path that a state's caps share is computed once; a
+    cap that never acted on a state ends every larger cap too, and their
+    results are one object.  Errors follow the order of a loop over single
+    solves: the first state, in the given order, whose own solve would raise
+    SolverError raises it here, at the first such cap in the given order.
+    on_face is asked at most once per state.
     """
-    moments, bases, starts = _newton_setup(rhos, family)
-    ends: list[dict[float, _NewtonState]] = [{} for _ in rhos]
-    rows, last = list(range(len(rhos))), [None] * len(rhos)
-    for cap in sorted(set(float(c) for c in caps)):
-        if rows:
-            solved = _newton(family, [moments[k] for k in rows], [starts[k] for k in rows],
-                             tol, cap)
-            for k, (end, resume) in zip(rows, solved):
-                last[k], starts[k] = end, resume
-            rows = [k for k in rows if starts[k] is not None]
-        for k, end in enumerate(last):
-            ends[k][cap] = end
+    moments, bases = _newton_setup(rhos, family)
+    ladder = sorted(set(float(c) for c in caps))
     out = []
-    for k, base in enumerate(bases):
-        face, results = cache(lambda k=k: on_face(k)), {}
+    for k, row in enumerate(_newton(family, moments, tol, ladder)):
+        ends, face, results = dict(zip(ladder, row)), cache(lambda k=k: on_face(k)), {}
         for cap in caps:
-            end = ends[k][float(cap)]
+            end = ends[float(cap)]
             if id(end) not in results:
-                results[id(end)] = _newton_finish(family, base, end, tol, face)
-        out.append([results[id(ends[k][float(cap)])] for cap in caps])
+                results[id(end)] = _newton_finish(family, bases[k], end, tol, face)
+        out.append([results[id(ends[float(cap)])] for cap in caps])
     return out
 
 

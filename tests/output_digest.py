@@ -2,8 +2,9 @@
 
     PYTHONPATH=src python tests/output_digest.py
 
-Runs a fixed list of 25 ``qexpfam`` commands (every report at three seeds,
-the closures report of three families, two sweeps and eight distances),
+Runs a fixed list of 27 ``qexpfam`` commands (every report at three seeds,
+the closures report of three families, two sweeps and ten distances, two
+of them at a cap ladder whose caps act on rungs with different values),
 each in a fresh temporary directory and a fresh process, and prints one
 line per command: the SHA-256 over its exit code, stdout, stderr and every
 file it wrote (relative path and bytes), then the command.  Two checkouts
@@ -33,7 +34,9 @@ COMMANDS = (
     + [["distance", "--state", state]
        for state in ("circle:0", "c", "apex", "tau:0.5", "circle:0.3", "circle:0.001",
                      "tracial")]
-    + [["distance", "--family", "swallow", "--state", "circle:0.001"]]
+    + [["distance", "--family", "swallow", "--state", "circle:0.001"],
+       ["distance", "--family", "swallow", "--state", "circle:0.001", "--cap", "25"],
+       ["distance", "--state", "member:30,-20", "--cap", "20"]]
 )
 
 

@@ -124,6 +124,9 @@ class TestCliExitCodes:
         ["--state", "tau:inf"],
         ["--state", "member:inf,0"],
         ["--state", "member:1e400,0"],
+        ["--state", "apex:3"],
+        ["--state", "c:1"],
+        ["--state", "tracial:abc"],
     ])
     def test_malformed_distance_input_exits_2(self, tmp_path, capsys, args):
         # one error line and no numpy warning; a non-finite number in a
@@ -137,6 +140,21 @@ class TestCliExitCodes:
         if args[1] in ("tau:nan", "tau:inf", "member:nan,0", "member:inf,0", "member:1e400,0",
                        "circle:nan", "circle:inf"):
             assert err.endswith(" is not finite\n")
+
+    @pytest.mark.parametrize("phi", [",", "", "config"])
+    def test_angle_list_without_angle_exits_2(self, tmp_path, capsys, phi):
+        # a phi that names no angle, from --phi or from the config file, is
+        # a config error, not a sweep of the default family
+        args = ["sweep", "--out", str(tmp_path / "out")]
+        if phi == "config":
+            path = tmp_path / "phi.cfg"
+            path.write_text("[sweep]\nphi = ,\n")
+            args += ["--config", str(path)]
+        else:
+            args += ["--phi", phi]
+        assert main(args) == 2
+        assert capsys.readouterr().err.endswith(" names no angle\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, args", [
         ("[algebra]\nblocks = 1,1,1\n", ["distance", "--state", "tracial"]),

@@ -154,16 +154,16 @@ def test_newton_builds_no_validated_element_or_state(monkeypatch, rng):
     fam = random_family(Algebra((4, 4, 4, 4)), 6, rng)
     for rows in (1, 3):  # one state alone, and a stack of states
         rhos = [random_state(fam.algebra, rng) for _ in range(rows)]
-        moments, _, starts = _newton_setup(rhos, fam)
+        moments, _ = _newton_setup(rhos, fam)
         built = []
         for cls in (HermitianElement, State):
             def init(self, *args, _real=cls.__init__, _name=cls.__name__):
                 built.append(_name)
                 _real(self, *args)
             monkeypatch.setattr(cls, "__init__", init)
-        solved = _newton(fam, moments, starts, SOLVER_TOL, PARAM_CAP)
+        solved = _newton(fam, moments, SOLVER_TOL, (PARAM_CAP,))
         monkeypatch.undo()
-        assert len(solved) == rows and all(end.iterations > 0 for end, _ in solved)
+        assert len(solved) == rows and all(end.iterations > 0 for end, in solved)
         assert built == []
 
 

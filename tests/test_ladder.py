@@ -10,6 +10,7 @@ from qexpfam.family import (
     _exposing_direction,
     _project_ladder,
     distance_continuation,
+    entropy_distance,
     face_chain,
     make_family,
     project_to_family,
@@ -195,3 +196,48 @@ def test_stacked_rows_raise_for_the_first_failing_state(monkeypatch):
             _project_ladder(rhos, fam, (80.0,), lambda _: False)
         assert str(err.value) == want
     assert all(r.attained for r, in _project_ladder(near, fam, (80.0,), lambda _: False))
+
+
+def test_single_solves_keep_single_solve_shapes(monkeypatch):
+    # a lone state pays nothing for the state axis: every evaluation takes a
+    # 1-D theta and no Newton step reads a list of rows; in a 3-row ladder
+    # whose rows stop at different rungs, neither does any round after the
+    # second row has stopped
+    fam, boundary, interior = _face_case((4, 4, 4, 4), 4, 2, 47)
+    direction = np.random.default_rng(47).normal(size=fam.dim)
+    far = fam.member(30.0 * direction / np.linalg.norm(direction))
+    log = []
+    pieces, take, row = family._objective_pieces, family._take, family._newton_row
+
+    def logged_pieces(f, theta, moments):
+        log.append(("eval", theta.ndim))
+        return pieces(f, theta, moments)
+
+    def logged_take(point, rows):
+        log.append(("take", isinstance(rows, list)))
+        return take(point, rows)
+
+    def logged_row(*args):
+        ends = yield from row(*args)
+        log.append(("stop", None))
+        return ends
+
+    monkeypatch.setattr(family, "_objective_pieces", logged_pieces)
+    monkeypatch.setattr(family, "_take", logged_take)
+    monkeypatch.setattr(family, "_newton_row", logged_row)
+    project_to_family(boundary, fam)
+    project_to_family(interior, fam, param_cap=1.0)
+    entropy_distance(boundary, fam)
+    entropy_distance(cone.base_circle_state(0.3), cone.staffelberg_family())
+    assert ("eval", 1) in log and ("take", False) in log
+    assert set(log) <= {("eval", 1), ("take", False), ("stop", None)}
+
+    log.clear()
+    rhos = [interior, far, boundary]
+    caps = (10.0, 20.0, 40.0, 80.0)
+    results = _project_ladder(rhos, fam, caps, lambda k: k == 2)
+    assert [len({id(r) for r in rs}) for rs in results] == [1, 3, 4]
+    second = [k for k, (kind, _) in enumerate(log) if kind == "stop"][1]
+    assert ("eval", 2) in log[:second] and ("take", True) in log[:second]
+    assert ("eval", 1) in log[second:]
+    assert set(log[second:]) <= {("eval", 1), ("take", False), ("stop", None)}
