@@ -203,7 +203,8 @@ def parse_state(cfg: RunConfig, spec: str):
     diag:<p1,..>     diagonal state with the given spectrum
     raw:<entries>    re,im entries row major per block
 
-    Malformed or non-finite numbers and invalid states raise PreconditionError.
+    Malformed or non-finite numbers, an argument to a kind that takes none
+    and invalid states raise PreconditionError.
     """
     from . import cone
     from .linalg import diagonal, identity
