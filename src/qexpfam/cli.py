@@ -29,7 +29,7 @@ from .errors import (
     SolverError,
     UnderResolvedSweepError,
 )
-from .family import _chain_projections, _project_ladder, entropy_distance
+from .family import _chain_projections, _project_ladder
 from .findings import Report
 from .linalg import from_coords, traceless_part
 from .maximizer import _certificates, local_max_search
@@ -85,28 +85,29 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
-    """Distance report: the exact distance (entropy_distance), then the
-    direct minimization ladder at fractions of the parameter cap, whose
-    attained flags take the exact distance's answer."""
+    """Distance report: the exact distance (_chain_projections), then the
+    direct minimization ladder at fractions of the parameter cap, on a
+    proper face exactly when the exact path's face chain is not empty."""
     family = build_family(cfg)
     rho = parse_state(cfg, state_spec)
-    value, attained = entropy_distance(rho, family)
+    ((projectors, exact),) = _chain_projections([rho], family)
     caps = tuple(cfg.param_cap / f for f in (8.0, 4.0, 2.0, 1.0))
-    results = _project_ladder([rho], family, caps, lambda _: not attained)[0]
+    results = _project_ladder([rho], family, caps, lambda _: bool(projectors))[0]
     res = results[-1]
 
-    _say(cfg, f"distance value={fmt(value)} attained={int(attained)}", machine=True)
+    _say(cfg, f"distance value={fmt(exact.distance)} attained={int(exact.attained)}",
+         machine=True)
     coords = " ".join(fmt(t) for t in res.theta_star)
     _say(cfg, f"projection theta=[{coords}] grad={fmt(res.grad_residual)} "
               f"iterations={res.iterations}", machine=True)
-    if not attained:
-        _say(cfg, f"exact_path value={fmt(value)}", machine=True)
+    if not exact.attained:
+        _say(cfg, f"exact_path value={fmt(exact.distance)}", machine=True)
     for cap, r in zip(caps, results):
         _say(cfg, f"continuation cap={fmt(cap)} value={fmt(r.distance)} "
                   f"attained={int(r.attained)}", machine=True)
 
     rows = [("direct", cap, r.distance, int(r.attained)) for cap, r in zip(caps, results)]
-    rows.append(("final", defaults.RI_PARAM_CAP, value, int(attained)))
+    rows.append(("final", defaults.RI_PARAM_CAP, exact.distance, int(exact.attained)))
     write_csv(
         os.path.join(cfg.out_dir, "distance.csv"),
         ["path", "param_cap", "value", "attained"],
@@ -130,7 +131,7 @@ def _maximizer_report(cfg: RunConfig) -> Report:
     # the 12 certificates and the 24 exact distances, each set in one Newton loop
     certs = _certificates([rho for rho, _ in pairs], family)
     shifted = [State(rho.element + s * u) for rho, u in pairs for s in (h, -h)]
-    exact = [r.distance for r in _chain_projections(shifted, family, defaults.RI_PARAM_CAP, 1e-12)]
+    exact = [r.distance for _, r in _chain_projections(shifted, family, 1e-12)]
     rows = []
     for k, (cert, (_, u)) in enumerate(zip(certs, pairs)):
         analytic = cert.derivative(u)

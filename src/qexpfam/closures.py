@@ -278,7 +278,8 @@ def reduce_distance_to_face(
     mu, p = max_eig_data(v)
     if not _on_exposed_face(rho, v, mu, p):
         raise PreconditionError("state is not in the exposed face of v")
-    return _chain_projections([rho], make_compressed_family(family, p), param_cap)[0].distance
+    _, res = _chain_projections([rho], make_compressed_family(family, p), param_cap=param_cap)[0]
+    return res.distance
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
@@ -355,8 +356,8 @@ def inclusion_chain_check(
             thetas.append(("member", 0.7 * np.ones(g.family_dim)))
         samples = [(theta_p, g.family.member(theta_p)) for _, theta_p in thetas]
         # the group's samples share g.family: one Newton loop for both
-        exact = _chain_projections([s for _, s in samples], g.family, defaults.RI_PARAM_CAP)
-        for (tag, _), res in zip(thetas, exact):
+        exact = _chain_projections([s for _, s in samples], g.family)
+        for (tag, _), (_, res) in zip(thetas, exact):
             where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                      f"rank {g.rank}")
             rows.append((where, res.distance))

@@ -30,8 +30,8 @@ entropy as S(rho, exp1(a)) = f(theta) - S(rho) - <rho, offset>, which stays
 meaningful when the infimum recedes to the boundary and no minimizer exists.
 That happens exactly when rho lies on a proper exposed face of the mean value
 set; the face finder decides it and the solver reports it as a flag, not an
-error.  entropy_distance solves in the family of the face that carries rho
-(face_chain), where the minimum is attained; the caps remain for extrapolation.
+error.  The one exact path, _chain_projections, solves in the face family of
+face_chain, where the minimum is attained; the caps remain for extrapolation.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ class _Gibbs(NamedTuple):
     vectors: list[np.ndarray]
     weights: list[np.ndarray]
     z: np.ndarray
-    mu: np.ndarray
     order: tuple[tuple[int, int], ...]
 
     def per_block(self, stacks) -> list:
@@ -144,7 +143,7 @@ def _gibbs_stacks(stacks: list[np.ndarray], order, support: Projector | None) ->
     sums = [x.sum(-1) for x in e]
     z = sum([sums[g][j] for g, j in order])  # terms >= +0: the start 0 moves no bit
     weights = [x / (z[..., None] if row_axes else z) for x in e]
-    return _Gibbs(mu + np.log(z), shifted, [V for _, V in pairs], weights, z, mu, order)
+    return _Gibbs(mu + np.log(z), shifted, [V for _, V in pairs], weights, z, order)
 
 
 def _gibbs_spectra(support: Projector | None, gibbs: _Gibbs):
@@ -635,7 +634,7 @@ def _take(point, rows):
     values, vectors, weights, tilted = ([x[:, rows] for x in stacks] for stacks in (
         gibbs.values, gibbs.vectors, gibbs.weights, tilted))
     return (gibbs._replace(free=gibbs.free[rows], values=values, vectors=vectors,
-                           weights=weights, z=gibbs.z[rows], mu=gibbs.mu[rows]),
+                           weights=weights, z=gibbs.z[rows]),
             tilted, means[rows])
 
 
@@ -921,24 +920,21 @@ def entropy_distance(
     tol: float = defaults.SOLVER_TOL,
 ) -> tuple[float, bool]:
     """Entropy distance of rho from the family's closure, and whether the
-    family itself attains it.
-
-    The minimum over the closure is attained in the family of the face that
-    carries rho (Csiszar & Matus, IEEE Trans. IT 49, 2003): face_chain finds
-    it, and one Newton solve at RI_PARAM_CAP in that last family gives the
-    value.  attained: the chain is empty and the solve converged; the chain
-    answers the solve's face test, so the finder is not asked again.
-    """
-    res = _chain_projections([rho], family, defaults.RI_PARAM_CAP, tol)[0]
+    family itself attains it: the (value, attained) view of the one exact
+    path, _chain_projections."""
+    _, res = _chain_projections([rho], family, tol)[0]
     return res.distance, res.attained
 
 
-def _chain_projections(rhos: Sequence[State], family: ExponentialFamily, param_cap: float,
-                       tol: float = defaults.SOLVER_TOL) -> list[ProjectionResult]:
-    """The solve at ``param_cap`` of each state in the family its face_chain
-    ends in, as entropy_distance and closures.reduce_distance_to_face run it;
-    the states whose chains end in one family object (every full-rank
-    state's ends in ``family``) share one loop, in the order of their first."""
+def _chain_projections(rhos: Sequence[State], family: ExponentialFamily,
+                       tol: float = defaults.SOLVER_TOL, param_cap: float = defaults.RI_PARAM_CAP
+                       ) -> list[tuple[list[Projector], ProjectionResult]]:
+    """The one exact path: each state's face_chain projectors and its solve
+    at ``param_cap`` in the family the chain ends in, where the minimum over
+    the closure is attained (Csiszar & Matus, IEEE Trans. IT 49, 2003).
+    attained: the chain is empty and the solve converged; the chain answers
+    the solve's face test.  The states whose chains end in one family object
+    (every full-rank state's ends in ``family``) share one loop."""
     chains = [face_chain(rho, family) for rho in rhos]
     out: list = [None] * len(rhos)
     for last in {id(last): last for _, last in chains}.values():
@@ -946,7 +942,7 @@ def _chain_projections(rhos: Sequence[State], family: ExponentialFamily, param_c
         results = _project_ladder([rhos[k] for k in ks], last, (param_cap,),
                                   lambda i: bool(chains[ks[i]][0]), tol=tol)
         for k, (res,) in zip(ks, results):
-            out[k] = res
+            out[k] = chains[k][0], res
     return out
 
 

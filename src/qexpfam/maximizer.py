@@ -7,7 +7,8 @@ directions u in pAp, theta being the canonical parameter of the projection.
 A local maximizer therefore satisfies rho = exp1^p(p theta p) and its
 distance collapses to the free-energy difference F(theta) - F^p(p theta p).
 In an abelian algebra this says a maximizer is the conditional distribution
-of its own projection on its support.
+of its own projection on its support.  The search reads the distance from
+the one exact path, family._chain_projections.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
     ProjectionResult,
+    _chain_projections,
     _exposing_direction,
     _project_ladder,
     face_chain,
     free_energy,
-    project_to_family,
 )
 from .linalg import HermitianElement, frechet_block, hs_inner
 from .sampling import haar_unitary
@@ -197,12 +198,12 @@ def local_max_search(
 ) -> list[SearchCandidate]:
     """Projected gradient ascent of the entropy distance over the face of p.
 
-    The objective is evaluated in the family that face_chain ends in for the
-    first start p / rank(p), where it agrees with the entropy distance on the
-    face and stays attainable; each iterate is solved there once, at
-    RI_PARAM_CAP.  Starts are drawn from a seeded Dirichlet over spectra in
-    the face; iterates are re-projected to the trace-one positive elements
-    of pAp by eigenvalue clipping.  Iterates without an attained projection
+    Each iterate is evaluated once by the one exact path, _chain_projections,
+    in the family that face_chain ends in for the first start p / rank(p),
+    where it agrees with the entropy distance on the face and stays
+    attainable.  Starts are drawn from a seeded Dirichlet over spectra in the
+    face; iterates are re-projected to the trace-one positive elements of
+    pAp by eigenvalue clipping.  Iterates without an attained projection
     are flagged and their runs stopped.  When the chain is empty, a
     candidate with an attained projection is certified from that projection
     (maximizer_certificate).  Deterministic for a fixed seed; results
@@ -230,7 +231,7 @@ def local_max_search(
     projectors, target = face_chain(starts[0], family)
 
     def evaluate(rho: State) -> ProjectionResult:
-        return project_to_family(rho, target, param_cap=defaults.RI_PARAM_CAP)
+        return _chain_projections([rho], target)[0][1]
 
     candidates = []
     for idx, rho in enumerate(starts):

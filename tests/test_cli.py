@@ -315,6 +315,23 @@ class TestDistanceCommand:
                   for l in out.splitlines() if l.startswith("continuation ")]
         assert all(b <= a + 1e-9 for a, b in zip(ladder, ladder[1:]))
 
+    def test_ladder_attained_on_an_empty_face_chain(self, tmp_path, capsys):
+        # rho_t = (1 - t) rho(0) + t 1/3 in swallow at t = 1e-4: full rank, so
+        # its face chain is empty, and every rung of the cap-10000 ladder
+        # converges (|theta| = 620.65); only the exact solve stops at its cap
+        state = ("raw:0.49998333333333317,0 0,-0.49994999999999984 "
+                 "0,0.49994999999999984 0.49998333333333317,0 3.3333333333333335e-05,0")
+        code = main(["distance", "--family", "swallow", "--state", state, "--cap", "10000",
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert "distance value=0.085986535628035862 attained=0" in out
+        ladder = [l for l in out if l.startswith("continuation ")]
+        assert len(ladder) == 4 and all(l.endswith(" attained=1") for l in ladder)
+        rows = [r.split(",") for r in (tmp_path / "distance.csv").read_text().splitlines()[1:]]
+        assert [(r[0], r[3]) for r in rows] == [("direct", "1")] * 4 + [("final", "0")]
+        assert rows[-1][2] == "0.085986535628035862"
+
 
     def test_superfamily_rho0_exact_path_zero(self, tmp_path, capsys):
         # {s1 + 1, s2 + 1, s3} contains the swallow family; rho(0) keeps

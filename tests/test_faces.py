@@ -1,6 +1,7 @@
 """Exposed faces in every commutant dimension: attainment, face chains, and
 their oracle, monotonicity and invariance properties."""
 
+import functools
 import itertools
 
 import mpmath
@@ -16,7 +17,7 @@ from qexpfam.errors import PreconditionError
 from qexpfam.family import entropy_distance, face_chain, make_family, project_to_family
 from qexpfam.linalg import Algebra, HermitianElement, diagonal
 from qexpfam.maximizer import maximizer_certificate
-from qexpfam.sampling import random_traceless
+from qexpfam.sampling import haar_unitary, random_state, random_traceless
 from qexpfam.states import State
 
 
@@ -429,3 +430,88 @@ class TestAbelianLPOracle:
         _, _, fam, _ = _abelian_case(n, 2, seed)
         boundary = mean_value_boundary_sweep(fam)
         assert classify_boundary_faces(boundary).n_nonexposed == 0
+
+
+_QUBIT_PAULI = (np.array([[0, 1], [1, 0]], complex), np.array([[0, -1j], [1j, 0]]),
+                np.diag([1.0 + 0j, -1.0]))
+
+
+def _product_family(n):
+    """The n-qubit product family: generators sigma_a on one qubit, 1 on the others."""
+    algebra = Algebra((2**n,))
+    gens = [functools.reduce(np.kron, [s if j == i else np.eye(2) for j in range(n)])
+            for i in range(n) for s in _QUBIT_PAULI]
+    return algebra, make_family(algebra, [HermitianElement(algebra, [g]) for g in gens])
+
+
+def _marginal(m, n, i):
+    """The reduced density matrix of qubit i of an n-qubit matrix m."""
+    t = m.reshape((2**i, 2, 2 ** (n - i - 1)) * 2)
+    return np.einsum("aibajb->ij", t)
+
+
+def _mixed(d, rank, rng):
+    w = rng.dirichlet(np.ones(rank))
+    u = haar_unitary(d, rng)[:, :rank]
+    return (u * w) @ u.conj().T
+
+
+class TestExactPath:
+    """The one exact path, family._chain_projections: its distance and sigma*
+    against closed forms, and the Pythagorean identity at sigma*."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.sampled_from((2, 3)), st.sampled_from(("full", "deficient", "pure marginal")),
+           st.integers(0, 2**32 - 1))
+    def test_product_family_oracle(self, n, kind, seed):
+        # the rI-projection onto the product family is the product of the
+        # marginals, at distance sum_i S(rho_i) - S(rho); a pure marginal puts
+        # rho on a proper face, so its chain is not empty
+        rng = np.random.default_rng(seed)
+        algebra, fam = _product_family(n)
+        d = 2**n
+        if kind == "full":
+            m = _mixed(d, d, rng)
+        elif kind == "deficient":
+            m = _mixed(d, int(rng.integers(1, d)), rng)
+        else:
+            m = np.kron(_mixed(2, 1, rng), _mixed(d // 2, int(rng.integers(1, d // 2 + 1)), rng))
+        rho = State(HermitianElement(algebra, [m]))
+        ((projectors, res),) = family._chain_projections([rho], fam)
+        assert bool(projectors) == (kind == "pure marginal")
+        marginals = [_marginal(m, n, i) for i in range(n)]
+        qubit = Algebra((2,))
+        want = (sum(states.vn_entropy(State(HermitianElement(qubit, [r]))) for r in marginals)
+                - states.vn_entropy(rho))
+        assert abs(res.distance - want) <= 1e-10
+        product = functools.reduce(np.kron, marginals)
+        assert np.abs(res.sigma_star.element.blocks[0] - product).max() <= 1e-9
+
+    @pytest.mark.parametrize("make", [cone.staffelberg_family, cone.swallow_family])
+    def test_pythagorean_identity_at_sigma_star(self, make):
+        # D(rho||sigma) = d(rho) + D(sigma*||sigma) for members sigma, attained
+        # or not; the swallow open-arc states whose exact solve still stops at
+        # RI_PARAM_CAP (ROADMAP item 1) are left out
+        fam = make()
+        rng = np.random.default_rng(35)
+        rhos = [cone.base_circle_state(0.0), cone.base_circle_state(np.pi / 2),
+                cone.midpoint_state(), cone.APEX_STATE, cone.tau_state(0.5)]
+        rhos += [random_state(cone.ALGEBRA, rng) for _ in range(4)]
+        members = [fam.member(t) for t in ([0.0, 0.0], [0.5, -0.3], [-1.2, 0.8], [3.0, 2.0])]
+        for rho, (_, res) in zip(rhos, family._chain_projections(rhos, fam)):
+            assert not res.cap_hit
+            for sigma in members:
+                gap = (states.relative_entropy(rho, sigma) - res.distance
+                       - states.relative_entropy(res.sigma_star, sigma))
+                assert abs(gap) <= 1e-9
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the exact path solves at RI_PARAM_CAP = 200 and returns "
+        "the capped 0.0859865356 with attained=False"))
+    def test_exact_distance_not_above_an_attained_projection(self, swallow):
+        # rho_t = (1 - t) rho(0) + t 1/3 at t = 1e-4 is full rank; at cap 1250
+        # its projection converges to 0.0620919149
+        rho = State((1 - 1e-4) * cone.base_circle_state(0.0).element + 1e-4 * cone.THIRD)
+        reference = project_to_family(rho, swallow, param_cap=1250.0)
+        assert reference.attained
+        assert entropy_distance(rho, swallow)[0] <= reference.distance

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from helpers import random_family, same_image
 from qexpfam import cone, defaults, maximizer
 from qexpfam.errors import PreconditionError
-from qexpfam.family import (entropy_distance, make_compressed_family, make_family,
-                            project_to_family)
+from qexpfam.family import (_chain_projections, entropy_distance, make_compressed_family,
+                            make_family, project_to_family)
 from qexpfam.linalg import Algebra, diagonal, identity, traceless_part
 from qexpfam.maximizer import (
     dE_directional_derivative,
@@ -228,11 +229,12 @@ class TestLocalMaxSearch:
         # last family, and its candidates get no certificate
         families = []
 
-        def spy(rho, family, *args, **kwargs):
-            families.append(family)
-            return project_to_family(rho, family, *args, **kwargs)
+        def spy(rhos, family, *args, **kwargs):
+            out = _chain_projections(rhos, family, *args, **kwargs)
+            families.extend(res._final[0] for _, res in out)  # the family solved in
+            return out
 
-        monkeypatch.setattr(maximizer, "project_to_family", spy)
+        monkeypatch.setattr(maximizer, "_chain_projections", spy)
         p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         cands = local_max_search(staffelberg, p, n_starts=3)
         assert families and all(f is not staffelberg for f in families)
@@ -246,15 +248,18 @@ class TestLocalMaxSearch:
         solves, trials = [], []
         real_trial = maximizer._project_face_state
 
-        def spy_solve(rho, family, *args, **kwargs):
-            solves.append((family, kwargs.get("param_cap")))
-            return project_to_family(rho, family, *args, **kwargs)
+        def spy_solve(rhos, family, *args, **kwargs):
+            call = inspect.signature(_chain_projections).bind(rhos, family, *args, **kwargs)
+            call.apply_defaults()
+            out = _chain_projections(rhos, family, *args, **kwargs)
+            solves.extend((res._final[0], call.arguments["param_cap"]) for _, res in out)
+            return out
 
         def spy_trial(p, a):
             trials.append(a)
             return real_trial(p, a)
 
-        monkeypatch.setattr(maximizer, "project_to_family", spy_solve)
+        monkeypatch.setattr(maximizer, "_chain_projections", spy_solve)
         monkeypatch.setattr(maximizer, "_project_face_state", spy_trial)
         for dims in ((2,), (3,), (2, 1), (2, 2), (1, 1, 1)):
             fam = random_family(Algebra(dims), 2, rng)
