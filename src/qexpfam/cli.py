@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from . import cone, defaults
+from . import cone
 from .boundary import classify_boundary_faces, mean_value_boundary_sweep
 from .closures import geodesic_closure_atlas, inclusion_chain_check
 from .config import RunConfig, build_family, parse_angles, parse_state
@@ -107,7 +107,7 @@ def cmd_distance(cfg: RunConfig, state_spec: str) -> int:
                   f"attained={int(r.attained)}", machine=True)
 
     rows = [("direct", cap, r.distance, int(r.attained)) for cap, r in zip(caps, results)]
-    rows.append(("final", defaults.RI_PARAM_CAP, exact.distance, int(exact.attained)))
+    rows.append(("final", np.inf, exact.distance, int(exact.attained)))
     write_csv(
         os.path.join(cfg.out_dir, "distance.csv"),
         ["path", "param_cap", "value", "attained"],

@@ -19,7 +19,8 @@ On an exposed face cut out by a tangent direction, the distance equals the
 distance from the compressed family, which turns several boundary distances
 into exactly solvable problems.  family.face_chain applies this face by face
 (Weis & Knauf, arXiv:1007.5464; Csiszar & Matus, IEEE Trans. IT 49, 2003),
-and family.entropy_distance solves in the family it ends in.
+family.entropy_distance solves in the family it ends in, and rI_membership
+asks without a solve whether the state lies in it.
 
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
 closure on sampled atlas groups.  Each sample is a member of its group's
@@ -47,13 +48,13 @@ from .family import (
     _combine,
     _gibbs,
     _gibbs_spectra,
-    entropy_distance,
+    face_chain,
     free_energy,
     make_compressed_family,
     mean_value_projection,
 )
 from .findings import Report
-from .linalg import DirectionSweep, HermitianElement, coords
+from .linalg import DirectionSweep, HermitianElement, coords, project_out
 from .states import (
     Projector,
     State,
@@ -62,6 +63,7 @@ from .states import (
     _rank_one_state,
     _state_blocks,
     compress,
+    log_on_support,
     max_eig_data,
 )
 
@@ -260,7 +262,7 @@ def reduce_distance_to_face(
     rho: State,
     family: ExponentialFamily,
     v: HermitianElement,
-    param_cap: float = defaults.RI_PARAM_CAP,
+    param_cap: float = np.inf,
 ) -> float:
     """Entropy distance of a state on the exposed face of v, computed inside
     the compressed family of the maximal projector of v.
@@ -268,9 +270,9 @@ def reduce_distance_to_face(
     Requires v (up to its trace part) in the tangent space and rho in the
     exposed face.  The first step of face_chain, with the direction given
     instead of found; the chain then continues inside the face's family and
-    one solve at ``param_cap`` in the family it ends in gives the value, as
-    in entropy_distance: exact, also where rho lies on a proper face of the
-    face's family (swallow rho(0) on the face of its tangent direction).
+    one solve, uncapped by default, in the family it ends in gives the value,
+    as in entropy_distance: exact, also where rho lies on a proper face of
+    the face's family (swallow rho(0) on the face of its tangent direction).
     It stays for callers that hold a face direction, such as perfbench's
     boundary reference; the package reads entropy_distance, which needs only rho.
     """
@@ -283,8 +285,16 @@ def reduce_distance_to_face(
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
-    """Whether rho's exact entropy distance (entropy_distance) is below RI_EPS."""
-    return entropy_distance(rho, family)[0] < defaults.RI_EPS
+    """Whether rho is in the rI-closure: whether it lies in the family its
+    face chain ends in, with carrier p, a linear test with no solve.  Its
+    support rank is that of p, and x = c^p(ln^p rho) - offset lies in the
+    family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|)."""
+    _, last = face_chain(rho, family)
+    p = last.support_projector
+    if rho.support_rank != p.rank:
+        return False
+    x = compress(p, log_on_support(rho))[1] - last.offset
+    return project_out(x, last.basis).norm() <= defaults.MAX_EIG_GAP * max(1.0, x.norm())
 
 
 # -- the inclusion chain ----------------------------------------------------------

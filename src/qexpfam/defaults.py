@@ -27,8 +27,8 @@ PROJECTOR_TOL = 1e-12
 
 # Spectral gap below which eigenvalues merge into one maximal projector: the only merge
 # test is linalg.top_eigenspace.  Other readers: the rank cuts of make_compressed_family
-# and _scalar_directions, _check_tangent's residual cut, projector equality in the atlas
-# merge, _steepest_margin's margin stop and locate_crossings' third-branch test.
+# and _scalar_directions, the residual cuts of _check_tangent and rI_membership, atlas
+# projector equality, _steepest_margin's margin stop and locate_crossings' third branch.
 MAX_EIG_GAP = 1e-9
 
 # Exposed-face membership: |<rho,u> - mu_+(u)| tolerance.
@@ -44,8 +44,9 @@ MAX_ITER = 500
 ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
 
-# Reverse-information membership.
+# The inclusion chain's distance bound; rI_membership reads the face chain.
 RI_EPS = 1e-3
+# The cap of perfbench's boundary reference solve; no package module reads it.
 RI_PARAM_CAP = 200.0
 # Inclusion chain: each e-geodesic exp1(x + t u) is evaluated once, at t gap =
 # CHAIN_GAP_T for unit u, gap the eigenvalue gap below u's maximal eigenspace.

@@ -31,7 +31,7 @@ meaningful when the infimum recedes to the boundary and no minimizer exists.
 That happens exactly when rho lies on a proper exposed face of the mean value
 set; the face finder decides it and the solver reports it as a flag, not an
 error.  The one exact path, _chain_projections, solves in the face family of
-face_chain, where the minimum is attained; the caps remain for extrapolation.
+face_chain, where the minimum is attained, without a cap: caps extrapolate.
 """
 
 from __future__ import annotations
@@ -921,17 +921,18 @@ def entropy_distance(
 ) -> tuple[float, bool]:
     """Entropy distance of rho from the family's closure, and whether the
     family itself attains it: the (value, attained) view of the one exact
-    path, _chain_projections."""
+    path, _chain_projections, whose solve has no parameter cap."""
     _, res = _chain_projections([rho], family, tol)[0]
     return res.distance, res.attained
 
 
 def _chain_projections(rhos: Sequence[State], family: ExponentialFamily,
-                       tol: float = defaults.SOLVER_TOL, param_cap: float = defaults.RI_PARAM_CAP
+                       tol: float = defaults.SOLVER_TOL, param_cap: float = math.inf
                        ) -> list[tuple[list[Projector], ProjectionResult]]:
     """The one exact path: each state's face_chain projectors and its solve
-    at ``param_cap`` in the family the chain ends in, where the minimum over
-    the closure is attained (Csiszar & Matus, IEEE Trans. IT 49, 2003).
+    in the family the chain ends in, where the minimum over the closure is
+    attained (Csiszar & Matus, IEEE Trans. IT 49, 2003): uncapped unless
+    ``param_cap`` is finite, it ends converged, "stalled" or in SolverError.
     attained: the chain is empty and the solve converged; the chain answers
     the solve's face test.  The states whose chains end in one family object
     (every full-rank state's ends in ``family``) share one loop."""

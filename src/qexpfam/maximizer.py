@@ -7,8 +7,8 @@ directions u in pAp, theta being the canonical parameter of the projection.
 A local maximizer therefore satisfies rho = exp1^p(p theta p) and its
 distance collapses to the free-energy difference F(theta) - F^p(p theta p).
 In an abelian algebra this says a maximizer is the conditional distribution
-of its own projection on its support.  The search reads the distance from
-the one exact path, family._chain_projections.
+of its own projection on its support.  The search and the certificates read
+the distance from the one exact path, family._chain_projections.
 """
 
 from __future__ import annotations
@@ -18,17 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import defaults
 from .errors import PreconditionError
-from .family import (
-    ExponentialFamily,
-    ProjectionResult,
-    _chain_projections,
-    _exposing_direction,
-    _project_ladder,
-    face_chain,
-    free_energy,
-)
+from .family import (ExponentialFamily, ProjectionResult, _chain_projections, face_chain,
+                     free_energy)
 from .linalg import HermitianElement, frechet_block, hs_inner
 from .sampling import haar_unitary
 from .states import (
@@ -119,13 +111,11 @@ def maximizer_certificate(rho: State, family: ExponentialFamily) -> MaximizerCer
 
 def _certificates(rhos: Sequence[State], family: ExponentialFamily
                   ) -> list[MaximizerCertificate]:
-    """maximizer_certificate of each state, the projections solved in one
-    loop (family._project_ladder)."""
-    results = _project_ladder(rhos, family, (defaults.PARAM_CAP,),
-                              lambda k: _exposing_direction(rhos[k], family) is not None)
-    if not all(res.attained for res, in results):
+    """maximizer_certificate of each state, solved on the one exact path."""
+    results = _chain_projections(rhos, family)
+    if not all(res.attained for _, res in results):
         raise PreconditionError("projection of rho is not attained")
-    return [_certificate(rho, family, res) for rho, (res,) in zip(rhos, results)]
+    return [_certificate(rho, family, res) for rho, (_, res) in zip(rhos, results)]
 
 
 def _certificate(rho: State, family: ExponentialFamily, res: ProjectionResult

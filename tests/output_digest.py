@@ -2,11 +2,13 @@
 
     PYTHONPATH=src python tests/output_digest.py
 
-Runs a fixed list of 28 ``qexpfam`` commands (every report at three seeds,
-the closures report of three families, two sweeps and eleven distances, two
-of them at a cap ladder whose caps act on rungs with different values and
-one at a full-rank swallow state whose ladder converges past the exact
-solve's cap), each in a fresh temporary directory and a fresh process, and
+Runs a fixed list of 29 ``qexpfam`` commands (every report at three seeds,
+the closures report of three families, two sweeps and twelve distances, two
+of them at a cap ladder whose caps act on rungs with different values, one
+at a full-rank swallow state whose uncapped exact solve converges at
+|theta| = 620.65, and one at swallow rho(1e-4), whose exact solve stalls at
+rounding and prints its exact_path line), each in a fresh temporary
+directory and a fresh process, and
 prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
@@ -40,7 +42,8 @@ COMMANDS = (
        ["distance", "--state", "member:30,-20", "--cap", "20"],
        ["distance", "--family", "swallow", "--state",
         "raw:0.49998333333333317,0 0,-0.49994999999999984 0,0.49994999999999984 "
-        "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"]]
+        "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"],
+       ["distance", "--family", "swallow", "--state", "circle:1e-4"]]
 )
 
 

@@ -318,19 +318,19 @@ class TestDistanceCommand:
     def test_ladder_attained_on_an_empty_face_chain(self, tmp_path, capsys):
         # rho_t = (1 - t) rho(0) + t 1/3 in swallow at t = 1e-4: full rank, so
         # its face chain is empty, and every rung of the cap-10000 ladder
-        # converges (|theta| = 620.65); only the exact solve stops at its cap
+        # converges (|theta| = 620.65), as does the uncapped exact solve
         state = ("raw:0.49998333333333317,0 0,-0.49994999999999984 "
                  "0,0.49994999999999984 0.49998333333333317,0 3.3333333333333335e-05,0")
         code = main(["distance", "--family", "swallow", "--state", state, "--cap", "10000",
                      "--out", str(tmp_path), "--quiet"])
         assert code == 0
         out = capsys.readouterr().out.splitlines()
-        assert "distance value=0.085986535628035862 attained=0" in out
+        assert "distance value=0.062091914908774685 attained=1" in out
         ladder = [l for l in out if l.startswith("continuation ")]
         assert len(ladder) == 4 and all(l.endswith(" attained=1") for l in ladder)
         rows = [r.split(",") for r in (tmp_path / "distance.csv").read_text().splitlines()[1:]]
-        assert [(r[0], r[3]) for r in rows] == [("direct", "1")] * 4 + [("final", "0")]
-        assert rows[-1][2] == "0.085986535628035862"
+        assert [(r[0], r[3]) for r in rows] == [("direct", "1")] * 4 + [("final", "1")]
+        assert rows[-1] == ["final", "inf", "0.062091914908774685", "1"]
 
 
     def test_superfamily_rho0_exact_path_zero(self, tmp_path, capsys):
@@ -366,12 +366,11 @@ class TestDeterminism:
         # certificates (which also give the derivatives) in one 12-row solve,
         # the 24 finite-difference distances in one 24-row solve, and 14
         # single face-search solves, each in the compressed family
-        from qexpfam import family, maximizer
+        from qexpfam import family
 
         calls, ladder = [], family._project_ladder
-        for module in (family, maximizer):
-            monkeypatch.setattr(module, "_project_ladder", lambda *a, **k: calls.append(
-                (len(a[0]), a[1].support is not None)) or ladder(*a, **k))
+        monkeypatch.setattr(family, "_project_ladder", lambda *a, **k: calls.append(
+            (len(a[0]), a[1].support is not None)) or ladder(*a, **k))
         assert main(["report", "--which", "maximizer", "--seed", "0",
                      "--out", str(tmp_path), "--quiet"]) == 0
         assert sorted(calls) == [(1, True)] * 14 + [(12, False), (24, False)]

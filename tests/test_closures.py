@@ -42,7 +42,7 @@ from qexpfam.linalg import (
     identity,
     traceless_part,
 )
-from qexpfam.sampling import haar_unitary, random_hermitian, random_traceless
+from qexpfam.sampling import haar_unitary, random_hermitian, random_state, random_traceless
 from qexpfam.states import (
     Projector,
     State,
@@ -385,6 +385,55 @@ class TestRIMembership:
     def test_swallow_corners_included(self, swallow):
         assert rI_membership(cone.base_circle_state(0.0), swallow)
         assert rI_membership(cone.base_circle_state(np.pi / 2.0), swallow)
+
+    def test_member_mixed_with_the_apex_excluded(self, staffelberg):
+        # its distance, 8.3e-7, is below any distance threshold worth the name
+        rho = State((1 - 1e-3) * staffelberg.member([0.3, -0.2]).element + 1e-3 * cone.APEX)
+        assert not rI_membership(rho, staffelberg)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-5, 1e-6, 1e-7, 1e-8])
+    def test_swallow_open_arc_excluded_near_the_corners(self, swallow, alpha):
+        # at 1e-8 the exact distance reads 0.0, not attained: a distance
+        # threshold would take rho(1e-8) for a member
+        for a in (alpha, np.pi / 2.0 - alpha):
+            assert not rI_membership(cone.base_circle_state(a), swallow)
+
+    @pytest.mark.parametrize("make, n_groups", [(cone.staffelberg_family, 720),
+                                                (cone.swallow_family, 542)])
+    def test_atlas_representatives_included(self, make, n_groups):
+        fam = make()
+        groups = geodesic_closure_atlas(fam).groups
+        assert len(groups) == n_groups
+        assert all(rI_membership(g.representative, fam) for g in groups)
+
+    def test_membership_makes_no_solve(self, monkeypatch):
+        # 20 base-circle states per family: staffelberg rho(0) and the open
+        # swallow arc (0, pi/2) are outside, and no verdict runs the solver
+        from qexpfam import family
+
+        monkeypatch.setattr(family, "_newton", lambda *a, **k: pytest.fail("Newton solve"))
+        alphas = np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False)
+        for make, outside in ((cone.staffelberg_family, lambda a: a == 0.0),
+                              (cone.swallow_family, lambda a: 0.0 < a < np.pi / 2.0)):
+            fam = make()
+            for a in alphas:
+                assert rI_membership(cone.base_circle_state(a), fam) == (not outside(a))
+
+    @settings(derandomize=True, deadline=None, max_examples=25)
+    @given(st.sampled_from([(2,), (3,), (2, 1), (2, 2), (1, 1, 1), (1, 1, 1, 1)]),
+           st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_membership_property(self, dims, dim, seed):
+        # members at |theta| <= 5 are members; a random full-rank state and a
+        # member mixed with it at weight 1e-3 are not
+        rng = np.random.default_rng(seed)
+        algebra = Algebra(dims)
+        fam = random_family(algebra, min(dim, algebra.real_dim - 2), rng)
+        theta = rng.normal(size=fam.dim)
+        member = fam.member(rng.uniform(0.0, 5.0) * theta / np.linalg.norm(theta))
+        other = random_state(algebra, rng, invertible=True)
+        assert rI_membership(member, fam)
+        assert not rI_membership(other, fam)
+        assert not rI_membership(State((1 - 1e-3) * member.element + 1e-3 * other.element), fam)
 
 
 def _superfamily():

@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from qexpfam import cli, cone, defaults, family, states
+from qexpfam import cli, closures, cone, defaults, family, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.closures import rI_membership
 from qexpfam.errors import PreconditionError
-from qexpfam.family import entropy_distance, face_chain, make_family, project_to_family
-from qexpfam.linalg import Algebra, HermitianElement, diagonal
+from qexpfam.family import (entropy_distance, face_chain, make_family, mean_value_projection,
+                            project_to_family)
+from qexpfam.linalg import Algebra, HermitianElement, diagonal, hs_inner
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
 from qexpfam.states import State
@@ -226,7 +227,7 @@ class TestFinderAskedOnce:
 def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
     # each direction that decides a face is decomposed once: face_chain takes
     # the maximal projector from the decision, not from a second max_eig_data
-    chains, real_chain, real_max = [], family.face_chain, states.max_eig_data
+    chains, real_chain, real_max = [], closures.face_chain, states.max_eig_data
 
     def chain(rho, fam):
         chains.append([])
@@ -236,7 +237,7 @@ def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
         chains[-1].append(b"".join(b.tobytes() for b in u.blocks))
         return real_max(u)
 
-    monkeypatch.setattr(family, "face_chain", chain)
+    monkeypatch.setattr(closures, "face_chain", chain)
     for module in (family, states):
         monkeypatch.setattr(module, "max_eig_data", decompose)
     fam = make()
@@ -290,7 +291,7 @@ class TestMonotonicity:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_one_more_generator(self, seed, extra):
         # E' = E + one generator: d(rho, E') <= d(rho, E), and rI(E) => rI(E'),
-        # where rI_membership is the exact distance below RI_EPS
+        # read here as the exact distance below RI_EPS
         _, _, gens, face_state, limit = _generator_face_case(seed, extra)
         small = make_family(face_state.algebra, gens[:-1])
         big = make_family(face_state.algebra, gens)
@@ -456,6 +457,43 @@ def _mixed(d, rank, rng):
     return (u * w) @ u.conj().T
 
 
+def _mp_distance(rho, fam, theta, dps=50):
+    """rho's entropy distance from fam by Newton in mpmath at ``dps`` digits,
+    fed the package's double moments m and entropy offset: min over theta of
+    ln tr exp(offset + sum theta_i v_i) - theta.m, from ``theta`` until the
+    gradient vanishes to the working precision."""
+    with mpmath.workdps(dps):
+        m = mpmath.matrix(mean_value_projection(rho.element, fam).tolist())
+        base = mpmath.mpf(states.vn_entropy(rho) + hs_inner(rho.element, fam.offset))
+        offset = [mpmath.matrix(b.tolist()) for b in fam.offset.blocks]
+        basis = [[mpmath.matrix(b.tolist()) for b in v.blocks] for v in fam.basis]
+
+        def pieces(x):
+            exps = [mpmath.expm(o + sum((t * v[k] for t, v in zip(x, basis)),
+                                        mpmath.zeros(o.rows)))
+                    for k, o in enumerate(offset)]
+            z = sum(mpmath.re(sum(e[i, i] for i in range(e.rows))) for e in exps)
+            means = mpmath.matrix([sum(mpmath.re(sum((e * v[k])[i, i] for i in range(e.rows)))
+                                       for k, e in enumerate(exps)) / z for v in basis])
+            return mpmath.log(z) - mpmath.fsum(x[i] * m[i] for i in range(len(m))), means - m
+
+        x, h = mpmath.matrix(theta.tolist()), mpmath.mpf(10) ** (-dps // 2)
+        for _ in range(20):
+            f, g = pieces(x)
+            if mpmath.norm(g) <= mpmath.mpf(10) ** (15 - dps):
+                return float(f - base)
+            H = mpmath.matrix(len(m), len(m))
+            for j in range(len(m)):
+                e = mpmath.matrix(len(m), 1)
+                e[j] = h
+                H[:, j] = (pieces(x + e)[1] - g) / h
+            step, t = mpmath.lu_solve(H, -g), 1
+            while pieces(x + t * step)[0] > f:
+                t /= 2
+            x += t * step
+        raise AssertionError("the mpmath Newton solve did not converge")
+
+
 class TestExactPath:
     """The one exact path, family._chain_projections: its distance and sigma*
     against closed forms, and the Pythagorean identity at sigma*."""
@@ -505,9 +543,29 @@ class TestExactPath:
                        - states.relative_entropy(res.sigma_star, sigma))
                 assert abs(gap) <= 1e-9
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the exact path solves at RI_PARAM_CAP = 200 and returns "
-        "the capped 0.0859865356 with attained=False"))
+    @pytest.mark.parametrize("rhos", [
+        [cone.base_circle_state(a) for a in (1e-2, np.pi / 2.0 - 1e-2)],
+        [cone.base_circle_state(a) for a in (1e-3, np.pi / 2.0 - 1e-3)],
+        [State((1 - 1e-4) * cone.base_circle_state(0.0).element + 1e-4 * cone.THIRD)],
+    ], ids=["open arc 1e-2", "open arc 1e-3", "rho_t"])
+    def test_swallow_against_an_mpmath_oracle(self, swallow, rhos):
+        # swallow rho(alpha) and rho(pi/2 - alpha) near the non-exposed points,
+        # where |theta*| grows like 1/alpha (10128 at 1e-3), and the full-rank
+        # rho_t (|theta*| = 621): the uncapped exact solve converges
+        for rho, (projectors, res) in zip(rhos, family._chain_projections(rhos, swallow)):
+            assert projectors == [] and res.attained
+            want = _mp_distance(rho, swallow, res.theta_star)
+            assert abs(res.distance - want) <= 1e-10 * want
+
+    def test_open_arc_grid_never_stops_at_a_cap(self, swallow):
+        # the 719 open-arc states in one call: a solve that is not attained
+        # stalled at rounding, none ran into a cap
+        alphas = np.linspace(0.0, np.pi / 2.0, 721)[1:-1]
+        out = family._chain_projections([cone.base_circle_state(a) for a in alphas], swallow)
+        assert not any(res.cap_hit for _, res in out)
+        assert all(res.stop_reason == "stalled" for _, res in out if not res.attained)
+        assert sum(res.attained for _, res in out) >= 700
+
     def test_exact_distance_not_above_an_attained_projection(self, swallow):
         # rho_t = (1 - t) rho(0) + t 1/3 at t = 1e-4 is full rank; at cap 1250
         # its projection converges to 0.0620919149

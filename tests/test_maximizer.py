@@ -1,11 +1,12 @@
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
 
 from helpers import random_family, same_image
-from qexpfam import cone, defaults, maximizer
+from qexpfam import cone, maximizer
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (_chain_projections, entropy_distance, make_compressed_family,
                             make_family, project_to_family)
@@ -243,7 +244,7 @@ class TestLocalMaxSearch:
 
     def test_interior_search_solves_once_per_evaluation(self, rng, monkeypatch):
         # with an empty face chain each evaluation, a start or a trial step,
-        # is one solve at RI_PARAM_CAP in the family itself, and a certificate
+        # is one uncapped solve in the family itself, and a certificate
         # is built from the last of them: equal to a fresh certificate
         solves, trials = [], []
         real_trial = maximizer._project_face_state
@@ -268,7 +269,7 @@ class TestLocalMaxSearch:
             cands = local_max_search(fam, Projector(identity(fam.algebra)), n_starts=3,
                                      max_steps=30)
             assert trials and len(solves) == len(cands) + len(trials)
-            assert all(f is fam and cap == defaults.RI_PARAM_CAP for f, cap in solves)
+            assert all(f is fam and cap == math.inf for f, cap in solves)
             for c in cands:
                 assert c.projection_attained and c.certificate is not None
                 want = maximizer_certificate(c.state, fam)
