@@ -54,11 +54,11 @@ from .family import (
     mean_value_projection,
 )
 from .findings import Report
-from .linalg import DirectionSweep, HermitianElement, coords, project_out
+from .linalg import DirectionSweep, HermitianElement, _hs_norm, _sym, coords, project_out
 from .states import (
     Projector,
     State,
-    _on_exposed_face,
+    _exposed_face,
     _rank_one_spectrum,
     _rank_one_state,
     _state_blocks,
@@ -277,8 +277,8 @@ def reduce_distance_to_face(
     boundary reference; the package reads entropy_distance, which needs only rho.
     """
     _check_tangent(family, v)
-    mu, p = max_eig_data(v)
-    if not _on_exposed_face(rho, v, mu, p):
+    p = _exposed_face(rho, v)
+    if p is None:
         raise PreconditionError("state is not in the exposed face of v")
     _, res = _chain_projections([rho], make_compressed_family(family, p), param_cap=param_cap)[0]
     return res.distance
@@ -288,13 +288,15 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
     """Whether rho is in the rI-closure: whether it lies in the family its
     face chain ends in, with carrier p, a linear test with no solve.  Its
     support rank is that of p, and x = c^p(ln^p rho) - offset lies in the
-    family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|)."""
+    family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|).
+    The chain decides faces on eigenpairs; c^p is compress's block kernel."""
     _, last = face_chain(rho, family)
     p = last.support_projector
     if rho.support_rank != p.rank:
         return False
     x = compress(p, log_on_support(rho))[1] - last.offset
-    return project_out(x, last.basis).norm() <= defaults.MAX_EIG_GAP * max(1.0, x.norm())
+    off_span, cut = project_out(x, last.basis).norm(), defaults.MAX_EIG_GAP
+    return off_span <= cut or off_span <= cut * max(1.0, x.norm())  # |x| only above the cut
 
 
 # -- the inclusion chain ----------------------------------------------------------
@@ -327,15 +329,14 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
     # parameter_element per row, stacked (one product over the stack moves bits)
     a = [np.stack([o + _combine(x, s) for x in params])
          for o, s in zip(family.offset.blocks, family.stacks)]
-    gibbs = _gibbs([(m + m.conj().swapaxes(-1, -2)) / 2.0 for m in a], family.support)
+    gibbs = _gibbs([_sym(m) for m in a], family.support)
     values, vectors = _gibbs_spectra(family.support, gibbs)
     members = _state_blocks(family.algebra, values, vectors)
     # s.element - member, symmetrized as _trusted does; each row's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
-    diff = [(d + d.conj().swapaxes(-1, -2)) / 2.0 for d in map(np.subtract, targets, members)]
-    return [float(np.sqrt(sum(np.linalg.norm(d[i]) ** 2 for d in diff)))
-            for i in range(len(states))]
+    diff = [_sym(d) for d in map(np.subtract, targets, members)]
+    return [_hs_norm([d[i] for d in diff]) for i in range(len(states))]
 
 
 def inclusion_chain_check(

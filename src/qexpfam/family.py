@@ -49,6 +49,7 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
+    _hs_norm,
     _reconstruct_stack,
     coords,
     divided_differences,
@@ -65,11 +66,12 @@ from .linalg import (
 from .states import (
     Projector,
     State,
-    _on_exposed_face,
+    _compress_blocks,
+    _exposed_face,
+    _maximal_projector,
     compress,
     full_support,
     log_on_support,
-    max_eig_data,
     relative_entropy,
     support_projector,
     vn_entropy,
@@ -247,6 +249,11 @@ class ExponentialFamily:
         )
 
     @cached_property
+    def _compression_stacks(self) -> tuple[np.ndarray, ...]:
+        """The generators, then the offset, stacked per block."""
+        return tuple(map(np.stack, zip(*(a.blocks for a in (*self.generators, self.offset)))))
+
+    @cached_property
     def group_stacks(self) -> tuple[tuple, list[tuple[np.ndarray, ...]]]:
         """_gibbs's block order and, per size group, the offset blocks stacked
         (g, n_k, n_k) and the basis stacks (g, dim, n_k, n_k), also as
@@ -321,20 +328,24 @@ def make_compressed_family(
     Parameter space is the c^p image of the parent's; the tangent space may
     lose dimensions (and can become zero, leaving a single state).
     Compressed components below the projector merge tolerance, relative to
-    the generator size, are treated as zero.
+    the generator size, are treated as zero; only kept ones become elements.
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
-    pairs = [(g, compress(p, g)[1]) for g in parent.generators]
-    gens = [cg for g, cg in pairs if cg.norm() > defaults.MAX_EIG_GAP * max(1.0, g.norm())]
+    algebra, cut = parent.algebra, defaults.MAX_EIG_GAP
+    compressed = _compress_blocks(p.element.blocks, p.rank, parent._compression_stacks)[1]
+    gens = []
+    for g, *cg in zip(parent.generators, *compressed):
+        size = _hs_norm(cg)  # g.norm() only above the cut
+        if size > cut and size > cut * max(1.0, g.norm()):
+            gens.append(HermitianElement._of(algebra, cg))
     basis: list[HermitianElement] = []
     for g in gens:
         v = project_out(project_out(g, basis), basis)
-        if v.norm() > defaults.MAX_EIG_GAP * max(1.0, g.norm()):
+        if v.norm() > cut * max(1.0, g.norm()):
             basis.append(v / v.norm())
-    _, off = compress(p, parent.offset)
-    off = project_out(off, basis)
-    return ExponentialFamily(parent.algebra, tuple(basis), off, tuple(gens), p)
+    off = project_out(HermitianElement._of(algebra, [c[-1] for c in compressed]), basis)
+    return ExponentialFamily(algebra, tuple(basis), off, tuple(gens), p)
 
 
 def _check_tangent(family: ExponentialFamily, v: HermitianElement) -> None:
@@ -451,8 +462,9 @@ def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.nda
     carrier = family.support_projector.element
     rows = [(x @ s @ z).reshape(family.dim, x.size)
             for x, s, z in zip(q.blocks, family.stacks, carrier.blocks)]
-    system = np.vstack([np.hstack(rows), -np.hstack([x.ravel() for x in q.blocks])]).T
-    _, s, vh = np.linalg.svd(np.vstack([system.real, system.imag]), full_matrices=False)
+    scalar = -np.concatenate([x.ravel() for x in q.blocks])
+    system = np.concatenate([np.concatenate(rows, axis=1), scalar[None]]).T
+    _, s, vh = np.linalg.svd(np.concatenate([system.real, system.imag]), full_matrices=False)
     return vh[int(np.sum(s > defaults.MAX_EIG_GAP * s[0])):, :-1]
 
 
@@ -464,16 +476,19 @@ def _exposing_direction(rho: State, family: ExponentialFamily
     Such a u acts on the support q of rho as a scalar: u lies in L =
     _scalar_directions(q), where rho is on the face of u exactly when the
     concave margin <rho, u> - mu_+(u on P - q) is >= 0, P the carrier.  Its
-    maximum over L's unit sphere decides: +-w for dim L = 1, _widest_margin
-    for dim L = 2, _steepest_margin for dim L >= 3, whose end is also tried
-    projected onto the directions tying its maximal eigenspace exactly.
+    maximum over L's unit sphere decides: +-w for dim L = 1 with the sign of
+    <rho, w> (w is traceless on P, so the other sign cannot expose rho),
+    _widest_margin for dim L = 2, _steepest_margin for dim L >= 3, whose end
+    is also tried projected onto the directions tying its maximal eigenspace
+    exactly.  states._exposed_face decides each candidate on its eigenpairs.
     """
     if rho.support_rank == family.support_projector.rank:
         return None
     q = support_projector(rho).element
     null = _scalar_directions(q, family)
     if len(null) == 1:
-        candidates = [family.tangent_element(sign * null[0]) for sign in (1.0, -1.0)]
+        sign = 1.0 if null[0] @ mean_value_projection(rho.element, family) >= 0.0 else -1.0
+        candidates = [family.tangent_element(sign * null[0])]
     elif len(null) >= 2:
         basis = np.linalg.qr(null.T)[0]
         rest = Projector(family.support_projector.element - q)
@@ -482,13 +497,14 @@ def _exposing_direction(rho: State, family: ExponentialFamily
             candidates = [_widest_margin(rho, rest, a, b)]
         else:
             u = _steepest_margin(rho, rest, family, basis)
-            tie = np.linalg.qr(_scalar_directions(max_eig_data(u)[1].element, family).T)[0]
+            top = HermitianElement._trusted(u.algebra, _maximal_projector(u)[2])
+            tie = np.linalg.qr(_scalar_directions(top, family).T)[0]
             x = tie @ (tie.T @ mean_value_projection(u, family))
             candidates = [family.tangent_element(x), u] if np.any(x) else [u]
     else:
         return None
-    faces = ((u, *max_eig_data(u)) for u in candidates)
-    return next(((u, p) for u, mu, p in faces if _on_exposed_face(rho, u, mu, p)), None)
+    faces = ((u, _exposed_face(rho, u)) for u in candidates)
+    return next(((u, p) for u, p in faces if p is not None), None)
 
 
 def face_chain(
@@ -514,8 +530,8 @@ def face_chain(
         inner_face = _exposing_direction(rho, inner)
         if inner_face is not None:
             w = _inner_exposing_direction(family, u, p, inner_face[0])
-            mu_w, p_w = max_eig_data(w)
-            if p_w.rank < p.rank and _on_exposed_face(rho, w, mu_w, p_w):
+            p_w = _exposed_face(rho, w, below=p.rank)
+            if p_w is not None:
                 face = w, p_w
                 continue
         projectors.append(p)

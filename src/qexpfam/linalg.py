@@ -9,6 +9,7 @@ immutable values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Sequence
@@ -50,12 +51,6 @@ class Algebra:
         return sum(n * n for n in self.block_dims)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=complex)
-    out.setflags(write=False)
-    return out
-
-
 class HermitianElement:
     """A self-adjoint element of a block-diagonal matrix algebra.
 
@@ -80,13 +75,12 @@ class HermitianElement:
                 )
             if not np.isfinite(b).all():
                 raise ValueError("input block has a non-finite entry")
-            h = (b + b.conj().T) / 2.0
-            drift = np.linalg.norm(b - h)
-            if drift > defaults.HERMITIZE_REJECT * (1.0 + np.linalg.norm(h)):
-                raise ValueError(
-                    f"input block is not Hermitian (correction {drift:.3e})"
-                )
-            sym.append(_freeze(h))
+            h = _sym(b)
+            drift, cut = _fro(b - h), defaults.HERMITIZE_REJECT  # |h| only above the cut
+            if drift > cut and drift > cut * (1.0 + _fro(h)):
+                raise ValueError(f"input block is not Hermitian (correction {drift:.3e})")
+            h.setflags(write=False)
+            sym.append(h)
         object.__setattr__(self, "algebra", algebra)
         object.__setattr__(self, "blocks", tuple(sym))
 
@@ -96,9 +90,10 @@ class HermitianElement:
         and eigen-reconstructions of elements.
 
         Such blocks are Hermitian up to rounding already, so the drift check
-        and the defensive copy are skipped; the symmetrization stays, which
-        keeps the bits (signed zeros included) equal to the public
-        constructor's.
+        is skipped; the symmetrization stays, which keeps the bits (signed
+        zeros included) equal to the public constructor's.  _of takes blocks
+        that are _sym outputs already: a second _sym can flip the sign of a
+        zero real part.
         """
         out = object.__new__(cls)
         sym = []
@@ -108,6 +103,15 @@ class HermitianElement:
             sym.append(h)
         object.__setattr__(out, "algebra", algebra)
         object.__setattr__(out, "blocks", tuple(sym))
+        return out
+
+    @classmethod
+    def _of(cls, algebra: Algebra, blocks) -> "HermitianElement":
+        out, blocks = object.__new__(cls), tuple(blocks)
+        for h in blocks:
+            h.setflags(write=False)
+        object.__setattr__(out, "algebra", algebra)
+        object.__setattr__(out, "blocks", blocks)
         return out
 
     def __setattr__(self, name, value):
@@ -150,10 +154,26 @@ class HermitianElement:
 
     def norm(self) -> float:
         """Hilbert-Schmidt norm sqrt(tr(a^2))."""
-        return float(np.sqrt(sum(np.linalg.norm(b) ** 2 for b in self.blocks)))
+        return _hs_norm(self.blocks)
 
     def __repr__(self):
         return f"HermitianElement(dims={self.algebra.block_dims}, norm={self.norm():.6g})"
+
+
+def _sym(b: np.ndarray) -> np.ndarray:
+    """(b + b*) / 2 of a matrix or of each of a stack: the one symmetrization."""
+    return (b + b.conj().mT) / 2.0
+
+
+def _fro(b: np.ndarray) -> float:
+    """np.linalg.norm(b) by its own formula, sqrt(re . re + im . im), unwrapped."""
+    x = b.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
+def _hs_norm(blocks) -> float:
+    """HermitianElement.norm of the element with these blocks."""
+    return math.sqrt(sum(_fro(b) ** 2 for b in blocks))
 
 
 # -- convenient constructors --------------------------------------------------
@@ -242,8 +262,13 @@ def hs_inner(a: HermitianElement, b: HermitianElement) -> float:
     """Hilbert-Schmidt inner product tr(ab) of two self-adjoint elements."""
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("operands belong to different algebras")
+    return _hs(a.blocks, b.blocks)
+
+
+def _hs(xs, ys) -> float:
+    """hs_inner of the elements with blocks xs and ys."""
     total = 0.0
-    for x, y in zip(a.blocks, b.blocks):
+    for x, y in zip(xs, ys):
         # the single BLAS call np.tensordot(x, y.conj(), axes=2) makes after
         # its reshapes, without its Python overhead
         total += np.dot(x.reshape(1, -1), y.conj().reshape(-1, 1))[0, 0].real
@@ -275,8 +300,7 @@ def _reconstruct_stack(w: np.ndarray, V: np.ndarray) -> np.ndarray:
     """SpectralData.reconstruct and HermitianElement._trusted on the last
     axes of eigenvalues w (..., n) and eigenvectors V (..., n, n), which
     gives each matrix of a stack the bits of its own product."""
-    h = (V * w[..., None, :]) @ V.conj().swapaxes(-1, -2)
-    return (h + h.conj().swapaxes(-1, -2)) / 2.0
+    return _sym((V * w[..., None, :]) @ V.conj().swapaxes(-1, -2))
 
 
 @cache
@@ -379,8 +403,9 @@ class SweepSpectra:
         return w[:, -1] - w[np.arange(len(w)), -1 - np.asarray(m)]
 
     def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Ranks and blocks of the maximal projectors (top_eigenspace), built and
-        symmetrized as states.max_eig_data builds them, bit for bit."""
+        """Ranks and blocks of the maximal projectors (top_eigenspace), bit for
+        bit the blocks of the Projector that states.max_eig_data builds: the
+        V_r V_r* of states._maximal_projector, then _sym."""
         ranks, blocks = top_eigenspace(self.values)[1], []
         for w, V, r in zip(self.values, self.vectors, ranks):
             order = np.argsort(w, axis=-1)[:, ::-1]
@@ -389,7 +414,7 @@ class SweepSpectra:
                 idx = np.flatnonzero(r == rank)
                 keep = np.take_along_axis(V[idx], order[idx, None, :rank], axis=-1)
                 P[idx] = keep @ keep.conj().swapaxes(-1, -2)
-            blocks.append((P + P.conj().swapaxes(-1, -2)) / 2.0)
+            blocks.append(_sym(P))
         return sum(ranks), blocks
 
 

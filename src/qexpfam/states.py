@@ -23,7 +23,10 @@ from .linalg import (
     Algebra,
     HermitianElement,
     SpectralData,
+    _fro,
+    _hs,
     _reconstruct_stack,
+    _sym,
     eigh,
     hs_inner,
     identity,
@@ -104,9 +107,10 @@ class Projector:
         err = 0.0
         rank = 0.0
         for b in element.blocks:
-            err = max(err, float(np.linalg.norm(b @ b - b)))
-            rank += float(np.trace(b).real)
-        if err > defaults.PROJECTOR_TOL * max(1.0, element.norm()):
+            err = max(err, _fro(b @ b - b))
+            rank += float(b.trace().real)
+        cut = defaults.PROJECTOR_TOL  # the norm only above the cut
+        if err > cut and err > cut * max(1.0, element.norm()):
             raise ValueError(f"not idempotent within tolerance ({err:.3e})")
         if abs(rank - round(rank)) > 1e-9:
             raise ValueError(f"projector trace {rank} is not an integer")
@@ -242,16 +246,38 @@ def support_projector(rho: State) -> Projector:
     return Projector(HermitianElement(rho.algebra, blocks))
 
 
-def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
-    """Largest eigenvalue across all blocks and its maximal projector.
-
-    In each block it spans the eigenvectors of the r_k largest eigenvalues, r_k
-    from top_eigenspace: those within MAX_EIG_GAP (1e-9) of the maximum merge.
-    """
+def _maximal_projector(u: HermitianElement) -> tuple[float, int, list[np.ndarray]]:
+    """mu = max eig u, the rank of its maximal projector and per block V_r V_r*
+    (before _sym) of the r_k top eigenvectors (top_eigenspace): one eigh."""
     spec = eigh(u)
     mu, ranks = top_eigenspace(spec.eigenvalues)
-    blocks = [V[:, :r] @ V[:, :r].conj().T for V, r in zip(spec.eigenvectors, ranks)]
-    return float(mu), Projector(HermitianElement(u.algebra, blocks))
+    out = [V[:, :r] @ V[:, :r].conj().T for V, r in zip(spec.eigenvectors, ranks)]
+    return float(mu), int(sum(ranks)), out
+
+
+def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
+    """Largest eigenvalue across all blocks and its maximal projector."""
+    mu, _, blocks = _maximal_projector(u)
+    return mu, Projector(HermitianElement(u.algebra, blocks))
+
+
+def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Projector | None:
+    """The one face decision: the maximal projector p of a non-zero u if its
+    rank is below ``below`` and rho is on u's exposed face, else None.  Read
+    off one eigh: <rho,u> = mu must agree with 1 - tr(rho p) = 0 (else
+    NumericalDegeneracyError); only a face holding rho gets a Projector."""
+    mu, rank, blocks = _maximal_projector(u)
+    if rank >= below:
+        return None
+    gap = hs_inner(rho.element, u) - mu
+    by_value = abs(gap) <= defaults.FACE_VALUE_TOL
+    # validated only for a face that holds rho; both constructors symmetrize alike
+    p = (HermitianElement if by_value else HermitianElement._trusted)(u.algebra, blocks)
+    leak = 1.0 - hs_inner(rho.element, p)
+    if by_value != (leak <= defaults.SUPPORT_CUTOFF):
+        raise NumericalDegeneracyError(
+            f"face criteria disagree: value-gap {gap:.3e}, image leak {leak:.3e}")
+    return Projector(p) if by_value else None
 
 
 def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
@@ -263,21 +289,20 @@ def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
     """
     if u.norm() == 0.0:
         raise PreconditionError("direction u must be non-zero")
-    return _on_exposed_face(rho, u, *max_eig_data(u))
+    return _exposed_face(rho, u) is not None
 
 
-def _on_exposed_face(rho: State, u: HermitianElement, mu: float, p: Projector) -> bool:
-    """exposed_face_membership for a non-zero u with max_eig_data(u) = (mu, p)
-    in hand."""
-    by_value = abs(hs_inner(rho.element, u) - mu) <= defaults.FACE_VALUE_TOL
-    leak = 1.0 - hs_inner(rho.element, p.element)
-    by_image = leak <= defaults.SUPPORT_CUTOFF
-    if by_value != by_image:
-        raise NumericalDegeneracyError(
-            f"face criteria disagree: value-gap {hs_inner(rho.element, u) - mu:.3e}, "
-            f"image leak {leak:.3e}"
-        )
-    return by_value
+def _compress_blocks(p_blocks, rank: int, a_blocks) -> tuple[list, list]:
+    """The blocks of pap and c^p(a) = pap - p tr(pa)/rank, symmetrized step by
+    step as element arithmetic would, for a's blocks or for stacks (m, n_k,
+    n_k) of them, each row with the bits of its own compression."""
+    pap = [_sym(pb @ ab @ pb) for pb, ab in zip(p_blocks, a_blocks)]
+    if a_blocks[0].ndim == 2:
+        shift = _hs(p_blocks, a_blocks) / rank
+    else:
+        rows = [_hs(p_blocks, [ab[i] for ab in a_blocks]) for i in range(len(a_blocks[0]))]
+        shift = (np.array(rows) / rank)[:, None, None]
+    return pap, [_sym(x - _sym(shift * pb)) for x, pb in zip(pap, p_blocks)]
 
 
 def compress(p: Projector, a: HermitianElement) -> tuple[HermitianElement, HermitianElement]:
@@ -286,17 +311,14 @@ def compress(p: Projector, a: HermitianElement) -> tuple[HermitianElement, Hermi
     Returns the pair (p a p, c^p(a)) where c^p(a) = pap - p tr(pa)/tr(p) is
     the trace-zero part of the compression.  Values are kept in the ambient
     matrices (identity p), so the embedding pAp -> A stays trace preserving.
+    The preconditions are checked here; the arithmetic is _compress_blocks.
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress by the zero projector")
     if p.algebra != a.algebra:
         raise AlgebraMismatchError("projector and element in different algebras")
-    pap = HermitianElement._trusted(
-        p.algebra, [pb @ ab @ pb for pb, ab in zip(p.element.blocks, a.blocks)]
-    )
-    shift = hs_inner(p.element, a) / p.rank
-    cp = pap - shift * p.element
-    return pap, cp
+    pap, cp = _compress_blocks(p.element.blocks, p.rank, a.blocks)
+    return HermitianElement._of(p.algebra, pap), HermitianElement._of(p.algebra, cp)
 
 
 def pinsker_gap(rho: State, sigma: State) -> float:

@@ -1,6 +1,7 @@
 """One SHA-256 per CLI command over everything the command leaves behind.
 
     PYTHONPATH=src python tests/output_digest.py
+    PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
 Runs a fixed list of 29 ``qexpfam`` commands (every report at three seeds,
 the closures report of three families, two sweeps and twelve distances, two
@@ -13,11 +14,15 @@ prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
-output as it was.  pytest does not collect this file.
+output as it was.  With ``--against FILE``, a printout saved from another
+checkout, it prints only the commands whose line differs from that file's
+(or that the file lacks) and exits 1 if there is any, 0 if none.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import os
 import subprocess
@@ -65,12 +70,28 @@ def digest(args: list[str], env: dict) -> str:
         return h.hexdigest()
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description="One SHA-256 per qexpfam CLI command.")
+    parser.add_argument("--against", metavar="FILE",
+                        help="a saved printout: print the commands whose line differs, exit 1")
+    opts = parser.parse_args(argv)
+    saved = None
+    if opts.against is not None:
+        with open(opts.against, encoding="utf-8") as handle:
+            saved = {line.rstrip("\n") for line in handle}
     src = os.path.dirname(os.path.dirname(os.path.abspath(qexpfam.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    differ = 0
     for args in COMMANDS:
-        print(digest(args, env), " ".join(args), flush=True)
-    return 0
+        line = f"{digest(args, env)} {' '.join(args)}"
+        if saved is None:
+            print(line, flush=True)
+        elif line not in saved:
+            differ += 1
+            print(f"differs: {' '.join(args)}", flush=True)
+    if saved is not None:
+        print(f"{differ} of {len(COMMANDS)} commands differ from {opts.against}")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from qexpfam.closures import rI_membership
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (entropy_distance, face_chain, make_family, mean_value_projection,
                             project_to_family)
-from qexpfam.linalg import Algebra, HermitianElement, diagonal, hs_inner
+from qexpfam.linalg import Algebra, HermitianElement, coords, diagonal, hs_inner, trace_norm
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
 from qexpfam.states import State
@@ -225,9 +225,9 @@ class TestFinderAskedOnce:
 
 @pytest.mark.parametrize("make", [cone.staffelberg_family, cone.swallow_family])
 def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
-    # each direction that decides a face is decomposed once: face_chain takes
-    # the maximal projector from the decision, not from a second max_eig_data
-    chains, real_chain, real_max = [], closures.face_chain, states.max_eig_data
+    # each direction that decides a face is decomposed once: the decision
+    # kernel reads both criteria and the maximal projector off one eigh
+    chains, real_chain, real_top = [], closures.face_chain, states._maximal_projector
 
     def chain(rho, fam):
         chains.append([])
@@ -235,16 +235,58 @@ def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
 
     def decompose(u):
         chains[-1].append(b"".join(b.tobytes() for b in u.blocks))
-        return real_max(u)
+        return real_top(u)
 
     monkeypatch.setattr(closures, "face_chain", chain)
     for module in (family, states):
-        monkeypatch.setattr(module, "max_eig_data", decompose)
+        monkeypatch.setattr(module, "_maximal_projector", decompose)
     fam = make()
     for alpha in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
         rI_membership(cone.base_circle_state(alpha), fam)
     assert len(chains) == 20 and any(chains)
     assert all(len(set(c)) == len(c) for c in chains)
+
+
+def test_face_chain_builds_projectors_only_for_supports_and_faces(monkeypatch):
+    # a candidate direction that misses the state builds no Projector: the
+    # only ones are the state's support projector and one per chain face
+    counts = {}
+    real_init, real_support = states.Projector.__init__, family.support_projector
+    real_face, real_chain = family._exposed_face, closures.face_chain
+
+    def init(self, element):
+        counts["projector"] += 1
+        real_init(self, element)
+
+    def support(rho):
+        counts["support"] += 1
+        return real_support(rho)
+
+    def face(rho, u, below=np.inf):
+        p = real_face(rho, u, below)
+        counts["miss" if p is None else "face"] += 1
+        return p
+
+    def chain(rho, fam):
+        projectors, last = real_chain(rho, fam)
+        counts["chain_faces"] += len(projectors)
+        return projectors, last
+
+    monkeypatch.setattr(states.Projector, "__init__", init)
+    monkeypatch.setattr(family, "support_projector", support)
+    monkeypatch.setattr(family, "_exposed_face", face)
+    monkeypatch.setattr(closures, "face_chain", chain)
+    misses = 0
+    for make in (cone.staffelberg_family, cone.swallow_family):
+        fam = make()
+        fam.support_projector  # the identity, cached per algebra
+        counts.update(projector=0, support=0, face=0, miss=0, chain_faces=0)
+        for alpha in np.linspace(0.0, 2.0 * np.pi, 20, endpoint=False):
+            rI_membership(cone.base_circle_state(alpha), fam)
+        assert counts["chain_faces"] == counts["face"] > 0
+        assert counts["projector"] == counts["support"] + counts["chain_faces"]
+        misses += counts["miss"]
+    assert misses > 0
 
 
 def _unitary(n, rng):
@@ -499,7 +541,7 @@ class TestExactPath:
     against closed forms, and the Pythagorean identity at sigma*."""
 
     @settings(derandomize=True, deadline=None, max_examples=30)
-    @given(st.sampled_from((2, 3)), st.sampled_from(("full", "deficient", "pure marginal")),
+    @given(st.sampled_from((2, 3, 4)), st.sampled_from(("full", "deficient", "pure marginal")),
            st.integers(0, 2**32 - 1))
     def test_product_family_oracle(self, n, kind, seed):
         # the rI-projection onto the product family is the product of the
@@ -524,6 +566,55 @@ class TestExactPath:
         assert abs(res.distance - want) <= 1e-10
         product = functools.reduce(np.kron, marginals)
         assert np.abs(res.sigma_star.element.blocks[0] - product).max() <= 1e-9
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.booleans(), st.booleans())
+    def test_distance_depends_only_on_mean_values(self, seed, extra, offset, deficient):
+        # d(rho) + S(rho) + <rho, offset> = min over theta of F(offset + theta.v)
+        # - theta.m, a function of the mean values m alone: rho + s Delta, Delta
+        # traceless and orthogonal to the tangent space, gives the same value.
+        # A deficient rho is full rank on the top eigenspace q of g1, so its
+        # chain is not empty, and Delta lies in qAq, so rho + s Delta keeps it
+        rng = np.random.default_rng(seed)
+        n0 = int(rng.integers(3, 5))
+        algebra = Algebra((n0, *rng.integers(1, 3, size=int(rng.integers(0, 3)))))
+        r = n0 - 1
+        q = [np.zeros((n, n), dtype=complex) for n in algebra.block_dims]
+        blocks = []
+        for k, n in enumerate(algebra.block_dims):
+            u, w = _unitary(n, rng), rng.uniform(-1.0, 0.5, size=n)
+            if k == 0:
+                w[:r], q[0] = 1.0, u[:, :r] @ u[:, :r].conj().T
+            blocks.append((u * w) @ u.conj().T)
+        gens = [HermitianElement(algebra, blocks)]
+        gens += [random_traceless(algebra, rng) for _ in range(extra)]
+        fam = make_family(algebra, gens, random_traceless(algebra, rng) if offset else None)
+        if deficient:
+            m = q[0] @ _mixed(n0, n0, rng) @ q[0]
+            rho = State(HermitianElement(algebra, [m / np.trace(m).real] + q[1:]))
+            def in_q(a):  # q a q
+                return HermitianElement(algebra, [p @ b @ p for p, b in zip(q, a.blocks)])
+
+            span = [HermitianElement(algebra, q)] + [in_q(v) for v in fam.basis]
+            x = in_q(random_traceless(algebra, rng))
+        else:
+            rho = random_state(algebra, rng)
+            span = [HermitianElement(algebra, [np.eye(n) for n in algebra.block_dims]),
+                    *fam.basis]
+            x = random_traceless(algebra, rng)
+        for _ in range(2):  # Delta: x minus its projection onto span, twice for accuracy
+            coeffs = np.linalg.lstsq(np.column_stack([coords(v) for v in span]), coords(x),
+                                     rcond=None)[0]
+            x = x - functools.reduce(HermitianElement.__add__,
+                                     (float(c) * v for c, v in zip(coeffs, span)))
+        assert all(abs(hs_inner(x, v)) <= 1e-12 for v in span) and x.norm() > 1e-3
+        low = min(w[w > 1e-9].min() for w in rho.spectral.eigenvalues if (w > 1e-9).any())
+        moved = State(rho.element + (0.5 * low / trace_norm(x)) * x)
+        pairs = family._chain_projections([rho, moved], fam)
+        assert [len(c) > 0 for c, _ in pairs] == [deficient] * 2
+        values = [res.distance + states.vn_entropy(s) + hs_inner(s.element, fam.offset)
+                  for s, (_, res) in zip((rho, moved), pairs)]
+        assert abs(values[0] - values[1]) <= 1e-12
 
     @pytest.mark.parametrize("make", [cone.staffelberg_family, cone.swallow_family])
     def test_pythagorean_identity_at_sigma_star(self, make):
