@@ -7,12 +7,12 @@ geodesic closure is therefore a disjoint union of families in corner
 algebras, one per maximal projector of a tangent direction.  For 2D tangent
 spaces the projectors are enumerated by an angular sweep; isolated directions
 where eigenvalue branches cross (higher-rank projectors, measure zero in the
-sweep) come from DirectionSweep.crossings, the rule of the boundary sweep's
-segments: one per grid interval across which the maximal projector jumps,
-or two where a third branch passes the top, and none where it swaps back
-inside one.  The sweep runs on linalg.DirectionSweep (a = g2, b = g1), and
-each atlas group is a row of its stacked maximal projectors: the public,
-validated Projector is built only when a caller reads it.
+sweep) come from DirectionSweep.crossings: one per grid interval across
+which the maximal projector jumps, two where a third branch passes the top,
+none where it swaps back inside one.  The sweep runs on linalg.DirectionSweep
+(a = g2, b = g1); runs of equal projectors are read off as arrays, and each
+atlas group is a row of the stacked maximal projectors: the validated
+Projector is built only when a caller reads it.
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -24,12 +24,12 @@ asks without a solve whether the state lies in it.
 
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
 closure on sampled atlas groups.  Each sample is a member of its group's
-compressed family, the family of the face that the group's directions
-expose, so its distance is entropy_distance in that family, where the face
-chain of the full family would lead.  The directions and top gaps come from
-one sweep; each norm leg evaluates the group's e-geodesic once, at the t its
-gap sets (defaults.CHAIN_GAP_T), every sample in one stacked Gibbs
-evaluation per algebra block.
+compressed family, the family of the face its directions expose, solved
+there by entropy_distance's path; the theta = 0 sample is the Gibbs state
+at the family's origin, where that solve starts.  The norm leg works on the
+stack of all sampled groups: one compression per block lifts them, and each
+group's e-geodesic is evaluated once, at the t its top gap sets
+(defaults.CHAIN_GAP_T), in one stacked Gibbs evaluation per algebra block.
 """
 
 from __future__ import annotations
@@ -48,16 +48,17 @@ from .family import (
     _combine,
     _gibbs,
     _gibbs_spectra,
+    _mean_values,
     face_chain,
     free_energy,
     make_compressed_family,
-    mean_value_projection,
 )
 from .findings import Report
-from .linalg import DirectionSweep, HermitianElement, _hs_norm, _sym, coords, project_out
+from .linalg import DirectionSweep, HermitianElement, _coords, _hs_norm, _sym, project_out
 from .states import (
     Projector,
     State,
+    _compress_blocks,
     _exposed_face,
     _rank_one_spectrum,
     _rank_one_state,
@@ -200,10 +201,10 @@ def geodesic_closure_atlas(
     of one whose rank exceeds both neighbours is a spike on the grid; each
     eigenvalue crossing between grid angles (DirectionSweep.crossings,
     located to SWEEP_CROSSING_TOL) adds one spike with the higher-rank
-    projector there.  The crossing rows join the grid's projector stacks,
-    and each group keeps its row: nothing is validated while the atlas is
-    built.  The rank-one rows are decomposed with one stacked eigh per
-    algebra block, over the rows whose projector that block carries.
+    projector there.  Runs, wrap-around and grid spikes are read as arrays
+    off the boundaries of equal neighbours; the crossing rows join the grid's
+    projector stacks, and each group keeps its row: nothing is validated.
+    The rank-one rows take one stacked eigh per block that carries them.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -222,24 +223,29 @@ def geodesic_closure_atlas(
     ))
     same_next = (ranks == np.roll(ranks, -1)) & (dist <= defaults.MAX_EIG_GAP)
 
-    # runs of consecutive equal projectors (cyclically)
-    runs = [r.tolist() for r in np.split(np.arange(n), np.flatnonzero(~same_next[:-1]) + 1)]
-    if len(runs) > 1 and same_next[n - 1]:
-        runs[0] = runs.pop() + runs[0]
+    # runs of consecutive equal projectors (cyclically): first rows and
+    # counts; a last run that continues into the first joins it
+    starts = np.flatnonzero(np.concatenate([[True], ~same_next[:-1]]))
+    counts = np.diff(np.append(starts, n))
+    if len(starts) > 1 and same_next[n - 1]:
+        starts[0], counts[0] = starts[-1], counts[0] + counts[-1]
+        starts, counts = starts[:-1], counts[:-1]
+    spikes = (counts == 1) & (ranks[starts] > np.minimum(ranks[starts - 1],
+                                                         ranks[(starts + 1) % n]))
 
     # (row, alpha_lo, alpha_hi, n_samples, spike) per group; the rows of the
     # crossings, one spike each, follow the grid's
-    rows = [(r[0], alphas[r[0]], alphas[r[-1]], len(r),
-             len(r) == 1 and ranks[r[0]] > min(ranks[r[0] - 1], ranks[(r[0] + 1) % n]))
-            for r in runs]
+    rows = list(zip(starts.tolist(), alphas[starts].tolist(),
+                    alphas[(starts + counts - 1) % n].tolist(), counts.tolist(), spikes.tolist()))
     found, at = kernel.crossings(alphas, ranks, blocks)
-    rows += [(n + i, a, a, 0, True) for i, a in enumerate(found)]
+    rows += [(n + i, a, a, 0, True) for i, a in enumerate(found.tolist())]
     spike_ranks, spike_blocks = at.max_projectors()
     ranks = np.concatenate([ranks, spike_ranks])
     blocks = [np.concatenate(pair) for pair in zip(blocks, spike_blocks)]
 
     # a rank-one projector lives in the block where its trace is 1
-    ones = np.array([row[0] for row in rows if ranks[row[0]] == 1], dtype=int)
+    ones = np.concatenate([starts, np.arange(n, len(ranks))])  # every group's row
+    ones = ones[ranks[ones] == 1]
     owner = np.argmax([np.trace(b[ones], axis1=1, axis2=2).real for b in blocks], axis=0)
     pure = {}
     for k, b in enumerate(blocks):
@@ -248,8 +254,8 @@ def geodesic_closure_atlas(
             columns = np.linalg.eigh(b[mine])[1][..., ::-1]
             pure.update((j, (k, c)) for j, c in zip(mine.tolist(), columns))
 
-    groups = [AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), float(lo), float(hi),
-                         count, bool(spike), family, pure.get(j))
+    groups = [AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), lo, hi, count, spike,
+                         family, pure.get(j))
               for j, lo, hi, count, spike in rows]
     groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
     return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))
@@ -304,34 +310,38 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
 
 def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
     """Hilbert-Schmidt distance from each sample s = g.family.member(theta_p)
-    of legs, entries (g, u, gap, [(theta_p, s), ...]), to the member
+    of legs, entries (g, gap, [(theta_p, s), ...]), to the member
     family.member(x + t_end u_hat) on the e-geodesic that converges to s: an
     explicit member, so the value bounds the distance to the family above.
 
-    A group's theta_p are lifted to x by one least-squares solve through c^p
-    (multiples of p are dropped: exp1^p ignores them); u_hat is the unit
-    coordinate vector of u, and t_end = CHAIN_GAP_T ||u|| / gap.  All members
-    are one stack per algebra block (family._gibbs: one eigh per block, no
-    State), each row bit for bit the member's element.
+    The stacked projectors p of all groups compress the basis and offset in
+    one pass (_compress_blocks); one least-squares solve per group through
+    c^p lifts its theta_p to x (multiples of p are dropped: exp1^p ignores
+    them).  u_hat, the unit coordinate vector of the direction u at g's
+    mid-angle, comes from one product per block; t_end = CHAIN_GAP_T ||u|| /
+    gap.  All members are one stack per algebra block (family._gibbs: one
+    eigh per block, no State), each row bit for bit the member's element.
     """
+    p = [np.stack(b)[:, None] for b in zip(*(g.projector.element.blocks for g, _, _ in legs))]
+    a = [np.concatenate([s, o[None]]) for s, o in zip(family.stacks, family.offset.blocks)]
+    c = _compress_blocks(p, np.array([[g.rank] for g, _, _ in legs]), a)[1]  # K x (dim + 1)
+    cols = np.concatenate([_coords(c)[:, :-1], _coords(p)], axis=1)  # c^p(v_i), then p
+    owner = np.array([i for i, (g, _, samples) in enumerate(legs) for _ in samples])
+    rhs = _coords([_sym(np.stack(x) - ck[owner, -1]) for x, ck in zip(zip(*(
+        g.family.parameter_element(t).blocks for g, _, samples in legs for t, _ in samples)), c)])
+    u_hats = _mean_values([_sym(u) for u in _polar_sweep(family).blocks(
+        [g.mid_angle for g, _, _ in legs])], family)
     params, states = [], []
-    for g, u, gap, samples in legs:
-        p = g.projector
-        cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
-        off = compress(p, family.offset)[1]
-        rhs = [coords(g.family.parameter_element(theta_p) - off) for theta_p, _ in samples]
-        x = np.linalg.lstsq(np.column_stack(cols), np.column_stack(rhs), rcond=None)[0][:-1]
-        u_hat = mean_value_projection(u, family)
+    for i, ((g, gap, samples), A, u_hat) in enumerate(zip(legs, cols, u_hats)):
+        x = np.linalg.lstsq(A.T, rhs[owner == i].T, rcond=None)[0][:-1]
         norm = np.linalg.norm(u_hat)
-        u_hat /= norm
-        params += [xi + defaults.CHAIN_GAP_T * norm / gap * u_hat for xi in x.T]
+        params += [xi + defaults.CHAIN_GAP_T * norm / gap * (u_hat / norm) for xi in x.T]
         states += [s for _, s in samples]
     # parameter_element per row, stacked (one product over the stack moves bits)
     a = [np.stack([o + _combine(x, s) for x in params])
          for o, s in zip(family.offset.blocks, family.stacks)]
     gibbs = _gibbs([_sym(m) for m in a], family.support)
-    values, vectors = _gibbs_spectra(family.support, gibbs)
-    members = _state_blocks(family.algebra, values, vectors)
+    members = _state_blocks(family.algebra, *_gibbs_spectra(family.support, gibbs))
     # s.element - member, symmetrized as _trusted does; each row's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
@@ -349,30 +359,30 @@ def inclusion_chain_check(
     Geodesic-closure members must have entropy distance below RI_EPS; states
     at distance below RI_EPS must be approximable in norm, within the bound
     that the Pinsker-Csiszar inequality grants (||.||_1 <= sqrt(2 RI_EPS)).
-    The norm approximation follows each sampled group's own e-geodesic.
+    The norm approximation follows each sampled group's own e-geodesic; the
+    theta = 0 sample is the Gibbs state at the origin its solve starts from.
     """
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
 
     groups = atlas.groups[::-(-len(atlas.groups) // max_groups)]  # at most max_groups
     norm_bound = float(np.sqrt(2.0 * defaults.RI_EPS)) * 1.5
-    kernel, mids = _polar_sweep(family), [g.mid_angle for g in groups]
-    directions = kernel.blocks(mids)
-    gaps = kernel.spectra(mids).top_gap([g.rank for g in groups])
+    gaps = _polar_sweep(family).spectra([g.mid_angle for g in groups]).top_gap(
+        [g.rank for g in groups])
     rows, legs = [], []
-    for i, g in enumerate(groups):
-        u = HermitianElement(family.algebra, [b[i] for b in directions])
-        thetas = [("representative", np.zeros(g.family_dim))]
+    for g, gap in zip(groups, gaps):
+        fam = g.family
+        samples = [(np.zeros(g.family_dim), State._from_spectrum(
+            fam.algebra, *_gibbs_spectra(fam.support, fam.origin[0])))]
         if g.family_dim >= 1:
-            thetas.append(("member", 0.7 * np.ones(g.family_dim)))
-        samples = [(theta_p, g.family.member(theta_p)) for _, theta_p in thetas]
-        # the group's samples share g.family: one Newton loop for both
-        exact = _chain_projections([s for _, s in samples], g.family)
-        for (tag, _), (_, res) in zip(thetas, exact):
-            where = (f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
-                     f"rank {g.rank}")
-            rows.append((where, res.distance))
-        legs.append((g, u, gaps[i], samples))
+            theta_p = 0.7 * np.ones(g.family_dim)
+            samples.append((theta_p, fam.member(theta_p)))
+        # the group's samples share its family: one Newton loop for both
+        exact = _chain_projections([s for _, s in samples], fam)
+        for tag, (_, res) in zip(("representative", "member"), exact):
+            rows.append((f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
+                         f"rank {g.rank}", res.distance))
+        legs.append((g, gap, samples))
     for (where, d), norm in zip(rows, _norm_leg(family, legs)):
         report.add("geo_subset_rI", where, d, defaults.RI_EPS)
         report.add("rI_subset_norm", where, norm, norm_bound)

@@ -363,9 +363,13 @@ def mean_value_projection(a: HermitianElement, family: ExponentialFamily) -> np.
     """Coordinates (<a,v_1>, ..., <a,v_n>) in the orthonormal tangent basis."""
     if a.algebra != family.algebra:
         raise AlgebraMismatchError("element and family in different algebras")
-    # tr(a v) = sum(a^T * v) for Hermitian v: one product per block
-    return sum((s.reshape(family.dim, b.size) @ b.T.ravel()).real
-               for s, b in zip(family.stacks, a.blocks))
+    return _mean_values(a.blocks, family)
+
+
+def _mean_values(blocks, family: ExponentialFamily) -> np.ndarray:
+    """mean_value_projection of blocks or, row by row, stacks: tr(a v) = sum(a^T v)."""
+    return sum((s.reshape(family.dim, b.shape[-1] ** 2) @ b.mT.reshape(b.shape[:-2] + (-1, 1)))
+               [..., 0].real for s, b in zip(family.stacks, blocks))
 
 
 # -- exposed faces -------------------------------------------------------------

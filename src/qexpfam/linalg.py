@@ -230,12 +230,17 @@ def _upper(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def coords(a: HermitianElement) -> np.ndarray:
+    return _coords(a.blocks)
+
+
+def _coords(blocks) -> np.ndarray:
+    """coords of the element with these blocks, or row by row of stacks of them."""
     out = []
-    for b in a.blocks:
-        u = b[_upper(b.shape[0])]
-        out += [np.diagonal(b).real,
-                np.stack([np.sqrt(2.0) * u.real, -np.sqrt(2.0) * u.imag], axis=1).ravel()]
-    return np.concatenate(out)
+    for b in blocks:
+        u = b[(..., *_upper(b.shape[-1]))]
+        pairs = np.stack([np.sqrt(2.0) * u.real, -np.sqrt(2.0) * u.imag], axis=-1)
+        out += [np.diagonal(b, axis1=-2, axis2=-1).real, pairs.reshape(u.shape[:-1] + (-1,))]
+    return np.concatenate(out, axis=-1)
 
 
 def from_coords(algebra: Algebra, v: np.ndarray) -> HermitianElement:
@@ -262,13 +267,8 @@ def hs_inner(a: HermitianElement, b: HermitianElement) -> float:
     """Hilbert-Schmidt inner product tr(ab) of two self-adjoint elements."""
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("operands belong to different algebras")
-    return _hs(a.blocks, b.blocks)
-
-
-def _hs(xs, ys) -> float:
-    """hs_inner of the elements with blocks xs and ys."""
     total = 0.0
-    for x, y in zip(xs, ys):
+    for x, y in zip(a.blocks, b.blocks):
         # the single BLAS call np.tensordot(x, y.conj(), axes=2) makes after
         # its reshapes, without its Python overhead
         total += np.dot(x.reshape(1, -1), y.conj().reshape(-1, 1))[0, 0].real
@@ -331,10 +331,9 @@ def eigh(a: HermitianElement) -> SpectralData:
     """
     vals, vecs = [], []
     for b in a.blocks:
-        w, V = np.linalg.eigh(b)
-        order = np.argsort(w)[::-1]
-        vals.append(np.ascontiguousarray(w[order]))
-        vecs.append(np.ascontiguousarray(V[:, order]))
+        w, V = np.linalg.eigh(b)  # ascending: reversed, as _gibbs_stacks reads it
+        vals.append(np.ascontiguousarray(w[::-1]))
+        vecs.append(np.ascontiguousarray(V[:, ::-1]))
     return SpectralData(a.algebra, tuple(vals), tuple(vecs))
 
 

@@ -24,7 +24,6 @@ from .linalg import (
     HermitianElement,
     SpectralData,
     _fro,
-    _hs,
     _reconstruct_stack,
     _sym,
     eigh,
@@ -292,16 +291,16 @@ def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
     return _exposed_face(rho, u) is not None
 
 
-def _compress_blocks(p_blocks, rank: int, a_blocks) -> tuple[list, list]:
+def _compress_blocks(p_blocks, rank, a_blocks) -> tuple[list, list]:
     """The blocks of pap and c^p(a) = pap - p tr(pa)/rank, symmetrized step by
-    step as element arithmetic would, for a's blocks or for stacks (m, n_k,
-    n_k) of them, each row with the bits of its own compression."""
+    step as element arithmetic would, each row with the bits of its own
+    compression.  Leading axes broadcast: p's blocks (K, 1, n_k, n_k) with
+    ranks (K, 1) and a's stacks (m, n_k, n_k) give rows (K, m, n_k, n_k)."""
     pap = [_sym(pb @ ab @ pb) for pb, ab in zip(p_blocks, a_blocks)]
-    if a_blocks[0].ndim == 2:
-        shift = _hs(p_blocks, a_blocks) / rank
-    else:
-        rows = [_hs(p_blocks, [ab[i] for ab in a_blocks]) for i in range(len(a_blocks[0]))]
-        shift = (np.array(rows) / rank)[:, None, None]
+    # tr(pa) as hs_inner takes it, one (1, n_k^2) @ (n_k^2, 1) product per row and block
+    tr = sum((pb.reshape(pb.shape[:-2] + (1, -1)) @ ab.conj().reshape(ab.shape[:-2] + (-1, 1)))
+             for pb, ab in zip(p_blocks, a_blocks))[..., 0, 0].real
+    shift = (tr / rank)[..., None, None]
     return pap, [_sym(x - _sym(shift * pb)) for x, pb in zip(pap, p_blocks)]
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 
 from qexpfam import cone, defaults
+from qexpfam.closures import _polar_sweep
 from qexpfam.family import exp1, make_family
 from qexpfam.findings import Report
 from qexpfam.linalg import HermitianElement, eigh, hs_inner, traceless_part, zero
@@ -203,3 +204,32 @@ def reference_cone_identity_residuals(n_samples, rng):
     )
     report.add("interior_parameter_cap", "parameter norm stays below 60", worst_theta, 60.0)
     return report
+
+
+def reference_atlas_groups(family, n):
+    """The geodesic closure atlas's groups as (rank, alpha_lo, alpha_hi,
+    n_samples, spike, blocks), in atlas order, by plain per-run bookkeeping:
+    the n grid directions split into runs of equal maximal projectors, a last
+    run that continues into the first joined to it, a run of one whose rank
+    exceeds both neighbours' a grid spike, then one spike per crossing."""
+    alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    kernel = _polar_sweep(family)
+    ranks, blocks = kernel.spectra(alphas).max_projectors()
+    dist = np.sqrt(sum(
+        np.linalg.norm(b - np.roll(b, -1, axis=0), axis=(1, 2)) ** 2 for b in blocks))
+    same_next = (ranks == np.roll(ranks, -1)) & (dist <= defaults.MAX_EIG_GAP)
+    runs = [r.tolist() for r in np.split(np.arange(n), np.flatnonzero(~same_next[:-1]) + 1)]
+    if len(runs) > 1 and same_next[n - 1]:
+        runs[0] = runs.pop() + runs[0]
+    groups = []
+    for r in runs:
+        j = r[0]
+        spike = len(r) == 1 and bool(ranks[j] > min(ranks[j - 1], ranks[(j + 1) % n]))
+        groups.append((int(ranks[j]), float(alphas[j]), float(alphas[r[-1]]), len(r), spike,
+                       tuple(b[j] for b in blocks)))
+    found, at = kernel.crossings(alphas, ranks, blocks)
+    spike_ranks, spike_blocks = at.max_projectors()
+    for i, a in enumerate(found):
+        groups.append((int(spike_ranks[i]), float(a), float(a), 0, True,
+                       tuple(b[i] for b in spike_blocks)))
+    return sorted(groups, key=lambda g: (g[1], g[2]))

@@ -3,8 +3,10 @@
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 29 ``qexpfam`` commands (every report at three seeds,
-the closures report of three families, two sweeps and twelve distances, two
+Runs a fixed list of 30 ``qexpfam`` commands (every report at three seeds,
+the closures report of three cone families and of a custom two-generator
+family on blocks 2,2, whose config file it writes into the command's
+directory first, two sweeps and twelve distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
 |theta| = 620.65, and one at swallow rho(1e-4), whose exact solve stalls at
@@ -31,6 +33,12 @@ import tempfile
 
 import qexpfam
 
+# (file name, text) of the custom family's config; a block-diagonal
+# generator pair whose second blocks commute, so the atlas has runs and spikes
+CUSTOM_CONFIG = ("custom_2_2.cfg", "[algebra]\nblocks = 2,2\n[family]\nname = custom\n"
+                 "generator1 = 1,0 0,0 0,0 0,0 1,0 0,0 0,0 -1,0\n"
+                 "generator2 = 0,0 1,0 1,0 0,0 0,0 0,0 0,0 1,0\n")
+
 COMMANDS = (
     [["report", "--which", which, "--seed", seed]
      for which in ("staffelberg", "swallow", "cone", "maximizer")
@@ -49,12 +57,16 @@ COMMANDS = (
         "raw:0.49998333333333317,0 0,-0.49994999999999984 0,0.49994999999999984 "
         "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"],
        ["distance", "--family", "swallow", "--state", "circle:1e-4"]]
+    + [["report", "--which", "closures", "--config", CUSTOM_CONFIG[0]]]
 )
 
 
 def digest(args: list[str], env: dict) -> str:
     """Run ``qexpfam args --out out`` in a fresh directory and hash its traces."""
     with tempfile.TemporaryDirectory() as tmp:
+        if CUSTOM_CONFIG[0] in args:  # hashed below with the command's outputs
+            with open(os.path.join(tmp, CUSTOM_CONFIG[0]), "w", encoding="utf-8") as handle:
+                handle.write(CUSTOM_CONFIG[1])
         proc = subprocess.run([sys.executable, "-m", "qexpfam.cli", *args, "--out", "out"],
                               cwd=tmp, env=env, capture_output=True)
         h = hashlib.sha256()

@@ -23,6 +23,8 @@ from qexpfam.errors import PreconditionError
 from qexpfam.family import (
     ExponentialFamily,
     _exposing_direction,
+    _gibbs_spectra,
+    _mean_values,
     entropy_distance,
     exp1,
     face_chain,
@@ -35,6 +37,8 @@ from qexpfam.family import (
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    _coords,
+    _sym,
     coords,
     diagonal,
     eigh,
@@ -46,6 +50,7 @@ from qexpfam.sampling import haar_unitary, random_hermitian, random_state, rando
 from qexpfam.states import (
     Projector,
     State,
+    _compress_blocks,
     compress,
     exposed_face_membership,
     max_eig_data,
@@ -55,8 +60,8 @@ from qexpfam.states import (
 )
 
 
-from helpers import (decoupled_pair, random_family, same_image, staffelberg_direction,
-                     swallow_direction)
+from helpers import (decoupled_pair, random_family, reference_atlas_groups, same_image,
+                     staffelberg_direction, swallow_direction)
 
 
 class TestEgeodesicLimit:
@@ -215,6 +220,111 @@ class TestAtlas:
         for g in wrapped:
             naive = sweep_direction(fam, 0.5 * (g.alpha_lo + g.alpha_hi))
             assert not exposed_face_membership(g.representative, naive)
+
+
+def _assert_reference_groups(atlas):
+    """The atlas's groups are those of the per-run reference, field by field
+    and bit for bit."""
+    want = reference_atlas_groups(atlas.family, atlas.n_directions)
+    assert len(atlas.groups) == len(want)
+    for g, (rank, lo, hi, count, spike, blocks) in zip(atlas.groups, want):
+        got = (g.rank, g.alpha_lo, g.alpha_hi, g.n_samples, g.spike)
+        assert got == (rank, lo, hi, count, spike)
+        assert [type(x) for x in got] == [int, float, float, int, bool]
+        assert [b.tobytes() for b in g.blocks] == [b.tobytes() for b in blocks]
+
+
+class TestAtlasRunRule:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.sampled_from([(2, 2), (2, 1, 1)]), st.sampled_from([64, 90, 720]),
+           st.integers(0, 2**32 - 1))
+    def test_runs_match_the_split_reference(self, dims, n, seed):
+        family = random_family(Algebra(dims), 2, np.random.default_rng(seed))
+        _assert_reference_groups(geodesic_closure_atlas(family, n_directions=n))
+
+    def test_cone_wrapped_run(self):
+        # cone:0.7's one run past 2 pi starts on the last grid rows and ends
+        # on the first: it is the only group with alpha_lo > alpha_hi
+        atlas = _default_atlas("cone:0.7")
+        _assert_reference_groups(atlas)
+        (g,) = [g for g in atlas.groups if g.alpha_lo > g.alpha_hi]
+        step = 2.0 * np.pi / atlas.n_directions
+        assert g.n_samples > 2 and not g.spike
+        assert round(g.alpha_hi / step) + 1 + round((2.0 * np.pi - g.alpha_lo) / step) \
+            == g.n_samples
+
+
+@functools.lru_cache(maxsize=None)
+def _bit_atlases():
+    """The three named atlases and those of random (2,2) and (2,1,1)
+    families, whose groups the inclusion chain stacks; shared between tests."""
+    atlases = [_default_atlas(name) for name in ("staffelberg", "swallow", "cone:0.7")]
+    return atlases + [geodesic_closure_atlas(random_family(
+        Algebra(dims), 2, np.random.default_rng([seed, *dims])), n_directions=64)
+        for dims in ((2, 2), (2, 1, 1)) for seed in (1, 2)]
+
+
+def _same_state(a, b):
+    pairs = [(a.element.blocks, b.element.blocks),
+             (a.spectral.eigenvalues, b.spectral.eigenvalues),
+             (a.spectral.eigenvectors, b.spectral.eigenvectors)]
+    return a.support_rank == b.support_rank and all(
+        x.tobytes() == y.tobytes() for xs, ys in pairs for x, y in zip(xs, ys))
+
+
+class TestStackedChainBits:
+    """The bit facts the inclusion chain's group stacks rest on, over every
+    group of _bit_atlases."""
+
+    def test_origin_state_is_the_zero_member(self):
+        for atlas in _bit_atlases():
+            for g in atlas.groups:
+                fam = g.family
+                origin = State._from_spectrum(
+                    fam.algebra, *_gibbs_spectra(fam.support, fam.origin[0]))
+                zero_member = fam.member(np.zeros(fam.dim))
+                assert _same_state(origin, zero_member), g
+                if g.rank == 1:
+                    assert _same_state(g.representative, zero_member), g
+
+    def test_stacked_compression_rows_are_single_compressions(self):
+        for atlas in _bit_atlases():
+            fam, groups = atlas.family, atlas.groups
+            p = [np.stack(b)[:, None] for b in zip(*(g.projector.element.blocks for g in groups))]
+            a = [np.concatenate([s, o[None]]) for s, o in zip(fam.stacks, fam.offset.blocks)]
+            pap, cp = _compress_blocks(p, np.array([[g.rank] for g in groups]), a)
+            rows = _coords(cp)
+            for i, g in enumerate(groups):
+                for j, v in enumerate((*fam.basis, fam.offset)):
+                    want_pap, want_cp = compress(g.projector, v)
+                    got = [b[i, j] for b in (*pap, *cp)]
+                    assert [b.tobytes() for b in got] == [
+                        b.tobytes() for b in (*want_pap.blocks, *want_cp.blocks)], (g, j)
+                    assert rows[i, j].tobytes() == coords(want_cp).tobytes()
+
+    def test_stacked_mean_values_are_single_projections(self):
+        for atlas in _bit_atlases():
+            fam = atlas.family
+            mids = [g.mid_angle for g in atlas.groups]
+            rows = _mean_values([_sym(u) for u in _polar_sweep(fam).blocks(mids)], fam)
+            for row, alpha in zip(rows, mids):
+                want = mean_value_projection(sweep_direction(fam, alpha), fam)
+                assert row.tobytes() == want.tobytes(), alpha
+
+    def test_the_zero_sample_makes_no_member(self, staffelberg, monkeypatch):
+        # the theta = 0 sample is read off the origin the group's solve
+        # starts from: family.member runs only for the 0.7 samples
+        thetas, member = [], ExponentialFamily.member
+
+        def counted(self, theta):
+            thetas.append(np.asarray(theta))
+            return member(self, theta)
+
+        monkeypatch.setattr(ExponentialFamily, "member", counted)
+        report = inclusion_chain_check(staffelberg)
+        n_members = sum(f.detail.startswith("member ") for f in report.findings) // 2
+        assert len(thetas) == n_members
+        assert all(t.size and (t == 0.7).all() for t in thetas)
 
 
 class TestLazyAtlas:

@@ -19,7 +19,7 @@ from qexpfam.family import (entropy_distance, face_chain, make_family, mean_valu
 from qexpfam.linalg import Algebra, HermitianElement, coords, diagonal, hs_inner, trace_norm
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
-from qexpfam.states import State
+from qexpfam.states import State, tracial_state
 
 
 def _full_diagonal(n):
@@ -90,6 +90,44 @@ class TestBoundaryStates:
         distance, ranks = _exact_distance(rho, fam)
         assert ranks == [3]
         assert distance == pytest.approx(np.log(3.0), abs=1e-12)
+
+
+def _base_disk_state(a, b, t):
+    """(1 - t) rho(a) + t rho(b), a chord of the base circle: the base disk."""
+    return State((1.0 - t) * cone.base_circle_state(a).element
+                 + t * cone.base_circle_state(b).element)
+
+
+class TestConeFrameFamily:
+    """The 3D family spanned by sigma1, sigma2 and z (cone.FRAME): its mean
+    value set is the cone over the base disk with the apex on top, and each
+    state in the span of the frame and the identity is at distance zero.
+    The face chain names the smallest face holding it: the apex or a rim
+    point (rank 1), the base disk or a ruling (rank 2), none inside."""
+
+    family = make_family(cone.ALGEBRA, list(cone.FRAME))
+
+    @pytest.mark.parametrize("label, rho, ranks", [
+        ("apex", cone.APEX_STATE, [1]),
+        ("rim", cone.base_circle_state(0.3), [1]),
+        ("rim", cone.base_circle_state(4.0), [1]),
+        ("base disk", _base_disk_state(0.3, 2.0, 0.5), [2]),
+        ("base disk", _base_disk_state(0.0, np.pi, 0.3), [2]),
+        ("ruling", cone.tau_state(0.5), [2]),
+        ("tracial", tracial_state(cone.ALGEBRA), []),
+    ])
+    def test_face_chain_and_zero_distance(self, label, rho, ranks):
+        assert [p.rank for p in face_chain(rho, self.family)[0]] == ranks, label
+        distance, attained = entropy_distance(rho, self.family)
+        assert abs(distance) <= 1e-12, label
+        assert attained == (ranks == []), label
+
+    def test_a_sigma3_state_is_off_the_family(self):
+        # a block-0 state with a sigma3 component also sits on the base
+        # disk's face, but sigma3 is no tangent direction: distance 0.082
+        rho = State(HermitianElement(cone.ALGEBRA, [np.diag([0.7, 0.3]), np.zeros((1, 1))]))
+        assert [p.rank for p in face_chain(rho, self.family)[0]] == [2]
+        assert entropy_distance(rho, self.family)[0] == pytest.approx(0.0822828785, abs=1e-9)
 
 
 def _minimal_face(points, support):

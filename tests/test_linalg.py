@@ -180,6 +180,33 @@ class TestEigh:
             for w in spec.eigenvalues:
                 assert np.all(np.diff(w) <= 1e-14)  # descending
 
+    def test_reversal_keeps_the_argsort_order_on_ties(self):
+        # eigh reverses np.linalg.eigh's ascending output; on blocks with
+        # exactly repeated eigenvalues (identity, diagonal and projector
+        # blocks, sizes 1-20) the reversal gives the bits of the reorder by
+        # np.argsort(w)[::-1] it replaced: argsort keeps sorted ties in place.
+        # Blocks up to the algebra's size cap go through eigh itself.
+        rng = np.random.default_rng(20261020)
+        tied = 0
+        for n in range(1, 21):
+            q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+            r = int(rng.integers(0, n + 1))
+            blocks = [np.eye(n), np.zeros((n, n)), 0.5 * np.eye(n),
+                      np.diag(rng.choice([0.0, 1.0], n)), np.diag(rng.choice([-1.0, 0.0, 2.0], n)),
+                      q[:, :r] @ q[:, :r].conj().T, (q * rng.choice([-1.0, 1.0], n)) @ q.conj().T]
+            for b in blocks:
+                b = ((b + b.conj().T) / 2.0).astype(complex)
+                w, V = np.linalg.eigh(b)
+                order = np.argsort(w)[::-1]
+                tied += len(np.unique(w)) < n
+                want = [np.ascontiguousarray(w[order]), np.ascontiguousarray(V[:, order])]
+                got = [np.ascontiguousarray(w[::-1]), np.ascontiguousarray(V[:, ::-1])]
+                if n <= 16:
+                    spec = eigh(HermitianElement(Algebra((n,)), [b]))
+                    got = [spec.eigenvalues[0], spec.eigenvectors[0]]
+                assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        assert tied >= 19 * 4  # every size above 1 has exact ties
+
 
 class TestMatrixFunctions:
     def test_exp_zero(self, algebra):
