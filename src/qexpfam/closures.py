@@ -25,8 +25,9 @@ asks without a solve whether the state lies in it.
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
 closure on sampled atlas groups.  Each sample is a member of its group's
 compressed family, the family of the face its directions expose, solved
-there by entropy_distance's path; the theta = 0 sample is the Gibbs state
-at the family's origin, where that solve starts.  The norm leg works on the
+there by entropy_distance's path; the theta = 0 sample, the group's
+representative, is the Gibbs state at the family's origin, where that
+solve starts.  The norm leg works on the
 stack of all sampled groups: one compression per block lifts them, and each
 group's e-geodesic is evaluated once, at the t its top gap sets
 (defaults.CHAIN_GAP_T), in one stacked Gibbs evaluation per algebra block.
@@ -122,9 +123,11 @@ class AtlasGroup:
 
     @cached_property
     def representative(self) -> State:
+        """The member at theta = 0, the Gibbs state at family.origin."""
         if self.pure is not None:  # pAp = C p: the family is the single state p
             return _rank_one_state(self.parent.algebra, *self.pure)
-        return self.family.member(np.zeros(self.family.dim))
+        fam = self.family
+        return State._from_spectrum(fam.algebra, *_gibbs_spectra(fam.support, fam.origin[0]))
 
     @property
     def family_dim(self) -> int:
@@ -360,7 +363,7 @@ def inclusion_chain_check(
     at distance below RI_EPS must be approximable in norm, within the bound
     that the Pinsker-Csiszar inequality grants (||.||_1 <= sqrt(2 RI_EPS)).
     The norm approximation follows each sampled group's own e-geodesic; the
-    theta = 0 sample is the Gibbs state at the origin its solve starts from.
+    theta = 0 sample, g.representative, is the Gibbs state at its solve's origin.
     """
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
@@ -371,14 +374,12 @@ def inclusion_chain_check(
         [g.rank for g in groups])
     rows, legs = [], []
     for g, gap in zip(groups, gaps):
-        fam = g.family
-        samples = [(np.zeros(g.family_dim), State._from_spectrum(
-            fam.algebra, *_gibbs_spectra(fam.support, fam.origin[0])))]
+        samples = [(np.zeros(g.family_dim), g.representative)]
         if g.family_dim >= 1:
             theta_p = 0.7 * np.ones(g.family_dim)
-            samples.append((theta_p, fam.member(theta_p)))
+            samples.append((theta_p, g.family.member(theta_p)))
         # the group's samples share its family: one Newton loop for both
-        exact = _chain_projections([s for _, s in samples], fam)
+        exact = _chain_projections([s for _, s in samples], g.family)
         for tag, (_, res) in zip(("representative", "member"), exact):
             rows.append((f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] "
                          f"rank {g.rank}", res.distance))

@@ -49,7 +49,9 @@ from .linalg import (
     Algebra,
     DirectionSweep,
     HermitianElement,
+    _coords,
     _hs_norm,
+    _orthonormalize,
     _reconstruct_stack,
     coords,
     divided_differences,
@@ -69,7 +71,6 @@ from .states import (
     _compress_blocks,
     _exposed_face,
     _maximal_projector,
-    compress,
     full_support,
     log_on_support,
     relative_entropy,
@@ -315,7 +316,7 @@ def make_family(
     for g in gens:
         if g.algebra != algebra:
             raise AlgebraMismatchError("generator in wrong algebra")
-    basis = tuple(gram_schmidt(list(gens)))
+    basis = tuple(gram_schmidt(gens))
     off = zero(algebra) if offset is None else project_out(traceless_part(offset), basis)
     return ExponentialFamily(algebra, basis, off, gens, None)
 
@@ -328,7 +329,9 @@ def make_compressed_family(
     Parameter space is the c^p image of the parent's; the tangent space may
     lose dimensions (and can become zero, leaving a single state).
     Compressed components below the projector merge tolerance, relative to
-    the generator size, are treated as zero; only kept ones become elements.
+    the generator size, are treated as zero; only kept ones become elements,
+    and gram_schmidt's loop (_orthonormalize) at the same cut drops the
+    residuals that vanish instead of rejecting them.
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
@@ -339,11 +342,7 @@ def make_compressed_family(
         size = _hs_norm(cg)  # g.norm() only above the cut
         if size > cut and size > cut * max(1.0, g.norm()):
             gens.append(HermitianElement._of(algebra, cg))
-    basis: list[HermitianElement] = []
-    for g in gens:
-        v = project_out(project_out(g, basis), basis)
-        if v.norm() > cut * max(1.0, g.norm()):
-            basis.append(v / v.norm())
+    basis = _orthonormalize(gens, cut)
     off = project_out(HermitianElement._of(algebra, [c[-1] for c in compressed]), basis)
     return ExponentialFamily(algebra, tuple(basis), off, tuple(gens), p)
 
@@ -548,7 +547,7 @@ def _inner_exposing_direction(family: ExponentialFamily, u: HermitianElement,
     """u + eps x for the x in the tangent space whose compression c^p(x) is
     v, with eps small enough that the maximal projector of the sum stays
     inside p, the maximal projector of u, where v picks its face."""
-    cols = np.column_stack([coords(compress(p, b)[1]) for b in family.basis])
+    cols = _coords(_compress_blocks(p.element.blocks, p.rank, family.stacks)[1]).T  # c^p(v_i)
     x = family.tangent_element(np.linalg.lstsq(cols, coords(v), rcond=None)[0])
     w = eigh(u).all_eigenvalues()
     return u + (w[0] - w[p.rank]) / (4.0 * x.norm()) * x
@@ -569,8 +568,9 @@ class ProjectionResult:
     Newton loop ended: "converged" (gradient within tol), "cap" (the step
     reached the parameter cap), "stalled" (three steps in a row too small to
     move theta) or "armijo_underflow" (no step length decreased the
-    objective).  It is a side channel: no CSV reads it.  sigma_star is built
-    on first read from _final, the last Gibbs point, outside repr and equality.
+    objective); cap_hit is stop_reason == "cap".  It is a side channel: no
+    CSV reads it.  sigma_star is built on first read from _final, the last
+    Gibbs point, outside repr and equality.
     """
 
     theta_star: np.ndarray
@@ -579,9 +579,12 @@ class ProjectionResult:
     iterations: int
     distance: float
     _final: tuple = field(repr=False, compare=False)
-    cap_hit: bool = False
     min_hessian_eig: float = float("inf")
     stop_reason: str = "converged"
+
+    @property
+    def cap_hit(self) -> bool:
+        return self.stop_reason == "cap"
 
     @cached_property
     def sigma_star(self) -> State:
@@ -661,8 +664,8 @@ def _take(point, rows):
 class _NewtonEnd(NamedTuple):
     """Where one state's Newton loop ended at one cap: theta, its objective
     value and gradient, the (point of _objective_pieces, row) they come
-    from, the smallest Hessian eigenvalue met, the iteration count, whether
-    the cap stopped the loop, and why it stopped."""
+    from, the smallest Hessian eigenvalue met, the iteration count and why
+    it stopped ("cap" when the cap stopped it)."""
 
     theta: np.ndarray
     fval: float
@@ -670,7 +673,6 @@ class _NewtonEnd(NamedTuple):
     point: tuple
     min_hess: float
     iterations: int
-    cap_hit: bool
     stop_reason: str
 
 
@@ -785,7 +787,7 @@ def _newton_row(family: ExponentialFamily, moments: np.ndarray, tol: float,
     ends: list[_NewtonEnd] = []
     for param_cap in caps:
         (theta, fval, grad, point, min_hess, iterations, stalled), newton = rewind
-        rewind, cap_hit = None, False
+        rewind = None
         while True:
             if _norm(grad) <= tol or family.dim == 0:
                 stop = "converged"
@@ -838,11 +840,10 @@ def _newton_row(family: ExponentialFamily, moments: np.ndarray, tol: float,
             else:
                 stalled = 0
             if hit_cap_now or _norm(theta) >= param_cap:
-                cap_hit = True
                 rewind = rewind or here
                 stop = "cap"
                 break
-        ends.append(_NewtonEnd(theta, fval, grad, point, min_hess, iterations, cap_hit, stop))
+        ends.append(_NewtonEnd(theta, fval, grad, point, min_hess, iterations, stop))
         if rewind is None:
             break
     return ends + ends[-1:] * (len(caps) - len(ends))
@@ -859,8 +860,8 @@ def _newton_finish(
     point for sigma_star; SolverError when the iteration budget ran
     out short of convergence and of the cap.  on_face is asked only when the
     solver converged inside the cap."""
-    gnorm = _norm(end.grad)
-    if gnorm > tol and not end.cap_hit and end.iterations >= defaults.MAX_ITER:
+    gnorm, cap_hit = _norm(end.grad), end.stop_reason == "cap"
+    if gnorm > tol and not cap_hit and end.iterations >= defaults.MAX_ITER:
         raise SolverError(
             f"no convergence in {defaults.MAX_ITER} iterations (|grad| = {gnorm:.3e})"
         )
@@ -869,7 +870,7 @@ def _newton_finish(
     gibbs = _take(*end.point)[0]
     excess = end.fval - base
     distance = excess if excess > _resolution(gibbs.free) else 0.0
-    attained = not end.cap_hit and gnorm <= tol and not on_face()
+    attained = not cap_hit and gnorm <= tol and not on_face()
     return ProjectionResult(
         theta_star=end.theta,
         attained=attained,
@@ -877,7 +878,6 @@ def _newton_finish(
         iterations=end.iterations,
         distance=distance,
         _final=(family, gibbs),
-        cap_hit=end.cap_hit,
         min_hessian_eig=end.min_hess,
         stop_reason=end.stop_reason,
     )

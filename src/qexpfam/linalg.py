@@ -87,7 +87,7 @@ class HermitianElement:
     @classmethod
     def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
         """Internal constructor for sums, real multiples, compressions pap
-        and eigen-reconstructions of elements.
+        and eigen-reconstructions of elements: _of of the _sym'd blocks.
 
         Such blocks are Hermitian up to rounding already, so the drift check
         is skipped; the symmetrization stays, which keeps the bits (signed
@@ -95,15 +95,7 @@ class HermitianElement:
         that are _sym outputs already: a second _sym can flip the sign of a
         zero real part.
         """
-        out = object.__new__(cls)
-        sym = []
-        for b in blocks:
-            h = (b + b.conj().T) / 2.0
-            h.setflags(write=False)
-            sym.append(h)
-        object.__setattr__(out, "algebra", algebra)
-        object.__setattr__(out, "blocks", tuple(sym))
-        return out
+        return cls._of(algebra, [_sym(b) for b in blocks])
 
     @classmethod
     def _of(cls, algebra: Algebra, blocks) -> "HermitianElement":
@@ -404,14 +396,14 @@ class SweepSpectra:
     def max_projectors(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """Ranks and blocks of the maximal projectors (top_eigenspace), bit for
         bit the blocks of the Projector that states.max_eig_data builds: the
-        V_r V_r* of states._maximal_projector, then _sym."""
+        V_r V_r* of states._maximal_projector, then _sym; V_r is the last r
+        ascending eigenvectors, reversed as eigh reverses them."""
         ranks, blocks = top_eigenspace(self.values)[1], []
-        for w, V, r in zip(self.values, self.vectors, ranks):
-            order = np.argsort(w, axis=-1)[:, ::-1]
+        for V, r in zip(self.vectors, ranks):
             P = np.zeros(V.shape, dtype=complex)
             for rank in np.unique(r[r > 0]):
                 idx = np.flatnonzero(r == rank)
-                keep = np.take_along_axis(V[idx], order[idx, None, :rank], axis=-1)
+                keep = np.ascontiguousarray(V[idx, :, :-rank - 1:-1])
                 P[idx] = keep @ keep.conj().swapaxes(-1, -2)
             blocks.append(_sym(P))
         return sum(ranks), blocks
@@ -599,20 +591,26 @@ def project_out(
     return a
 
 
+def _orthonormalize(elements: Sequence[HermitianElement], cut: float) -> list[HermitianElement]:
+    """Modified Gram-Schmidt in the Hilbert-Schmidt inner product, two passes
+    for numerical orthogonality: the unit residuals of the elements, in
+    order, dropping each residual of norm at or below cut max(1, |element|)."""
+    basis: list[HermitianElement] = []
+    for el in elements:
+        v = project_out(project_out(el, basis), basis)
+        nv = v.norm()
+        if nv > cut * max(1.0, el.norm()):
+            basis.append(v / nv)
+    return basis
+
+
 def gram_schmidt(
     elements: Sequence[HermitianElement], tol: float = defaults.GRAM_SCHMIDT_TOL
 ) -> list[HermitianElement]:
-    """Modified Gram-Schmidt in the Hilbert-Schmidt inner product.
-
-    Rejects rank-deficient input (a vector whose residual norm falls below
-    ``tol`` relative to its original norm).
-    """
-    basis: list[HermitianElement] = []
-    for el in elements:
-        # second pass for numerical orthogonality
-        v = project_out(project_out(el, basis), basis)
-        nv = v.norm()
-        if nv <= tol * max(1.0, el.norm()):
-            raise ValueError("rank-deficient spanning set in Gram-Schmidt")
-        basis.append(v / nv)
+    """Modified Gram-Schmidt in the Hilbert-Schmidt inner product,
+    _orthonormalize at cut ``tol``, rejecting rank-deficient input: a
+    residual norm at or below ``tol`` relative to the element's norm."""
+    basis = _orthonormalize(elements, tol)
+    if len(basis) < len(elements):
+        raise ValueError("rank-deficient spanning set in Gram-Schmidt")
     return basis

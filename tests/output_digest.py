@@ -3,15 +3,18 @@
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 30 ``qexpfam`` commands (every report at three seeds,
+Runs a fixed list of 31 ``qexpfam`` commands (every report at three seeds,
 the closures report of three cone families and of a custom two-generator
-family on blocks 2,2, whose config file it writes into the command's
-directory first, two sweeps and twelve distances, two
+family on blocks 2,2, two sweeps and thirteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
-|theta| = 620.65, and one at swallow rho(1e-4), whose exact solve stalls at
-rounding and prints its exact_path line), each in a fresh temporary
-directory and a fresh process, and
+|theta| = 620.65, one at swallow rho(1e-4), whose exact solve stalls at
+rounding and prints its exact_path line, and one at E_11 in a custom
+three-generator family on one 4x4 block, whose face chain skips a face:
+its first face has rank 3, and a lifted direction exposes the rank-2 face
+{e_1, e_4} at once), each in a fresh temporary directory, into which it
+first writes the command's config file if it names one, and a fresh
+process, and
 prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
@@ -33,11 +36,19 @@ import tempfile
 
 import qexpfam
 
-# (file name, text) of the custom family's config; a block-diagonal
-# generator pair whose second blocks commute, so the atlas has runs and spikes
-CUSTOM_CONFIG = ("custom_2_2.cfg", "[algebra]\nblocks = 2,2\n[family]\nname = custom\n"
-                 "generator1 = 1,0 0,0 0,0 0,0 1,0 0,0 0,0 -1,0\n"
-                 "generator2 = 0,0 1,0 1,0 0,0 0,0 0,0 0,0 1,0\n")
+# file name: text of the custom families' configs.  custom_2_2: a
+# block-diagonal generator pair whose second blocks commute, so the atlas
+# has runs and spikes.  tie_4: E_22, E_33 + E_24 + E_42 and E_24 + E_42
+# (E_ij the matrix units), where the face chain of E_11 skips a face
+CONFIGS = {
+    "custom_2_2.cfg": "[algebra]\nblocks = 2,2\n[family]\nname = custom\n"
+                      "generator1 = 1,0 0,0 0,0 0,0 1,0 0,0 0,0 -1,0\n"
+                      "generator2 = 0,0 1,0 1,0 0,0 0,0 0,0 0,0 1,0\n",
+    "tie_4.cfg": "[algebra]\nblocks = 4\n[family]\nname = custom\n"
+                 "generator1 = 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0\n"
+                 "generator2 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0\n"
+                 "generator3 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0\n",
+}
 
 COMMANDS = (
     [["report", "--which", which, "--seed", seed]
@@ -57,16 +68,18 @@ COMMANDS = (
         "raw:0.49998333333333317,0 0,-0.49994999999999984 0,0.49994999999999984 "
         "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"],
        ["distance", "--family", "swallow", "--state", "circle:1e-4"]]
-    + [["report", "--which", "closures", "--config", CUSTOM_CONFIG[0]]]
+    + [["report", "--which", "closures", "--config", "custom_2_2.cfg"],
+       ["distance", "--config", "tie_4.cfg", "--state",
+        "raw:1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0"]]
 )
 
 
 def digest(args: list[str], env: dict) -> str:
     """Run ``qexpfam args --out out`` in a fresh directory and hash its traces."""
     with tempfile.TemporaryDirectory() as tmp:
-        if CUSTOM_CONFIG[0] in args:  # hashed below with the command's outputs
-            with open(os.path.join(tmp, CUSTOM_CONFIG[0]), "w", encoding="utf-8") as handle:
-                handle.write(CUSTOM_CONFIG[1])
+        for name in CONFIGS.keys() & args:  # hashed below with the command's outputs
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(CONFIGS[name])
         proc = subprocess.run([sys.executable, "-m", "qexpfam.cli", *args, "--out", "out"],
                               cwd=tmp, env=env, capture_output=True)
         h = hashlib.sha256()

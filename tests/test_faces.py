@@ -327,6 +327,49 @@ def test_face_chain_builds_projectors_only_for_supports_and_faces(monkeypatch):
     assert misses > 0
 
 
+def _unit(n, i, j):
+    """The matrix unit E_ij of Mat(n), 1-based."""
+    m = np.zeros((n, n))
+    m[i - 1, j - 1] = 1.0
+    return m
+
+
+class TestFaceChainSkip:
+    """face_chain's skip.  rho = E_11 first lies on a face of rank 3; a
+    direction of the same family, lifted from that face's family, exposes
+    the rank-2 face {e_1, e_4} at once, so the chain holds that face only.
+    On the diagonal algebra outcomes 1 and 4 share their statistics.  On
+    Mat(4) without the third generator {e_1, e_4} is not exposed, and the
+    chain takes both steps.  In each case rho is at distance ln 2, which no
+    member attains, and is not an rI member."""
+
+    @staticmethod
+    def _cases():
+        diag4 = Algebra((1, 1, 1, 1))
+        full4 = Algebra((4,))
+        gens = [_unit(4, 2, 2), _unit(4, 3, 3) + _unit(4, 2, 4) + _unit(4, 4, 2),
+                _unit(4, 2, 4) + _unit(4, 4, 2)]
+        e11 = State(HermitianElement(full4, [_unit(4, 1, 1)]))
+        return [
+            (make_family(diag4, [diagonal(diag4, [0, 1, 0, 0]), diagonal(diag4, [0, 0, 1, 0])]),
+             State(diagonal(diag4, [1, 0, 0, 0])), [2]),
+            (make_family(full4, [HermitianElement(full4, [g]) for g in gens]), e11, [2]),
+            (make_family(full4, [HermitianElement(full4, [g]) for g in gens[:2]]), e11, [3, 2]),
+        ]
+
+    @pytest.mark.parametrize("case", range(3), ids=["diag_1111", "full_4", "full_4_no_third"])
+    def test_chain_distance_and_membership(self, case):
+        fam, rho, ranks = self._cases()[case]
+        assert family._exposing_direction(rho, fam)[1].rank == 3
+        projectors, _ = face_chain(rho, fam)
+        assert [p.rank for p in projectors] == ranks
+        face = np.concatenate([np.diag(b).real for b in projectors[-1].element.blocks])
+        assert np.abs(face - [1, 0, 0, 1]).max() <= 1e-12
+        distance, attained = entropy_distance(rho, fam)
+        assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
+        assert not rI_membership(rho, fam)
+
+
 def _unitary(n, rng):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
     return q

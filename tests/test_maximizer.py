@@ -305,6 +305,17 @@ class TestLocalMaxSearch:
         local_max_search(staffelberg, p, n_starts=2, max_steps=5)
         assert len(decomposed) == p.algebra.n_blocks
 
+    @pytest.mark.parametrize("p", [cone.base_circle_state(0.0).element, cone.APEX],
+                             ids=["rho0_apex_block_empty", "apex_block0_empty"])
+    def test_face_with_an_empty_block(self, staffelberg, p):
+        # the seeded starts fill only the blocks p lives in; p is rank one,
+        # so every start is p itself, stationary at distance ln 2
+        cands = local_max_search(staffelberg, Projector(p), n_starts=3, seed=1)
+        assert len(cands) == 3
+        for c in cands:
+            assert c.stationary
+            assert c.value == pytest.approx(np.log(2.0), abs=1e-12)
+
     def test_deterministic(self, staffelberg):
         p = Projector(cone.base_circle_state(0.0).element + cone.APEX)
         a = local_max_search(staffelberg, p, n_starts=3, seed=7)
