@@ -59,28 +59,20 @@ def _say(cfg: RunConfig, line: str, machine: bool = False):
 
 def cmd_sweep(cfg: RunConfig) -> int:
     """Boundary CSV + SVG + one classification line per angle or family."""
-    jobs = []
-    if cfg.phi_list:
-        for phi in cfg.phi_list:
-            jobs.append((f"phi{fmt(phi)}", cone.plane_for_angle(phi), phi))
+    if cfg.phi_list:  # (file tag, label, family) per job
+        jobs = [(f"phi{fmt(phi)}", f"phi={fmt(phi)} shape={cone.classify_by_angle(phi).value}",
+                 cone.plane_for_angle(phi)) for phi in cfg.phi_list]
     else:
-        jobs.append((cfg.family_name.replace(":", "_"), build_family(cfg), None))
-    for tag, family, phi in jobs:
+        jobs = [(cfg.family_name.replace(":", "_"), f"family={cfg.family_name}",
+                 build_family(cfg))]
+    for tag, label, family in jobs:
         boundary = mean_value_boundary_sweep(family, n_angles=cfg.n_angles)
         classes = classify_boundary_faces(boundary)
         base = os.path.join(cfg.out_dir, f"boundary_{tag}")
         boundary_csv(base + ".csv", boundary)
         boundary_svg(base + ".svg", boundary, classes)
-        n_seg = len(boundary.segments())
-        if phi is not None:
-            shape = cone.classify_by_angle(phi).value
-            _say(cfg, f"sweep phi={fmt(phi)} shape={shape} "
-                      f"nonexposed={classes.n_nonexposed} segments={n_seg}",
-                 machine=True)
-        else:
-            _say(cfg, f"sweep family={cfg.family_name} "
-                      f"nonexposed={classes.n_nonexposed} segments={n_seg}",
-                 machine=True)
+        _say(cfg, f"sweep {label} nonexposed={classes.n_nonexposed} "
+                  f"segments={len(boundary.segments())}", machine=True)
     return EXIT_OK
 
 

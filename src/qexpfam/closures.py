@@ -45,7 +45,6 @@ from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
     _chain_projections,
-    _check_tangent,
     _combine,
     _gibbs,
     _gibbs_spectra,
@@ -55,7 +54,8 @@ from .family import (
     make_compressed_family,
 )
 from .findings import Report
-from .linalg import DirectionSweep, HermitianElement, _coords, _hs_norm, _sym, project_out
+from .linalg import (DirectionSweep, HermitianElement, _coords, _hs_norm, _sym, project_out,
+                     traceless_part)
 from .states import (
     Projector,
     State,
@@ -115,7 +115,7 @@ class AtlasGroup:
 
     @cached_property
     def projector(self) -> Projector:
-        return Projector(HermitianElement(self.parent.algebra, self.blocks))
+        return Projector(HermitianElement._trusted(self.parent.algebra, self.blocks))
 
     @cached_property
     def family(self) -> ExponentialFamily:
@@ -183,7 +183,7 @@ def sweep_direction(family: ExponentialFamily, alpha: float) -> HermitianElement
     directions as the orthonormal-basis convention.
     """
     blocks = _polar_sweep(family).blocks([alpha])
-    return HermitianElement(family.algebra, [u[0] for u in blocks])
+    return HermitianElement._trusted(family.algebra, [u[0] for u in blocks])
 
 
 def _polar_sweep(family: ExponentialFamily) -> DirectionSweep:
@@ -285,7 +285,10 @@ def reduce_distance_to_face(
     It stays for callers that hold a face direction, such as perfbench's
     boundary reference; the package reads entropy_distance, which needs only rho.
     """
-    _check_tangent(family, v)
+    vt = traceless_part(v)
+    if vt.norm() == 0.0 or (project_out(vt, family.basis).norm()
+                            > defaults.MAX_EIG_GAP * max(1.0, vt.norm())):
+        raise PreconditionError("direction is not in the tangent space")
     p = _exposed_face(rho, v)
     if p is None:
         raise PreconditionError("state is not in the exposed face of v")

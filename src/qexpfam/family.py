@@ -53,6 +53,7 @@ from .linalg import (
     _hs_norm,
     _orthonormalize,
     _reconstruct_stack,
+    _sym,
     coords,
     divided_differences,
     eigh,
@@ -341,18 +342,10 @@ def make_compressed_family(
     for g, *cg in zip(parent.generators, *compressed):
         size = _hs_norm(cg)  # g.norm() only above the cut
         if size > cut and size > cut * max(1.0, g.norm()):
-            gens.append(HermitianElement._of(algebra, cg))
+            gens.append(HermitianElement._trusted(algebra, cg))
     basis = _orthonormalize(gens, cut)
-    off = project_out(HermitianElement._of(algebra, [c[-1] for c in compressed]), basis)
+    off = project_out(HermitianElement._trusted(algebra, [c[-1] for c in compressed]), basis)
     return ExponentialFamily(algebra, tuple(basis), off, tuple(gens), p)
-
-
-def _check_tangent(family: ExponentialFamily, v: HermitianElement) -> None:
-    """Reject v unless its traceless part is a non-zero tangent direction."""
-    vt = traceless_part(v)
-    if vt.norm() == 0.0 or (project_out(vt, family.basis).norm()
-                            > defaults.MAX_EIG_GAP * max(1.0, vt.norm())):
-        raise PreconditionError("direction is not in the tangent space")
 
 
 # -- mean value chart ----------------------------------------------------------
@@ -520,7 +513,11 @@ def face_chain(
     family where rho lies on no proper face and its projection is attained.
     A face is skipped when a direction of the same family exposes the next
     one too, so each face is the smallest exposed face of the family before
-    it that contains rho.  Two steps reach a non-exposed face: at swallow
+    it that contains rho.  The skip takes only a face of rank below p's
+    (below=p.rank), which ends its loop: Weyl's inequality keeps the lifted
+    direction's top eigenspace inside a cluster of p.rank eigenvalues, but
+    does not separate that cluster by MAX_EIG_GAP, so a face of equal rank
+    could replace p again.  Two steps reach a non-exposed face: at swallow
     rho(0) the face rho + apex, then rho.
     """
     if rho.algebra != family.algebra:
@@ -611,7 +608,7 @@ def _objective_pieces(family: ExponentialFamily, theta: np.ndarray, moments: np.
     # parameter_element: a (K, dim) @ (dim, n_k^2) product would move them
     a = [o + (theta[..., None, :] @ flat).reshape(o.shape[:1] + rows + o.shape[-2:])
          for o, _, flat in groups]
-    a = [(x + x.conj().swapaxes(-1, -2)) / 2.0 for x in a]
+    a = [_sym(x) for x in a]
     gibbs = _gibbs_stacks(a, order, family.support)
     tilted = [V.conj().swapaxes(-1, -2)[..., None, :, :] @ S @ V[..., None, :, :]
               for V, (_, S, _) in zip(gibbs.vectors, groups)]

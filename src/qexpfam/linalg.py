@@ -5,6 +5,11 @@ Mat(n_1) + ... + Mat(n_m).  Elements are stored block-wise; all operations
 (inner products, spectral decompositions, matrix functions, Frechet
 derivatives) act block by block.  Everything here is a pure function on
 immutable values.
+
+Elements are checked where they enter the package: the public constructor
+HermitianElement, called by zero, identity, embed_block, diagonal, from_coords
+and config.parse_element, rejects malformed input.  Every element computed from
+elements and states already held is built by HermitianElement._trusted.
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ class Algebra:
 class HermitianElement:
     """A self-adjoint element of a block-diagonal matrix algebra.
 
-    Construction symmetrizes the input, (a + a*)/2, and rejects it when it is
-    not finite or the anti-Hermitian correction is larger than round-off
-    tolerance.
+    The public constructor checks data entering the package: it symmetrizes
+    the input, (a + a*)/2, and rejects it when it is not finite or the
+    anti-Hermitian correction is larger than round-off tolerance.  Elements
+    computed inside the package are built by _trusted without the checks.
     """
 
     __slots__ = ("algebra", "blocks")
@@ -86,24 +92,22 @@ class HermitianElement:
 
     @classmethod
     def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
-        """Internal constructor for sums, real multiples, compressions pap
-        and eigen-reconstructions of elements: _of of the _sym'd blocks.
+        """The internal constructor of every element computed from elements
+        and states already held: sums, real multiples, compressions pap,
+        eigen-reconstructions and derivatives.
 
-        Such blocks are Hermitian up to rounding already, so the drift check
-        is skipped; the symmetrization stays, which keeps the bits (signed
-        zeros included) equal to the public constructor's.  _of takes blocks
-        that are _sym outputs already: a second _sym can flip the sign of a
-        zero real part.
+        Such blocks are Hermitian up to rounding, so the checks are skipped;
+        the symmetrization stays, which keeps the bits of complex blocks
+        (signed zeros included) equal to the public constructor's.  On a
+        block that is a _sym output already it moves only the sign of a zero
+        real part, where the block _sym took had -0 at both (i, j) and (j,
+        i); the compressions it wraps have none, as matmul sums never read -0.
         """
-        return cls._of(algebra, [_sym(b) for b in blocks])
-
-    @classmethod
-    def _of(cls, algebra: Algebra, blocks) -> "HermitianElement":
-        out, blocks = object.__new__(cls), tuple(blocks)
-        for h in blocks:
+        out, sym = object.__new__(cls), tuple(_sym(b) for b in blocks)
+        for h in sym:
             h.setflags(write=False)
         object.__setattr__(out, "algebra", algebra)
-        object.__setattr__(out, "blocks", blocks)
+        object.__setattr__(out, "blocks", sym)
         return out
 
     def __setattr__(self, name, value):
@@ -201,7 +205,7 @@ def diagonal(algebra: Algebra, entries: Sequence[float]) -> HermitianElement:
 def traceless_part(a: HermitianElement) -> HermitianElement:
     """a minus its multiple of the identity, tr(result) = 0."""
     shift = a.trace() / a.algebra.dim
-    return a - shift * identity(a.algebra)
+    return HermitianElement._trusted(a.algebra, [b - shift * np.eye(len(b)) for b in a.blocks])
 
 
 # -- real coordinates ---------------------------------------------------------
@@ -564,7 +568,7 @@ def frechet_derivative(a: HermitianElement, b: HermitianElement, f: str) -> Herm
         frechet_block(w, V, bb, f)
         for w, V, bb in zip(spec.eigenvalues, spec.eigenvectors, b.blocks)
     ]
-    return HermitianElement(a.algebra, blocks)
+    return HermitianElement._trusted(a.algebra, blocks)
 
 
 def dexp(a: HermitianElement, b: HermitianElement) -> HermitianElement:

@@ -56,7 +56,8 @@ def dlnp(rho: State, u: HermitianElement) -> HermitianElement:
     """
     _check_in_face_algebra(support_projector(rho), u, traceless=False)
     pairs = zip(_support_pairs(rho), u.blocks)
-    return HermitianElement(rho.algebra, [frechet_block(w, V, ub, "log") for (w, V), ub in pairs])
+    return HermitianElement._trusted(
+        rho.algebra, [frechet_block(w, V, ub, "log") for (w, V), ub in pairs])
 
 
 def dE_directional_derivative(rho: State, u: HermitianElement, family: ExponentialFamily) -> float:

@@ -124,10 +124,8 @@ def report_csv(path: str, report: Report) -> None:
 
 
 def certificates_csv(path: str, candidates: list[SearchCandidate]) -> None:
-    """State entries, residual, certified value, gradient norm per candidate."""
-    if not candidates:
-        atomic_write(path, "start_index\n")
-        return
+    """State entries, residual, certified value, gradient norm per candidate
+    (local_max_search returns at least one)."""
     header = entry_header(candidates[0].state.element)
     n_entries = len(header)
     header += ["residual", "certified_value", "gradient_norm",

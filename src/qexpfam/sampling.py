@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import Algebra, HermitianElement, from_coords, traceless_part
+from .linalg import Algebra, HermitianElement, _sym, from_coords, traceless_part
 from .states import State
 
 
@@ -59,7 +59,7 @@ def random_spectra(
     for g, k, l in zip(gauss, edges, edges[1:]):
         q = _haar(g)
         h = (q * lam[:, None, k:l]) @ q.conj().swapaxes(-1, -2)
-        w, V = np.linalg.eigh((h + h.conj().swapaxes(-1, -2)) / 2.0)
+        w, V = np.linalg.eigh(_sym(h))
         # descending, the order linalg.eigh gives distinct eigenvalues
         values.append(w[:, ::-1])
         vectors.append(np.ascontiguousarray(V[..., ::-1]))

@@ -149,7 +149,7 @@ class Projector:
         return [q.conj().T @ b @ q for q, b in zip(self.columns, blocks)]
 
     def embed(self, small: list[np.ndarray]) -> HermitianElement:
-        return HermitianElement(
+        return HermitianElement._trusted(
             self.algebra, [q @ s @ q.conj().T for q, s in zip(self.columns, small)])
 
     def contains(self, a: HermitianElement) -> bool:
@@ -242,7 +242,7 @@ def relative_entropy(rho: State, sigma: State) -> float:
 def support_projector(rho: State) -> Projector:
     """Projector with the same image as rho (eigenvalue cutoff 1e-10)."""
     blocks = [V @ V.conj().T for _, V in _support_pairs(rho)]
-    return Projector(HermitianElement(rho.algebra, blocks))
+    return Projector(HermitianElement._trusted(rho.algebra, blocks))
 
 
 def _maximal_projector(u: HermitianElement) -> tuple[float, int, list[np.ndarray]]:
@@ -257,7 +257,7 @@ def _maximal_projector(u: HermitianElement) -> tuple[float, int, list[np.ndarray
 def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
     """Largest eigenvalue across all blocks and its maximal projector."""
     mu, _, blocks = _maximal_projector(u)
-    return mu, Projector(HermitianElement(u.algebra, blocks))
+    return mu, Projector(HermitianElement._trusted(u.algebra, blocks))
 
 
 def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Projector | None:
@@ -270,8 +270,7 @@ def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Pro
         return None
     gap = hs_inner(rho.element, u) - mu
     by_value = abs(gap) <= defaults.FACE_VALUE_TOL
-    # validated only for a face that holds rho; both constructors symmetrize alike
-    p = (HermitianElement if by_value else HermitianElement._trusted)(u.algebra, blocks)
+    p = HermitianElement._trusted(u.algebra, blocks)
     leak = 1.0 - hs_inner(rho.element, p)
     if by_value != (leak <= defaults.SUPPORT_CUTOFF):
         raise NumericalDegeneracyError(
@@ -317,7 +316,7 @@ def compress(p: Projector, a: HermitianElement) -> tuple[HermitianElement, Hermi
     if p.algebra != a.algebra:
         raise AlgebraMismatchError("projector and element in different algebras")
     pap, cp = _compress_blocks(p.element.blocks, p.rank, a.blocks)
-    return HermitianElement._of(p.algebra, pap), HermitianElement._of(p.algebra, cp)
+    return HermitianElement._trusted(p.algebra, pap), HermitianElement._trusted(p.algebra, cp)
 
 
 def pinsker_gap(rho: State, sigma: State) -> float:
@@ -347,4 +346,4 @@ def full_support(algebra: Algebra) -> Projector:
 def log_on_support(rho: State) -> HermitianElement:
     """ln^p(rho) on the support of rho, zero on the kernel."""
     blocks = [(V * np.log(w)) @ V.conj().T for w, V in _support_pairs(rho)]
-    return HermitianElement(rho.algebra, blocks)
+    return HermitianElement._trusted(rho.algebra, blocks)

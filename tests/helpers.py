@@ -4,9 +4,15 @@ from qexpfam import cone, defaults
 from qexpfam.closures import _polar_sweep
 from qexpfam.family import exp1, make_family
 from qexpfam.findings import Report
-from qexpfam.linalg import HermitianElement, eigh, hs_inner, traceless_part, zero
+from qexpfam.linalg import HermitianElement, eigh, hs_inner, identity, traceless_part, zero
 from qexpfam.sampling import random_hermitian, random_traceless
 from qexpfam.states import Projector, State, log_on_support, max_eig_data, pure_state
+
+
+def traceless_part_by_sum(a):
+    """traceless_part as element arithmetic, a - shift identity: the reference
+    its block-by-block subtraction keeps bit for bit."""
+    return a - (a.trace() / a.algebra.dim) * identity(a.algebra)
 
 
 def random_unit_traceless(algebra, rng):

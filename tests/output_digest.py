@@ -1,4 +1,5 @@
-"""One SHA-256 per CLI command over everything the command leaves behind.
+"""One SHA-256 per CLI command over everything the command leaves behind, and
+one per demo over its exit code, stdout and stderr.
 
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
@@ -16,18 +17,23 @@ its first face has rank 3, and a lifted direction exposes the rank-2 face
 first writes the command's config file if it names one, and a fresh
 process, and
 prints one line per command: the SHA-256 over its exit code, stdout, stderr
-and every file it wrote (relative path and bytes), then the command.  Two checkouts
+and every file it wrote (relative path and bytes), then the command.  Then it
+runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
+fresh process, and prints one line per demo: the SHA-256 over its exit code,
+stdout and stderr, then ``demo`` and the script's name (36 lines in all; the
+drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
 output as it was.  With ``--against FILE``, a printout saved from another
 checkout, it prints only the commands whose line differs from that file's
-(or that the file lacks) and exits 1 if there is any, 0 if none.  pytest
-does not collect this file.
+(or that the file lacks), demos included, and exits 1 if there is any, 0 if
+none.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import hashlib
 import os
 import subprocess
@@ -74,6 +80,15 @@ COMMANDS = (
 )
 
 
+def _hash_run(proc: subprocess.CompletedProcess):
+    """A SHA-256 started with a finished process's exit code, stdout and stderr."""
+    h = hashlib.sha256()
+    h.update(f"exit {proc.returncode}\n".encode())
+    for stream in (proc.stdout, proc.stderr):
+        h.update(len(stream).to_bytes(8, "little") + stream)
+    return h
+
+
 def digest(args: list[str], env: dict) -> str:
     """Run ``qexpfam args --out out`` in a fresh directory and hash its traces."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -82,10 +97,7 @@ def digest(args: list[str], env: dict) -> str:
                 handle.write(CONFIGS[name])
         proc = subprocess.run([sys.executable, "-m", "qexpfam.cli", *args, "--out", "out"],
                               cwd=tmp, env=env, capture_output=True)
-        h = hashlib.sha256()
-        h.update(f"exit {proc.returncode}\n".encode())
-        for stream in (proc.stdout, proc.stderr):
-            h.update(len(stream).to_bytes(8, "little") + stream)
+        h = _hash_run(proc)
         files = sorted(os.path.relpath(os.path.join(d, f), tmp)
                        for d, _, names in os.walk(tmp) for f in names)
         for rel in files:
@@ -95,8 +107,14 @@ def digest(args: list[str], env: dict) -> str:
         return h.hexdigest()
 
 
+def demo_digest(path: str, env: dict) -> str:
+    """Run one demo script in a fresh process and hash its exit code and streams."""
+    return _hash_run(subprocess.run([sys.executable, path], env=env,
+                                    capture_output=True)).hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description="One SHA-256 per qexpfam CLI command.")
+    parser = argparse.ArgumentParser(description="One SHA-256 per qexpfam CLI command and demo.")
     parser.add_argument("--against", metavar="FILE",
                         help="a saved printout: print the commands whose line differs, exit 1")
     opts = parser.parse_args(argv)
@@ -106,16 +124,19 @@ def main(argv: list[str] | None = None) -> int:
             saved = {line.rstrip("\n") for line in handle}
     src = os.path.dirname(os.path.dirname(os.path.abspath(qexpfam.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
+    demos = sorted(glob.glob(os.path.join(os.path.dirname(src), "demos", "demo_*.py")))
+    runs = [(" ".join(args), digest, args) for args in COMMANDS]
+    runs += [(f"demo {os.path.basename(path)}", demo_digest, path) for path in demos]
     differ = 0
-    for args in COMMANDS:
-        line = f"{digest(args, env)} {' '.join(args)}"
+    for label, run, what in runs:
+        line = f"{run(what, env)} {label}"
         if saved is None:
             print(line, flush=True)
         elif line not in saved:
             differ += 1
-            print(f"differs: {' '.join(args)}", flush=True)
+            print(f"differs: {label}", flush=True)
     if saved is not None:
-        print(f"{differ} of {len(COMMANDS)} commands differ from {opts.against}")
+        print(f"{differ} of {len(runs)} lines differ from {opts.against}")
     return 1 if differ else 0
 
 

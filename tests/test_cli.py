@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from qexpfam.cli import main
 from qexpfam.config import RunConfig, emit_element, parse_element, parse_state
 from qexpfam.errors import PreconditionError
-from qexpfam.linalg import Algebra
+from qexpfam.linalg import Algebra, HermitianElement
 
 
 class TestConfig:
@@ -412,3 +413,32 @@ class TestMetamorphosisSweep:
         )
         counts = [int(line.split("nonexposed=")[1].split()[0]) for line in out]
         assert counts == [0, 2, 2, 2, 0, 0, 0]
+
+
+class TestCheckedConstruction:
+    """Elements are checked where they enter the package: the checked
+    HermitianElement constructor runs only in the functions that build
+    elements from outside data, and every element computed from elements
+    is built by HermitianElement._trusted."""
+
+    ENTRY = {"zero", "identity", "embed_block", "diagonal", "from_coords", "parse_element"}
+    COMMANDS = [
+        ["report", "--which", "closures", "--family", "staffelberg"],
+        ["report", "--which", "swallow"],
+        ["report", "--which", "maximizer"],
+        ["distance", "--family", "swallow", "--state", "circle:0.001"],
+        ["sweep", "--family", "swallow"],
+    ]
+
+    def test_only_entry_points_run_the_checked_constructor(self, tmp_path, monkeypatch, capsys):
+        callers = Counter()
+        checked = HermitianElement.__init__
+
+        def counted(self, *args, **kwargs):
+            callers[sys._getframe(1).f_code.co_name] += 1
+            checked(self, *args, **kwargs)
+
+        monkeypatch.setattr(HermitianElement, "__init__", counted)
+        for args in self.COMMANDS:
+            assert main([*args, "--out", str(tmp_path)]) == 0, args
+        assert set(callers) <= self.ENTRY, callers

@@ -369,6 +369,16 @@ class TestFaceChainSkip:
         assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
         assert not rI_membership(rho, fam)
 
+    def test_guard_refuses_a_face_of_equal_rank(self, staffelberg):
+        # the skip asks for a face of rank below p's (below=p.rank): on
+        # Staffelberg rho(0) the direction at angle 0 exposes the rank-2
+        # face rho(0) + apex, which below=2 refuses and below=3 returns
+        rho = cone.base_circle_state(0.0)
+        u = closures.sweep_direction(staffelberg, 0.0)
+        assert states._exposed_face(rho, u, below=2) is None
+        p = states._exposed_face(rho, u, below=3)
+        assert p.rank == 2 and (p.element - (rho.element + cone.APEX)).norm() <= 1e-12
+
 
 def _unitary(n, rng):
     q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))

@@ -3,11 +3,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam import cone
+from qexpfam import cone, states
 from qexpfam.errors import AlgebraMismatchError, DomainError
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    _sym,
     apply_matrix_function,
     coords,
     dexp,
@@ -26,6 +27,8 @@ from qexpfam.linalg import (
     zero,
 )
 from qexpfam.sampling import random_hermitian, random_traceless
+
+from helpers import random_support, traceless_part_by_sum
 
 
 def rand(algebra, rng, scale=1.0):
@@ -134,6 +137,56 @@ def test_coords_keep_the_bits_of_the_per_entry_loop(dims, data):
     assert all(x.tobytes() == y.tobytes() for x, y in zip(got.blocks, want.blocks))
     for a in (want, _verbatim(algebra, v)):
         assert coords(a).tobytes() == _coords_loop(a).tobytes()
+
+
+def _signed_zeros(x, rng):
+    """x with about a third of its entries set to +0 and a third to -0."""
+    pick = rng.integers(0, 3, size=x.shape)
+    return np.where(pick == 1, 0.0, np.where(pick == 2, -0.0, x))
+
+
+def test_sym_of_a_sym_output_moves_only_zero_signs():
+    # HermitianElement._trusted symmetrizes blocks that are _sym outputs
+    # already.  numpy divides a complex by 2.0 as a complex, so a real part
+    # reads (re + im 0) / 2: where b's real parts at (i, j) and (j, i) are
+    # both -0, the first pass leaves -0 on one side and +0 on the other, and
+    # the second makes both +0.  Nothing else moves.
+    rng, moved = np.random.default_rng(40), 0
+    for _ in range(2000):
+        n = int(rng.integers(1, 6))
+        b = np.zeros((n, n), dtype=complex)
+        b.real, b.imag = (_signed_zeros(rng.normal(size=(n, n)), rng) for _ in range(2))
+        h, again = _sym(b), _sym(_sym(b))
+        assert np.array_equal(again, h)
+        differ = again.view(np.uint64).reshape(n, n, 2) != h.view(np.uint64).reshape(n, n, 2)
+        negative = (b.real == 0.0) & np.signbit(b.real)
+        assert not differ[..., 1].any()
+        assert not (differ[..., 0] & ~(negative & negative.T)).any()
+        moved += differ.any()
+    assert moved  # so _trusted keeps the bits only of blocks without such pairs
+
+
+def test_compressions_keep_their_bits_in_trusted(algebra, rng):
+    # compress wraps _compress_blocks' _sym outputs in _trusted: their real
+    # parts come from matmul sums and never read -0, so no bit moves
+    for a in [*cone.PAULI, cone.APEX, cone.Z] + [rand(algebra, rng) for _ in range(20)]:
+        projectors = [random_support(algebra, rng, empty) for empty in (False, True)]
+        for p in projectors + [states.support_projector(cone.base_circle_state(0.3)),
+                               states.full_support(algebra)]:
+            got = states.compress(p, a)
+            want = states._compress_blocks(p.element.blocks, p.rank, a.blocks)
+            for el, blocks in zip(got, want):
+                assert all(x.tobytes() == y.tobytes() for x, y in zip(el.blocks, blocks))
+
+
+@pytest.mark.parametrize("dims", [(2, 1), (2, 2), (1, 1, 1, 1), (4,)])
+def test_traceless_part_keeps_the_bits_of_the_sum(dims):
+    algebra, rng = Algebra(dims), np.random.default_rng(41)
+    for _ in range(200):
+        a = from_coords(algebra, _signed_zeros(rng.normal(size=algebra.real_dim), rng))
+        for x in (a, -a):
+            got, want = traceless_part(x), traceless_part_by_sum(x)
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
 
 
 class TestHsInner:
