@@ -45,13 +45,11 @@ MAX_ITER = 500
 ARMIJO_C1 = 1e-4
 ARMIJO_MAX_HALVINGS = 60
 
-# The inclusion chain's distance bound; rI_membership reads the face chain.
-RI_EPS = 1e-3
 # The cap of perfbench's boundary reference solve; no package module reads it.
 RI_PARAM_CAP = 200.0
 # Inclusion chain: each e-geodesic exp1(x + t u) is evaluated once, at t gap =
-# CHAIN_GAP_T for unit u, gap the eigenvalue gap below u's maximal eigenspace.
-# Where x couples that eigenspace the error falls like 1 / (t gap).
+# CHAIN_GAP_T max(1, |x|^2) for unit u, gap the eigenvalue gap below u's maximal
+# eigenspace.  Where x couples that eigenspace the error falls like |x|^2 / (t gap).
 CHAIN_GAP_T = 1e4
 
 # Boundary sweeps.

@@ -4,9 +4,11 @@ one per demo over its exit code, stdout and stderr.
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 31 ``qexpfam`` commands (every report at three seeds,
-the closures report of three cone families and of a custom two-generator
-family on blocks 2,2, two sweeps and thirteen distances, two
+Runs a fixed list of 32 ``qexpfam`` commands (every report at three seeds,
+the closures report of four cone families and of a custom two-generator
+family on blocks 2,2, one of the cone families at tilt 1.0471275, 7e-5
+below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
+coordinates, two sweeps and thirteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
 |theta| = 620.65, one at swallow rho(1e-4), whose exact solve stalls at
@@ -20,7 +22,7 @@ prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Then it
 runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
 fresh process, and prints one line per demo: the SHA-256 over its exit code,
-stdout and stderr, then ``demo`` and the script's name (36 lines in all; the
+stdout and stderr, then ``demo`` and the script's name (37 lines in all; the
 drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
@@ -61,7 +63,7 @@ COMMANDS = (
      for which in ("staffelberg", "swallow", "cone", "maximizer")
      for seed in ("0", "7", "12345")]
     + [["report", "--which", "closures", "--family", fam]
-       for fam in ("staffelberg", "swallow", "cone:0.7")]
+       for fam in ("staffelberg", "swallow", "cone:0.7", "cone:1.0471275")]
     + [["sweep", "--phi", "0,0.03,0.5,0.8255269040265483,1.0471975511965976,1.2"],
        ["sweep", "--family", "swallow"]]
     + [["distance", "--state", state]

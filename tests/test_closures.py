@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qexpfam import closures, cone, defaults
+from qexpfam import family as family_module
 from qexpfam.closures import (
     _polar_sweep,
     egeodesic_limit,
@@ -312,8 +313,8 @@ class TestStackedChainBits:
                 assert row.tobytes() == want.tobytes(), alpha
 
     def test_the_zero_sample_makes_no_member(self, staffelberg, monkeypatch):
-        # the theta = 0 sample is read off the origin the group's solve
-        # starts from: family.member runs only for the 0.7 samples
+        # the theta = 0 sample is the group's representative: family.member
+        # runs only for the 0.7 samples
         thetas, member = [], ExponentialFamily.member
 
         def counted(self, theta):
@@ -666,10 +667,10 @@ class TestInclusionChain:
 
     @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7", "random"])
     def test_group_projector_is_its_mid_angle_face(self, name):
-        # the chain solves each sample in its group's family, which holds
-        # only if the group's projector is the maximal projector of the
-        # direction at its mid-angle, the face that direction exposes: equal
-        # ranks and images as helpers.same_image compares them
+        # the chain's geo flag asks for each sample on the face of its
+        # group's mid-angle direction, which holds only if the group's
+        # projector is that direction's maximal projector: equal ranks and
+        # images as helpers.same_image compares them
         if name == "random":
             atlases = [geodesic_closure_atlas(random_family(
                 Algebra(dims), 2, np.random.default_rng([seed, *dims])))
@@ -768,8 +769,9 @@ def _per_rung_ladder(family, group, theta_p, s, u):
 
 def _one_rung(family, group, u, thetas):
     """The norm values of group's samples, one family.member each at
-    x + t_end u_hat: the bit-for-bit reference.  Both samples are lifted in
-    one least-squares solve, as a one-column solve may move bits."""
+    x + t_end max(1, |x|^2) u_hat: the bit-for-bit reference.  Both samples
+    are lifted in one least-squares solve, as a one-column solve may move
+    bits."""
     p = group.projector
     cols = [coords(compress(p, v)[1]) for v in family.basis] + [coords(p.element)]
     rhs = [coords(group.family.parameter_element(theta_p) - compress(p, family.offset)[1])
@@ -780,7 +782,8 @@ def _one_rung(family, group, u, thetas):
     u_hat /= norm
     gap = _polar_sweep(family).spectra([group.mid_angle]).top_gap(group.rank)[0]
     t_end = defaults.CHAIN_GAP_T * norm / gap
-    return [(group.family.member(theta_p).element - family.member(xi + t_end * u_hat).element).norm()
+    return [(group.family.member(theta_p).element
+             - family.member(xi + t_end * max(1.0, xi @ xi) * u_hat).element).norm()
             for theta_p, xi in zip(thetas, x.T)]
 
 
@@ -871,6 +874,89 @@ class TestNormLeg:
                 old = _per_rung_ladder(atlas.family, g, theta_p, g.family.member(theta_p), u)
                 assert next(norms) <= old + 1e-12
         assert next(norms, None) is None
+
+
+def _custom_2_2():
+    """The custom family on blocks 2,2 of the output digest: a block-diagonal
+    generator pair whose second blocks commute."""
+    algebra = Algebra((2, 2))
+    return make_family(algebra, [
+        HermitianElement(algebra, [np.diag([1.0, 0.0]), np.diag([1.0, -1.0])]),
+        HermitianElement(algebra, [np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([0.0, 1.0])])])
+
+
+def _fails(report, check):
+    """Per finding of the check, in report order: whether it failed."""
+    return [not f.ok for f in report.findings if f.check == check]
+
+
+def _members(report, check):
+    """Per finding of the check, in report order: whether its sample is a member."""
+    return [f.detail.startswith("member ") for f in report.findings if f.check == check]
+
+
+class TestChainChecksFail:
+    """Each leg of the inclusion chain fails a report, finding by finding, on
+    a sample that does not hold what the leg claims."""
+
+    def test_geo_fails_off_the_face(self, swallow, monkeypatch):
+        # the tracial state lies on no proper face, so no group holds it
+        monkeypatch.setattr(closures.AtlasGroup, "representative",
+                            property(lambda g: tracial_state(g.parent.algebra)))
+        report = inclusion_chain_check(swallow)
+        fails = _fails(report, "geo_subset_rI")
+        assert fails == [not m for m in _members(report, "geo_subset_rI")]
+        assert sum(fails) == 24
+
+    @pytest.mark.parametrize("name", ["swallow", "cone:0.7"])
+    def test_norm_fails_on_a_sample_off_its_geodesic(self, name, monkeypatch):
+        # each member sample is moved to theta_p + 1 while the leg lifts
+        # theta_p: still a member of its group's family, not its geodesic's limit
+        family = _default_atlas(name).family
+        member = ExponentialFamily.member
+        monkeypatch.setattr(ExponentialFamily, "member",
+                            lambda self, theta: member(self, np.asarray(theta) + 1.0))
+        report = inclusion_chain_check(family)
+        assert not any(_fails(report, "geo_subset_rI"))
+        fails = _fails(report, "rI_subset_norm")
+        assert fails == _members(report, "rI_subset_norm") and any(fails)
+
+    @pytest.mark.parametrize("name", ["swallow", "cone:0.7"])
+    def test_norm_fails_at_a_hundredth_of_t_end(self, name, monkeypatch):
+        family = _default_atlas(name).family
+        norm_leg = closures._norm_leg
+        monkeypatch.setattr(closures, "_norm_leg", lambda family, legs: norm_leg(
+            family, [(g, 100.0 * gap, samples) for g, gap, samples in legs]))
+        report = inclusion_chain_check(family)
+        assert not any(_fails(report, "geo_subset_rI"))
+        assert any(_fails(report, "rI_subset_norm"))
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "custom_2_2"])
+    def test_no_newton_solve(self, name, monkeypatch):
+        family = _custom_2_2() if name == "custom_2_2" else _default_atlas(name).family
+        calls = []
+        newton = family_module._newton
+        monkeypatch.setattr(family_module, "_newton",
+                            lambda *args, **kwargs: calls.append(args) or newton(*args, **kwargs))
+        report = inclusion_chain_check(family)
+        assert report.ok and calls == []
+
+
+class TestChainSurvey:
+    # two tilts just below pi/3, where the sampled spike member lifts to
+    # |x| = 78 and 92 in the family's coordinates
+    @pytest.mark.parametrize("phi", [0.01, 0.4, 0.8255269040265483, 1.3,
+                                     np.pi / 3 - 7e-5, np.pi / 3 - 5e-5])
+    def test_cone_tilt(self, phi):
+        report = inclusion_chain_check(cone.plane_for_angle(phi))
+        assert report.ok, report.failures()
+
+    @pytest.mark.parametrize("dims, seed", [((2, 2), 0), ((3,), 1), ((2, 1), 2),
+                                            ((3, 1), 3), ((2, 2, 1), 4), ((3, 2), 5)])
+    def test_random_family(self, dims, seed):
+        report = inclusion_chain_check(
+            random_family(Algebra(dims), 2, np.random.default_rng([seed, 11])))
+        assert report.ok, report.failures()
 
 
 class TestNormClosureUpperBound:

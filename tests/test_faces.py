@@ -413,6 +413,8 @@ def _generator_face_case(seed, extra):
 
 
 class TestMonotonicity:
+    ZERO = 1e-3  # a distance below this counts as zero
+
     @pytest.mark.parametrize("alpha", np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
     def test_swallow_superfamily_on_the_base_circle(self, alpha):
         rho = cone.base_circle_state(alpha)
@@ -424,15 +426,15 @@ class TestMonotonicity:
     @given(st.integers(0, 2**32 - 1), st.integers(0, 6))
     def test_one_more_generator(self, seed, extra):
         # E' = E + one generator: d(rho, E') <= d(rho, E), and rI(E) => rI(E'),
-        # read here as the exact distance below RI_EPS
+        # read here as the exact distance below ZERO
         _, _, gens, face_state, limit = _generator_face_case(seed, extra)
         small = make_family(face_state.algebra, gens[:-1])
         big = make_family(face_state.algebra, gens)
         for rho in (face_state, limit):
             d_small, d_big = _exact_distance(rho, small)[0], _exact_distance(rho, big)[0]
             assert d_big <= d_small + 1e-9
-            assert d_big < defaults.RI_EPS or not d_small < defaults.RI_EPS
-        assert _exact_distance(limit, small)[0] < defaults.RI_EPS
+            assert d_big < self.ZERO or not d_small < self.ZERO
+        assert _exact_distance(limit, small)[0] < self.ZERO
 
 
 def _summary(rho, family):
