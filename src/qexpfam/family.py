@@ -369,7 +369,8 @@ def _mean_values(blocks, family: ExponentialFamily) -> np.ndarray:
 
 def _widest_margin(rho: State, rest: Projector, a: HermitianElement,
                    b: HermitianElement) -> HermitianElement:
-    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)).
+    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)):
+    the great-circle search of _steepest_margin.
 
     The margin is positive where u exposes supp(rho) alone and zero where it
     exposes a larger face.  Its grid maximum is refined by bisection on the
@@ -407,7 +408,8 @@ def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
     (_widest_margin), until the margin stops rising or y = 0: r_j = <rho, d_j>,
     g_j = tr(S d_j) over states S on the top eigenspace of u on Im(rest)
     (top_eigenspace), the min-norm point found by Frank-Wolfe.  A margin
-    above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.
+    above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.  With
+    two columns the first great circle is the whole unit circle of the span.
     """
     r = basis.T @ mean_value_projection(rho.element, family)
     stacked = [q.conj().T @ np.tensordot(basis.T, s, axes=1) @ q
@@ -473,10 +475,10 @@ def _exposing_direction(rho: State, family: ExponentialFamily
     _scalar_directions(q), where rho is on the face of u exactly when the
     concave margin <rho, u> - mu_+(u on P - q) is >= 0, P the carrier.  Its
     maximum over L's unit sphere decides: +-w for dim L = 1 with the sign of
-    <rho, w> (w is traceless on P, so the other sign cannot expose rho),
-    _widest_margin for dim L = 2, _steepest_margin for dim L >= 3, whose end
-    is also tried projected onto the directions tying its maximal eigenspace
-    exactly.  states._exposed_face decides each candidate on its eigenpairs.
+    <rho, w> (w is traceless on P, so the other sign cannot expose rho), and
+    _steepest_margin for every dim L >= 2, whose end is also tried projected
+    onto the directions tying its maximal eigenspace exactly.
+    states._exposed_face decides each candidate on its eigenpairs.
     """
     if rho.support_rank == family.support_projector.rank:
         return None
@@ -487,16 +489,11 @@ def _exposing_direction(rho: State, family: ExponentialFamily
         candidates = [family.tangent_element(sign * null[0])]
     elif len(null) >= 2:
         basis = np.linalg.qr(null.T)[0]
-        rest = Projector(family.support_projector.element - q)
-        if len(null) == 2:
-            a, b = (family.tangent_element(c) for c in basis.T)
-            candidates = [_widest_margin(rho, rest, a, b)]
-        else:
-            u = _steepest_margin(rho, rest, family, basis)
-            top = HermitianElement._trusted(u.algebra, _maximal_projector(u)[2])
-            tie = np.linalg.qr(_scalar_directions(top, family).T)[0]
-            x = tie @ (tie.T @ mean_value_projection(u, family))
-            candidates = [family.tangent_element(x), u] if np.any(x) else [u]
+        u = _steepest_margin(rho, Projector(family.support_projector.element - q), family, basis)
+        top = HermitianElement._trusted(u.algebra, _maximal_projector(u)[2])
+        tie = np.linalg.qr(_scalar_directions(top, family).T)[0]
+        x = tie @ (tie.T @ mean_value_projection(u, family))
+        candidates = [family.tangent_element(x), u] if np.any(x) else [u]
     else:
         return None
     faces = ((u, _exposed_face(rho, u)) for u in candidates)

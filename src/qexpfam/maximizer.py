@@ -154,15 +154,18 @@ def _clip_to_simplex(values: np.ndarray) -> np.ndarray:
     return np.maximum(values - tau, 0.0)
 
 
+def _face_state(p: Projector, vectors: list[np.ndarray], values: np.ndarray) -> State:
+    """The state with support inside p whose block k is V_k diag(w_k) V_k* on
+    Im(p), V_k = vectors[k] and w_k its slice of the flat spectrum values."""
+    cuts = np.cumsum([V.shape[1] for V in vectors])[:-1]
+    return State(p.embed([(V * w) @ V.conj().T for V, w in zip(vectors, np.split(values, cuts))]))
+
+
 def _project_face_state(p: Projector, a: HermitianElement) -> State:
     """Nearest state with support inside p: eigenvalue clipping to the simplex."""
     pairs = [np.linalg.eigh(s) for s in p.restrict(a.blocks)]
-    clipped = _clip_to_simplex(np.concatenate([w for w, _ in pairs]))
-    out, k = [], 0
-    for w, V in pairs:
-        out.append((V * clipped[k : k + len(w)]) @ V.conj().T)
-        k += len(w)
-    return State(p.embed(out))
+    return _face_state(p, [V for _, V in pairs],
+                       _clip_to_simplex(np.concatenate([w for w, _ in pairs])))
 
 
 @dataclass(frozen=True)
@@ -207,17 +210,9 @@ def local_max_search(
     starts: list[State] = [State(p.element / p.rank)]
     for _ in range(max(0, n_starts - 1)):
         lam = rng.dirichlet(np.ones(p.rank))
-        blocks = []
-        k = 0
-        for q_cols in p.columns:
-            r = q_cols.shape[1]
-            if r == 0:
-                blocks.append(np.zeros((0, 0)))
-                continue
-            q = haar_unitary(r, rng)
-            blocks.append((q * lam[k : k + r]) @ q.conj().T)
-            k += r
-        starts.append(State(p.embed(blocks)))
+        vectors = [haar_unitary(q.shape[1], rng) if q.size else np.zeros((0, 0))
+                   for q in p.columns]
+        starts.append(_face_state(p, vectors, lam))
 
     projectors, target = face_chain(starts[0], family)
 

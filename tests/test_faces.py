@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
+from scipy.spatial import ConvexHull
 
 from qexpfam import cli, closures, cone, defaults, family, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
@@ -335,13 +336,14 @@ def _unit(n, i, j):
 
 
 class TestFaceChainSkip:
-    """face_chain's skip.  rho = E_11 first lies on a face of rank 3; a
-    direction of the same family, lifted from that face's family, exposes
-    the rank-2 face {e_1, e_4} at once, so the chain holds that face only.
-    On the diagonal algebra outcomes 1 and 4 share their statistics.  On
-    Mat(4) without the third generator {e_1, e_4} is not exposed, and the
-    chain takes both steps.  In each case rho is at distance ln 2, which no
-    member attains, and is not an rI member."""
+    """face_chain's skip.  rho = E_11 lies at distance ln 2, which no member
+    attains, is not an rI member, and its chain ends on the face {e_1, e_4}.
+    On Mat(4) the first face found for rho has rank 3.  With all three
+    generators, a direction of the same family, lifted from that face's
+    family, exposes {e_1, e_4} at once, so the chain holds that face only.
+    Without the third generator {e_1, e_4} is not exposed, and the chain
+    takes both steps.  On the diagonal algebra outcomes 1 and 4 share their
+    statistics, and the margin search finds {e_1, e_4} as the first face."""
 
     @staticmethod
     def _cases():
@@ -352,15 +354,15 @@ class TestFaceChainSkip:
         e11 = State(HermitianElement(full4, [_unit(4, 1, 1)]))
         return [
             (make_family(diag4, [diagonal(diag4, [0, 1, 0, 0]), diagonal(diag4, [0, 0, 1, 0])]),
-             State(diagonal(diag4, [1, 0, 0, 0])), [2]),
-            (make_family(full4, [HermitianElement(full4, [g]) for g in gens]), e11, [2]),
-            (make_family(full4, [HermitianElement(full4, [g]) for g in gens[:2]]), e11, [3, 2]),
+             State(diagonal(diag4, [1, 0, 0, 0])), 2, [2]),
+            (make_family(full4, [HermitianElement(full4, [g]) for g in gens]), e11, 3, [2]),
+            (make_family(full4, [HermitianElement(full4, [g]) for g in gens[:2]]), e11, 3, [3, 2]),
         ]
 
     @pytest.mark.parametrize("case", range(3), ids=["diag_1111", "full_4", "full_4_no_third"])
     def test_chain_distance_and_membership(self, case):
-        fam, rho, ranks = self._cases()[case]
-        assert family._exposing_direction(rho, fam)[1].rank == 3
+        fam, rho, first, ranks = self._cases()[case]
+        assert family._exposing_direction(rho, fam)[1].rank == first
         projectors, _ = face_chain(rho, fam)
         assert [p.rank for p in projectors] == ranks
         face = np.concatenate([np.diag(b).real for b in projectors[-1].element.blocks])
@@ -368,6 +370,26 @@ class TestFaceChainSkip:
         distance, attained = entropy_distance(rho, fam)
         assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
         assert not rI_membership(rho, fam)
+
+    @pytest.mark.parametrize("case", [1, 2], ids=["full_4", "full_4_no_third"])
+    def test_rotated_copies(self, case):
+        # off the axes the margin search ends off its kink by about 1e-11
+        # (the top eigenvalues of its direction split by that much), which
+        # only a merge threshold above that split absorbs
+        fam, rho, _, ranks = self._cases()[case]
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            u = haar_unitary(4, rng)
+
+            def rotate(a):
+                return HermitianElement(a.algebra, [u @ a.blocks[0] @ u.conj().T])
+
+            rotated = make_family(fam.algebra, [rotate(g) for g in fam.generators])
+            r = State(rotate(rho.element))
+            assert [p.rank for p in face_chain(r, rotated)[0]] == ranks
+            distance, attained = entropy_distance(r, rotated)
+            assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
+            assert not rI_membership(r, rotated)
 
     def test_guard_refuses_a_face_of_equal_rank(self, staffelberg):
         # the skip asks for a face of rank below p's (below=p.rank): on
@@ -566,6 +588,58 @@ class TestAbelianLPOracle:
         _, _, fam, _ = _abelian_case(n, 2, seed)
         boundary = mean_value_boundary_sweep(fam)
         assert classify_boundary_faces(boundary).n_nonexposed == 0
+
+
+def _vertex_case(d, seed):
+    """n standard normal points in R^d, the last one P_k moved onto a facet of
+    the hull of the others (seed % 3 == 1) or inside it (seed % 3 == 2): the
+    points, k, their abelian family and the state e_k, whose commutant L has
+    dimension d."""
+    rng = np.random.default_rng([seed, 23])
+    n = int(rng.integers(d + 2, d + 5))
+    points = rng.normal(size=(n, d))
+    k = n - 1
+    if seed % 3 == 1:
+        hull = ConvexHull(points[:-1])
+        facet = hull.simplices[rng.integers(len(hull.simplices))]
+        points[k] = rng.dirichlet(np.ones(len(facet))) @ points[facet]
+    elif seed % 3 == 2:
+        points[k] = rng.dirichlet(np.ones(k)) @ points[:-1]
+    algebra, fam = _moment_family(points)
+    return points, k, fam, State(diagonal(algebra, np.eye(n)[k]))
+
+
+def _lp_interior(points, k):
+    """Whether P_k is interior to conv(points), by one LP (HiGHS): the largest
+    t with sum(l_j P_j) = P_k, sum(l_j) = 1 and every l_j >= t is positive."""
+    n, d = points.shape
+    # variables (l, t), free: maximize t
+    eq = np.zeros((d + 1, n + 1))
+    eq[:d, :n], eq[d, :n] = points.T, 1.0
+    res = linprog(np.r_[np.zeros(n), -1.0], A_ub=np.hstack([-np.eye(n), np.ones((n, 1))]),
+                  b_ub=np.zeros(n), A_eq=eq, b_eq=np.r_[points[k], 1.0],
+                  bounds=[(None, None)] * (n + 1), method="highs")
+    assert res.status == 0
+    return -res.fun > 1e-9
+
+
+# at these d = 4 facet points the margin search stops at a stationary point
+# of the margin on the unit sphere where the margin is negative, so no face
+# is found
+_MISSED_FACETS = [pytest.param(4, s, marks=pytest.mark.xfail(strict=True, reason=(
+    "the dim L >= 3 margin search stops below zero and misses the facet")))
+    for s in (22, 31, 67)]
+
+
+@pytest.mark.parametrize("d, seed", [(2, s) for s in range(18)] + [(3, s) for s in range(9)]
+                         + [(4, s) for s in range(9)] + _MISSED_FACETS)
+def test_vertex_state_faces_against_an_lp(d, seed):
+    # rho = e_k lies on no proper face exactly when P_k is interior, and
+    # then, and only then, its projection is attained
+    points, k, fam, rho = _vertex_case(d, seed)
+    interior = _lp_interior(points, k)
+    assert (not face_chain(rho, fam)[0]) == interior
+    assert entropy_distance(rho, fam)[1] == interior
 
 
 _QUBIT_PAULI = (np.array([[0, 1], [1, 0]], complex), np.array([[0, -1j], [1j, 0]]),
