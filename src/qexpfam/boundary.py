@@ -128,7 +128,7 @@ def _faces(kernel: DirectionSweep, alphas, spectra: SweepSpectra,
         size = V.shape[-1]
         # contiguous eigenvector rows, the layout of V[i][:, mask].T, so BLAS sums as per row
         Vt = np.ascontiguousarray(V.swapaxes(1, 2))
-        for r in np.unique(rank[rank > 0]).tolist():
+        for r in sorted(set(rank[rank > 0].tolist())):  # np.unique imports numpy.ma
             idx = np.flatnonzero(rank == r)
             Qt = Vt[idx, size - r:]
             Q = Qt.swapaxes(1, 2)

@@ -11,8 +11,8 @@ sweep) come from DirectionSweep.crossings: one per grid interval across
 which the maximal projector jumps, two where a third branch passes the top,
 none where it swaps back inside one.  The sweep runs on linalg.DirectionSweep
 (a = g2, b = g1); runs of equal projectors are read off as arrays, and each
-atlas group is a row of the stacked maximal projectors: the validated
-Projector is built only when a caller reads it.
+atlas group is a row of the stacked maximal projectors, built when first read
+and kept; its Projector (V_r V_r*, unchecked) is built only when a caller reads it.
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -34,6 +34,7 @@ in one stacked Gibbs evaluation per algebra block.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -96,11 +97,11 @@ class AtlasGroup:
     Interval groups cover [alpha_lo, alpha_hi] (a run that wraps past 2 pi
     has alpha_lo > alpha_hi); spike groups (isolated crossing angles, where
     the projector rank jumps) have alpha_lo=alpha_hi.  blocks and rank are
-    the group's row of the sweep's maximal projectors; the validated
-    Projector, the compressed family and its representative are built on
-    first use.  A rank-one group's representative is the pure state on
-    column 0 of pure = (block, columns), the eigenvectors (descending) of its
-    projector block, decomposed with the atlas.  Groups compare by identity.
+    the group's row of the sweep's maximal projectors; the Projector (from
+    the row, unchecked), the compressed family and its representative are
+    built on first use.  A rank-one group's representative is the pure state
+    on column 0 of pure = (block, columns), the eigenvectors (descending) of
+    its projector block, from the atlas.  Groups, built on first read, compare by identity.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -114,7 +115,8 @@ class AtlasGroup:
 
     @cached_property
     def projector(self) -> Projector:
-        return Projector(HermitianElement._trusted(self.parent.algebra, self.blocks))
+        return Projector._trusted(HermitianElement._trusted(self.parent.algebra, self.blocks),
+                                  self.rank)
 
     @cached_property
     def family(self) -> ExponentialFamily:
@@ -141,13 +143,32 @@ class AtlasGroup:
         return mid
 
 
+class _Groups(Sequence):
+    """AtlasGroups, each made from its row by make when first read, then kept."""
+
+    def __init__(self, rows: list, make):
+        self._rows, self._make, self._built = rows, make, {}
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        at = range(len(self._rows))[i]  # negative indices; IndexError ends iteration
+        if isinstance(at, range):  # a slice builds only the groups it holds
+            return tuple(map(self.__getitem__, at))
+        if at not in self._built:
+            self._built[at] = self._make(*self._rows[at])
+        return self._built[at]
+
+
 @dataclass(frozen=True)
 class ClosureAtlas:
-    """Sampled geodesic closure of a 2D family, grouped by maximal projector."""
+    """Sampled geodesic closure of a 2D family, grouped by maximal projector:
+    groups, in (alpha_lo, alpha_hi) order, are each built when first read and kept."""
 
     family: ExponentialFamily
     n_directions: int
-    groups: tuple[AtlasGroup, ...]
+    groups: Sequence[AtlasGroup]
 
     def spike_groups(self) -> list[AtlasGroup]:
         return [g for g in self.groups if g.spike]
@@ -205,8 +226,8 @@ def geodesic_closure_atlas(
     located to SWEEP_CROSSING_TOL) adds one spike with the higher-rank
     projector there.  Runs, wrap-around and grid spikes are read as arrays
     off the boundaries of equal neighbours; the crossing rows join the grid's
-    projector stacks, and each group keeps its row: nothing is validated.
-    The rank-one rows take one stacked eigh per block that carries them.
+    projector stacks; each group is built from its row when first read, and
+    nothing is validated.  Rank-one rows take one stacked eigh per block with any.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -256,11 +277,11 @@ def geodesic_closure_atlas(
             columns = np.linalg.eigh(b[mine])[1][..., ::-1]
             pure.update((j, (k, c)) for j, c in zip(mine.tolist(), columns))
 
-    groups = [AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), lo, hi, count, spike,
-                         family, pure.get(j))
-              for j, lo, hi, count, spike in rows]
-    groups.sort(key=lambda g: (g.alpha_lo, g.alpha_hi))
-    return ClosureAtlas(family=family, n_directions=n, groups=tuple(groups))
+    def make(j, lo, hi, count, spike):
+        return AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), lo, hi, count, spike,
+                          family, pure.get(j))
+    rows.sort(key=lambda row: row[1:3])
+    return ClosureAtlas(family=family, n_directions=n, groups=_Groups(rows, make))
 
 
 # -- distance reduction and rI membership ----------------------------------------

@@ -405,7 +405,7 @@ class SweepSpectra:
         ranks, blocks = top_eigenspace(self.values)[1], []
         for V, r in zip(self.vectors, ranks):
             P = np.zeros(V.shape, dtype=complex)
-            for rank in np.unique(r[r > 0]):
+            for rank in sorted(set(r[r > 0].tolist())):  # np.unique imports numpy.ma
                 idx = np.flatnonzero(r == rank)
                 keep = np.ascontiguousarray(V[idx, :, :-rank - 1:-1])
                 P[idx] = keep @ keep.conj().swapaxes(-1, -2)

@@ -99,7 +99,9 @@ class Projector:
 
     It also carries the pAp calculus: the orthonormal columns spanning Im(p)
     per block, and the kernel columns that complete them, come from one eigh
-    per block on first use and are kept.
+    per block on first use and are kept.  _trusted skips the checks for V_r V_r*
+    of eigenvectors in hand (support_projector, max_eig_data, _exposed_face,
+    AtlasGroup.projector); P - q and sums stay checked, where the check guards.
     """
 
     def __init__(self, element: HermitianElement):
@@ -115,6 +117,13 @@ class Projector:
             raise ValueError(f"projector trace {rank} is not an integer")
         object.__setattr__(self, "element", element)
         object.__setattr__(self, "rank", int(round(rank)))
+
+    @classmethod
+    def _trusted(cls, element: HermitianElement, rank: int) -> "Projector":
+        """The projector V_r V_r* of r orthonormal columns, unchecked."""
+        out = object.__new__(cls)
+        vars(out).update(element=element, rank=rank)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("Projector is immutable")
@@ -242,7 +251,7 @@ def relative_entropy(rho: State, sigma: State) -> float:
 def support_projector(rho: State) -> Projector:
     """Projector with the same image as rho (eigenvalue cutoff 1e-10)."""
     blocks = [V @ V.conj().T for _, V in _support_pairs(rho)]
-    return Projector(HermitianElement._trusted(rho.algebra, blocks))
+    return Projector._trusted(HermitianElement._trusted(rho.algebra, blocks), rho.support_rank)
 
 
 def _maximal_projector(u: HermitianElement) -> tuple[float, int, list[np.ndarray]]:
@@ -256,8 +265,8 @@ def _maximal_projector(u: HermitianElement) -> tuple[float, int, list[np.ndarray
 
 def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
     """Largest eigenvalue across all blocks and its maximal projector."""
-    mu, _, blocks = _maximal_projector(u)
-    return mu, Projector(HermitianElement._trusted(u.algebra, blocks))
+    mu, rank, blocks = _maximal_projector(u)
+    return mu, Projector._trusted(HermitianElement._trusted(u.algebra, blocks), rank)
 
 
 def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Projector | None:
@@ -275,7 +284,7 @@ def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Pro
     if by_value != (leak <= defaults.SUPPORT_CUTOFF):
         raise NumericalDegeneracyError(
             f"face criteria disagree: value-gap {gap:.3e}, image leak {leak:.3e}")
-    return Projector(p) if by_value else None
+    return Projector._trusted(p, rank) if by_value else None
 
 
 def exposed_face_membership(rho: State, u: HermitianElement) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 
 from qexpfam import cone, defaults
-from qexpfam.closures import _polar_sweep
+from qexpfam.closures import AtlasGroup, _polar_sweep
 from qexpfam.family import exp1, make_family
 from qexpfam.findings import Report
 from qexpfam.linalg import HermitianElement, eigh, hs_inner, identity, traceless_part, zero
@@ -239,3 +239,17 @@ def reference_atlas_groups(family, n):
         groups.append((int(spike_ranks[i]), float(a), float(a), 0, True,
                        tuple(b[i] for b in spike_blocks)))
     return sorted(groups, key=lambda g: (g[1], g[2]))
+
+
+def eager_atlas_groups(family, n=defaults.SWEEP_ANGLES):
+    """Every group of the atlas built at once, as AtlasGroups in atlas order:
+    the rows of reference_atlas_groups, and a rank-one group's pure columns
+    from its own eigh of its projector block in the block where its trace is 1."""
+    groups = []
+    for rank, lo, hi, count, spike, blocks in reference_atlas_groups(family, n):
+        pure = None
+        if rank == 1:
+            k = int(np.argmax([np.trace(b).real for b in blocks]))
+            pure = (k, np.linalg.eigh(blocks[k][None])[1][0, :, ::-1])
+        groups.append(AtlasGroup(blocks, rank, lo, hi, count, spike, family, pure))
+    return groups

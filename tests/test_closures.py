@@ -61,8 +61,8 @@ from qexpfam.states import (
 )
 
 
-from helpers import (decoupled_pair, random_family, reference_atlas_groups, same_image,
-                     staffelberg_direction, swallow_direction)
+from helpers import (decoupled_pair, eager_atlas_groups, random_family, reference_atlas_groups,
+                     same_image, staffelberg_direction, swallow_direction)
 
 
 class TestEgeodesicLimit:
@@ -143,6 +143,12 @@ class TestCompressedFamily:
             ])
             assert w.min() > 0.0
             assert w.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _lazy_family(name: str):
+    return {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
+            "random-2,2-seed4": lambda: random_family(Algebra((2, 2)), 2,
+                                                      np.random.default_rng(4))}[name]()
 
 
 @functools.lru_cache(maxsize=None)
@@ -345,20 +351,26 @@ class TestLazyAtlas:
 
     @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random-2,2-seed4"])
     def test_atlas_validates_nothing_and_groups_are_sweep_rows(self, name, monkeypatch):
-        fam = {"staffelberg": cone.staffelberg_family, "swallow": cone.swallow_family,
-               "random-2,2-seed4": lambda: random_family(Algebra((2, 2)), 2,
-                                                         np.random.default_rng(4))}[name]()
+        fam = _lazy_family(name)
         built = []
         for cls in (Projector, HermitianElement):
             def init(self, *args, _real=cls.__init__, _name=cls.__name__):
                 built.append(_name)
                 _real(self, *args)
             monkeypatch.setattr(cls, "__init__", init)
+        real_trusted = Projector._trusted
+
+        def trusted(cls, *args):
+            built.append("Projector._trusted")
+            return real_trusted(*args)
+
+        monkeypatch.setattr(Projector, "_trusted", classmethod(trusted))
         atlas = geodesic_closure_atlas(fam)
         assert built == []
         g = atlas.groups[0]
         assert g.projector is g.projector
-        assert built.count("Projector") == 1
+        # one Projector, built on read from the group's row, and 0 validations
+        assert built == ["Projector._trusted"]
         monkeypatch.undo()
 
         # each group's projector is its row of the sweep, bit for bit: a grid
@@ -379,6 +391,65 @@ class TestLazyAtlas:
             assert g.rank == rank == g.projector.rank
             assert [b.tobytes() for b in g.projector.element.blocks] == [
                 b.tobytes() for b in row]
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random-2,2-seed4"])
+    def test_groups_on_read_are_the_eager_groups(self, name):
+        # len, iteration, slices and negative indices give the groups of an
+        # eager build, row by row and bit for bit; each group is built once
+        fam = _lazy_family(name)
+        atlas, want = geodesic_closure_atlas(fam), eager_atlas_groups(fam)
+
+        def fields(g):
+            pure = None if g.pure is None else (g.pure[0], g.pure[1].tobytes())
+            return (g.alpha_lo, g.alpha_hi, g.rank, g.n_samples, g.spike, pure,
+                    [b.tobytes() for b in g.blocks])
+
+        n = len(want)
+        assert len(atlas.groups) == n
+        picks = [(atlas.groups[::-7], want[::-7]), (atlas.groups[5:-3:2], want[5:-3:2]),
+                 ([atlas.groups[-i] for i in range(1, n + 1)], want[::-1]),
+                 (list(atlas.groups), want)]
+        for got, ref in picks:
+            assert len(got) == len(ref)
+            assert [fields(g) for g in got] == [fields(g) for g in ref]
+        k = n // 3
+        assert atlas.groups[k] is atlas.groups[k] is atlas.groups[k - n]
+        assert atlas.groups[::-7][0] is atlas.groups[-1]
+        with pytest.raises(IndexError):
+            atlas.groups[n]
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
+    def test_chain_builds_only_its_sampled_groups(self, name, monkeypatch):
+        # at default max_groups the chain reads 24 of staffelberg's 720 groups
+        # and at most 24 of swallow's 542, and builds no other
+        built, real = [], closures.AtlasGroup.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(closures.AtlasGroup, "__init__", init)
+        report = inclusion_chain_check(_lazy_family(name))
+        assert len(built) == len(_sampled_groups(report)) <= 24
+        if name == "staffelberg":
+            assert len(built) == 24
+
+    def test_atlas_and_sweep_never_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use (np.ma.is_masked in its
+        # _unique1d), 10-18 ms of every fresh process: the rank loops of
+        # SweepSpectra.max_projectors and boundary._faces take a sorted set
+        code = ("import sys\n"
+                "import qexpfam\n"
+                "from qexpfam import cone\n"
+                "from qexpfam.boundary import mean_value_boundary_sweep\n"
+                "from qexpfam.closures import geodesic_closure_atlas\n"
+                "geodesic_closure_atlas(cone.staffelberg_family())\n"
+                "mean_value_boundary_sweep(cone.swallow_family())\n"
+                "print('numpy.ma' in sys.modules)\n")
+        src = os.path.dirname(os.path.dirname(closures.__file__))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
     def test_lazy_equals_eager(self, name):

@@ -288,14 +288,20 @@ def test_face_chain_decomposes_each_direction_once(monkeypatch, make):
 
 def test_face_chain_builds_projectors_only_for_supports_and_faces(monkeypatch):
     # a candidate direction that misses the state builds no Projector: the
-    # only ones are the state's support projector and one per chain face
+    # only ones are the state's support projector and one per chain face,
+    # checked (__init__) or built from eigenvectors in hand (_trusted)
     counts = {}
     real_init, real_support = states.Projector.__init__, family.support_projector
+    real_trusted = states.Projector._trusted
     real_face, real_chain = family._exposed_face, closures.face_chain
 
     def init(self, element):
         counts["projector"] += 1
         real_init(self, element)
+
+    def trusted(cls, element, rank):
+        counts["projector"] += 1
+        return real_trusted(element, rank)
 
     def support(rho):
         counts["support"] += 1
@@ -312,6 +318,7 @@ def test_face_chain_builds_projectors_only_for_supports_and_faces(monkeypatch):
         return projectors, last
 
     monkeypatch.setattr(states.Projector, "__init__", init)
+    monkeypatch.setattr(states.Projector, "_trusted", classmethod(trusted))
     monkeypatch.setattr(family, "support_projector", support)
     monkeypatch.setattr(family, "_exposed_face", face)
     monkeypatch.setattr(closures, "face_chain", chain)

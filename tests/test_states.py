@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_support, random_unit_traceless, staffelberg_direction
+from helpers import random_family, random_support, random_unit_traceless, staffelberg_direction
 from qexpfam import cone, defaults
+from qexpfam.closures import geodesic_closure_atlas
 from qexpfam.errors import PreconditionError
 from qexpfam.family import exp1
 from qexpfam.linalg import (Algebra, DirectionSweep, HermitianElement, diagonal, hs_inner,
                             identity)
-from qexpfam.sampling import random_hermitian, random_state, random_traceless
+from qexpfam.sampling import haar_unitary, random_hermitian, random_state, random_traceless
 from qexpfam.states import (
     Projector,
     State,
+    _exposed_face,
     compress,
     exposed_face_membership,
     max_eig_data,
@@ -314,3 +316,46 @@ def test_from_spectrum_rejects_as_the_public_constructor(algebra):
         with pytest.raises(ValueError) as fast:
             State._from_spectrum(algebra, values, vectors)
         assert str(fast.value) == str(public.value)
+
+
+def _state_of_rank(algebra, rank, rng):
+    """A state of the given support rank, its weights at least 0.1 / (0.1 rank + 1)
+    on a random set of eigenvectors of Haar-random block bases."""
+    w = np.zeros(algebra.dim)
+    lam = 0.1 + rng.dirichlet(np.ones(rank))
+    w[rng.permutation(algebra.dim)[:rank]] = lam / lam.sum()
+    edges, blocks = np.cumsum((0,) + algebra.block_dims), []
+    for k, l in zip(edges, edges[1:]):
+        u = haar_unitary(l - k, rng)
+        blocks.append((u * w[k:l]) @ u.conj().T)
+    return State(HermitianElement(algebra, blocks))
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda d: sum(d) <= 6),
+       st.integers(0, 2**32 - 1))
+def test_projectors_built_unchecked_pass_the_check(dims, seed):
+    # support_projector, max_eig_data, _exposed_face and AtlasGroup.projector
+    # take V_r V_r* of eigenvectors in hand without Projector's check; the
+    # checked constructor accepts each of them, with the same rank
+    algebra, rng = Algebra(tuple(dims)), np.random.default_rng(seed)
+    built = []
+    for rank in range(1, algebra.dim + 1):
+        rho = _state_of_rank(algebra, rank, rng)
+        q = support_projector(rho)
+        assert q.rank == rho.support_rank == rank
+        # rho is on the rank-r face of q + (1 - q) x (1 - q), |x| <= 1/2
+        x = random_hermitian(algebra, rng)
+        x = x / (2.0 * x.norm())
+        v = HermitianElement(algebra, [qb + (np.eye(len(qb)) - qb) @ xb @ (np.eye(len(qb)) - qb)
+                                       for qb, xb in zip(q.element.blocks, x.blocks)])
+        face = _exposed_face(rho, v)
+        assert face is not None and face.rank == rank
+        u = random_hermitian(algebra, rng)
+        built += [q, face, max_eig_data(u)[1], max_eig_data(v)[1]]
+        built += [p for p in [_exposed_face(rho, u)] if p is not None]
+    if algebra.real_dim >= 3:  # two independent traceless generators
+        atlas = geodesic_closure_atlas(random_family(algebra, 2, rng), n_directions=32)
+        built += [g.projector for g in atlas.groups]
+    for p in built:
+        assert Projector(p.element).rank == p.rank
