@@ -45,6 +45,7 @@ from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
     _chain_projections,
+    _check_corner,
     _combine,
     _gibbs,
     _gibbs_spectra,
@@ -321,7 +322,12 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
     face chain ends in, with carrier p, a linear test with no solve.  Its
     support rank is that of p, and x = c^p(ln^p rho) - offset lies in the
     family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|).
-    The chain decides faces on eigenpairs; c^p is compress's block kernel."""
+    The chain decides faces on eigenpairs; c^p is compress's block kernel.
+    A state outside the family's corner algebra is not a member."""
+    try:
+        _check_corner(rho, family)
+    except PreconditionError:
+        return False
     _, last = face_chain(rho, family)
     p = last.support_projector
     if rho.support_rank != p.rank:

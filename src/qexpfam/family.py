@@ -367,54 +367,21 @@ def _mean_values(blocks, family: ExponentialFamily) -> np.ndarray:
 # -- exposed faces -------------------------------------------------------------
 
 
-def _widest_margin(rho: State, rest: Projector, a: HermitianElement,
-                   b: HermitianElement) -> HermitianElement:
-    """The u = cos(t) a + sin(t) b maximizing <rho, u> - mu_+(u on Im(rest)):
-    the great-circle search of _steepest_margin.
+def _steepest_margin(r: np.ndarray, stacked: list[np.ndarray]) -> np.ndarray:
+    """The unit coordinates c maximizing the concave margin r @ c - mu_+(c),
+    mu_+(c) the largest eigenvalue of sum_j c_j x_j, x the per-block stacks
+    of ``stacked``: _exposing_direction's r_j = <rho, d_j> and coordinate
+    directions d_j restricted to Im(P - q).
 
-    The margin is positive where u exposes supp(rho) alone and zero where it
-    exposes a larger face.  Its grid maximum is refined by bisection on the
-    sign of its derivative <rho, u'> - <psi, u' psi>, psi the top eigenvector
-    on Im(rest), which stays well conditioned where its eigenvalue meets
-    <rho, u>: a tangent direction is found to machine precision.
+    From the best of +-e_j, each step searches the great circle cos(t) c +
+    sin(t) y, y the unit tangent part of the min-norm supergradient r - g
+    (g_j = tr(S x_j) over states S on the top eigenspace at c, top_eigenspace,
+    by Frank-Wolfe).  Its grid maximum is refined by bisection on the sign of
+    the derivative r @ c' - <psi, u' psi>, psi the top eigenvector, which stays
+    well conditioned where its eigenvalue meets r @ c.  It stops when the
+    margin stops rising, at y = 0, above MAX_EIG_GAP (c exposes supp(rho)
+    alone) or, with two coordinates, after the first circle: the whole circle.
     """
-    pairs = [(x, y) for x, y in zip(rest.restrict(a.blocks), rest.restrict(b.blocks)) if x.size]
-    kernel = DirectionSweep([x for x, _ in pairs], [y for _, y in pairs])
-    ra, rb = hs_inner(rho.element, a), hs_inner(rho.element, b)
-
-    def slope(t: float) -> float:
-        spectra = kernel.spectra([t])
-        k = int(np.argmax([w[0, -1] for w in spectra.values]))
-        psi = spectra.vectors[k][0, :, -1]
-        du = np.cos(t) * kernel.b[k] - np.sin(t) * kernel.a[k]
-        return np.cos(t) * rb - np.sin(t) * ra - np.vdot(psi, du @ psi).real
-
-    grid = np.linspace(0.0, 2.0 * np.pi, defaults.SWEEP_ANGLES, endpoint=False)
-    j = int(np.argmax(ra * np.cos(grid) + rb * np.sin(grid) - kernel.spectra(grid).top()))
-    lo, t, hi = grid[j] - grid[1], grid[j], grid[j] + grid[1]
-    while lo < t < hi:
-        lo, hi = (t, hi) if slope(t) > 0.0 else (lo, t)
-        t = 0.5 * (lo + hi)
-    return float(np.cos(t)) * a + float(np.sin(t)) * b
-
-
-def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
-                     basis: np.ndarray) -> HermitianElement:
-    """The unit u in the span of the orthonormal coordinate columns d_j of
-    ``basis`` maximizing the concave margin <rho, u> - mu_+(u on Im(rest)).
-
-    From the best of +-d_j, each step searches the great circle from u
-    towards the tangent part y of the min-norm supergradient r - g exactly
-    (_widest_margin), until the margin stops rising or y = 0: r_j = <rho, d_j>,
-    g_j = tr(S d_j) over states S on the top eigenspace of u on Im(rest)
-    (top_eigenspace), the min-norm point found by Frank-Wolfe.  A margin
-    above MAX_EIG_GAP ends the search early: u exposes supp(rho) alone.  With
-    two columns the first great circle is the whole unit circle of the span.
-    """
-    r = basis.T @ mean_value_projection(rho.element, family)
-    stacked = [q.conj().T @ np.tensordot(basis.T, s, axes=1) @ q
-               for q, s in zip(rest.columns, family.stacks) if q.size]
-
     def at(c: np.ndarray):
         """The margin at coordinates c and the columns tilted onto the top."""
         pairs = [np.linalg.eigh(np.tensordot(c, x, axes=1)) for x in stacked]
@@ -428,8 +395,16 @@ def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
         psi = tops[k][1][:, -1]
         return np.einsum("i,jik,k->j", psi.conj(), tilted[k], psi).real
 
+    def slope(t: float) -> float:  # on the circle of kernel, ra and rb
+        spectra = kernel.spectra([t])
+        k = int(np.argmax([w[0, -1] for w in spectra.values]))
+        psi = spectra.vectors[k][0, :, -1]
+        du = np.cos(t) * kernel.b[k] - np.sin(t) * kernel.a[k]
+        return np.cos(t) * rb - np.sin(t) * ra - np.vdot(psi, du @ psi).real
+
     c = max((s * e for e in np.eye(len(r)) for s in (1.0, -1.0)), key=lambda c: at(c)[0])
     m, tilted = at(c)
+    grid = np.linspace(0.0, 2.0 * np.pi, defaults.SWEEP_ANGLES, endpoint=False)
     while m <= defaults.MAX_EIG_GAP:
         g = vertex(tilted, r)
         for _ in range(100):  # the great-circle search needs an ascent direction only
@@ -442,15 +417,22 @@ def _steepest_margin(rho: State, rest: Projector, family: ExponentialFamily,
         y -= (y @ c) * c
         if not np.any(y):
             break
-        u = _widest_margin(rho, rest, family.tangent_element(basis @ c),
-                           family.tangent_element(basis @ (y / np.linalg.norm(y))))
-        c_new = basis.T @ mean_value_projection(u, family)
-        c_new /= np.linalg.norm(c_new)
+        y /= np.linalg.norm(y)
+        kernel = DirectionSweep(*([np.tensordot(v, x, axes=1) for x in stacked] for v in (c, y)))
+        ra, rb = r @ c, r @ y
+        j = int(np.argmax(ra * np.cos(grid) + rb * np.sin(grid) - kernel.spectra(grid).top()))
+        lo, t, hi = grid[j] - grid[1], grid[j], grid[j] + grid[1]
+        while lo < t < hi:
+            lo, hi = (t, hi) if slope(t) > 0.0 else (lo, t)
+            t = 0.5 * (lo + hi)
+        c_new = np.cos(t) * c + np.sin(t) * y
         m_new, t_new = at(c_new)
         if not m_new > m:
             break
         c, m, tilted = c_new, m_new, t_new
-    return family.tangent_element(basis @ c)
+        if len(r) == 2:
+            break
+    return c
 
 
 def _scalar_directions(q: HermitianElement, family: ExponentialFamily) -> np.ndarray:
@@ -473,31 +455,49 @@ def _exposing_direction(rho: State, family: ExponentialFamily
 
     Such a u acts on the support q of rho as a scalar: u lies in L =
     _scalar_directions(q), where rho is on the face of u exactly when the
-    concave margin <rho, u> - mu_+(u on P - q) is >= 0, P the carrier.  Its
-    maximum over L's unit sphere decides: +-w for dim L = 1 with the sign of
-    <rho, w> (w is traceless on P, so the other sign cannot expose rho), and
-    _steepest_margin for every dim L >= 2, whose end is also tried projected
-    onto the directions tying its maximal eigenspace exactly.
-    states._exposed_face decides each candidate on its eigenpairs.
+    concave margin <rho, u> - mu_+(u on P - q) is >= 0, P the carrier (rho is
+    in its corner, _check_corner, so P - q is a projector).  Its maximum over
+    L's unit sphere decides: +-w for dim L = 1 with the sign of <rho, w> (w is
+    traceless on P, so the other sign cannot expose rho), and for dim L >= 2
+    _steepest_margin on L's coordinates, their directions restricted to
+    Im(P - q) once here, whose end w is also tried projected onto the
+    directions tying its maximal eigenspace exactly.  states._exposed_face
+    decides each candidate on its eigenpairs.
     """
-    if rho.support_rank == family.support_projector.rank:
+    carrier = family.support_projector
+    if rho.support_rank == carrier.rank:
         return None
     q = support_projector(rho).element
     null = _scalar_directions(q, family)
+    if not len(null):
+        return None
+    moments = mean_value_projection(rho.element, family)
     if len(null) == 1:
-        sign = 1.0 if null[0] @ mean_value_projection(rho.element, family) >= 0.0 else -1.0
-        candidates = [family.tangent_element(sign * null[0])]
-    elif len(null) >= 2:
+        candidates = [family.tangent_element(null[0] if null[0] @ moments >= 0.0 else -null[0])]
+    else:
         basis = np.linalg.qr(null.T)[0]
-        u = _steepest_margin(rho, Projector(family.support_projector.element - q), family, basis)
+        rest = Projector._trusted(carrier.element - q, carrier.rank - rho.support_rank)
+        stacked = [Q.conj().T @ np.tensordot(basis.T, s, axes=1) @ Q
+                   for Q, s in zip(rest.columns, family.stacks) if Q.size]
+        w = basis @ _steepest_margin(basis.T @ moments, stacked)
+        u = family.tangent_element(w)
         top = HermitianElement._trusted(u.algebra, _maximal_projector(u)[2])
         tie = np.linalg.qr(_scalar_directions(top, family).T)[0]
-        x = tie @ (tie.T @ mean_value_projection(u, family))
+        x = tie @ (tie.T @ w)
         candidates = [family.tangent_element(x), u] if np.any(x) else [u]
-    else:
-        return None
     faces = ((u, _exposed_face(rho, u)) for u in candidates)
     return next(((u, p) for u, p in faces if p is not None), None)
+
+
+def _check_corner(rho: State, family: ExponentialFamily) -> None:
+    """The entry check of face_chain and _newton_setup: rho lies in the family's
+    algebra and in its corner algebra, <rho, P> >= 1 - SUPPORT_CUTOFF."""
+    if rho.algebra != family.algebra:
+        raise AlgebraMismatchError("state and family in different algebras")
+    if family.support is not None and (hs_inner(rho.element, family.support_projector.element)
+                                       < 1.0 - defaults.SUPPORT_CUTOFF):
+        raise PreconditionError("state not supported in the family's corner algebra; "
+                                "its entropy distance from the compressed family is infinite")
 
 
 def face_chain(
@@ -515,10 +515,10 @@ def face_chain(
     direction's top eigenspace inside a cluster of p.rank eigenvalues, but
     does not separate that cluster by MAX_EIG_GAP, so a face of equal rank
     could replace p again.  Two steps reach a non-exposed face: at swallow
-    rho(0) the face rho + apex, then rho.
+    rho(0) the face rho + apex, then rho.  A state outside the family's
+    corner algebra raises PreconditionError (_check_corner).
     """
-    if rho.algebra != family.algebra:
-        raise AlgebraMismatchError("state and family in different algebras")
+    _check_corner(rho, family)
     projectors: list[Projector] = []
     face = _exposing_direction(rho, family)
     while face is not None:
@@ -674,15 +674,7 @@ def _newton_setup(rhos: Sequence[State], family: ExponentialFamily):
     """Checks of each state in order, then per state its moments and
     entropy offset."""
     for rho in rhos:
-        if rho.algebra != family.algebra:
-            raise AlgebraMismatchError("state and family in different algebras")
-        if family.support is not None:
-            inside = hs_inner(rho.element, family.support_projector.element)
-            if inside < 1.0 - defaults.SUPPORT_CUTOFF:
-                raise PreconditionError(
-                    "state not supported in the family's corner algebra; "
-                    "its entropy distance from the compressed family is infinite"
-                )
+        _check_corner(rho, family)
     moments = [mean_value_projection(rho.element, family) for rho in rhos]
     bases = [vn_entropy(rho) + hs_inner(rho.element, family.offset) for rho in rhos]
     return moments, bases

@@ -101,7 +101,8 @@ class Projector:
     per block, and the kernel columns that complete them, come from one eigh
     per block on first use and are kept.  _trusted skips the checks for V_r V_r*
     of eigenvectors in hand (support_projector, max_eig_data, _exposed_face,
-    AtlasGroup.projector); P - q and sums stay checked, where the check guards.
+    AtlasGroup.projector) and for P - q past the corner check of rho
+    (_exposing_direction); sums stay checked, where the check guards.
     """
 
     def __init__(self, element: HermitianElement):

@@ -4,25 +4,28 @@ one per demo over its exit code, stdout and stderr.
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 32 ``qexpfam`` commands (every report at three seeds,
+Runs a fixed list of 34 ``qexpfam`` commands (every report at three seeds,
 the closures report of four cone families and of a custom two-generator
 family on blocks 2,2, one of the cone families at tilt 1.0471275, 7e-5
 below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
-coordinates, two sweeps and thirteen distances, two
+coordinates, two sweeps and fifteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
 |theta| = 620.65, one at swallow rho(1e-4), whose exact solve stalls at
 rounding and prints its exact_path line, and one at E_11 in a custom
 three-generator family on one 4x4 block, whose face chain skips a face:
 its first face has rank 3, and a lifted direction exposes the rank-2 face
-{e_1, e_4} at once), each in a fresh temporary directory, into which it
+{e_1, e_4} at once, and two at E_11 and that family conjugated by one Haar
+unitary, with all three generators and with the first two, where E_11's
+face search runs its great-circle step), each in a fresh temporary
+directory, into which it
 first writes the command's config file if it names one, and a fresh
 process, and
 prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Then it
 runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
 fresh process, and prints one line per demo: the SHA-256 over its exit code,
-stdout and stderr, then ``demo`` and the script's name (37 lines in all; the
+stdout and stderr, then ``demo`` and the script's name (39 lines in all; the
 drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
@@ -42,7 +45,12 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 import qexpfam
+from qexpfam.config import emit_element, parse_element
+from qexpfam.linalg import Algebra, HermitianElement
+from qexpfam.sampling import haar_unitary
 
 # file name: text of the custom families' configs.  custom_2_2: a
 # block-diagonal generator pair whose second blocks commute, so the atlas
@@ -57,6 +65,24 @@ CONFIGS = {
                  "generator2 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0\n"
                  "generator3 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0\n",
 }
+E11 = "1,0 " + " ".join(["0,0"] * 15)
+
+
+def _rotated(entries: str) -> str:
+    """The entries of a 4x4 element conjugated by haar_unitary(4, default_rng(5))."""
+    algebra, u = Algebra((4,)), haar_unitary(4, np.random.default_rng(5))
+    a = u @ parse_element(algebra, entries).blocks[0] @ u.conj().T
+    return emit_element(HermitianElement(algebra, [0.5 * (a + a.conj().T)]))
+
+
+# tie_4 rotated, with all three generators (dim L = 3 at E_11) and with the
+# first two (dim L = 2): off the axes the margin search of E_11's face runs
+# its great-circle step
+_TIE_4 = [line.split(" = ")[1] for line in CONFIGS["tie_4.cfg"].splitlines()
+          if line.startswith("generator")]
+for _name, _gens in (("tie_4_rotated.cfg", _TIE_4), ("tie_4_rotated_2.cfg", _TIE_4[:2])):
+    CONFIGS[_name] = "[algebra]\nblocks = 4\n[family]\nname = custom\n" + "".join(
+        f"generator{i} = {_rotated(g)}\n" for i, g in enumerate(_gens, 1))
 
 COMMANDS = (
     [["report", "--which", which, "--seed", seed]
@@ -77,8 +103,9 @@ COMMANDS = (
         "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"],
        ["distance", "--family", "swallow", "--state", "circle:1e-4"]]
     + [["report", "--which", "closures", "--config", "custom_2_2.cfg"],
-       ["distance", "--config", "tie_4.cfg", "--state",
-        "raw:1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0"]]
+       ["distance", "--config", "tie_4.cfg", "--state", "raw:" + E11]]
+    + [["distance", "--config", name, "--state", "raw:" + _rotated(E11)]
+       for name in ("tie_4_rotated.cfg", "tie_4_rotated_2.cfg")]
 )
 
 

@@ -1,6 +1,7 @@
 """Exposed faces in every commutant dimension: attainment, face chains, and
 their oracle, monotonicity and invariance properties."""
 
+import collections
 import functools
 import itertools
 
@@ -15,8 +16,8 @@ from qexpfam import cli, closures, cone, defaults, family, states
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.closures import rI_membership
 from qexpfam.errors import PreconditionError
-from qexpfam.family import (entropy_distance, face_chain, make_family, mean_value_projection,
-                            project_to_family)
+from qexpfam.family import (entropy_distance, face_chain, make_compressed_family, make_family,
+                            mean_value_projection, project_to_family)
 from qexpfam.linalg import Algebra, HermitianElement, coords, diagonal, hs_inner, trace_norm
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
@@ -378,25 +379,71 @@ class TestFaceChainSkip:
         assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
         assert not rI_membership(rho, fam)
 
-    @pytest.mark.parametrize("case", [1, 2], ids=["full_4", "full_4_no_third"])
-    def test_rotated_copies(self, case):
-        # off the axes the margin search ends off its kink by about 1e-11
-        # (the top eigenvalues of its direction split by that much), which
-        # only a merge threshold above that split absorbs
-        fam, rho, _, ranks = self._cases()[case]
-        rng = np.random.default_rng(5)
+    @classmethod
+    def _rotations(cls, case):
+        """The case's family and rho conjugated by 5 Haar unitaries
+        (default_rng(5)), and its chain ranks."""
+        fam, rho, _, ranks = cls._cases()[case]
+        rng, out = np.random.default_rng(5), []
         for _ in range(5):
             u = haar_unitary(4, rng)
 
             def rotate(a):
                 return HermitianElement(a.algebra, [u @ a.blocks[0] @ u.conj().T])
 
-            rotated = make_family(fam.algebra, [rotate(g) for g in fam.generators])
-            r = State(rotate(rho.element))
+            out.append((make_family(fam.algebra, [rotate(g) for g in fam.generators]),
+                        State(rotate(rho.element))))
+        return out, ranks
+
+    @pytest.mark.parametrize("case", [1, 2], ids=["full_4", "full_4_no_third"])
+    def test_rotated_copies(self, case):
+        # off the axes the margin search ends off its kink by about 1e-11
+        # (the top eigenvalues of its direction split by that much), which
+        # only a merge threshold above that split absorbs
+        rotations, ranks = self._rotations(case)
+        for rotated, r in rotations:
             assert [p.rank for p in face_chain(r, rotated)[0]] == ranks
             distance, attained = entropy_distance(r, rotated)
             assert distance == pytest.approx(np.log(2.0), abs=1e-12) and not attained
             assert not rI_membership(r, rotated)
+
+    def test_margin_search_on_coordinates(self, monkeypatch):
+        # the margin search builds no element, and with two coordinates its
+        # first great circle is the whole unit circle of L, so it searches
+        # one circle: one DirectionSweep on each rotated full_4_no_third (the
+        # axis-aligned start already exposes rho, with no circle at all)
+        counts, searches, real = collections.Counter(), [], family._steepest_margin
+
+        def counting(key, method):
+            def spy(*args, **kwargs):
+                counts[key] += 1
+                return method(*args, **kwargs)
+            return spy
+
+        def steepest(*args):
+            before = counts.copy()
+            c = real(*args)
+            searches.append((counts["element"] - before["element"],
+                             counts["sweep"] - before["sweep"]))
+            return c
+
+        monkeypatch.setattr(HermitianElement, "__init__",
+                            counting("element", HermitianElement.__init__))
+        monkeypatch.setattr(HermitianElement, "_trusted",
+                            classmethod(counting("element", HermitianElement._trusted.__func__)))
+        monkeypatch.setattr(family.DirectionSweep, "__init__",
+                            counting("sweep", family.DirectionSweep.__init__))
+        monkeypatch.setattr(family, "_steepest_margin", steepest)
+        for case in (1, 2):  # dim L = 3, then 2
+            fam, rho, _, _ = self._cases()[case]
+            rotations, _ = self._rotations(case)
+            for rotated, r in [(fam, rho)] + rotations:
+                searches.clear()
+                face_chain(r, rotated)
+                [(elements, sweeps)] = searches
+                assert elements == 0
+                if case == 2:
+                    assert sweeps == (0 if rotated is fam else 1)
 
     def test_guard_refuses_a_face_of_equal_rank(self, staffelberg):
         # the skip asks for a face of rank below p's (below=p.rank): on
@@ -647,6 +694,59 @@ def test_vertex_state_faces_against_an_lp(d, seed):
     interior = _lp_interior(points, k)
     assert (not face_chain(rho, fam)[0]) == interior
     assert entropy_distance(rho, fam)[1] == interior
+
+
+def _seven_point_case(seed):
+    """Seven points in R^4: P_1 ... P_5 on the hyperplane x_4 = 0, P_6 above
+    it and P_7 a random mixture of P_1 ... P_5, all rotated by one random
+    orthogonal matrix.  Their abelian family and rho = e_7, which lies
+    inside the facet {1, ..., 5, 7}, whose commutant L has dimension 4."""
+    rng = np.random.default_rng([seed, 7])
+    points = rng.normal(size=(7, 4))
+    points[:5, 3] = 0.0
+    points[5, 3] = abs(points[5, 3])
+    points[6] = rng.dirichlet(np.ones(5)) @ points[:5]
+    algebra, fam = _moment_family(points @ np.linalg.qr(rng.normal(size=(4, 4)))[0].T)
+    return fam, State(diagonal(algebra, np.eye(7)[6]))
+
+
+# at these seeds the margin search stops at a stationary point of the margin
+# where it is negative: the chain is empty and the distance reads attained
+_MISSED_SEVEN_POINT_FACETS = [pytest.param(s, marks=pytest.mark.xfail(strict=True, reason=(
+    "the dim L >= 3 margin search stops below zero and misses the facet"))) for s in (23, 57)]
+
+
+@pytest.mark.parametrize("seed", [39, 40, 42] + _MISSED_SEVEN_POINT_FACETS)
+def test_seven_point_facet(seed):
+    fam, rho = _seven_point_case(seed)
+    projectors, last = face_chain(rho, fam)
+    assert [p.rank for p in projectors] == [6]
+    carrier = [b[0, 0].real for b in last.support_projector.element.blocks]
+    assert carrier == pytest.approx([1, 1, 1, 1, 1, 0, 1], abs=1e-12)
+    assert not entropy_distance(rho, fam)[1]
+
+
+class TestCornerCheck:
+    """A state outside a compressed family's corner algebra is at infinite
+    distance: face_chain and entropy_distance raise PreconditionError, and
+    it is no rI member."""
+
+    @staticmethod
+    def _check(rho, fam):
+        assert not rI_membership(rho, fam)
+        for call in (face_chain, entropy_distance):
+            with pytest.raises(PreconditionError, match="corner algebra"):
+                call(rho, fam)
+
+    def test_staffelberg_state_off_a_support(self, staffelberg):
+        p = states.support_projector(cone.base_circle_state(1.0))
+        self._check(cone.base_circle_state(0.0), make_compressed_family(staffelberg, p))
+
+    def test_random_family_off_a_rank_3_corner(self):
+        algebra, rng = Algebra((4,)), np.random.default_rng(1)
+        fam = make_family(algebra, [random_traceless(algebra, rng) for _ in range(3)])
+        corner = make_compressed_family(fam, states.Projector(diagonal(algebra, [1, 1, 1, 0])))
+        self._check(State(diagonal(algebra, [0, 0, 0, 1])), corner)
 
 
 _QUBIT_PAULI = (np.array([[0, 1], [1, 0]], complex), np.array([[0, -1j], [1j, 0]]),
