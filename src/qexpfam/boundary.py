@@ -171,15 +171,18 @@ def mean_value_boundary_sweep(
         raise PreconditionError("boundary sweeps require a 2D tangent space")
     if family.support is not None:
         raise PreconditionError("boundary sweeps require a full-algebra family")
+    n = int(n_angles)
+    if n < 1:
+        raise PreconditionError(f"a boundary sweep needs at least one angle, got {n}")
     kernel = DirectionSweep(family.basis[0].blocks, family.basis[1].blocks)
-    alphas = np.linspace(0.0, 2.0 * np.pi, int(n_angles), endpoint=False)
+    alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     spectra = kernel.spectra(alphas)
     kinks, at = kernel.crossings(alphas, *spectra.max_projectors())
     faces = np.concatenate([_faces(kernel, alphas, spectra),
                             _faces(kernel, kinks, at, refined=True)])
     faces = faces[np.argsort(faces["alpha"], kind="stable")].view(np.recarray)
     faces.flags.writeable = False
-    return MeanValueBoundary(family=family, n_angles=int(n_angles), faces=faces)
+    return MeanValueBoundary(family=family, n_angles=n, faces=faces)
 
 
 def classify_boundary_faces(boundary: MeanValueBoundary) -> BoundaryClassification:

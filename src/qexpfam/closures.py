@@ -45,7 +45,6 @@ from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
     _chain_projections,
-    _check_corner,
     _combine,
     _gibbs,
     _gibbs_spectra,
@@ -235,6 +234,8 @@ def geodesic_closure_atlas(
     if family.support is not None:
         raise PreconditionError("closure atlases require a full-algebra family")
     n = int(n_directions)
+    if n < 1:
+        raise PreconditionError(f"a closure atlas needs at least one direction, got {n}")
     alphas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     kernel = _polar_sweep(family)
     spectra = kernel.spectra(alphas)
@@ -323,12 +324,12 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
     support rank is that of p, and x = c^p(ln^p rho) - offset lies in the
     family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|).
     The chain decides faces on eigenpairs; c^p is compress's block kernel.
-    A state outside the family's corner algebra is not a member."""
+    A state outside the family's corner algebra is not a member: face_chain
+    makes that check on entry and raises PreconditionError."""
     try:
-        _check_corner(rho, family)
+        _, last = face_chain(rho, family)
     except PreconditionError:
         return False
-    _, last = face_chain(rho, family)
     p = last.support_projector
     if rho.support_rank != p.rank:
         return False
@@ -396,6 +397,8 @@ def inclusion_chain_check(
     g's mid-angle and in g.family.  rI_subset_norm is its norm distance to its
     e-geodesic (_norm_leg) against 5 / CHAIN_GAP_T, about 10 times the largest
     value over 272 cone tilts and random families."""
+    if max_groups < 1:
+        raise PreconditionError(f"max_groups must be at least 1, got {max_groups}")
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
 

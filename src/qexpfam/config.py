@@ -1,21 +1,22 @@
 """Run configuration: a sectioned key=value text format.
 
 Matrix entries are written as re,im pairs, row major per block, so a config
-is diff-friendly and parseable from any language.  emit() produces a
-canonical form; parse(emit(c)) reproduces c exactly.
+is diff-friendly and parseable from any language.  The README shows a
+config that sets every key.
 """
 
 from __future__ import annotations
 
 import configparser
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import defaults
+from . import cone, defaults
 from .errors import PreconditionError
-from .linalg import Algebra, HermitianElement
+from .family import make_family
+from .linalg import Algebra, HermitianElement, diagonal, identity
+from .states import State
 
 
 def parse_element(algebra: Algebra, text: str) -> HermitianElement:
@@ -79,24 +80,6 @@ class RunConfig:
     @property
     def algebra(self) -> Algebra:
         return Algebra(self.block_dims)
-
-    def emit(self) -> str:
-        cp = configparser.ConfigParser()
-        cp["algebra"] = {"blocks": ",".join(str(n) for n in self.block_dims)}
-        fam = {"name": self.family_name}
-        for i, g in enumerate(self.custom_generators, start=1):
-            fam[f"generator{i}"] = g
-        cp["family"] = fam
-        cp["solver"] = {"param_cap": format(self.param_cap, ".17g")}
-        sweep = {"n_angles": str(self.n_angles)}
-        if self.phi_list:
-            sweep["phi"] = ",".join(format(p, ".17g") for p in self.phi_list)
-        cp["sweep"] = sweep
-        cp["output"] = {"dir": self.out_dir}
-        cp["run"] = {"seed": str(self.seed), "quiet": str(self.quiet).lower()}
-        buf = io.StringIO()
-        cp.write(buf)
-        return buf.getvalue()
 
     @classmethod
     def parse(cls, text: str) -> "RunConfig":
@@ -166,9 +149,6 @@ class RunConfig:
 
 def build_family(cfg: RunConfig):
     """Family named by the config (named cone families or custom generators)."""
-    from . import cone
-    from .family import make_family
-
     name = cfg.family_name
     if name == "staffelberg":
         return cone.staffelberg_family()
@@ -206,10 +186,6 @@ def parse_state(cfg: RunConfig, spec: str):
     Malformed or non-finite numbers, an argument to a kind that takes none
     and invalid states raise PreconditionError.
     """
-    from . import cone
-    from .linalg import diagonal, identity
-    from .states import State
-
     kind, sep, arg = spec.partition(":")
     if kind in ("circle", "apex", "c", "tau") and cfg.algebra != cone.ALGEBRA:
         raise PreconditionError(f"state '{kind}' lives in the cone algebra, blocks = 2,1")

@@ -4,11 +4,11 @@ one per demo over its exit code, stdout and stderr.
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 34 ``qexpfam`` commands (every report at three seeds,
+Runs a fixed list of 35 ``qexpfam`` commands (every report at three seeds,
 the closures report of four cone families and of a custom two-generator
 family on blocks 2,2, one of the cone families at tilt 1.0471275, 7e-5
 below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
-coordinates, two sweeps and fifteen distances, two
+coordinates, two sweeps and sixteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
 |theta| = 620.65, one at swallow rho(1e-4), whose exact solve stalls at
@@ -17,7 +17,9 @@ three-generator family on one 4x4 block, whose face chain skips a face:
 its first face has rank 3, and a lifted direction exposes the rank-2 face
 {e_1, e_4} at once, and two at E_11 and that family conjugated by one Haar
 unitary, with all three generators and with the first two, where E_11's
-face search runs its great-circle step), each in a fresh temporary
+face search runs its great-circle step, and one at a random state in a
+custom ten-generator family on blocks 3,2 whose config sets every key, the
+end-to-end guard of the config format), each in a fresh temporary
 directory, into which it
 first writes the command's config file if it names one, and a fresh
 process, and
@@ -25,7 +27,7 @@ prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Then it
 runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
 fresh process, and prints one line per demo: the SHA-256 over its exit code,
-stdout and stderr, then ``demo`` and the script's name (39 lines in all; the
+stdout and stderr, then ``demo`` and the script's name (40 lines in all; the
 drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
@@ -50,7 +52,7 @@ import numpy as np
 import qexpfam
 from qexpfam.config import emit_element, parse_element
 from qexpfam.linalg import Algebra, HermitianElement
-from qexpfam.sampling import haar_unitary
+from qexpfam.sampling import haar_unitary, random_state, random_traceless
 
 # file name: text of the custom families' configs.  custom_2_2: a
 # block-diagonal generator pair whose second blocks commute, so the atlas
@@ -84,6 +86,19 @@ for _name, _gens in (("tie_4_rotated.cfg", _TIE_4), ("tie_4_rotated_2.cfg", _TIE
     CONFIGS[_name] = "[algebra]\nblocks = 4\n[family]\nname = custom\n" + "".join(
         f"generator{i} = {_rotated(g)}\n" for i, g in enumerate(_gens, 1))
 
+# ten random generators on blocks 3,2 and a random invertible state (default_rng(3)),
+# with every section of the config set; the generator keys are listed in
+# string order (generator1, generator10, generator2, ...), so the family's
+# coordinates come out right only if they are read in numeric order
+_RNG, _ALGEBRA_3_2 = np.random.default_rng(3), Algebra((3, 2))
+_GENS_10 = [emit_element(random_traceless(_ALGEBRA_3_2, _RNG)) for _ in range(10)]
+RAW_3_2 = emit_element(random_state(_ALGEBRA_3_2, _RNG).element)
+CONFIGS["custom_10.cfg"] = (
+    "[algebra]\nblocks = 3,2\n[family]\nname = custom\n"
+    + "".join(f"generator{k} = {_GENS_10[k - 1]}\n" for k in sorted(range(1, 11), key=str))
+    + "[solver]\nparam_cap = 30\n[sweep]\nn_angles = 360\nphi = 0.5\n"
+    "[output]\ndir = out\n[run]\nseed = 3\nquiet = true\n")
+
 COMMANDS = (
     [["report", "--which", which, "--seed", seed]
      for which in ("staffelberg", "swallow", "cone", "maximizer")
@@ -106,6 +121,7 @@ COMMANDS = (
        ["distance", "--config", "tie_4.cfg", "--state", "raw:" + E11]]
     + [["distance", "--config", name, "--state", "raw:" + _rotated(E11)]
        for name in ("tie_4_rotated.cfg", "tie_4_rotated_2.cfg")]
+    + [["distance", "--config", "custom_10.cfg", "--state", "raw:" + RAW_3_2]]
 )
 
 

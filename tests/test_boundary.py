@@ -12,7 +12,7 @@ from qexpfam import cone
 from qexpfam.boundary import classify_boundary_faces, mean_value_boundary_sweep
 from qexpfam.errors import PreconditionError, UnderResolvedSweepError
 from qexpfam.family import make_family
-from qexpfam.linalg import Algebra, diagonal, hs_inner
+from qexpfam.linalg import Algebra, diagonal, embed_block, hs_inner
 from qexpfam.states import State, max_eig_data
 
 
@@ -30,6 +30,15 @@ class TestSweepBasics:
         fam = make_family(algebra, [cone.PAULI[0]])
         with pytest.raises(PreconditionError):
             mean_value_boundary_sweep(fam)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_angles_rejected(self, staffelberg, n):
+        with pytest.raises(PreconditionError):
+            mean_value_boundary_sweep(staffelberg, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_angles_accepted(self, staffelberg, n):
+        assert mean_value_boundary_sweep(staffelberg, n).n_angles == n
 
     def test_deterministic_order(self, staffelberg):
         b = mean_value_boundary_sweep(staffelberg, 90)
@@ -116,6 +125,35 @@ def _rotated(family, theta: float):
     v1, v2 = family.basis
     c, s = float(np.cos(theta)), float(np.sin(theta))
     return make_family(family.algebra, [c * v1 + s * v2, -s * v1 + c * v2])
+
+
+def _tangent_points(family) -> list[np.ndarray]:
+    """The two tangent points from the projected apex P to the projected base
+    ellipse E(a) = c0 + A cos a + B sin a, in tangent coordinates: the roots of
+    ((c0 - P) x B) cos a - ((c0 - P) x A) sin a + A x B = 0, where x is the
+    planar cross product and (E(a) - P) x E'(a) vanishes."""
+    def project(a):
+        return np.array([hs_inner(a, v) for v in family.basis])
+
+    def cross(x, y):
+        return x[0] * y[1] - x[1] * y[0]
+
+    c0 = project(embed_block(cone.ALGEBRA, 0, 0.5 * np.eye(2)))
+    A = project(embed_block(cone.ALGEBRA, 0, 0.5 * cone.SIGMA2))
+    B = project(embed_block(cone.ALGEBRA, 0, 0.5 * cone.SIGMA1))
+    P = project(cone.APEX)
+    p, q, r = cross(c0 - P, B), cross(c0 - P, A), cross(A, B)
+    delta, half = np.arctan2(q, p), np.arccos(-r / np.hypot(p, q))
+    return [c0 + A * np.cos(a) + B * np.sin(a) for a in (half - delta, -half - delta)]
+
+
+@pytest.mark.parametrize("phi", np.linspace(0.03, np.pi / 3.0 - 1e-6, 11).tolist() + ["swallow"])
+def test_nonexposed_points_are_the_tangent_points(phi):
+    family = cone.swallow_family() if phi == "swallow" else cone.plane_for_angle(phi)
+    got = np.array(classify_boundary_faces(mean_value_boundary_sweep(family)).nonexposed)
+    assert got.shape == (2, 2)
+    for want in _tangent_points(family):
+        assert np.min(np.linalg.norm(got - want, axis=1)) <= 1e-12
 
 
 class TestNonexposedByCurvature:

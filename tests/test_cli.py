@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,9 +16,22 @@ from qexpfam.linalg import Algebra, HermitianElement
 
 class TestConfig:
     def test_roundtrip_canonical(self):
-        cfg = RunConfig(
-            block_dims=(2, 1),
-            family_name="cone:0.5",
+        # one literal config that sets every key, each to a value other than its default
+        text = (
+            "[algebra]\nblocks = 1,1,1\n"
+            "[family]\nname = custom\n"
+            "generator1 = 1,0 -1,0 0,0\n"
+            "generator2 = 1,0 1,0 -2,0\n"
+            "[solver]\nparam_cap = 40\n"
+            "[sweep]\nn_angles = 360\nphi = 0, 0.25\n"
+            "[output]\ndir = somewhere\n"
+            "[run]\nseed = 17\nquiet = true\n"
+        )
+        cfg = RunConfig.parse(text)
+        assert cfg == RunConfig(
+            block_dims=(1, 1, 1),
+            family_name="custom",
+            custom_generators=("1,0 -1,0 0,0", "1,0 1,0 -2,0"),
             param_cap=40.0,
             n_angles=360,
             out_dir="somewhere",
@@ -25,10 +39,8 @@ class TestConfig:
             quiet=True,
             phi_list=(0.0, 0.25),
         )
-        text = cfg.emit()
-        again = RunConfig.parse(text)
-        assert again == cfg
-        assert RunConfig.parse(again.emit()) == again
+        default = RunConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in fields(RunConfig))
 
     def test_element_roundtrip(self, rng):
         from qexpfam.sampling import random_hermitian
@@ -43,15 +55,13 @@ class TestConfig:
         from qexpfam.sampling import random_traceless
 
         gens = tuple(emit_element(random_traceless(Algebra((5,)), rng)) for _ in range(20))
-        cfg = RunConfig(block_dims=(5,), family_name="custom", custom_generators=gens)
-        assert RunConfig.parse(cfg.emit()) == cfg
         # keys are read in numeric order, whatever order the file lists them in
         text = "[algebra]\nblocks = 5\n[family]\nname = custom\n" + "".join(
             f"generator{k} = {gens[k - 1]}\n" for k in range(20, 0, -1)
         )
-        again = RunConfig.parse(text)
-        assert again.custom_generators == gens
-        assert build_family(again).dim == 20
+        cfg = RunConfig.parse(text)
+        assert cfg == RunConfig(block_dims=(5,), family_name="custom", custom_generators=gens)
+        assert build_family(cfg).dim == 20
 
     def test_bad_family_rejected(self):
         with pytest.raises(PreconditionError):

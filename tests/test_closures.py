@@ -229,6 +229,31 @@ class TestAtlas:
             assert not exposed_face_membership(g.representative, naive)
 
 
+class TestSizeRange:
+    """Sizes below one raise PreconditionError at the entry points; grids of
+    one to three directions stay accepted."""
+
+    @pytest.mark.parametrize("max_groups", [0, -3])
+    def test_max_groups_below_one(self, staffelberg, max_groups):
+        with pytest.raises(PreconditionError):
+            inclusion_chain_check(staffelberg, max_groups=max_groups)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_atlas_without_directions(self, staffelberg, n):
+        with pytest.raises(PreconditionError):
+            geodesic_closure_atlas(staffelberg, n_directions=n)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_chain_without_directions(self, staffelberg, n):
+        with pytest.raises(PreconditionError):
+            inclusion_chain_check(staffelberg, n_directions=n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_few_directions_accepted(self, staffelberg, n):
+        assert len(geodesic_closure_atlas(staffelberg, n_directions=n).groups) == n
+        assert inclusion_chain_check(staffelberg, n_directions=n).ok
+
+
 def _assert_reference_groups(atlas):
     """The atlas's groups are those of the per-run reference, field by field
     and bit for bit."""
