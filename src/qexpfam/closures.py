@@ -23,13 +23,14 @@ family.entropy_distance solves in the family it ends in, and rI_membership
 asks without a solve whether the state lies in it.
 
 inclusion_chain_check verifies geodesic closure in rI-closure in norm
-closure on sampled atlas groups, with no solve.  Each sample is a member of
-its group's compressed family; it must lie on the exposed face of the
-group's mid-angle direction (states._exposed_face) and in that family
-(rI_membership).  The norm leg works on the stack of all sampled groups: one
-compression per block lifts them, and each group's e-geodesic is evaluated
-once, at the t its top gap and the lifted point set (defaults.CHAIN_GAP_T),
-in one stacked Gibbs evaluation per algebra block.
+closure on sampled atlas groups, with no solve, each sample one row of
+stacked decisions.  A sample must lie on the exposed face of its group's
+mid-angle direction (states._on_faces, one eigh per algebra block for all
+directions) and in the group's compressed family (_rI_rows, the linear test
+of rI_membership).  The norm leg compresses all groups in one pass and
+evaluates each e-geodesic once, at the t its top gap and the lifted point
+set (defaults.CHAIN_GAP_T), in one stacked Gibbs evaluation per block.  A
+rank-one group's family is the single state p and is not built.
 """
 
 from __future__ import annotations
@@ -54,18 +55,18 @@ from .family import (
     make_compressed_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, _coords, _hs_norm, _sym, project_out,
-                     traceless_part)
+from .linalg import (DirectionSweep, HermitianElement, _coords, _hs_norm, _inner_rows,
+                     _reconstruct_stack, _sym, project_out, top_eigenspace, traceless_part)
 from .states import (
     Projector,
     State,
     _compress_blocks,
     _exposed_face,
+    _on_faces,
     _rank_one_spectrum,
     _rank_one_state,
     _state_blocks,
     compress,
-    log_on_support,
     max_eig_data,
 )
 
@@ -99,9 +100,10 @@ class AtlasGroup:
     the projector rank jumps) have alpha_lo=alpha_hi.  blocks and rank are
     the group's row of the sweep's maximal projectors; the Projector (from
     the row, unchecked), the compressed family and its representative are
-    built on first use.  A rank-one group's representative is the pure state
-    on column 0 of pure = (block, columns), the eigenvectors (descending) of
-    its projector block, from the atlas.  Groups, built on first read, compare by identity.
+    built on first use.  A rank-one group's family is the single state p: its
+    representative is the pure state on column 0 of pure = (block, columns),
+    the eigenvectors (descending) of its projector block, from the atlas, and
+    the inclusion chain never builds its family.  Groups compare by identity.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -319,56 +321,79 @@ def reduce_distance_to_face(
 
 
 def rI_membership(rho: State, family: ExponentialFamily) -> bool:
-    """Whether rho is in the rI-closure: whether it lies in the family its
-    face chain ends in, with carrier p, a linear test with no solve.  Its
-    support rank is that of p, and x = c^p(ln^p rho) - offset lies in the
-    family's span, within make_compressed_family's cut MAX_EIG_GAP max(1, |x|).
-    The chain decides faces on eigenpairs; c^p is compress's block kernel.
-    A state outside the family's corner algebra is not a member: face_chain
-    makes that check on entry and raises PreconditionError."""
+    """Whether rho is in the rI-closure, with no solve: face_chain decides its
+    faces on eigenpairs, and _rI_rows, rho its one row, whether it lies in the
+    family the chain ends in.  A state outside the family's corner algebra is
+    not a member: face_chain checks that on entry (PreconditionError)."""
     try:
         _, last = face_chain(rho, family)
     except PreconditionError:
         return False
     p = last.support_projector
-    if rho.support_rank != p.rank:
-        return False
-    x = compress(p, log_on_support(rho))[1] - last.offset
-    off_span, cut = project_out(x, last.basis).norm(), defaults.MAX_EIG_GAP
-    return off_span <= cut or off_span <= cut * max(1.0, x.norm())  # |x| only above the cut
+    return bool(_rI_rows([rho], p.element.blocks, p.rank, last.offset.blocks,
+                         [v.blocks for v in last.basis])[0][0])
+
+
+def _rI_rows(states: list[State], p, rank, offset, basis) -> tuple[np.ndarray, np.ndarray]:
+    """The linear rI test, one state per row, and the rows it leaves to
+    face_chain (of another support rank than p's).  A member lies in pAp
+    (_check_corner's test), has p's support rank, and x = c^p(ln^p rho) -
+    offset lies in span(basis) within make_compressed_family's cut MAX_EIG_GAP
+    max(1, |x|).  p, offset and each basis element are per-block stacks (K,
+    n_k, n_k), zero rows padding, or one element's blocks; ranks are (K,)."""
+    stack = np.array if len(states) > 1 else (lambda one: one[0])  # one state: its blocks
+    rho, values, vectors = ([stack(b) for b in zip(*parts)] for parts in zip(*(
+        (s.element.blocks, s.spectral.eigenvalues, s.spectral.eigenvectors) for s in states)))
+    corner = _inner_rows(rho, p) >= 1.0 - defaults.SUPPORT_CUTOFF
+    same = np.array([s.support_rank for s in states]) == rank
+    if not (corner & same).any():  # no row is left for the span test
+        return corner & same, corner & ~same
+    log = [_reconstruct_stack(np.log(np.where(w > defaults.SUPPORT_CUTOFF, w, 1.0)), V)
+           for w, V in zip(values, vectors)]
+    x = [_sym(c - o) for c, o in zip(_compress_blocks(p, rank, log)[1], offset)]
+    size = np.sqrt(_inner_rows(x, x))
+    for e in basis:  # project_out's modified Gram-Schmidt steps
+        t = _inner_rows(x, e)[..., None, None]
+        x = [_sym(a - _sym(t * b)) for a, b in zip(x, e)]
+    in_span = np.sqrt(_inner_rows(x, x)) <= defaults.MAX_EIG_GAP * np.maximum(1.0, size)
+    return corner & same & in_span, corner & ~same
 
 
 # -- the inclusion chain ----------------------------------------------------------
 
 
-def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
+def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list[np.ndarray]]:
     """Hilbert-Schmidt distance from each sample s = g.family.member(theta_p)
     of legs, entries (g, gap, [(theta_p, s), ...]), to the member
     family.member(x + t_end u_hat) on the e-geodesic that converges to s: an
-    explicit member, so the value bounds the distance to the family above.
+    explicit member, so the value bounds the distance to the family above;
+    and c^p(offset) per block, stacked (K, n_k, n_k) over the groups.
 
     The stacked projectors p of all groups compress the basis and offset in
-    one pass (_compress_blocks); one least-squares solve per group through
-    c^p lifts its theta_p to x (multiples of p are dropped: exp1^p ignores
-    them).  u_hat, the unit coordinate vector of the direction u at g's
-    mid-angle, comes from one product per block; t_end = CHAIN_GAP_T ||u||
-    max(1, |x|^2) / gap, as the coupling of x to the complement of p shifts
-    the limit by about |x|^2 / (t gap).  All members are one stack per algebra
-    block (family._gibbs: one eigh per block, no State), each row bit for bit
-    the member's element.
+    one pass (_compress_blocks); one least-squares solve through c^p lifts the
+    theta_p of a group of rank >= 2 to x (multiples of p are dropped: exp1^p
+    ignores them).  A rank-one group's family, the single state p, is not
+    built: its x is 0.  u_hat, the unit coordinate vector of the direction u
+    at g's mid-angle, comes from one product per block; t_end = CHAIN_GAP_T
+    ||u|| max(1, |x|^2) / gap, as the coupling of x to the complement of p
+    shifts the limit by about |x|^2 / (t gap).  All members are one stack per
+    algebra block (family._gibbs: one eigh per block, no State), each row bit
+    for bit the member's element.
     """
     p = [np.stack(b)[:, None] for b in zip(*(g.projector.element.blocks for g, _, _ in legs))]
     a = [np.concatenate([s, o[None]]) for s, o in zip(family.stacks, family.offset.blocks)]
     c = _compress_blocks(p, np.array([[g.rank] for g, _, _ in legs]), a)[1]  # K x (dim + 1)
     cols = np.concatenate([_coords(c)[:, :-1], _coords(p)], axis=1)  # c^p(v_i), then p
-    owner = np.array([i for i, (g, _, samples) in enumerate(legs) for _ in samples])
+    wide = [(i, t) for i, (g, _, samples) in enumerate(legs) if g.rank > 1 for t, _ in samples]
+    owner = np.array([i for i, _ in wide], dtype=int)
     rhs = _coords([_sym(np.stack(x) - ck[owner, -1]) for x, ck in zip(zip(*(
-        g.family.parameter_element(t).blocks for g, _, samples in legs for t, _ in samples)), c)])
+        legs[i][0].family.parameter_element(t).blocks for i, t in wide)), c)]) if wide else None
     u_hats = _mean_values([_sym(u) for u in _polar_sweep(family).blocks(
         [g.mid_angle for g, _, _ in legs])], family)
     params, states = [], []
     for i, ((g, gap, samples), A, u_hat) in enumerate(zip(legs, cols, u_hats)):
-        x = np.linalg.lstsq(A.T, rhs[owner == i].T, rcond=None)[0][:-1]
+        x = (np.linalg.lstsq(A.T, rhs[owner == i].T, rcond=None)[0][:-1] if g.rank > 1
+             else np.zeros((family.dim, len(samples))))
         norm = np.linalg.norm(u_hat)
         params += [xi + defaults.CHAIN_GAP_T * norm / gap * max(1.0, xi @ xi) * (u_hat / norm)
                    for xi in x.T]
@@ -382,7 +407,7 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> list[float]:
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
     diff = [_sym(d) for d in map(np.subtract, targets, members)]
-    return [_hs_norm([d[i] for d in diff]) for i in range(len(states))]
+    return [_hs_norm([d[i] for d in diff]) for i in range(len(states))], [ck[:, -1] for ck in c]
 
 
 def inclusion_chain_check(
@@ -393,32 +418,52 @@ def inclusion_chain_check(
     """Verify the closure inclusion chain on sampled states, with no solve.
 
     geo_subset_rI flags whether each sample (g.representative, and the member
-    at theta = 0.7) lies on the rank-g.rank exposed face of the direction at
-    g's mid-angle and in g.family.  rI_subset_norm is its norm distance to its
-    e-geodesic (_norm_leg) against 5 / CHAIN_GAP_T, about 10 times the largest
-    value over 272 cone tilts and random families."""
+    at theta = 0.7) lies on the rank-g.rank exposed face of the direction u at
+    g's mid-angle and in g.family.  The samples are the rows of one stacked
+    decision each: one eigh per algebra block gives every u its maximal
+    projector for _on_faces, and _rI_rows reads _norm_leg's c^p(offset); a
+    rank-one group builds no family, and a row of another support rank than
+    its group's goes to rI_membership.  rI_subset_norm is its norm distance to
+    its e-geodesic (_norm_leg) against 5 / CHAIN_GAP_T, about 10 times the
+    largest value over 272 cone tilts and random families."""
     if max_groups < 1:
         raise PreconditionError(f"max_groups must be at least 1, got {max_groups}")
     report = Report(name="closure_inclusion_chain")
     atlas = geodesic_closure_atlas(family, n_directions=n_directions)
 
     groups = atlas.groups[::-(-len(atlas.groups) // max_groups)]  # at most max_groups
-    gaps = _polar_sweep(family).spectra([g.mid_angle for g in groups]).top_gap(
-        [g.rank for g in groups])
+    mids, ranks = [g.mid_angle for g in groups], np.array([g.rank for g in groups])
+    u, spectra = _polar_sweep(family).blocks(mids), _polar_sweep(family).spectra(mids)
     legs = []
-    for g, gap in zip(groups, gaps):
+    for g, gap in zip(groups, spectra.top_gap(ranks)):
         samples = [(np.zeros(g.family_dim), g.representative)]
         if g.family_dim >= 1:
             theta_p = 0.7 * np.ones(g.family_dim)
             samples.append((theta_p, g.family.member(theta_p)))
         legs.append((g, gap, samples))
-    norms = iter(_norm_leg(family, legs))
+    norms, offsets = _norm_leg(family, legs)
+
+    owner = np.array([i for i, (_, _, samples) in enumerate(legs) for _ in samples])
+    states = [s for _, _, samples in legs for _, s in samples]
+    top, faces = spectra.max_projectors()
+    on_face = _on_faces([np.array(b) for b in zip(*(s.element.blocks for s in states))],
+                        [b[owner] for b in u], [f[owner] for f in faces],
+                        top_eigenspace(spectra.values)[0][owner]) & (top == ranks)[owner]
+    # per basis element, its rows: each sample's group's, zero past the group's
+    # dimension; a rank-one group's family is the single state p (no family built)
+    spans = [[v.blocks for v in g.family.basis] if g.rank > 1 else [] for g in groups]
+    zero = [np.zeros_like(o[0]) for o in offsets]
+    basis = [list(map(np.array, zip(*(spans[i][j] if j < len(spans[i]) else zero
+                                      for i in owner)))) for j in range(max(map(len, spans)))]
+    carriers = [np.array(b)[owner] for b in zip(*(g.projector.element.blocks for g in groups))]
+    member, rest = _rI_rows(states, carriers, ranks[owner], [o[owner] for o in offsets], basis)
+    for j in np.flatnonzero(on_face & rest):
+        member[j] = rI_membership(states[j], groups[owner[j]].family)
+    rows = iter(zip(on_face & member, norms))
     for g, _, samples in legs:
-        u = sweep_direction(family, g.mid_angle)
-        for tag, (_, s) in zip(("representative", "member"), samples):
+        for tag, _ in zip(("representative", "member"), samples):
+            flag, norm = next(rows)
             where = f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] rank {g.rank}"
-            face = _exposed_face(s, u)
-            report.flag("geo_subset_rI", where, face is not None and face.rank == g.rank
-                        and rI_membership(s, g.family))
-            report.add("rI_subset_norm", where, next(norms), 5.0 / defaults.CHAIN_GAP_T)
+            report.flag("geo_subset_rI", where, bool(flag))
+            report.add("rI_subset_norm", where, norm, 5.0 / defaults.CHAIN_GAP_T)
     return report

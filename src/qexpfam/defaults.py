@@ -28,7 +28,7 @@ PROJECTOR_TOL = 1e-12
 # Spectral gap below which eigenvalues merge into one maximal projector: the only merge
 # test is linalg.top_eigenspace (the sweeps, and the face decision states._exposed_face
 # through states._maximal_projector).  Other readers: the rank cuts of make_compressed_family
-# and _scalar_directions, the residual cuts of reduce_distance_to_face and rI_membership, atlas
+# and _scalar_directions, the residual cuts of reduce_distance_to_face and _rI_rows, atlas
 # projector equality, _steepest_margin's margin stop and locate_crossings' third branch.
 MAX_EIG_GAP = 1e-9
 

@@ -263,12 +263,22 @@ def hs_inner(a: HermitianElement, b: HermitianElement) -> float:
     """Hilbert-Schmidt inner product tr(ab) of two self-adjoint elements."""
     if a.algebra != b.algebra:
         raise AlgebraMismatchError("operands belong to different algebras")
+    return float(_inner_rows(a.blocks, b.blocks))
+
+
+def _inner_rows(a_blocks, b_blocks) -> np.ndarray:
+    """hs_inner of the elements with these blocks, or row by row of stacks of
+    them, leading axes broadcast: per row and block the one (1, n_k^2) @
+    (n_k^2, 1) product that np.tensordot(a, b.conj(), axes=2) makes after its
+    reshapes, np.dot itself (the faster call) on two matrices."""
     total = 0.0
-    for x, y in zip(a.blocks, b.blocks):
-        # the single BLAS call np.tensordot(x, y.conj(), axes=2) makes after
-        # its reshapes, without its Python overhead
-        total += np.dot(x.reshape(1, -1), y.conj().reshape(-1, 1))[0, 0].real
-    return float(total)
+    for a, b in zip(a_blocks, b_blocks):
+        if a.ndim == b.ndim == 2:
+            total += np.dot(a.reshape(1, -1), b.conj().reshape(-1, 1))[0, 0].real
+        else:
+            total += (a.reshape(a.shape[:-2] + (1, -1))
+                      @ b.conj().reshape(b.shape[:-2] + (-1, 1)))[..., 0, 0].real
+    return total
 
 
 # -- spectral decomposition ---------------------------------------------------

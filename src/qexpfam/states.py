@@ -24,10 +24,10 @@ from .linalg import (
     HermitianElement,
     SpectralData,
     _fro,
+    _inner_rows,
     _reconstruct_stack,
     _sym,
     eigh,
-    hs_inner,
     identity,
     size_groups,
     stack_groups,
@@ -270,22 +270,32 @@ def max_eig_data(u: HermitianElement) -> tuple[float, Projector]:
     return mu, Projector._trusted(HermitianElement._trusted(u.algebra, blocks), rank)
 
 
+def _on_faces(rho, u, p, mu) -> np.ndarray:
+    """The one face decision, row by row of per-block stacks or on one
+    element's blocks: whether rho is on the exposed face of u, top eigenvalue
+    mu and maximal projector p.  <rho,u> = mu must agree with 1 - tr(rho p) =
+    0, else NumericalDegeneracyError."""
+    gap, leak = _inner_rows(rho, u) - mu, 1.0 - _inner_rows(rho, p)
+    by_value = abs(gap) <= defaults.FACE_VALUE_TOL
+    bad = by_value != (leak <= defaults.SUPPORT_CUTOFF)
+    if bad.any():
+        gap, leak = (np.ravel(x)[np.argmax(bad)] for x in (gap, leak))
+        raise NumericalDegeneracyError(
+            f"face criteria disagree: value-gap {gap:.3e}, image leak {leak:.3e}")
+    return by_value
+
+
 def _exposed_face(rho: State, u: HermitianElement, below: float = np.inf) -> Projector | None:
-    """The one face decision: the maximal projector p of a non-zero u if its
-    rank is below ``below`` and rho is on u's exposed face, else None.  Read
-    off one eigh: <rho,u> = mu must agree with 1 - tr(rho p) = 0 (else
-    NumericalDegeneracyError); only a face holding rho gets a Projector."""
+    """The maximal projector p of a non-zero u if its rank is below ``below``
+    and rho is on u's exposed face, else None: one eigh of u, then rho as the
+    one row of _on_faces, the decision the inclusion chain makes on its
+    stacked samples; only a face holding rho gets a Projector."""
     mu, rank, blocks = _maximal_projector(u)
     if rank >= below:
         return None
-    gap = hs_inner(rho.element, u) - mu
-    by_value = abs(gap) <= defaults.FACE_VALUE_TOL
     p = HermitianElement._trusted(u.algebra, blocks)
-    leak = 1.0 - hs_inner(rho.element, p)
-    if by_value != (leak <= defaults.SUPPORT_CUTOFF):
-        raise NumericalDegeneracyError(
-            f"face criteria disagree: value-gap {gap:.3e}, image leak {leak:.3e}")
-    return Projector._trusted(p, rank) if by_value else None
+    on_face = _on_faces(rho.element.blocks, u.blocks, p.blocks, mu)
+    return Projector._trusted(p, rank) if on_face else None
 
 
 def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
@@ -306,10 +316,7 @@ def _compress_blocks(p_blocks, rank, a_blocks) -> tuple[list, list]:
     compression.  Leading axes broadcast: p's blocks (K, 1, n_k, n_k) with
     ranks (K, 1) and a's stacks (m, n_k, n_k) give rows (K, m, n_k, n_k)."""
     pap = [_sym(pb @ ab @ pb) for pb, ab in zip(p_blocks, a_blocks)]
-    # tr(pa) as hs_inner takes it, one (1, n_k^2) @ (n_k^2, 1) product per row and block
-    tr = sum((pb.reshape(pb.shape[:-2] + (1, -1)) @ ab.conj().reshape(ab.shape[:-2] + (-1, 1)))
-             for pb, ab in zip(p_blocks, a_blocks))[..., 0, 0].real
-    shift = (tr / rank)[..., None, None]
+    shift = (_inner_rows(p_blocks, a_blocks) / rank)[..., None, None]
     return pap, [_sym(x - _sym(shift * pb)) for x, pb in zip(pap, p_blocks)]
 
 

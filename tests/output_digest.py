@@ -4,9 +4,11 @@ one per demo over its exit code, stdout and stderr.
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 35 ``qexpfam`` commands (every report at three seeds,
-the closures report of four cone families and of a custom two-generator
-family on blocks 2,2, one of the cone families at tilt 1.0471275, 7e-5
+Runs a fixed list of 36 ``qexpfam`` commands (every report at three seeds,
+the closures report of four cone families, of a custom two-generator
+family on blocks 2,2 and of a custom diagonal two-generator family on blocks
+1,1,1,1, whose atlas has four rank-2 groups of family dimension 1, one of
+the cone families at tilt 1.0471275, 7e-5
 below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
 coordinates, two sweeps and sixteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
@@ -27,7 +29,7 @@ prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Then it
 runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
 fresh process, and prints one line per demo: the SHA-256 over its exit code,
-stdout and stderr, then ``demo`` and the script's name (40 lines in all; the
+stdout and stderr, then ``demo`` and the script's name (41 lines in all; the
 drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
@@ -57,7 +59,9 @@ from qexpfam.sampling import haar_unitary, random_state, random_traceless
 # file name: text of the custom families' configs.  custom_2_2: a
 # block-diagonal generator pair whose second blocks commute, so the atlas
 # has runs and spikes.  tie_4: E_22, E_33 + E_24 + E_42 and E_24 + E_42
-# (E_ij the matrix units), where the face chain of E_11 skips a face
+# (E_ij the matrix units), where the face chain of E_11 skips a face.
+# diag_1111: two diagonal generators on four one-dimensional blocks, whose
+# atlas has 8 groups, 4 of them of rank 2 with a one-dimensional family
 CONFIGS = {
     "custom_2_2.cfg": "[algebra]\nblocks = 2,2\n[family]\nname = custom\n"
                       "generator1 = 1,0 0,0 0,0 0,0 1,0 0,0 0,0 -1,0\n"
@@ -66,6 +70,9 @@ CONFIGS = {
                  "generator1 = 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0 0,0\n"
                  "generator2 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0 1,0 0,0 0,0\n"
                  "generator3 = 0,0 0,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0 0,0 0,0 0,0 1,0 0,0 0,0\n",
+    "diag_1111.cfg": "[algebra]\nblocks = 1,1,1,1\n[family]\nname = custom\n"
+                     "generator1 = 1,0 -0.4,0 -1,0 0.7,0\n"
+                     "generator2 = 0.2,0 1,0 -0.3,0 -0.9,0\n",
 }
 E11 = "1,0 " + " ".join(["0,0"] * 15)
 
@@ -117,8 +124,9 @@ COMMANDS = (
         "raw:0.49998333333333317,0 0,-0.49994999999999984 0,0.49994999999999984 "
         "0.49998333333333317,0 3.3333333333333335e-05,0", "--cap", "10000"],
        ["distance", "--family", "swallow", "--state", "circle:1e-4"]]
-    + [["report", "--which", "closures", "--config", "custom_2_2.cfg"],
-       ["distance", "--config", "tie_4.cfg", "--state", "raw:" + E11]]
+    + [["report", "--which", "closures", "--config", name]
+       for name in ("custom_2_2.cfg", "diag_1111.cfg")]
+    + [["distance", "--config", "tie_4.cfg", "--state", "raw:" + E11]]
     + [["distance", "--config", name, "--state", "raw:" + _rotated(E11)]
        for name in ("tie_4_rotated.cfg", "tie_4_rotated_2.cfg")]
     + [["distance", "--config", "custom_10.cfg", "--state", "raw:" + RAW_3_2]]

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from qexpfam import closures, cone, defaults
 from qexpfam import family as family_module
+from qexpfam import linalg as linalg_module
+from qexpfam import states as states_module
 from qexpfam.closures import (
     _polar_sweep,
     egeodesic_limit,
@@ -151,6 +153,14 @@ def _lazy_family(name: str):
                                                       np.random.default_rng(4))}[name]()
 
 
+def _assert_single_state(parent, p):
+    """The compressed family of a rank-one p has no generator, dimension 0 and
+    the one member p."""
+    fam = make_compressed_family(parent, p)
+    assert fam.dim == 0 and fam.generators == ()
+    assert (fam.member(()).element - p.element).norm() <= 1e-14
+
+
 @functools.lru_cache(maxsize=None)
 def _default_atlas(name: str):
     """Default-resolution atlas of a named family, shared between tests."""
@@ -212,6 +222,26 @@ class TestAtlas:
         for g in atlas.groups:
             if g.rank == 1:
                 assert g.family_dim == 0
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (2, 1), (3,), (4,), (2, 2), (3, 1)])
+    def test_rank_one_compressed_family_is_p(self, dims):
+        # pAp = C p for a rank-one p, so every compressed generator is cut and
+        # the family is the single state p
+        algebra, rng = Algebra(dims), np.random.default_rng([sum(dims), len(dims)])
+        for k in range(len(dims)):
+            parent = make_family(algebra, [random_traceless(algebra, rng) for _ in range(2)],
+                                 offset=random_traceless(algebra, rng))
+            psi = rng.normal(size=dims[k]) + 1j * rng.normal(size=dims[k])
+            blocks = [np.zeros((n, n), dtype=complex) for n in dims]
+            blocks[k] = np.outer(psi, psi.conj()) / (psi.conj() @ psi)
+            _assert_single_state(parent, Projector(HermitianElement(algebra, blocks)))
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7"])
+    def test_rank_one_atlas_families_are_p(self, name):
+        atlas = _default_atlas(name)
+        for g in atlas.groups[::40]:
+            if g.rank == 1:
+                _assert_single_state(atlas.family, g.projector)
 
     @pytest.mark.parametrize("name", ["staffelberg", "swallow", "cone:0.7"])
     def test_mid_angle_exposes_every_group(self, name):
@@ -1027,6 +1057,25 @@ class TestChainChecksFail:
         assert not any(_fails(report, "geo_subset_rI"))
         assert any(_fails(report, "rI_subset_norm"))
 
+    @pytest.mark.parametrize("on_face", ["mixed", "pure"])
+    def test_rI_fails_on_the_face_off_the_family(self, staffelberg, on_face, monkeypatch):
+        # the spike group (rank 2, family dim 0) has the single state c; a state
+        # on its face rho(0) + apex other than c is no member and no geodesic
+        # limit: 0.7 rho(0) + 0.3 apex (support rank 2) or rho(0) (support
+        # rank 1, which the chain leaves to face_chain)
+        rho0 = cone.base_circle_state(0.0)
+        state = {"mixed": State(0.7 * rho0.element + 0.3 * cone.APEX_STATE.element),
+                 "pure": rho0}[on_face]
+        representative = closures.AtlasGroup.representative.func
+        monkeypatch.setattr(closures.AtlasGroup, "representative", property(
+            lambda g: state if g.rank == 2 else representative(g)))
+        report = inclusion_chain_check(staffelberg)
+        spike = [f.detail.endswith("rank 2") for f in report.findings
+                 if f.check == "geo_subset_rI"]
+        assert sum(spike) == 1 and len(report.findings) == 48
+        assert _fails(report, "geo_subset_rI") == spike
+        assert _fails(report, "rI_subset_norm") == spike
+
     @pytest.mark.parametrize("name", ["staffelberg", "swallow", "custom_2_2"])
     def test_no_newton_solve(self, name, monkeypatch):
         family = _custom_2_2() if name == "custom_2_2" else _default_atlas(name).family
@@ -1036,6 +1085,41 @@ class TestChainChecksFail:
                             lambda *args, **kwargs: calls.append(args) or newton(*args, **kwargs))
         report = inclusion_chain_check(family)
         assert report.ok and calls == []
+
+
+class TestStackedChain:
+    """The chain decides all of its samples on stacks, as the one-sample path would."""
+
+    @settings(derandomize=True, deadline=None, max_examples=20)
+    @given(st.sampled_from([(2, 1), (3,), (2, 2), (1, 1, 1, 1), "cone"]),
+           st.integers(0, 2 ** 16), st.floats(0.01, 1.5))
+    def test_decisions_match_one_sample_at_a_time(self, dims, seed, phi):
+        fam = (cone.plane_for_angle(phi) if dims == "cone"
+               else random_family(Algebra(dims), 2, np.random.default_rng(seed)))
+        report = inclusion_chain_check(fam, n_directions=90, max_groups=12)
+        groups = geodesic_closure_atlas(fam, n_directions=90).groups
+        want = []
+        for g in groups[::-(-len(groups) // 12)]:
+            u = sweep_direction(fam, g.mid_angle)
+            for s in [g.representative] + [g.family.member(0.7 * np.ones(g.family_dim))
+                                           for _ in range(g.family_dim >= 1)]:
+                face = states_module._exposed_face(s, u)
+                want.append(face is not None and face.rank == g.rank
+                            and rI_membership(s, g.family))
+        assert [not f for f in _fails(report, "geo_subset_rI")] == want
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
+    def test_families_only_for_rank_two_and_up(self, name, monkeypatch):
+        # one compressed family per sampled group of rank >= 2 and no element
+        # eigh: the groups' directions are decomposed on one stack per block
+        built, eighs = [], []
+        make = closures.make_compressed_family
+        monkeypatch.setattr(closures, "make_compressed_family",
+                            lambda parent, p: built.append(p.rank) or make(parent, p))
+        for module in (linalg_module, states_module, family_module):
+            monkeypatch.setattr(module, "eigh", lambda a, f=module.eigh: eighs.append(a) or f(a))
+        report = inclusion_chain_check(_default_atlas(name).family)
+        assert report.ok and built == [2] and eighs == []
 
 
 class TestChainSurvey:
