@@ -56,7 +56,7 @@ from .family import (
 )
 from .findings import Report
 from .linalg import (DirectionSweep, HermitianElement, _coords, _hs_norm, _inner_rows,
-                     _reconstruct_stack, _sym, project_out, top_eigenspace, traceless_part)
+                     _reconstruct_stack, _sym, project_out, traceless_part)
 from .states import (
     Projector,
     State,
@@ -362,12 +362,12 @@ def _rI_rows(states: list[State], p, rank, offset, basis) -> tuple[np.ndarray, n
 # -- the inclusion chain ----------------------------------------------------------
 
 
-def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list[np.ndarray]]:
+def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list, list]:
     """Hilbert-Schmidt distance from each sample s = g.family.member(theta_p)
     of legs, entries (g, gap, [(theta_p, s), ...]), to the member
     family.member(x + t_end u_hat) on the e-geodesic that converges to s: an
     explicit member, so the value bounds the distance to the family above;
-    and c^p(offset) per block, stacked (K, n_k, n_k) over the groups.
+    and p and c^p(offset) per block, stacked (K, n_k, n_k) over the groups.
 
     The stacked projectors p of all groups compress the basis and offset in
     one pass (_compress_blocks); one least-squares solve through c^p lifts the
@@ -407,7 +407,8 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list[
     # HermitianElement.norm takes it (one norm over a stack moves bits)
     targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
     diff = [_sym(d) for d in map(np.subtract, targets, members)]
-    return [_hs_norm([d[i] for d in diff]) for i in range(len(states))], [ck[:, -1] for ck in c]
+    norms = [_hs_norm([d[i] for d in diff]) for i in range(len(states))]
+    return norms, [b[:, 0] for b in p], [ck[:, -1] for ck in c]
 
 
 def inclusion_chain_check(
@@ -441,22 +442,22 @@ def inclusion_chain_check(
             theta_p = 0.7 * np.ones(g.family_dim)
             samples.append((theta_p, g.family.member(theta_p)))
         legs.append((g, gap, samples))
-    norms, offsets = _norm_leg(family, legs)
+    norms, carriers, offsets = _norm_leg(family, legs)
 
     owner = np.array([i for i, (_, _, samples) in enumerate(legs) for _ in samples])
     states = [s for _, _, samples in legs for _, s in samples]
     top, faces = spectra.max_projectors()
     on_face = _on_faces([np.array(b) for b in zip(*(s.element.blocks for s in states))],
                         [b[owner] for b in u], [f[owner] for f in faces],
-                        top_eigenspace(spectra.values)[0][owner]) & (top == ranks)[owner]
+                        spectra.top()[owner]) & (top == ranks)[owner]
     # per basis element, its rows: each sample's group's, zero past the group's
     # dimension; a rank-one group's family is the single state p (no family built)
     spans = [[v.blocks for v in g.family.basis] if g.rank > 1 else [] for g in groups]
     zero = [np.zeros_like(o[0]) for o in offsets]
     basis = [list(map(np.array, zip(*(spans[i][j] if j < len(spans[i]) else zero
                                       for i in owner)))) for j in range(max(map(len, spans)))]
-    carriers = [np.array(b)[owner] for b in zip(*(g.projector.element.blocks for g in groups))]
-    member, rest = _rI_rows(states, carriers, ranks[owner], [o[owner] for o in offsets], basis)
+    member, rest = _rI_rows(states, [b[owner] for b in carriers], ranks[owner],
+                            [o[owner] for o in offsets], basis)
     for j in np.flatnonzero(on_face & rest):
         member[j] = rI_membership(states[j], groups[owner[j]].family)
     rows = iter(zip(on_face & member, norms))
