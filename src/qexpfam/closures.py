@@ -13,6 +13,9 @@ none where it swaps back inside one.  The sweep runs on linalg.DirectionSweep
 (a = g2, b = g1); runs of equal projectors are read off as arrays, and each
 atlas group is a row of the stacked maximal projectors, built when first read
 and kept; its Projector (V_r V_r*, unchecked) is built only when a caller reads it.
+A rank-one group's family is the single state p (make_compressed_family
+compresses nothing); its projector is eigendecomposed when the group is
+first read, one stacked eigh per block over the rank-one rows of the read.
 
 The reverse-information closure collects the states at entropy distance zero.
 On an exposed face cut out by a tangent direction, the distance equals the
@@ -30,7 +33,8 @@ directions) and in the group's compressed family (_rI_rows, the linear test
 of rI_membership).  The norm leg compresses all groups in one pass and
 evaluates each e-geodesic once, at the t its top gap and the lifted point
 set (defaults.CHAIN_GAP_T), in one stacked Gibbs evaluation per block.  A
-rank-one group's family is the single state p and is not built.
+rank-one group's family is the single state p and is not built; its sample
+is a row of one stacked reconstruction per block (_sample_stacks), no State.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ from .family import (
     make_compressed_family,
 )
 from .findings import Report
-from .linalg import (DirectionSweep, HermitianElement, _coords, _hs_norm, _inner_rows,
-                     _reconstruct_stack, _sym, project_out, traceless_part)
+from .linalg import (DirectionSweep, HermitianElement, SweepSpectra, _coords, _hs_norm,
+                     _inner_rows, _reconstruct_stack, _sym, project_out, traceless_part)
 from .states import (
     Projector,
     State,
@@ -102,8 +106,8 @@ class AtlasGroup:
     the row, unchecked), the compressed family and its representative are
     built on first use.  A rank-one group's family is the single state p: its
     representative is the pure state on column 0 of pure = (block, columns),
-    the eigenvectors (descending) of its projector block, from the atlas, and
-    the inclusion chain never builds its family.  Groups compare by identity.
+    the eigenvectors (descending) of its projector block, decomposed on first
+    read, and the inclusion chain never builds its family.  Groups compare by identity.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -146,7 +150,8 @@ class AtlasGroup:
 
 
 class _Groups(Sequence):
-    """AtlasGroups, each made from its row by make when first read, then kept."""
+    """AtlasGroups made when first read, then kept: one make call per read (an
+    index, a slice, or every row on iteration) builds its rows not yet built."""
 
     def __init__(self, rows: list, make):
         self._rows, self._make, self._built = rows, make, {}
@@ -155,18 +160,23 @@ class _Groups(Sequence):
         return len(self._rows)
 
     def __getitem__(self, i):
-        at = range(len(self._rows))[i]  # negative indices; IndexError ends iteration
-        if isinstance(at, range):  # a slice builds only the groups it holds
-            return tuple(map(self.__getitem__, at))
-        if at not in self._built:
-            self._built[at] = self._make(*self._rows[at])
-        return self._built[at]
+        at = range(len(self._rows))[i]  # negative indices
+        return tuple(self._read(at)) if isinstance(at, range) else self._read([at])[0]
+
+    def __iter__(self):
+        return iter(self._read(range(len(self._rows))))
+
+    def _read(self, at) -> list[AtlasGroup]:
+        new = [j for j in at if j not in self._built]
+        self._built.update(zip(new, self._make([self._rows[j] for j in new])))
+        return [self._built[j] for j in at]
 
 
 @dataclass(frozen=True)
 class ClosureAtlas:
     """Sampled geodesic closure of a 2D family, grouped by maximal projector:
-    groups, in (alpha_lo, alpha_hi) order, are each built when first read and kept."""
+    groups, in (alpha_lo, alpha_hi) order, are each built when first read (its
+    rank-one projectors then decomposed, one stacked eigh per block) and kept."""
 
     family: ExponentialFamily
     n_directions: int
@@ -178,23 +188,37 @@ class ClosureAtlas:
     def representative_blocks(self) -> list[np.ndarray]:
         """Per algebra block, the stacked blocks of every group's
         representative, in group order, bit for bit those of
-        ``g.representative``; the rank-one groups' come from one stacked
-        reconstruction per block."""
-        algebra = self.family.algebra
-        out = [np.empty((len(self.groups), n, n), dtype=complex) for n in algebra.block_dims]
-        pure: dict[int, list[int]] = {}  # block: rows of its rank-one groups
-        for i, g in enumerate(self.groups):
-            if g.pure is None:
-                for stack, b in zip(out, g.representative.element.blocks):
-                    stack[i] = b
-            else:
-                pure.setdefault(g.pure[0], []).append(i)
-        for k, rows in pure.items():
-            columns = np.stack([self.groups[i].pure[1] for i in rows])
-            blocks = _state_blocks(algebra, *_rank_one_spectrum(algebra, k, columns))
-            for stack, b in zip(out, blocks):
-                stack[rows] = b
-        return out
+        ``g.representative``, the rank-one groups' with no State (_sample_stacks)."""
+        return _sample_stacks(self.family.algebra,
+                              [g.pure or g.representative for g in self.groups])[0]
+
+
+def _sample_stacks(algebra, samples) -> tuple[list, list, list, np.ndarray]:
+    """Per algebra block, the element blocks, eigenvalues and eigenvectors of
+    the samples stacked in order, and their support ranks.  A sample is a
+    State or a rank-one group's pure = (block, columns), the pure state on
+    column 0, bit for bit its g.representative: the pure ones are one stacked
+    _rank_one_spectrum and _state_blocks reconstruction per owner block, with
+    no State."""
+    dims, n = algebra.block_dims, len(samples)
+    stacks = ([np.empty((n, d, d), dtype=complex) for d in dims],
+              [np.empty((n, d)) for d in dims], [np.empty((n, d, d), dtype=complex) for d in dims])
+    ranks = np.array([s.support_rank if isinstance(s, State) else 1 for s in samples], dtype=int)
+    pure: dict[int, list[int]] = {}  # block: rows of its pure samples
+
+    def put(rows, parts):  # per block: element blocks, eigenvalues, eigenvectors
+        for a, xs in zip(stacks, parts):
+            for stack, x in zip(a, xs):
+                stack[rows] = x
+    for i, s in enumerate(samples):
+        if isinstance(s, State):
+            put(i, (s.element.blocks, s.spectral.eigenvalues, s.spectral.eigenvectors))
+        else:
+            pure.setdefault(s[0], []).append(i)
+    for k, rows in pure.items():
+        values, vectors = _rank_one_spectrum(algebra, k, np.stack([samples[i][1] for i in rows]))
+        put(rows, (_state_blocks(algebra, values, vectors), values, vectors))
+    return *stacks, ranks
 
 
 def sweep_direction(family: ExponentialFamily, alpha: float) -> HermitianElement:
@@ -229,7 +253,8 @@ def geodesic_closure_atlas(
     projector there.  Runs, wrap-around and grid spikes are read as arrays
     off the boundaries of equal neighbours; the crossing rows join the grid's
     projector stacks; each group is built from its row when first read, and
-    nothing is validated.  Rank-one rows take one stacked eigh per block with any.
+    nothing is validated.  The rank-one rows of a read take one stacked eigh
+    per block with any.
     """
     if family.dim != 2:
         raise PreconditionError("closure atlases require a 2D tangent space")
@@ -270,20 +295,18 @@ def geodesic_closure_atlas(
     ranks = np.concatenate([ranks, spike_ranks])
     blocks = [np.concatenate(pair) for pair in zip(blocks, spike_blocks)]
 
-    # a rank-one projector lives in the block where its trace is 1
-    ones = np.concatenate([starts, np.arange(n, len(ranks))])  # every group's row
-    ones = ones[ranks[ones] == 1]
-    owner = np.argmax([np.trace(b[ones], axis1=1, axis2=2).real for b in blocks], axis=0)
-    pure = {}
-    for k, b in enumerate(blocks):
-        mine = ones[owner == k]
-        if mine.size:
-            columns = np.linalg.eigh(b[mine])[1][..., ::-1]
-            pure.update((j, (k, c)) for j, c in zip(mine.tolist(), columns))
-
-    def make(j, lo, hi, count, spike):
-        return AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), lo, hi, count, spike,
-                          family, pure.get(j))
+    def make(read: list) -> list[AtlasGroup]:  # a rank-one p lives where its trace is 1
+        js = np.array([row[0] for row in read], dtype=int)
+        ones = js[ranks[js] == 1]
+        owner = np.argmax([np.trace(b[ones], axis1=1, axis2=2).real for b in blocks], axis=0)
+        pure = {}
+        for k, b in enumerate(blocks):
+            mine = ones[owner == k]
+            if mine.size:
+                columns = np.linalg.eigh(b[mine])[1][..., ::-1]
+                pure.update((j, (k, c)) for j, c in zip(mine.tolist(), columns))
+        return [AtlasGroup(tuple(b[j] for b in blocks), int(ranks[j]), lo, hi, count, spike,
+                           family, pure.get(j)) for j, lo, hi, count, spike in read]
     rows.sort(key=lambda row: row[1:3])
     return ClosureAtlas(family=family, n_directions=n, groups=_Groups(rows, make))
 
@@ -329,24 +352,26 @@ def rI_membership(rho: State, family: ExponentialFamily) -> bool:
         _, last = face_chain(rho, family)
     except PreconditionError:
         return False
-    p = last.support_projector
-    return bool(_rI_rows([rho], p.element.blocks, p.rank, last.offset.blocks,
-                         [v.blocks for v in last.basis])[0][0])
+    p, spec = last.support_projector, rho.spectral
+    return bool(_rI_rows(rho.element.blocks, spec.eigenvalues, spec.eigenvectors,
+                         rho.support_rank, p.element.blocks, p.rank, last.offset.blocks,
+                         [v.blocks for v in last.basis])[0])
 
 
-def _rI_rows(states: list[State], p, rank, offset, basis) -> tuple[np.ndarray, np.ndarray]:
+def _rI_rows(rho, values, vectors, support, p, rank, offset,
+             basis) -> tuple[np.ndarray, np.ndarray]:
     """The linear rI test, one state per row, and the rows it leaves to
     face_chain (of another support rank than p's).  A member lies in pAp
-    (_check_corner's test), has p's support rank, and x = c^p(ln^p rho) -
-    offset lies in span(basis) within make_compressed_family's cut MAX_EIG_GAP
-    max(1, |x|).  p, offset and each basis element are per-block stacks (K,
-    n_k, n_k), zero rows padding, or one element's blocks; ranks are (K,)."""
-    stack = np.array if len(states) > 1 else (lambda one: one[0])  # one state: its blocks
-    rho, values, vectors = ([stack(b) for b in zip(*parts)] for parts in zip(*(
-        (s.element.blocks, s.spectral.eigenvalues, s.spectral.eigenvectors) for s in states)))
+    (_check_corner's test) and has p's support rank; for a p of rank one that
+    decides it (pAp = C p is the single state p), else x = c^p(ln^p rho) -
+    offset must lie in span(basis) within make_compressed_family's cut
+    MAX_EIG_GAP max(1, |x|), and the span arithmetic runs only if such a row
+    is left.  The states (element blocks, eigenpairs) and p, offset and each
+    basis element (zero rows padding) are per-block stacks (K, n_k, n_k), or
+    one state's or element's blocks; support ranks and ranks are (K,)."""
     corner = _inner_rows(rho, p) >= 1.0 - defaults.SUPPORT_CUTOFF
-    same = np.array([s.support_rank for s in states]) == rank
-    if not (corner & same).any():  # no row is left for the span test
+    same = support == rank
+    if not (corner & same & (rank > 1)).any():  # no row is left for the span test
         return corner & same, corner & ~same
     log = [_reconstruct_stack(np.log(np.where(w > defaults.SUPPORT_CUTOFF, w, 1.0)), V)
            for w, V in zip(values, vectors)]
@@ -356,18 +381,20 @@ def _rI_rows(states: list[State], p, rank, offset, basis) -> tuple[np.ndarray, n
         t = _inner_rows(x, e)[..., None, None]
         x = [_sym(a - _sym(t * b)) for a, b in zip(x, e)]
     in_span = np.sqrt(_inner_rows(x, x)) <= defaults.MAX_EIG_GAP * np.maximum(1.0, size)
-    return corner & same & in_span, corner & ~same
+    return corner & same & (in_span | (rank == 1)), corner & ~same
 
 
 # -- the inclusion chain ----------------------------------------------------------
 
 
-def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list, list]:
+def _norm_leg(family: ExponentialFamily, legs: list, u: list,
+              targets: list) -> tuple[list[float], list, list]:
     """Hilbert-Schmidt distance from each sample s = g.family.member(theta_p)
-    of legs, entries (g, gap, [(theta_p, s), ...]), to the member
-    family.member(x + t_end u_hat) on the e-geodesic that converges to s: an
-    explicit member, so the value bounds the distance to the family above;
-    and p and c^p(offset) per block, stacked (K, n_k, n_k) over the groups.
+    of legs, entries (g, gap, [theta_p, ...]), with element blocks the rows
+    of targets, to the member family.member(x + t_end u_hat) on the
+    e-geodesic that converges to s: an explicit member, so the value bounds
+    the distance to the family above; and p and c^p(offset) per block, stacked
+    (K, n_k, n_k) over the groups, as are u, their mid-angle directions.
 
     The stacked projectors p of all groups compress the basis and offset in
     one pass (_compress_blocks); one least-squares solve through c^p lifts the
@@ -384,20 +411,18 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list,
     a = [np.concatenate([s, o[None]]) for s, o in zip(family.stacks, family.offset.blocks)]
     c = _compress_blocks(p, np.array([[g.rank] for g, _, _ in legs]), a)[1]  # K x (dim + 1)
     cols = np.concatenate([_coords(c)[:, :-1], _coords(p)], axis=1)  # c^p(v_i), then p
-    wide = [(i, t) for i, (g, _, samples) in enumerate(legs) if g.rank > 1 for t, _ in samples]
+    wide = [(i, t) for i, (g, _, thetas) in enumerate(legs) if g.rank > 1 for t in thetas]
     owner = np.array([i for i, _ in wide], dtype=int)
     rhs = _coords([_sym(np.stack(x) - ck[owner, -1]) for x, ck in zip(zip(*(
         legs[i][0].family.parameter_element(t).blocks for i, t in wide)), c)]) if wide else None
-    u_hats = _mean_values([_sym(u) for u in _polar_sweep(family).blocks(
-        [g.mid_angle for g, _, _ in legs])], family)
-    params, states = [], []
-    for i, ((g, gap, samples), A, u_hat) in enumerate(zip(legs, cols, u_hats)):
+    u_hats = _mean_values([_sym(b) for b in u], family)
+    params = []
+    for i, ((g, gap, thetas), A, u_hat) in enumerate(zip(legs, cols, u_hats)):
         x = (np.linalg.lstsq(A.T, rhs[owner == i].T, rcond=None)[0][:-1] if g.rank > 1
-             else np.zeros((family.dim, len(samples))))
+             else np.zeros((family.dim, len(thetas))))
         norm = np.linalg.norm(u_hat)
         params += [xi + defaults.CHAIN_GAP_T * norm / gap * max(1.0, xi @ xi) * (u_hat / norm)
                    for xi in x.T]
-        states += [s for _, s in samples]
     # parameter_element per row, stacked (one product over the stack moves bits)
     a = [np.stack([o + _combine(x, s) for x in params])
          for o, s in zip(family.offset.blocks, family.stacks)]
@@ -405,9 +430,8 @@ def _norm_leg(family: ExponentialFamily, legs: list) -> tuple[list[float], list,
     members = _state_blocks(family.algebra, *_gibbs_spectra(family.support, gibbs))
     # s.element - member, symmetrized as _trusted does; each row's norm as
     # HermitianElement.norm takes it (one norm over a stack moves bits)
-    targets = [np.stack(blocks) for blocks in zip(*(s.element.blocks for s in states))]
     diff = [_sym(d) for d in map(np.subtract, targets, members)]
-    norms = [_hs_norm([d[i] for d in diff]) for i in range(len(states))]
+    norms = [_hs_norm([d[i] for d in diff]) for i in range(len(params))]
     return norms, [b[:, 0] for b in p], [ck[:, -1] for ck in c]
 
 
@@ -421,12 +445,13 @@ def inclusion_chain_check(
     geo_subset_rI flags whether each sample (g.representative, and the member
     at theta = 0.7) lies on the rank-g.rank exposed face of the direction u at
     g's mid-angle and in g.family.  The samples are the rows of one stacked
-    decision each: one eigh per algebra block gives every u its maximal
-    projector for _on_faces, and _rI_rows reads _norm_leg's c^p(offset); a
-    rank-one group builds no family, and a row of another support rank than
-    its group's goes to rI_membership.  rI_subset_norm is its norm distance to
-    its e-geodesic (_norm_leg) against 5 / CHAIN_GAP_T, about 10 times the
-    largest value over 272 cone tilts and random families."""
+    decision each (_sample_stacks): each u is evaluated once, one eigh per
+    algebra block gives it its maximal projector for _on_faces, and _rI_rows
+    reads _norm_leg's c^p(offset); a rank-one group builds no family and no
+    State, and a row of another support rank than its group's goes to
+    rI_membership.  rI_subset_norm is its norm distance to its e-geodesic
+    (_norm_leg) against 5 / CHAIN_GAP_T, about 10 times the largest value over
+    272 cone tilts and random families."""
     if max_groups < 1:
         raise PreconditionError(f"max_groups must be at least 1, got {max_groups}")
     report = Report(name="closure_inclusion_chain")
@@ -434,21 +459,19 @@ def inclusion_chain_check(
 
     groups = atlas.groups[::-(-len(atlas.groups) // max_groups)]  # at most max_groups
     mids, ranks = [g.mid_angle for g in groups], np.array([g.rank for g in groups])
-    u, spectra = _polar_sweep(family).blocks(mids), _polar_sweep(family).spectra(mids)
-    legs = []
+    u = _polar_sweep(family).blocks(mids)
+    spectra = SweepSpectra(*map(list, zip(*map(np.linalg.eigh, u))))  # DirectionSweep.spectra
+    legs, samples = [], []
     for g, gap in zip(groups, spectra.top_gap(ranks)):
-        samples = [(np.zeros(g.family_dim), g.representative)]
-        if g.family_dim >= 1:
-            theta_p = 0.7 * np.ones(g.family_dim)
-            samples.append((theta_p, g.family.member(theta_p)))
-        legs.append((g, gap, samples))
-    norms, carriers, offsets = _norm_leg(family, legs)
+        thetas = [np.zeros(g.family_dim)] + [0.7 * np.ones(g.family_dim)] * (g.family_dim >= 1)
+        samples += [g.pure or g.representative] + [g.family.member(t) for t in thetas[1:]]
+        legs.append((g, gap, thetas))
+    rho, values, vectors, support = _sample_stacks(family.algebra, samples)
+    norms, carriers, offsets = _norm_leg(family, legs, u, rho)
 
-    owner = np.array([i for i, (_, _, samples) in enumerate(legs) for _ in samples])
-    states = [s for _, _, samples in legs for _, s in samples]
+    owner = np.array([i for i, (_, _, thetas) in enumerate(legs) for _ in thetas])
     top, faces = spectra.max_projectors()
-    on_face = _on_faces([np.array(b) for b in zip(*(s.element.blocks for s in states))],
-                        [b[owner] for b in u], [f[owner] for f in faces],
+    on_face = _on_faces(rho, [b[owner] for b in u], [f[owner] for f in faces],
                         spectra.top()[owner]) & (top == ranks)[owner]
     # per basis element, its rows: each sample's group's, zero past the group's
     # dimension; a rank-one group's family is the single state p (no family built)
@@ -456,13 +479,13 @@ def inclusion_chain_check(
     zero = [np.zeros_like(o[0]) for o in offsets]
     basis = [list(map(np.array, zip(*(spans[i][j] if j < len(spans[i]) else zero
                                       for i in owner)))) for j in range(max(map(len, spans)))]
-    member, rest = _rI_rows(states, [b[owner] for b in carriers], ranks[owner],
-                            [o[owner] for o in offsets], basis)
-    for j in np.flatnonzero(on_face & rest):
-        member[j] = rI_membership(states[j], groups[owner[j]].family)
+    member, rest = _rI_rows(rho, values, vectors, support, [b[owner] for b in carriers],
+                            ranks[owner], [o[owner] for o in offsets], basis)
+    for j in np.flatnonzero(on_face & rest):  # never a pure sample: its support rank is 1
+        member[j] = rI_membership(samples[j], groups[owner[j]].family)
     rows = iter(zip(on_face & member, norms))
-    for g, _, samples in legs:
-        for tag, _ in zip(("representative", "member"), samples):
+    for g, _, thetas in legs:
+        for tag, _ in zip(("representative", "member"), thetas):
             flag, norm = next(rows)
             where = f"{tag} of group at alpha [{g.alpha_lo:.6f}, {g.alpha_hi:.6f}] rank {g.rank}"
             report.flag("geo_subset_rI", where, bool(flag))

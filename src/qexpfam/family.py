@@ -332,11 +332,15 @@ def make_compressed_family(
     Compressed components below the projector merge tolerance, relative to
     the generator size, are treated as zero; only kept ones become elements,
     and gram_schmidt's loop (_orthonormalize) at the same cut drops the
-    residuals that vanish instead of rejecting them.
+    residuals that vanish instead of rejecting them.  A rank-one p is a pure
+    state (pAp = C p): its family, the single state p with no generators and
+    an offset of exactly zero, is built uncompressed.
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
     algebra, cut = parent.algebra, defaults.MAX_EIG_GAP
+    if p.rank == 1:
+        return ExponentialFamily(algebra, (), zero(algebra), (), p)
     compressed = _compress_blocks(p.element.blocks, p.rank, parent._compression_stacks)[1]
     gens = []
     for g, *cg in zip(parent.generators, *compressed):
@@ -801,7 +805,9 @@ def _newton_row(family: ExponentialFamily, moments: np.ndarray, tol: float,
                 hit_cap_now = True
                 rewind = rewind or here
             accepted = False
-            floor = _resolution(fval)
+            # f = F - theta.m rounds at the size of F, read off the point's row
+            free = point[0][0].free if point[1] is None else point[0][0].free[point[1]]
+            floor = _resolution(max(abs(fval), abs(free)))
             for _ in range(defaults.ARMIJO_MAX_HALVINGS):
                 cand = theta + t * step
                 f2, g2, p2 = yield cand

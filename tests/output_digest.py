@@ -13,8 +13,9 @@ below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
 coordinates, two sweeps and sixteen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
-|theta| = 620.65, one at swallow rho(1e-4), whose exact solve stalls at
-rounding and prints its exact_path line, and one at E_11 in a custom
+|theta| = 620.65, one at swallow rho(1e-4), whose exact solve converges
+at |theta| = 1.4e5 (Armijo's floor is taken at the scale of the free
+energy, where the objective rounds), and one at E_11 in a custom
 three-generator family on one 4x4 block, whose face chain skips a face:
 its first face has rank 3, and a lifted direction exposes the rank-2 face
 {e_1, e_4} at once, and two at E_11 and that family conjugated by one Haar

@@ -56,7 +56,9 @@ from qexpfam.states import (
     _compress_blocks,
     compress,
     exposed_face_membership,
+    log_on_support,
     max_eig_data,
+    pure_state,
     relative_entropy,
     support_projector,
     tracial_state,
@@ -154,10 +156,15 @@ def _lazy_family(name: str):
 
 
 def _assert_single_state(parent, p):
-    """The compressed family of a rank-one p has no generator, dimension 0 and
+    """The compressed family of a rank-one p is built with no compression and
+    has no generator, dimension 0, an offset of exactly zero, support p and
     the one member p."""
-    fam = make_compressed_family(parent, p)
-    assert fam.dim == 0 and fam.generators == ()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(family_module, "_compress_blocks",
+                  lambda *args: pytest.fail("a rank-one family was compressed"))
+        fam = make_compressed_family(parent, p)
+    assert fam.dim == 0 and fam.generators == () and fam.support is p
+    assert not any(b.any() for b in fam.offset.blocks)
     assert (fam.member(()).element - p.element).norm() <= 1e-14
 
 
@@ -472,6 +479,46 @@ class TestLazyAtlas:
         assert atlas.groups[::-7][0] is atlas.groups[-1]
         with pytest.raises(IndexError):
             atlas.groups[n]
+        # on a fresh atlas: an index, then a slice holding it, then every row
+        fresh = geodesic_closure_atlas(fam).groups
+        one, part, every = fresh[k], fresh[k - 2:k + 5], list(fresh)
+        assert [fields(g) for g in (one, *part, *every)] == [
+            fields(g) for g in (want[k], *want[k - 2:k + 5], *want)]
+        assert part[2] is one and every[k] is one and every[k + 4] is part[-1]
+
+    @pytest.mark.parametrize("name", ["staffelberg", "swallow", "random-2,2-seed4"])
+    def test_rank_one_projectors_decomposed_on_read(self, name, monkeypatch):
+        # the atlas decomposes only what it hands out: a read (an index, a
+        # slice, every row on iteration) makes one stacked eigh per owner block
+        # over the rank-one groups it builds, in read order, and none for a
+        # group built before
+        atlas, eighs, real = geodesic_closure_atlas(_lazy_family(name)), [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighs.append(a) or real(a, *args))
+        groups, built, n_ones = atlas.groups, set(), 0
+        for read in (lambda: [groups[3]], lambda: groups[10:60:7], lambda: list(groups)):
+            eighs.clear()
+            got = read()
+            new = [g for g in got if id(g) not in built and g.rank == 1]
+            built.update(map(id, got))
+            want = [np.stack([g.blocks[k] for g in new if g.pure[0] == k])
+                    for k in sorted({g.pure[0] for g in new})]
+            assert len(eighs) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(eighs, want))
+            n_ones += len(new)
+        assert n_ones == sum(g.rank == 1 for g in groups)
+        if name == "staffelberg":
+            assert n_ones == 719 and len(want) == 1
+
+    def test_chain_decomposes_its_rank_one_groups_only(self, staffelberg, monkeypatch):
+        # 23 of the 24 groups the chain samples are rank one: their projectors
+        # are the one stack of projectors decomposed, not the atlas's 719
+        eighs, real = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args: eighs.append(a) or real(a, *args))
+        report = inclusion_chain_check(staffelberg)
+        projectors = [a for a in eighs if a.ndim == 3 and np.allclose(a @ a, a)
+                      and np.allclose(np.trace(a, axis1=1, axis2=2), 1.0)]
+        assert [len(a) for a in projectors] == [23]
+        assert sum(f.detail.endswith("rank 1") for f in report.findings) == 2 * 23
 
     @pytest.mark.parametrize("name", ["staffelberg", "swallow"])
     def test_chain_builds_only_its_sampled_groups(self, name, monkeypatch):
@@ -671,6 +718,51 @@ class TestRIMembership:
         assert rI_membership(member, fam)
         assert not rI_membership(other, fam)
         assert not rI_membership(State((1 - 1e-3) * member.element + 1e-3 * other.element), fam)
+
+
+class TestRankOneRows:
+    @settings(derandomize=True, deadline=None, max_examples=30)
+    @given(st.sampled_from([(2, 1), (2, 2), (3, 1), (1, 1, 1)]), st.integers(0, 2 ** 16),
+           st.floats(0.0, 2.0 * np.pi))
+    def test_rank_one_carriers_decided_as_the_span_test(self, dims, seed, alpha):
+        # pure states on and off a rank-one face p of a random 2D family, one
+        # row each, stacked with a member and a random state of the family
+        # itself (so the span arithmetic runs): on the rank-one rows _rI_rows
+        # decides as the span test against c^p(offset) would, and p is a member
+        rng, algebra = np.random.default_rng(seed), Algebra(dims)
+        fam = random_family(algebra, 2, rng)
+        fam = make_family(algebra, fam.generators, offset=random_traceless(algebra, rng))
+        p = max_eig_data(sweep_direction(fam, alpha))[1]
+        if p.rank != 1:
+            return
+        other = max_eig_data(sweep_direction(fam, alpha + 1.0))[1]
+        k = int(rng.integers(len(dims)))
+        pure = [State(p.element), State(other.element),
+                pure_state(algebra, k, rng.normal(size=dims[k]) + 1j * rng.normal(size=dims[k]))]
+        single = make_compressed_family(fam, p)
+        rows = [(s, single) for s in pure] + [(fam.member(rng.normal(size=2)), fam),
+                                              (random_state(algebra, rng, invertible=True), fam)]
+
+        def stack(parts):
+            return [np.array(b) for b in zip(*parts)]
+
+        zero = [np.zeros((n, n), dtype=complex) for n in dims]
+        states = [s for s, _ in rows]
+        member, rest = closures._rI_rows(
+            stack(s.element.blocks for s in states), stack(s.spectral.eigenvalues for s in states),
+            stack(s.spectral.eigenvectors for s in states),
+            np.array([s.support_rank for s in states]),
+            stack(f.support_projector.element.blocks for _, f in rows),
+            np.array([f.support_projector.rank for _, f in rows]),
+            stack(f.offset.blocks for _, f in rows),
+            [stack(f.basis[j].blocks if j < f.dim else zero for _, f in rows) for j in range(2)])
+        offset = compress(p, fam.offset)[1]
+        for i, s in enumerate(pure):
+            x = compress(p, log_on_support(s))[1]
+            in_span = (x - offset).norm() <= defaults.MAX_EIG_GAP * max(1.0, x.norm())
+            corner = hs_inner(s.element, p.element) >= 1.0 - defaults.SUPPORT_CUTOFF
+            assert member[i] == (corner and s.support_rank == 1 and in_span) and not rest[i]
+        assert member[0] and member[3] and not rest[3:].any()
 
 
 def _superfamily():
@@ -969,12 +1061,12 @@ class TestNormLeg:
                 return fn(*args, **kwargs)
             return counted
 
-        def spied_leg(family, legs):  # the norm leg, with member and eigh counted
+        def spied_leg(family, legs, *stacks):  # the norm leg, with member and eigh counted
             leg_calls.append(legs)
             with monkeypatch.context() as m:
                 m.setattr(ExponentialFamily, "member", spy(members, member))
                 m.setattr(np.linalg, "eigh", spy(eighs, real_eigh))
-                return norm_leg(family, legs)
+                return norm_leg(family, legs, *stacks)
 
         monkeypatch.setattr(closures, "_norm_leg", spied_leg)
         report = inclusion_chain_check(family)
@@ -985,7 +1077,7 @@ class TestNormLeg:
         # one call, and one stack per block size, (blocks, samples, n, n),
         # holds every sample of the check
         (legs,) = leg_calls
-        n_samples = sum(len(samples) for *_, samples in legs)
+        n_samples = sum(len(thetas) for *_, thetas in legs)
         assert sorted(np.shape(m)[:2] for (m,) in eighs) == sorted(
             (dims.count(n), n_samples) for n in set(dims))
         assert n_samples == len(report.findings) // 2
@@ -1026,9 +1118,13 @@ class TestChainChecksFail:
     a sample that does not hold what the leg claims."""
 
     def test_geo_fails_off_the_face(self, swallow, monkeypatch):
-        # the tracial state lies on no proper face, so no group holds it
-        monkeypatch.setattr(closures.AtlasGroup, "representative",
-                            property(lambda g: tracial_state(g.parent.algebra)))
+        # the tracial state lies on no proper face, so no group holds it: it
+        # replaces every representative, a rank-one group's pure sample too
+        tracial = tracial_state(swallow.algebra)
+        monkeypatch.setattr(closures.AtlasGroup, "representative", property(lambda g: tracial))
+        sample_stacks = closures._sample_stacks
+        monkeypatch.setattr(closures, "_sample_stacks", lambda algebra, samples: sample_stacks(
+            algebra, [s if isinstance(s, State) else tracial for s in samples]))
         report = inclusion_chain_check(swallow)
         fails = _fails(report, "geo_subset_rI")
         assert fails == [not m for m in _members(report, "geo_subset_rI")]
@@ -1051,8 +1147,8 @@ class TestChainChecksFail:
     def test_norm_fails_at_a_hundredth_of_t_end(self, name, monkeypatch):
         family = _default_atlas(name).family
         norm_leg = closures._norm_leg
-        monkeypatch.setattr(closures, "_norm_leg", lambda family, legs: norm_leg(
-            family, [(g, 100.0 * gap, samples) for g, gap, samples in legs]))
+        monkeypatch.setattr(closures, "_norm_leg", lambda family, legs, *stacks: norm_leg(
+            family, [(g, 100.0 * gap, thetas) for g, gap, thetas in legs], *stacks))
         report = inclusion_chain_check(family)
         assert not any(_fails(report, "geo_subset_rI"))
         assert any(_fails(report, "rI_subset_norm"))

@@ -922,6 +922,15 @@ class TestExactPath:
             want = _mp_distance(rho, swallow, res.theta_star)
             assert abs(res.distance - want) <= 1e-10 * want
 
+    def test_swallow_rho_1e4_converges_near_the_oracle(self, swallow):
+        # Armijo's floor at the scale of F: at the floor of f alone the solve
+        # stalled at rounding, 2.1e-8 off the oracle, and read not attained
+        rho = cone.base_circle_state(1e-4)
+        ((projectors, res),) = family._chain_projections([rho], swallow)
+        assert projectors == [] and res.attained and res.stop_reason == "converged"
+        want = _mp_distance(rho, swallow, res.theta_star)
+        assert abs(res.distance - want) <= 1e-8 * want
+
     def test_open_arc_grid_never_stops_at_a_cap(self, swallow):
         # the 719 open-arc states in one call: a solve that is not attained
         # stalled at rounding, none ran into a cap
