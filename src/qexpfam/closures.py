@@ -49,18 +49,19 @@ from . import defaults
 from .errors import PreconditionError
 from .family import (
     ExponentialFamily,
-    _chain_projections,
     _combine,
     _gibbs,
     _gibbs_spectra,
     _mean_values,
+    _project_ladder,
     face_chain,
     free_energy,
     make_compressed_family,
 )
 from .findings import Report
 from .linalg import (DirectionSweep, HermitianElement, SweepSpectra, _coords, _hs_norm,
-                     _inner_rows, _reconstruct_stack, _sym, project_out, traceless_part)
+                     _inner_rows, _project_out, _reconstruct_stack, _sym, project_out,
+                     traceless_part)
 from .states import (
     Projector,
     State,
@@ -339,7 +340,8 @@ def reduce_distance_to_face(
     p = _exposed_face(rho, v)
     if p is None:
         raise PreconditionError("state is not in the exposed face of v")
-    _, res = _chain_projections([rho], make_compressed_family(family, p), param_cap=param_cap)[0]
+    chain, last = face_chain(rho, make_compressed_family(family, p))
+    res = _project_ladder([rho], last, (param_cap,), lambda _: bool(chain))[0][0]
     return res.distance
 
 
@@ -375,11 +377,8 @@ def _rI_rows(rho, values, vectors, support, p, rank, offset,
         return corner & same, corner & ~same
     log = [_reconstruct_stack(np.log(np.where(w > defaults.SUPPORT_CUTOFF, w, 1.0)), V)
            for w, V in zip(values, vectors)]
-    x = [_sym(c - o) for c, o in zip(_compress_blocks(p, rank, log)[1], offset)]
-    size = np.sqrt(_inner_rows(x, x))
-    for e in basis:  # project_out's modified Gram-Schmidt steps
-        t = _inner_rows(x, e)[..., None, None]
-        x = [_sym(a - _sym(t * b)) for a, b in zip(x, e)]
+    x = list(map(np.subtract, _compress_blocks(p, rank, log)[1], offset))
+    size, x = np.sqrt(_inner_rows(x, x)), _project_out(x, basis)
     in_span = np.sqrt(_inner_rows(x, x)) <= defaults.MAX_EIG_GAP * np.maximum(1.0, size)
     return corner & same & (in_span | (rank == 1)), corner & ~same
 
@@ -413,7 +412,7 @@ def _norm_leg(family: ExponentialFamily, legs: list, u: list,
     cols = np.concatenate([_coords(c)[:, :-1], _coords(p)], axis=1)  # c^p(v_i), then p
     wide = [(i, t) for i, (g, _, thetas) in enumerate(legs) if g.rank > 1 for t in thetas]
     owner = np.array([i for i, _ in wide], dtype=int)
-    rhs = _coords([_sym(np.stack(x) - ck[owner, -1]) for x, ck in zip(zip(*(
+    rhs = _coords([np.stack(x) - ck[owner, -1] for x, ck in zip(zip(*(
         legs[i][0].family.parameter_element(t).blocks for i, t in wide)), c)]) if wide else None
     u_hats = _mean_values([_sym(b) for b in u], family)
     params = []
@@ -428,9 +427,9 @@ def _norm_leg(family: ExponentialFamily, legs: list, u: list,
          for o, s in zip(family.offset.blocks, family.stacks)]
     gibbs = _gibbs([_sym(m) for m in a], family.support)
     members = _state_blocks(family.algebra, *_gibbs_spectra(family.support, gibbs))
-    # s.element - member, symmetrized as _trusted does; each row's norm as
-    # HermitianElement.norm takes it (one norm over a stack moves bits)
-    diff = [_sym(d) for d in map(np.subtract, targets, members)]
+    # |s.element - member| per row as HermitianElement.norm takes it (one norm
+    # over a stack moves bits)
+    diff = list(map(np.subtract, targets, members))
     norms = [_hs_norm([d[i] for d in diff]) for i in range(len(params))]
     return norms, [b[:, 0] for b in p], [ck[:, -1] for ck in c]
 

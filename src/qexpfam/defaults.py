@@ -27,16 +27,14 @@ PROJECTOR_TOL = 1e-12
 
 # Spectral gap below which eigenvalues merge into one maximal projector: the only merge
 # test is linalg.top_eigenspace (the sweeps, and the face decision states._exposed_face
-# through states._maximal_projector).  Other readers: the rank cuts of make_compressed_family
-# and _scalar_directions, the residual cuts of reduce_distance_to_face and _rI_rows, atlas
-# projector equality, _steepest_margin's margin stop and locate_crossings' third branch.
+# through states._maximal_projector).  Other readers: the rank cuts of Gram-Schmidt
+# (_orthonormalize), make_compressed_family and _scalar_directions, the residual cuts of
+# reduce_distance_to_face and _rI_rows, atlas projector equality, _steepest_margin's margin
+# stop and locate_crossings' third branch.
 MAX_EIG_GAP = 1e-9
 
 # Exposed-face membership: |<rho,u> - mu_+(u)| tolerance.
 FACE_VALUE_TOL = 1e-10
-
-# Orthonormalization (modified Gram-Schmidt) rank tolerance.
-GRAM_SCHMIDT_TOL = 1e-12
 
 # Projection solver.
 SOLVER_TOL = 1e-10

@@ -328,13 +328,12 @@ def make_compressed_family(
     """The induced family in the corner algebra pAp.
 
     Parameter space is the c^p image of the parent's; the tangent space may
-    lose dimensions (and can become zero, leaving a single state).
-    Compressed components below the projector merge tolerance, relative to
-    the generator size, are treated as zero; only kept ones become elements,
-    and gram_schmidt's loop (_orthonormalize) at the same cut drops the
-    residuals that vanish instead of rejecting them.  A rank-one p is a pure
-    state (pAp = C p): its family, the single state p with no generators and
-    an offset of exactly zero, is built uncompressed.
+    lose dimensions (and can become zero, leaving a single state).  Both
+    steps cut rank at MAX_EIG_GAP: a compressed generator at or below it,
+    relative to its size, is dropped, and _orthonormalize drops a residual
+    that vanishes instead of rejecting it.  A rank-one p is a pure state (pAp
+    = C p): its family, the single state p with no generators and an offset
+    of exactly zero, is built uncompressed.
     """
     if p.rank == 0:
         raise PreconditionError("cannot compress a family by the zero projector")
@@ -347,7 +346,7 @@ def make_compressed_family(
         size = _hs_norm(cg)  # g.norm() only above the cut
         if size > cut and size > cut * max(1.0, g.norm()):
             gens.append(HermitianElement._trusted(algebra, cg))
-    basis = _orthonormalize(gens, cut)
+    basis = _orthonormalize(gens)
     off = project_out(HermitianElement._trusted(algebra, [c[-1] for c in compressed]), basis)
     return ExponentialFamily(algebra, tuple(basis), off, tuple(gens), p)
 
@@ -939,20 +938,20 @@ def entropy_distance(
 
 
 def _chain_projections(rhos: Sequence[State], family: ExponentialFamily,
-                       tol: float = defaults.SOLVER_TOL, param_cap: float = math.inf
+                       tol: float = defaults.SOLVER_TOL
                        ) -> list[tuple[list[Projector], ProjectionResult]]:
-    """The one exact path: each state's face_chain projectors and its solve
-    in the family the chain ends in, where the minimum over the closure is
-    attained (Csiszar & Matus, IEEE Trans. IT 49, 2003): uncapped unless
-    ``param_cap`` is finite, it ends converged, "stalled" or in SolverError.
-    attained: the chain is empty and the solve converged; the chain answers
-    the solve's face test.  The states whose chains end in one family object
-    (every full-rank state's ends in ``family``) share one loop."""
+    """The one exact path: each state's face_chain projectors and its uncapped
+    solve in the family the chain ends in, where the minimum over the closure
+    is attained (Csiszar & Matus, IEEE Trans. IT 49, 2003); it ends
+    converged, "stalled" or in SolverError.  attained: the chain is empty and
+    the solve converged; the chain answers the solve's face test.  The states
+    whose chains end in one family object (every full-rank state's ends in
+    ``family``) share one loop."""
     chains = [face_chain(rho, family) for rho in rhos]
     out: list = [None] * len(rhos)
     for last in {id(last): last for _, last in chains}.values():
         ks = [k for k, (_, end) in enumerate(chains) if end is last]
-        results = _project_ladder([rhos[k] for k in ks], last, (param_cap,),
+        results = _project_ladder([rhos[k] for k in ks], last, (math.inf,),
                                   lambda i: bool(chains[ks[i]][0]), tol=tol)
         for k, (res,) in zip(ks, results):
             out[k] = chains[k][0], res

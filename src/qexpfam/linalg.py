@@ -93,15 +93,13 @@ class HermitianElement:
     @classmethod
     def _trusted(cls, algebra: Algebra, blocks) -> "HermitianElement":
         """The internal constructor of every element computed from elements
-        and states already held: sums, real multiples, compressions pap,
-        eigen-reconstructions and derivatives.
-
-        Such blocks are Hermitian up to rounding, so the checks are skipped;
-        the symmetrization stays, which keeps the bits of complex blocks
-        (signed zeros included) equal to the public constructor's.  On a
-        block that is a _sym output already it moves only the sign of a zero
-        real part, where the block _sym took had -0 at both (i, j) and (j,
-        i); the compressions it wraps have none, as matmul sums never read -0.
+        and states already held (sums, real multiples, compressions pap,
+        eigen-reconstructions, derivatives), wrapping raw block arithmetic
+        (the rule at _sym) once.  The checks are skipped; the symmetrization
+        stays, which keeps the bits of complex blocks (signed zeros included)
+        equal to the public constructor's.  On a _sym output it moves only
+        the sign of a zero real part, where the block _sym took had -0 at both
+        (i, j) and (j, i); compressions have none, as matmul sums never read -0.
         """
         out, sym = object.__new__(cls), tuple(_sym(b) for b in blocks)
         for h in sym:
@@ -157,7 +155,9 @@ class HermitianElement:
 
 
 def _sym(b: np.ndarray) -> np.ndarray:
-    """(b + b*) / 2 of a matrix or of each of a stack: the one symmetrization."""
+    """(b + b*) / 2 of a matrix or of each of a stack: the one symmetrization,
+    taken after a product, not after a difference or real multiple of
+    symmetrized blocks, whose values (all it could move) it keeps."""
     return (b + b.conj().mT) / 2.0
 
 
@@ -595,36 +595,40 @@ def dlog(a: HermitianElement, b: HermitianElement) -> HermitianElement:
 # -- orthonormalization -------------------------------------------------------
 
 
-def project_out(
-    a: HermitianElement, basis: Sequence[HermitianElement]
-) -> HermitianElement:
-    """One modified Gram-Schmidt pass: a minus its components along the
-    orthonormal basis, removed one at a time."""
+def _project_out(blocks, basis) -> list[np.ndarray]:
+    """The one project-out step, modified Gram-Schmidt: the blocks of one
+    element, or (K, n_k, n_k) stacks of rows, minus their components along
+    each orthonormal basis element in turn, on raw blocks (the rule at _sym)."""
     for e in basis:
-        a = a - hs_inner(a, e) * e
-    return a
+        t = _inner_rows(blocks, e)[..., None, None]
+        blocks = [a - t * b for a, b in zip(blocks, e)]
+    return blocks
 
 
-def _orthonormalize(elements: Sequence[HermitianElement], cut: float) -> list[HermitianElement]:
+def project_out(a: HermitianElement, basis: Sequence[HermitianElement]) -> HermitianElement:
+    """One modified Gram-Schmidt pass (_project_out): a minus its components
+    along the orthonormal basis, removed one at a time."""
+    return HermitianElement._trusted(a.algebra, _project_out(a.blocks, [e.blocks for e in basis]))
+
+
+def _orthonormalize(elements: Sequence[HermitianElement]) -> list[HermitianElement]:
     """Modified Gram-Schmidt in the Hilbert-Schmidt inner product, two passes
-    for numerical orthogonality: the unit residuals of the elements, in
-    order, dropping each residual of norm at or below cut max(1, |element|)."""
+    of _project_out (the basis twice) for numerical orthogonality: the unit
+    residuals of the elements, in order, dropping each residual of norm at or
+    below the rank cut MAX_EIG_GAP max(1, |element|)."""
     basis: list[HermitianElement] = []
     for el in elements:
-        v = project_out(project_out(el, basis), basis)
-        nv = v.norm()
-        if nv > cut * max(1.0, el.norm()):
-            basis.append(v / nv)
+        v = _project_out(el.blocks, 2 * [e.blocks for e in basis])
+        nv = _hs_norm(v)
+        if nv > defaults.MAX_EIG_GAP * max(1.0, el.norm()):
+            basis.append(HermitianElement._trusted(el.algebra, [(1.0 / nv) * b for b in v]))
     return basis
 
 
-def gram_schmidt(
-    elements: Sequence[HermitianElement], tol: float = defaults.GRAM_SCHMIDT_TOL
-) -> list[HermitianElement]:
-    """Modified Gram-Schmidt in the Hilbert-Schmidt inner product,
-    _orthonormalize at cut ``tol``, rejecting rank-deficient input: a
-    residual norm at or below ``tol`` relative to the element's norm."""
-    basis = _orthonormalize(elements, tol)
+def gram_schmidt(elements: Sequence[HermitianElement]) -> list[HermitianElement]:
+    """_orthonormalize, rejecting rank-deficient input: a residual norm at or
+    below its rank cut."""
+    basis = _orthonormalize(elements)
     if len(basis) < len(elements):
         raise ValueError("rank-deficient spanning set in Gram-Schmidt")
     return basis

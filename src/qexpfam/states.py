@@ -311,13 +311,13 @@ def exposed_face_membership(rho: State, u: HermitianElement) -> bool:
 
 
 def _compress_blocks(p_blocks, rank, a_blocks) -> tuple[list, list]:
-    """The blocks of pap and c^p(a) = pap - p tr(pa)/rank, symmetrized step by
-    step as element arithmetic would, each row with the bits of its own
-    compression.  Leading axes broadcast: p's blocks (K, 1, n_k, n_k) with
+    """The blocks of pap and c^p(a) = pap - p tr(pa)/rank, each row with the
+    bits of its own compression; only the product pap is symmetrized (the
+    rule at _sym).  Leading axes broadcast: p's blocks (K, 1, n_k, n_k) with
     ranks (K, 1) and a's stacks (m, n_k, n_k) give rows (K, m, n_k, n_k)."""
     pap = [_sym(pb @ ab @ pb) for pb, ab in zip(p_blocks, a_blocks)]
     shift = (_inner_rows(p_blocks, a_blocks) / rank)[..., None, None]
-    return pap, [_sym(x - _sym(shift * pb)) for x, pb in zip(pap, p_blocks)]
+    return pap, [x - shift * pb for x, pb in zip(pap, p_blocks)]
 
 
 def compress(p: Projector, a: HermitianElement) -> tuple[HermitianElement, HermitianElement]:

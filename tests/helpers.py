@@ -4,7 +4,8 @@ from qexpfam import cone, defaults
 from qexpfam.closures import AtlasGroup, _polar_sweep
 from qexpfam.family import exp1, make_family
 from qexpfam.findings import Report
-from qexpfam.linalg import HermitianElement, eigh, hs_inner, identity, traceless_part, zero
+from qexpfam.linalg import (HermitianElement, _inner_rows, _reconstruct_stack, _sym, eigh,
+                            hs_inner, identity, traceless_part, zero)
 from qexpfam.sampling import random_hermitian, random_traceless
 from qexpfam.states import Projector, State, log_on_support, max_eig_data, pure_state
 
@@ -13,6 +14,58 @@ def traceless_part_by_sum(a):
     """traceless_part as element arithmetic, a - shift identity: the reference
     its block-by-block subtraction keeps bit for bit."""
     return a - (a.trace() / a.algebra.dim) * identity(a.algebra)
+
+
+# -- the project-out step, symmetrized after every step ---------------------------
+#
+# The element arithmetic and stacked loops that linalg.project_out,
+# linalg._orthonormalize, states._compress_blocks and closures._rI_rows ran
+# before they went to the raw kernel linalg._project_out: each step of them is
+# symmetrized, and the tests compare the raw code with them byte for byte.
+
+
+def project_out_by_elements(a, basis):
+    """a minus its components along the orthonormal basis, one at a time, as
+    element arithmetic (each step wrapped by HermitianElement._trusted)."""
+    for e in basis:
+        a = a - hs_inner(a, e) * e
+    return a
+
+
+def orthonormalize_by_elements(elements):
+    """Two passes of project_out_by_elements per element, keeping the unit
+    residuals above the rank cut MAX_EIG_GAP max(1, |element|)."""
+    basis = []
+    for el in elements:
+        v = project_out_by_elements(project_out_by_elements(el, basis), basis)
+        nv = v.norm()
+        if nv > defaults.MAX_EIG_GAP * max(1.0, el.norm()):
+            basis.append(v / nv)
+    return basis
+
+
+def compress_blocks_by_steps(p_blocks, rank, a_blocks):
+    """pap and c^p(a) with the shift and the difference symmetrized too."""
+    pap = [_sym(pb @ ab @ pb) for pb, ab in zip(p_blocks, a_blocks)]
+    shift = (_inner_rows(p_blocks, a_blocks) / rank)[..., None, None]
+    return pap, [_sym(x - _sym(shift * pb)) for x, pb in zip(pap, p_blocks)]
+
+
+def rI_rows_by_steps(rho, values, vectors, support, p, rank, offset, basis):
+    """closures._rI_rows with every step of its span arithmetic symmetrized,
+    and its residuals: x = c^p(ln^p rho) - offset before and after the
+    project-out steps."""
+    corner = _inner_rows(rho, p) >= 1.0 - defaults.SUPPORT_CUTOFF
+    same = support == rank
+    log = [_reconstruct_stack(np.log(np.where(w > defaults.SUPPORT_CUTOFF, w, 1.0)), V)
+           for w, V in zip(values, vectors)]
+    x = start = [_sym(c - o) for c, o in zip(compress_blocks_by_steps(p, rank, log)[1], offset)]
+    size = np.sqrt(_inner_rows(x, x))
+    for e in basis:
+        t = _inner_rows(x, e)[..., None, None]
+        x = [_sym(a - _sym(t * b)) for a, b in zip(x, e)]
+    in_span = np.sqrt(_inner_rows(x, x)) <= defaults.MAX_EIG_GAP * np.maximum(1.0, size)
+    return corner & same & (in_span | (rank == 1)), corner & ~same, start, x
 
 
 def random_unit_traceless(algebra, rng):

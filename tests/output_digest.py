@@ -4,13 +4,13 @@ one per demo over its exit code, stdout and stderr.
     PYTHONPATH=src python tests/output_digest.py
     PYTHONPATH=src python tests/output_digest.py --against parent.txt
 
-Runs a fixed list of 36 ``qexpfam`` commands (every report at three seeds,
+Runs a fixed list of 37 ``qexpfam`` commands (every report at three seeds,
 the closures report of four cone families, of a custom two-generator
 family on blocks 2,2 and of a custom diagonal two-generator family on blocks
 1,1,1,1, whose atlas has four rank-2 groups of family dimension 1, one of
 the cone families at tilt 1.0471275, 7e-5
 below pi/3, whose sampled spike member lifts to |x| = 78 in the family's
-coordinates, two sweeps and sixteen distances, two
+coordinates, two sweeps and seventeen distances, two
 of them at a cap ladder whose caps act on rungs with different values, one
 at a full-rank swallow state whose uncapped exact solve converges at
 |theta| = 620.65, one at swallow rho(1e-4), whose exact solve converges
@@ -22,7 +22,10 @@ its first face has rank 3, and a lifted direction exposes the rank-2 face
 unitary, with all three generators and with the first two, where E_11's
 face search runs its great-circle step, and one at a random state in a
 custom ten-generator family on blocks 3,2 whose config sets every key, the
-end-to-end guard of the config format), each in a fresh temporary
+end-to-end guard of the config format, and one at a state of full rank on
+span(e_1, e_2, e_3) in a custom four-generator family on one 4x4 block whose
+first generator is diag(1, 1, 1, -3): its chain is the one rank-3 face, and
+the solve runs in a compressed family of dimension 3), each in a fresh temporary
 directory, into which it
 first writes the command's config file if it names one, and a fresh
 process, and
@@ -30,7 +33,7 @@ prints one line per command: the SHA-256 over its exit code, stdout, stderr
 and every file it wrote (relative path and bytes), then the command.  Then it
 runs the five scripts in ``demos/`` beside the package's ``src/``, each in a
 fresh process, and prints one line per demo: the SHA-256 over its exit code,
-stdout and stderr, then ``demo`` and the script's name (41 lines in all; the
+stdout and stderr, then ``demo`` and the script's name (42 lines in all; the
 drawings a demo writes into ``demos/demos_out`` are not hashed).  Two checkouts
 whose outputs are byte-identical print the same lines, so comparing the
 printout of a change with its parent's checks that a refactor left every
@@ -54,7 +57,7 @@ import numpy as np
 
 import qexpfam
 from qexpfam.config import emit_element, parse_element
-from qexpfam.linalg import Algebra, HermitianElement
+from qexpfam.linalg import Algebra, HermitianElement, diagonal
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
 
 # file name: text of the custom families' configs.  custom_2_2: a
@@ -107,6 +110,18 @@ CONFIGS["custom_10.cfg"] = (
     + "[solver]\nparam_cap = 30\n[sweep]\nn_angles = 360\nphi = 0.5\n"
     "[output]\ndir = out\n[run]\nseed = 3\nquiet = true\n")
 
+# diag(1, 1, 1, -3) and three random generators on one 4x4 block (default_rng(0)),
+# and a random state of Mat(3) on span(e_1, e_2, e_3): the first generator
+# exposes that face, and the family compresses to it with a real tangent space
+_RNG, _ALGEBRA_4 = np.random.default_rng(0), Algebra((4,))
+_GENS_4 = [emit_element(diagonal(_ALGEBRA_4, [1.0, 1.0, 1.0, -3.0]))] + [
+    emit_element(random_traceless(_ALGEBRA_4, _RNG)) for _ in range(3)]
+_CORNER = np.zeros((4, 4), dtype=complex)
+_CORNER[:3, :3] = random_state(Algebra((3,)), _RNG).element.blocks[0]
+RAW_4 = emit_element(HermitianElement(_ALGEBRA_4, [_CORNER]))
+CONFIGS["compress_4.cfg"] = "[algebra]\nblocks = 4\n[family]\nname = custom\n" + "".join(
+    f"generator{i} = {g}\n" for i, g in enumerate(_GENS_4, 1))
+
 COMMANDS = (
     [["report", "--which", which, "--seed", seed]
      for which in ("staffelberg", "swallow", "cone", "maximizer")
@@ -130,7 +145,8 @@ COMMANDS = (
     + [["distance", "--config", "tie_4.cfg", "--state", "raw:" + E11]]
     + [["distance", "--config", name, "--state", "raw:" + _rotated(E11)]
        for name in ("tie_4_rotated.cfg", "tie_4_rotated_2.cfg")]
-    + [["distance", "--config", "custom_10.cfg", "--state", "raw:" + RAW_3_2]]
+    + [["distance", "--config", "custom_10.cfg", "--state", "raw:" + RAW_3_2],
+       ["distance", "--config", "compress_4.cfg", "--state", "raw:" + RAW_4]]
 )
 
 

@@ -21,7 +21,7 @@ from qexpfam.family import (entropy_distance, face_chain, make_compressed_family
 from qexpfam.linalg import Algebra, HermitianElement, coords, diagonal, hs_inner, trace_norm
 from qexpfam.maximizer import maximizer_certificate
 from qexpfam.sampling import haar_unitary, random_state, random_traceless
-from qexpfam.states import State, tracial_state
+from qexpfam.states import State, pure_state, tracial_state
 
 
 def _full_diagonal(n):
@@ -540,6 +540,46 @@ class TestInvariance:
             for got in (_summary(rho, mixed), _summary(State(conj(rho.element)), rotated)):
                 assert got[:2] == want[:2]
                 assert got[2] == pytest.approx(want[2], abs=1e-9)
+
+    @staticmethod
+    def _state(algebra, kind, rng):
+        """A random state of full rank, of rank 2 to N - 1, or pure."""
+        if kind == "pure":
+            k = int(rng.integers(algebra.n_blocks))
+            n = algebra.block_dims[k]
+            return pure_state(algebra, k, rng.normal(size=n) + 1j * rng.normal(size=n))
+        rho = random_state(algebra, rng)
+        if kind == "full":
+            return rho
+        w = np.concatenate(rho.spectral.eigenvalues)
+        w[rng.permutation(len(w))[:int(rng.integers(1, len(w) - 1))]] = 0.0
+        edges = np.cumsum((0,) + algebra.block_dims)
+        return State(HermitianElement(algebra, [(V * w[i:j] / w.sum()) @ V.conj().T for V, i, j
+                                                in zip(rho.spectral.eigenvectors, edges, edges[1:])]))
+
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(st.sampled_from([(4,), (2, 2), (3, 1), (2, 2, 1), (3, 2), (1,) * 5]),
+           st.sampled_from(["full", "deficient", "pure"]), st.integers(2, 4),
+           st.integers(0, 2**32 - 1))
+    def test_mixing_the_generators_changes_no_answer(self, dims, kind, k, seed):
+        # the family is the same set of states whatever spanning set names it:
+        # mixed by an invertible matrix and reordered, the generators give the
+        # same face chain ranks and attained flag, and the distance within
+        # rounding; the state kind is drawn apart from the algebra
+        algebra, rng = Algebra(dims), np.random.default_rng(seed)
+        gens = [random_traceless(algebra, rng) for _ in range(k)]
+        rho = self._state(algebra, kind, rng)
+        mix = rng.normal(size=(k, k))
+        while np.linalg.cond(mix) > 1e3:
+            mix = rng.normal(size=(k, k))
+        order = rng.permutation(k)
+        mixed = [sum((float(m) * gens[j] for m, j in zip(row, order)), 0.0 * gens[0])
+                 for row in mix]
+        (want_chain, want), (got_chain, got) = (
+            family._chain_projections([rho], make_family(algebra, g))[0] for g in (gens, mixed))
+        assert [p.rank for p in got_chain] == [p.rank for p in want_chain]
+        assert got.attained == want.attained
+        assert abs(got.distance - want.distance) <= 1e-12 * max(1.0, want.distance)
 
     @settings(derandomize=True, deadline=None, max_examples=12)
     @given(st.integers(4, 7), st.integers(3, 4), st.integers(0, 2**32 - 1))

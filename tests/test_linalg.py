@@ -3,11 +3,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qexpfam import cone, states
+from qexpfam import closures, cone, states
 from qexpfam.errors import AlgebraMismatchError, DomainError
+from qexpfam.family import exp1
 from qexpfam.linalg import (
     Algebra,
     HermitianElement,
+    _orthonormalize,
     _sym,
     apply_matrix_function,
     coords,
@@ -22,13 +24,16 @@ from qexpfam.linalg import (
     hs_inner,
     identity,
     logm,
+    project_out,
     trace_norm,
     traceless_part,
     zero,
 )
 from qexpfam.sampling import random_hermitian, random_traceless
 
-from helpers import random_support, traceless_part_by_sum
+from helpers import (compress_blocks_by_steps, orthonormalize_by_elements,
+                     project_out_by_elements, random_support, rI_rows_by_steps,
+                     traceless_part_by_sum)
 
 
 def rand(algebra, rng, scale=1.0):
@@ -187,6 +192,111 @@ def test_traceless_part_keeps_the_bits_of_the_sum(dims):
         for x in (a, -a):
             got, want = traceless_part(x), traceless_part_by_sum(x)
             assert all(g.tobytes() == w.tobytes() for g, w in zip(got.blocks, want.blocks))
+
+
+# The raw project-out kernel and the arithmetic on it keep the bits of the
+# element arithmetic that symmetrized every step: a - t b of symmetrized blocks
+# (t real) already has the values of its _sym.
+KERNEL_DIMS = [(2, 1), (2, 2), (1, 1, 1, 1), (4,), (3, 2), (16,)]
+
+
+def _same_bytes(xs, ys):
+    return len(xs) == len(ys) and all(x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+def _kernel_inputs(algebra, rng, count):
+    """count elements of _signed_zeros coordinates, each followed by its
+    negative, then on the cone's algebra its Pauli and apex elements."""
+    out = []
+    for _ in range(count):
+        a = from_coords(algebra, _signed_zeros(rng.normal(size=algebra.real_dim), rng))
+        out += [a, -a]
+    return out + ([*cone.PAULI, cone.APEX] if algebra == cone.ALGEBRA else [])
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 4))
+def test_project_out_keeps_the_bits_of_element_arithmetic(dims, seed, count):
+    algebra, rng = Algebra(dims), np.random.default_rng(seed)
+    elements = _kernel_inputs(algebra, rng, count)
+    want = orthonormalize_by_elements(elements)  # drops each negative
+    got = _orthonormalize(elements)
+    assert len(got) == len(want) and all(_same_bytes(g.blocks, w.blocks)
+                                         for g, w in zip(got, want))
+    spanning = elements[:2 * count:2]  # rank-deficient where coordinates vanish together
+    want_gs = orthonormalize_by_elements(spanning)
+    if len(want_gs) < len(spanning):
+        with pytest.raises(ValueError):
+            gram_schmidt(spanning)
+    else:
+        assert all(_same_bytes(g.blocks, w.blocks)
+                   for g, w in zip(gram_schmidt(spanning), want_gs))
+    for a in elements + _kernel_inputs(algebra, rng, 2):
+        assert _same_bytes(project_out(a, want).blocks, project_out_by_elements(a, want).blocks)
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compress_blocks_keeps_the_bits_of_element_arithmetic(dims, seed):
+    # one element's blocks, and rows (K, m) of K projectors and m elements
+    algebra, rng = Algebra(dims), np.random.default_rng(seed)
+    elements = _kernel_inputs(algebra, rng, 2)
+    projectors = [random_support(algebra, rng, empty) for empty in (False, True)]
+    projectors.append(states.full_support(algebra))
+    for p in projectors:
+        for a in elements:
+            got = states._compress_blocks(p.element.blocks, p.rank, a.blocks)
+            want = compress_blocks_by_steps(p.element.blocks, p.rank, a.blocks)
+            assert all(_same_bytes(g, w) for g, w in zip(got, want))
+    p = [np.stack(b)[:, None] for b in zip(*(q.element.blocks for q in projectors))]
+    rank = np.array([[q.rank] for q in projectors])
+    a = [np.stack(b) for b in zip(*(x.blocks for x in elements))]
+    got, want = states._compress_blocks(p, rank, a), compress_blocks_by_steps(p, rank, a)
+    assert all(_same_bytes(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("dims", KERNEL_DIMS)
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rI_rows_keep_the_bits_of_element_arithmetic(dims, seed):
+    # rows of states on random supports p (the first on all of A), offsets of
+    # _signed_zeros coordinates and per-row bases padded with zero rows; the
+    # residuals that enter and leave the raw kernel, and the verdicts, are
+    # those of the loop that symmetrized every step
+    algebra, rng = Algebra(dims), np.random.default_rng(seed)
+    rows = 4
+    supports = [states.full_support(algebra)] + [random_support(algebra, rng, False)
+                                                 for _ in range(rows - 1)]
+    rhos = [exp1(states.compress(q, rand(algebra, rng))[0], q) for q in supports]
+    offsets = _kernel_inputs(algebra, rng, rows)[:rows]
+    bases = [_orthonormalize(_kernel_inputs(algebra, rng, int(rng.integers(0, 4)))[::2])
+             for _ in range(rows)]
+    zero_blocks = [np.zeros((n, n), dtype=complex) for n in dims]
+    basis = [[np.stack(b) for b in zip(*(v[j].blocks if j < len(v) else zero_blocks
+                                         for v in bases))] for j in range(max(map(len, bases)))]
+
+    def stack(elements):
+        return [np.stack(b) for b in zip(*(getattr(x, "element", x).blocks for x in elements))]
+
+    args = (stack(rhos), *([np.stack(x) for x in zip(*(getattr(r.spectral, name) for r in rhos))]
+                           for name in ("eigenvalues", "eigenvectors")),
+            np.array([r.support_rank for r in rhos]), stack(supports),
+            np.array([q.rank for q in supports]), stack(offsets), basis)
+    seen, real = [], closures._project_out
+
+    def spy(blocks, basis):
+        seen.append((blocks, real(blocks, basis)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(closures, "_project_out", spy)
+        member, rest = closures._rI_rows(*args)
+    want_member, want_rest, start, end = rI_rows_by_steps(*args)
+    assert np.array_equal(member, want_member) and np.array_equal(rest, want_rest)
+    (blocks, out), = seen  # the first row is on its support, of rank N > 1
+    assert _same_bytes(blocks, start) and _same_bytes(out, end)
 
 
 class TestHsInner:

@@ -1,12 +1,11 @@
 import dataclasses
-import inspect
 import math
 
 import numpy as np
 import pytest
 
 from helpers import random_family, same_image
-from qexpfam import cone, maximizer
+from qexpfam import cone, family as family_module, maximizer
 from qexpfam.errors import PreconditionError
 from qexpfam.family import (_chain_projections, entropy_distance, make_compressed_family,
                             make_family, project_to_family)
@@ -246,15 +245,18 @@ class TestLocalMaxSearch:
         # with an empty face chain each evaluation, a start or a trial step,
         # is one uncapped solve in the family itself, and a certificate
         # is built from the last of them: equal to a fresh certificate
-        solves, trials = [], []
-        real_trial = maximizer._project_face_state
+        # (uncapped: the exact path's one ladder call per family has caps (inf,))
+        solves, trials, caps = [], [], []
+        real_trial, real_ladder = maximizer._project_face_state, family_module._project_ladder
 
         def spy_solve(rhos, family, *args, **kwargs):
-            call = inspect.signature(_chain_projections).bind(rhos, family, *args, **kwargs)
-            call.apply_defaults()
             out = _chain_projections(rhos, family, *args, **kwargs)
-            solves.extend((res._final[0], call.arguments["param_cap"]) for _, res in out)
+            solves.extend(res._final[0] for _, res in out)
             return out
+
+        def spy_ladder(rhos, family, ladder_caps, *args, **kwargs):
+            caps.append(tuple(ladder_caps))
+            return real_ladder(rhos, family, ladder_caps, *args, **kwargs)
 
         def spy_trial(p, a):
             trials.append(a)
@@ -262,14 +264,17 @@ class TestLocalMaxSearch:
 
         monkeypatch.setattr(maximizer, "_chain_projections", spy_solve)
         monkeypatch.setattr(maximizer, "_project_face_state", spy_trial)
+        monkeypatch.setattr(family_module, "_project_ladder", spy_ladder)
         for dims in ((2,), (3,), (2, 1), (2, 2), (1, 1, 1)):
             fam = random_family(Algebra(dims), 2, rng)
             solves.clear()
             trials.clear()
+            caps.clear()
             cands = local_max_search(fam, Projector(identity(fam.algebra)), n_starts=3,
                                      max_steps=30)
             assert trials and len(solves) == len(cands) + len(trials)
-            assert all(f is fam and cap == math.inf for f, cap in solves)
+            assert all(f is fam for f in solves)
+            assert caps and all(c == (math.inf,) for c in caps)
             for c in cands:
                 assert c.projection_attained and c.certificate is not None
                 want = maximizer_certificate(c.state, fam)
